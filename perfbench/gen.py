@@ -8,7 +8,8 @@ and simplices, the paper's sphere-count identity).
 
 Run as a script, this module is the benchmark's set-up step: it imports
 ``sncx.cli``, writes every input file and a ``manifest.json`` into the
-work directory, and prints the seconds that took as one JSON line.
+work directory, and prints as one JSON line the seconds that took and
+the time of the reference loop around it (``worker.reference_s``).
 
     python3 perfbench/gen.py --workload blowup-replay --seed 3 --out DIR
 """
@@ -340,10 +341,13 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.add_argument("--smallest", action="store_true")
     args = p.parse_args(argv)
+    from worker import reference_s
+    ref_before = reference_s()
     t0 = time.perf_counter()
     import sncx.cli  # noqa: F401  (set-up time includes the CLI import)
     generate(args.workload, args.seed, args.out, args.smallest)
-    print(json.dumps({"setup_s": time.perf_counter() - t0}))
+    setup_s = time.perf_counter() - t0
+    print(json.dumps({"setup_s": setup_s, "ref_s": (ref_before + reference_s()) / 2}))
     return 0
 
 

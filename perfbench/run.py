@@ -12,12 +12,17 @@ come from the code under test, and its stdout against the sha256 digest
 recorded at the seed commit (``digests.json``).
 
 With ``--trace 0`` the run makes passes over the item list, and repeats
-the workload's largest item, until ``--seconds`` is used up, and prints
-the end-to-end metrics; with
-``--trace 1`` each item's untraced run is followed by a traced replay
-through the layers' public functions (``probes.py``) and the run prints
-the per-layer metrics.  The last line of stdout is one JSON object with the
-keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
+the workload's largest item between items, until ``--seconds`` is used
+up, and prints the end-to-end metrics.  Their times are scaled to a
+nominal host speed: each item's wall time, and each set-up's, is
+multiplied by REF_NOMINAL_S over the time of a fixed reference loop run
+in the same process right before and after it (``worker.reference_s``),
+so that they follow the program and not the drifting speed of a shared
+host.  With ``--trace 1`` each item's untraced run is followed by a
+traced replay through the layers' public functions (``probes.py``) and
+the run prints the per-layer metrics.  The last line of stdout is one
+JSON object with the keys ``correct``, ``attempted``, ``failed`` and
+``metrics``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import argparse
 import hashlib
 import json
 import os
-import resource
 import select
 import shutil
 import signal
@@ -45,7 +49,10 @@ WORK_DIR = ".perfbench-work"
 SETUP_REPS = 5
 STARTUP_TIMEOUT_S = 120.0
 RECORDING = object()    # digest placeholder while digests.json is recorded
-REPEAT_SHARE = 0.4      # of an untraced round spent repeating the largest item
+REPEAT_SHARE = 0.5      # of an untraced run spent on the largest item
+# seconds of worker.reference_s() at the nominal host speed (its usual time
+# on a 2-vCPU x86-64 VM with CPython 3); end-to-end item times are scaled to it
+REF_NOMINAL_S = 0.05
 
 # Worker and set-up processes stay single-threaded.
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -101,8 +108,9 @@ def _child_env() -> dict:
 def set_up(workload: str, seed: int, out_dir: str, reps: int, smallest: bool):
     """Run the set-up step ``reps`` times in fresh interpreters.
 
-    Returns the manifest and the per-rep set-up seconds.  Every rep must
-    write the same bytes.
+    Returns the manifest and the per-rep set-up seconds, scaled to the
+    nominal host speed like the item times (``host_scaled``).  Every rep
+    must write the same bytes.
     """
     times = []
     digest = None
@@ -116,7 +124,8 @@ def set_up(workload: str, seed: int, out_dir: str, reps: int, smallest: bool):
                               text=True, timeout=STARTUP_TIMEOUT_S)
         if proc.returncode != 0:
             raise SystemExit(f"set-up failed ({proc.returncode}):\n{proc.stderr}")
-        times.append(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
+        took = json.loads(proc.stdout.strip().splitlines()[-1])
+        times.append(took["setup_s"] * REF_NOMINAL_S / took["ref_s"])
         d = _tree_digest(out_dir)
         if digest is not None and d != digest:
             raise SystemExit("set-up is not deterministic: inputs differ between reps")
@@ -311,6 +320,7 @@ def run_item(worker: Worker, item: dict, deadline: float, digest, done: dict) ->
         done[item["name"]] = report
     return {"item": item, "outcome": outcome, "message": message,
             "elapsed": deadline if resp is None else resp.get("elapsed", deadline),
+            "ref_s": None if resp is None else resp.get("ref_s"),
             "out": None if resp is None else resp.get("out")}
 
 
@@ -336,57 +346,91 @@ def run_pass(worker: Worker, manifest: dict, digests: dict,
 
 
 def measure(worker, manifest, digests, seconds, traced, smallest):
-    """Rounds of one whole pass plus repeats of the largest item.
+    """Passes over the item list until ``seconds`` is used up.
 
-    In untraced runs about REPEAT_SHARE of each round goes to the named
-    largest item (its run in the pass included), so that its median
-    rests on samples spread over the whole run.  Traced runs pair each
-    item's untraced run with a replay.  Rounds start while they fit in
-    ``seconds`` (the first always runs); untraced runs fill the rest
-    with repeats of the largest item.
+    Returns ``(rounds, partial, repeats)``: the whole passes, the records
+    of a last pass cut short, and the extra runs of the largest item.
+
+    Traced runs, the smoke test's single pass and a workload without a
+    named largest item make whole passes while one more fits (the first
+    always runs).  Untraced runs give about REPEAT_SHARE of their time to
+    the named largest item (its run in each pass included): after every
+    item it runs again while its share is short, so that its samples are
+    spread over the whole run, not bunched in one stretch of a host whose
+    speed drifts.  There the first pass always runs whole, a later pass
+    stops at the first item whose first-pass time no longer fits, and
+    the largest item is not repeated once its time no longer fits.
     """
     t0 = time.monotonic()
-    rounds, repeats = [], []
-    largest = next((i for i in manifest["items"] if i["name"] == manifest["largest"]),
-                   None)
-    per_round = None
+    items = manifest["items"]
+    largest = next((i for i in items if i["name"] == manifest["largest"]), None)
+    if traced or smallest or largest is None:
+        rounds = []
+        while True:
+            start = time.monotonic()
+            rounds.append(run_pass(worker, manifest, digests, traced=traced))
+            took = time.monotonic() - start
+            if smallest or time.monotonic() - t0 + took > seconds:
+                return rounds, [], []
+
+    def fits(name):
+        return time.monotonic() - t0 + cost[name] <= seconds
+
+    deadline = manifest["deadline_s"]
+    rounds, records, repeats = [], [], []
+    cost = {}                       # each item's wall time in the first pass
+    busy = {True: 0.0, False: 0.0}  # time on the largest item, on the others
+    done = {}
     while True:
-        start = time.monotonic()
-        records = run_pass(worker, manifest, digests, traced=traced)
-        rounds.append(records)
-        if largest is not None and not traced:
-            if per_round is None:
-                busy = sum(r["elapsed"] for r in records)
-                own = next(r["elapsed"] for r in records if r["item"] is largest)
-                # the largest item's own share of a pass counts towards it
-                per_round = int(REPEAT_SHARE / (1 - REPEAT_SHARE) * (busy - own) / own)
-            for _ in range(per_round):
-                repeats.append(run_item(worker, largest, manifest["deadline_s"],
+        for item in items:
+            if rounds and not fits(item["name"]):
+                return rounds, records, repeats
+            start = time.monotonic()
+            rec = run_item(worker, item, deadline, digests.get(item["name"]), done)
+            records.append(rec)
+            cost.setdefault(item["name"], time.monotonic() - start)
+            busy[item is largest] += rec["elapsed"]
+            while busy[True] < REPEAT_SHARE * (busy[True] + busy[False]):
+                if largest["name"] in cost and not fits(largest["name"]):
+                    break
+                repeats.append(run_item(worker, largest, deadline,
                                         digests.get(largest["name"]), {}))
-        took = time.monotonic() - start
-        if smallest or time.monotonic() - t0 + took > seconds:
-            break
-    # the time left is too short for another round: spend it on the largest item
-    if largest is not None and not traced and not smallest:
-        runs = [r for records in rounds for r in records] + repeats
-        times = [r["elapsed"] for r in runs if r["item"] is largest]
-        while time.monotonic() - t0 + statistics.median(times) <= seconds:
-            repeats.append(run_item(worker, largest, manifest["deadline_s"],
-                                    digests.get(largest["name"]), {}))
-            times.append(repeats[-1]["elapsed"])
-    return rounds, repeats
+                busy[True] += repeats[-1]["elapsed"]
+        rounds.append(records)
+        records, done = [], {}
 
 
-def end_to_end(rounds, repeats, manifest, setup_times, peak_rss_kb) -> dict:
+def host_scaled(rec: dict) -> float:
+    """An item's wall time at the nominal host speed.
+
+    The wall time times REF_NOMINAL_S over the reference loop's time
+    measured in the worker right before and after the item.  A missed
+    deadline, which has no such measurement, counts as its wall time.
+    """
+    ref = rec.get("ref_s")
+    return rec["elapsed"] * REF_NOMINAL_S / ref if ref else rec["elapsed"]
+
+
+def end_to_end(rounds, extra, manifest, setup_times, peak_rss_kb) -> dict:
+    """The end-to-end metrics of an untraced run.
+
+    ``verified_frac`` counts the whole passes.  ``items_per_s`` is that
+    share of the item list over the time of one pass, with each item's
+    time the median of all its runs in this run (cut pass and repeats
+    included), so that a few long items timed once do not decide it.
+    Item times are scaled to the nominal host speed (``host_scaled``).
+    """
     passes = [r for records in rounds for r in records]
-    everything = passes + repeats
+    times = {}
+    for rec in passes + extra:
+        times.setdefault(rec["item"]["name"], []).append(host_scaled(rec))
+    pass_s = sum(statistics.median(times[i["name"]]) for i in manifest["items"])
+    verified_frac = sum(r["outcome"] == "verified" for r in passes) / len(passes)
     name = manifest["largest"] or passes[0]["item"]["name"]
-    verified = sum(r["outcome"] == "verified" for r in passes)
     return {
-        "items_per_s": (verified / sum(r["elapsed"] for r in passes), "1/s"),
-        "largest_item_s": (statistics.median(
-            r["elapsed"] for r in everything if r["item"]["name"] == name), "s"),
-        "verified_frac": (verified / len(passes), "frac"),
+        "items_per_s": (verified_frac * len(manifest["items"]) / pass_s, "1/s"),
+        "largest_item_s": (statistics.median(times[name]), "s"),
+        "verified_frac": (verified_frac, "frac"),
         "peak_rss_mb": (peak_rss_kb / 1024.0, "MB"),
         "setup_s": (statistics.median(setup_times), "s"),
     }
@@ -487,13 +531,14 @@ def main(argv=None) -> int:
                                        1 if args.smallest else SETUP_REPS,
                                        args.smallest)
         digests = load_digests(args.workload, manifest["variant"])
-        rounds, repeats = measure(worker, manifest, digests, args.seconds,
-                                  bool(args.trace), args.smallest)
+        rounds, partial, repeats = measure(worker, manifest, digests,
+                                           args.seconds, bool(args.trace),
+                                           args.smallest)
     finally:
         worker.close(kill=True)
         shutil.rmtree(WORK_DIR, ignore_errors=True)
 
-    everything = [r for records in rounds for r in records] + repeats
+    everything = [r for records in rounds for r in records] + partial + repeats
     failed = report_problems(everything)
     attempted = len(everything)
     if args.trace:
@@ -501,11 +546,13 @@ def main(argv=None) -> int:
         if missing:
             print(f"MISSING per-layer metrics on {args.workload}: {', '.join(missing)}")
     else:
-        children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        metrics = end_to_end(rounds, repeats, manifest, setup_times,
-                             max(worker.peak_rss_kb, children))
+        # the worker's peak over the items it answered: a worker killed at
+        # a deadline holds as much as the host's speed let it reach
+        metrics = end_to_end(rounds, partial + repeats, manifest, setup_times,
+                             worker.peak_rss_kb)
     print(f"{args.workload} seed {args.seed} (variant {manifest['variant']}): "
-          f"{len(rounds)} pass(es) and {len(repeats)} repeats of the largest item, "
+          f"{len(rounds)} whole pass(es), {len(partial)} items of a cut pass and "
+          f"{len(repeats)} repeats of the largest item, "
           f"{attempted} items, {failed} failed")
     print(json.dumps({
         "correct": failed == 0,

@@ -6,7 +6,9 @@ runs.  It reads one JSON request per line on stdin and answers with one
 JSON line per request:
 
 - ``{"op": "cli", "argv": [...]}`` runs ``sncx.cli.main(argv)`` with
-  stdout captured and answers ``code``, ``out``, ``elapsed``, ``error``;
+  stdout captured and answers ``code``, ``out``, ``elapsed``, ``error``
+  and ``ref_s``, the mean time of a fixed reference loop run right
+  before and right after the CLI call (see ``reference_s``);
 - ``{"op": "replay", "argv": [...], "out": "..."}`` replays the same
   subcommand through the layers' public functions, timing each call
   (see ``probes.py``), and answers ``values``, ``seen``, ``covered``,
@@ -27,6 +29,26 @@ import traceback
 from contextlib import redirect_stdout
 
 
+REF_LOOPS = 300_000
+
+
+def reference_s() -> float:
+    """Seconds a fixed pure-Python loop takes now: the host's current speed.
+
+    On a host whose cores are shared, the speed of this process drifts by
+    a quarter from one ten-second stretch to the next.  ``run.py`` scales
+    each item's wall time by this loop's time, measured in the same
+    process next to it, so that the end-to-end times follow the program
+    and not that drift.
+    """
+    t0 = time.perf_counter()
+    table = {}
+    for i in range(REF_LOOPS):
+        key = (i * 7919) % 1021
+        table[key] = table.get(key, 0) + i
+    return time.perf_counter() - t0
+
+
 def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
@@ -35,6 +57,7 @@ def _run_cli(main, argv) -> dict:
     buf = io.StringIO()
     error = None
     code = None
+    ref_before = reference_s()
     t0 = time.perf_counter()
     try:
         with redirect_stdout(buf):
@@ -45,8 +68,9 @@ def _run_cli(main, argv) -> dict:
     except Exception as exc:  # noqa: BLE001 - reported per item by run.py
         error = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - t0
+    ref_s = (ref_before + reference_s()) / 2
     return {"code": code, "out": buf.getvalue(), "elapsed": elapsed,
-            "error": error}
+            "error": error, "ref_s": ref_s}
 
 
 def serve(proto_in, proto_out) -> None:
