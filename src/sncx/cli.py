@@ -1,8 +1,8 @@
 """Batch front-end.
 
 Subcommands parse structured inputs, run a pipeline, and emit a
-deterministic report: same inputs give byte-identical output, across
-runs and across worker counts.  Exit codes: 0 success, 1 domain error
+deterministic report: same inputs give byte-identical output across
+runs.  Exit codes: 0 success, 1 domain error
 (with a machine-readable error object), 2 usage error.
 """
 
@@ -12,17 +12,15 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import SncxError
 from .homology import homology, wedge_certificate
 from .newton import (
+    _w0_report,
     newton_polyhedron,
     predicted_sphere_count,
-    resolution_complex,
     torus_hypersurface_boundary_complex,
-    w0_report,
 )
 from .serialize import (
     complex_from_dict,
@@ -87,15 +85,9 @@ def _summary(c) -> dict:
 
 
 def _run_homology(args) -> dict:
-    def one(path):
-        return {"input": path, "sha256": _sha256(path),
-                **_homology_report(path, args.reduced)}
-    if args.jobs > 1 and len(args.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(one, args.inputs))
-    else:
-        reports = [one(p) for p in args.inputs]
-    return {"reports": reports}
+    return {"reports": [{"input": path, "sha256": _sha256(path),
+                         **_homology_report(path, args.reduced)}
+                        for path in args.inputs]}
 
 
 def _run_transform(args) -> dict:
@@ -137,11 +129,10 @@ def _run_realize(args) -> dict:
 
 def _run_newton(args) -> dict:
     np_ = newton_polyhedron(_points_of(_load_json(args.input)))
-    report = w0_report(np_)
+    report, model = _w0_report(np_)
     if args.variant != "both":
         report["predicted_variant"] = args.variant
         report["predicted_count"] = predicted_sphere_count(np_, args.variant)
-    model = resolution_complex(np_)
     report["model_complex"] = complex_to_dict(model)
     report["input"] = args.input
     report["sha256"] = _sha256(args.input)
@@ -207,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="Betti numbers and torsion of complexes")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(fn=_run_homology)
 

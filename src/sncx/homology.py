@@ -3,7 +3,9 @@
 Chain complexes come straight from the Delta-structure when one is
 present (boundary = alternating sum of ordered facets); complexes that
 are only face posets go through their order complex, which computes the
-same homology for regular CW complexes.
+same homology for regular CW complexes.  Boundaries are stored sparse,
+one ``{row: coeff}`` column per face, and reduced by the sparse Smith
+normal form of ``sncx.snf``.
 
 Reduced homology convention, used uniformly: the empty complex has
 reduced homology of rank one in degree -1.
@@ -12,8 +14,6 @@ reduced homology of rank one in degree -1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .complexes import CombinatorialComplex
 from .errors import BoundaryNotSquareZero
@@ -35,38 +35,40 @@ __all__ = [
 
 
 class ChainComplex:
-    """Integer boundary matrices indexed by degree, with face bases."""
+    """Sparse integer boundary maps indexed by degree, with face bases."""
 
     def __init__(self, bases: dict, matrices: dict):
         self.bases = bases          # degree -> tuple of basis face ids
-        self.matrices = matrices    # degree k -> matrix C_k -> C_{k-1}
+        # degree k -> {column j of C_k: {row i of C_{k-1}: nonzero coeff}}
+        self.matrices = matrices
         self._check_square_zero()
 
     @property
     def top_degree(self) -> int:
         return max(self.bases, default=-1)
 
-    def boundary(self, k: int) -> np.ndarray:
-        """The matrix of the boundary map C_k -> C_{k-1}."""
-        rows = len(self.bases.get(k - 1, ()))
-        cols = len(self.bases.get(k, ()))
-        if k in self.matrices:
-            return self.matrices[k]
-        out = np.empty((rows, cols), dtype=object)
-        out[...] = 0
-        return out
+    def boundary(self, k: int) -> dict:
+        """The boundary map C_k -> C_{k-1} as ``{column: {row: coeff}}``."""
+        return self.matrices.get(k, {})
 
     def _check_square_zero(self):
+        # compose column by column: O(nnz) for bounded column sizes
         for k in sorted(self.matrices):
-            if k - 1 in self.matrices:
-                prod = self.matrices[k - 1] @ self.matrices[k]
-                if prod.size and any(x != 0 for x in prod.flat):
+            below = self.matrices.get(k - 1)
+            if below is None:
+                continue
+            for col in self.matrices[k].values():
+                acc = {}
+                for i, a in col.items():
+                    for r, b in below.get(i, {}).items():
+                        acc[r] = acc.get(r, 0) + a * b
+                if any(acc.values()):
                     raise BoundaryNotSquareZero(
                         f"boundary squared is nonzero from degree {k}")
 
 
 def chain_complex(c: CombinatorialComplex) -> ChainComplex:
-    """Boundary matrices of a complex (Delta route or order-complex route)."""
+    """Boundary maps of a complex (Delta route or order-complex route)."""
     if not c.has_delta:
         return chain_complex(c.order_complex())
     top = c.dimension
@@ -74,13 +76,13 @@ def chain_complex(c: CombinatorialComplex) -> ChainComplex:
     index = {k: {f: i for i, f in enumerate(bases[k])} for k in bases}
     matrices = {}
     for k in range(1, top + 1):
-        rows, cols = len(bases[k - 1]), len(bases[k])
-        mat = np.empty((rows, cols), dtype=object)
-        mat[...] = 0
+        matrices[k] = cols = {}
         for j, f in enumerate(bases[k]):
+            col = {}
             for i, g in enumerate(c.delta_order(f)):
-                mat[index[k - 1][g], j] += (-1) ** i
-        matrices[k] = mat
+                r = index[k - 1][g]
+                col[r] = col.get(r, 0) + (-1) ** i
+            cols[j] = {r: v for r, v in col.items() if v}
     return ChainComplex(bases, matrices)
 
 
@@ -203,7 +205,9 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     Returns ``(success, sequence)`` where the sequence lists the removed
     (free face, coface) pairs.  Failure is not a proof that the complex
     is not collapsible, only that the search budget ran out or no free
-    pair exists.
+    pair exists.  The depth-first search is iterative, over one set of
+    alive faces restored on backtrack; ``budget`` bounds the states
+    expanded, each remembered by the bitmask of its alive faces.
     """
     if c.is_empty:
         return False, ()
@@ -213,29 +217,31 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
             cofaces[g].append(f)
     idx = {f: i for i, f in enumerate(c.face_ids)}
 
-    start = frozenset(c.face_ids)
+    alive = set(c.face_ids)
+    keys = [(1 << len(idx)) - 1]    # keys[d]: bitmask of alive after trail[:d]
+    trail = []
+    stack = []      # stack[d]: untried free pairs of the state after trail[:d]
     seen = set()
-    steps = [0]
-
-    def search(alive, trail):
-        if len(alive) == 1:
-            f = next(iter(alive))
-            if c.dim(f) == 0:
-                return tuple(trail)
-        if alive in seen or steps[0] >= budget:
-            return None
-        seen.add(alive)
-        steps[0] += 1
-        for sigma, tau in _free_pairs(c, alive, cofaces, idx):
-            res = search(alive - {sigma, tau}, trail + [(sigma, tau)])
-            if res is not None:
-                return res
-        return None
-
-    result = search(start, [])
-    if result is None:
-        return False, ()
-    return True, result
+    while True:
+        if len(alive) == 1 and c.dim(next(iter(alive))) == 0:
+            return True, tuple(trail)
+        if keys[-1] not in seen and len(seen) < budget:
+            seen.add(keys[-1])
+            stack.append(iter(_free_pairs(c, alive, cofaces, idx)))
+        while True:     # backtrack to the deepest state with an untried pair
+            if len(stack) <= len(trail):    # the current state is finished
+                if not trail:
+                    return False, ()
+                alive.update(trail.pop())
+                keys.pop()
+                continue
+            pair = next(stack[-1], None)
+            if pair is not None:
+                break
+            stack.pop()
+        alive.difference_update(pair)
+        keys.append(keys[-1] ^ 1 << idx[pair[0]] ^ 1 << idx[pair[1]])
+        trail.append(pair)
 
 
 # -- wedge certification -----------------------------------------------------

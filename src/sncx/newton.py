@@ -7,18 +7,17 @@ puckered along the cells dual to compact edges by their lattice lengths,
 is the homotopy model of the resolution complex of the singularity, and
 its reduced homology carries the weight-zero labels.
 
-All geometry is exact: integer inputs, rational elimination, no hulls
-in floating point.  Facets are enumerated by brute force over small
-point subsets plus coordinate directions, the face lattice by
-saturated facet-set intersections; fine at desk scale (ambient
-dimension at most four).
+All geometry is exact: integer inputs, the integer rank and kernel
+lines of ``sncx.snf``, no hulls in floating point.  Facets are
+enumerated by brute force over small point subsets plus coordinate
+directions, the face lattice by saturated facet-set intersections; fine
+at desk scale (ambient dimension at most four).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .complexes import CombinatorialComplex
@@ -28,79 +27,10 @@ from .errors import (
     NotFullDimensional,
 )
 from .homology import homology, wedge_certificate
+from .snf import kernel_line, matrix_rank
 from .transforms import pucker
 
 MAX_AMBIENT = 4
-
-
-# -- exact linear algebra -----------------------------------------------------
-
-def _rank(rows) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    pivot_col = 0
-    r = 0
-    while r < len(mat) and pivot_col < cols:
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][pivot_col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            pivot_col += 1
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][pivot_col]
-        for i in range(r + 1, len(mat)):
-            f = mat[i][pivot_col] / pv
-            if f:
-                for j in range(pivot_col, cols):
-                    mat[i][j] -= f * mat[r][j]
-        r += 1
-        rank += 1
-        pivot_col += 1
-    return rank
-
-
-def _nullspace_1d(rows, dim):
-    """A primitive integer spanning vector of the kernel, if it is a line."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c] / pv
-                for j in range(c, dim):
-                    mat[i][j] -= f * mat[r][j]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    vec = [Fraction(0)] * dim
-    vec[fc] = Fraction(1)
-    for i, c in enumerate(pivots):
-        vec[c] = -mat[i][fc] / mat[i][c]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    return tuple(x // g for x in ints)
 
 
 def _dot(a, b):
@@ -136,7 +66,7 @@ def _affine_dim(points, onset, recession):
         rows.append(tuple(1 if t == j else 0 for t in range(len(base))))
     if not rows:
         return 0
-    return _rank(rows)
+    return matrix_rank(rows)
 
 
 def _facet_census(points, orthant: bool):
@@ -159,7 +89,7 @@ def _facet_census(points, orthant: bool):
             rows.append(tuple(1 if t == j else 0 for t in range(d)))
         if len(rows) != d - 1:
             continue
-        w = _nullspace_1d(rows, d)
+        w = kernel_line(rows)
         if w is None:
             continue
         for cand in (w, tuple(-x for x in w)):
@@ -223,6 +153,16 @@ def _face_lattice(points, facets, orthant: bool):
     return faces
 
 
+def _edge(points, face):
+    """The extreme input points of a 1-dimensional face, and its lattice length."""
+    base = points[face.points[0]]
+    direction = next(tuple(q - b for q, b in zip(points[i], base))
+                     for i in face.points[1:] if points[i] != base)
+    keyed = sorted(face.points, key=lambda i: _dot(points[i], direction))
+    lo, hi = keyed[0], keyed[-1]
+    return (lo, hi), math.gcd(*(a - b for a, b in zip(points[hi], points[lo])))
+
+
 @dataclass(frozen=True)
 class CompactEdge:
     endpoints: tuple        # two input point indices (the edge's vertices)
@@ -255,27 +195,10 @@ class NewtonPolyhedron:
         self.facets = tuple(_facet_census(self.points, orthant=True))
         self.faces = tuple(_face_lattice(self.points, self.facets, orthant=True))
         self.vertices = tuple(f.points[0] for f in self.faces if f.dim == 0)
-        edges = []
-        for i, f in enumerate(self.faces):
-            if f.dim == 1 and f.compact:
-                ends = self._edge_endpoints(f)
-                diff = tuple(self.points[ends[1]][j] - self.points[ends[0]][j]
-                             for j in range(d))
-                g = 0
-                for x in diff:
-                    g = math.gcd(g, abs(x))
-                edges.append(CompactEdge(ends, g, i))
-        self.compact_edges = tuple(edges)
+        self.compact_edges = tuple(CompactEdge(*_edge(self.points, f), i)
+                                   for i, f in enumerate(self.faces)
+                                   if f.dim == 1 and f.compact)
         self._validate()
-
-    def _edge_endpoints(self, face):
-        pts = [self.points[i] for i in face.points]
-        base = pts[0]
-        direction = next(tuple(q[j] - base[j] for j in range(self.ambient))
-                         for q in pts[1:] if q != base)
-        keyed = sorted(face.points,
-                       key=lambda i: _dot(self.points[i], direction))
-        return (keyed[0], keyed[-1])
 
     def _validate(self):
         d = self.ambient
@@ -405,21 +328,24 @@ def resolution_complex(np_: NewtonPolyhedron) -> CombinatorialComplex:
     dual to a compact edge by that edge's lattice length.  Normality of
     the singularity is the caller's hypothesis.
     """
+    return _resolution(np_)[1]
+
+
+def _resolution(np_: NewtonPolyhedron):
+    """The normal fan and the resolution complex model built on it."""
     if np_.ambient < 2:
         raise NotFullDimensional("need ambient dimension at least 2")
     ss = normal_fan(np_)
-    s0 = interior_complex(ss)
-    lengths = {e.face_index: e.length for e in np_.compact_edges}
-    cur = s0
+    lengths = {np_.faces[e.face_index]: e.length for e in np_.compact_edges}
+    cur = interior_complex(ss)
     for cell in ss.cells:
         if not cell.interior or cell.carrier.dim != 1:
             continue
-        face_idx = ss.polyhedron.faces.index(cell.carrier)
-        ell = lengths.get(face_idx)
+        ell = lengths.get(cell.carrier)
         if ell is None or ell <= 1:
             continue
         cur = pucker(cur, cell.id, ell)
-    return cur
+    return ss, cur
 
 
 def predicted_sphere_count(np_: NewtonPolyhedron, variant: str) -> int:
@@ -445,7 +371,11 @@ def predicted_sphere_count(np_: NewtonPolyhedron, variant: str) -> int:
 
 def census_report(np_: NewtonPolyhedron) -> dict:
     """The intermediate censuses, for auditing a pipeline run."""
-    ss = SubdividedSimplex(np_)
+    return _census(SubdividedSimplex(np_))
+
+
+def _census(ss: SubdividedSimplex) -> dict:
+    np_ = ss.polyhedron
     return {
         "points": [list(p) for p in np_.points],
         "vertices": [list(np_.points[v]) for v in np_.vertices],
@@ -467,8 +397,13 @@ def w0_report(np_: NewtonPolyhedron) -> dict:
     deciding between them, relabels the reduced cohomology ranks as the
     weight-zero pieces, and carries the intermediate censuses.
     """
+    return _w0_report(np_)[0]
+
+
+def _w0_report(np_: NewtonPolyhedron):
+    """``w0_report`` and the resolution complex model it was computed on."""
+    ss, model = _resolution(np_)
     n = np_.ambient - 1
-    model = resolution_complex(np_)
     h = homology(model, reduced=True)
     lit = predicted_sphere_count(np_, "literal")
     intr = predicted_sphere_count(np_, "interior")
@@ -484,8 +419,8 @@ def w0_report(np_: NewtonPolyhedron) -> dict:
         "wedge_certificate": None if cert is None else
             {"status": cert.status, "count": cert.count, "detail": cert.detail},
         "weight_zero_reduced_cohomology": w0,
-        "census": census_report(np_),
-    }
+        "census": _census(ss),
+    }, model
 
 
 # -- boundary complexes of nondegenerate torus hypersurfaces -------------------
@@ -518,18 +453,7 @@ class LatticePolytope:
         self.faces = tuple(_face_lattice(self.points, self.facets, orthant=False))
 
     def edge_length(self, face: PolyFace) -> int:
-        pts = [self.points[i] for i in face.points]
-        base = pts[0]
-        direction = next(tuple(q[j] - base[j] for j in range(self.ambient))
-                         for q in pts[1:] if q != base)
-        keyed = sorted(face.points, key=lambda i: _dot(self.points[i], direction))
-        lo, hi = keyed[0], keyed[-1]
-        diff = tuple(self.points[hi][j] - self.points[lo][j]
-                     for j in range(self.ambient))
-        g = 0
-        for x in diff:
-            g = math.gcd(g, abs(x))
-        return g
+        return _edge(self.points, face)[1]
 
 
 def torus_hypersurface_boundary_complex(points, multiplicities=None):

@@ -1,33 +1,20 @@
-"""Exact integer matrix normal forms.
+"""Exact integer linear algebra: Smith normal form, rank, kernel lines.
 
-Everything here runs on arbitrary-precision Python integers; no floats.
-Pivoting picks the smallest nonzero magnitude with a positional
-tie-break, which keeps coefficient growth tame at desk scale.
+The package's one exact linear-algebra kernel, on arbitrary-precision
+Python integers only.  A matrix is a list of rows or a sparse mapping
+``column -> {row: coeff}``; a matrix and its transpose have the same
+invariant factors, so both become one list of sparse vectors.  Unit
+pivots go first, always in the sparsest vector that has one, each
+splitting off an invariant factor 1; a block left without unit entries
+(empty or tiny for boundary maps of complexes) goes to a dense Euclid
+loop that pivots on the smallest magnitude, first in row-major order.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-
-def as_int_matrix(rows) -> np.ndarray:
-    """Copy input into an object-dtype array of Python ints."""
-    if isinstance(rows, np.ndarray):
-        data = rows.tolist()
-    else:
-        data = [list(r) for r in rows]
-    m = len(data)
-    n = len(data[0]) if m else 0
-    out = np.empty((m, n), dtype=object)
-    for i in range(m):
-        if len(data[i]) != n:
-            raise ValueError("ragged matrix")
-        for j in range(n):
-            out[i, j] = int(data[i][j])
-    return out
 
 
 @dataclass(frozen=True)
@@ -36,38 +23,75 @@ class SNFResult:
     rank: int
 
 
-def _swap_pivot_to_corner(A, top, left, m, n):
+def _sparse_vectors(matrix) -> list:
+    """Rows of a row-list matrix, or columns of a sparse mapping."""
+    if isinstance(matrix, dict):
+        return [{i: int(v) for i, v in col.items() if v}
+                for col in matrix.values()]
+    rows = [list(r) for r in matrix]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    return [{j: int(v) for j, v in enumerate(r) if v} for r in rows]
+
+
+def _eliminate_units(vecs) -> int:
+    """Empty the vectors with unit pivots, in place; return their number."""
+    occ = {}                    # index -> ids of the vectors containing it
+    for v, vec in enumerate(vecs):
+        for i in vec:
+            occ.setdefault(i, set()).add(v)
+    heap = [(len(vec), v) for v, vec in enumerate(vecs) if vec]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, v = heapq.heappop(heap)
+        vec = vecs[v]
+        unit = [i for i, a in vec.items() if a in (1, -1)]
+        if size != len(vec) or not unit:
+            continue            # stale, or requeued once an update changes it
+        p = min(unit, key=lambda i: (len(occ[i]), i))
+        sign = vec[p]
+        for w in occ[p] - {v}:
+            other = vecs[w]
+            q = other[p] * sign
+            for i, a in vec.items():
+                b = other.get(i, 0) - q * a
+                if b:
+                    other[i] = b
+                    occ[i].add(w)
+                else:
+                    del other[i]
+                    occ[i].discard(w)
+            heapq.heappush(heap, (len(other), w))
+        for i in vec:
+            occ[i].discard(v)
+        vec.clear()
+        units += 1
+    return units
+
+
+def _swap_pivot_to_corner(A, top, left):
     """Move the smallest-magnitude nonzero block entry to (top, left)."""
-    piv = None
-    best = None
-    for i in range(top, m):
-        row = A[i]
-        for j in range(left, n):
-            v = row[j]
-            if v != 0 and (best is None or abs(v) < best):
-                best = abs(v)
-                piv = (i, j)
-    if piv is None:
+    nonzero = [(abs(A[i][j]), i, j) for i in range(top, len(A))
+               for j in range(left, len(A[i])) if A[i][j]]
+    if not nonzero:
         return False
-    pi, pj = piv
-    if pi != top:
-        A[top], A[pi] = A[pi], A[top]
-    if pj != left:
-        for row in A:
-            row[left], row[pj] = row[pj], row[left]
+    _, pi, pj = min(nonzero)
+    A[top], A[pi] = A[pi], A[top]
+    for row in A:
+        row[left], row[pj] = row[pj], row[left]
     return True
 
 
-def smith_normal_form(matrix) -> SNFResult:
-    """Invariant factors d1 | d2 | ... and the rank of an integer matrix."""
-    a = as_int_matrix(matrix)
-    m, n = a.shape
-    A = [list(row) for row in a.tolist()] if m else []
+def _euclid_diagonal(A) -> list:
+    """Diagonalize a dense integer matrix (list of lists) in place."""
+    m = len(A)
+    n = len(A[0]) if m else 0
     diag = []
     top = 0
     left = 0
     while top < m and left < n:
-        if not _swap_pivot_to_corner(A, top, left, m, n):
+        if not _swap_pivot_to_corner(A, top, left):
             break
         while True:
             p = A[top][left]
@@ -93,10 +117,20 @@ def smith_normal_form(matrix) -> SNFResult:
             if not dirty:
                 break
             # a residue strictly smaller than |p| exists; re-pick and repeat
-            _swap_pivot_to_corner(A, top, left, m, n)
+            _swap_pivot_to_corner(A, top, left)
         diag.append(abs(A[top][left]))
         top += 1
         left += 1
+    return diag
+
+
+def smith_normal_form(matrix) -> SNFResult:
+    """Invariant factors d1 | d2 | ... and the rank of an integer matrix."""
+    vecs = _sparse_vectors(matrix)
+    units = _eliminate_units(vecs)
+    rest = [vec for vec in vecs if vec]
+    cols = sorted({i for vec in rest for i in vec})
+    diag = _euclid_diagonal([[vec.get(i, 0) for i in cols] for vec in rest])
 
     # a diagonal matrix is equivalent to its divisibility-sorted form via
     # repeated (a, b) -> (gcd, lcm) on pairs
@@ -110,8 +144,45 @@ def smith_normal_form(matrix) -> SNFResult:
                 g = math.gcd(a_, b_)
                 diag[i], diag[i + 1] = g, a_ * b_ // g
                 changed = True
-    return SNFResult(tuple(diag), k)
+    return SNFResult((1,) * units + tuple(diag), units + k)
 
 
 def matrix_rank(matrix) -> int:
     return smith_normal_form(matrix).rank
+
+
+def _det(a) -> int:
+    """Determinant of a square list-of-rows matrix, by Bareiss in place."""
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        swap = next((i for i in range(k, n) if a[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def kernel_line(rows):
+    """The primitive kernel vector of d-1 integer rows in Z^d, if a line.
+
+    The signed maximal minors span the kernel whenever the rows are
+    independent, and all vanish otherwise, when ``None`` is returned.
+    The sign makes the last nonzero entry positive.
+    """
+    rows = [[int(x) for x in r] for r in rows]
+    d = len(rows) + 1
+    if any(len(r) != d for r in rows):
+        raise ValueError(f"kernel_line needs {d - 1} rows of length {d}")
+    w = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
+    g = math.gcd(*w)
+    if not g:
+        return None
+    if next(x for x in reversed(w) if x) < 0:
+        g = -g
+    return tuple(x // g for x in w)

@@ -1,0 +1,147 @@
+"""Slow reference implementations kept as oracles for the fast paths.
+
+Each is the straightforward version the library used before its
+current implementation: a dense Euclid Smith normal form, a kernel line
+by elimination over exact rationals, and a recursive collapse search.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from sncx.homology import _free_pairs
+
+
+def dense_smith_normal_form(rows):
+    """(invariant factors, rank) of a list-of-rows integer matrix."""
+    A = [[int(x) for x in r] for r in rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+
+    def swap_pivot_to_corner(top, left):
+        piv = None
+        best = None
+        for i in range(top, m):
+            for j in range(left, n):
+                v = A[i][j]
+                if v != 0 and (best is None or abs(v) < best):
+                    best = abs(v)
+                    piv = (i, j)
+        if piv is None:
+            return False
+        pi, pj = piv
+        if pi != top:
+            A[top], A[pi] = A[pi], A[top]
+        if pj != left:
+            for row in A:
+                row[left], row[pj] = row[pj], row[left]
+        return True
+
+    diag = []
+    top = left = 0
+    while top < m and left < n:
+        if not swap_pivot_to_corner(top, left):
+            break
+        while True:
+            p = A[top][left]
+            dirty = False
+            for i in range(top + 1, m):
+                if A[i][left]:
+                    q = A[i][left] // p
+                    for j in range(left, n):
+                        A[i][j] -= q * A[top][j]
+                    if A[i][left]:
+                        dirty = True
+            for j in range(left + 1, n):
+                if A[top][j]:
+                    q = A[top][j] // p
+                    for i in range(top, m):
+                        A[i][j] -= q * A[i][left]
+                    if A[top][j]:
+                        dirty = True
+            if not dirty:
+                break
+            swap_pivot_to_corner(top, left)
+        diag.append(abs(A[top][left]))
+        top += 1
+        left += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            a, b = diag[i], diag[i + 1]
+            if b % a:
+                g = math.gcd(a, b)
+                diag[i], diag[i + 1] = g, a * b // g
+                changed = True
+    return tuple(diag), len(diag)
+
+
+def rational_kernel_line(rows, dim):
+    """A primitive integer spanning vector of the kernel, if it is a line."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(dim):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c] / pv
+                for j in range(c, dim):
+                    mat[i][j] -= f * mat[r][j]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(dim) if c not in pivots]
+    if len(free) != 1:
+        return None
+    fc = free[0]
+    vec = [Fraction(0)] * dim
+    vec[fc] = Fraction(1)
+    for i, c in enumerate(pivots):
+        vec[c] = -mat[i][fc] / mat[i][c]
+    denom = 1
+    for x in vec:
+        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+def recursive_collapse_to_point(c, budget=10000):
+    """Depth-first collapse search, one frozenset per visited state."""
+    if c.is_empty:
+        return False, ()
+    cofaces = {f: [] for f in c.face_ids}
+    for f in c.face_ids:
+        for g in c.facets(f):
+            cofaces[g].append(f)
+    idx = {f: i for i, f in enumerate(c.face_ids)}
+    seen = set()
+    steps = [0]
+
+    def search(alive, trail):
+        if len(alive) == 1:
+            f = next(iter(alive))
+            if c.dim(f) == 0:
+                return tuple(trail)
+        if alive in seen or steps[0] >= budget:
+            return None
+        seen.add(alive)
+        steps[0] += 1
+        for sigma, tau in _free_pairs(c, alive, cofaces, idx):
+            res = search(alive - {sigma, tau}, trail + [(sigma, tau)])
+            if res is not None:
+                return res
+        return None
+
+    result = search(frozenset(c.face_ids), [])
+    if result is None:
+        return False, ()
+    return True, result

@@ -210,10 +210,18 @@ class TestDeterminism:
             outs.add(proc.stdout)
         assert len(outs) == 1
 
-    def test_jobs_do_not_change_output(self, inputs):
-        argv = ["homology", str(inputs["triangle"]), str(inputs["quadric"])]
-        # the quadric file is not a complex; use two complex inputs instead
-        argv = ["homology", str(inputs["triangle"]), str(inputs["triangle"])]
-        single = run_cli(argv + ["--jobs", "1"])
-        multi = run_cli(argv + ["--jobs", "4"])
-        assert single == multi
+
+class TestDependencies:
+    def test_cli_imports_neither_numpy_nor_fractions(self):
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(os.path.abspath(S.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        probe = ("import sys, sncx.cli; "
+                 "print(sorted({'numpy', 'fractions'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,43 +1,78 @@
 import random
 
-import numpy as np
 import pytest
 
 import sncx as S
 from sncx import gallery as G
 from sncx.errors import BoundaryNotSquareZero
+from sncx.snf import kernel_line
 
 from conftest import random_simplicial_complex
+from oracles import (
+    dense_smith_normal_form,
+    rational_kernel_line,
+    recursive_collapse_to_point,
+)
+
+
+def dense(cx, k):
+    """The boundary C_k -> C_{k-1} as a list of rows, sized by the bases."""
+    rows = len(cx.bases.get(k - 1, ()))
+    cols = len(cx.bases.get(k, ()))
+    out = [[0] * cols for _ in range(rows)]
+    for j, col in cx.boundary(k).items():
+        for i, v in col.items():
+            out[i][j] = v       # an index outside the bases raises here
+    return out
+
+
+def shape(rows):
+    return len(rows), len(rows[0]) if rows else 0
+
+
+def column(rows, j):
+    return [r[j] for r in rows]
 
 
 class TestChainComplex:
     def test_triangle_boundary_matrix(self):
         cx = S.chain_complex(G.triangle_boundary())
-        d1 = cx.boundary(1)
-        assert d1.shape == (3, 3)
-        assert all(sum(d1[:, j]) == 0 for j in range(3))
+        d1 = dense(cx, 1)
+        assert shape(d1) == (3, 3)
+        assert all(sum(column(d1, j)) == 0 for j in range(3))
         assert S.smith_normal_form(d1).rank == 2
+        assert S.smith_normal_form(cx.boundary(1)).rank == 2
 
     def test_multi_edge_boundary(self):
         cx = S.chain_complex(G.multi_edge_complex(4))
-        d1 = cx.boundary(1)
-        assert d1.shape == (2, 4)
+        d1 = dense(cx, 1)
+        assert shape(d1) == (2, 4)
         for j in range(4):
-            col = sorted(d1[:, j])
+            col = sorted(column(d1, j))
             assert col == [-1, 1]
         assert S.smith_normal_form(d1).rank == 1
+        assert S.smith_normal_form(cx.boundary(1)).rank == 1
 
     def test_point(self):
         cx = S.chain_complex(G.point_complex())
         assert cx.top_degree == 0
-        assert cx.boundary(1).shape == (1, 0)
+        assert shape(dense(cx, 1)) == (1, 0)
 
     def test_square_zero_enforced(self):
         good = S.chain_complex(G.octahedron_boundary())
         bad = dict(good.matrices)
-        bad[2] = np.ones_like(bad[2])
+        ones = {i: 1 for i in range(len(good.bases[1]))}
+        bad[2] = {j: dict(ones) for j in range(len(good.bases[2]))}
         with pytest.raises(BoundaryNotSquareZero):
             S.ChainComplex(good.bases, bad)
+
+    def test_sparse_columns_hold_only_nonzero_entries(self):
+        for c in (G.octahedron_boundary(), G.real_projective_plane(),
+                  G.multi_edge_complex(3)):
+            cx = S.chain_complex(c)
+            for k, cols in cx.matrices.items():
+                assert sorted(cols) == list(range(len(cx.bases[k])))
+                assert all(v for col in cols.values() for v in col.values())
 
     def test_poset_complex_falls_back_to_order_complex(self):
         # strip the delta structure off a triangle; homology must survive
@@ -83,6 +118,81 @@ class TestSmithNormalForm:
     def test_rp2_torsion_from_quotient(self):
         cx = S.chain_complex(G.real_projective_plane())
         assert S.smith_normal_form(cx.boundary(2)).invariant_factors[-1] == 2
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            S.smith_normal_form([[1, 2], [3]])
+
+    @staticmethod
+    def _agrees_with_dense(rows):
+        want = dense_smith_normal_form(rows)
+        res = S.smith_normal_form(rows)
+        assert (res.invariant_factors, res.rank) == want
+        # the same matrix as sparse columns, i.e. its transpose's rows
+        cols = {j: {i: r[j] for i, r in enumerate(rows) if r[j]}
+                for j in range(len(rows[0]) if rows else 0)}
+        assert S.smith_normal_form(cols) == res
+
+    def test_sparse_agrees_with_dense_oracle(self):
+        rng = random.Random(77)
+        # mostly non-unit entries, so that a block is left for Euclid
+        entries = [0, 0, 0, 1, -1, 2, -2, 3, -4, 6, -9]
+        for _ in range(200):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            self._agrees_with_dense([[rng.choice(entries) for _ in range(n)]
+                                     for _ in range(m)])
+        for _ in range(40):
+            # a common factor everywhere: no unit pivot at all
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            f = rng.choice([2, 3, 6])
+            self._agrees_with_dense([[f * rng.randint(-5, 5) for _ in range(n)]
+                                     for _ in range(m)])
+
+    def test_sparse_agrees_with_dense_on_boundaries(self):
+        rng = random.Random(78)
+        fixtures = [G.octahedron_boundary(), G.real_projective_plane()]
+        fixtures += [random_simplicial_complex(rng, max_dim=3) for _ in range(10)]
+        for c in fixtures:
+            cx = S.chain_complex(c)
+            for k in range(1, cx.top_degree + 1):
+                self._agrees_with_dense(dense(cx, k))
+
+    def test_sd2_rp2_torsion_agrees_with_dense_oracle(self):
+        cx = S.chain_complex(S.order_complex(S.order_complex(
+            G.real_projective_plane())))
+        d2 = dense(cx, 2)
+        res = S.smith_normal_form(cx.boundary(2))
+        assert res.invariant_factors[-1] == 2
+        assert (res.invariant_factors, res.rank) == dense_smith_normal_form(d2)
+        assert S.smith_normal_form(d2) == res
+
+
+class TestKernelLine:
+    def test_known_lines(self):
+        assert kernel_line([[1, 1, 0], [0, 1, 1]]) == (1, -1, 1)
+        assert kernel_line([[2, 4]]) == (-2, 1)
+        assert kernel_line([]) == (1,)
+        assert kernel_line([[1, 2, 3], [2, 4, 6]]) is None
+
+    def test_wrong_row_length_rejected(self):
+        with pytest.raises(ValueError):
+            kernel_line([[1, 2, 3]])
+
+    def test_agrees_with_rational_oracle(self):
+        rng = random.Random(91)
+        for _ in range(400):
+            d = rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d - 1)]
+            if d > 2 and rng.random() < 0.4:
+                # rank-deficient: a zero row, a repeated or a scaled row
+                i, j = rng.sample(range(d - 1), 2)
+                rows[i] = rng.choice([[0] * d, list(rows[j]),
+                                      [3 * x for x in rows[j]]])
+            want = rational_kernel_line(rows, d)
+            assert kernel_line(rows) == want
+            if want is not None:
+                assert all(sum(a * b for a, b in zip(r, want)) == 0
+                           for r in rows)
 
 
 class TestHomology:
@@ -163,8 +273,8 @@ class TestAgainstRationalOracle:
             h = S.homology(c)
             for k in range(cx.top_degree + 1):
                 n_k = len(cx.bases.get(k, ()))
-                r_k = _rational_rank(cx.boundary(k).tolist()) if k else 0
-                r_k1 = _rational_rank(cx.boundary(k + 1).tolist())
+                r_k = _rational_rank(dense(cx, k)) if k else 0
+                r_k1 = _rational_rank(dense(cx, k + 1))
                 assert h.betti(k) == n_k - r_k - r_k1
 
 
@@ -206,6 +316,26 @@ class TestCollapse:
 
     def test_point(self):
         assert S.collapse_to_point(G.point_complex()) == (True, ())
+
+    def test_agrees_with_recursive_oracle(self):
+        rng = random.Random(31)
+        fixtures = [G.triangle_boundary(), G.octahedron_boundary(),
+                    G.full_simplex(3), S.skeleton(G.full_simplex(4), 2),
+                    S.cone(G.octahedron_boundary())]
+        for _ in range(40):
+            c = random_simplicial_complex(rng, max_dim=3)
+            fixtures.append(c)
+            fixtures.append(S.cone(c))
+        budgets = [0, 1, 2, 3, 5, 8, 13, 40, 200, 10000]
+        for c in fixtures:
+            for budget in budgets + [rng.randint(0, 60)]:
+                assert S.collapse_to_point(c, budget) == \
+                    recursive_collapse_to_point(c, budget)
+
+    def test_deep_search_has_no_recursion_limit(self):
+        ok, seq = S.collapse_to_point(G.full_simplex(10), 4000)
+        assert ok
+        assert len(seq) * 2 + 1 == sum(G.full_simplex(10).f_vector())
 
     def test_collapse_success_implies_point_homology(self):
         rng = random.Random(9)
