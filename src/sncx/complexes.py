@@ -28,6 +28,7 @@ from .errors import (
     NoSuchFace,
     NotAVertex,
     NotInvolution,
+    NotRegularCW,
     QuotientNotRegular,
 )
 
@@ -63,7 +64,8 @@ class CombinatorialComplex:
 
     All invariants are checked: grading of the covering relation,
     downward closure to vertices, the simplicial facet identity and
-    vertex distinctness when a Delta-structure is claimed, and downward
+    vertex distinctness when a Delta-structure is claimed, the regular
+    CW property in dimensions 1 and 2 when none is, and downward
     closure of levels.  Faces are kept in a canonical order sorted by
     (dimension, label, insertion index), which makes every derived
     output byte-deterministic.
@@ -167,6 +169,8 @@ class CombinatorialComplex:
 
         if delta is not None:
             self._validate_delta()
+        else:
+            self._validate_low_cells()
 
     # -- validation helpers --------------------------------------------
 
@@ -204,6 +208,34 @@ class CombinatorialComplex:
             if len(set(vs)) != len(vs):
                 raise BadDeltaStructure(
                     f"face {f!r} has repeated vertices {vs}")
+
+    def _validate_low_cells(self):
+        # exact in dimensions 1 and 2: the boundary of an edge is two
+        # points, the boundary of a 2-cell one circle of edges
+        dims, cov = self._dims, self._cov
+        for f in self._order:
+            k = dims[f]
+            if k == 1 and len(cov[f]) != 2:
+                raise NotRegularCW(
+                    f"edge {f!r} covers {len(cov[f])} vertices, wants 2")
+            if k != 2:
+                continue
+            nbrs: dict[str, list] = {}
+            for e in cov[f]:
+                a, b = cov[e]
+                nbrs.setdefault(a, []).append(b)
+                nbrs.setdefault(b, []).append(a)
+            start = cov[cov[f][0]][0]
+            seen = {start}
+            stack = [start]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) != len(nbrs) or any(len(n) != 2 for n in nbrs.values()):
+                raise NotRegularCW(
+                    f"the edges of face {f!r} do not form one cycle")
 
     # -- basic accessors ------------------------------------------------
 

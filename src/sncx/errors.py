@@ -31,6 +31,10 @@ class LevelNotDownwardClosed(SncxError):
     pass
 
 
+class NotRegularCW(SncxError):
+    """A face poset that is not the face poset of a regular CW complex."""
+
+
 # -- structural operations --------------------------------------------------
 
 class MissingDeltaStructure(SncxError):

@@ -3,9 +3,10 @@
 Chain complexes come straight from the Delta-structure when one is
 present (boundary = alternating sum of ordered facets); complexes that
 are only face posets go through their order complex, which computes the
-same homology for regular CW complexes.  Boundaries are stored sparse,
-one ``{row: coeff}`` column per face, and reduced by the sparse Smith
-normal form of ``sncx.snf``.
+same homology for regular CW complexes, and the Euler-Poincare identity
+is checked on that route.  Boundaries are stored sparse, one
+``{row: coeff}`` column per face, and reduced by the sparse Smith normal
+form of ``sncx.snf``.
 
 Reduced homology convention, used uniformly: the empty complex has
 reduced homology of rank one in degree -1.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import CombinatorialComplex
-from .errors import BoundaryNotSquareZero
+from .errors import BoundaryNotSquareZero, NotRegularCW
 from .presentations import (
     GroupPresentation,
     abelianization,
@@ -153,6 +154,13 @@ def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
         if reduced and k == 0:
             b -= 1
         table.append((k, b, torsions.get(k, ())))
+    if not c.has_delta:
+        # the order complex has the homology of c only if c is regular CW
+        chi = sum((-1) ** k * b for k, b, _t in table) + (1 if reduced else 0)
+        if chi != c.euler_characteristic():
+            raise NotRegularCW(
+                f"the Betti numbers give Euler characteristic {chi}, "
+                f"the face numbers {c.euler_characteristic()}")
     return HomologyResult(tuple(table), reduced)
 
 
@@ -187,18 +195,6 @@ def top_weight_ranks(c: CombinatorialComplex, n: int) -> dict:
 # -- collapses ---------------------------------------------------------------
 
 
-def _free_pairs(c, alive, cofaces, idx):
-    # free pair: sigma covered by exactly one alive face tau, tau maximal
-    pairs = []
-    for f in alive:
-        up = [g for g in cofaces[f] if g in alive]
-        if len(up) == 1 and not any(g in alive for g in cofaces[up[0]]):
-            pairs.append((f, up[0]))
-    # prefer collapsing from the top dimension down, then canonical order
-    pairs.sort(key=lambda p: (-c.dim(p[1]), idx[p[1]], idx[p[0]]))
-    return pairs
-
-
 def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     """Greedy elementary collapses with backtracking.
 
@@ -207,40 +203,72 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     is not collapsible, only that the search budget ran out or no free
     pair exists.  The depth-first search is iterative, over one set of
     alive faces restored on backtrack; ``budget`` bounds the states
-    expanded, each remembered by the bitmask of its alive faces.
+    expanded, each remembered by the bitmask of its alive faces.  Free
+    pairs are tried from the top dimension down, then in canonical order;
+    they are kept up to date as pairs are removed and restored, so a step
+    touches only the faces within two levels below the pair.
     """
     if c.is_empty:
         return False, ()
-    cofaces = {f: [] for f in c.face_ids}
-    for f in c.face_ids:
-        for g in c.facets(f):
-            cofaces[g].append(f)
-    idx = {f: i for i, f in enumerate(c.face_ids)}
+    faces = c.face_ids
+    idx = {f: i for i, f in enumerate(faces)}
+    dims = [c.dim(f) for f in faces]
+    below = [[idx[g] for g in c.facets(f)] for f in faces]
+    above = [[] for _ in faces]
+    for i, fs in enumerate(below):
+        for j in fs:
+            above[j].append(i)
+    # a free pair (s, t): s has exactly one alive coface t, t has none
+    alive = [True] * len(faces)
+    up = [len(a) for a in above]    # alive cofaces per face
+    free = {}                       # free face s -> sort key (-dim t, t, s)
 
-    alive = set(c.face_ids)
-    keys = [(1 << len(idx)) - 1]    # keys[d]: bitmask of alive after trail[:d]
+    def refresh(f):
+        free.pop(f, None)
+        if alive[f] and up[f] == 1:
+            t = next(g for g in above[f] if alive[g])
+            if not up[t]:
+                free[f] = (-dims[t], t, f)
+
+    def toggle(pair, now_alive):
+        s, t = pair
+        alive[s] = alive[t] = now_alive
+        step = 1 if now_alive else -1
+        touched = {s, t}
+        for f in (s, t):
+            for g in below[f]:
+                up[g] += step
+                touched.add(g)
+                touched.update(below[g])
+        for f in touched:
+            refresh(f)
+
+    for f in range(len(faces)):
+        refresh(f)
+    keys = [(1 << len(faces)) - 1]  # keys[d]: bitmask of alive after trail[:d]
     trail = []
     stack = []      # stack[d]: untried free pairs of the state after trail[:d]
     seen = set()
     while True:
-        if len(alive) == 1 and c.dim(next(iter(alive))) == 0:
-            return True, tuple(trail)
+        if len(faces) - 2 * len(trail) == 1 and dims[alive.index(True)] == 0:
+            return True, tuple((faces[s], faces[t]) for s, t in trail)
         if keys[-1] not in seen and len(seen) < budget:
             seen.add(keys[-1])
-            stack.append(iter(_free_pairs(c, alive, cofaces, idx)))
+            stack.append(iter(sorted(free.values())))
         while True:     # backtrack to the deepest state with an untried pair
             if len(stack) <= len(trail):    # the current state is finished
                 if not trail:
                     return False, ()
-                alive.update(trail.pop())
+                toggle(trail.pop(), True)
                 keys.pop()
                 continue
-            pair = next(stack[-1], None)
-            if pair is not None:
+            key = next(stack[-1], None)
+            if key is not None:
                 break
             stack.pop()
-        alive.difference_update(pair)
-        keys.append(keys[-1] ^ 1 << idx[pair[0]] ^ 1 << idx[pair[1]])
+        pair = key[2], key[1]       # (s, t)
+        toggle(pair, False)
+        keys.append(keys[-1] ^ 1 << pair[0] ^ 1 << pair[1])
         trail.append(pair)
 
 

@@ -1,5 +1,9 @@
 """Fundamental group presentations and Tietze simplification.
 
+The edge-path presentation is read off a Delta complex's own vertices,
+edges and triangles; a complex that is only a face poset goes through
+the 2-skeleton of its order complex, as ``homology.chain_complex`` does.
+
 Words are tuples of nonzero integers: letter ``+k`` is generator k-1,
 ``-k`` its inverse.  Every transformation applied here is a Tietze move,
 so the presented group never changes.
@@ -96,27 +100,29 @@ def abelianization(pres: GroupPresentation):
 
 
 def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation:
-    """Edge-path presentation from the 2-skeleton of the order complex.
+    """Edge-path presentation from a Delta-structured 2-skeleton.
 
-    Spanning tree by breadth-first search in canonical order; generators
-    are the non-tree edges, relators the triangle boundaries with tree
-    edges elided.
+    A Delta complex supplies its own 0-, 1- and 2-faces, whose edge-path
+    group is the fundamental group; a complex that is only a face poset
+    uses the 2-skeleton of its order complex.  Spanning tree by
+    breadth-first search in canonical order; generators are the non-tree
+    edges, relators the triangle boundaries with tree edges elided.
     """
     if c.is_empty:
         raise NotConnected("the empty complex has no fundamental group")
     if len(c.connected_components()) != 1:
         raise NotConnected("complex is not connected")
 
-    oc = c.order_complex(top_dim=2)
-    verts = oc.faces_of_dim(0)
-    edges = oc.faces_of_dim(1)
-    tris = oc.faces_of_dim(2)
+    model = c if c.has_delta else c.order_complex(top_dim=2)
+    verts = model.faces_of_dim(0)
+    edges = model.faces_of_dim(1)
+    tris = model.faces_of_dim(2)
 
     # oriented edge (tail, head) by the delta order: facet 0 omits the tail
     eindex = {e: i for i, e in enumerate(edges)}
     adj = {v: [] for v in verts}
     for e in edges:
-        d = oc.delta_order(e)
+        d = model.delta_order(e)
         tail, head = d[1], d[0]
         adj[tail].append((head, e, +1))
         adj[head].append((tail, e, -1))
@@ -145,7 +151,7 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
 
     relators = []
     for t in tris:
-        d = oc.delta_order(t)
+        d = model.delta_order(t)
         # vertices (a, b, c); boundary word e(a,b) e(b,c) e(a,c)^-1
         e_bc, e_ac, e_ab = d[0], d[1], d[2]
         word = [letter(e_ab, +1), letter(e_bc, +1), letter(e_ac, -1)]

@@ -276,6 +276,29 @@ def blowup_move(c: CombinatorialComplex, move: BlowupMove) -> CombinatorialCompl
     raise DescriptorInvalid(f"unknown move case {move.case!r}")
 
 
+def _check_acyclic(order, succ):
+    """Depth-first search from each node in ``order``; raise on a cycle."""
+    color = {s: 0 for s in order}   # 0 new, 1 on the DFS path, 2 done
+    for s in order:
+        if color[s]:
+            continue
+        color[s] = 1
+        path = [(s, iter(succ[s]))]
+        while path:
+            u, rest = path[-1]
+            for w in rest:
+                if color[w] == 1:
+                    raise MatchingNotAcyclic(
+                        f"V-path cycle through the pair of {u!r}")
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append((w, iter(succ[w])))
+                    break
+            else:
+                color[u] = 2
+                path.pop()
+
+
 def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     """Flow the vertex ``v_src`` onto ``v_dst`` by a discrete Morse matching.
 
@@ -335,21 +358,7 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     order = list(matching)
     succ = {s: [g for g in c.facets(pair_of[s]) if g != s and g in pair_of]
             for s in order}
-    color = {s: 0 for s in order}
-
-    def dfs(u):
-        color[u] = 1
-        for w in succ[u]:
-            if color[w] == 1:
-                raise MatchingNotAcyclic(
-                    f"V-path cycle through the pair of {u!r}")
-            if color[w] == 0:
-                dfs(w)
-        color[u] = 2
-
-    for s in order:
-        if color[s] == 0:
-            dfs(s)
+    _check_acyclic(order, succ)
 
     # build the flowed complex
     removed = set(sources) | targets_set

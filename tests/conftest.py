@@ -39,6 +39,13 @@ def with_random_levels(rng: random.Random, c: CombinatorialComplex,
     return CombinatorialComplex(recs)
 
 
+def without_delta(c: CombinatorialComplex) -> CombinatorialComplex:
+    """The same face poset with its Delta-structure dropped."""
+    return CombinatorialComplex(
+        [{k: v for k, v in c._record(f).items() if k != "delta_order"}
+         for f in c.face_ids])
+
+
 def random_subset_closed(rng: random.Random, ground=5):
     maximal = []
     for _ in range(rng.randint(1, 4)):

@@ -2,7 +2,9 @@
 
 Each is the straightforward version the library used before its
 current implementation: a dense Euclid Smith normal form, a kernel line
-by elimination over exact rationals, and a recursive collapse search.
+by elimination over exact rationals, a recursive collapse search that
+rescans every alive face for free pairs in each state, and a recursive
+acyclicity check for Morse matchings.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sncx.homology import _free_pairs
+from sncx.errors import MatchingNotAcyclic
 
 
 def dense_smith_normal_form(rows):
@@ -114,6 +116,18 @@ def rational_kernel_line(rows, dim):
     return tuple(x // g for x in ints)
 
 
+def _free_pairs(c, alive, cofaces, idx):
+    # free pair: sigma covered by exactly one alive face tau, tau maximal
+    pairs = []
+    for f in alive:
+        up = [g for g in cofaces[f] if g in alive]
+        if len(up) == 1 and not any(g in alive for g in cofaces[up[0]]):
+            pairs.append((f, up[0]))
+    # prefer collapsing from the top dimension down, then canonical order
+    pairs.sort(key=lambda p: (-c.dim(p[1]), idx[p[1]], idx[p[0]]))
+    return pairs
+
+
 def recursive_collapse_to_point(c, budget=10000):
     """Depth-first collapse search, one frozenset per visited state."""
     if c.is_empty:
@@ -145,3 +159,22 @@ def recursive_collapse_to_point(c, budget=10000):
     if result is None:
         return False, ()
     return True, result
+
+
+def recursive_check_acyclic(order, succ):
+    """Recursive depth-first search from each node; raise on a cycle."""
+    color = {s: 0 for s in order}
+
+    def dfs(u):
+        color[u] = 1
+        for w in succ[u]:
+            if color[w] == 1:
+                raise MatchingNotAcyclic(
+                    f"V-path cycle through the pair of {u!r}")
+            if color[w] == 0:
+                dfs(w)
+        color[u] = 2
+
+    for s in order:
+        if color[s] == 0:
+            dfs(s)

@@ -119,6 +119,13 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "certified-wedge(1)"
 
+    def test_certify_simplex_skeleton(self, tmp_path):
+        path = tmp_path / "skel.json"
+        path.write_text(dumps_complex(S.skeleton(G.full_simplex(6), 4)))
+        code, out = run_cli(["certify", str(path), "--sphere-dim", "4"])
+        assert code == 0
+        assert json.loads(out)["report"]["verdict"] == "certified-wedge(6)"
+
     def test_text_format(self, inputs):
         code, out = run_cli(["homology", str(inputs["triangle"]),
                              "--format", "text"])
@@ -136,6 +143,15 @@ class TestErrors:
         err = json.loads(out)["error"]
         assert err["type"] == "DanglingFace"
         assert "ghost" in err["message"]
+
+    def test_not_regular_cw_exit_one(self, tmp_path):
+        bad = tmp_path / "loop.json"
+        bad.write_text(json.dumps({"faces": [
+            {"id": "v", "dim": 0, "facets": []},
+            {"id": "e", "dim": 1, "facets": ["v"]}]}))
+        code, out = run_cli(["homology", str(bad)])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NotRegularCW"
 
     def test_unparseable_exit_one(self, tmp_path):
         bad = tmp_path / "mangled.json"

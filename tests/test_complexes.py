@@ -13,10 +13,11 @@ from sncx.errors import (
     NoFiltration,
     NotAVertex,
     NotInvolution,
+    NotRegularCW,
     QuotientNotRegular,
 )
 
-from conftest import random_simplicial_complex
+from conftest import random_simplicial_complex, without_delta
 
 
 def filtered_triangle_with_pendant():
@@ -130,6 +131,58 @@ class TestConstruction:
         ]
         with pytest.raises(BadDeltaStructure):
             S.new_complex(recs)
+
+
+class TestRegularCW:
+    @staticmethod
+    def poset(recs):
+        return S.new_complex([{"id": f, "dim": d, "facets": list(fs)}
+                              for f, d, fs in recs])
+
+    def test_loop_edge_rejected(self):
+        # f-vector chi = 0 but the order complex is a point (chi = 1)
+        with pytest.raises(NotRegularCW, match="'e'"):
+            self.poset([("v", 0, ()), ("e", 1, ("v",))])
+
+    def test_edge_on_three_vertices_rejected(self):
+        with pytest.raises(NotRegularCW):
+            self.poset([("a", 0, ()), ("b", 0, ()), ("c", 0, ()),
+                        ("e", 1, ("a", "b", "c"))])
+
+    def test_two_cell_on_a_path_rejected(self):
+        with pytest.raises(NotRegularCW, match="'t'"):
+            self.poset([("a", 0, ()), ("b", 0, ()), ("c", 0, ()),
+                        ("ab", 1, ("a", "b")), ("bc", 1, ("b", "c")),
+                        ("t", 2, ("ab", "bc"))])
+
+    def test_two_cell_on_a_figure_eight_rejected(self):
+        verts = [(v, 0, ()) for v in "abcde"]
+        edges = [(x + y, 1, (x, y))
+                 for x, y in ("ab", "bc", "ac", "cd", "de", "ce")]
+        with pytest.raises(NotRegularCW):
+            self.poset(verts + edges
+                       + [("t", 2, tuple(e for e, _d, _f in edges))])
+
+    def test_bigon_disk_accepted(self):
+        c = self.poset([("a", 0, ()), ("b", 0, ()),
+                        ("e0", 1, ("a", "b")), ("e1", 1, ("a", "b")),
+                        ("t", 2, ("e0", "e1"))])
+        assert not c.has_delta
+        assert S.homology(c, reduced=True).nonzero() == ()
+
+    def test_euler_poincare_guard(self):
+        # a 3-cell on the projective plane: dimensions 1 and 2 pass, but
+        # the open interval below the 3-cell is no sphere
+        rp2 = G.real_projective_plane()
+        recs = without_delta(rp2).to_records()
+        recs.append({"id": "ball", "dim": 3,
+                     "facets": list(rp2.faces_of_dim(2))})
+        c = S.new_complex(recs)
+        assert c.euler_characteristic() == 0
+        with pytest.raises(NotRegularCW, match="Euler characteristic 1"):
+            S.homology(c)
+        with pytest.raises(NotRegularCW):
+            S.homology(c, reduced=True)
 
 
 class TestBasicOps:

@@ -321,7 +321,9 @@ class TestCollapse:
         rng = random.Random(31)
         fixtures = [G.triangle_boundary(), G.octahedron_boundary(),
                     G.full_simplex(3), S.skeleton(G.full_simplex(4), 2),
-                    S.cone(G.octahedron_boundary())]
+                    S.cone(G.octahedron_boundary()), G.full_simplex(6),
+                    S.skeleton(G.full_simplex(5), 3),
+                    S.skeleton(G.full_simplex(6), 1)]
         for _ in range(40):
             c = random_simplicial_complex(rng, max_dim=3)
             fixtures.append(c)
@@ -391,6 +393,13 @@ class TestWedgeCertificate:
         assert cert.count == 1
         full = S.wedge_certificate(c, 0)
         assert (full.status, full.count) == ("certified-wedge", 1)
+
+    def test_simplex_skeleta_certified_by_the_cells(self):
+        for n in range(4, 9):
+            cert = S.wedge_certificate(S.skeleton(G.full_simplex(n), n - 2),
+                                       n - 2)
+            assert (cert.status, cert.count) == ("certified-wedge", n)
+            assert cert.witness == {"generators": 0, "status": "trivial"}
 
     def test_certified_implies_wedge_betti(self):
         for c, d in [(G.triangle_boundary(), 1), (G.octahedron_boundary(), 2),

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 import sncx as S
 from sncx import gallery as G
 from sncx.errors import NotConnected
 from sncx.presentations import GroupPresentation
+
+from conftest import random_simplicial_complex, without_delta
 
 
 class TestEdgePathGroups:
@@ -39,6 +43,45 @@ class TestEdgePathGroups:
             h = S.homology(c)
             assert rank == h.betti(1)
             assert torsion == h.torsion(1)
+
+
+class TestDeltaRoute:
+    def test_agrees_with_order_complex_route(self):
+        rng = random.Random(17)
+        fixtures = [G.real_projective_plane(), G.octahedron_boundary(),
+                    G.multi_edge_complex(4), S.cone(G.triangle_boundary()),
+                    S.order_complex(G.octahedron_boundary()),
+                    S.order_complex(G.real_projective_plane()),
+                    S.order_complex(G.multi_edge_complex(3)),
+                    S.skeleton(G.full_simplex(5), 3)]
+        while len(fixtures) < 48:
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=6,
+                                          max_dim=3)
+            if len(c.connected_components()) == 1:
+                fixtures.append(c)
+        for c in fixtures:
+            assert c.has_delta
+            fast = S.fundamental_group_presentation(c)
+            slow = S.fundamental_group_presentation(c.order_complex(top_dim=2))
+            assert S.abelianization(fast) == S.abelianization(slow)
+            assert fast.generators <= slow.generators
+
+    def test_delta_route_skips_the_order_complex(self, monkeypatch):
+        def refuse(self, top_dim=None):
+            raise AssertionError("order complex built on the Delta route")
+
+        monkeypatch.setattr(S.CombinatorialComplex, "order_complex", refuse)
+        p = S.fundamental_group_presentation(S.skeleton(G.full_simplex(5), 3))
+        assert p.generators == 10
+        assert S.tietze_simplify(p)[1] == "trivial"
+
+    def test_poset_route_unchanged(self):
+        # without a Delta structure the order complex is still the model
+        rp2 = G.real_projective_plane()
+        poset = without_delta(rp2)
+        assert not poset.has_delta
+        assert S.fundamental_group_presentation(poset) == \
+            S.fundamental_group_presentation(rp2.order_complex(top_dim=2))
 
 
 class TestTietze:

@@ -7,14 +7,17 @@ from sncx import gallery as G
 from sncx.errors import (
     BadMultiplicity,
     DescriptorInvalid,
+    MatchingNotAcyclic,
     MissingDeltaStructure,
     NotMaximal,
     PairingIncomplete,
     ScriptError,
 )
 from sncx.serialize import dumps_complex
+from sncx.transforms import _check_acyclic
 
 from conftest import random_simplicial_complex, with_random_levels
+from oracles import recursive_check_acyclic
 
 
 def homology_tables_equal(a, b):
@@ -244,6 +247,37 @@ class TestMorseFlow:
             assert red == c
             assert homology_tables_equal(out, c)
             done += 1
+
+
+class TestMatchingAcyclicity:
+    @staticmethod
+    def outcome(check, order, succ):
+        try:
+            check(order, succ)
+        except MatchingNotAcyclic as exc:
+            return str(exc)
+        return None
+
+    def test_agrees_with_recursive_oracle(self):
+        rng = random.Random(5)
+        cyclic = 0
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            order = [f"s{i}" for i in rng.sample(range(n), n)]
+            succ = {u: [w for w in order if w != u and rng.random() < 0.2]
+                    for u in order}
+            want = self.outcome(recursive_check_acyclic, order, succ)
+            assert self.outcome(_check_acyclic, order, succ) == want
+            cyclic += want is not None
+        assert 0 < cyclic < 300
+
+    def test_long_path_has_no_recursion_limit(self):
+        order = [f"s{i}" for i in range(5000)]
+        succ = {u: order[i + 1:i + 2] for i, u in enumerate(order)}
+        _check_acyclic(order, succ)
+        succ[order[-1]] = [order[0]]
+        with pytest.raises(MatchingNotAcyclic, match="'s4999'"):
+            _check_acyclic(order, succ)
 
 
 class TestPucker:
