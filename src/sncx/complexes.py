@@ -866,26 +866,31 @@ def complexes_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bo
         return False
 
     order = sorted(a.face_ids, key=lambda f: (a.dim(f), str(siga[f])))
-    cands = {f: [g for g in b.face_ids if sigb[g] == siga[f]] for f in order}
+    if not order:
+        return True
+    cands: dict[tuple, list] = {}       # b's faces by signature, in order
+    for g in b.face_ids:
+        cands.setdefault(sigb[g], []).append(g)
+    below = {g: set(b.facets(g)) for g in b.face_ids}
 
+    # depth-first over order[i], one candidate iterator per assigned level
     assignment: dict[str, str] = {}
     used: set[str] = set()
-
-    def backtrack(i):
-        if i == len(order):
+    stack = [iter(cands[siga[order[0]]])]
+    while stack:
+        f = order[len(stack) - 1]
+        if f in assignment:
+            used.discard(assignment.pop(f))
+        image = {assignment[x] for x in a.facets(f)}
+        for g in stack[-1]:
+            if g not in used and below[g] == image:
+                assignment[f] = g
+                used.add(g)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
             return True
-        f = order[i]
-        for g in cands[f]:
-            if g in used:
-                continue
-            if {assignment[x] for x in a.facets(f)} != set(b.facets(g)):
-                continue
-            assignment[f] = g
-            used.add(g)
-            if backtrack(i + 1):
-                return True
-            del assignment[f]
-            used.discard(g)
-        return False
-
-    return backtrack(0)
+        stack.append(iter(cands[siga[order[len(stack)]]]))
+    return False

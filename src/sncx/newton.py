@@ -8,17 +8,18 @@ is the homotopy model of the resolution complex of the singularity, and
 its reduced homology carries the weight-zero labels.
 
 All geometry is exact: integer inputs, the integer rank and kernel
-lines of ``sncx.snf``, no hulls in floating point.  Facets are
-enumerated by brute force over small point subsets plus coordinate
-directions, the face lattice by saturated facet-set intersections; fine
-at desk scale (ambient dimension at most four).
+lines of ``sncx.snf``, no hulls in floating point.  Facets come from a
+fraction-free double-description pass over the homogenized points and
+coordinate directions, whose cost follows the number of facets rather
+than the number of point subsets; the face lattice is the closure of
+the facets under intersection with a facet.  The ambient dimension is
+at most four.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import CombinatorialComplex
 from .errors import (
@@ -70,41 +71,78 @@ def _affine_dim(points, onset, recession):
 
 
 def _facet_census(points, orthant: bool):
+    """The facets of conv(points), plus the orthant when ``orthant``.
+
+    Double description in integers (Fukuda-Prodon): a facet w.x >= m is
+    an extreme ray (-m, w) of the dual cone of the homogenized generators
+    (1, p) and, with the orthant, (0, e_j).  Starting from the simplicial
+    cone of d+1 independent generators, the other generators are added
+    one at a time; each ray keeps the bitmask of generators it is tight
+    on, and a (+, -) pair of rays is combined only when it spans a
+    2-face, which the tight sets decide.  The ray (1, 0) is the face at
+    infinity, not a facet.
+    """
     d = len(points[0])
-    npts = len(points)
-    found = {}
-    subsets = []
+    gens = [(1,) + tuple(p) for p in points]
     if orthant:
-        for k in range(1, d + 1):
-            for pts in combinations(range(npts), k):
-                for rec in combinations(range(d), d - k):
-                    subsets.append((pts, rec))
-    else:
-        for pts in combinations(range(npts), d):
-            subsets.append((pts, ()))
-    for pts, rec in subsets:
-        base = points[pts[0]]
-        rows = [tuple(points[i][j] - base[j] for j in range(d)) for i in pts[1:]]
-        for j in rec:
-            rows.append(tuple(1 if t == j else 0 for t in range(d)))
-        if len(rows) != d - 1:
+        gens += [tuple(int(t == j) for t in range(-1, d)) for j in range(d)]
+    basis = []
+    for i, g in enumerate(gens):
+        if matrix_rank([gens[k] for k in basis] + [g]) > len(basis):
+            basis.append(i)
+            if len(basis) == d + 1:
+                break
+    if len(basis) <= d:
+        raise NotFullDimensional("the points do not span the ambient space")
+
+    added = sum(1 << k for k in basis)
+    rays = []                           # (ray, bitmask of tight generators)
+    for k in basis:
+        r = kernel_line([gens[i] for i in basis if i != k])
+        if _dot(r, gens[k]) < 0:
+            r = tuple(-x for x in r)
+        rays.append((r, added & ~(1 << k)))
+    for k, g in enumerate(gens):
+        if added >> k & 1:
             continue
-        w = kernel_line(rows)
-        if w is None:
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for r, tight in rays:
+            s = _dot(r, g)
+            if s > 0:
+                pos.append((r, tight, s))
+                kept.append((r, tight))
+            elif s < 0:
+                neg.append((r, tight, s))
+            else:
+                kept.append((r, tight | bit))
+        if neg:
+            masks = [tight for _, tight in rays]
+            for rp, tp, sp in pos:
+                for rn, tn, sn in neg:
+                    common = tp & tn
+                    if common.bit_count() < d - 1 or any(
+                            t & common == common and t != tp and t != tn
+                            for t in masks):
+                        continue
+                    v = [sp * b - sn * a for a, b in zip(rp, rn)]
+                    h = math.gcd(*v)
+                    kept.append((tuple(x // h for x in v), common | bit))
+        rays = kept
+
+    facets = []
+    for r, _ in rays:
+        w = r[1:]
+        if not any(w):
             continue
-        for cand in (w, tuple(-x for x in w)):
-            if orthant and any(x < 0 for x in cand):
-                continue
-            if cand in found:
-                continue
-            m = min(_dot(cand, p) for p in points)
-            onset = frozenset(i for i, p in enumerate(points)
-                              if _dot(cand, p) == m)
-            frec = tuple(j for j in range(d) if cand[j] == 0) if orthant else ()
-            if _affine_dim(points, onset, frec) == d - 1:
-                found[cand] = PolyFacet(cand, m, onset, all(x > 0 for x in cand)
-                                        if orthant else True)
-    facets = sorted(found.values(), key=lambda f: f.normal)
+        m = min(_dot(w, p) for p in points)
+        onset = frozenset(i for i, p in enumerate(points) if _dot(w, p) == m)
+        frec = tuple(j for j in range(d) if w[j] == 0) if orthant else ()
+        if _affine_dim(points, onset, frec) != d - 1:
+            raise AssertionError(f"census ray {r} is not a facet")
+        facets.append(PolyFacet(w, m, onset,
+                                all(x > 0 for x in w) if orthant else True))
+    facets.sort(key=lambda f: f.normal)
     return facets
 
 
@@ -132,11 +170,14 @@ def _face_lattice(points, facets, orthant: bool):
         if key not in by_key:
             by_key[key] = face
             queue.append(face)
+    # every face is an intersection of facets, so meeting each queued face
+    # with the facet faces alone closes the family
+    facet_faces = list(queue)
     idx = 0
     while idx < len(queue):
         a = queue[idx]
         idx += 1
-        for b in list(by_key.values()):
+        for b in facet_faces:
             pset = frozenset(a.points) & frozenset(b.points)
             if not pset:
                 continue
@@ -445,8 +486,6 @@ class LatticePolytope:
             raise DimensionTooHigh(f"ambient dimension {d} exceeds {MAX_AMBIENT}")
         if d < 2:
             raise NotFullDimensional("need a polytope of dimension at least 2")
-        if _affine_dim(pts, frozenset(range(len(pts))), ()) != d:
-            raise NotFullDimensional("the points do not span the ambient space")
         self.points = tuple(pts)
         self.ambient = d
         self.facets = tuple(_facet_census(self.points, orthant=False))

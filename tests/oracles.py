@@ -3,16 +3,23 @@
 Each is the straightforward version the library used before its
 current implementation: a dense Euclid Smith normal form, a kernel line
 by elimination over exact rationals, a recursive collapse search that
-rescans every alive face for free pairs in each state, and a recursive
-acyclicity check for Morse matchings.
+rescans every alive face for free pairs in each state, a recursive
+acyclicity check for Morse matchings, a facet census that solves a
+kernel line for every subset of points and coordinate directions, a
+face lattice that intersects every pair of faces found, and a poset
+isomorphism search that recurses once per face.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 from sncx.errors import MatchingNotAcyclic
+from sncx.newton import PolyFace, PolyFacet, _affine_dim, _dot
+from sncx.snf import kernel_line
 
 
 def dense_smith_normal_form(rows):
@@ -178,3 +185,137 @@ def recursive_check_acyclic(order, succ):
     for s in order:
         if color[s] == 0:
             dfs(s)
+
+
+def brute_force_facet_census(points, orthant: bool):
+    """Every (points, directions) subset spanning a hyperplane, checked."""
+    d = len(points[0])
+    npts = len(points)
+    found = {}
+    subsets = []
+    if orthant:
+        for k in range(1, d + 1):
+            for pts in combinations(range(npts), k):
+                for rec in combinations(range(d), d - k):
+                    subsets.append((pts, rec))
+    else:
+        for pts in combinations(range(npts), d):
+            subsets.append((pts, ()))
+    for pts, rec in subsets:
+        base = points[pts[0]]
+        rows = [tuple(points[i][j] - base[j] for j in range(d)) for i in pts[1:]]
+        for j in rec:
+            rows.append(tuple(1 if t == j else 0 for t in range(d)))
+        if len(rows) != d - 1:
+            continue
+        w = kernel_line(rows)
+        if w is None:
+            continue
+        for cand in (w, tuple(-x for x in w)):
+            if orthant and any(x < 0 for x in cand):
+                continue
+            if cand in found:
+                continue
+            m = min(_dot(cand, p) for p in points)
+            onset = frozenset(i for i, p in enumerate(points)
+                              if _dot(cand, p) == m)
+            frec = tuple(j for j in range(d) if cand[j] == 0) if orthant else ()
+            if _affine_dim(points, onset, frec) == d - 1:
+                found[cand] = PolyFacet(cand, m, onset, all(x > 0 for x in cand)
+                                        if orthant else True)
+    facets = sorted(found.values(), key=lambda f: f.normal)
+    return facets
+
+
+def pairwise_face_lattice(points, facets, orthant: bool):
+    """Intersect each queued face with every face found so far."""
+    d = len(points[0])
+
+    def saturate(pset, rec):
+        s = frozenset(i for i, f in enumerate(facets)
+                      if pset <= f.points and
+                      all(f.normal[j] == 0 for j in rec))
+        return s
+
+    def build(pset, rec):
+        s = saturate(pset, rec)
+        dim = _affine_dim(points, pset, rec)
+        compact = not rec
+        return PolyFace(tuple(sorted(pset)), tuple(rec), s, dim, compact)
+
+    by_key = {}
+    queue = []
+    for i, f in enumerate(facets):
+        rec = tuple(j for j in range(d) if f.normal[j] == 0) if orthant else ()
+        face = build(f.points, rec)
+        key = (face.points, face.recession)
+        if key not in by_key:
+            by_key[key] = face
+            queue.append(face)
+    idx = 0
+    while idx < len(queue):
+        a = queue[idx]
+        idx += 1
+        for b in list(by_key.values()):
+            pset = frozenset(a.points) & frozenset(b.points)
+            if not pset:
+                continue
+            rec = tuple(sorted(set(a.recession) & set(b.recession)))
+            key = (tuple(sorted(pset)), rec)
+            if key in by_key:
+                continue
+            face = build(pset, rec)
+            key = (face.points, face.recession)
+            if key not in by_key:
+                by_key[key] = face
+                queue.append(face)
+    faces = sorted(by_key.values(), key=lambda f: (f.dim, f.points, f.recession))
+    return faces
+
+
+def recursive_complexes_isomorphic(a, b):
+    """Poset isomorphism by a backtracking search one call deep per face."""
+    if a.f_vector() != b.f_vector():
+        return False
+
+    def signatures(c):
+        above = {f: [] for f in c.face_ids}
+        for f in c.face_ids:
+            for g in c.facets(f):
+                above[g].append(f)
+        sig = {f: (c.dim(f), len(c.facets(f)), len(above[f])) for f in c.face_ids}
+        for _ in range(3):
+            sig = {f: (sig[f],
+                       tuple(sorted(sig[g] for g in c.facets(f))),
+                       tuple(sorted(sig[g] for g in above[f])))
+                   for f in c.face_ids}
+        return sig
+
+    siga, sigb = signatures(a), signatures(b)
+    if Counter(siga.values()) != Counter(sigb.values()):
+        return False
+
+    order = sorted(a.face_ids, key=lambda f: (a.dim(f), str(siga[f])))
+    cands = {f: [g for g in b.face_ids if sigb[g] == siga[f]] for f in order}
+
+    assignment = {}
+    used = set()
+
+    def backtrack(i):
+        if i == len(order):
+            return True
+        f = order[i]
+        for g in cands[f]:
+            if g in used:
+                continue
+            if {assignment[x] for x in a.facets(f)} != set(b.facets(g)):
+                continue
+            assignment[f] = g
+            used.add(g)
+            if backtrack(i + 1):
+                return True
+            del assignment[f]
+            used.discard(g)
+        return False
+
+    return backtrack(0)

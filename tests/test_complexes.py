@@ -18,6 +18,7 @@ from sncx.errors import (
 )
 
 from conftest import random_simplicial_complex, without_delta
+from oracles import recursive_complexes_isomorphic
 
 
 def filtered_triangle_with_pendant():
@@ -383,6 +384,64 @@ class TestRelabel:
                                           G.multi_edge_complex(3))
         assert not S.complexes_isomorphic(G.cycle_complex(4),
                                           G.multi_edge_complex(2))
+
+
+def shuffled_copy(c, rng, keep_labels=True):
+    """The complex under a random permutation of its ids and records."""
+    ids = list(c.face_ids)
+    perm = ids[:]
+    rng.shuffle(perm)
+    new = {f: "n" + g for f, g in zip(ids, perm)}
+    recs = []
+    for f in ids:
+        rec = c._record(f)
+        rec["id"] = new[f]
+        rec["facets"] = [new[g] for g in rec["facets"]]
+        if "delta_order" in rec:
+            rec["delta_order"] = [new[g] for g in rec["delta_order"]]
+        if not keep_labels:
+            rec.pop("label", None)
+        recs.append(rec)
+    rng.shuffle(recs)
+    return S.CombinatorialComplex(recs)
+
+
+class TestIsomorphismSearch:
+    def test_relabeled_long_cycle(self):
+        # the search is one level per face: 1200 levels here
+        a = G.cycle_complex(600)
+        assert S.complexes_isomorphic(a, shuffled_copy(a, random.Random(3)))
+
+    def test_non_isomorphic_same_size(self):
+        # a 599-cycle with a pendant edge: f-vector (600, 600) like the 600-cycle
+        recs = [c._record(f) for c in [G.cycle_complex(599)] for f in c.face_ids]
+        recs += [{"id": "v599", "dim": 0, "facets": []},
+                 {"id": "e599", "dim": 1, "facets": ["v0", "v599"],
+                  "delta_order": ["v599", "v0"]}]
+        lollipop = S.CombinatorialComplex(recs)
+        assert lollipop.f_vector() == G.cycle_complex(600).f_vector()
+        assert not S.complexes_isomorphic(G.cycle_complex(600), lollipop)
+
+    def test_agrees_with_recursive_oracle(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            a = random_simplicial_complex(rng)
+            others = [shuffled_copy(a, rng, keep_labels=rng.random() < 0.5),
+                      random_simplicial_complex(rng)]
+            for b in others:
+                assert S.complexes_isomorphic(a, b) == \
+                    recursive_complexes_isomorphic(a, b)
+        # without labels the first vertex assignment is wrong: backtracking
+        cyc = G.cycle_complex(7)
+        relabeled = shuffled_copy(cyc, random.Random(5), keep_labels=False)
+        assert S.complexes_isomorphic(cyc, relabeled)
+        for a, b in ((cyc, relabeled),
+                     (G.triangle_boundary(), G.multi_edge_complex(3)),
+                     (G.cycle_complex(4), G.multi_edge_complex(2)),
+                     (G.cycle_complex(6), S.disjoint_union(G.cycle_complex(3),
+                                                          G.cycle_complex(3)))):
+            assert S.complexes_isomorphic(a, b) == \
+                recursive_complexes_isomorphic(a, b)
 
 
 def test_random_complexes_validate():

@@ -1,12 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 import sncx as S
+import sncx.newton as N
 from sncx.errors import DimensionTooHigh, EmptyInput, NotFullDimensional
 from sncx.newton import LatticePolytope
+from sncx.snf import kernel_line
 
 from conftest import random_lattice_polygon, random_support
+from oracles import brute_force_facet_census, pairwise_face_lattice
 
 QUADRIC = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
 CUSP = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)]
@@ -229,3 +233,116 @@ class TestTorusBoundary:
             total = sum(P.edge_length(f) for f in P.faces if f.dim == 1)
             c = S.torus_hypersurface_boundary_complex(P)
             assert S.homology(c, reduced=True).betti(0) == total - 1
+
+
+def staircase_support(rng, ambient, npts):
+    """Lattice points on a convex decreasing graph over a staircase of
+    cells, plus one far point on each axis; no point dominates another."""
+    k = ambient - 1
+    side = 2
+    while side ** k < npts - ambient:
+        side += 1
+    cells = sorted(itertools.product(range(side), repeat=k),
+                   key=lambda c: (sum(c), c))[:npts - ambient]
+    steps = sorted(rng.sample(range(1, 3 * side + 1), side), reverse=True)
+    g = [sum(steps[i:]) for i in range(side)]
+    pts = [c + (sum(g[x] for x in c),) for c in cells]
+    far = (2 * k * side + 2, 2 * max(p[-1] for p in pts) + 2)
+    pts += [tuple(far[i == k] if j == i else 0 for j in range(ambient))
+            for i in range(ambient)]
+    return pts
+
+
+def shaped_support(rng, d, shape):
+    """Small supports that stress the census: flat, repeated, dominated."""
+    def vec(lo, hi):
+        return tuple(rng.randint(lo, hi) for _ in range(d))
+
+    base = vec(0, 4)
+    if shape == "point":
+        return [base]
+    if shape == "collinear":
+        step = vec(0, 2)
+        return [tuple(b + t * s for b, s in zip(base, step))
+                for t in range(rng.randint(1, 4))]
+    if shape == "coplanar":
+        u, v = vec(0, 2), vec(0, 2)
+        return [tuple(b + s * x + t * y for b, x, y in zip(base, u, v))
+                for s in range(3) for t in range(3) if rng.random() < 0.6] or [base]
+    if shape == "repeated":
+        pts = [vec(0, 5) for _ in range(rng.randint(1, 5))]
+        return pts + [rng.choice(pts) for _ in range(rng.randint(1, 3))]
+    if shape == "dominated":
+        pts = [vec(0, 4) for _ in range(rng.randint(1, 4))]
+        return pts + [tuple(x + rng.randint(0, 3) for x in rng.choice(pts))
+                      for _ in range(rng.randint(1, 4))]
+    return [vec(0, 6) for _ in range(rng.randint(1, 8 if d < 4 else 6))]
+
+
+SHAPES = ("point", "collinear", "coplanar", "repeated", "dominated", "random")
+
+
+def full_dimensional(pts):
+    return N._affine_dim(pts, frozenset(range(len(pts))), ()) == len(pts[0])
+
+
+class TestCensusAgreement:
+    """The double-description census against the brute-force oracle."""
+
+    def assert_agree(self, pts, orthant):
+        facets = N._facet_census(pts, orthant)
+        assert facets == brute_force_facet_census(pts, orthant)
+        assert N._face_lattice(pts, facets, orthant) == \
+            pairwise_face_lattice(pts, facets, orthant)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_orthant_shapes(self, d):
+        rng = random.Random(100 + d)
+        for _ in range(12):
+            for shape in SHAPES:
+                self.assert_agree(shaped_support(rng, d, shape), True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_polytope_shapes(self, d):
+        # flat shapes are completed to full dimension by a few random points
+        rng = random.Random(200 + d)
+        checked = 0
+        while checked < 40:
+            shape = SHAPES[checked % len(SHAPES)]
+            pts = shaped_support(rng, d, shape)
+            pts += [tuple(rng.randint(0, 6) for _ in range(d))
+                    for _ in range(rng.randint(0, d + 1))]
+            if full_dimensional(pts):
+                self.assert_agree(pts, False)
+                checked += 1
+
+    def test_staircases(self):
+        rng = random.Random(31)
+        for ambient, npts in ((2, 6), (3, 9), (3, 12), (4, 9), (4, 11)):
+            pts = staircase_support(rng, ambient, npts)
+            self.assert_agree(pts, True)
+            self.assert_agree(pts + [(0,) * ambient], False)
+
+    def test_flat_polytope_rejected(self):
+        for pts in ([(1, 2)], [(0, 0), (1, 1), (3, 3)],
+                    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)]):
+            with pytest.raises(NotFullDimensional):
+                N._facet_census(pts, orthant=False)
+
+    def test_kernel_solves_bounded_by_dimension(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return kernel_line(rows)
+
+        monkeypatch.setattr(N, "kernel_line", counted)
+        rng = random.Random(41)
+        for ambient, npts in ((3, 30), (4, 20), (4, 33)):
+            calls.clear()
+            N._facet_census(staircase_support(rng, ambient, npts), True)
+            assert 0 < len(calls) <= ambient + 1
+        calls.clear()
+        LatticePolytope([(x, y, z) for x in (0, 2) for y in (0, 3)
+                         for z in (0, 1)] + [(1, 1, 1)])
+        assert 0 < len(calls) <= 4
