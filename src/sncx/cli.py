@@ -94,11 +94,14 @@ def _run_transform(args) -> dict:
     c = complex_from_dict(_load_json(args.complex))
     script = script_from_list(_load_json(args.script))
     final, log = run_blowup_script(c, script)
+    last = log.steps[-1]
     return {
         "inputs": [{"path": args.complex, "sha256": _sha256(args.complex)},
                    {"path": args.script, "sha256": _sha256(args.script)}],
         "log": log.as_json(),
-        "final": _summary(final),
+        "final": {"f_vector": last["f_vector"],
+                  "euler_characteristic": final.euler_characteristic(),
+                  "homology": last["homology"]},
         "final_complex": complex_to_dict(final),
     }
 

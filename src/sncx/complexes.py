@@ -14,6 +14,7 @@ convention and safe to share.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -218,24 +219,35 @@ class CombinatorialComplex:
             if k == 1 and len(cov[f]) != 2:
                 raise NotRegularCW(
                     f"edge {f!r} covers {len(cov[f])} vertices, wants 2")
-            if k != 2:
-                continue
-            nbrs: dict[str, list] = {}
-            for e in cov[f]:
-                a, b = cov[e]
-                nbrs.setdefault(a, []).append(b)
-                nbrs.setdefault(b, []).append(a)
-            start = cov[cov[f][0]][0]
-            seen = {start}
-            stack = [start]
-            while stack:
-                for w in nbrs[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(nbrs) or any(len(n) != 2 for n in nbrs.values()):
-                raise NotRegularCW(
-                    f"the edges of face {f!r} do not form one cycle")
+            if k == 2:
+                self.boundary_walk(f)
+
+    def boundary_walk(self, f: FaceId) -> tuple:
+        """The boundary circle of a 2-face as ``(vertex, edge)`` steps.
+
+        The walk starts at the first vertex of the face's first edge in
+        canonical order and leaves each vertex along the step's edge;
+        raises :class:`NotRegularCW` unless the edges form one cycle.
+        """
+        self._check(f)
+        if self._dims[f] != 2:
+            raise ValueError(f"face {f!r} is not a 2-face")
+        cov = self._cov
+        at: dict[str, list] = {}
+        for e in cov[f]:
+            for v in cov[e]:
+                at.setdefault(v, []).append(e)
+        steps = []
+        if all(len(es) == 2 for es in at.values()):
+            e = cov[f][0]
+            v = cov[e][0]
+            for _ in cov[f]:
+                steps.append((v, e))
+                v = cov[e][cov[e][0] == v]      # the other end of e
+                e = at[v][at[v][0] == e]        # the other edge at v
+        if len({e for _v, e in steps}) != len(cov[f]):
+            raise NotRegularCW(f"the edges of face {f!r} do not form one cycle")
+        return tuple(steps)
 
     # -- basic accessors ------------------------------------------------
 
@@ -523,21 +535,18 @@ class CombinatorialComplex:
             recs.append(rec)
         return CombinatorialComplex(recs)
 
-    def order_complex(self, top_dim: int | None = None) -> "CombinatorialComplex":
+    def order_complex(self) -> "CombinatorialComplex":
         """The complex of chains of the face poset (barycentric subdivision).
 
         Chains are ordered by increasing face dimension; the output always
-        carries a Delta-structure.  ``top_dim`` truncates to chains of at
-        most ``top_dim + 1`` elements (used for fundamental group work).
+        carries a Delta-structure.
         """
         chains: list[tuple] = []
         strict_below = {f: self.downset(f)[:-1] for f in self._order}
         # downset is canonically sorted and ends with f itself
         frontier = [(f,) for f in self._order]
         chains.extend(frontier)
-        depth = 0
-        while frontier and (top_dim is None or depth < top_dim):
-            depth += 1
+        while frontier:
             nxt = []
             for ch in frontier:
                 head = ch[0]
@@ -677,8 +686,8 @@ def cone(c: CombinatorialComplex, apex: str | None = None) -> CombinatorialCompl
     return c.cone(apex)
 
 
-def order_complex(c: CombinatorialComplex, top_dim: int | None = None) -> CombinatorialComplex:
-    return c.order_complex(top_dim)
+def order_complex(c: CombinatorialComplex) -> CombinatorialComplex:
+    return c.order_complex()
 
 
 def level_subcomplex(c: CombinatorialComplex, m: int) -> CombinatorialComplex:
@@ -843,15 +852,25 @@ def face_map_from_vertex_bijection(c: CombinatorialComplex,
 
 
 def complexes_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bool:
-    """Poset isomorphism test (covering-relation preserving bijection)."""
+    """Poset isomorphism test (covering-relation preserving bijection).
+
+    The search assigns vertices in breadth-first order through the edges
+    and each higher face right after the last of its facets, so a wrong
+    vertex fails at the next face.  A face draws its candidates from the
+    cofaces of its first facet's image, a vertex from the neighbours of
+    its breadth-first parent's image.
+    """
     if a.f_vector() != b.f_vector():
         return False
 
-    def signatures(c):
+    def cofaces(c):
         above: dict[str, list] = {f: [] for f in c.face_ids}
         for f in c.face_ids:
             for g in c.facets(f):
                 above[g].append(f)
+        return above
+
+    def signatures(c, above):
         sig = {f: (c.dim(f), len(c.facets(f)), len(above[f])) for f in c.face_ids}
         for _ in range(3):
             sig = {f: (sig[f],
@@ -860,23 +879,61 @@ def complexes_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bo
                    for f in c.face_ids}
         return sig
 
-    siga, sigb = signatures(a), signatures(b)
-    from collections import Counter
+    above_a, above_b = cofaces(a), cofaces(b)
+    siga, sigb = signatures(a, above_a), signatures(b, above_b)
     if Counter(siga.values()) != Counter(sigb.values()):
         return False
-
-    order = sorted(a.face_ids, key=lambda f: (a.dim(f), str(siga[f])))
-    if not order:
+    if a.is_empty:
         return True
-    cands: dict[tuple, list] = {}       # b's faces by signature, in order
+
+    # search order: vertices breadth first, each face after its last facet
+    order: list[str] = []
+    parent: dict[str, str] = {}
+    missing = {f: len(a.facets(f)) for f in a.face_ids}
+    seen: set[str] = set()
+    for root in sorted(a.faces_of_dim(0), key=lambda f: str(siga[f])):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            ready = [v]
+            while ready:
+                f = ready.pop()
+                order.append(f)
+                for h in above_a[f]:
+                    missing[h] -= 1
+                    if not missing[h]:
+                        ready.append(h)
+            for e in above_a[v]:
+                for w in a.facets(e):
+                    if w not in seen:
+                        seen.add(w)
+                        parent[w] = v
+                        queue.append(w)
+
+    by_sig: dict[tuple, list] = {}      # b's faces by signature, in order
     for g in b.face_ids:
-        cands.setdefault(sigb[g], []).append(g)
+        by_sig.setdefault(sigb[g], []).append(g)
     below = {g: set(b.facets(g)) for g in b.face_ids}
+    nbrs = {v: list(dict.fromkeys(w for e in above_b[v] for w in b.facets(e)
+                                  if w != v))
+            for v in b.faces_of_dim(0)}
+    assignment: dict[str, str] = {}
+
+    def candidates(f):
+        if a.facets(f):
+            pool = above_b[assignment[a.facets(f)[0]]]
+        elif f in parent:
+            pool = nbrs[assignment[parent[f]]]
+        else:
+            return iter(by_sig[siga[f]])
+        return (g for g in pool if sigb[g] == siga[f])
 
     # depth-first over order[i], one candidate iterator per assigned level
-    assignment: dict[str, str] = {}
     used: set[str] = set()
-    stack = [iter(cands[siga[order[0]]])]
+    stack = [candidates(order[0])]
     while stack:
         f = order[len(stack) - 1]
         if f in assignment:
@@ -892,5 +949,5 @@ def complexes_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bo
             continue
         if len(stack) == len(order):
             return True
-        stack.append(iter(cands[siga[order[len(stack)]]]))
+        stack.append(candidates(order[len(stack)]))
     return False

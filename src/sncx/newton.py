@@ -314,8 +314,6 @@ class SubdividedSimplex:
             cells.append(SimplexCell(cid, d - face.dim - 1, face,
                                      np_.face_interior(face)))
         self.cells = tuple(cells)
-        self._by_key = {(c.carrier.points, c.carrier.recession): c
-                        for c in cells}
 
     def covering(self, cell: SimplexCell) -> list:
         """Cells one dimension down: carriers one dimension up."""

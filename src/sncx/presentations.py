@@ -1,8 +1,8 @@
 """Fundamental group presentations and Tietze simplification.
 
-The edge-path presentation is read off a Delta complex's own vertices,
-edges and triangles; a complex that is only a face poset goes through
-the 2-skeleton of its order complex, as ``homology.chain_complex`` does.
+The edge-path presentation is read off the complex's own vertices,
+edges and 2-cells, with or without a Delta structure: a spanning tree
+plus one relator per 2-cell, the walk around its boundary circle.
 
 Words are tuples of nonzero integers: letter ``+k`` is generator k-1,
 ``-k`` its inverse.  Every transformation applied here is a Tietze move,
@@ -100,30 +100,29 @@ def abelianization(pres: GroupPresentation):
 
 
 def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation:
-    """Edge-path presentation from a Delta-structured 2-skeleton.
+    """Edge-path presentation read off the complex's own 2-skeleton.
 
-    A Delta complex supplies its own 0-, 1- and 2-faces, whose edge-path
-    group is the fundamental group; a complex that is only a face poset
-    uses the 2-skeleton of its order complex.  Spanning tree by
-    breadth-first search in canonical order; generators are the non-tree
-    edges, relators the triangle boundaries with tree edges elided.
+    Spanning tree by breadth-first search in canonical order; generators
+    are the non-tree edges, oriented by the delta order when there is one
+    (facet 0 omits the tail) and otherwise from the canonically first end
+    to the other.  Each 2-cell gives one relator: its boundary walk with
+    the tree edges elided.  For a regular CW complex this presents the
+    fundamental group.
     """
     if c.is_empty:
         raise NotConnected("the empty complex has no fundamental group")
     if len(c.connected_components()) != 1:
         raise NotConnected("complex is not connected")
 
-    model = c if c.has_delta else c.order_complex(top_dim=2)
-    verts = model.faces_of_dim(0)
-    edges = model.faces_of_dim(1)
-    tris = model.faces_of_dim(2)
+    verts = c.faces_of_dim(0)
+    edges = c.faces_of_dim(1)
 
-    # oriented edge (tail, head) by the delta order: facet 0 omits the tail
+    # oriented edge (tail, head): facet 0 of the delta order omits the tail
+    ends = {e: c.delta_order(e)[::-1] if c.has_delta else c.facets(e)
+            for e in edges}
     eindex = {e: i for i, e in enumerate(edges)}
     adj = {v: [] for v in verts}
-    for e in edges:
-        d = model.delta_order(e)
-        tail, head = d[1], d[0]
+    for e, (tail, head) in ends.items():
         adj[tail].append((head, e, +1))
         adj[head].append((tail, e, -1))
     for v in adj:
@@ -144,19 +143,10 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
     gens = [e for e in edges if e not in in_tree]
     gen_index = {e: i + 1 for i, e in enumerate(gens)}
 
-    def letter(e, sign):
-        if e in in_tree:
-            return 0
-        return sign * gen_index[e]
-
     relators = []
-    for t in tris:
-        d = model.delta_order(t)
-        # vertices (a, b, c); boundary word e(a,b) e(b,c) e(a,c)^-1
-        e_bc, e_ac, e_ab = d[0], d[1], d[2]
-        word = [letter(e_ab, +1), letter(e_bc, +1), letter(e_ac, -1)]
-        word = tuple(x for x in word if x)
-        word = _cyclic_reduce(word)
+    for f in c.faces_of_dim(2):
+        word = _cyclic_reduce(gen_index[e] if v == ends[e][0] else -gen_index[e]
+                              for v, e in c.boundary_walk(f) if e in gen_index)
         if word:
             relators.append(word)
     return GroupPresentation(len(gens), tuple(relators))
@@ -242,8 +232,8 @@ def _shorten_by_overlap(relators):
         doubled_fwd = s + s
         doubled_rev = _invert(s) + _invert(s)
         for start in range(ls):
-            variants.append((doubled_fwd[start:start + ls], s))
-            variants.append((doubled_rev[start:start + ls], s))
+            variants.append(doubled_fwd[start:start + ls])
+            variants.append(doubled_rev[start:start + ls])
         half = ls // 2 + 1
         for j in range(len(rels)):
             if j == i:
@@ -251,7 +241,7 @@ def _shorten_by_overlap(relators):
             r = rels[j]
             if len(r) < half:
                 continue
-            for variant, _src in variants:
+            for variant in variants:
                 chunk = variant[:half]
                 lw = len(chunk)
                 found = -1

@@ -59,9 +59,6 @@ class StrataDescription:
         if any(x is not None for x in lv) and any(x is None for x in lv):
             raise ParentIncoherent("either all components carry levels or none")
 
-        by_key: dict[tuple, dict] = {}
-        for i, c in enumerate(self.components):
-            by_key[(i,)] = {"label": c.label}
         slabels = set(labels)
         for s in self.strata:
             idx = tuple(sorted(set(s.indices)))
@@ -79,13 +76,12 @@ class StrataDescription:
             lookup[s.label] = s
         comp_index = {c.label: i for i, c in enumerate(self.components)}
 
-        def record_for(label, want_indices):
+        def indices_of(label):
             if label in comp_index:
-                return (comp_index[label],), None
+                return (comp_index[label],)
             if label not in lookup:
                 raise MissingParent(f"parent {label!r} does not exist")
-            s = lookup[label]
-            return tuple(s.indices), s
+            return tuple(lookup[label].indices)
 
         for s in self.strata:
             idx = tuple(s.indices)
@@ -94,7 +90,7 @@ class StrataDescription:
                     f"stratum {s.label!r} needs exactly one parent per index")
             for i in idx:
                 want = tuple(x for x in idx if x != i)
-                got, _rec = record_for(s.parents[i], want)
+                got = indices_of(s.parents[i])
                 if got != want:
                     raise MissingParent(
                         f"parent {s.parents[i]!r} of {s.label!r} has index set "

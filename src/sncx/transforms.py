@@ -157,9 +157,6 @@ class BlowupMove:
                    new_vertex=d.get("new_vertex"), level=d.get("level"))
 
 
-BlowupScript = tuple  # ordered BlowupMove sequence
-
-
 def _closure(c, faces):
     seen = set()
     for f in faces:
@@ -437,8 +434,10 @@ def _snapshot(c):
     if c.has_levels:
         per = {}
         nz = {}
-        for m in range(1, c.max_level() + 1):
-            hm = homology(c.level_subcomplex(m))
+        top = c.max_level()
+        for m in range(1, top + 1):
+            # the top level subcomplex is c itself
+            hm = h if m == top else homology(c.level_subcomplex(m))
             per[str(m)] = hm.as_json()
             nz[m] = hm.nonzero()
         snap["per_level"] = per

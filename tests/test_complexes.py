@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -184,6 +185,42 @@ class TestRegularCW:
             S.homology(c)
         with pytest.raises(NotRegularCW):
             S.homology(c, reduced=True)
+
+
+class TestBoundaryWalk:
+    def assert_circle(self, c, f):
+        steps = c.boundary_walk(f)
+        assert sorted(e for _v, e in steps) == sorted(c.facets(f))
+        assert steps[0] == (c.facets(c.facets(f)[0])[0], c.facets(f)[0])
+        for i, (v, e) in enumerate(steps):
+            w = steps[(i + 1) % len(steps)][0]
+            assert v != w and {v, w} == set(c.facets(e))
+        return steps
+
+    def test_triangle(self):
+        c = G.full_simplex(2)
+        steps = self.assert_circle(c, c.faces_of_dim(2)[0])
+        assert len(steps) == 3
+
+    def test_bigon(self):
+        c = TestRegularCW.poset([("a", 0, ()), ("b", 0, ()),
+                                 ("e0", 1, ("a", "b")), ("e1", 1, ("a", "b")),
+                                 ("t", 2, ("e0", "e1"))])
+        assert self.assert_circle(c, "t") == (("a", "e0"), ("b", "e1"))
+
+    def test_square(self):
+        # edges listed out of cyclic order; the walk still goes round
+        c = TestRegularCW.poset(
+            [(v, 0, ()) for v in "abcd"]
+            + [("ab", 1, ("a", "b")), ("cd", 1, ("c", "d")),
+               ("bc", 1, ("b", "c")), ("ad", 1, ("a", "d")),
+               ("q", 2, ("ab", "cd", "bc", "ad"))])
+        steps = self.assert_circle(c, "q")
+        assert [v for v, _e in steps] == ["a", "b", "c", "d"]
+
+    def test_not_a_two_face(self):
+        with pytest.raises(ValueError):
+            G.full_simplex(2).boundary_walk("0")
 
 
 class TestBasicOps:
@@ -411,6 +448,15 @@ class TestIsomorphismSearch:
         # the search is one level per face: 1200 levels here
         a = G.cycle_complex(600)
         assert S.complexes_isomorphic(a, shuffled_copy(a, random.Random(3)))
+
+    def test_label_free_cycle_is_fast(self):
+        # labels do not follow the isomorphism: every wrong vertex choice
+        # must fail at the next edge, not after all twelve vertices
+        a = G.cycle_complex(12)
+        b = shuffled_copy(a, random.Random(5), keep_labels=False)
+        start = time.perf_counter()
+        assert S.complexes_isomorphic(a, b)
+        assert time.perf_counter() - start < 1.0
 
     def test_non_isomorphic_same_size(self):
         # a 599-cycle with a pendant edge: f-vector (600, 600) like the 600-cycle

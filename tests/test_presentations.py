@@ -8,6 +8,7 @@ from sncx.errors import NotConnected
 from sncx.presentations import GroupPresentation
 
 from conftest import random_simplicial_complex, without_delta
+from test_newton import staircase_support
 
 
 class TestEdgePathGroups:
@@ -62,7 +63,7 @@ class TestDeltaRoute:
         for c in fixtures:
             assert c.has_delta
             fast = S.fundamental_group_presentation(c)
-            slow = S.fundamental_group_presentation(c.order_complex(top_dim=2))
+            slow = S.fundamental_group_presentation(c.order_complex())
             assert S.abelianization(fast) == S.abelianization(slow)
             assert fast.generators <= slow.generators
 
@@ -75,13 +76,76 @@ class TestDeltaRoute:
         assert p.generators == 10
         assert S.tietze_simplify(p)[1] == "trivial"
 
-    def test_poset_route_unchanged(self):
-        # without a Delta structure the order complex is still the model
-        rp2 = G.real_projective_plane()
-        poset = without_delta(rp2)
-        assert not poset.has_delta
-        assert S.fundamental_group_presentation(poset) == \
-            S.fundamental_group_presentation(rp2.order_complex(top_dim=2))
+
+
+def newton_models(rng, count):
+    """Connected resolution complexes of staircase supports: one in four
+    from ambient 3 (a graph), the others from ambient 4 with 2-cells."""
+    models = []
+    while len(models) < count:
+        ambient = 3 if len(models) % 4 == 0 else 4
+        m = S.resolution_complex(S.newton_polyhedron(
+            staircase_support(rng, ambient, rng.randint(ambient + 2, 16))))
+        if m.dimension == ambient - 2 and len(m.connected_components()) == 1:
+            models.append(m)
+    return models
+
+
+def square_cone_link():
+    rays = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+    cones = [frozenset({i}) for i in range(4)]
+    cones += [frozenset({i, (i + 1) % 4}) for i in range(4)]
+    cones.append(frozenset(range(4)))
+    return S.toric_link(S.Fan(rays, tuple(cones)))
+
+
+def bigon_disk():
+    return S.new_complex([
+        {"id": "a", "dim": 0, "facets": []}, {"id": "b", "dim": 0, "facets": []},
+        {"id": "e0", "dim": 1, "facets": ["a", "b"]},
+        {"id": "e1", "dim": 1, "facets": ["a", "b"]},
+        {"id": "t", "dim": 2, "facets": ["e0", "e1"]}])
+
+
+class TestPosetRoute:
+    """Complexes without a Delta structure: the boundary walk of each
+    2-cell against the order-complex oracle."""
+
+    def test_agrees_with_order_complex(self):
+        rng = random.Random(23)
+        fixtures = newton_models(rng, 16)
+        fixtures += [S.torus_hypersurface_boundary_complex(
+            [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]),
+            bigon_disk(), square_cone_link(),
+            without_delta(G.real_projective_plane())]
+        while len(fixtures) < 60:
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=6,
+                                          max_dim=3)
+            if c.dimension >= 1 and len(c.connected_components()) == 1:
+                fixtures.append(without_delta(c))
+        for c in fixtures:
+            assert not c.has_delta
+            cells = S.fundamental_group_presentation(c)
+            oracle = S.fundamental_group_presentation(c.order_complex())
+            assert S.abelianization(cells) == S.abelianization(oracle)
+            assert cells.generators <= oracle.generators
+            assert (S.tietze_simplify(cells)[1] == "trivial") == \
+                (S.tietze_simplify(oracle)[1] == "trivial")
+
+    def test_poset_route_skips_the_order_complex(self, monkeypatch):
+        model = max(newton_models(random.Random(29), 4),
+                    key=lambda m: len(m.face_ids))
+
+        def refuse(self):
+            raise AssertionError("order complex built for a presentation")
+
+        monkeypatch.setattr(S.CombinatorialComplex, "order_complex", refuse)
+        rp2 = S.fundamental_group_presentation(
+            without_delta(G.real_projective_plane()))
+        assert S.abelianization(rp2) == (0, (2,))
+        assert S.tietze_simplify(rp2)[1] == "reduced"
+        p = S.fundamental_group_presentation(model)
+        assert S.abelianization(p) == (0, ())
 
 
 class TestTietze:
