@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .errors import SncxError
-from .homology import homology, wedge_certificate
+from .homology import _as_reduced, homology, wedge_certificate
 from .newton import (
     _w0_report,
     newton_polyhedron,
@@ -76,11 +76,11 @@ def _homology_report(path: str, reduced: bool) -> dict:
     }
 
 
-def _summary(c) -> dict:
+def _summary(c, h=None) -> dict:
     return {
         "f_vector": list(c.f_vector()),
         "euler_characteristic": c.euler_characteristic(),
-        "homology": homology(c).as_json(),
+        "homology": (homology(c) if h is None else h).as_json(),
     }
 
 
@@ -144,10 +144,10 @@ def _run_newton(args) -> dict:
 
 def _run_torus_boundary(args) -> dict:
     c = torus_hypersurface_boundary_complex(_points_of(_load_json(args.input)))
-    h = homology(c, reduced=True)
+    h = homology(c)
     return {"input": args.input, "sha256": _sha256(args.input),
-            **_summary(c),
-            "reduced_homology": h.as_json(),
+            **_summary(c, h),
+            "reduced_homology": _as_reduced(h).as_json(),
             "complex": complex_to_dict(c)}
 
 

@@ -204,8 +204,16 @@ class CombinatorialComplex:
                     if delta[d[i]][j] != delta[d[j]][i - 1]:
                         raise BadDeltaStructure(
                             f"face {f!r} violates the facet identity at ({i},{j})")
+        # vertex lists, in canonical order so that facets come first: the
+        # facet without vertex 1 starts with vertex 0, the one without
+        # vertex 0 lists the rest
+        verts = self._verts
         for f in self._order:
-            vs = self.vertices_of(f)
+            if dims[f] == 0:
+                verts[f] = (f,)
+                continue
+            d = delta[f]
+            vs = verts[f] = (verts[d[1]][0],) + verts[d[0]]
             if len(set(vs)) != len(vs):
                 raise BadDeltaStructure(
                     f"face {f!r} has repeated vertices {vs}")
@@ -417,17 +425,7 @@ class CombinatorialComplex:
         self._check(f)
         if self._delta is None:
             raise MissingDeltaStructure("vertex lists need a delta structure")
-        cached = self._verts.get(f)
-        if cached is not None:
-            return cached
-        k = self._dims[f]
-        if k == 0:
-            vs = (f,)
-        else:
-            d = self._delta[f]
-            vs = (self.vertices_of(d[1])[0],) + self.vertices_of(d[0])
-        self._verts[f] = vs
-        return vs
+        return self._verts[f]
 
     def subface(self, f: FaceId, keep_positions: Sequence[int]) -> FaceId:
         """The face of ``f`` spanned by the vertices at the given positions."""

@@ -6,7 +6,14 @@ are only face posets go through their order complex, which computes the
 same homology for regular CW complexes, and the Euler-Poincare identity
 is checked on that route.  Boundaries are stored sparse, one
 ``{row: coeff}`` column per face, and reduced by the sparse Smith normal
-form of ``sncx.snf``.
+form of ``sncx.snf`` in one pass from the top degree down, with
+clearing: the k-cells on which the boundary from degree k+1 has unit
+pivots are dropped from the columns of the boundary from degree k
+before it is reduced.  The boundaries those pivots were taken from form
+a unimodular triangular system on the pivot cells, so each dropped
+column is an integer combination of the kept ones and the rank and
+torsion do not change.  Pivots that are not units clear nothing: over Z
+they only give rational combinations (see ``sncx.snf``).
 
 Reduced homology convention, used uniformly: the empty complex has
 reduced homology of rank one in degree -1.
@@ -24,7 +31,7 @@ from .presentations import (
     fundamental_group_presentation,
     tietze_simplify,
 )
-from .snf import SNFResult, smith_normal_form
+from .snf import SNFResult, _boundary_snf, smith_normal_form
 
 __all__ = [
     "ChainComplex", "HomologyResult", "chain_complex", "homology",
@@ -74,16 +81,14 @@ def chain_complex(c: CombinatorialComplex) -> ChainComplex:
         return chain_complex(c.order_complex())
     top = c.dimension
     bases = {k: c.faces_of_dim(k) for k in range(top + 1)}
-    index = {k: {f: i for i, f in enumerate(bases[k])} for k in bases}
+    delta = c._delta
     matrices = {}
     for k in range(1, top + 1):
-        matrices[k] = cols = {}
-        for j, f in enumerate(bases[k]):
-            col = {}
-            for i, g in enumerate(c.delta_order(f)):
-                r = index[k - 1][g]
-                col[r] = col.get(r, 0) + (-1) ** i
-            cols[j] = {r: v for r, v in col.items() if v}
+        row = {g: i for i, g in enumerate(bases[k - 1])}
+        signs = (1, -1) * k     # alternating; zip stops at the k+1 facets
+        # the facets in a Delta-structure are distinct, so nothing cancels
+        matrices[k] = {j: dict(zip(map(row.__getitem__, delta[f]), signs))
+                       for j, f in enumerate(bases[k])}
     return ChainComplex(bases, matrices)
 
 
@@ -137,31 +142,37 @@ class HomologyResult:
 def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
     """Integral homology in all degrees; ``reduced`` adjusts degree 0."""
     if c.is_empty:
-        table = ((-1, 1, ()),) if reduced else ()
-        return HomologyResult(table, reduced)
+        h = HomologyResult(())
+        return _as_reduced(h) if reduced else h
     cx = chain_complex(c)
     top = cx.top_degree
     ranks = {}
     torsions = {}
-    for k in range(1, top + 1):
-        res = smith_normal_form(cx.boundary(k))
+    cleared = frozenset()
+    for k in range(top, 0, -1):
+        res, pivots = _boundary_snf(cx.boundary(k), cleared)
+        cleared = frozenset(pivots)     # columns of the boundary one lower
         ranks[k] = res.rank
         torsions[k - 1] = tuple(d for d in res.invariant_factors if d > 1)
-    table = []
-    for k in range(top + 1):
-        n_k = len(cx.bases.get(k, ()))
-        b = n_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        if reduced and k == 0:
-            b -= 1
-        table.append((k, b, torsions.get(k, ())))
+    table = tuple((k, len(cx.bases[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0),
+                   torsions.get(k, ())) for k in range(top + 1))
     if not c.has_delta:
         # the order complex has the homology of c only if c is regular CW
-        chi = sum((-1) ** k * b for k, b, _t in table) + (1 if reduced else 0)
+        chi = sum((-1) ** k * b for k, b, _t in table)
         if chi != c.euler_characteristic():
             raise NotRegularCW(
                 f"the Betti numbers give Euler characteristic {chi}, "
                 f"the face numbers {c.euler_characteristic()}")
-    return HomologyResult(tuple(table), reduced)
+    h = HomologyResult(table)
+    return _as_reduced(h) if reduced else h
+
+
+def _as_reduced(h: HomologyResult) -> HomologyResult:
+    """Reduced homology from the unreduced homology ``h`` of a complex."""
+    if not h.table:
+        return HomologyResult(((-1, 1, ()),), True)
+    return HomologyResult(tuple((k, b - (k == 0), t) for k, b, t in h.table),
+                          True)
 
 
 def cohomology_rank(c: CombinatorialComplex, k: int) -> int:
@@ -315,7 +326,9 @@ def _simply_connected(c, budget):
 
 def wedge_certificate(c: CombinatorialComplex, d: int,
                       tietze_budget: int = 20000,
-                      collapse_budget: int = 4000) -> WedgeCertificate:
+                      collapse_budget: int = 4000, *,
+                      _reduced_homology: HomologyResult | None = None
+                      ) -> WedgeCertificate:
     """Decide whether ``c`` has the homotopy type of a wedge of d-spheres.
 
     ``certified-wedge(m)``: integral homology is free and concentrated in
@@ -324,14 +337,16 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
     certified.  ``rational-homology-wedge(m)``: the homological conditions
     hold but the fundamental group question stayed open.  ``refuted``:
     the homology contradicts every wedge of d-spheres.  ``inconclusive``
-    otherwise.
+    otherwise.  A caller that already holds ``homology(c, reduced=True)``
+    passes it as ``_reduced_homology`` to save computing it again.
     """
     if d < 0:
         return WedgeCertificate("inconclusive", None, "negative sphere dimension")
     if c.is_empty:
         return WedgeCertificate("refuted", None, "empty complex")
 
-    h = homology(c, reduced=True)
+    h = (homology(c, reduced=True) if _reduced_homology is None
+         else _reduced_homology)
     m = _is_wedge_homology(h, d)
     if m is None:
         return WedgeCertificate(

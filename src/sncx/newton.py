@@ -446,7 +446,8 @@ def _w0_report(np_: NewtonPolyhedron):
     h = homology(model, reduced=True)
     lit = predicted_sphere_count(np_, "literal")
     intr = predicted_sphere_count(np_, "interior")
-    cert = wedge_certificate(model, n - 1) if n >= 1 else None
+    cert = (wedge_certificate(model, n - 1, _reduced_homology=h)
+            if n >= 1 else None)
     w0 = {str(k): h.betti(k - 1) for k in range(1, n + 1)}
     return {
         "dimension": n,

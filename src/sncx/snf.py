@@ -8,6 +8,19 @@ pivots go first, always in the sparsest vector that has one, each
 splitting off an invariant factor 1; a block left without unit entries
 (empty or tiny for boundary maps of complexes) goes to a dense Euclid
 loop that pivots on the smallest magnitude, first in row-major order.
+
+Boundary maps are reduced from the top degree down with clearing
+(Chen-Kerber, "Persistent homology computation with a twist", EuroCG
+2011): ``_boundary_snf`` reports the rows of its unit pivots, and the
+map one degree lower skips those columns.  Over Z this is exact only
+for unit pivots.  Take the vectors u_t the pivots p_t are taken from,
+in order: each is a boundary, so the next map sends it to zero; it has
++-1 at p_t and 0 at every earlier pivot, which the elimination removed.
+Solving that unimodular triangular system from the last pivot back
+writes every cleared column as an integer combination of the kept
+ones, so the image, its rank and its invariant factors do not change.
+A pivot of any other size only gives a rational combination, so the
+Euclid block never clears anything.
 """
 
 from __future__ import annotations
@@ -34,15 +47,18 @@ def _sparse_vectors(matrix) -> list:
     return [{j: int(v) for j, v in enumerate(r) if v} for r in rows]
 
 
-def _eliminate_units(vecs) -> int:
-    """Empty the vectors with unit pivots, in place; return their number."""
+def _eliminate_units(vecs) -> list:
+    """Empty the vectors with unit pivots, in place; return the pivots.
+
+    The pivots are indices into the vectors, in the order they are used.
+    """
     occ = {}                    # index -> ids of the vectors containing it
     for v, vec in enumerate(vecs):
         for i in vec:
             occ.setdefault(i, set()).add(v)
     heap = [(len(vec), v) for v, vec in enumerate(vecs) if vec]
     heapq.heapify(heap)
-    units = 0
+    pivots = []
     while heap:
         size, v = heapq.heappop(heap)
         vec = vecs[v]
@@ -66,8 +82,8 @@ def _eliminate_units(vecs) -> int:
         for i in vec:
             occ[i].discard(v)
         vec.clear()
-        units += 1
-    return units
+        pivots.append(p)
+    return pivots
 
 
 def _swap_pivot_to_corner(A, top, left):
@@ -124,10 +140,10 @@ def _euclid_diagonal(A) -> list:
     return diag
 
 
-def smith_normal_form(matrix) -> SNFResult:
-    """Invariant factors d1 | d2 | ... and the rank of an integer matrix."""
-    vecs = _sparse_vectors(matrix)
-    units = _eliminate_units(vecs)
+def _reduce(vecs):
+    """SNF of a list of sparse vectors, which it consumes, and unit pivots."""
+    pivots = _eliminate_units(vecs)
+    units = len(pivots)
     rest = [vec for vec in vecs if vec]
     cols = sorted({i for vec in rest for i in vec})
     diag = _euclid_diagonal([[vec.get(i, 0) for i in cols] for vec in rest])
@@ -144,7 +160,23 @@ def smith_normal_form(matrix) -> SNFResult:
                 g = math.gcd(a_, b_)
                 diag[i], diag[i + 1] = g, a_ * b_ // g
                 changed = True
-    return SNFResult((1,) * units + tuple(diag), units + k)
+    return SNFResult((1,) * units + tuple(diag), units + k), pivots
+
+
+def smith_normal_form(matrix) -> SNFResult:
+    """Invariant factors d1 | d2 | ... and the rank of an integer matrix."""
+    return _reduce(_sparse_vectors(matrix))[0]
+
+
+def _boundary_snf(columns: dict, cleared):
+    """SNF of a sparse map without its ``cleared`` columns, and unit pivots.
+
+    ``columns`` maps a column to ``{row: nonzero coeff}``.  The pivots
+    are the rows of the unit pivots, the columns to clear one degree
+    lower.
+    """
+    return _reduce([dict(col) for j, col in columns.items()
+                    if j not in cleared])
 
 
 def matrix_rank(matrix) -> int:

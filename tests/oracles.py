@@ -1,7 +1,8 @@
 """Slow reference implementations kept as oracles for the fast paths.
 
 Each is the straightforward version the library used before its
-current implementation: a dense Euclid Smith normal form, a kernel line
+current implementation: integral homology that reduces each boundary
+map on its own, bottom up, a dense Euclid Smith normal form, a kernel line
 by elimination over exact rationals, a recursive collapse search that
 rescans every alive face for free pairs in each state, a recursive
 acyclicity check for Morse matchings, a facet census that solves a
@@ -17,9 +18,39 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from sncx.errors import MatchingNotAcyclic
+from sncx.errors import MatchingNotAcyclic, NotRegularCW
+from sncx.homology import HomologyResult, chain_complex
 from sncx.newton import PolyFace, PolyFacet, _affine_dim, _dot
-from sncx.snf import kernel_line
+from sncx.snf import kernel_line, smith_normal_form
+
+
+def per_degree_homology(c, reduced=False):
+    """Homology from the Smith normal form of every boundary map in full."""
+    if c.is_empty:
+        table = ((-1, 1, ()),) if reduced else ()
+        return HomologyResult(table, reduced)
+    cx = chain_complex(c)
+    top = cx.top_degree
+    ranks = {}
+    torsions = {}
+    for k in range(1, top + 1):
+        res = smith_normal_form(cx.boundary(k))
+        ranks[k] = res.rank
+        torsions[k - 1] = tuple(d for d in res.invariant_factors if d > 1)
+    table = []
+    for k in range(top + 1):
+        n_k = len(cx.bases.get(k, ()))
+        b = n_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        if reduced and k == 0:
+            b -= 1
+        table.append((k, b, torsions.get(k, ())))
+    if not c.has_delta:
+        chi = sum((-1) ** k * b for k, b, _t in table) + (1 if reduced else 0)
+        if chi != c.euler_characteristic():
+            raise NotRegularCW(
+                f"the Betti numbers give Euler characteristic {chi}, "
+                f"the face numbers {c.euler_characteristic()}")
+    return HomologyResult(tuple(table), reduced)
 
 
 def dense_smith_normal_form(rows):

@@ -113,6 +113,23 @@ class TestSubcommands:
         assert rep["f_vector"] == [8]
         assert rep["reduced_homology"][0]["betti"] == 7
 
+    def test_torus_boundary_homology_computed_once(self, inputs, monkeypatch):
+        import sncx.cli as cli
+        calls = []
+        real = cli.homology
+
+        def counted(c, reduced=False):
+            calls.append(reduced)
+            return real(c, reduced)
+
+        monkeypatch.setattr(cli, "homology", counted)
+        code, out = run_cli(["torus-boundary", str(inputs["square"])])
+        assert code == 0 and calls == [False]
+        rep = json.loads(out)["report"]
+        assert rep["homology"] == [{"degree": 0, "betti": 8, "torsion": []}]
+        assert rep["reduced_homology"] == [
+            {"degree": 0, "betti": 7, "torsion": []}]
+
     def test_certify(self, inputs):
         code, out = run_cli(["certify", str(inputs["triangle"]),
                              "--sphere-dim", "1"])

@@ -3,13 +3,15 @@ import random
 import pytest
 
 import sncx as S
+import sncx.snf as snf
 from sncx import gallery as G
 from sncx.errors import BoundaryNotSquareZero
 from sncx.snf import kernel_line
 
-from conftest import random_simplicial_complex
+from conftest import random_simplicial_complex, with_random_levels, without_delta
 from oracles import (
     dense_smith_normal_form,
+    per_degree_homology,
     rational_kernel_line,
     recursive_collapse_to_point,
 )
@@ -276,6 +278,85 @@ class TestAgainstRationalOracle:
                 r_k = _rational_rank(dense(cx, k)) if k else 0
                 r_k1 = _rational_rank(dense(cx, k + 1))
                 assert h.betti(k) == n_k - r_k - r_k1
+
+
+def _rp3():
+    s3 = G.cross_polytope_boundary(4)
+    return s3.quotient_free_involution(G.antipodal_involution(s3))
+
+
+class TestTopDownClearing:
+    """The top-down pass with clearing against the per-degree oracle."""
+
+    @staticmethod
+    def _agrees(c):
+        for reduced in (False, True):
+            assert S.homology(c, reduced) == per_degree_homology(c, reduced)
+
+    def test_random_complexes_and_their_posets(self):
+        rng = random.Random(606)
+        for _ in range(60):
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=5,
+                                          max_dim=3)
+            self._agrees(c)
+            self._agrees(without_delta(c))
+
+    def test_level_subcomplexes(self):
+        rng = random.Random(607)
+        for _ in range(30):
+            c = with_random_levels(rng, random_simplicial_complex(
+                rng, max_verts=7, max_facets=5, max_dim=3))
+            for m in range(1, c.max_level() + 1):
+                self._agrees(c.level_subcomplex(m))
+
+    def test_gallery_with_torsion(self):
+        rp2 = G.real_projective_plane()
+        sd2 = S.order_complex(S.order_complex(rp2))
+        for c in (rp2, sd2, _rp3(), without_delta(rp2)):
+            self._agrees(c)
+        assert S.homology(sd2).torsion(1) == (2,)
+        assert S.homology(_rp3()).nonzero() == ((0, 1, ()), (1, 0, (2,)),
+                                                 (3, 1, ()))
+
+    def test_skeleta_and_cross_polytope(self):
+        for n in range(2, 7):
+            full = G.full_simplex(n)
+            for k in range(n + 1):
+                self._agrees(S.skeleton(full, k))
+        self._agrees(G.cross_polytope_boundary(4))
+        self._agrees(S.order_complex(G.cross_polytope_boundary(4)))
+
+    def test_torsion_reaches_the_euclid_block(self, monkeypatch):
+        # unit pivots only split off factors 1, so Z/2 needs the Euclid loop
+        blocks = []
+        euclid = snf._euclid_diagonal
+
+        def spy(a):
+            blocks.append(len(a))
+            return euclid(a)
+
+        monkeypatch.setattr(snf, "_euclid_diagonal", spy)
+        for c in (G.real_projective_plane(), _rp3()):
+            blocks.clear()
+            self._agrees(c)
+            assert any(blocks)
+
+    def test_degree_one_gets_only_the_uncleared_edges(self, monkeypatch):
+        c = S.order_complex(S.order_complex(G.octahedron_boundary()))
+        f0, f1, f2 = c.f_vector()
+        received = []
+        eliminate = snf._eliminate_units
+
+        def count(vecs):
+            received.append(len(vecs))
+            return eliminate(vecs)
+
+        monkeypatch.setattr(snf, "_eliminate_units", count)
+        h = S.homology(c)
+        assert h.nonzero() == ((0, 1, ()), (2, 1, ()))
+        rank2 = f2 - 1
+        assert received == [f2, f1 - rank2]
+        assert f1 - rank2 == f0 - 1
 
 
 class TestWeightLabels:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -175,6 +176,22 @@ class TestW0Report:
         rep = S.w0_report(S.newton_polyhedron(BRIESKORN))
         assert rep["weight_zero_reduced_cohomology"]["2"] == 0
         assert rep["variants_agree"] is True
+
+    def test_model_homology_computed_once(self, monkeypatch):
+        # the package's ``homology`` function hides its module of that name
+        H = importlib.import_module("sncx.homology")
+        calls = []
+        real = H.homology
+
+        def counted(c, reduced=False):
+            calls.append(reduced)
+            return real(c, reduced)
+
+        monkeypatch.setattr(H, "homology", counted)
+        monkeypatch.setattr(N, "homology", counted)
+        rep = S.w0_report(S.newton_polyhedron(CUSP))
+        assert calls == [True]
+        assert rep["wedge_certificate"]["count"] == 1
 
 
 class TestTorusBoundary:
