@@ -66,13 +66,13 @@ def _points_of(doc):
 
 def _homology_report(path: str, reduced: bool) -> dict:
     c = complex_from_dict(_load_json(path))
-    h = homology(c, reduced=reduced)
+    h = homology(c)
     return {
         "f_vector": list(c.f_vector()),
         "euler_characteristic": c.euler_characteristic(),
-        "components": len(c.connected_components()),
+        "components": h.betti(0),
         "reduced": reduced,
-        "homology": h.as_json(),
+        "homology": (_as_reduced(h) if reduced else h).as_json(),
     }
 
 

@@ -51,6 +51,31 @@ def _dedup_ids(proposals: Iterable[str], taken: set[str] | None = None) -> list[
     return out
 
 
+def _inclusion_records(cells, multiplicity: Mapping | None = None) -> list[dict]:
+    """Face records of cells given as ``(id, dim, key)``, by key inclusion.
+
+    A cell covers the cells one dimension lower whose key is a proper
+    subset of its own.  Each cell is filed under the least element of its
+    key, so a cell tests only the lower cells filed under its own
+    elements.  ``multiplicity`` maps the ids of maximal cells to m; such a
+    cell gets m - 1 parallel copies ``"<id>+<i>"`` on the same facets,
+    the records :func:`sncx.transforms.pucker` writes.
+    """
+    cells = list(cells)
+    filed: dict = {}
+    for cid, dim, key in cells:
+        filed.setdefault((dim, min(key, default=None)), []).append((cid, key))
+    recs = []
+    for cid, dim, key in cells:
+        covers = [b for x in (None, *key)
+                  for b, bkey in filed.get((dim - 1, x), ()) if bkey < key]
+        recs.append({"id": cid, "dim": dim, "facets": covers})
+    multiplicity = multiplicity or {}
+    recs += [{"id": f"{r['id']}+{i}", "dim": r["dim"], "facets": r["facets"]}
+             for r in recs for i in range(1, multiplicity.get(r["id"], 1))]
+    return recs
+
+
 class CombinatorialComplex:
     """A finite graded face poset, optionally Delta-structured and filtered.
 

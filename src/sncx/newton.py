@@ -7,6 +7,12 @@ puckered along the cells dual to compact edges by their lattice lengths,
 is the homotopy model of the resolution complex of the singularity, and
 its reduced homology carries the weight-zero labels.
 
+The model and the torus boundary complexes are read off the face
+lattice in one pass: a cell covers the cells one dimension down whose
+carrier's facet set is a proper subset of its own, the puckered copies
+of each long edge's cell are appended as records, and the complex is
+built and validated once.
+
 All geometry is exact: integer inputs, the integer rank and kernel
 lines of ``sncx.snf``, no hulls in floating point.  Facets come from a
 fraction-free double-description pass over the homogenized points and
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import CombinatorialComplex
+from .complexes import CombinatorialComplex, _inclusion_records
 from .errors import (
     DimensionTooHigh,
     EmptyInput,
@@ -29,7 +35,6 @@ from .errors import (
 )
 from .homology import homology, wedge_certificate
 from .snf import kernel_line, matrix_rank
-from .transforms import pucker
 
 MAX_AMBIENT = 4
 
@@ -252,12 +257,11 @@ class NewtonPolyhedron:
         # membership spot checks: the points and their orthant translates
         for p in self.points:
             for f in self.facets:
-                if _dot(f.normal, p) < f.offset:
+                s = _dot(f.normal, p)
+                if s < f.offset:
                     raise AssertionError("facet census lost an input point")
-                for j in range(d):
-                    q = tuple(p[t] + (1 if t == j else 0) for t in range(d))
-                    if _dot(f.normal, q) < f.offset:
-                        raise AssertionError("orthant recession violated")
+                if any(s + w < f.offset for w in f.normal):
+                    raise AssertionError("orthant recession violated")
         # the two compactness criteria must agree
         for face in self.faces:
             total = [0] * d
@@ -315,31 +319,15 @@ class SubdividedSimplex:
                                      np_.face_interior(face)))
         self.cells = tuple(cells)
 
-    def covering(self, cell: SimplexCell) -> list:
-        """Cells one dimension down: carriers one dimension up."""
-        out = []
-        for other in self.cells:
-            if other.dim != cell.dim - 1:
-                continue
-            if other.carrier.facets < cell.carrier.facets:
-                out.append(other)
-        return out
+    def to_complex(self) -> CombinatorialComplex:
+        """The nonmaximal interior cells, covering by the facet sets of
+        their carriers."""
+        return CombinatorialComplex(self._interior_records())
 
-    def to_complex(self, interior_only: bool = False,
-                   nonmaximal_only: bool = False) -> CombinatorialComplex:
-        keep = []
-        for c in self.cells:
-            if interior_only and not c.interior:
-                continue
-            if nonmaximal_only and c.carrier.dim < 1:
-                continue
-            keep.append(c)
-        keep_ids = {c.id for c in keep}
-        recs = []
-        for c in keep:
-            covers = [o.id for o in self.covering(c) if o.id in keep_ids]
-            recs.append({"id": c.id, "dim": c.dim, "facets": covers})
-        return CombinatorialComplex(recs)
+    def _interior_records(self, multiplicity=None) -> list:
+        return _inclusion_records(
+            ((c.id, c.dim, c.carrier.facets) for c in self.cells
+             if c.interior and c.carrier.dim >= 1), multiplicity)
 
 
 def normal_fan(np_: NewtonPolyhedron) -> SubdividedSimplex:
@@ -357,7 +345,7 @@ def normal_fan(np_: NewtonPolyhedron) -> SubdividedSimplex:
 
 def interior_complex(ss: SubdividedSimplex) -> CombinatorialComplex:
     """The union of the nonmaximal cells interior to the simplex."""
-    return ss.to_complex(interior_only=True, nonmaximal_only=True)
+    return ss.to_complex()
 
 
 def resolution_complex(np_: NewtonPolyhedron) -> CombinatorialComplex:
@@ -375,16 +363,8 @@ def _resolution(np_: NewtonPolyhedron):
     if np_.ambient < 2:
         raise NotFullDimensional("need ambient dimension at least 2")
     ss = normal_fan(np_)
-    lengths = {np_.faces[e.face_index]: e.length for e in np_.compact_edges}
-    cur = interior_complex(ss)
-    for cell in ss.cells:
-        if not cell.interior or cell.carrier.dim != 1:
-            continue
-        ell = lengths.get(cell.carrier)
-        if ell is None or ell <= 1:
-            continue
-        cur = pucker(cur, cell.id, ell)
-    return ss, cur
+    lengths = {ss.cells[e.face_index].id: e.length for e in np_.compact_edges}
+    return ss, CombinatorialComplex(ss._interior_records(lengths))
 
 
 def predicted_sphere_count(np_: NewtonPolyhedron, variant: str) -> int:
@@ -508,24 +488,13 @@ def torus_hypersurface_boundary_complex(points, multiplicities=None):
     def cell_id(face):
         return "g" + ".".join(str(i) for i in face.points)
 
-    cells = [f for f in P.faces if f.dim >= 1 and f.dim < d]
-    ids = {(f.points, f.recession): cell_id(f) for f in cells}
-    recs = []
+    cells = [f for f in P.faces if 1 <= f.dim < d]
+    lengths = {}
     for f in cells:
-        cdim = (d - f.dim) - 1
-        covers = [ids[(g.points, g.recession)] for g in cells
-                  if g.dim == f.dim + 1 and g.facets < f.facets]
-        recs.append({"id": cell_id(f), "dim": cdim, "facets": covers})
-    link = CombinatorialComplex(recs)
-
-    cur = link
-    for f in cells:
-        if f.dim != 1:
-            continue
-        cid = cell_id(f)
-        ell = P.edge_length(f)
-        if multiplicities and cid in multiplicities:
-            ell = int(multiplicities[cid])
-        if ell > 1:
-            cur = pucker(cur, cid, ell)
-    return cur
+        if f.dim == 1:
+            cid = cell_id(f)
+            lengths[cid] = (int(multiplicities[cid])
+                            if multiplicities and cid in multiplicities
+                            else P.edge_length(f))
+    return CombinatorialComplex(_inclusion_records(
+        ((cell_id(f), d - f.dim - 1, f.facets) for f in cells), lengths))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .complexes import CombinatorialComplex
+from .complexes import CombinatorialComplex, _inclusion_records
 from .errors import (
     DescriptorInvalid,
     MissingParent,
@@ -217,16 +217,13 @@ def toric_link(fan: Fan) -> CombinatorialComplex:
     def cid(c):
         return "-".join(str(i) for i in sorted(c))
 
-    recs = []
-    for c in ordered:
-        h = height[c]
-        covers = [cid(b) for b in cones if b < c and height[b] == h - 1]
-        rec = {"id": cid(c), "dim": h, "facets": covers}
-        if all_simplicial and h >= 1:
-            idx = sorted(c)
-            rec["delta_order"] = [cid(frozenset(x for x in idx if x != v))
-                                  for v in idx]
-        recs.append(rec)
+    recs = _inclusion_records((cid(c), height[c], c) for c in ordered)
+    if all_simplicial:
+        for rec, c in zip(recs, ordered):
+            if rec["dim"] >= 1:
+                idx = sorted(c)
+                rec["delta_order"] = [cid(frozenset(x for x in idx if x != v))
+                                      for v in idx]
     return CombinatorialComplex(recs)
 
 

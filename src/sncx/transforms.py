@@ -42,7 +42,7 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
     if sigma not in c.face_ids:
         raise NoSuchFace(f"no face {sigma!r}")
 
-    star = [t for t in c.face_ids if c.contains_face(t, sigma)]
+    star = c.upset(sigma)
     star_set = set(star)
     survivors = [f for f in c.face_ids if f not in star_set]
 

@@ -7,8 +7,10 @@ by elimination over exact rationals, a recursive collapse search that
 rescans every alive face for free pairs in each state, a recursive
 acyclicity check for Morse matchings, a facet census that solves a
 kernel line for every subset of points and coordinate directions, a
-face lattice that intersects every pair of faces found, and a poset
-isomorphism search that recurses once per face.
+face lattice that intersects every pair of faces found, a poset
+isomorphism search that recurses once per face, and the complexes read
+off polyhedra and fans built by scanning every cell for every cell, then
+puckered one long edge at a time.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from sncx.complexes import CombinatorialComplex
 from sncx.errors import MatchingNotAcyclic, NotRegularCW
 from sncx.homology import HomologyResult, chain_complex
-from sncx.newton import PolyFace, PolyFacet, _affine_dim, _dot
+from sncx.newton import PolyFace, PolyFacet, SubdividedSimplex, _affine_dim, _dot
 from sncx.snf import kernel_line, smith_normal_form
+from sncx.transforms import pucker
 
 
 def per_degree_homology(c, reduced=False):
@@ -350,3 +354,87 @@ def recursive_complexes_isomorphic(a, b):
         return False
 
     return backtrack(0)
+
+
+def pairwise_resolution_complex(np_):
+    """The puckered resolution model, covering by an all-pairs scan.
+
+    The nonmaximal interior cells of the normal fan, each covering every
+    kept cell one dimension down whose carrier has a smaller facet set,
+    then one ``pucker`` per interior compact edge of lattice length > 1.
+    """
+    keep = [c for c in SubdividedSimplex(np_).cells
+            if c.interior and c.carrier.dim >= 1]
+    cur = CombinatorialComplex(
+        [{"id": c.id, "dim": c.dim,
+          "facets": [o.id for o in keep if o.dim == c.dim - 1
+                     and o.carrier.facets < c.carrier.facets]}
+         for c in keep])
+    lengths = {np_.faces[e.face_index]: e.length for e in np_.compact_edges}
+    for c in keep:
+        ell = lengths.get(c.carrier, 1)
+        if ell > 1:
+            cur = pucker(cur, c.id, ell)
+    return cur
+
+
+def pairwise_torus_boundary_complex(P, multiplicities=None):
+    """The torus hypersurface boundary model, covering by an all-pairs scan."""
+    d = P.ambient
+
+    def cell_id(face):
+        return "g" + ".".join(str(i) for i in face.points)
+
+    cells = [f for f in P.faces if 1 <= f.dim < d]
+    cur = CombinatorialComplex(
+        [{"id": cell_id(f), "dim": d - f.dim - 1,
+          "facets": [cell_id(g) for g in cells
+                     if g.dim == f.dim + 1 and g.facets < f.facets]}
+         for f in cells])
+    for f in cells:
+        if f.dim != 1:
+            continue
+        cid = cell_id(f)
+        ell = P.edge_length(f)
+        if multiplicities and cid in multiplicities:
+            ell = int(multiplicities[cid])
+        if ell > 1:
+            cur = pucker(cur, cid, ell)
+    return cur
+
+
+def all_cones_toric_link(fan):
+    """The link of a fan's origin, each cone scanning every cone below it."""
+    cones = set()
+    all_simplicial = True
+    for cone in fan.cones:
+        cset = frozenset(cone)
+        if not cset:
+            continue
+        if fan.is_simplicial_cone(cset):
+            idx = sorted(cset)
+            for mask in range(1, 1 << len(idx)):
+                cones.add(frozenset(idx[i] for i in range(len(idx))
+                                    if mask >> i & 1))
+        else:
+            all_simplicial = False
+            cones.add(cset)
+    ordered = sorted(cones, key=lambda c: (len(c), tuple(sorted(c))))
+    height = {}
+    for c in ordered:
+        height[c] = max((height[b] for b in cones if b < c), default=-1) + 1
+
+    def cid(c):
+        return "-".join(str(i) for i in sorted(c))
+
+    recs = []
+    for c in ordered:
+        h = height[c]
+        rec = {"id": cid(c), "dim": h,
+               "facets": [cid(b) for b in cones if b < c and height[b] == h - 1]}
+        if all_simplicial and h >= 1:
+            idx = sorted(c)
+            rec["delta_order"] = [cid(frozenset(x for x in idx if x != v))
+                                  for v in idx]
+        recs.append(rec)
+    return CombinatorialComplex(recs)

@@ -130,6 +130,34 @@ class TestSubcommands:
         assert rep["reduced_homology"] == [
             {"degree": 0, "betti": 7, "torsion": []}]
 
+    def test_homology_components_from_h0(self, tmp_path, monkeypatch):
+        from conftest import without_delta
+        fixtures = {"empty": S.CombinatorialComplex([]),
+                    "s0": G.two_point_sphere(),
+                    "two_triangles": S.disjoint_union(G.triangle_boundary(),
+                                                      G.triangle_boundary()),
+                    "rp2_poset": without_delta(G.real_projective_plane())}
+        expected = {}
+        for name, c in fixtures.items():
+            (tmp_path / f"{name}.json").write_text(dumps_complex(c))
+            expected[name] = len(c.connected_components())
+
+        def refuse(self):
+            raise AssertionError("the report counts components twice")
+
+        monkeypatch.setattr(S.CombinatorialComplex, "connected_components",
+                            refuse)
+        for name, count in expected.items():
+            path = str(tmp_path / f"{name}.json")
+            for flags in ([], ["--reduced"]):
+                code, out = run_cli(["homology", path] + flags)
+                assert code == 0
+                rep = json.loads(out)["report"]["reports"][0]
+                assert rep["components"] == count
+                code, out = run_cli(["homology", path, "--format", "text"]
+                                    + flags)
+                assert code == 0 and f"components: {count}" in out
+
     def test_certify(self, inputs):
         code, out = run_cli(["certify", str(inputs["triangle"]),
                              "--sphere-dim", "1"])

@@ -6,12 +6,18 @@ import pytest
 
 import sncx as S
 import sncx.newton as N
+from sncx.complexes import CombinatorialComplex
 from sncx.errors import DimensionTooHigh, EmptyInput, NotFullDimensional
 from sncx.newton import LatticePolytope
 from sncx.snf import kernel_line
 
 from conftest import random_lattice_polygon, random_support
-from oracles import brute_force_facet_census, pairwise_face_lattice
+from oracles import (
+    brute_force_facet_census,
+    pairwise_face_lattice,
+    pairwise_resolution_complex,
+    pairwise_torus_boundary_complex,
+)
 
 QUADRIC = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
 CUSP = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)]
@@ -363,3 +369,76 @@ class TestCensusAgreement:
         LatticePolytope([(x, y, z) for x in (0, 2) for y in (0, 3)
                          for z in (0, 1)] + [(1, 1, 1)])
         assert 0 < len(calls) <= 4
+
+
+def random_lattice_polytope(rng, d):
+    while True:
+        pts = [tuple(rng.randint(0, 4) for _ in range(d))
+               for _ in range(rng.randint(d + 1, d + 5))]
+        if full_dimensional(pts):
+            return LatticePolytope(pts)
+
+
+def assert_same_complex(got, want):
+    assert got == want
+    assert got.to_records() == want.to_records()
+
+
+class TestModelAgreement:
+    """One inclusion pass and one construction against the all-pairs
+    scan followed by one ``pucker`` per long edge."""
+
+    def test_staircase_resolution_models(self):
+        # scaling a support by k multiplies every lattice length by k
+        rng = random.Random(61)
+        for ambient in (2, 3, 4):
+            for _ in range(8):
+                k = rng.randint(1, 3)
+                np_ = S.newton_polyhedron(
+                    [tuple(k * x for x in p) for p in staircase_support(
+                        rng, ambient, rng.randint(ambient + 1, 14))])
+                assert_same_complex(S.resolution_complex(np_),
+                                    pairwise_resolution_complex(np_))
+
+    def test_random_support_resolution_models(self):
+        rng = random.Random(62)
+        for d in (2, 3, 4):
+            for _ in range(10):
+                np_ = S.newton_polyhedron(random_support(rng, dim=d))
+                assert_same_complex(S.resolution_complex(np_),
+                                    pairwise_resolution_complex(np_))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_torus_boundary_models(self, d):
+        rng = random.Random(63 + d)
+        for _ in range(10):
+            P = random_lattice_polytope(rng, d)
+            assert_same_complex(S.torus_hypersurface_boundary_complex(P),
+                                pairwise_torus_boundary_complex(P))
+            # overrides on edges, including 0 and 1, and on cells that are
+            # not edges, which both builders ignore
+            mult = {"g" + ".".join(str(i) for i in f.points): rng.randint(0, 3)
+                    for f in P.faces if 1 <= f.dim < d and rng.random() < 0.6}
+            assert_same_complex(
+                S.torus_hypersurface_boundary_complex(P, multiplicities=mult),
+                pairwise_torus_boundary_complex(P, mult))
+
+    def test_one_complex_after_the_face_lattice(self, monkeypatch):
+        np_ = S.newton_polyhedron([(9, 0, 0), (0, 9, 0), (0, 0, 9),
+                                   (1, 1, 3), (3, 1, 1)])
+        P = LatticePolytope([(x, y, z) for x in (0, 2) for y in (0, 2)
+                             for z in (0, 2)])
+        built = []
+        real = CombinatorialComplex.__init__
+
+        def counted(self, faces):
+            built.append(1)
+            real(self, faces)
+
+        monkeypatch.setattr(CombinatorialComplex, "__init__", counted)
+        for build, arg in ((S.resolution_complex, np_),
+                           (S.torus_hypersurface_boundary_complex, P)):
+            built.clear()
+            model = build(arg)
+            assert any("+" in f for f in model.face_ids)   # puckered
+            assert len(built) == 1

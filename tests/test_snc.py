@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,11 +10,13 @@ from sncx.errors import (
     NonPrimitiveRay,
     NotSubsetClosed,
     ParentIncoherent,
+    SncxError,
 )
 from sncx.serialize import dumps_complex
 from sncx.snc import antipodal_ray_map, fan_ray_involution
 
 from conftest import random_subset_closed
+from oracles import all_cones_toric_link
 
 
 def coordinate_lines_strata(levels=None):
@@ -159,6 +162,62 @@ class TestToricLink:
         h = S.homology(q)
         assert h.betti_vector() == (1, 0, 0)
         assert h.torsion(1) == (2,)
+
+
+def polygon_cone_fan(n):
+    """One cone over an n-gon, listed with its rays and its 2-faces."""
+    rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)][:n]
+    cones = [frozenset({i}) for i in range(n)]
+    cones += [frozenset({i, (i + 1) % n}) for i in range(n)]
+    cones.append(frozenset(range(n)))
+    return S.Fan(tuple(rays), tuple(cones))
+
+
+def random_fan(rng):
+    """Random cones on random primitive rays; a cone with more rays than
+    its rank is non-simplicial and brings only the faces listed with it."""
+    dim = rng.choice((2, 3, 4))
+    n = rng.randint(dim, dim + 4)
+    rays = set()
+    while len(rays) < n:
+        r = tuple(rng.randint(-2, 2) for _ in range(dim))
+        if any(r) and math.gcd(*r) == 1:
+            rays.add(r)
+    cones = [frozenset(rng.sample(range(n), rng.randint(1, min(n, dim + 1))))
+             for _ in range(rng.randint(1, 5))]
+    return S.Fan(tuple(sorted(rays)), tuple(cones))
+
+
+def link_outcome(build, fan):
+    try:
+        c = build(fan)
+    except SncxError as exc:
+        return type(exc), str(exc)
+    return c, c.to_records()
+
+
+class TestToricLinkAgreement:
+    """The one inclusion pass against the scan over all cones."""
+
+    def test_gallery_fans(self):
+        fans = [G.product_of_lines_fan(n) for n in range(1, 5)]
+        fans += [G.projective_space_fan(n) for n in range(1, 5)]
+        fans += [polygon_cone_fan(4), polygon_cone_fan(5)]
+        for fan in fans:
+            got = link_outcome(S.toric_link, fan)
+            assert isinstance(got[0], S.CombinatorialComplex)
+            assert got == link_outcome(all_cones_toric_link, fan)
+
+    def test_random_fans(self):
+        rng = random.Random(64)
+        kinds = set()
+        for _ in range(80):
+            fan = random_fan(rng)
+            got = link_outcome(S.toric_link, fan)
+            assert got == link_outcome(all_cones_toric_link, fan)
+            if isinstance(got[0], S.CombinatorialComplex):
+                kinds.add(got[0].has_delta)
+        assert kinds == {True, False}
 
 
 class TestRealizeBoundary:

@@ -88,6 +88,24 @@ class TestStellar:
         b = S.stellar_subdivide(tri.relabeled(ren), "x_e0")
         assert S.complexes_isomorphic(a, b)
 
+    def test_star_is_the_upset(self):
+        # the subdivided star: on a Delta complex the faces containing
+        # sigma are exactly the faces above it, in the same canonical order
+        rng = random.Random(24)
+        fixtures = [G.real_projective_plane(), G.multi_edge_complex(3),
+                    G.octahedron_boundary()]
+        while len(fixtures) < 40:
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=5,
+                                          max_dim=3)
+            if rng.random() < 0.5:
+                c = S.stellar_subdivide(c, rng.choice(c.face_ids))
+            fixtures.append(c)
+        for c in fixtures:
+            assert c.has_delta
+            for sigma in c.face_ids:
+                assert c.upset(sigma) == tuple(
+                    t for t in c.face_ids if c.contains_face(t, sigma))
+
 
 class TestRelabelCommutes:
     REN = staticmethod(lambda c: {f: f"x_{f}" for f in c.face_ids})
