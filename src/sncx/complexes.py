@@ -76,6 +76,58 @@ def _inclusion_records(cells, multiplicity: Mapping | None = None) -> list[dict]
     return recs
 
 
+def _read_faces(records, dims, labels, cov, delta, levels, start=0):
+    """Read face records into the given maps, checking what a record shows
+    alone and the grading of its covering.
+
+    ``dims`` may already hold faces that the records cover; ``start`` is
+    the position of the first record in the errors.  Returns the ids read
+    and whether any record carried a delta order, and a level.
+    """
+    ids = []
+    any_delta = any_level = False
+    for pos, rec in enumerate(records, start=start):
+        fid = rec.get("id")
+        if not isinstance(fid, str) or not fid:
+            raise DuplicateFace(f"face record {pos} has no usable id")
+        if fid in dims:
+            raise DuplicateFace(f"duplicate face id {fid!r}")
+        dim = rec.get("dim")
+        if not isinstance(dim, int) or dim < 0:
+            raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
+        dims[fid] = dim
+        labels[fid] = str(rec.get("label", fid))
+        cov[fid] = tuple(rec.get("facets", ()))
+        if rec.get("delta_order") is not None:
+            any_delta = True
+            delta[fid] = tuple(rec["delta_order"])
+        if rec.get("level") is not None:
+            any_level = True
+            lv = rec["level"]
+            if not isinstance(lv, int) or lv < 1:
+                raise LevelNotDownwardClosed(
+                    f"face {fid!r} has invalid level {lv!r}; levels start at 1")
+            levels[fid] = lv
+        ids.append(fid)
+
+    # covering: existence and grading
+    for fid in ids:
+        k = dims[fid]
+        facets = cov[fid]
+        for g in facets:
+            if g not in dims:
+                raise DanglingFace(f"face {fid!r} covers unknown face {g!r}")
+            if dims[g] != k - 1:
+                raise GradingViolation(
+                    f"face {fid!r} (dim {k}) covers {g!r} of dim {dims[g]}")
+        if k >= 1 and not facets:
+            raise GradingViolation(
+                f"face {fid!r} has dim {k} but no codimension-one faces")
+        if k == 0 and facets:
+            raise GradingViolation(f"vertex {fid!r} covers faces")
+    return ids, any_delta, any_level
+
+
 class CombinatorialComplex:
     """A finite graded face poset, optionally Delta-structured and filtered.
 
@@ -107,49 +159,11 @@ class CombinatorialComplex:
         cov_raw: dict[str, tuple] = {}
         delta_raw: dict[str, tuple] = {}
         levels_raw: dict[str, int] = {}
-        any_delta = False
-        any_level = False
-
-        for pos, rec in enumerate(records):
-            fid = rec.get("id")
-            if not isinstance(fid, str) or not fid:
-                raise DuplicateFace(f"face record {pos} has no usable id")
-            if fid in dims:
-                raise DuplicateFace(f"duplicate face id {fid!r}")
-            dim = rec.get("dim")
-            if not isinstance(dim, int) or dim < 0:
-                raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
-            dims[fid] = dim
-            labels[fid] = str(rec.get("label", fid))
-            cov_raw[fid] = tuple(rec.get("facets", ()))
-            if rec.get("delta_order") is not None:
-                any_delta = True
-                delta_raw[fid] = tuple(rec["delta_order"])
-            if rec.get("level") is not None:
-                any_level = True
-                lv = rec["level"]
-                if not isinstance(lv, int) or lv < 1:
-                    raise LevelNotDownwardClosed(
-                        f"face {fid!r} has invalid level {lv!r}; levels start at 1")
-                levels_raw[fid] = lv
-
-        # covering: existence and grading
-        for fid, facets in cov_raw.items():
-            k = dims[fid]
-            for g in facets:
-                if g not in dims:
-                    raise DanglingFace(f"face {fid!r} covers unknown face {g!r}")
-                if dims[g] != k - 1:
-                    raise GradingViolation(
-                        f"face {fid!r} (dim {k}) covers {g!r} of dim {dims[g]}")
-            if k >= 1 and not facets:
-                raise GradingViolation(
-                    f"face {fid!r} has dim {k} but no codimension-one faces")
-            if k == 0 and facets:
-                raise GradingViolation(f"vertex {fid!r} covers faces")
+        ids, any_delta, any_level = _read_faces(
+            records, dims, labels, cov_raw, delta_raw, levels_raw)
 
         # canonical ordering: (dim, label, insertion index)
-        insertion = {rec["id"]: pos for pos, rec in enumerate(records)}
+        insertion = {f: pos for pos, f in enumerate(ids)}
         order = tuple(sorted(dims, key=lambda f: (dims[f], labels[f], insertion[f])))
         index = {f: i for i, f in enumerate(order)}
 
@@ -194,16 +208,118 @@ class CombinatorialComplex:
         self._verts: dict[str, tuple] = {}
 
         if delta is not None:
-            self._validate_delta()
+            self._validate_delta(order)
         else:
             self._validate_low_cells()
 
+    # -- construction without the full validation pass --------------------
+
+    @classmethod
+    def _assembled(cls, order, dims, labels, cov, delta, levels, verts):
+        out = cls.__new__(cls)
+        out._order = order
+        out._index = {f: i for i, f in enumerate(order)}
+        out._dims = dims
+        out._labels = labels
+        out._cov = cov
+        out._delta = delta
+        out._levels = levels
+        out._verts = verts
+        return out
+
+    def _restricted(self, order) -> "CombinatorialComplex":
+        """The subcomplex on ``order``, a downward-closed part of ``_order``.
+
+        Every per-face check of the constructor looks only at a face and
+        the faces below it, so a downward-closed part of a checked complex
+        passes them all, and its faces in the parent's order are already
+        in canonical order.  Equal to the complex the constructor builds
+        from the same faces' records.
+        """
+        if not order:
+            return self._assembled((), {}, {}, {}, None, None, {})
+        dims = {f: self._dims[f] for f in order}
+        delta, verts = self._delta, self._verts
+        if delta is not None:
+            delta = {f: delta[f] for f in order}
+            verts = {f: verts[f] for f in order}
+        elif all(d == 0 for d in dims.values()):
+            # a set of points is trivially Delta-structured
+            delta = {f: () for f in order}
+            verts = {f: (f,) for f in order}
+        levels = self._levels
+        if levels is not None:
+            levels = {f: levels[f] for f in order}
+        return self._assembled(order, dims, {f: self._labels[f] for f in order},
+                               {f: self._cov[f] for f in order}, delta, levels,
+                               verts)
+
+    def _derived(self, drop, fresh: Sequence[Mapping]) -> "CombinatorialComplex":
+        """This complex without the faces in ``drop``, plus the ``fresh`` records.
+
+        ``drop`` must be closed upward, so that the survivors are closed
+        downward and passed every check when this complex was built.  The
+        fresh faces get every check of the constructor, failing with the
+        same error and message, and the result equals the complex the
+        constructor builds from the survivors' records followed by the
+        fresh ones.  A parent or an output without a Delta structure (other
+        than a set of points) goes through the constructor.
+        """
+        survivors = [f for f in self._order if f not in drop]
+        if self._delta is None and self._order:
+            return CombinatorialComplex(
+                [self._record(f) for f in survivors] + list(fresh))
+        dims = dict(self._dims)
+        labels = dict(self._labels)
+        cov = dict(self._cov)
+        delta = dict(self._delta or {})
+        levels = dict(self._levels or {})
+        verts = dict(self._verts)
+        for f in drop:
+            del dims[f], labels[f], cov[f], delta[f], verts[f]
+            levels.pop(f, None)
+        new, fresh_delta, fresh_level = _read_faces(
+            fresh, dims, labels, cov, delta, levels, start=len(survivors))
+        any_delta = bool(survivors) or fresh_delta
+        any_level = bool(survivors) and self._levels is not None or fresh_level
+        if not any_delta and (not new or any(dims[f] for f in new)):
+            return CombinatorialComplex(list(fresh))
+
+        # a stable sort by (dim, label) is the constructor's sort by
+        # (dim, label, insertion index)
+        order = tuple(sorted(survivors + new, key=lambda f: (dims[f], labels[f])))
+        out = self._assembled(order, dims, labels, cov, delta,
+                              levels if any_level else None, verts)
+        index = out._index
+        new.sort(key=index.__getitem__)
+        for f in new:
+            cov[f] = tuple(sorted(set(cov[f]), key=index.__getitem__))
+            if dims[f] >= 1 and f not in delta:
+                raise BadDeltaStructure(
+                    f"face {f!r} lacks delta_order while the complex claims one")
+            if dims[f] == 0:
+                delta[f] = ()
+        if any_level:
+            for f in new if self._levels is not None else order:
+                if f not in levels:
+                    raise LevelNotDownwardClosed(
+                        f"face {f!r} lacks a level while the complex is filtered")
+            for f in new:
+                for g in cov[f]:
+                    if levels[g] > levels[f]:
+                        raise LevelNotDownwardClosed(
+                            f"face {f!r} at level {levels[f]} covers {g!r} "
+                            f"at level {levels[g]}")
+        out._validate_delta(new)
+        return out
+
     # -- validation helpers --------------------------------------------
 
-    def _validate_delta(self):
+    def _validate_delta(self, faces):
+        # faces in canonical order; a facet of one is checked or listed earlier
         delta = self._delta
         dims = self._dims
-        for f in self._order:
+        for f in faces:
             k = dims[f]
             if k == 0:
                 continue
@@ -219,7 +335,7 @@ class CombinatorialComplex:
                     f"face {f!r}: delta_order disagrees with its covering set")
         # simplicial facet identity, pairwise: omitting vertex i then j
         # (j < i) equals omitting j then i-1.
-        for f in self._order:
+        for f in faces:
             k = dims[f]
             if k < 2:
                 continue
@@ -233,7 +349,7 @@ class CombinatorialComplex:
         # facet without vertex 1 starts with vertex 0, the one without
         # vertex 0 lists the rest
         verts = self._verts
-        for f in self._order:
+        for f in faces:
             if dims[f] == 0:
                 verts[f] = (f,)
                 continue
@@ -498,10 +614,7 @@ class CombinatorialComplex:
 
     def skeleton(self, k: int) -> "CombinatorialComplex":
         """The subcomplex of all faces of dimension at most ``k``."""
-        if k < 0:
-            return CombinatorialComplex([])
-        recs = [self._record(f) for f in self._order if self._dims[f] <= k]
-        return CombinatorialComplex(recs)
+        return self._restricted(tuple(f for f in self._order if self._dims[f] <= k))
 
     def _record(self, f):
         rec = {"id": f, "dim": self._dims[f], "label": self._labels[f],
@@ -516,8 +629,8 @@ class CombinatorialComplex:
         """All faces of level <= m (downward-closed by the level invariant)."""
         if self._levels is None:
             raise NoFiltration("complex has no filtration levels")
-        recs = [self._record(f) for f in self._order if self._levels[f] <= m]
-        return CombinatorialComplex(recs)
+        return self._restricted(
+            tuple(f for f in self._order if self._levels[f] <= m))
 
     def cone(self, apex: str | None = None) -> "CombinatorialComplex":
         """The cone: the complex plus an apex joined to every face.

@@ -357,8 +357,7 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
     if d == 0:
         ok_all = True
         for comp in c.connected_components():
-            sub = CombinatorialComplex(
-                [c._record(f) for f in comp])
+            sub = c._restricted(comp)
             collapsed, _seq = collapse_to_point(sub, collapse_budget)
             if collapsed:
                 continue

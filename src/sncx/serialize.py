@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from .complexes import CombinatorialComplex
+from .errors import DescriptorInvalid
 from .transforms import BlowupMove
 
 
@@ -38,6 +39,8 @@ def script_to_list(script) -> list:
 
 
 def script_from_list(items) -> tuple:
+    if not isinstance(items, list):
+        raise DescriptorInvalid("a script is a list of moves")
     return tuple(BlowupMove.from_json(d) for d in items)
 
 

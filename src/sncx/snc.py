@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .complexes import CombinatorialComplex, _inclusion_records
 from .errors import (
@@ -200,31 +201,35 @@ def toric_link(fan: Fan) -> CombinatorialComplex:
             continue
         if fan.is_simplicial_cone(cset):
             idx = sorted(cset)
-            n = len(idx)
-            for mask in range(1, 1 << n):
-                cones.add(frozenset(idx[i] for i in range(n) if mask >> i & 1))
+            cones.update(frozenset(s) for k in range(1, len(idx) + 1)
+                         for s in combinations(idx, k))
         else:
             all_simplicial = False
             cones.add(cset)
 
-    ordered = sorted(cones, key=lambda c: (len(c), tuple(sorted(c))))
+    key = {c: tuple(sorted(c)) for c in cones}
+    ordered = sorted(cones, key=lambda c: (len(c), key[c]))
+    ids = {c: "-".join(map(str, key[c])) for c in ordered}
+    if all_simplicial:
+        # every subset of a cone is a cone: a cone covers those with one
+        # ray less, and its height is its number of rays less one
+        recs = []
+        for c in ordered:
+            d = [ids[c - {v}] for v in key[c]] if len(c) > 1 else []
+            recs.append({"id": ids[c], "dim": len(c) - 1, "facets": d,
+                         "delta_order": d})
+        return CombinatorialComplex(recs)
+
+    # a cone below c has its least ray in c, and fewer rays, so it is
+    # filed under that ray before c is reached
+    filed: dict[int, list] = {}
     height: dict[frozenset, int] = {}
     for c in ordered:
-        below = [height[b] for b in cones
-                 if b < c and len(b) < len(c)]
-        height[c] = max(below, default=-1) + 1
-
-    def cid(c):
-        return "-".join(str(i) for i in sorted(c))
-
-    recs = _inclusion_records((cid(c), height[c], c) for c in ordered)
-    if all_simplicial:
-        for rec, c in zip(recs, ordered):
-            if rec["dim"] >= 1:
-                idx = sorted(c)
-                rec["delta_order"] = [cid(frozenset(x for x in idx if x != v))
-                                      for v in idx]
-    return CombinatorialComplex(recs)
+        height[c] = max((height[b] for x in c for b in filed.get(x, ()) if b < c),
+                        default=-1) + 1
+        filed.setdefault(key[c][0], []).append(c)
+    return CombinatorialComplex(
+        _inclusion_records((ids[c], height[c], c) for c in ordered))
 
 
 def fan_ray_involution(fan: Fan, ray_map: dict) -> dict:

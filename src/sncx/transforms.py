@@ -5,6 +5,13 @@ subdivision along a face, coning over a base face with attachments),
 the discrete Morse flow that retracts a new vertex onto an old one,
 puckering of a maximal cell, and sequential script replay with a
 homology log.
+
+A move checks only the faces it creates: the faces it keeps lie below
+one another as before and were checked when their complex was built
+(see ``CombinatorialComplex._derived``).  The replay carries each level
+forward: a level subcomplex equal to the one of the step before keeps
+its homology, while the whole complex's homology, and with it the
+d^2 = 0 check, is computed at every step.
 """
 
 from __future__ import annotations
@@ -44,9 +51,7 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
 
     star = c.upset(sigma)
     star_set = set(star)
-    survivors = [f for f in c.face_ids if f not in star_set]
-
-    taken = set(survivors)
+    taken = set(c.face_ids) - star_set
     e = _dedup_ids([new_vertex if new_vertex is not None else f"b({sigma})"],
                    taken)[0]
     taken.add(e)
@@ -79,7 +84,6 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
     levels = c.has_levels
     e_level = min((c.level(t) for t in star), default=1) if levels else None
 
-    recs = [c._record(f) for f in survivors]
     new_recs = {}
     for tau, alpha in keys:
         tau_verts = c.vertices_of(tau)
@@ -110,8 +114,7 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
         if levels:
             rec["level"] = c.level(tau)
         new_recs[nid] = rec
-    recs.extend(new_recs.values())
-    return CombinatorialComplex(recs)
+    return c._derived(star_set, list(new_recs.values()))
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,29 @@ class BlowupMove:
 
     @classmethod
     def from_json(cls, d: dict) -> "BlowupMove":
-        return cls(case=d["case"], face=d.get("face"), base=d.get("base"),
-                   attach=tuple(d.get("attach", ())), vertex=d.get("vertex"),
-                   new_vertex=d.get("new_vertex"), level=d.get("level"))
+        """Read one script step; a malformed step raises DescriptorInvalid."""
+        if not isinstance(d, dict):
+            raise DescriptorInvalid(f"script step {d!r} is not an object")
+        case = d.get("case")
+        if not (case == "attach" or type(case) is int and case in (1, 2, 3)):
+            raise DescriptorInvalid(f"unknown move case {case!r}")
+        for key in ("face", "base", "vertex", "new_vertex"):
+            if d.get(key) is not None and not isinstance(d[key], str):
+                raise DescriptorInvalid(
+                    f"move field {key!r} must be a face id string, got {d[key]!r}")
+        attach = d.get("attach")
+        if attach is None:
+            attach = []
+        if not (isinstance(attach, list) and all(isinstance(t, str) for t in attach)):
+            raise DescriptorInvalid(
+                f"move field 'attach' must be a list of face ids, got {attach!r}")
+        level = d.get("level")
+        if level is not None and not (type(level) is int and level >= 1):
+            raise DescriptorInvalid(
+                f"move field 'level' must be a positive integer, got {level!r}")
+        return cls(case=case, face=d.get("face"), base=d.get("base"),
+                   attach=tuple(attach), vertex=d.get("vertex"),
+                   new_vertex=d.get("new_vertex"), level=level)
 
 
 def _closure(c, faces):
@@ -178,11 +201,10 @@ def _attach_cone(c, gens, new_vertex, level):
         raise DescriptorInvalid(
             "filtered complex: the new vertex needs a level")
 
-    recs = [c._record(f) for f in c.face_ids]
     vrec = {"id": e, "dim": 0, "facets": []}
     if levels:
         vrec["level"] = level
-    recs.append(vrec)
+    recs = [vrec]
     for g in closure:
         facets = [ids[x] for x in c.facets(g)] + [g] if c.dim(g) >= 1 \
             else [e, g]
@@ -196,7 +218,7 @@ def _attach_cone(c, gens, new_vertex, level):
         if levels:
             rec["level"] = max(c.level(g), level)
         recs.append(rec)
-    return CombinatorialComplex(recs)
+    return c._derived((), recs)
 
 
 def _validate_case3(c, move):
@@ -426,23 +448,35 @@ class ScriptLog:
         return {"steps": self.steps, "homology_constant": self.homology_constant}
 
 
-def _snapshot(c):
+def _snapshot(c, carried):
+    """The log fields of ``c``, and its levels to carry to the next step.
+
+    ``carried`` maps each level of the previous step to its ``(level
+    subcomplex, homology)``; a level subcomplex equal to the one carried
+    keeps its homology instead of computing it again.
+    """
     h = homology(c)
     snap = {"f_vector": list(c.f_vector()),
             "homology": h.as_json(),
             "_nonzero": h.nonzero()}
+    levels = {}
     if c.has_levels:
         per = {}
         nz = {}
         top = c.max_level()
         for m in range(1, top + 1):
             # the top level subcomplex is c itself
-            hm = h if m == top else homology(c.level_subcomplex(m))
+            sub, hm = c, h
+            if m < top:
+                sub = c.level_subcomplex(m)
+                old = carried.get(m)
+                hm = old[1] if old is not None and old[0] == sub else homology(sub)
+            levels[m] = (sub, hm)
             per[str(m)] = hm.as_json()
             nz[m] = hm.nonzero()
         snap["per_level"] = per
         snap["_per_level_nonzero"] = nz
-    return snap
+    return snap, levels
 
 
 def run_blowup_script(c: CombinatorialComplex, script):
@@ -451,11 +485,13 @@ def run_blowup_script(c: CombinatorialComplex, script):
     Blowup cases 1-3 must keep total and per-level homology constant;
     the log records whether they did.  Plain ``attach`` moves are
     construction steps and exempt from the constancy check.  The first
-    failing step raises :class:`ScriptError` with its index.
+    failing step raises :class:`ScriptError` with its index.  A level
+    that a move leaves unchanged keeps the homology of the step before.
     """
     log = ScriptLog()
     entry = {"step": 0, "move": None}
-    entry.update(_snapshot(c))
+    snap, carried = _snapshot(c, {})
+    entry.update(snap)
     cur = c
     prev_snap = dict(entry)
     log.steps.append(_public(entry))
@@ -465,7 +501,8 @@ def run_blowup_script(c: CombinatorialComplex, script):
         except Exception as exc:  # noqa: BLE001 - wrap with the step index
             raise ScriptError(i, exc) from exc
         entry = {"step": i, "move": move.as_json()}
-        entry.update(_snapshot(nxt))
+        snap, carried = _snapshot(nxt, carried)
+        entry.update(snap)
         if move.case in (1, 2, 3):
             same = entry["_nonzero"] == prev_snap["_nonzero"]
             if "_per_level_nonzero" in entry or "_per_level_nonzero" in prev_snap:

@@ -46,6 +46,16 @@ def without_delta(c: CombinatorialComplex) -> CombinatorialComplex:
          for f in c.face_ids])
 
 
+def assert_rebuilds(x: CombinatorialComplex):
+    """The validating constructor accepts ``x``'s records and gives ``x``."""
+    y = CombinatorialComplex(x.to_records())
+    assert y == x
+    assert (y.has_delta, y.has_levels) == (x.has_delta, x.has_levels)
+    if x.has_delta:
+        assert [y.vertices_of(f) for f in y.face_ids] == \
+            [x.vertices_of(f) for f in x.face_ids]
+
+
 def random_subset_closed(rng: random.Random, ground=5):
     maximal = []
     for _ in range(rng.randint(1, 4)):

@@ -8,9 +8,11 @@ rescans every alive face for free pairs in each state, a recursive
 acyclicity check for Morse matchings, a facet census that solves a
 kernel line for every subset of points and coordinate directions, a
 face lattice that intersects every pair of faces found, a poset
-isomorphism search that recurses once per face, and the complexes read
+isomorphism search that recurses once per face, the complexes read
 off polyhedra and fans built by scanning every cell for every cell, then
-puckered one long edge at a time.
+puckered one long edge at a time, and a blowup-script replay that builds
+every move output and level subcomplex with the validating constructor
+and computes every homology again.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from sncx.complexes import CombinatorialComplex
-from sncx.errors import MatchingNotAcyclic, NotRegularCW
-from sncx.homology import HomologyResult, chain_complex
+from sncx.errors import MatchingNotAcyclic, NotRegularCW, ScriptError
+from sncx.homology import HomologyResult, chain_complex, homology
 from sncx.newton import PolyFace, PolyFacet, SubdividedSimplex, _affine_dim, _dot
 from sncx.snf import kernel_line, smith_normal_form
-from sncx.transforms import pucker
+from sncx.transforms import ScriptLog, _levels_match, _public, blowup_move, pucker
 
 
 def per_degree_homology(c, reduced=False):
@@ -438,3 +440,63 @@ def all_cones_toric_link(fan):
                                   for v in idx]
         recs.append(rec)
     return CombinatorialComplex(recs)
+
+
+def derived_by_constructor(c, drop, fresh):
+    """``c._derived(drop, fresh)`` through the validating constructor."""
+    return CombinatorialComplex(
+        [c._record(f) for f in c.face_ids if f not in drop] + list(fresh))
+
+
+def _recomputed_snapshot(c):
+    h = homology(c)
+    snap = {"f_vector": list(c.f_vector()),
+            "homology": h.as_json(),
+            "_nonzero": h.nonzero()}
+    if c.has_levels:
+        per = {}
+        nz = {}
+        top = c.max_level()
+        for m in range(1, top + 1):
+            # the top level subcomplex is c itself
+            hm = h if m == top else homology(CombinatorialComplex(
+                [c._record(f) for f in c.face_ids if c.level(f) <= m]))
+            per[str(m)] = hm.as_json()
+            nz[m] = hm.nonzero()
+        snap["per_level"] = per
+        snap["_per_level_nonzero"] = nz
+    return snap
+
+
+def recomputing_run_blowup_script(c, script):
+    """``run_blowup_script`` computing every level's homology at every step.
+
+    Patch ``CombinatorialComplex._derived`` with :func:`derived_by_constructor`
+    around the call to build the move outputs as the replay once did.
+    """
+    log = ScriptLog()
+    entry = {"step": 0, "move": None}
+    entry.update(_recomputed_snapshot(c))
+    cur = c
+    prev_snap = dict(entry)
+    log.steps.append(_public(entry))
+    for i, move in enumerate(script, start=1):
+        try:
+            nxt = blowup_move(cur, move)
+        except Exception as exc:  # noqa: BLE001 - wrap with the step index
+            raise ScriptError(i, exc) from exc
+        entry = {"step": i, "move": move.as_json()}
+        entry.update(_recomputed_snapshot(nxt))
+        if move.case in (1, 2, 3):
+            same = entry["_nonzero"] == prev_snap["_nonzero"]
+            if "_per_level_nonzero" in entry or "_per_level_nonzero" in prev_snap:
+                same = same and _levels_match(
+                    prev_snap.get("_per_level_nonzero", {}),
+                    entry.get("_per_level_nonzero", {}))
+            entry["homology_preserved"] = same
+            if not same:
+                log.homology_constant = False
+        log.steps.append(_public(entry))
+        cur = nxt
+        prev_snap = entry
+    return cur, log

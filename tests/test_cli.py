@@ -232,6 +232,77 @@ class TestErrors:
         assert "step 2" in err["message"]
 
 
+def filtered(c):
+    recs = []
+    for f in c.face_ids:
+        rec = c._record(f)
+        rec["level"] = 1
+        recs.append(rec)
+    return S.new_complex(recs)
+
+
+class TestScriptSchema:
+    """Malformed script steps are rejected where the JSON is read."""
+
+    @pytest.mark.parametrize("script", [
+        {"case": 2, "face": "e0"},
+        [3],
+        [{"face": "e0"}],
+        [{"case": 4}],
+        [{"case": 2.0, "face": "e0"}],
+        [{"case": True}],
+        [{"case": 2, "face": 7}],
+        [{"case": 3, "base": ["v0"], "attach": ["v0"]}],
+        [{"case": 3, "base": "v0", "attach": ["v0"], "vertex": 0}],
+        [{"case": 2, "face": "e0", "new_vertex": 5}],
+        [{"case": "attach", "new_vertex": "x", "attach": "v0"}],
+        [{"case": "attach", "new_vertex": "x", "attach": ["v0", 1]}],
+        [{"case": "attach", "new_vertex": "x", "attach": ["v0"], "level": "2"}],
+        [{"case": "attach", "new_vertex": "x", "attach": ["v0"], "level": 0}],
+        [{"case": "attach", "new_vertex": "x", "attach": ["v0"], "level": True}],
+    ])
+    def test_rejected(self, inputs, tmp_path, script):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        code, out = run_cli(["transform", str(inputs["triangle"]), str(path)])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DescriptorInvalid"
+
+    def test_attach_string_is_not_split(self, tmp_path):
+        # "ab" once coned over the vertices a and b, making a circle
+        c = S.simplicial_complex_from_subsets([{0}, {1}, {0, 1}])
+        cpath = tmp_path / "edge.json"
+        cpath.write_text(dumps_complex(c))
+        for attach, code_want in (("01", 1), (["0.1"], 0)):
+            path = tmp_path / "script.json"
+            path.write_text(json.dumps(
+                [{"case": "attach", "new_vertex": "x", "attach": attach}]))
+            code, out = run_cli(["transform", str(cpath), str(path)])
+            assert code == code_want
+        final = json.loads(out)["report"]["final"]
+        assert [r["betti"] for r in final["homology"]] == [1, 0, 0]
+
+    def test_level_on_a_filtered_complex(self, tmp_path):
+        cpath = tmp_path / "ftri.json"
+        cpath.write_text(dumps_complex(filtered(G.triangle_boundary())))
+        move = {"case": 3, "base": "v0", "attach": ["v0"], "vertex": "v0"}
+        for level, code_want in (("2", 1), (2, 0)):
+            path = tmp_path / "script.json"
+            path.write_text(json.dumps([dict(move, level=level)]))
+            code, out = run_cli(["transform", str(cpath), str(path)])
+            assert code == code_want
+            if code:
+                assert json.loads(out)["error"]["type"] == "DescriptorInvalid"
+        assert json.loads(out)["report"]["log"]["homology_constant"]
+
+    def test_null_fields_are_absent(self, inputs, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps([{"case": 2, "face": "e0", "base": None,
+                                     "attach": None, "level": None}]))
+        code, _out = run_cli(["transform", str(inputs["triangle"]), str(path)])
+        assert code == 0
+
+
 class TestEntryPoint:
     def test_module_invocation(self, inputs):
         import subprocess

@@ -18,7 +18,12 @@ from sncx.errors import (
     QuotientNotRegular,
 )
 
-from conftest import random_simplicial_complex, without_delta
+from conftest import (
+    assert_rebuilds,
+    random_simplicial_complex,
+    with_random_levels,
+    without_delta,
+)
 from oracles import recursive_complexes_isomorphic
 
 
@@ -407,6 +412,25 @@ class TestFiltration:
     def test_no_filtration(self):
         with pytest.raises(NoFiltration):
             G.triangle_boundary().level_subcomplex(1)
+
+    def test_restrictions_equal_the_constructors_output(self):
+        # skeleta and level subcomplexes filter the parent without a record
+        # round trip; the constructor builds the same complex from their
+        # records, also where a poset's restriction is a set of points
+        rng = random.Random(404)
+        inputs = [filtered_triangle_with_pendant(), S.CombinatorialComplex([])]
+        for _ in range(30):
+            c = random_simplicial_complex(rng, max_verts=6, max_facets=4, max_dim=3)
+            inputs += [c, without_delta(c), with_random_levels(rng, c),
+                       without_delta(with_random_levels(rng, c))]
+        for c in inputs:
+            subs = [c.skeleton(k) for k in range(-1, c.dimension + 2)]
+            if c.has_levels:
+                subs += [c.level_subcomplex(m) for m in range(c.max_level() + 1)]
+            for sub in subs:
+                assert_rebuilds(sub)
+        assert not without_delta(G.triangle_boundary()).has_delta
+        assert without_delta(G.triangle_boundary()).skeleton(0).has_delta
 
 
 class TestRelabel:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -196,13 +197,22 @@ def link_outcome(build, fan):
     return c, c.to_records()
 
 
+def square_pyramid_fan():
+    """A cone over a square pyramid in R^4, listed with its square base and
+    its four triangles; the base and the pyramid are not simplicial."""
+    rays = ((1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 1, 1))
+    cones = [frozenset(range(5)), frozenset(range(4))]
+    cones += [frozenset({i, (i + 1) % 4, 4}) for i in range(4)]
+    return S.Fan(rays, tuple(cones))
+
+
 class TestToricLinkAgreement:
     """The one inclusion pass against the scan over all cones."""
 
     def test_gallery_fans(self):
-        fans = [G.product_of_lines_fan(n) for n in range(1, 5)]
+        fans = [G.product_of_lines_fan(n) for n in range(1, 6)]
         fans += [G.projective_space_fan(n) for n in range(1, 5)]
-        fans += [polygon_cone_fan(4), polygon_cone_fan(5)]
+        fans += [polygon_cone_fan(4), polygon_cone_fan(5), square_pyramid_fan()]
         for fan in fans:
             got = link_outcome(S.toric_link, fan)
             assert isinstance(got[0], S.CombinatorialComplex)
@@ -218,6 +228,21 @@ class TestToricLinkAgreement:
             if isinstance(got[0], S.CombinatorialComplex):
                 kinds.add(got[0].has_delta)
         assert kinds == {True, False}
+
+    def test_square_pyramid_heights(self):
+        link = S.toric_link(square_pyramid_fan())
+        assert link.f_vector() == (5, 8, 5, 1)
+        assert link.dim("0-1-2-3") == 2 and link.dim("0-1-2-3-4") == 3
+        assert not link.has_delta
+
+    def test_large_fan_is_fast(self):
+        # 6,560 cones: the scan over all cones took seconds here
+        fan = G.product_of_lines_fan(8)
+        t0 = time.perf_counter()
+        link = S.toric_link(fan)
+        assert time.perf_counter() - t0 < 2.0
+        assert link.f_vector() == tuple(math.comb(8, k + 1) * 2 ** (k + 1)
+                                        for k in range(8))
 
 
 class TestRealizeBoundary:

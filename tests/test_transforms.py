@@ -16,8 +16,17 @@ from sncx.errors import (
 from sncx.serialize import dumps_complex
 from sncx.transforms import _check_acyclic
 
-from conftest import random_simplicial_complex, with_random_levels
-from oracles import recursive_check_acyclic
+from conftest import (
+    assert_rebuilds,
+    random_simplicial_complex,
+    random_subset_closed,
+    with_random_levels,
+)
+from oracles import (
+    derived_by_constructor,
+    recomputing_run_blowup_script,
+    recursive_check_acyclic,
+)
 
 
 def homology_tables_equal(a, b):
@@ -407,3 +416,245 @@ class TestScripts:
         assert final.has_levels
         for step in log.steps:
             assert "per_level" in step
+
+
+def draw_mixed_script(rng, c, moves):
+    """Seeded case 2, case 3 and ``attach`` moves, each one the library
+    accepts on the complex the moves before it produced."""
+    script = []
+    cur = c
+    for _ in range(4 * moves):
+        if len(script) == moves:
+            break
+        faces = cur.face_ids
+        level = None
+        kind = rng.random()
+        if kind < 0.45:
+            move = S.BlowupMove(case=2, face=rng.choice(faces))
+        elif kind < 0.8:
+            base = rng.choice(faces)
+            above = [f for f in cur.upset(base) if f != base]
+            attach = (base,) + tuple(rng.sample(above, rng.randint(0, min(2, len(above)))))
+            if cur.has_levels:
+                level = cur.level(base) + rng.randint(0, 1)
+            move = S.BlowupMove(case=3, base=base, attach=attach,
+                                vertex=rng.choice(cur.vertices_of(base)), level=level)
+        else:
+            attach = tuple(rng.sample(faces, rng.randint(0, min(2, len(faces)))))
+            if cur.has_levels:
+                level = rng.randint(1, cur.max_level() + 1)
+            move = S.BlowupMove(case="attach", attach=attach,
+                                new_vertex=f"n{len(script)}", level=level)
+        try:
+            cur = S.blowup_move(cur, move)
+        except S.SncxError:
+            continue
+        script.append(move)
+    return tuple(script)
+
+
+class TestIncrementalReplay:
+    """Moves that check only the faces they create, and a replay that
+    carries unchanged levels forward, against the recomputing replay."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(8080)
+        out = []
+        for i in range(48):
+            c = random_simplicial_complex(rng, max_verts=6, max_facets=4, max_dim=2)
+            if i % 2:
+                c = with_random_levels(rng, c)
+            out.append((c, draw_mixed_script(rng, c, rng.randint(3, 6))))
+        for _ in range(8):
+            _k, script = S.realize_boundary(random_subset_closed(rng, ground=4))
+            out.append((S.CombinatorialComplex([]), script))
+        return out
+
+    def test_agrees_with_recomputing_replay(self, monkeypatch):
+        runs = self.inputs()
+        kinds = {(c.has_levels, m.case) for c, script in runs for m in script}
+        assert kinds >= {(lv, case) for lv in (False, True)
+                         for case in (2, 3, "attach")}
+        got = [S.run_blowup_script(c, script) for c, script in runs]
+        monkeypatch.setattr(S.CombinatorialComplex, "_derived",
+                            derived_by_constructor)
+        for (c, script), (final, log) in zip(runs, got):
+            want_final, want_log = recomputing_run_blowup_script(c, script)
+            assert log.as_json() == want_log.as_json(), script
+            assert final == want_final
+            assert [final.vertices_of(f) for f in final.face_ids] == \
+                [want_final.vertices_of(f) for f in want_final.face_ids]
+
+    def test_outputs_and_restrictions_rebuild(self):
+        for c, script in self.inputs():
+            cur = c
+            for move in script:
+                cur = S.blowup_move(cur, move)
+                assert_rebuilds(cur)
+                for k in range(-1, cur.dimension + 1):
+                    assert_rebuilds(cur.skeleton(k))
+                if cur.has_levels:
+                    for m in range(cur.max_level() + 1):
+                        assert_rebuilds(cur.level_subcomplex(m))
+
+    def test_replay_counts(self, monkeypatch):
+        # sd(octahedron) with three levels and a 20-move script: no move
+        # output or level subcomplex goes through the constructor, and
+        # homology is computed for every complex and every level a move
+        # changed, and for no other
+        rng = random.Random(20)
+        c = with_random_levels(rng, G.octahedron_boundary().order_complex())
+        moves = []
+        cur = c
+        while len(moves) < 20:
+            if rng.random() < 0.6:
+                move = S.BlowupMove(case=2, face=rng.choice(
+                    [f for f in cur.face_ids if cur.dim(f) >= 1]))
+            else:
+                base = rng.choice([f for f in cur.face_ids if cur.dim(f) < 2])
+                above = [t for t in cur.upset(base) if t != base and cur.dim(t) < 2]
+                move = S.BlowupMove(
+                    case=3, base=base,
+                    attach=(base,) + tuple(rng.sample(above, min(1, len(above)))),
+                    level=rng.randint(cur.level(base), cur.max_level()))
+            try:
+                cur = S.blowup_move(cur, move)
+            except S.SncxError:
+                continue
+            moves.append(move)
+
+        expected = 0
+        prev = {}
+        cur = c
+        for step in range(len(moves) + 1):
+            if step:
+                cur = S.blowup_move(cur, moves[step - 1])
+            levels = {m: cur.level_subcomplex(m).to_records()
+                      for m in range(1, cur.max_level())}
+            expected += 1 + sum(prev.get(m) != recs for m, recs in levels.items())
+            prev = levels
+        assert expected < 3 * (len(moves) + 1)
+
+        calls = {"homology": 0, "constructor": 0}
+        homology, init = S.transforms.homology, S.CombinatorialComplex.__init__
+
+        def counting_homology(*args, **kw):
+            calls["homology"] += 1
+            return homology(*args, **kw)
+
+        def counting_init(self, *args, **kw):
+            calls["constructor"] += 1
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(S.transforms, "homology", counting_homology)
+        monkeypatch.setattr(S.CombinatorialComplex, "__init__", counting_init)
+        _final, log = S.run_blowup_script(c, tuple(moves))
+        assert log.homology_constant
+        assert calls == {"homology": expected, "constructor": 0}
+
+
+def filtered_disk():
+    """The 2-simplex, with the faces on its vertex 2 at level 2."""
+    c = G.full_simplex(2)
+    recs = []
+    for f in c.face_ids:
+        rec = c._record(f)
+        rec["level"] = 2 if "2" in c.vertices_of(f) else 1
+        recs.append(rec)
+    return S.new_complex(recs)
+
+
+def captured_derivation(monkeypatch, c, move):
+    """The (parent, drop, fresh) arguments of the move's ``_derived`` call."""
+    seen = []
+    derived = S.CombinatorialComplex._derived
+
+    def capture(self, drop, fresh):
+        seen.append((self, drop, [dict(r) for r in fresh]))
+        return derived(self, drop, fresh)
+
+    monkeypatch.setattr(S.CombinatorialComplex, "_derived", capture)
+    S.blowup_move(c, move)
+    monkeypatch.undo()
+    (parent, drop, fresh), = seen
+    return parent, drop, fresh
+
+
+def _first_of_dim(k):
+    return lambda fresh: next(r for r in fresh if r["dim"] == k)
+
+
+def _set(pick, key, value):
+    def mutate(fresh):
+        pick(fresh)[key] = value
+    return mutate
+
+
+def _edit(pick, key, edit):
+    def mutate(fresh):
+        rec = pick(fresh)
+        rec[key] = edit(rec[key])
+    return mutate
+
+
+def _drop(pick, key):
+    def mutate(fresh):
+        del pick(fresh)[key]
+    return mutate
+
+
+def _both(*mutations):
+    def mutate(fresh):
+        for m in mutations:
+            m(fresh)
+    return mutate
+
+
+# each mutation breaks one check of the constructor in one created face
+MUTATIONS = {
+    "id-not-str": _set(_first_of_dim(1), "id", 7),
+    "id-empty": _set(_first_of_dim(0), "id", ""),
+    "id-of-a-survivor": _set(_first_of_dim(2), "id", "0"),
+    "dim-negative": _set(_first_of_dim(0), "dim", -1),
+    "dim-wrong-for-facets": _set(_first_of_dim(2), "dim", 3),
+    "facet-unknown": _edit(_first_of_dim(1), "facets", lambda d: d[:1] + ["ghost"]),
+    "no-facets": _both(_set(_first_of_dim(1), "facets", []),
+                       _set(_first_of_dim(1), "delta_order", [])),
+    "vertex-covers": _set(_first_of_dim(0), "facets", ["0"]),
+    "delta-missing": _drop(_first_of_dim(2), "delta_order"),
+    "delta-short": _edit(_first_of_dim(2), "delta_order", lambda d: d[:-1]),
+    "delta-repeats": _edit(_first_of_dim(2), "delta_order", lambda d: [d[0], d[0], d[2]]),
+    "delta-not-the-facets": _edit(_first_of_dim(2), "delta_order",
+                                  lambda d: d[:-1] + ["1.2"]),
+    "delta-identity": _edit(_first_of_dim(2), "delta_order",
+                            lambda d: [d[1], d[0], d[2]]),
+    "repeated-vertex": _both(
+        _edit(_first_of_dim(1), "delta_order", lambda d: [d[0], d[0]]),
+        _edit(_first_of_dim(1), "facets", lambda d: [d[0], d[0]])),
+    "level-below-facet": _set(_first_of_dim(0), "level", 3),
+    "level-zero": _set(_first_of_dim(1), "level", 0),
+    "level-missing": _drop(_first_of_dim(1), "level"),
+}
+
+
+class TestDerivedChecks:
+    """A created face that breaks a check fails as in the constructor."""
+
+    MOVES = (S.BlowupMove(case=2, face="0.1.2", new_vertex="B"),
+             S.BlowupMove(case=3, base="0.1", attach=("0.1", "0.1.2"),
+                          vertex="0", level=2))
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    @pytest.mark.parametrize("move", MOVES, ids=("stellar", "cone"))
+    def test_same_error_as_constructor(self, monkeypatch, name, move):
+        c = filtered_disk()
+        parent, drop, fresh = captured_derivation(monkeypatch, c, move)
+        assert_rebuilds(parent._derived(drop, fresh))
+        MUTATIONS[name](fresh)
+        with pytest.raises(S.SncxError) as want:
+            derived_by_constructor(parent, drop, fresh)
+        with pytest.raises(S.SncxError) as got:
+            parent._derived(drop, fresh)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
