@@ -64,24 +64,19 @@ def _points_of(doc):
     return doc
 
 
-def _homology_report(path: str, reduced: bool) -> dict:
-    c = complex_from_dict(_load_json(path))
-    h = homology(c)
-    return {
-        "f_vector": list(c.f_vector()),
-        "euler_characteristic": c.euler_characteristic(),
-        "components": h.betti(0),
-        "reduced": reduced,
-        "homology": (_as_reduced(h) if reduced else h).as_json(),
-    }
-
-
 def _summary(c, h=None) -> dict:
     return {
         "f_vector": list(c.f_vector()),
         "euler_characteristic": c.euler_characteristic(),
         "homology": (homology(c) if h is None else h).as_json(),
     }
+
+
+def _homology_report(path: str, reduced: bool) -> dict:
+    c = complex_from_dict(_load_json(path))
+    h = homology(c)
+    return {**_summary(c, _as_reduced(h) if reduced else h),
+            "components": h.betti(0), "reduced": reduced}
 
 
 def _run_homology(args) -> dict:

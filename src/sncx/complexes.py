@@ -147,160 +147,72 @@ class CombinatorialComplex:
     closure of levels.  Faces are kept in a canonical order sorted by
     (dimension, label, insertion index), which makes every derived
     output byte-deterministic.
+
+    One routine, :meth:`_build`, runs these checks for every complex.
+    It completes a complex from a checked parent's surviving faces and
+    fresh records and checks only the fresh faces.  The constructor runs
+    it with no parent, a restriction (:meth:`_restricted`) with no fresh
+    faces, and a move (:meth:`_derived`) with both.
     """
 
     __slots__ = ("_order", "_index", "_dims", "_labels", "_cov", "_delta",
                  "_levels", "_verts")
 
     def __init__(self, faces: Iterable[Mapping]):
-        records = [dict(r) for r in faces]
-        dims: dict[str, int] = {}
-        labels: dict[str, str] = {}
-        cov_raw: dict[str, tuple] = {}
-        delta_raw: dict[str, tuple] = {}
-        levels_raw: dict[str, int] = {}
-        ids, any_delta, any_level = _read_faces(
-            records, dims, labels, cov_raw, delta_raw, levels_raw)
+        self._dims, self._labels, self._cov, self._verts = {}, {}, {}, {}
+        self._delta = self._levels = None
+        self._build([], [dict(r) for r in faces])
 
-        # canonical ordering: (dim, label, insertion index)
-        insertion = {f: pos for pos, f in enumerate(ids)}
-        order = tuple(sorted(dims, key=lambda f: (dims[f], labels[f], insertion[f])))
-        index = {f: i for i, f in enumerate(order)}
+    # -- the one build routine -------------------------------------------
 
-        cov = {f: tuple(sorted(set(cov_raw[f]), key=index.__getitem__))
-               for f in order}
+    def _build(self, survivors: list, fresh: Sequence[Mapping]):
+        """Complete this complex from a parent's ``survivors`` and ``fresh``
+        records, checking only the fresh faces.
 
-        delta = None
-        if any_delta:
-            for f in order:
-                if dims[f] >= 1 and f not in delta_raw:
-                    raise BadDeltaStructure(
-                        f"face {f!r} lacks delta_order while the complex claims one")
-            delta = {f: delta_raw.get(f, ()) for f in order}
-            for f in order:
-                if dims[f] == 0:
-                    delta[f] = ()
-        elif order and all(d == 0 for d in dims.values()):
-            # a set of points is trivially Delta-structured
-            delta = {f: () for f in order}
-
-        levels = None
-        if any_level:
-            for f in order:
-                if f not in levels_raw:
-                    raise LevelNotDownwardClosed(
-                        f"face {f!r} lacks a level while the complex is filtered")
-            levels = dict(levels_raw)
-            for f in order:
-                for g in cov[f]:
-                    if levels[g] > levels[f]:
-                        raise LevelNotDownwardClosed(
-                            f"face {f!r} at level {levels[f]} covers {g!r} "
-                            f"at level {levels[g]}")
-
-        self._order = order
-        self._index = index
-        self._dims = dims
-        self._labels = labels
-        self._cov = cov
-        self._delta = delta
-        self._levels = levels
-        self._verts: dict[str, tuple] = {}
-
-        if delta is not None:
-            self._validate_delta(order)
-        else:
-            self._validate_low_cells()
-
-    # -- construction without the full validation pass --------------------
-
-    @classmethod
-    def _assembled(cls, order, dims, labels, cov, delta, levels, verts):
-        out = cls.__new__(cls)
-        out._order = order
-        out._index = {f: i for i, f in enumerate(order)}
-        out._dims = dims
-        out._labels = labels
-        out._cov = cov
-        out._delta = delta
-        out._levels = levels
-        out._verts = verts
-        return out
-
-    def _restricted(self, order) -> "CombinatorialComplex":
-        """The subcomplex on ``order``, a downward-closed part of ``_order``.
-
-        Every per-face check of the constructor looks only at a face and
-        the faces below it, so a downward-closed part of a checked complex
-        passes them all, and its faces in the parent's order are already
-        in canonical order.  Equal to the complex the constructor builds
-        from the same faces' records.
+        The survivors are a downward-closed part of a checked parent, in its
+        canonical order; the maps already hold their entries, and
+        ``_delta`` and ``_levels`` are None unless the parent had them.
+        Every check looks only at a face and the faces below it, so the
+        survivors pass again what they passed when the parent was built; a
+        survivor is looked at only for a Delta structure or levels that
+        the fresh records claim and the parent lacked.  The result equals
+        the complex the constructor builds from the survivors' records
+        followed by the fresh ones, and a bad fresh face fails with the
+        constructor's error and message.
         """
-        if not order:
-            return self._assembled((), {}, {}, {}, None, None, {})
-        dims = {f: self._dims[f] for f in order}
-        delta, verts = self._delta, self._verts
-        if delta is not None:
-            delta = {f: delta[f] for f in order}
-            verts = {f: verts[f] for f in order}
-        elif all(d == 0 for d in dims.values()):
-            # a set of points is trivially Delta-structured
-            delta = {f: () for f in order}
-            verts = {f: (f,) for f in order}
-        levels = self._levels
-        if levels is not None:
-            levels = {f: levels[f] for f in order}
-        return self._assembled(order, dims, {f: self._labels[f] for f in order},
-                               {f: self._cov[f] for f in order}, delta, levels,
-                               verts)
-
-    def _derived(self, drop, fresh: Sequence[Mapping]) -> "CombinatorialComplex":
-        """This complex without the faces in ``drop``, plus the ``fresh`` records.
-
-        ``drop`` must be closed upward, so that the survivors are closed
-        downward and passed every check when this complex was built.  The
-        fresh faces get every check of the constructor, failing with the
-        same error and message, and the result equals the complex the
-        constructor builds from the survivors' records followed by the
-        fresh ones.  A parent or an output without a Delta structure (other
-        than a set of points) goes through the constructor.
-        """
-        survivors = [f for f in self._order if f not in drop]
-        if self._delta is None and self._order:
-            return CombinatorialComplex(
-                [self._record(f) for f in survivors] + list(fresh))
-        dims = dict(self._dims)
-        labels = dict(self._labels)
-        cov = dict(self._cov)
-        delta = dict(self._delta or {})
-        levels = dict(self._levels or {})
-        verts = dict(self._verts)
-        for f in drop:
-            del dims[f], labels[f], cov[f], delta[f], verts[f]
-            levels.pop(f, None)
+        dims, labels, cov = self._dims, self._labels, self._cov
+        carried_delta = self._delta is not None and bool(survivors)
+        carried_levels = self._levels is not None and bool(survivors)
+        delta = self._delta if carried_delta else {}
+        levels = self._levels if carried_levels else {}
         new, fresh_delta, fresh_level = _read_faces(
             fresh, dims, labels, cov, delta, levels, start=len(survivors))
-        any_delta = bool(survivors) or fresh_delta
-        any_level = bool(survivors) and self._levels is not None or fresh_level
-        if not any_delta and (not new or any(dims[f] for f in new)):
-            return CombinatorialComplex(list(fresh))
 
-        # a stable sort by (dim, label) is the constructor's sort by
-        # (dim, label, insertion index)
-        order = tuple(sorted(survivors + new, key=lambda f: (dims[f], labels[f])))
-        out = self._assembled(order, dims, labels, cov, delta,
-                              levels if any_level else None, verts)
-        index = out._index
+        # canonical order (dim, label, insertion index): the survivors come
+        # in the parent's canonical order, so a stable sort by (dim, label)
+        # of the survivors followed by the fresh faces gives it
+        order = tuple(sorted(survivors + new, key=lambda f: (dims[f], labels[f]))
+                      if new else survivors)
+        index = {f: i for i, f in enumerate(order)}
         new.sort(key=index.__getitem__)
         for f in new:
             cov[f] = tuple(sorted(set(cov[f]), key=index.__getitem__))
-            if dims[f] >= 1 and f not in delta:
-                raise BadDeltaStructure(
-                    f"face {f!r} lacks delta_order while the complex claims one")
-            if dims[f] == 0:
-                delta[f] = ()
-        if any_level:
-            for f in new if self._levels is not None else order:
+
+        if carried_delta or fresh_delta:
+            for f in new if carried_delta else order:
+                if dims[f] >= 1 and f not in delta:
+                    raise BadDeltaStructure(
+                        f"face {f!r} lacks delta_order while the complex claims one")
+                if dims[f] == 0:
+                    delta[f] = ()
+        elif order and dims[order[-1]] == 0:
+            # a set of points is trivially Delta-structured
+            delta = {f: () for f in order}
+        else:
+            delta = None
+
+        if carried_levels or fresh_level:
+            for f in new if carried_levels else order:
                 if f not in levels:
                     raise LevelNotDownwardClosed(
                         f"face {f!r} lacks a level while the complex is filtered")
@@ -310,7 +222,51 @@ class CombinatorialComplex:
                         raise LevelNotDownwardClosed(
                             f"face {f!r} at level {levels[f]} covers {g!r} "
                             f"at level {levels[g]}")
-        out._validate_delta(new)
+        else:
+            levels = None
+
+        self._order, self._index = order, index
+        self._delta, self._levels = delta, levels
+        if delta is None:
+            self._validate_low_cells(new)
+        else:
+            self._validate_delta(new if carried_delta else order)
+
+    def _carried(self, carry) -> "CombinatorialComplex":
+        # a complex holding this one's maps, each passed through carry, for
+        # _build to complete
+        out = CombinatorialComplex.__new__(CombinatorialComplex)
+        out._dims, out._labels = carry(self._dims), carry(self._labels)
+        out._cov, out._verts = carry(self._cov), {}
+        out._delta = out._levels = None
+        if self._delta is not None:
+            out._delta, out._verts = carry(self._delta), carry(self._verts)
+        if self._levels is not None:
+            out._levels = carry(self._levels)
+        return out
+
+    def _restricted(self, order) -> "CombinatorialComplex":
+        """The subcomplex on ``order``, a downward-closed part of ``_order``:
+        the build routine with no fresh faces."""
+        out = self._carried(lambda m: {f: m[f] for f in order})
+        out._build(list(order), ())
+        return out
+
+    def _derived(self, drop, fresh: Sequence[Mapping]) -> "CombinatorialComplex":
+        """This complex without the faces in ``drop``, plus the ``fresh`` records.
+
+        ``drop`` must be closed upward, so that the survivors are closed
+        downward.  The build routine checks only the fresh faces; see
+        :meth:`_build`.
+        """
+        def carry(m):
+            m = dict(m)
+            for f in drop:
+                del m[f]
+            return m
+
+        out = self._carried(carry)
+        out._build([f for f in self._order if f not in drop], fresh)
         return out
 
     # -- validation helpers --------------------------------------------
@@ -359,11 +315,11 @@ class CombinatorialComplex:
                 raise BadDeltaStructure(
                     f"face {f!r} has repeated vertices {vs}")
 
-    def _validate_low_cells(self):
+    def _validate_low_cells(self, faces):
         # exact in dimensions 1 and 2: the boundary of an edge is two
         # points, the boundary of a 2-cell one circle of edges
         dims, cov = self._dims, self._cov
-        for f in self._order:
+        for f in faces:
             k = dims[f]
             if k == 1 and len(cov[f]) != 2:
                 raise NotRegularCW(
@@ -647,11 +603,10 @@ class CombinatorialComplex:
                                         taken)))
         min_level = min(self._levels.values(), default=1) if self._levels else None
 
-        recs = [self._record(f) for f in self._order]
         apex_rec = {"id": apex_id, "dim": 0, "facets": []}
         if self._levels is not None:
             apex_rec["level"] = min_level
-        recs.append(apex_rec)
+        recs = [apex_rec]
 
         for f in self._order:
             nid = mixed_ids[f]
@@ -669,7 +624,7 @@ class CombinatorialComplex:
             if self._levels is not None:
                 rec["level"] = self._levels[f]
             recs.append(rec)
-        return CombinatorialComplex(recs)
+        return self._derived((), recs)
 
     def order_complex(self) -> "CombinatorialComplex":
         """The complex of chains of the face poset (barycentric subdivision).
@@ -835,61 +790,62 @@ def quotient_free_involution(c: CombinatorialComplex,
     return c.quotient_free_involution(phi)
 
 
-def disjoint_union(a: CombinatorialComplex,
-                   b: CombinatorialComplex) -> CombinatorialComplex:
-    """Disjoint union; colliding ids on the right side are renamed."""
-    recs = [a._record(f) for f in a.face_ids]
-    taken = set(a.face_ids)
-    rename = dict(zip(b.face_ids, _dedup_ids(b.face_ids, taken)))
+def _union_records(a: CombinatorialComplex, b: CombinatorialComplex,
+                   rename: Mapping[str, str]) -> list[dict]:
+    """The records of ``a``, then those of ``b`` with ids renamed by
+    ``rename``; Delta orders and levels are kept when both sides, or the
+    one side that is not empty, have them."""
     keep_delta = a.has_delta and b.has_delta
     keep_levels = a.has_levels and b.has_levels
     if a.is_empty:
         keep_delta, keep_levels = b.has_delta, b.has_levels
     if b.is_empty:
         keep_delta, keep_levels = a.has_delta, a.has_levels
+    recs = [a._record(f) for f in a.face_ids]
     for f in b.face_ids:
-        rec = {"id": rename[f], "dim": b.dim(f), "label": b.label(f),
-               "facets": [rename[g] for g in b.facets(f)]}
-        if keep_delta and b.dim(f) >= 1:
-            rec["delta_order"] = [rename[g] for g in b.delta_order(f)]
-        if keep_levels:
-            rec["level"] = b.level(f)
+        rec = b._record(f)
+        rec["id"] = rename[f]
+        rec["facets"] = [rename[g] for g in rec["facets"]]
+        if "delta_order" in rec:
+            rec["delta_order"] = [rename[g] for g in rec["delta_order"]]
         recs.append(rec)
-    if not keep_delta:
-        for rec in recs:
+    for rec in recs:
+        if not keep_delta:
             rec.pop("delta_order", None)
-    if not keep_levels:
-        for rec in recs:
+        if not keep_levels:
             rec.pop("level", None)
-    return CombinatorialComplex(recs)
+    return recs
+
+
+def _renaming(a: CombinatorialComplex, b: CombinatorialComplex) -> dict:
+    # b's ids, with the ones that collide with a's suffixed
+    return dict(zip(b.face_ids, _dedup_ids(b.face_ids, set(a.face_ids))))
+
+
+def disjoint_union(a: CombinatorialComplex,
+                   b: CombinatorialComplex) -> CombinatorialComplex:
+    """Disjoint union; colliding ids on the right side are renamed."""
+    return CombinatorialComplex(_union_records(a, b, _renaming(a, b)))
 
 
 def wedge(a: CombinatorialComplex, v1: str,
           b: CombinatorialComplex, v2: str) -> CombinatorialComplex:
-    """One-point union identifying vertex ``v2`` of ``b`` with ``v1`` of ``a``."""
+    """One-point union identifying vertex ``v2`` of ``b`` with ``v1`` of ``a``.
+
+    ``b`` is renamed as in :func:`disjoint_union`, with ``v2`` going to
+    ``v1``, which takes the smaller of the two levels.
+    """
     if v1 not in a.face_ids or a.dim(v1) != 0:
         raise NotAVertex(f"{v1!r} is not a vertex of the left complex")
     if v2 not in b.face_ids or b.dim(v2) != 0:
         raise NotAVertex(f"{v2!r} is not a vertex of the right complex")
-    u = disjoint_union(a, b)
-    # recover the (possibly renamed) image of v2 in the union
-    taken = set(a.face_ids)
-    rename = dict(zip(b.face_ids, _dedup_ids(b.face_ids, taken)))
-    v2u = rename[v2]
-    recs = []
-    for f in u.face_ids:
-        if f == v2u:
-            continue
-        rec = u._record(f)
-        rec["facets"] = [v1 if g == v2u else g for g in rec["facets"]]
-        if "delta_order" in rec:
-            rec["delta_order"] = [v1 if g == v2u else g for g in rec["delta_order"]]
-        recs.append(rec)
-    if u.has_levels:
-        lv = min(u.level(v1), u.level(v2u))
-        for rec in recs:
-            if rec["id"] == v1:
-                rec["level"] = lv
+    rename = _renaming(a, b)
+    rename[v2] = v1
+    recs = _union_records(a, b, rename)
+    del recs[len(a.face_ids) + b._index[v2]]    # v2's record, now id v1
+    v1_rec = recs[a._index[v1]]
+    if "level" in v1_rec:
+        v1_rec["level"] = min(v1_rec["level"], b.level(v2))
     return CombinatorialComplex(recs)
 
 

@@ -6,12 +6,15 @@ the discrete Morse flow that retracts a new vertex onto an old one,
 puckering of a maximal cell, and sequential script replay with a
 homology log.
 
-A move checks only the faces it creates: the faces it keeps lie below
-one another as before and were checked when their complex was built
-(see ``CombinatorialComplex._derived``).  The replay carries each level
-forward: a level subcomplex equal to the one of the step before keeps
-its homology, while the whole complex's homology, and with it the
-d^2 = 0 check, is computed at every step.
+Every move here (stellar subdivision, the attached cone, the vertex
+flow, puckering) hands the faces it keeps and the records of the faces
+it creates to ``CombinatorialComplex._derived``, the complex's one
+build routine, which checks only the created faces: the kept ones lie
+below one another as before and were checked when their complex was
+built.  The replay carries each level forward: a level subcomplex equal
+to the one of the step before keeps its homology, while the whole
+complex's homology, and with it the d^2 = 0 check, is computed at every
+step.
 """
 
 from __future__ import annotations
@@ -181,16 +184,16 @@ class BlowupMove:
 
 
 def _closure(c, faces):
+    """The downward closure of ``faces``, in canonical order."""
     seen = set()
     for f in faces:
         seen.update(c.downset(f))
-    index = {f: i for i, f in enumerate(c.face_ids)}
-    return sorted(seen, key=index.__getitem__)
+    return sorted(seen, key=c._index.__getitem__)
 
 
-def _attach_cone(c, gens, new_vertex, level):
-    """Add a vertex coned over the downward closure of ``gens``."""
-    closure = _closure(c, gens)
+def _attach_cone(c, closure, new_vertex, level):
+    """Add a vertex coned over ``closure``, a downward-closed set of faces
+    in canonical order."""
     taken = set(c.face_ids)
     e = _dedup_ids([new_vertex], taken)[0]
     taken.add(e)
@@ -222,6 +225,7 @@ def _attach_cone(c, gens, new_vertex, level):
 
 
 def _validate_case3(c, move):
+    """Check a case 3 move; returns the closure of its attachment."""
     base = move.base
     if base is None or base not in c.face_ids:
         raise DescriptorInvalid(f"case 3 base face {base!r} missing")
@@ -265,7 +269,7 @@ def _validate_case3(c, move):
             raise DescriptorInvalid(
                 f"face {g!r} has {len(spans)} spans through {vj!r} "
                 "in the attachment closure; need exactly one")
-    return vj
+    return closure
 
 
 def blowup_move(c: CombinatorialComplex, move: BlowupMove) -> CombinatorialComplex:
@@ -281,17 +285,18 @@ def blowup_move(c: CombinatorialComplex, move: BlowupMove) -> CombinatorialCompl
     if move.case == 3:
         if not c.has_delta:
             raise MissingDeltaStructure("case 3 needs a delta structure")
-        _validate_case3(c, move)
+        closure = _validate_case3(c, move)
         new_vertex = move.new_vertex if move.new_vertex is not None \
             else f"v({move.base})"
-        return _attach_cone(c, list(move.attach), new_vertex, move.level)
+        return _attach_cone(c, closure, new_vertex, move.level)
     if move.case == "attach":
         if move.new_vertex is None:
             raise DescriptorInvalid("attach move needs new_vertex")
         for t in move.attach:
             if t not in c.face_ids:
                 raise DescriptorInvalid(f"attach face {t!r} missing")
-        return _attach_cone(c, list(move.attach), move.new_vertex, move.level)
+        return _attach_cone(c, _closure(c, move.attach), move.new_vertex,
+                            move.level)
     raise DescriptorInvalid(f"unknown move case {move.case!r}")
 
 
@@ -379,37 +384,30 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
             for s in order}
     _check_acyclic(order, succ)
 
-    # build the flowed complex
+    # build the flowed complex: the removed faces are the star of v_src;
+    # critical (like c.face_ids) is sorted by dimension
     removed = set(sources) | targets_set
-    kept = [f for f in c.face_ids if f not in removed]
-    taken = set(kept)
-    crit_ids = dict(zip(critical,
-                        _dedup_ids([f"{f}~{v_dst}" for f in critical], taken)))
-
-    image: dict[str, str] = {}
-    for f in kept:
-        image[f] = f
-    for f in sorted(critical, key=c.dim):
-        image[f] = crit_ids[f]
-    for f in matching:
-        t = matching[f]
+    crit_ids = dict(zip(critical, _dedup_ids(
+        [f"{f}~{v_dst}" for f in critical], set(c.face_ids) - removed)))
+    image = dict(crit_ids)
+    for f, t in matching.items():
         # image of a matched source: the facet of its span omitting v_src
         pos = [i for i, v in enumerate(c.vertices_of(t)) if v != v_src]
         image[f] = c.subface(t, pos)
 
-    recs = [c._record(f) for f in kept]
-    for f in sorted(critical, key=c.dim):
-        delta = [image[g] for g in c.delta_order(f)]
+    recs = []
+    for f in critical:
+        delta = [image.get(g, g) for g in c.delta_order(f)]
         rec = {"id": crit_ids[f], "dim": c.dim(f), "label": c.label(f),
                "facets": delta, "delta_order": delta}
         if c.has_levels:
             rec["level"] = c.level(f)
         recs.append(rec)
-    reduced = CombinatorialComplex(recs)
+    reduced = c._derived(removed, recs)
     certificate = {
         "acyclic": True,
         "matched_pairs": len(matching),
-        "critical": [crit_ids[f] for f in sorted(critical, key=c.dim)],
+        "critical": [crit_ids[f] for f in critical],
         "perfect": not critical,
     }
     return reduced, tuple(sorted(matching.items())), certificate
@@ -427,14 +425,9 @@ def pucker(c: CombinatorialComplex, sigma: str, d: int) -> CombinatorialComplex:
         raise BadMultiplicity(f"multiplicity {d} must be at least 1")
     if not c.is_maximal(sigma):
         raise NotMaximal(f"face {sigma!r} is not maximal")
-    recs = [c._record(f) for f in c.face_ids]
     copies = _dedup_ids([f"{sigma}+{i}" for i in range(1, d)], set(c.face_ids))
-    for nid in copies:
-        rec = dict(c._record(sigma))
-        rec["id"] = nid
-        rec["label"] = nid
-        recs.append(rec)
-    return CombinatorialComplex(recs)
+    return c._derived((), [{**c._record(sigma), "id": nid, "label": nid}
+                           for nid in copies])
 
 
 @dataclass

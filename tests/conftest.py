@@ -7,6 +7,8 @@ import random
 from sncx import CombinatorialComplex, simplicial_complex_from_subsets
 from sncx.newton import LatticePolytope
 
+from oracles import validating_constructor
+
 
 def close_under_subsets(faces):
     closed = set()
@@ -46,14 +48,18 @@ def without_delta(c: CombinatorialComplex) -> CombinatorialComplex:
          for f in c.face_ids])
 
 
+def assert_same_complex(x: CombinatorialComplex, y: CombinatorialComplex):
+    """Equal complexes, with the same structure flags and vertex lists."""
+    assert x == y
+    assert (x.has_delta, x.has_levels) == (y.has_delta, y.has_levels)
+    if x.has_delta:
+        assert [x.vertices_of(f) for f in x.face_ids] == \
+            [y.vertices_of(f) for f in y.face_ids]
+
+
 def assert_rebuilds(x: CombinatorialComplex):
     """The validating constructor accepts ``x``'s records and gives ``x``."""
-    y = CombinatorialComplex(x.to_records())
-    assert y == x
-    assert (y.has_delta, y.has_levels) == (x.has_delta, x.has_levels)
-    if x.has_delta:
-        assert [y.vertices_of(f) for f in y.face_ids] == \
-            [x.vertices_of(f) for f in x.face_ids]
+    assert_same_complex(x, validating_constructor(x.to_records()))
 
 
 def random_subset_closed(rng: random.Random, ground=5):

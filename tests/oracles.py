@@ -10,9 +10,13 @@ kernel line for every subset of points and coordinate directions, a
 face lattice that intersects every pair of faces found, a poset
 isomorphism search that recurses once per face, the complexes read
 off polyhedra and fans built by scanning every cell for every cell, then
-puckered one long edge at a time, and a blowup-script replay that builds
+puckered one long edge at a time, a blowup-script replay that builds
 every move output and level subcomplex with the validating constructor
-and computes every homology again.
+and computes every homology again, a wedge built as a disjoint union
+and then rebuilt with the two vertices merged, and that validating
+constructor itself: every check run on every face of a record list,
+kept apart from the library's one build routine, which checks only the
+faces a move creates and is the constructor too.
 """
 
 from __future__ import annotations
@@ -22,8 +26,17 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from sncx.complexes import CombinatorialComplex
-from sncx.errors import MatchingNotAcyclic, NotRegularCW, ScriptError
+from sncx.complexes import CombinatorialComplex, _dedup_ids
+from sncx.errors import (
+    BadDeltaStructure,
+    DanglingFace,
+    DuplicateFace,
+    GradingViolation,
+    LevelNotDownwardClosed,
+    MatchingNotAcyclic,
+    NotRegularCW,
+    ScriptError,
+)
 from sncx.homology import HomologyResult, chain_complex, homology
 from sncx.newton import PolyFace, PolyFacet, SubdividedSimplex, _affine_dim, _dot
 from sncx.snf import kernel_line, smith_normal_form
@@ -442,9 +455,148 @@ def all_cones_toric_link(fan):
     return CombinatorialComplex(recs)
 
 
+def validating_constructor(records):
+    """The complex of ``records``, every check run on every face."""
+    records = [dict(r) for r in records]
+    dims, labels, cov_raw, delta_raw, levels_raw = {}, {}, {}, {}, {}
+    any_delta = any_level = False
+    for pos, rec in enumerate(records):
+        fid = rec.get("id")
+        if not isinstance(fid, str) or not fid:
+            raise DuplicateFace(f"face record {pos} has no usable id")
+        if fid in dims:
+            raise DuplicateFace(f"duplicate face id {fid!r}")
+        dim = rec.get("dim")
+        if not isinstance(dim, int) or dim < 0:
+            raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
+        dims[fid] = dim
+        labels[fid] = str(rec.get("label", fid))
+        cov_raw[fid] = tuple(rec.get("facets", ()))
+        if rec.get("delta_order") is not None:
+            any_delta = True
+            delta_raw[fid] = tuple(rec["delta_order"])
+        if rec.get("level") is not None:
+            any_level = True
+            lv = rec["level"]
+            if not isinstance(lv, int) or lv < 1:
+                raise LevelNotDownwardClosed(
+                    f"face {fid!r} has invalid level {lv!r}; levels start at 1")
+            levels_raw[fid] = lv
+    for fid, k in dims.items():
+        for g in cov_raw[fid]:
+            if g not in dims:
+                raise DanglingFace(f"face {fid!r} covers unknown face {g!r}")
+            if dims[g] != k - 1:
+                raise GradingViolation(
+                    f"face {fid!r} (dim {k}) covers {g!r} of dim {dims[g]}")
+        if k >= 1 and not cov_raw[fid]:
+            raise GradingViolation(
+                f"face {fid!r} has dim {k} but no codimension-one faces")
+        if k == 0 and cov_raw[fid]:
+            raise GradingViolation(f"vertex {fid!r} covers faces")
+
+    insertion = {f: pos for pos, f in enumerate(dims)}
+    order = tuple(sorted(dims, key=lambda f: (dims[f], labels[f], insertion[f])))
+    index = {f: i for i, f in enumerate(order)}
+    cov = {f: tuple(sorted(set(cov_raw[f]), key=index.__getitem__))
+           for f in order}
+
+    delta = None
+    if any_delta:
+        for f in order:
+            if dims[f] >= 1 and f not in delta_raw:
+                raise BadDeltaStructure(
+                    f"face {f!r} lacks delta_order while the complex claims one")
+        delta = {f: delta_raw.get(f, ()) if dims[f] else () for f in order}
+    elif order and all(d == 0 for d in dims.values()):
+        delta = {f: () for f in order}
+
+    levels = None
+    if any_level:
+        for f in order:
+            if f not in levels_raw:
+                raise LevelNotDownwardClosed(
+                    f"face {f!r} lacks a level while the complex is filtered")
+        levels = dict(levels_raw)
+        for f in order:
+            for g in cov[f]:
+                if levels[g] > levels[f]:
+                    raise LevelNotDownwardClosed(
+                        f"face {f!r} at level {levels[f]} covers {g!r} "
+                        f"at level {levels[g]}")
+
+    out = CombinatorialComplex.__new__(CombinatorialComplex)
+    out._order, out._index, out._dims, out._labels = order, index, dims, labels
+    out._cov, out._delta, out._levels, out._verts = cov, delta, levels, {}
+    if delta is None:
+        for f in order:
+            if dims[f] == 1 and len(cov[f]) != 2:
+                raise NotRegularCW(
+                    f"edge {f!r} covers {len(cov[f])} vertices, wants 2")
+            if dims[f] == 2:
+                out.boundary_walk(f)
+        return out
+    for f in order:
+        k, d = dims[f], delta[f]
+        if k and len(d) != k + 1:
+            raise BadDeltaStructure(
+                f"face {f!r} of dim {k} has {len(d)} delta facets, wants {k + 1}")
+        if k and len(set(d)) != k + 1:
+            raise BadDeltaStructure(f"face {f!r} repeats a facet in its delta_order")
+        if k and set(d) != set(cov[f]):
+            raise BadDeltaStructure(
+                f"face {f!r}: delta_order disagrees with its covering set")
+    for f in order:
+        d = delta[f]
+        for i in range(dims[f] + 1 if dims[f] >= 2 else 0):
+            for j in range(i):
+                if delta[d[i]][j] != delta[d[j]][i - 1]:
+                    raise BadDeltaStructure(
+                        f"face {f!r} violates the facet identity at ({i},{j})")
+    for f in order:
+        vs = out._verts[f] = ((f,) if not dims[f] else
+                              (out._verts[delta[f][1]][0],) + out._verts[delta[f][0]])
+        if len(set(vs)) != len(vs):
+            raise BadDeltaStructure(f"face {f!r} has repeated vertices {vs}")
+    return out
+
+
+def two_step_wedge(a, v1, b, v2):
+    """The one-point union built as a disjoint union first, then rebuilt
+    with ``v2``'s image merged into ``v1``."""
+    def renamed(c, f, rename):
+        rec = c._record(f)
+        rec["id"] = rename[f]
+        rec["facets"] = [rename[g] for g in rec["facets"]]
+        if "delta_order" in rec:
+            rec["delta_order"] = [rename[g] for g in rec["delta_order"]]
+        return rec
+
+    keep_delta = a.has_delta and b.has_delta
+    keep_levels = a.has_levels and b.has_levels
+    rename = dict(zip(b.face_ids, _dedup_ids(b.face_ids, set(a.face_ids))))
+    recs = [a._record(f) for f in a.face_ids]
+    recs += [renamed(b, f, rename) for f in b.face_ids]
+    for rec in recs:
+        if not keep_delta:
+            rec.pop("delta_order", None)
+        if not keep_levels:
+            rec.pop("level", None)
+    u = validating_constructor(recs)
+    v2u = rename[v2]
+    merge = {f: f for f in u.face_ids}
+    merge[v2u] = v1
+    recs = [renamed(u, f, merge) for f in u.face_ids if f != v2u]
+    if u.has_levels:
+        for rec in recs:
+            if rec["id"] == v1:
+                rec["level"] = min(u.level(v1), u.level(v2u))
+    return validating_constructor(recs)
+
+
 def derived_by_constructor(c, drop, fresh):
     """``c._derived(drop, fresh)`` through the validating constructor."""
-    return CombinatorialComplex(
+    return validating_constructor(
         [c._record(f) for f in c.face_ids if f not in drop] + list(fresh))
 
 
@@ -459,7 +611,7 @@ def _recomputed_snapshot(c):
         top = c.max_level()
         for m in range(1, top + 1):
             # the top level subcomplex is c itself
-            hm = h if m == top else homology(CombinatorialComplex(
+            hm = h if m == top else homology(validating_constructor(
                 [c._record(f) for f in c.face_ids if c.level(f) <= m]))
             per[str(m)] = hm.as_json()
             nz[m] = hm.nonzero()

@@ -9,6 +9,8 @@ from sncx import gallery as G
 from sncx.cli import main
 from sncx.serialize import dumps_complex
 
+from conftest import close_under_subsets
+
 
 def run_cli(argv):
     buf = io.StringIO()
@@ -232,6 +234,24 @@ class TestErrors:
         assert "step 2" in err["message"]
 
 
+class TestMalformedRecords:
+    """Face records that are not mappings fail in the constructor's copy
+    of each record, reported as the Python error with exit code 1."""
+
+    @pytest.mark.parametrize("faces, error", [
+        (["x"], {"type": "ValueError", "message":
+                 "dictionary update sequence element #0 has length 1; 2 is required"}),
+        ([1], {"type": "TypeError", "message": "'int' object is not iterable"}),
+    ])
+    def test_error_object(self, tmp_path, faces, error):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"faces": faces}))
+        for argv in (["homology", str(bad)], ["certify", "--sphere-dim", "1", str(bad)]):
+            code, out = run_cli(argv)
+            assert code == 1
+            assert json.loads(out) == {"error": error}
+
+
 def filtered(c):
     recs = []
     for f in c.face_ids:
@@ -332,15 +352,41 @@ class TestDeterminism:
         import sys
         fan = tmp_path / "fan.json"
         fan.write_text(inputs["fan"].read_text())
-        outs = set()
-        for seed in ("0", "1", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            proc = subprocess.run(
-                [sys.executable, "-m", "sncx.cli", "toric-link", str(fan)],
-                capture_output=True, text=True, env=env)
-            assert proc.returncode == 0
-            outs.add(proc.stdout)
-        assert len(outs) == 1
+        # a filtered complex and a script of cases 2 and 3
+        sphere = S.simplicial_complex_from_subsets(
+            [s for s in close_under_subsets([{0, 1, 2, 3}]) if len(s) < 4])
+        recs = [dict(sphere._record(f), level=2 if "3" in sphere.vertices_of(f) else 1)
+                for f in sphere.face_ids]
+        filtered_sphere = tmp_path / "filtered.json"
+        filtered_sphere.write_text(dumps_complex(S.new_complex(recs)))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([
+            {"case": 2, "face": "0.1.2"},
+            {"case": 3, "base": "0.1", "attach": ["0.1", "0.1.3"], "vertex": "0",
+             "level": 2},
+            {"case": 2, "face": "2.3"}]))
+        # a poset without a Delta structure
+        poset = tmp_path / "poset.json"
+        poset.write_text(json.dumps({"faces": [
+            {k: v for k, v in sphere._record(f).items() if k != "delta_order"}
+            for f in sphere.face_ids]}))
+        runs = (["toric-link", str(fan)],
+                ["transform", str(filtered_sphere), str(script)],
+                ["certify", "--sphere-dim", "2", str(poset)])
+        for argv in runs:
+            outs = set()
+            for seed in ("0", "1", "31337"):
+                env = dict(os.environ, PYTHONHASHSEED=seed)
+                proc = subprocess.run([sys.executable, "-m", "sncx.cli", *argv],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stdout
+                outs.add(proc.stdout)
+            assert len(outs) == 1, argv
+        log = json.loads(run_cli(runs[1])[1])["report"]["log"]
+        assert [s["move"]["case"] for s in log["steps"][1:]] == [2, 3, 2]
+        assert log["homology_constant"]
+        assert set(log["steps"][-1]["per_level"]) == {"1", "2"}
+        assert json.loads(outs.pop())["report"]["status"] == "certified-wedge"
 
 
 class TestDependencies:

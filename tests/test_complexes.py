@@ -20,11 +20,17 @@ from sncx.errors import (
 
 from conftest import (
     assert_rebuilds,
+    assert_same_complex,
     random_simplicial_complex,
     with_random_levels,
     without_delta,
 )
-from oracles import recursive_complexes_isomorphic
+from oracles import (
+    derived_by_constructor,
+    recursive_complexes_isomorphic,
+    two_step_wedge,
+    validating_constructor,
+)
 
 
 def filtered_triangle_with_pendant():
@@ -424,13 +430,89 @@ class TestFiltration:
             inputs += [c, without_delta(c), with_random_levels(rng, c),
                        without_delta(with_random_levels(rng, c))]
         for c in inputs:
-            subs = [c.skeleton(k) for k in range(-1, c.dimension + 2)]
+            subs = [(c.skeleton(k), [f for f in c.face_ids if c.dim(f) <= k])
+                    for k in range(-1, c.dimension + 2)]
             if c.has_levels:
-                subs += [c.level_subcomplex(m) for m in range(c.max_level() + 1)]
-            for sub in subs:
+                subs += [(c.level_subcomplex(m),
+                          [f for f in c.face_ids if c.level(f) <= m])
+                         for m in range(c.max_level() + 1)]
+            for sub, kept in subs:
                 assert_rebuilds(sub)
+                assert_same_complex(
+                    sub, validating_constructor([c._record(f) for f in kept]))
         assert not without_delta(G.triangle_boundary()).has_delta
         assert without_delta(G.triangle_boundary()).skeleton(0).has_delta
+
+
+def agreement_inputs(seed, n):
+    """Random Delta, non-Delta and filtered complexes, and a few posets."""
+    rng = random.Random(seed)
+    out = [filtered_triangle_with_pendant(), S.CombinatorialComplex([]),
+           without_delta(G.cycle_complex(4)), without_delta(G.real_projective_plane())]
+    for i in range(n):
+        c = random_simplicial_complex(rng, max_verts=6, max_facets=4, max_dim=3)
+        if i % 2:
+            c = with_random_levels(rng, c)
+        out.append(without_delta(c) if i % 4 >= 2 else c)
+    return rng, out
+
+
+class TestOneBuildRoutine:
+    """The constructor and every move output agree with the validating
+    constructor frozen in the oracles (the restrictions are checked in
+    TestFiltration)."""
+
+    def test_constructor(self):
+        rng, inputs = agreement_inputs(909, 40)
+        for c in inputs:
+            recs = c.to_records()
+            rng.shuffle(recs)
+            assert_same_complex(S.CombinatorialComplex(recs),
+                                validating_constructor(recs))
+
+    def test_moves(self, monkeypatch):
+        # every _derived call a move makes equals the oracle on the
+        # survivors' records followed by the fresh ones
+        derived = S.CombinatorialComplex._derived
+        calls = []
+
+        def checked(self, drop, fresh):
+            got = derived(self, drop, fresh)
+            assert_same_complex(got, derived_by_constructor(self, drop, fresh))
+            calls.append(self.has_delta)
+            return got
+
+        monkeypatch.setattr(S.CombinatorialComplex, "_derived", checked)
+        rng, inputs = agreement_inputs(911, 40)
+        flows = 0
+        for c in inputs:
+            assert_rebuilds(c.cone())
+            assert_rebuilds(c.cone("0"))
+            top = [f for f in c.face_ids if c.is_maximal(f)]
+            for sigma in rng.sample(top, min(2, len(top))):
+                assert_rebuilds(S.pucker(c, sigma, rng.randint(1, 3)))
+            if not c.has_delta:
+                continue
+            for e in c.faces_of_dim(1)[:3]:
+                try:
+                    out, _m, _cert = S.morse_vertex_flow(c, *c.vertices_of(e))
+                except S.SncxError:
+                    continue
+                assert_rebuilds(out)
+                flows += 1
+        assert flows > 20
+        assert {True, False} <= set(calls)
+
+    def test_wedge_agrees_with_two_step(self):
+        rng, inputs = agreement_inputs(912, 30)
+        inputs = [c for c in inputs if not c.is_empty]
+        for _ in range(60):
+            a, b = rng.choice(inputs), rng.choice(inputs)
+            v1 = rng.choice(a.faces_of_dim(0))
+            v2 = rng.choice(b.faces_of_dim(0))
+            assert_same_complex(S.wedge(a, v1, b, v2), two_step_wedge(a, v1, b, v2))
+        c = filtered_triangle_with_pendant()
+        assert_same_complex(S.wedge(c, "v0", c, "v0"), two_step_wedge(c, "v0", c, "v0"))
 
 
 class TestRelabel:

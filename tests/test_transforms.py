@@ -10,6 +10,7 @@ from sncx.errors import (
     MatchingNotAcyclic,
     MissingDeltaStructure,
     NotMaximal,
+    NotRegularCW,
     PairingIncomplete,
     ScriptError,
 )
@@ -21,11 +22,13 @@ from conftest import (
     random_simplicial_complex,
     random_subset_closed,
     with_random_levels,
+    without_delta,
 )
 from oracles import (
     derived_by_constructor,
     recomputing_run_blowup_script,
     recursive_check_acyclic,
+    validating_constructor,
 )
 
 
@@ -658,3 +661,90 @@ class TestDerivedChecks:
             parent._derived(drop, fresh)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    @pytest.mark.parametrize("move", MOVES, ids=("stellar", "cone"))
+    def test_whole_records_same_error_as_oracle(self, monkeypatch, name, move):
+        # the constructor, given the survivors' records and the mutated
+        # fresh ones as one list, fails as the frozen validating constructor
+        parent, drop, fresh = captured_derivation(monkeypatch, filtered_disk(), move)
+        MUTATIONS[name](fresh)
+        records = [parent._record(f) for f in parent.face_ids if f not in drop] + fresh
+        with pytest.raises(S.SncxError) as want:
+            validating_constructor(records)
+        with pytest.raises(S.SncxError) as got:
+            S.CombinatorialComplex(records)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def _put(fid, key, value):
+    def mutate(fresh):
+        next(r for r in fresh if r["id"] == fid)[key] = value
+    return mutate
+
+
+# faces of the cone over a 5-cycle without a Delta structure, apex "c"
+POSET_MUTATIONS = {
+    "edge-on-three-vertices": _put("v0*c", "facets", ["c", "v0", "v1"]),
+    "two-cell-on-a-path": _put("e0*c", "facets", ["v0*c", "v1*c", "e1"]),
+    "two-cell-on-a-figure-eight": _put(
+        "e0*c", "facets", ["v0*c", "v1*c", "e0", "v2*c", "v3*c", "e2"]),
+}
+def _levels_on_all(fresh):
+    for r in fresh:
+        r["level"] = 1
+
+
+# a structure the fresh faces claim and the survivors lack, and the first
+# survivor in canonical order it fails on
+POSET_CLAIMS = {
+    "delta-order": (_put("e0*c", "delta_order", ["v0*c", "v1*c", "e0"]), "e0"),
+    "level": (_levels_on_all, "v0"),
+}
+
+
+class TestDerivedChecksWithoutDelta:
+    """The cone of a parent without a Delta structure checks its fresh
+    faces as regular CW cells, as the constructor does."""
+
+    @staticmethod
+    def captured_cone(monkeypatch):
+        seen = []
+        derived = S.CombinatorialComplex._derived
+
+        def capture(self, drop, fresh):
+            seen.append((self, drop, [dict(r) for r in fresh]))
+            return derived(self, drop, fresh)
+
+        monkeypatch.setattr(S.CombinatorialComplex, "_derived", capture)
+        out = without_delta(G.cycle_complex(5)).cone("c")
+        monkeypatch.undo()
+        (parent, drop, fresh), = seen
+        assert not parent.has_delta and drop == ()
+        assert_rebuilds(out)
+        return parent, drop, fresh
+
+    @pytest.mark.parametrize("name", sorted(POSET_MUTATIONS))
+    def test_same_error_as_oracle(self, monkeypatch, name):
+        parent, drop, fresh = self.captured_cone(monkeypatch)
+        POSET_MUTATIONS[name](fresh)
+        with pytest.raises(NotRegularCW) as want:
+            derived_by_constructor(parent, drop, fresh)
+        with pytest.raises(NotRegularCW) as got:
+            parent._derived(drop, fresh)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", sorted(POSET_CLAIMS))
+    def test_claim_checks_the_survivors(self, monkeypatch, name):
+        parent, drop, fresh = self.captured_cone(monkeypatch)
+        mutate, survivor = POSET_CLAIMS[name]
+        mutate(fresh)
+        with pytest.raises(S.SncxError) as want:
+            derived_by_constructor(parent, drop, fresh)
+        with pytest.raises(S.SncxError) as got:
+            parent._derived(drop, fresh)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"face {survivor!r} lacks")
+
