@@ -360,6 +360,10 @@ class CombinatorialComplex:
     def face_ids(self) -> tuple:
         return self._order
 
+    def has_face(self, f) -> bool:
+        """Whether ``f`` is the id of a face of this complex."""
+        return f in self._dims
+
     @property
     def has_delta(self) -> bool:
         return self._delta is not None or not self._order
@@ -835,9 +839,9 @@ def wedge(a: CombinatorialComplex, v1: str,
     ``b`` is renamed as in :func:`disjoint_union`, with ``v2`` going to
     ``v1``, which takes the smaller of the two levels.
     """
-    if v1 not in a.face_ids or a.dim(v1) != 0:
+    if not a.has_face(v1) or a.dim(v1) != 0:
         raise NotAVertex(f"{v1!r} is not a vertex of the left complex")
-    if v2 not in b.face_ids or b.dim(v2) != 0:
+    if not b.has_face(v2) or b.dim(v2) != 0:
         raise NotAVertex(f"{v2!r} is not a vertex of the right complex")
     rename = _renaming(a, b)
     rename[v2] = v1

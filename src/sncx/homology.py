@@ -1,15 +1,22 @@
 """Exact integral homology of combinatorial complexes.
 
 Chain complexes come straight from the Delta-structure when one is
-present (boundary = alternating sum of ordered facets); complexes that
-are only face posets go through their order complex, which computes the
-same homology for regular CW complexes, and the Euler-Poincare identity
-is checked on that route.  Boundaries are stored sparse, one
-``{row: coeff}`` column per face, and reduced by the sparse Smith normal
-form of ``sncx.snf`` in one pass from the top degree down, with
-clearing: the k-cells on which the boundary from degree k+1 has unit
-pivots are dropped from the columns of the boundary from degree k
-before it is reduced.  The boundaries those pivots were taken from form
+present (boundary = alternating sum of ordered facets).  A complex that
+is only a face poset gets its cellular boundary from incidence numbers
+[s:t] = +-1, chosen cell by cell; on a regular CW complex these give
+the homology of the order complex without building it.  Two checks
+guard that route: the Euler-Poincare identity of the order complex,
+whose Euler characteristic is summed from chain counts, and the
+choice of the incidence numbers itself (each ridge of a cell in exactly
+two of its facets, the facets connected through ridges, the signs
+closing).  Both are necessary for a regular CW complex, not
+sufficient; a failure raises ``NotRegularCW``.
+
+Boundaries are stored sparse, one ``{row: coeff}`` column per face,
+and reduced by the sparse Smith normal form of ``sncx.snf`` in one
+pass from the top degree down, with clearing: the k-cells on which the
+boundary from degree k+1 has unit pivots are dropped from the columns
+of the boundary from degree k before it is reduced.  The boundaries those pivots were taken from form
 a unimodular triangular system on the pivot cells, so each dropped
 column is an integer combination of the kept ones and the rank and
 torsion do not change.  Pivots that are not units clear nothing: over Z
@@ -76,11 +83,11 @@ class ChainComplex:
 
 
 def chain_complex(c: CombinatorialComplex) -> ChainComplex:
-    """Boundary maps of a complex (Delta route or order-complex route)."""
-    if not c.has_delta:
-        return chain_complex(c.order_complex())
+    """Boundary maps of a complex: the Delta route or the cellular route."""
     top = c.dimension
     bases = {k: c.faces_of_dim(k) for k in range(top + 1)}
+    if not c.has_delta:
+        return ChainComplex(bases, _cellular_boundaries(c, bases))
     delta = c._delta
     matrices = {}
     for k in range(1, top + 1):
@@ -90,6 +97,86 @@ def chain_complex(c: CombinatorialComplex) -> ChainComplex:
         matrices[k] = {j: dict(zip(map(row.__getitem__, delta[f]), signs))
                        for j, f in enumerate(bases[k])}
     return ChainComplex(bases, matrices)
+
+
+def _order_complex_chi(c: CombinatorialComplex) -> int:
+    """Euler characteristic of the order complex, without building it.
+
+    The chains with top element f count s(f) = 1 - sum of s(g) over the
+    faces g < f, with sign (-1)^(length - 1); the order complex's Euler
+    characteristic is the sum of s(f).
+    """
+    cov, s = c._cov, {}
+    for f in c.face_ids:
+        below = set(cov[f])
+        stack = list(below)
+        while stack:
+            for h in cov[stack.pop()]:
+                if h not in below:
+                    below.add(h)
+                    stack.append(h)
+        s[f] = 1 - sum(s[g] for g in below)
+    return sum(s.values())
+
+
+def _cellular_boundaries(c: CombinatorialComplex, bases: dict) -> dict:
+    """Boundary maps of a face poset from incidence numbers, cell by cell.
+
+    Raises :class:`NotRegularCW` first when the Euler-Poincare identity
+    fails for the order complex, then when a cell's incidence numbers
+    cannot be chosen.  An edge gets -1 on its first vertex and +1 on its
+    second.  A k-cell, k >= 2, gets +1 on its first facet; its other
+    facets are reached through shared ridges, each of which must lie in
+    exactly two of the cell's facets, and [s:t][t:r] + [s:t'][t':r] = 0
+    fixes the sign of the next facet and must hold wherever the walk
+    closes (Bjorner, "Posets, regular CW complexes and Bruhat order").
+    """
+    # the message the order-complex route gave, from its Betti numbers
+    chi = _order_complex_chi(c)
+    if chi != c.euler_characteristic():
+        raise NotRegularCW(
+            f"the Betti numbers give Euler characteristic {chi}, "
+            f"the face numbers {c.euler_characteristic()}")
+    cov = c._cov
+    inc = {}                    # cell -> {facet: incidence number}
+    for e in bases.get(1, ()):
+        a, b = cov[e]
+        inc[e] = {a: -1, b: 1}
+    for k in range(2, len(bases)):
+        for f in bases[k]:
+            facets = cov[f]
+            at: dict = {}       # ridge -> the facets of f holding it
+            for t in facets:
+                for r in cov[t]:
+                    at.setdefault(r, []).append(t)
+            for r, ts in at.items():
+                if len(ts) != 2:
+                    raise NotRegularCW(
+                        f"ridge {r!r} lies in {len(ts)} facets of cell {f!r}, "
+                        "wants 2")
+            sign = {facets[0]: 1}
+            queue = [facets[0]]
+            for t in queue:
+                for r in cov[t]:
+                    u = at[r][at[r][0] == t]    # the other facet at r
+                    want = -sign[t] * inc[t][r] * inc[u][r]
+                    if u not in sign:
+                        sign[u] = want
+                        queue.append(u)
+                    elif sign[u] != want:
+                        raise NotRegularCW(
+                            f"the incidence signs of cell {f!r} do not close "
+                            f"at ridge {r!r}")
+            if len(sign) != len(facets):
+                raise NotRegularCW(
+                    f"the facets of cell {f!r} are not connected through ridges")
+            inc[f] = sign
+    matrices = {}
+    for k in range(1, len(bases)):
+        row = {g: i for i, g in enumerate(bases[k - 1])}
+        matrices[k] = {j: {row[t]: a for t, a in inc[f].items()}
+                       for j, f in enumerate(bases[k])}
+    return matrices
 
 
 @dataclass(frozen=True)
@@ -156,13 +243,6 @@ def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
         torsions[k - 1] = tuple(d for d in res.invariant_factors if d > 1)
     table = tuple((k, len(cx.bases[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0),
                    torsions.get(k, ())) for k in range(top + 1))
-    if not c.has_delta:
-        # the order complex has the homology of c only if c is regular CW
-        chi = sum((-1) ** k * b for k, b, _t in table)
-        if chi != c.euler_characteristic():
-            raise NotRegularCW(
-                f"the Betti numbers give Euler characteristic {chi}, "
-                f"the face numbers {c.euler_characteristic()}")
     h = HomologyResult(table)
     return _as_reduced(h) if reduced else h
 

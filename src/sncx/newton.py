@@ -152,50 +152,39 @@ def _facet_census(points, orthant: bool):
 
 
 def _face_lattice(points, facets, orthant: bool):
+    """Every face of the polyhedron, as the meets of its facets.
+
+    A point set is a bitmask over the input points and a recession set a
+    bitmask over the coordinate directions, so a meet is one ``&`` and a
+    facet contains a face when the face's masks lie inside the facet's
+    point mask and the mask of its zero normal coordinates.
+    """
     d = len(points[0])
+    fpts = [sum(1 << i for i in f.points) for f in facets]
+    frec = [sum(1 << j for j in range(d) if f.normal[j] == 0) if orthant else 0
+            for f in facets]
 
-    def saturate(pset, rec):
-        s = frozenset(i for i, f in enumerate(facets)
-                      if pset <= f.points and
-                      all(f.normal[j] == 0 for j in rec))
-        return s
-
-    def build(pset, rec):
-        s = saturate(pset, rec)
-        dim = _affine_dim(points, pset, rec)
-        compact = not rec
-        return PolyFace(tuple(sorted(pset)), tuple(rec), s, dim, compact)
-
-    by_key = {}
-    queue = []
-    for i, f in enumerate(facets):
-        rec = tuple(j for j in range(d) if f.normal[j] == 0) if orthant else ()
-        face = build(f.points, rec)
-        key = (face.points, face.recession)
-        if key not in by_key:
-            by_key[key] = face
-            queue.append(face)
     # every face is an intersection of facets, so meeting each queued face
     # with the facet faces alone closes the family
-    facet_faces = list(queue)
-    idx = 0
-    while idx < len(queue):
-        a = queue[idx]
-        idx += 1
-        for b in facet_faces:
-            pset = frozenset(a.points) & frozenset(b.points)
-            if not pset:
-                continue
-            rec = tuple(sorted(set(a.recession) & set(b.recession)))
-            key = (tuple(sorted(pset)), rec)
-            if key in by_key:
-                continue
-            face = build(pset, rec)
-            key = (face.points, face.recession)
-            if key not in by_key:
-                by_key[key] = face
-                queue.append(face)
-    faces = sorted(by_key.values(), key=lambda f: (f.dim, f.points, f.recession))
+    facet_faces = list(dict.fromkeys(zip(fpts, frec)))
+    seen = set(facet_faces)
+    queue = list(facet_faces)
+    for pm, rm in queue:
+        for qm, sm in facet_faces:
+            key = (pm & qm, rm & sm)
+            if key[0] and key not in seen:
+                seen.add(key)
+                queue.append(key)
+
+    faces = []
+    for pm, rm in queue:
+        pset = tuple(i for i in range(len(points)) if pm >> i & 1)
+        rec = tuple(j for j in range(d) if rm >> j & 1)
+        s = frozenset(i for i, (fp, fr) in enumerate(zip(fpts, frec))
+                      if pm & fp == pm and rm & fr == rm)
+        faces.append(PolyFace(pset, rec, s, _affine_dim(points, pset, rec),
+                              not rec))
+    faces.sort(key=lambda f: (f.dim, f.points, f.recession))
     return faces
 
 

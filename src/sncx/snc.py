@@ -242,7 +242,7 @@ def fan_ray_involution(fan: Fan, ray_map: dict) -> dict:
     for f in link.face_ids:
         idx = [int(x) for x in f.split("-")]
         img = cid(frozenset(ray_map[i] for i in idx))
-        if img not in link.face_ids:
+        if not link.has_face(img):
             raise DescriptorInvalid(f"image of cone {f!r} is not in the fan")
         out[f] = img
     return out

@@ -1,7 +1,14 @@
 """Exact integer linear algebra: Smith normal form, rank, kernel lines.
 
 The package's one exact linear-algebra kernel, on arbitrary-precision
-Python integers only.  A matrix is a list of rows or a sparse mapping
+Python integers only.  It has two eliminations.  The rank of a list of
+rows and the determinants behind kernel lines come from one
+fraction-free (Bareiss) elimination, which never leaves the integers
+and needs no invariant factors; the matrices it sees (point
+differences in the Newton census and face lattice, the rays of a cone)
+are small and dense.
+
+Smith normal form takes a list of rows or a sparse mapping
 ``column -> {row: coeff}``; a matrix and its transpose have the same
 invariant factors, so both become one list of sparse vectors.  Unit
 pivots go first, always in the sparsest vector that has one, each
@@ -179,25 +186,53 @@ def _boundary_snf(columns: dict, cleared):
                     if j not in cleared])
 
 
-def matrix_rank(matrix) -> int:
-    return smith_normal_form(matrix).rank
+def _bareiss(a) -> tuple:
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place.
+
+    Columns are taken left to right, a column without a nonzero entry
+    below the rows already pivoted is skipped, and every row below the
+    pivot is updated by ``(a_ij * p - a_ic * a_rj) // prev``.  Each entry
+    is then a minor of the input, so the division by the previous pivot
+    is exact (Sylvester's identity).  Returns the rank, the sign of the
+    row permutation and the last pivot, which is that sign times the
+    determinant of a square matrix of full rank.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(n):
+        if rank == m:
+            break
+        swap = next((i for i in range(rank, m) if a[i][c]), None)
+        if swap is None:
+            continue
+        if swap != rank:
+            a[rank], a[swap] = a[swap], a[rank]
+            sign = -sign
+        prow = a[rank]
+        p = prow[c]
+        for i in range(rank + 1, m):
+            row = a[i]
+            q = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - q * prow[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
+def matrix_rank(rows) -> int:
+    """Rank of an integer matrix given as a list of rows."""
+    a = [[int(x) for x in r] for r in rows]
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("ragged matrix")
+    return _bareiss(a)[0]
 
 
 def _det(a) -> int:
     """Determinant of a square list-of-rows matrix, by Bareiss in place."""
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        swap = next((i for i in range(k, n) if a[i][k]), None)
-        if swap is None:
-            return 0
-        if swap != k:
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+    rank, sign, last = _bareiss(a)
+    return sign * last if rank == len(a) else 0
 
 
 def kernel_line(rows):

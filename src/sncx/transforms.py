@@ -49,7 +49,7 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
     """
     if not c.has_delta:
         raise MissingDeltaStructure("stellar subdivision needs a delta structure")
-    if sigma not in c.face_ids:
+    if not c.has_face(sigma):
         raise NoSuchFace(f"no face {sigma!r}")
 
     star = c.upset(sigma)
@@ -227,7 +227,7 @@ def _attach_cone(c, closure, new_vertex, level):
 def _validate_case3(c, move):
     """Check a case 3 move; returns the closure of its attachment."""
     base = move.base
-    if base is None or base not in c.face_ids:
+    if not c.has_face(base):
         raise DescriptorInvalid(f"case 3 base face {base!r} missing")
     attach = list(move.attach)
     if base not in attach:
@@ -235,7 +235,7 @@ def _validate_case3(c, move):
     if len(set(attach)) != len(attach):
         raise DescriptorInvalid("case 3 attachment set repeats a face")
     for t in attach:
-        if t not in c.face_ids:
+        if not c.has_face(t):
             raise DescriptorInvalid(f"case 3 attachment face {t!r} missing")
         if not c.contains_face(t, base):
             raise DescriptorInvalid(
@@ -257,14 +257,15 @@ def _validate_case3(c, move):
     # unique: reject closures with ambiguous spans (e.g. duplicate top
     # cells sharing all their lower faces)
     closure = _closure(c, attach)
-    closure_set = set(closure)
+    by_verts: dict[frozenset, list] = {}
+    for t in closure:
+        by_verts.setdefault(frozenset(c.vertices_of(t)), []).append(t)
     for g in closure:
         verts = c.vertices_of(g)
         if vj in verts:
             continue
-        want = set(verts) | {vj}
-        spans = [t for t in closure_set
-                 if set(c.vertices_of(t)) == want and c.contains_face(t, g)]
+        want = frozenset(verts) | {vj}
+        spans = [t for t in by_verts.get(want, ()) if c.contains_face(t, g)]
         if len(spans) != 1:
             raise DescriptorInvalid(
                 f"face {g!r} has {len(spans)} spans through {vj!r} "
@@ -279,7 +280,7 @@ def blowup_move(c: CombinatorialComplex, move: BlowupMove) -> CombinatorialCompl
     if move.case == 2:
         if not c.has_delta:
             raise MissingDeltaStructure("case 2 needs a delta structure")
-        if move.face is None or move.face not in c.face_ids:
+        if not c.has_face(move.face):
             raise DescriptorInvalid(f"case 2 face {move.face!r} missing")
         return stellar_subdivide(c, move.face, move.new_vertex)
     if move.case == 3:
@@ -293,7 +294,7 @@ def blowup_move(c: CombinatorialComplex, move: BlowupMove) -> CombinatorialCompl
         if move.new_vertex is None:
             raise DescriptorInvalid("attach move needs new_vertex")
         for t in move.attach:
-            if t not in c.face_ids:
+            if not c.has_face(t):
                 raise DescriptorInvalid(f"attach face {t!r} missing")
         return _attach_cone(c, _closure(c, move.attach), move.new_vertex,
                             move.level)
@@ -335,7 +336,7 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     if not c.has_delta:
         raise MissingDeltaStructure("the vertex flow needs a delta structure")
     for v in (v_src, v_dst):
-        if v not in c.face_ids or c.dim(v) != 0:
+        if not c.has_face(v) or c.dim(v) != 0:
             raise NotAVertex(f"{v!r} is not a vertex")
 
     by_verts: dict[frozenset, list] = {}
@@ -419,7 +420,7 @@ def pucker(c: CombinatorialComplex, sigma: str, d: int) -> CombinatorialComplex:
     Each copy shares the full attaching data (covering and delta order)
     of the original, raising the top reduced Betti number by exactly d-1.
     """
-    if sigma not in c.face_ids:
+    if not c.has_face(sigma):
         raise NoSuchFace(f"no face {sigma!r}")
     if d < 1:
         raise BadMultiplicity(f"multiplicity {d} must be at least 1")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from sncx import CombinatorialComplex, simplicial_complex_from_subsets
+from sncx import CombinatorialComplex, Fan, simplicial_complex_from_subsets
+from sncx.errors import NotFullDimensional
 from sncx.newton import LatticePolytope
 
 from oracles import validating_constructor
@@ -88,3 +89,22 @@ def random_lattice_polygon(rng: random.Random, coord=6) -> LatticePolytope:
             return LatticePolytope(sorted(pts))
         except Exception:
             continue
+
+
+def random_lattice_polytope(rng: random.Random, d) -> LatticePolytope:
+    while True:
+        pts = [tuple(rng.randint(0, 4) for _ in range(d))
+               for _ in range(rng.randint(d + 1, d + 5))]
+        try:
+            return LatticePolytope(pts)
+        except NotFullDimensional:
+            continue
+
+
+def polygon_cone_fan(n) -> Fan:
+    """One cone over an n-gon, listed with its rays and its 2-faces."""
+    rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)][:n]
+    cones = [frozenset({i}) for i in range(n)]
+    cones += [frozenset({i, (i + 1) % n}) for i in range(n)]
+    cones.append(frozenset(range(n)))
+    return Fan(tuple(rays), tuple(cones))

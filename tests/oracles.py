@@ -2,18 +2,22 @@
 
 Each is the straightforward version the library used before its
 current implementation: integral homology that reduces each boundary
-map on its own, bottom up, a dense Euclid Smith normal form, a kernel line
-by elimination over exact rationals, a recursive collapse search that
-rescans every alive face for free pairs in each state, a recursive
-acyclicity check for Morse matchings, a facet census that solves a
-kernel line for every subset of points and coordinate directions, a
-face lattice that intersects every pair of faces found, a poset
-isomorphism search that recurses once per face, the complexes read
-off polyhedra and fans built by scanning every cell for every cell, then
-puckered one long edge at a time, a blowup-script replay that builds
-every move output and level subcomplex with the validating constructor
-and computes every homology again, a wedge built as a disjoint union
-and then rebuilt with the two vertices merged, and that validating
+map on its own, bottom up, the homology of a face poset taken through
+its order complex and guarded by the Euler-Poincare identity, a dense
+Euclid Smith normal form (also the oracle of the Bareiss rank), a
+kernel line by elimination over exact rationals, a recursive collapse
+search that rescans every alive face for free pairs in each state, a
+recursive acyclicity check for Morse matchings, a facet census that
+solves a kernel line for every subset of points and coordinate
+directions, a face lattice that intersects every pair of faces found
+as sets of point indices, a poset isomorphism search that recurses
+once per face, the complexes read off polyhedra and fans built by
+scanning every cell for every cell, then puckered one long edge at a
+time, a blowup-script replay that builds every move output and level
+subcomplex with the validating constructor and computes every homology
+again, a wedge built as a disjoint union and then rebuilt with the two
+vertices merged, a case 3 check that scans the whole attachment
+closure for the spans of each of its faces, and that validating
 constructor itself: every check run on every face of a record list,
 kept apart from the library's one build routine, which checks only the
 faces a move creates and is the constructor too.
@@ -30,6 +34,7 @@ from sncx.complexes import CombinatorialComplex, _dedup_ids
 from sncx.errors import (
     BadDeltaStructure,
     DanglingFace,
+    DescriptorInvalid,
     DuplicateFace,
     GradingViolation,
     LevelNotDownwardClosed,
@@ -40,7 +45,14 @@ from sncx.errors import (
 from sncx.homology import HomologyResult, chain_complex, homology
 from sncx.newton import PolyFace, PolyFacet, SubdividedSimplex, _affine_dim, _dot
 from sncx.snf import kernel_line, smith_normal_form
-from sncx.transforms import ScriptLog, _levels_match, _public, blowup_move, pucker
+from sncx.transforms import (
+    ScriptLog,
+    _closure,
+    _levels_match,
+    _public,
+    blowup_move,
+    pucker,
+)
 
 
 def per_degree_homology(c, reduced=False):
@@ -63,13 +75,28 @@ def per_degree_homology(c, reduced=False):
         if reduced and k == 0:
             b -= 1
         table.append((k, b, torsions.get(k, ())))
-    if not c.has_delta:
-        chi = sum((-1) ** k * b for k, b, _t in table) + (1 if reduced else 0)
-        if chi != c.euler_characteristic():
-            raise NotRegularCW(
-                f"the Betti numbers give Euler characteristic {chi}, "
-                f"the face numbers {c.euler_characteristic()}")
     return HomologyResult(tuple(table), reduced)
+
+
+def order_complex_homology(c, reduced=False):
+    """Homology of a face poset through its order complex.
+
+    :func:`per_degree_homology` on the order complex, which has the
+    homology of ``c`` when ``c`` is regular CW, guarded by the
+    Euler-Poincare identity.
+    """
+    if c.has_delta:
+        return per_degree_homology(c, reduced)
+    h = per_degree_homology(c.order_complex())
+    chi = sum((-1) ** k * b for k, b, _t in h.table)
+    if chi != c.euler_characteristic():
+        raise NotRegularCW(
+            f"the Betti numbers give Euler characteristic {chi}, "
+            f"the face numbers {c.euler_characteristic()}")
+    if not reduced:
+        return h
+    return HomologyResult(tuple((k, b - (k == 0), t) for k, b, t in h.table),
+                          True)
 
 
 def dense_smith_normal_form(rows):
@@ -652,3 +679,49 @@ def recomputing_run_blowup_script(c, script):
         cur = nxt
         prev_snap = entry
     return cur, log
+
+
+def scanning_validate_case3(c, move):
+    """``_validate_case3`` scanning the whole attachment closure for the
+    spans of each of its faces."""
+    base = move.base
+    if base is None or base not in c.face_ids:
+        raise DescriptorInvalid(f"case 3 base face {base!r} missing")
+    attach = list(move.attach)
+    if base not in attach:
+        raise DescriptorInvalid("case 3 attachment set must contain the base face")
+    if len(set(attach)) != len(attach):
+        raise DescriptorInvalid("case 3 attachment set repeats a face")
+    for t in attach:
+        if t not in c.face_ids:
+            raise DescriptorInvalid(f"case 3 attachment face {t!r} missing")
+        if not c.contains_face(t, base):
+            raise DescriptorInvalid(
+                f"attachment face {t!r} does not contain the base {base!r}")
+    vj = move.vertex
+    if vj is None:
+        vj = c.vertices_of(base)[0]
+    if vj not in c.vertices_of(base):
+        raise DescriptorInvalid(
+            f"flow vertex {vj!r} is not a vertex of the base {base!r}")
+    if c.has_levels:
+        if move.level is None:
+            raise DescriptorInvalid("filtered complex: case 3 needs a level")
+        if move.level < c.level(base):
+            raise DescriptorInvalid(
+                f"new vertex level {move.level} below the base level "
+                f"{c.level(base)}")
+    closure = _closure(c, attach)
+    closure_set = set(closure)
+    for g in closure:
+        verts = c.vertices_of(g)
+        if vj in verts:
+            continue
+        want = set(verts) | {vj}
+        spans = [t for t in closure_set
+                 if set(c.vertices_of(t)) == want and c.contains_face(t, g)]
+        if len(spans) != 1:
+            raise DescriptorInvalid(
+                f"face {g!r} has {len(spans)} spans through {vj!r} "
+                "in the attachment closure; need exactly one")
+    return closure

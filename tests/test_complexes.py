@@ -27,6 +27,7 @@ from conftest import (
 )
 from oracles import (
     derived_by_constructor,
+    order_complex_homology,
     recursive_complexes_isomorphic,
     two_step_wedge,
     validating_constructor,
@@ -196,6 +197,78 @@ class TestRegularCW:
             S.homology(c)
         with pytest.raises(NotRegularCW):
             S.homology(c, reduced=True)
+
+    # cells the Euler-Poincare guard lets through: the order complex
+    # route answers them, the incidence numbers cannot be chosen
+
+    @staticmethod
+    def rp2_records(tag):
+        rp2 = without_delta(G.real_projective_plane())
+        return [{"id": tag + f, "dim": rp2.dim(f),
+                 "facets": [tag + g for g in rp2.facets(f)]}
+                for f in rp2.face_ids], [tag + f for f in rp2.faces_of_dim(2)]
+
+    @staticmethod
+    def bigons(tag, n):
+        """Two vertices, two edges between them, and n bigons on those."""
+        return [(tag + "a", 0, ()), (tag + "b", 0, ()),
+                (tag + "e0", 1, (tag + "a", tag + "b")),
+                (tag + "e1", 1, (tag + "a", tag + "b"))] + \
+            [(f"{tag}t{i}", 2, (tag + "e0", tag + "e1")) for i in range(n)]
+
+    @staticmethod
+    def assert_guard_passes(c):
+        assert c.order_complex().euler_characteristic() == \
+            c.euler_characteristic()
+        order_complex_homology(c)
+
+    def test_incidence_signs_that_do_not_close_rejected(self):
+        # a 3-cell on two disjoint projective planes: chi 2, as a 2-sphere
+        left, left2 = self.rp2_records("p")
+        right, right2 = self.rp2_records("q")
+        c = S.new_complex(left + right + [
+            {"id": "ball", "dim": 3, "facets": left2 + right2}])
+        self.assert_guard_passes(c)
+        for reduced in (False, True):
+            with pytest.raises(NotRegularCW, match="signs of cell 'ball' do "
+                               "not close at ridge"):
+                S.homology(c, reduced)
+
+    def test_facets_not_connected_through_ridges_rejected(self):
+        # a 3-cell on a 2-sphere (two bigons) and a disjoint 3 x 3 torus
+        n = 3
+
+        def v(i, j):
+            return f"v{i % n}{j % n}"
+
+        torus = [(v(i, j), 0, ()) for i in range(n) for j in range(n)]
+        torus += [(f"h{i}{j}", 1, (v(i, j), v(i, j + 1)))
+                  for i in range(n) for j in range(n)]
+        torus += [(f"w{i}{j}", 1, (v(i, j), v(i + 1, j)))
+                  for i in range(n) for j in range(n)]
+        squares = [f"s{i}{j}" for i in range(n) for j in range(n)]
+        torus += [(f"s{i}{j}", 2, (f"h{i}{j}", f"h{(i + 1) % n}{j}",
+                                   f"w{i}{j}", f"w{i}{(j + 1) % n}"))
+                  for i in range(n) for j in range(n)]
+        c = self.poset(self.bigons("x", 2) + torus
+                       + [("ball", 3, ["xt0", "xt1"] + squares)])
+        self.assert_guard_passes(c)
+        with pytest.raises(NotRegularCW, match="facets of cell 'ball' are "
+                           "not connected through ridges"):
+            S.homology(c)
+
+    def test_ridge_in_other_than_two_facets_rejected(self):
+        # a 3-cell on three bigons sharing their two edges (chi 3) and one
+        # on a single bigon (a disk, chi 1): the excess and the deficit
+        # cancel in the Euler characteristic
+        # B1 is checked first, on either side of the pair
+        for theta, disk, count in (("B1", "B2", 3), ("B2", "B1", 1)):
+            c = self.poset(self.bigons("", 3) + [(theta, 3, ("t0", "t1", "t2")),
+                                                 (disk, 3, ("t0",))])
+            self.assert_guard_passes(c)
+            with pytest.raises(NotRegularCW, match=f"ridge 'e0' lies in {count} "
+                               "facets of cell 'B1', wants 2"):
+                S.homology(c)
 
 
 class TestBoundaryWalk:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -6,11 +8,20 @@ import sncx as S
 import sncx.snf as snf
 from sncx import gallery as G
 from sncx.errors import BoundaryNotSquareZero
-from sncx.snf import kernel_line
+from sncx.homology import _order_complex_chi
+from sncx.snf import _det, kernel_line, matrix_rank
 
-from conftest import random_simplicial_complex, with_random_levels, without_delta
+from conftest import (
+    polygon_cone_fan,
+    random_lattice_polygon,
+    random_lattice_polytope,
+    random_simplicial_complex,
+    with_random_levels,
+    without_delta,
+)
 from oracles import (
     dense_smith_normal_form,
+    order_complex_homology,
     per_degree_homology,
     rational_kernel_line,
     recursive_collapse_to_point,
@@ -167,6 +178,44 @@ class TestSmithNormalForm:
         assert res.invariant_factors[-1] == 2
         assert (res.invariant_factors, res.rank) == dense_smith_normal_form(d2)
         assert S.smith_normal_form(d2) == res
+
+
+class TestMatrixRank:
+    """The Bareiss rank against the rank of the dense Smith normal form."""
+
+    def test_agrees_with_dense_oracle(self):
+        rng = random.Random(81)
+        cases = [[], [[]], [[0, 0, 0]], [[0, 0], [0, 0]], [[3, -6, 9]]]
+        for _ in range(200):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            cases.append([[rng.randint(-9, 9) for _ in range(n)]
+                          for _ in range(m)])
+            # rank at most r: a product of an m x r and an r x n matrix
+            r = rng.randint(0, min(m, n))
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            cases.append([[sum(a * b for a, b in zip(row, col))
+                           for col in zip(*right)] if r else [0] * n
+                          for row in left])
+            cases.append([[rng.randint(-2, 2) for _ in range(n)]])
+        for rows in cases:
+            assert matrix_rank(rows) == dense_smith_normal_form(rows)[1]
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            matrix_rank([[1, 2], [3]])
+
+    def test_determinant_from_the_same_elimination(self):
+        rng = random.Random(82)
+        for n in range(5):
+            for _ in range(20):
+                a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                want = sum(
+                    (-1) ** sum(p[i] > p[j] for i in range(n)
+                                for j in range(i + 1, n))
+                    * math.prod(a[i][p[i]] for i in range(n))
+                    for p in itertools.permutations(range(n)))
+                assert _det([list(r) for r in a]) == want
 
 
 class TestKernelLine:
@@ -491,3 +540,76 @@ class TestWedgeCertificate:
             assert h.betti(d) == cert.count
             assert not h.has_torsion()
             assert all(b == 0 for k, b, _t in h.table if k != d)
+
+
+class TestCellularRoute:
+    """Face posets get their boundaries from incidence numbers; the route
+    through the order complex stays as the oracle (Newton models in
+    test_newton.py)."""
+
+    @staticmethod
+    def _agrees(c):
+        for reduced in (False, True):
+            assert S.homology(c, reduced) == order_complex_homology(c, reduced)
+
+    def test_without_delta_random_complexes(self):
+        rng = random.Random(612)
+        for _ in range(60):
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=5,
+                                          max_dim=3)
+            self._agrees(without_delta(c))
+            self._agrees(without_delta(with_random_levels(rng, c)))
+
+    def test_torus_boundaries(self):
+        rng = random.Random(613)
+        for _ in range(10):
+            for P in (random_lattice_polygon(rng),
+                      random_lattice_polytope(rng, 3)):
+                self._agrees(S.torus_hypersurface_boundary_complex(P))
+
+    def test_gallery_posets(self):
+        bigon = S.new_complex([
+            {"id": "a", "dim": 0, "facets": []},
+            {"id": "b", "dim": 0, "facets": []},
+            {"id": "e0", "dim": 1, "facets": ["a", "b"]},
+            {"id": "e1", "dim": 1, "facets": ["a", "b"]},
+            {"id": "t", "dim": 2, "facets": ["e0", "e1"]}])
+        rp2 = without_delta(G.real_projective_plane())
+        for c in (bigon, S.toric_link(polygon_cone_fan(4)), rp2,
+                  without_delta(G.octahedron_boundary()),
+                  without_delta(G.cross_polytope_boundary(4)),
+                  without_delta(_rp3()), without_delta(G.multi_edge_complex(3))):
+            assert not c.has_delta
+            self._agrees(c)
+        assert S.homology(rp2).torsion(1) == (2,)
+
+    def test_chain_counts_give_the_order_complex_chi(self):
+        rng = random.Random(615)
+        for _ in range(40):
+            c = random_simplicial_complex(rng, max_verts=7, max_dim=3)
+            for x in (c, without_delta(c), S.cone(without_delta(c))):
+                assert _order_complex_chi(x) == \
+                    x.order_complex().euler_characteristic()
+
+    def test_incidence_numbers_are_units(self):
+        rng = random.Random(614)
+        for _ in range(20):
+            c = without_delta(random_simplicial_complex(rng, max_dim=3))
+            cx = S.chain_complex(c)
+            assert cx.bases == {k: c.faces_of_dim(k)
+                                for k in range(c.dimension + 1)}
+            for k, cols in cx.matrices.items():
+                for j, col in cols.items():
+                    assert len(col) == len(c.facets(cx.bases[k][j]))
+                    assert set(col.values()) <= {1, -1}
+
+    def test_newton_model_skips_the_order_complex(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("order complex built")
+
+        monkeypatch.setattr(S.CombinatorialComplex, "order_complex", refuse)
+        np_ = S.newton_polyhedron([(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)])
+        model = S.resolution_complex(np_)
+        assert not model.has_delta and model.dimension == 1
+        assert S.homology(model, reduced=True).nonzero() == ((1, 1, ()),)
+        assert S.w0_report(np_)["computed_top_count"] == 1

@@ -11,9 +11,10 @@ from sncx.errors import DimensionTooHigh, EmptyInput, NotFullDimensional
 from sncx.newton import LatticePolytope
 from sncx.snf import kernel_line
 
-from conftest import random_lattice_polygon, random_support
+from conftest import random_lattice_polygon, random_lattice_polytope, random_support
 from oracles import (
     brute_force_facet_census,
+    order_complex_homology,
     pairwise_face_lattice,
     pairwise_resolution_complex,
     pairwise_torus_boundary_complex,
@@ -346,6 +347,22 @@ class TestCensusAgreement:
             self.assert_agree(pts, True)
             self.assert_agree(pts + [(0,) * ambient], False)
 
+    def test_more_points_than_a_machine_word(self):
+        # point masks beyond 64 bits: staircases, a grid cube whose faces
+        # hold many points, and a simplex face holding all of them
+        rng = random.Random(32)
+        cases = [(staircase_support(rng, 3, 70), True),
+                 (staircase_support(rng, 4, 70), True),
+                 ([(x, y, z) for x in range(5) for y in range(5)
+                   for z in range(5)], False),
+                 ([(x, y, 10 - x - y) for x in range(11)
+                   for y in range(11 - x)], True)]
+        for pts, orthant in cases:
+            assert len(pts) > 64
+            facets = N._facet_census(pts, orthant)
+            assert N._face_lattice(pts, facets, orthant) == \
+                pairwise_face_lattice(pts, facets, orthant)
+
     def test_flat_polytope_rejected(self):
         for pts in ([(1, 2)], [(0, 0), (1, 1), (3, 3)],
                     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)]):
@@ -369,14 +386,6 @@ class TestCensusAgreement:
         LatticePolytope([(x, y, z) for x in (0, 2) for y in (0, 3)
                          for z in (0, 1)] + [(1, 1, 1)])
         assert 0 < len(calls) <= 4
-
-
-def random_lattice_polytope(rng, d):
-    while True:
-        pts = [tuple(rng.randint(0, 4) for _ in range(d))
-               for _ in range(rng.randint(d + 1, d + 5))]
-        if full_dimensional(pts):
-            return LatticePolytope(pts)
 
 
 def assert_same_complex(got, want):
@@ -422,6 +431,22 @@ class TestModelAgreement:
             assert_same_complex(
                 S.torus_hypersurface_boundary_complex(P, multiplicities=mult),
                 pairwise_torus_boundary_complex(P, mult))
+
+    def test_model_homology_agrees_with_order_complex_route(self):
+        rng = random.Random(64)
+        posets = 0
+        for ambient in (2, 3, 4):
+            for _ in range(8):
+                k = rng.randint(1, 3)
+                np_ = S.newton_polyhedron(
+                    [tuple(k * x for x in p) for p in staircase_support(
+                        rng, ambient, rng.randint(ambient + 1, 16))])
+                model = S.resolution_complex(np_)
+                posets += not model.has_delta
+                for reduced in (False, True):
+                    assert S.homology(model, reduced) == \
+                        order_complex_homology(model, reduced)
+        assert posets >= 12
 
     def test_one_complex_after_the_face_lattice(self, monkeypatch):
         np_ = S.newton_polyhedron([(9, 0, 0), (0, 9, 0), (0, 0, 9),

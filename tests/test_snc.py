@@ -16,7 +16,7 @@ from sncx.errors import (
 from sncx.serialize import dumps_complex
 from sncx.snc import antipodal_ray_map, fan_ray_involution
 
-from conftest import random_subset_closed
+from conftest import polygon_cone_fan, random_subset_closed
 from oracles import all_cones_toric_link
 
 
@@ -163,15 +163,6 @@ class TestToricLink:
         h = S.homology(q)
         assert h.betti_vector() == (1, 0, 0)
         assert h.torsion(1) == (2,)
-
-
-def polygon_cone_fan(n):
-    """One cone over an n-gon, listed with its rays and its 2-faces."""
-    rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)][:n]
-    cones = [frozenset({i}) for i in range(n)]
-    cones += [frozenset({i, (i + 1) % n}) for i in range(n)]
-    cones.append(frozenset(range(n)))
-    return S.Fan(tuple(rays), tuple(cones))
 
 
 def random_fan(rng):

@@ -13,9 +13,10 @@ from sncx.errors import (
     NotRegularCW,
     PairingIncomplete,
     ScriptError,
+    SncxError,
 )
 from sncx.serialize import dumps_complex
-from sncx.transforms import _check_acyclic
+from sncx.transforms import _check_acyclic, _validate_case3
 
 from conftest import (
     assert_rebuilds,
@@ -28,6 +29,7 @@ from oracles import (
     derived_by_constructor,
     recomputing_run_blowup_script,
     recursive_check_acyclic,
+    scanning_validate_case3,
     validating_constructor,
 )
 
@@ -277,6 +279,58 @@ class TestMorseFlow:
             assert red == c
             assert homology_tables_equal(out, c)
             done += 1
+
+
+class TestCase3Check:
+    """The spans looked up by vertex set against the scan of the closure."""
+
+    @staticmethod
+    def outcome(check, c, move):
+        try:
+            return check(c, move)
+        except SncxError as exc:
+            return type(exc), str(exc)
+
+    def test_agrees_with_scanning_oracle(self):
+        rng = random.Random(34)
+        rejected = accepted = 0
+        for _ in range(300):
+            c = random_simplicial_complex(rng, max_verts=6, max_facets=4,
+                                          max_dim=3)
+            if rng.random() < 0.3:
+                c = with_random_levels(rng, c)
+            if rng.random() < 0.4:
+                # parallel copies of a top cell make spans ambiguous
+                top = [f for f in c.face_ids if c.is_maximal(f)]
+                c = S.pucker(c, rng.choice(top), rng.randint(2, 3))
+            faces = list(c.face_ids)
+            base = rng.choice(faces + ["nope"])
+            pool = c.star(base) if base in faces and rng.random() < 0.8 \
+                else faces
+            attach = rng.sample(pool, rng.randint(0, len(pool)))
+            if base in faces and rng.random() < 0.8:
+                attach = [base] + [f for f in attach if f != base]
+            vertex = rng.choice([None] + list(c.faces_of_dim(0)))
+            level = rng.choice([None, 1, 2, 3])
+            move = S.BlowupMove(case=3, base=base, attach=tuple(attach),
+                                vertex=vertex, level=level)
+            got = self.outcome(_validate_case3, c, move)
+            assert got == self.outcome(scanning_validate_case3, c, move)
+            if isinstance(got, list):
+                accepted += 1
+            else:
+                rejected += 1
+        assert accepted >= 30 and rejected >= 30
+
+    def test_ambiguous_span_counts(self):
+        c = S.pucker(G.full_simplex(2), "0.1.2", 3)
+        move = S.BlowupMove(case=3, base="0", attach=("0", "0.1", "0.2"),
+                            vertex="0")
+        assert _validate_case3(c, move) == scanning_validate_case3(c, move)
+        move = S.BlowupMove(case=3, base="0", vertex="0",
+                            attach=("0", "0.1.2", "0.1.2+1", "0.1.2+2"))
+        with pytest.raises(DescriptorInvalid, match="face '1.2' has 3 spans"):
+            _validate_case3(c, move)
 
 
 class TestMatchingAcyclicity:
