@@ -39,7 +39,6 @@ from .homology import (
 )
 from .newton import (
     LatticePolytope,
-    census_report,
     NewtonPolyhedron,
     SubdividedSimplex,
     interior_complex,
@@ -82,7 +81,7 @@ __all__ = [
     "Fan", "GroupPresentation", "HomologyResult", "LatticePolytope",
     "NewtonPolyhedron", "SncxError", "StrataDescription", "Stratum",
     "SubdividedSimplex", "WedgeCertificate", "abelianization",
-    "blowup_move", "census_report", "chain_complex", "cohomology_rank", "collapse_to_point",
+    "blowup_move", "chain_complex", "cohomology_rank", "collapse_to_point",
     "complexes_isomorphic", "cone", "connected_components", "disjoint_union",
     "dual_complex", "euler_characteristic", "face_map_from_vertex_bijection",
     "fundamental_group_presentation", "homology", "interior_complex",

@@ -677,7 +677,8 @@ class CombinatorialComplex:
         assumed: an orbit face whose facet orbits collide (or whose
         vertex orbits collide) is rejected.  The Delta-structure descends
         when the involution preserves per-face facet order; otherwise it
-        is dropped and homology falls back to the order complex.
+        is dropped and homology takes the cellular route, through
+        incidence numbers.
         """
         for f in self._order:
             g = phi.get(f)

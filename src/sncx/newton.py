@@ -135,13 +135,15 @@ def _facet_census(points, orthant: bool):
                     kept.append((tuple(x // h for x in v), common | bit))
         rays = kept
 
+    # a ray (-m, w) is tight on exactly the generators its bitmask holds,
+    # and a facet's tight points are the input points w.p = m attains
     facets = []
-    for r, _ in rays:
+    for r, tight in rays:
         w = r[1:]
         if not any(w):
             continue
-        m = min(_dot(w, p) for p in points)
-        onset = frozenset(i for i, p in enumerate(points) if _dot(w, p) == m)
+        m = -r[0]
+        onset = frozenset(i for i in range(len(points)) if tight >> i & 1)
         frec = tuple(j for j in range(d) if w[j] == 0) if orthant else ()
         if _affine_dim(points, onset, frec) != d - 1:
             raise AssertionError(f"census ray {r} is not a facet")
@@ -375,11 +377,6 @@ def predicted_sphere_count(np_: NewtonPolyhedron, variant: str) -> int:
         edge_term = sum(e.length - 1 for e in np_.compact_edges
                         if np_.face_interior(np_.faces[e.face_index]))
     return vertex_term + edge_term
-
-
-def census_report(np_: NewtonPolyhedron) -> dict:
-    """The intermediate censuses, for auditing a pipeline run."""
-    return _census(SubdividedSimplex(np_))
 
 
 def _census(ss: SubdividedSimplex) -> dict:

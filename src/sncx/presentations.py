@@ -7,6 +7,14 @@ plus one relator per 2-cell, the walk around its boundary circle.
 Words are tuples of nonzero integers: letter ``+k`` is generator k-1,
 ``-k`` its inverse.  Every transformation applied here is a Tietze move,
 so the presented group never changes.
+
+Tietze simplification keeps the input's generator numbers while it
+works: eliminating generator g leaves a gap at g, and the survivors are
+renumbered 1, 2, ... once, on return.  Closing the gaps is an odd map,
+increasing on positive letters, so it keeps every comparison the pass
+makes (signed letters, tuples, least rotations, the relator sort and
+the elimination choice), and numbering at the end makes the same moves
+as numbering after each elimination would.
 """
 
 from __future__ import annotations
@@ -166,24 +174,12 @@ def _substitute(word, gen, repl):
     return tuple(_free_reduce(out))
 
 
-def _renumber(relators, generators, removed):
-    remap = {}
-    nxt = 1
-    for g in range(1, generators + 1):
-        if g != removed:
-            remap[g] = nxt
-            nxt += 1
-    out = []
-    for r in relators:
-        out.append(tuple((1 if x > 0 else -1) * remap[abs(x)] for x in r))
-    return out, generators - 1
-
-
-def _eliminate_generator(relators, generators):
+def _eliminate_generator(relators):
     """Remove one generator via a relator where it occurs exactly once.
 
     Prefers short relators (smallest substitution growth).  Returns the
-    new (relators, generators) or None when no elimination applies.
+    new relators and the generator removed, or None when no elimination
+    applies.
     """
     best = None
     for idx, r in enumerate(relators):
@@ -206,92 +202,76 @@ def _eliminate_generator(relators, generators):
         rot = _invert(rot)
         rot = rot[-1:] + rot[:-1]
     repl = _invert(rot[1:])
-    out = []
-    for j, s in enumerate(relators):
-        if j == idx:
-            continue
-        out.append(_substitute(s, g, repl))
-    out, gens = _renumber(out, generators, g)
-    return out, gens
+    return [_substitute(s, g, repl) for j, s in enumerate(relators) if j != idx], g
 
 
 def _shorten_by_overlap(relators):
-    """One pass of relator-vs-relator subword replacement.
+    """Relator-vs-relator subword replacement, at the first place it shortens.
 
     If more than half of a (shorter) relator appears inside another,
-    rewriting through the shorter relator reduces total length.
+    rewriting through the shorter relator reduces total length.  Returns
+    the relators sorted by (length, word), with that one rewrite applied,
+    and whether there was one.
     """
-    rels = [tuple(r) for r in relators]
-    rels.sort(key=lambda r: (len(r), r))
-    changed = False
+    rels = sorted(relators, key=lambda r: (len(r), r))
     for i, s in enumerate(rels):
         ls = len(s)
-        if ls == 0:
-            continue
-        variants = []
         doubled_fwd = s + s
-        doubled_rev = _invert(s) + _invert(s)
-        for start in range(ls):
-            variants.append(doubled_fwd[start:start + ls])
-            variants.append(doubled_rev[start:start + ls])
+        doubled_rev = _invert(s) * 2
+        variants = [v for start in range(ls)
+                    for v in (doubled_fwd[start:start + ls],
+                              doubled_rev[start:start + ls])]
         half = ls // 2 + 1
-        for j in range(len(rels)):
-            if j == i:
+        for j, r in enumerate(rels):
+            if j == i or len(r) < half:
                 continue
-            r = rels[j]
-            if len(r) < half:
-                continue
+            big = r + r
             for variant in variants:
                 chunk = variant[:half]
-                lw = len(chunk)
-                found = -1
-                big = r + r
-                for start in range(len(r)):
-                    if big[start:start + lw] == chunk:
-                        found = start
-                        break
+                found = next((t for t in range(len(r))
+                              if big[t:t + half] == chunk), -1)
                 if found < 0:
                     continue
                 # r contains the first `half` letters of `variant`; replace
                 # them by the inverse of the remainder of `variant`
-                longest = lw
+                longest = half
                 while longest < min(ls, len(r)) and \
                         big[found + longest] == variant[longest]:
                     longest += 1
-                remainder = _invert(variant[longest:])
-                rotated = big[found + longest:found + len(r)]
-                new_r = _cyclic_reduce(tuple(remainder) + tuple(rotated))
+                new_r = _cyclic_reduce(_invert(variant[longest:])
+                                       + big[found + longest:found + len(r)])
                 if len(new_r) < len(r):
                     rels[j] = new_r
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            break
-    return rels, changed
+                    return rels, True
+    return rels, False
 
 
 def tietze_simplify(pres: GroupPresentation, budget: int = 20000):
     """Deterministic simplification; returns (presentation, status).
 
     Status is ``"trivial"`` when no generators remain, ``"reduced"`` when
-    a fixpoint was reached, ``"budget-exhausted"`` otherwise.
+    a fixpoint was reached, ``"budget-exhausted"`` otherwise.  The budget
+    counts loop turns.
     """
     relators = [w for w in (_cyclic_reduce(r) for r in pres.relators) if w]
-    generators = pres.generators
+    live = set(range(1, pres.generators + 1))
     ops = 0
     while ops < budget:
         ops += 1
         relators = sorted({_canonical_relator(r) for r in relators} - {()})
-        step = _eliminate_generator(relators, generators)
+        step = _eliminate_generator(relators)
         if step is not None:
-            relators, generators = step
-            relators = [w for w in (_cyclic_reduce(r) for r in relators) if w]
+            relators, g = step
+            live.discard(g)
             continue
         relators, changed = _shorten_by_overlap(relators)
-        relators = [w for w in (_cyclic_reduce(r) for r in relators) if w]
         if not changed:
-            status = "trivial" if generators == 0 else "reduced"
-            return GroupPresentation(generators, tuple(relators)), status
-    return GroupPresentation(generators, tuple(sorted(relators))), "budget-exhausted"
+            status = "reduced" if live else "trivial"
+            break
+    else:
+        relators = sorted(w for w in (_cyclic_reduce(r) for r in relators) if w)
+        status = "budget-exhausted"
+    number = {g: k for k, g in enumerate(sorted(live), 1)}
+    relators = tuple(tuple(number[x] if x > 0 else -number[-x] for x in r)
+                     for r in relators)
+    return GroupPresentation(len(live), relators), status

@@ -20,7 +20,8 @@ vertices merged, a case 3 check that scans the whole attachment
 closure for the spans of each of its faces, and that validating
 constructor itself: every check run on every face of a record list,
 kept apart from the library's one build routine, which checks only the
-faces a move creates and is the constructor too.
+faces a move creates and is the constructor too, and a Tietze pass that
+renumbers the generators after every elimination.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ from sncx.errors import (
 )
 from sncx.homology import HomologyResult, chain_complex, homology
 from sncx.newton import PolyFace, PolyFacet, SubdividedSimplex, _affine_dim, _dot
+from sncx.presentations import (
+    GroupPresentation,
+    _canonical_relator,
+    _cyclic_reduce,
+    _invert,
+    _substitute,
+)
 from sncx.snf import kernel_line, smith_normal_form
 from sncx.transforms import (
     ScriptLog,
@@ -725,3 +733,121 @@ def scanning_validate_case3(c, move):
                 f"face {g!r} has {len(spans)} spans through {vj!r} "
                 "in the attachment closure; need exactly one")
     return closure
+
+
+def _renumber(relators, generators, removed):
+    remap = {}
+    nxt = 1
+    for g in range(1, generators + 1):
+        if g != removed:
+            remap[g] = nxt
+            nxt += 1
+    out = []
+    for r in relators:
+        out.append(tuple((1 if x > 0 else -1) * remap[abs(x)] for x in r))
+    return out, generators - 1
+
+
+def _renumbering_eliminate_generator(relators, generators):
+    best = None
+    for idx, r in enumerate(relators):
+        counts = {}
+        for x in r:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        for g, cnt in sorted(counts.items()):
+            if cnt == 1:
+                key = (len(r), idx, g)
+                if best is None or key < best[0]:
+                    best = (key, idx, g)
+    if best is None:
+        return None
+    _, idx, g = best
+    r = relators[idx]
+    pos = next(i for i, x in enumerate(r) if abs(x) == g)
+    rot = r[pos:] + r[:pos]
+    if rot[0] < 0:
+        rot = _invert(rot)
+        rot = rot[-1:] + rot[:-1]
+    repl = _invert(rot[1:])
+    out = []
+    for j, s in enumerate(relators):
+        if j == idx:
+            continue
+        out.append(_substitute(s, g, repl))
+    out, gens = _renumber(out, generators, g)
+    return out, gens
+
+
+def flagged_shorten_by_overlap(relators):
+    """One pass of subword replacement that flags the first shortening
+    and breaks out of its three loops; returns (relators, changed)."""
+    rels = [tuple(r) for r in relators]
+    rels.sort(key=lambda r: (len(r), r))
+    changed = False
+    for i, s in enumerate(rels):
+        ls = len(s)
+        if ls == 0:
+            continue
+        variants = []
+        doubled_fwd = s + s
+        doubled_rev = _invert(s) + _invert(s)
+        for start in range(ls):
+            variants.append(doubled_fwd[start:start + ls])
+            variants.append(doubled_rev[start:start + ls])
+        half = ls // 2 + 1
+        for j in range(len(rels)):
+            if j == i:
+                continue
+            r = rels[j]
+            if len(r) < half:
+                continue
+            for variant in variants:
+                chunk = variant[:half]
+                lw = len(chunk)
+                found = -1
+                big = r + r
+                for start in range(len(r)):
+                    if big[start:start + lw] == chunk:
+                        found = start
+                        break
+                if found < 0:
+                    continue
+                longest = lw
+                while longest < min(ls, len(r)) and \
+                        big[found + longest] == variant[longest]:
+                    longest += 1
+                remainder = _invert(variant[longest:])
+                rotated = big[found + longest:found + len(r)]
+                new_r = _cyclic_reduce(tuple(remainder) + tuple(rotated))
+                if len(new_r) < len(r):
+                    rels[j] = new_r
+                    changed = True
+                    break
+            if changed:
+                break
+        if changed:
+            break
+    return rels, changed
+
+
+def renumbering_tietze_simplify(pres, budget=20000):
+    """Tietze simplification that renumbers the generators after every
+    elimination and cyclically reduces every relator after every step."""
+    relators = [w for w in (_cyclic_reduce(r) for r in pres.relators) if w]
+    generators = pres.generators
+    ops = 0
+    while ops < budget:
+        ops += 1
+        relators = sorted({_canonical_relator(r) for r in relators} - {()})
+        step = _renumbering_eliminate_generator(relators, generators)
+        if step is not None:
+            relators, generators = step
+            relators = [w for w in (_cyclic_reduce(r) for r in relators) if w]
+            continue
+        relators, changed = flagged_shorten_by_overlap(relators)
+        relators = [w for w in (_cyclic_reduce(r) for r in relators) if w]
+        if not changed:
+            status = "trivial" if generators == 0 else "reduced"
+            return GroupPresentation(generators, tuple(relators)), status
+    return (GroupPresentation(generators, tuple(sorted(relators))),
+            "budget-exhausted")

@@ -5,9 +5,10 @@ import pytest
 import sncx as S
 from sncx import gallery as G
 from sncx.errors import NotConnected
-from sncx.presentations import GroupPresentation
+from sncx.presentations import GroupPresentation, _canonical_relator, _shorten_by_overlap
 
 from conftest import random_simplicial_complex, without_delta
+from oracles import flagged_shorten_by_overlap, renumbering_tietze_simplify
 from test_newton import staircase_support
 
 
@@ -206,3 +207,52 @@ class TestTietze:
         before = S.abelianization(pres)
         simp, _status = S.tietze_simplify(pres)
         assert S.abelianization(simp) == before
+
+
+def random_word(rng, generators, max_len):
+    return tuple(rng.choice((1, -1)) * rng.randint(1, generators)
+                 for _ in range(rng.randint(0, max_len)))
+
+
+class TestAgainstRenumberingOracle:
+    """The pass numbers generators once, on return; the oracle renumbers
+    after every elimination.  Both must make the same moves."""
+
+    def test_random_presentations(self):
+        rng = random.Random(41)
+        statuses = set()
+        for _ in range(3000):
+            n = rng.randint(0, 7)
+            rels = tuple(random_word(rng, n, 8 if n else 0)
+                         for _ in range(rng.randint(0, 7)))
+            pres = GroupPresentation(n, rels)
+            for budget in (0, 1, 2, 3, 20000):
+                got = S.tietze_simplify(pres, budget)
+                assert got == renumbering_tietze_simplify(pres, budget), pres
+                statuses.add(got[1])
+        assert statuses == {"trivial", "reduced", "budget-exhausted"}
+
+    def test_fixture_presentations(self):
+        octahedron = G.octahedron_boundary()
+        rp2 = G.real_projective_plane()
+        for c in (octahedron, rp2, S.skeleton(G.full_simplex(5), 3),
+                  S.skeleton(G.full_simplex(6), 2), octahedron.order_complex(),
+                  rp2.order_complex(), G.cross_polytope_boundary(4)):
+            pres = S.fundamental_group_presentation(c)
+            for budget in (1, 2, 5, 20000):
+                assert S.tietze_simplify(pres, budget) == \
+                    renumbering_tietze_simplify(pres, budget)
+
+    def test_overlap_shortening(self):
+        # eliminations dominate whole runs, so call the overlap step alone
+        # on sets with no generator to eliminate as often as not
+        rng = random.Random(43)
+        shortened = 0
+        for _ in range(5000):
+            n = rng.randint(1, 3)
+            rels = sorted({_canonical_relator(random_word(rng, n, 8))
+                           for _ in range(rng.randint(1, 6))} - {()})
+            got = _shorten_by_overlap(rels)
+            assert got == flagged_shorten_by_overlap(rels), rels
+            shortened += got[1]
+        assert shortened >= 3000
