@@ -29,6 +29,7 @@ reduced homology of rank one in degree -1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .complexes import CombinatorialComplex
 from .errors import BoundaryNotSquareZero, NotRegularCW
@@ -298,6 +299,16 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     pairs are tried from the top dimension down, then in canonical order;
     they are kept up to date as pairs are removed and restored, so a step
     touches only the faces within two levels below the pair.
+
+    The free pairs of a state depend on its alive faces alone, and
+    restoring a pair on backtrack restores those.  So a state's first
+    pair is the least key of a heap of free pairs (lazily deleted: an
+    entry counts while ``free`` still holds it), and the first backtrack
+    into a state sorts its free keys above the one tried there, once:
+    the pairs come in the order a sorted snapshot of the state gives,
+    and a state the search never returns to is never sorted.  Each face
+    keeps the sum of its alive cofaces' indices, which is its one alive
+    coface when it has one.
     """
     if c.is_empty:
         return False, ()
@@ -305,30 +316,37 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     idx = {f: i for i, f in enumerate(faces)}
     dims = [c.dim(f) for f in faces]
     below = [[idx[g] for g in c.facets(f)] for f in faces]
-    above = [[] for _ in faces]
+    up = [0] * len(faces)           # alive cofaces per face
+    upsum = [0] * len(faces)        # the sum of their indices
     for i, fs in enumerate(below):
         for j in fs:
-            above[j].append(i)
+            up[j] += 1
+            upsum[j] += i
     # a free pair (s, t): s has exactly one alive coface t, t has none
     alive = [True] * len(faces)
-    up = [len(a) for a in above]    # alive cofaces per face
     free = {}                       # free face s -> sort key (-dim t, t, s)
+    heap = []                       # free keys, some no longer in free
 
     def refresh(f):
-        free.pop(f, None)
-        if alive[f] and up[f] == 1:
-            t = next(g for g in above[f] if alive[g])
-            if not up[t]:
-                free[f] = (-dims[t], t, f)
+        t = upsum[f]
+        if alive[f] and up[f] == 1 and not up[t]:
+            key = (-dims[t], t, f)
+            if free.get(f) != key:
+                free[f] = key
+                heappush(heap, key)
+                if len(heap) > 2 * len(faces):  # drop the stale keys
+                    heap[:] = sorted(free.values())
+        else:
+            free.pop(f, None)
 
-    def toggle(pair, now_alive):
-        s, t = pair
+    def toggle(s, t, now_alive):
         alive[s] = alive[t] = now_alive
         step = 1 if now_alive else -1
         touched = {s, t}
         for f in (s, t):
             for g in below[f]:
                 up[g] += step
+                upsum[g] += step * f
                 touched.add(g)
                 touched.update(below[g])
         for f in touched:
@@ -338,29 +356,34 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
         refresh(f)
     keys = [(1 << len(faces)) - 1]  # keys[d]: bitmask of alive after trail[:d]
     trail = []
-    stack = []      # stack[d]: untried free pairs of the state after trail[:d]
+    rest = []       # rest[d]: the untried pairs of the state after trail[:d],
+                    # sorted on the first backtrack into it, None before
     seen = set()
     while True:
         if len(faces) - 2 * len(trail) == 1 and dims[alive.index(True)] == 0:
             return True, tuple((faces[s], faces[t]) for s, t in trail)
+        key = pairs = None
         if keys[-1] not in seen and len(seen) < budget:
             seen.add(keys[-1])
-            stack.append(iter(sorted(free.values())))
-        while True:     # backtrack to the deepest state with an untried pair
-            if len(stack) <= len(trail):    # the current state is finished
-                if not trail:
-                    return False, ()
-                toggle(trail.pop(), True)
-                keys.pop()
-                continue
-            key = next(stack[-1], None)
-            if key is not None:
-                break
-            stack.pop()
-        pair = key[2], key[1]       # (s, t)
-        toggle(pair, False)
-        keys.append(keys[-1] ^ 1 << pair[0] ^ 1 << pair[1])
-        trail.append(pair)
+            while heap and free.get(heap[0][2]) != heap[0]:
+                heappop(heap)
+            key = heap[0] if heap else None
+        while key is None:  # backtrack to the deepest state with an untried pair
+            if not trail:
+                return False, ()
+            s, t = trail.pop()
+            toggle(s, t, True)
+            keys.pop()
+            pairs = rest.pop()
+            if pairs is None:
+                last = (-dims[t], t, s)
+                pairs = iter(sorted(k for k in free.values() if k > last))
+            key = next(pairs, None)
+        s, t = key[2], key[1]
+        toggle(s, t, False)
+        keys.append(keys[-1] ^ 1 << s ^ 1 << t)
+        trail.append((s, t))
+        rest.append(pairs)
 
 
 # -- wedge certification -----------------------------------------------------

@@ -15,12 +15,20 @@ increasing on positive letters, so it keeps every comparison the pass
 makes (signed letters, tuples, least rotations, the relator sort and
 the elimination choice), and numbering at the end makes the same moves
 as numbering after each elimination would.
+
+Each elimination is found in a heap and substituted only into the
+relators that hold the generator, so a turn costs what it changes.  It
+makes the moves of the plain pass, which sorts the canonical relators
+on every turn and takes the least ``(len r, rank of r, g)``: the rank
+follows the word, so that choice is the least ``(len r, r, g)``, the
+heap's key, and a relator without g is left as it is by substitution.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .complexes import CombinatorialComplex
 from .errors import NotConnected
@@ -160,51 +168,6 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
     return GroupPresentation(len(gens), tuple(relators))
 
 
-def _substitute(word, gen, repl):
-    """Replace every occurrence of +-gen in word by repl / its inverse."""
-    out = []
-    inv = _invert(repl)
-    for x in word:
-        if x == gen:
-            out.extend(repl)
-        elif x == -gen:
-            out.extend(inv)
-        else:
-            out.append(x)
-    return tuple(_free_reduce(out))
-
-
-def _eliminate_generator(relators):
-    """Remove one generator via a relator where it occurs exactly once.
-
-    Prefers short relators (smallest substitution growth).  Returns the
-    new relators and the generator removed, or None when no elimination
-    applies.
-    """
-    best = None
-    for idx, r in enumerate(relators):
-        counts = {}
-        for x in r:
-            counts[abs(x)] = counts.get(abs(x), 0) + 1
-        for g, cnt in sorted(counts.items()):
-            if cnt == 1:
-                key = (len(r), idx, g)
-                if best is None or key < best[0]:
-                    best = (key, idx, g)
-    if best is None:
-        return None
-    _, idx, g = best
-    r = relators[idx]
-    pos = next(i for i, x in enumerate(r) if abs(x) == g)
-    # cyclically rotate so the g-letter is first; then g = inverse of rest
-    rot = r[pos:] + r[:pos]
-    if rot[0] < 0:
-        rot = _invert(rot)
-        rot = rot[-1:] + rot[:-1]
-    repl = _invert(rot[1:])
-    return [_substitute(s, g, repl) for j, s in enumerate(relators) if j != idx], g
-
-
 def _shorten_by_overlap(relators):
     """Relator-vs-relator subword replacement, at the first place it shortens.
 
@@ -251,25 +214,77 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 20000):
 
     Status is ``"trivial"`` when no generators remain, ``"reduced"`` when
     a fixpoint was reached, ``"budget-exhausted"`` otherwise.  The budget
-    counts loop turns.
+    counts loop turns: one elimination, or one overlap search.
+
+    Each turn eliminates a generator g through a relator r, the pair
+    that minimizes ``(len r, r, g)`` over the canonical relators r and
+    the generators g occurring once in r (see the module docstring).  When
+    no generator occurs once, one overlap search runs on the sorted
+    relators and the index is rebuilt from its output.  A
+    budget-exhausted exit returns what the plain pass holds at that
+    point: the relators the last turn left alone and the raw words it
+    made, cyclically reduced, duplicates kept, sorted.
     """
-    relators = [w for w in (_cyclic_reduce(r) for r in pres.relators) if w]
+    rels = set()        # the canonical relators
+    holding = {}        # generator -> the relators in rels holding it
+    heap = []           # (len r, r, least generator once in r), r maybe stale
+
+    def file(w):
+        if w in rels:
+            return False
+        rels.add(w)
+        counts = Counter(map(abs, w))
+        for g in counts:
+            holding.setdefault(g, set()).add(w)
+        once = [g for g, n in counts.items() if n == 1]
+        if once:
+            heappush(heap, (len(w), w, min(once)))
+        return True
+
+    def refile(words):
+        """File the canonical forms of ``words``; return those filed anew."""
+        return {w for w in map(_canonical_relator, words) if w and file(w)}
+
+    raw = [w for w in map(_cyclic_reduce, pres.relators) if w]
+    fresh = refile(raw)     # the relators the last turn's raw words added
     live = set(range(1, pres.generators + 1))
     ops = 0
     while ops < budget:
         ops += 1
-        relators = sorted({_canonical_relator(r) for r in relators} - {()})
-        step = _eliminate_generator(relators)
-        if step is not None:
-            relators, g = step
+        while heap and heap[0][1] not in rels:
+            heappop(heap)
+        if heap:
+            _, r, g = heappop(heap)
+            pos = next(i for i, x in enumerate(r) if abs(x) == g)
+            # cyclically rotate so the g-letter is first; then g = inverse of rest
+            rot = r[pos:] + r[:pos]
+            if rot[0] < 0:
+                rot = _invert(rot)
+                rot = rot[-1:] + rot[:-1]
+            repl, inv = _invert(rot[1:]), rot[1:]
+            hit = [s for s in holding[g] if s != r]
+            for s in (r, *hit):
+                rels.remove(s)
+                for x in s:
+                    holding[abs(x)].discard(s)
+            raw = [_free_reduce(y for x in s for y in
+                                (repl if x == g else inv if x == -g else (x,)))
+                   for s in hit]
+            fresh = refile(raw)
             live.discard(g)
             continue
-        relators, changed = _shorten_by_overlap(relators)
+        relators, changed = _shorten_by_overlap(sorted(rels))
         if not changed:
             status = "reduced" if live else "trivial"
             break
+        rels.clear()
+        holding.clear()
+        heap.clear()
+        raw = relators
+        fresh = refile(raw)
     else:
-        relators = sorted(w for w in (_cyclic_reduce(r) for r in relators) if w)
+        relators = sorted([*(rels - fresh),
+                           *(w for w in map(_cyclic_reduce, raw) if w)])
         status = "budget-exhausted"
     number = {g: k for k, g in enumerate(sorted(live), 1)}
     relators = tuple(tuple(number[x] if x > 0 else -number[-x] for x in r)

@@ -20,8 +20,10 @@ vertices merged, a case 3 check that scans the whole attachment
 closure for the spans of each of its faces, and that validating
 constructor itself: every check run on every face of a record list,
 kept apart from the library's one build routine, which checks only the
-faces a move creates and is the constructor too, and a Tietze pass that
-renumbers the generators after every elimination.
+faces a move creates and is the constructor too, a Tietze pass that
+renumbers the generators after every elimination, one that scans,
+substitutes into and recanonicalizes every relator on every turn, and a
+collapse search that sorts the free pairs of every state it expands.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from sncx.presentations import (
     GroupPresentation,
     _canonical_relator,
     _cyclic_reduce,
+    _free_reduce,
     _invert,
-    _substitute,
+    _shorten_by_overlap,
 )
 from sncx.snf import kernel_line, smith_normal_form
 from sncx.transforms import (
@@ -251,6 +254,78 @@ def recursive_collapse_to_point(c, budget=10000):
     if result is None:
         return False, ()
     return True, result
+
+
+def sorting_collapse_to_point(c, budget=10000, stats=None):
+    """Iterative collapse search that keeps each expanded state's free
+    pairs as an iterator over their sorted snapshot and finds a face's
+    one alive coface by scanning its cofaces.  ``stats``, a dict, counts
+    under ``"resumed"`` the pairs taken from a state after a backtrack."""
+    if c.is_empty:
+        return False, ()
+    faces = c.face_ids
+    idx = {f: i for i, f in enumerate(faces)}
+    dims = [c.dim(f) for f in faces]
+    below = [[idx[g] for g in c.facets(f)] for f in faces]
+    above = [[] for _ in faces]
+    for i, fs in enumerate(below):
+        for j in fs:
+            above[j].append(i)
+    alive = [True] * len(faces)
+    up = [len(a) for a in above]
+    free = {}
+
+    def refresh(f):
+        free.pop(f, None)
+        if alive[f] and up[f] == 1:
+            t = next(g for g in above[f] if alive[g])
+            if not up[t]:
+                free[f] = (-dims[t], t, f)
+
+    def toggle(pair, now_alive):
+        s, t = pair
+        alive[s] = alive[t] = now_alive
+        step = 1 if now_alive else -1
+        touched = {s, t}
+        for f in (s, t):
+            for g in below[f]:
+                up[g] += step
+                touched.add(g)
+                touched.update(below[g])
+        for f in touched:
+            refresh(f)
+
+    for f in range(len(faces)):
+        refresh(f)
+    keys = [(1 << len(faces)) - 1]
+    trail = []
+    stack = []
+    seen = set()
+    while True:
+        if len(faces) - 2 * len(trail) == 1 and dims[alive.index(True)] == 0:
+            return True, tuple((faces[s], faces[t]) for s, t in trail)
+        fresh = keys[-1] not in seen and len(seen) < budget
+        if fresh:
+            seen.add(keys[-1])
+            stack.append(iter(sorted(free.values())))
+        while True:
+            if len(stack) <= len(trail):
+                if not trail:
+                    return False, ()
+                toggle(trail.pop(), True)
+                keys.pop()
+                fresh = False
+                continue
+            key = next(stack[-1], None)
+            if key is not None:
+                break
+            stack.pop()
+        if stats is not None and not fresh:
+            stats["resumed"] = stats.get("resumed", 0) + 1
+        pair = key[2], key[1]
+        toggle(pair, False)
+        keys.append(keys[-1] ^ 1 << pair[0] ^ 1 << pair[1])
+        trail.append(pair)
 
 
 def recursive_check_acyclic(order, succ):
@@ -733,6 +808,79 @@ def scanning_validate_case3(c, move):
                 f"face {g!r} has {len(spans)} spans through {vj!r} "
                 "in the attachment closure; need exactly one")
     return closure
+
+
+def _substitute(word, gen, repl):
+    """Replace every occurrence of +-gen in word by repl / its inverse."""
+    out = []
+    inv = _invert(repl)
+    for x in word:
+        if x == gen:
+            out.extend(repl)
+        elif x == -gen:
+            out.extend(inv)
+        else:
+            out.append(x)
+    return tuple(_free_reduce(out))
+
+
+def _eliminate_generator(relators):
+    """Remove one generator via a relator where it occurs exactly once.
+
+    Prefers short relators (smallest substitution growth).  Returns the
+    new relators and the generator removed, or None when no elimination
+    applies.
+    """
+    best = None
+    for idx, r in enumerate(relators):
+        counts = {}
+        for x in r:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        for g, cnt in sorted(counts.items()):
+            if cnt == 1:
+                key = (len(r), idx, g)
+                if best is None or key < best[0]:
+                    best = (key, idx, g)
+    if best is None:
+        return None
+    _, idx, g = best
+    r = relators[idx]
+    pos = next(i for i, x in enumerate(r) if abs(x) == g)
+    # cyclically rotate so the g-letter is first; then g = inverse of rest
+    rot = r[pos:] + r[:pos]
+    if rot[0] < 0:
+        rot = _invert(rot)
+        rot = rot[-1:] + rot[:-1]
+    repl = _invert(rot[1:])
+    return [_substitute(s, g, repl) for j, s in enumerate(relators) if j != idx], g
+
+
+def scanning_tietze_simplify(pres, budget=20000):
+    """Tietze simplification that, on every turn, canonicalizes and sorts
+    every relator, scans them all for the elimination and substitutes
+    into every one of them."""
+    relators = [w for w in (_cyclic_reduce(r) for r in pres.relators) if w]
+    live = set(range(1, pres.generators + 1))
+    ops = 0
+    while ops < budget:
+        ops += 1
+        relators = sorted({_canonical_relator(r) for r in relators} - {()})
+        step = _eliminate_generator(relators)
+        if step is not None:
+            relators, g = step
+            live.discard(g)
+            continue
+        relators, changed = _shorten_by_overlap(relators)
+        if not changed:
+            status = "reduced" if live else "trivial"
+            break
+    else:
+        relators = sorted(w for w in (_cyclic_reduce(r) for r in relators) if w)
+        status = "budget-exhausted"
+    number = {g: k for k, g in enumerate(sorted(live), 1)}
+    relators = tuple(tuple(number[x] if x > 0 else -number[-x] for x in r)
+                     for r in relators)
+    return GroupPresentation(len(live), relators), status
 
 
 def _renumber(relators, generators, removed):

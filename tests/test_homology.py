@@ -12,6 +12,7 @@ from sncx.homology import _order_complex_chi
 from sncx.snf import _det, kernel_line, matrix_rank
 
 from conftest import (
+    close_under_subsets,
     polygon_cone_fan,
     random_lattice_polygon,
     random_lattice_polytope,
@@ -25,6 +26,7 @@ from oracles import (
     per_degree_homology,
     rational_kernel_line,
     recursive_collapse_to_point,
+    sorting_collapse_to_point,
 )
 
 
@@ -434,6 +436,37 @@ class TestWeightLabels:
         assert S.top_weight_ranks(pts, 1)[1] == 7
 
 
+# the 8-vertex dunce hat: contractible, and every edge lies in two or
+# three of its triangles, so no collapse starts on it
+DUNCE_HAT = ((1, 2, 4), (1, 2, 7), (1, 2, 8), (1, 3, 4), (1, 3, 5), (1, 3, 6),
+             (1, 5, 6), (1, 7, 8), (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 4, 5),
+             (3, 4, 8), (3, 6, 7), (4, 5, 6), (4, 6, 8), (6, 7, 8))
+
+
+def dunce_hat_with_a_3_cell():
+    """The dunce hat with a 3-cell on its disk 127, 128, 178, 678, whose
+    other side is one new 2-cell ``s`` (a square), labeled first."""
+    def edge(a, b):
+        return "e%d%d" % (min(a, b), max(a, b))
+
+    def tri(t):
+        return "t%d%d%d" % tuple(sorted(t))
+
+    edges = sorted({tuple(sorted(e)) for t in DUNCE_HAT
+                    for e in itertools.combinations(t, 2)})
+    disk = ((1, 2, 7), (1, 2, 8), (1, 7, 8), (6, 7, 8))
+    return S.new_complex(
+        [{"id": f"v{v}", "dim": 0, "facets": []} for v in range(1, 9)]
+        + [{"id": edge(*e), "dim": 1, "facets": [f"v{e[0]}", f"v{e[1]}"]}
+           for e in edges]
+        + [{"id": tri(t), "dim": 2,
+            "facets": [edge(a, b) for a, b in itertools.combinations(t, 2)]}
+           for t in DUNCE_HAT]
+        + [{"id": "s", "label": "a", "dim": 2,
+            "facets": [edge(2, 7), edge(2, 8), edge(6, 7), edge(6, 8)]},
+           {"id": "ball", "dim": 3, "facets": ["s"] + [tri(t) for t in disk]}])
+
+
 class TestCollapse:
     def test_cone_collapses(self):
         ok, seq = S.collapse_to_point(S.cone(G.triangle_boundary()))
@@ -468,6 +501,56 @@ class TestCollapse:
         ok, seq = S.collapse_to_point(G.full_simplex(10), 4000)
         assert ok
         assert len(seq) * 2 + 1 == sum(G.full_simplex(10).f_vector())
+
+    def test_agrees_with_sorting_oracle(self):
+        # sizes and budgets where the recursive oracle is too slow, two
+        # surfaces with boundary whose searches fail after backtracking, a
+        # complex that collapses only after a backtrack, and random ones
+        # whose searches restore faces to free pairs with other cofaces
+        octahedron = G.octahedron_boundary()
+        annulus = S.simplicial_complex_from_subsets(close_under_subsets(
+            map(frozenset, ((0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5),
+                            (2, 0, 5), (0, 5, 3)))))
+        moebius = S.simplicial_complex_from_subsets(close_under_subsets(
+            map(frozenset, ((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0),
+                            (4, 0, 1)))))
+        cases = {"simplex": (G.full_simplex(10), (1, 5, 4000)),
+                 "cone": (S.cone(octahedron.order_complex().order_complex()),
+                          (1, 5, 4000)),
+                 "octahedron": (octahedron, (4000,)),
+                 "annulus": (annulus, (1, 50, 4000)),
+                 "moebius": (moebius, (4000,)),
+                 "hat": (dunce_hat_with_a_3_cell(), (1, 2, 4000))}
+        rng = random.Random(53)
+        for i in range(60):
+            c = random_simplicial_complex(rng, max_verts=8, max_facets=8,
+                                          max_dim=3)
+            cases[i] = (c, (20, 300, 4000))
+            cases[-1 - i] = (S.cone(c), (20, 300, 4000))
+        resumed = {}
+        for name, (c, budgets) in cases.items():
+            for budget in budgets:
+                stats = {}
+                want = sorting_collapse_to_point(c, budget, stats)
+                assert S.collapse_to_point(c, budget) == want
+                resumed[name, budget] = stats.get("resumed", 0)
+        assert resumed["annulus", 4000] > 1000      # searched through
+        assert resumed["simplex", 4000] == 0        # collapsed greedily
+
+    def test_collapses_after_a_backtrack(self):
+        hat = S.simplicial_complex_from_subsets(close_under_subsets(
+            map(frozenset, DUNCE_HAT)))
+        assert S.homology(hat, reduced=True).nonzero() == ()
+        assert S.collapse_to_point(hat) == (False, ())
+        c = dunce_hat_with_a_3_cell()
+        stats = {}
+        ok, seq = S.collapse_to_point(c)
+        assert ok and (ok, seq) == sorting_collapse_to_point(c, 10000, stats)
+        assert stats == {"resumed": 1}
+        # the first try, the new 2-cell, leaves the dunce hat, which has no
+        # free face; the search then collapses the 3-cell through the hat
+        assert seq[0] == ("t127", "ball")
+        assert S.collapse_to_point(c, 1) == (False, ())
 
     def test_collapse_success_implies_point_homology(self):
         rng = random.Random(9)

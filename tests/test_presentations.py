@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,11 @@ from sncx.errors import NotConnected
 from sncx.presentations import GroupPresentation, _canonical_relator, _shorten_by_overlap
 
 from conftest import random_simplicial_complex, without_delta
-from oracles import flagged_shorten_by_overlap, renumbering_tietze_simplify
+from oracles import (
+    flagged_shorten_by_overlap,
+    renumbering_tietze_simplify,
+    scanning_tietze_simplify,
+)
 from test_newton import staircase_support
 
 
@@ -256,3 +261,60 @@ class TestAgainstRenumberingOracle:
             assert got == flagged_shorten_by_overlap(rels), rels
             shortened += got[1]
         assert shortened >= 3000
+
+
+def random_presentation(rng):
+    n = rng.randint(0, 7)
+    return GroupPresentation(n, tuple(random_word(rng, n, 8 if n else 0)
+                                      for _ in range(rng.randint(0, 7))))
+
+
+class TestAgainstScanningOracle:
+    """The pass finds each elimination in a heap and substitutes only into
+    the relators an index lists; the oracle scans, substitutes into and
+    recanonicalizes every relator on every turn.  Both must make the same
+    moves, and a budget-exhausted exit must hold the same raw words."""
+
+    def test_random_presentations(self):
+        rng = random.Random(47)
+        statuses = set()
+        for _ in range(3000):
+            pres = random_presentation(rng)
+            for budget in (0, 1, 2, 3, 20000):
+                got = S.tietze_simplify(pres, budget)
+                assert got == scanning_tietze_simplify(pres, budget), pres
+                statuses.add(got[1])
+        assert statuses == {"trivial", "reduced", "budget-exhausted"}
+
+    def test_fixture_presentations(self):
+        octahedron = G.octahedron_boundary()
+        rp2 = G.real_projective_plane()
+        for c in (octahedron, rp2, S.skeleton(G.full_simplex(5), 3),
+                  S.skeleton(G.full_simplex(6), 2), octahedron.order_complex(),
+                  rp2.order_complex(), G.cross_polytope_boundary(4),
+                  octahedron.order_complex().order_complex(),
+                  rp2.order_complex().order_complex()):
+            pres = S.fundamental_group_presentation(c)
+            for budget in (1, 2, 5, 40, 20000):
+                assert S.tietze_simplify(pres, budget) == \
+                    scanning_tietze_simplify(pres, budget)
+
+    def test_exit_keeps_equal_raw_words(self):
+        # b = 1 by the relator b^-1; then c^-1 b^-1 and c^-1 b both become
+        # c^-1, and the budget ends the pass right after that elimination
+        pres = GroupPresentation(3, ((-3, -2), (-3, 2), (-2,)))
+        want = GroupPresentation(2, ((-2,), (-2,))), "budget-exhausted"
+        assert S.tietze_simplify(pres, 1) == want
+        assert scanning_tietze_simplify(pres, 1) == want
+        # the next turn removes c through either copy
+        assert S.tietze_simplify(pres, 2) == (GroupPresentation(1, ()),
+                                              "budget-exhausted")
+
+    def test_sd3_octahedron_is_fast(self):
+        # the scanning pass takes about 10 s on these 1,727 generators
+        c = G.octahedron_boundary().order_complex().order_complex().order_complex()
+        pres = S.fundamental_group_presentation(c)
+        start = time.perf_counter()
+        out, status = S.tietze_simplify(pres)
+        assert time.perf_counter() - start < 2.0
+        assert status == "trivial" and out == GroupPresentation(0, ())
