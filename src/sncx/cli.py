@@ -197,55 +197,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--reduced", action="store_true")
     common(p)
-    p.set_defaults(fn=_run_homology)
 
     p = sub.add_parser("transform", help="replay a blowup script with a homology log")
     p.add_argument("complex")
     p.add_argument("script")
     common(p)
-    p.set_defaults(fn=_run_transform)
 
     p = sub.add_parser("dual", help="dual complex of a strata description")
     p.add_argument("input")
     common(p)
-    p.set_defaults(fn=_run_dual)
 
     p = sub.add_parser("toric-link", help="link of the origin of a fan")
     p.add_argument("input")
     common(p)
-    p.set_defaults(fn=_run_toric_link)
 
     p = sub.add_parser("realize", help="realize a subset-closed complex as a boundary complex")
     p.add_argument("input")
     common(p)
-    p.set_defaults(fn=_run_realize)
 
     p = sub.add_parser("newton", help="resolution complex pipeline of a monomial support")
     p.add_argument("input")
     p.add_argument("--variant", choices=("literal", "interior", "both"),
                    default="both")
     common(p)
-    p.set_defaults(fn=_run_newton)
 
     p = sub.add_parser("torus-boundary", help="boundary complex of a nondegenerate torus hypersurface")
     p.add_argument("input")
     common(p)
-    p.set_defaults(fn=_run_torus_boundary)
 
     p = sub.add_parser("certify", help="wedge-of-spheres certificate for a complex")
     p.add_argument("input")
     p.add_argument("--sphere-dim", type=int, required=True)
     common(p)
-    p.set_defaults(fn=_run_certify)
 
     return parser
 
 
+_parser = None     # built on the first ``main`` call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; return its exit code.
+
+    ``main`` may be called any number of times in one process (a batch
+    driver, a test suite, the benchmark's worker).  The argument parser
+    is built once per process, on the first call, and reused: parsing
+    gives each call a fresh namespace, and the subcommand's runner is
+    looked up by name at call time.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        report = args.fn(args)
+        report = globals()["_run_" + args.command.replace("-", "_")](args)
     except SncxError as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(dumps(err) if args.format == "json"

@@ -308,7 +308,9 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     the pairs come in the order a sorted snapshot of the state gives,
     and a state the search never returns to is never sorted.  Each face
     keeps the sum of its alive cofaces' indices, which is its one alive
-    coface when it has one.
+    coface when it has one.  Once ``budget`` states are expanded no state
+    reads the heap again, so it takes no more keys; ``free`` and the sums
+    stay exact for the states the search resumes.
     """
     if c.is_empty:
         return False, ()
@@ -326,6 +328,7 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     alive = [True] * len(faces)
     free = {}                       # free face s -> sort key (-dim t, t, s)
     heap = []                       # free keys, some no longer in free
+    seen = set()                    # bitmasks of the states expanded
 
     def refresh(f):
         t = upsum[f]
@@ -333,9 +336,10 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
             key = (-dims[t], t, f)
             if free.get(f) != key:
                 free[f] = key
-                heappush(heap, key)
-                if len(heap) > 2 * len(faces):  # drop the stale keys
-                    heap[:] = sorted(free.values())
+                if len(seen) < budget:  # no state reads the heap after that
+                    heappush(heap, key)
+                    if len(heap) > 2 * len(faces):  # drop the stale keys
+                        heap[:] = sorted(free.values())
         else:
             free.pop(f, None)
 
@@ -358,7 +362,6 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     trail = []
     rest = []       # rest[d]: the untried pairs of the state after trail[:d],
                     # sorted on the first backtrack into it, None before
-    seen = set()
     while True:
         if len(faces) - 2 * len(trail) == 1 and dims[alive.index(True)] == 0:
             return True, tuple((faces[s], faces[t]) for s, t in trail)

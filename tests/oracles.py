@@ -22,12 +22,14 @@ constructor itself: every check run on every face of a record list,
 kept apart from the library's one build routine, which checks only the
 faces a move creates and is the constructor too, a Tietze pass that
 renumbers the generators after every elimination, one that scans,
-substitutes into and recanonicalizes every relator on every turn, and a
-collapse search that sorts the free pairs of every state it expands.
+substitutes into and recanonicalizes every relator on every turn, a
+collapse search that sorts the free pairs of every state it expands,
+and the report writer that hands every document to ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -999,3 +1001,9 @@ def renumbering_tietze_simplify(pres, budget=20000):
             return GroupPresentation(generators, tuple(relators)), status
     return (GroupPresentation(generators, tuple(sorted(relators))),
             "budget-exhausted")
+
+
+def stdlib_dumps(doc) -> str:
+    """The report writer as it was: the stdlib encoder, two-space indent,
+    sorted keys, trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,15 +1,31 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import sncx as S
+import sncx.cli as cli
 from sncx import gallery as G
 from sncx.cli import main
 from sncx.serialize import dumps_complex
 
 from conftest import close_under_subsets
+from oracles import stdlib_dumps
+
+
+@pytest.fixture(autouse=True)
+def writer_matches_stdlib(monkeypatch):
+    """Every document a CLI test writes is checked against the stdlib
+    encoder's bytes."""
+    real = cli.dumps
+
+    def checked(doc):
+        out = real(doc)
+        assert out == stdlib_dumps(doc)
+        return out
+
+    monkeypatch.setattr(cli, "dumps", checked)
 
 
 def run_cli(argv):
@@ -17,6 +33,18 @@ def run_cli(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def run_any(argv):
+    """``(exit code, stdout, stderr)`` of one ``main`` call, usage errors,
+    ``--help`` and ``--version`` included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -116,7 +144,6 @@ class TestSubcommands:
         assert rep["reduced_homology"][0]["betti"] == 7
 
     def test_torus_boundary_homology_computed_once(self, inputs, monkeypatch):
-        import sncx.cli as cli
         calls = []
         real = cli.homology
 
@@ -339,6 +366,93 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             run_cli(["--version"])
         assert exc.value.code == 0
+
+
+class TestBatch:
+    """``main`` called many times in one process: the parser is built once,
+    and each call gives the bytes and exit code of a freshly built one."""
+
+    @staticmethod
+    def batch(inputs):
+        tri, quadric = str(inputs["triangle"]), str(inputs["quadric"])
+        bad = inputs["triangle"].parent / "dangling.json"
+        bad.write_text(json.dumps({"faces": [
+            {"id": "e", "dim": 1, "facets": ["ghost"]}]}))
+        return [
+            ["homology", tri, "--reduced"],
+            ["homology", tri],
+            ["newton", quadric, "--variant", "interior"],
+            ["newton", quadric],
+            ["certify"],                                # usage error
+            ["homology", tri, "--format", "text"],
+            ["homology", tri],
+            ["newton", quadric, "--variant", "literal", "--format", "text"],
+            ["certify", "--sphere-dim", "7"],           # usage error
+            ["newton", quadric],
+            ["certify", tri, "--sphere-dim", "1", "--format", "text"],
+            ["certify", tri, "--sphere-dim", "1"],
+            ["homology", str(bad)],                     # domain error
+            ["homology", tri, "--reduced", "--format", "text"],
+            ["homology", tri],
+            ["--help"],
+            ["newton", "--help"],
+            ["homology", tri, "--bogus"],               # usage error
+            ["torus-boundary", str(inputs["square"])],
+            ["transform", tri, str(inputs["script"])],
+            ["--version"],
+            ["realize", str(inputs["subsets"]), "--format", "text"],
+            ["realize", str(inputs["subsets"])],
+        ]
+
+    def test_no_option_leaks_between_calls(self, inputs, monkeypatch):
+        argvs = self.batch(inputs)
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run_any(argv))
+        monkeypatch.setattr(cli, "_parser", None)
+        interleaved = [run_any(argv) for argv in argvs]
+        for argv, want, got in zip(argvs, fresh, interleaved):
+            assert got == want, argv
+        codes = [code for code, _out, _err in interleaved]
+        assert codes.count(2) == 3 and codes.count(1) == 1
+        assert {code for code, _out, _err in interleaved} == {0, 1, 2}
+        reduced, plain = (json.loads(interleaved[i][1])["report"]["reports"][0]
+                          for i in (0, 1))
+        assert reduced["reduced"] and not plain["reduced"]
+        interior, both = (json.loads(interleaved[i][1])["report"]
+                          for i in (2, 3))
+        assert interior["predicted_variant"] == "interior"
+        assert "predicted_variant" not in both
+        assert interleaved[5][1].startswith("command: homology")
+        assert json.loads(interleaved[6][1])["command"] == "homology"
+        assert json.loads(interleaved[12][1])["error"]["type"] == "DanglingFace"
+
+    def test_parser_built_once(self, inputs, monkeypatch):
+        builds = []
+        real = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        tri = str(inputs["triangle"])
+        for argv in (["homology", tri], ["certify", tri, "--sphere-dim", "1"],
+                     ["homology", tri, "--reduced"]):
+            assert run_cli(argv)[0] == 0
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_runner_looked_up_at_call_time(self, inputs, monkeypatch):
+        tri = str(inputs["triangle"])
+        assert run_cli(["homology", tri])[0] == 0   # the parser exists now
+        monkeypatch.setattr(cli, "_run_homology", lambda args: {"stub": True})
+        code, out = run_cli(["homology", tri])
+        assert code == 0 and json.loads(out)["report"] == {"stub": True}
 
 
 class TestDeterminism:

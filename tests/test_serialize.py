@@ -1,11 +1,18 @@
 import json
 import random
+import sys
+from collections import OrderedDict, UserList
+from enum import IntEnum
+
+import pytest
 
 import sncx as S
 from sncx import gallery as G
+from sncx import serialize
 from sncx.serialize import (
     complex_from_dict,
     complex_to_dict,
+    dumps,
     dumps_complex,
     loads_complex,
     script_from_list,
@@ -13,6 +20,7 @@ from sncx.serialize import (
 )
 
 from conftest import random_simplicial_complex, with_random_levels
+from oracles import stdlib_dumps
 
 
 def filtered_fixture():
@@ -77,3 +85,131 @@ class TestScriptRoundTrip:
         doc = script_to_list(script)
         back = script_from_list(json.loads(json.dumps(doc)))
         assert back == script
+
+
+class TestReportWriter:
+    """``dumps`` writes the bytes of the stdlib encoder, or raises its
+    exception with its message."""
+
+    @staticmethod
+    def outcome(fn, doc):
+        try:
+            return fn(doc)
+        except Exception as exc:  # noqa: BLE001 - compared with the oracle's
+            return type(exc), str(exc)
+
+    def assert_same(self, doc):
+        want = self.outcome(stdlib_dumps, doc)
+        assert self.outcome(dumps, doc) == want
+        return want
+
+    @staticmethod
+    def random_doc(rng, depth=0):
+        pick = rng.randrange(9 if depth < 5 else 5)
+        if pick == 0:
+            return rng.choice(["", "a", "dim", "v0<e1", "é", "\n\t\"\\",
+                               "\x00\x1f", "\ud800", "😀", "日本"])
+        if pick == 1:
+            return rng.choice([0, 1, -1, 7, 2 ** 64, -(10 ** 30)])
+        if pick == 2:
+            return rng.choice([True, False, None])
+        if pick == 3:
+            return [rng.choice(["a", "b", "é"]) for _ in range(rng.randrange(4))]
+        if pick == 4:
+            return [rng.randrange(-5, 5) for _ in range(rng.randrange(4))]
+        n = rng.randrange(5)
+        if pick in (5, 6):
+            return {rng.choice(["id", "dim", "facets", "é", "", "a b", "\x01"])
+                    + str(rng.randrange(3)): TestReportWriter.random_doc(rng, depth + 1)
+                    for _ in range(n)}
+        items = [TestReportWriter.random_doc(rng, depth + 1) for _ in range(n)]
+        return tuple(items) if pick == 7 else items
+
+    def test_randomized_agreement(self):
+        rng = random.Random(13)
+        for _ in range(2000):
+            doc = self.random_doc(rng)
+            assert isinstance(self.assert_same(doc), str)
+
+    def test_plain_documents_skip_the_stdlib_encoder(self, monkeypatch):
+        doc = {"report": {"f_vector": [3, 3], "faces": ("v0", "v1"),
+                          "ok": True, "none": None, "nested": [[], {}, [1, "a"]]}}
+        want = stdlib_dumps(doc)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain document reached json.dumps")
+
+        monkeypatch.setattr(serialize.json, "dumps", refuse)
+        assert dumps(doc) == want
+
+    @pytest.mark.parametrize("text", [
+        "é", "日本語", "😀", "\x00\x01\x1f\x7f", "tab\there\nnew", "\"quoted\" \\",
+        "\ud800", "\udfff", "x\ud83dy", "  ",
+    ])
+    def test_strings(self, text):
+        for doc in (text, [text], [text, text, 1], {text: text},
+                    {"k": [text, "plain"]}):
+            self.assert_same(doc)
+
+    def test_non_str_keys(self):
+        for doc in ({1: "a", 2: "b"}, {3: [1], -1: {}}, {True: 1, False: 2},
+                    {None: 0}, {1.5: "x"}, {"a": {2: "b"}}):
+            assert isinstance(self.assert_same(doc), str)
+
+    @pytest.mark.parametrize("doc", [{1: "a", "b": 2}, {"a": {"b": 1, 2: 3}},
+                                     [{None: 1, "x": 2}]])
+    def test_mixed_keys_raise_the_same_type_error(self, doc):
+        kind, message = self.assert_same(doc)
+        assert kind is TypeError and "not supported between instances" in message
+
+    def test_bools_ints_floats_and_enums(self):
+        class Level(IntEnum):
+            LOW = 1
+            HIGH = 3
+
+        class Name(str):
+            pass
+
+        for doc in ([True, 1, False, 0], [1, True], {"a": True, "b": 1},
+                    [2 ** 200, -(2 ** 70)], 10 ** 1000, [1.5, -0.0, 1e300],
+                    [float("nan"), float("inf"), float("-inf")], {"x": 0.1},
+                    Level.HIGH, [Level.LOW, Level.HIGH], {"level": Level.LOW},
+                    {Level.HIGH: "key"}, Name("sub"), [Name("a"), "b"],
+                    OrderedDict([("b", 1), ("a", 2)]), UserList([1, 2])):
+            self.assert_same(doc)
+
+    def test_int_past_the_digit_limit(self):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("no limit on int to str conversion before 3.11")
+        big = 10 ** (sys.get_int_max_str_digits() + 1)
+        kind, _message = self.assert_same([big])
+        assert kind is ValueError
+
+    def test_empty_containers_at_depth(self):
+        for doc in ([], {}, (), [[]], {"a": {}}, {"a": [[], {}, [{}], ()]},
+                    [[[[[]]]]], {"b": {"c": {"d": {}}}}):
+            self.assert_same(doc)
+
+    @pytest.mark.parametrize("depth", [1, serialize._MAX_DEPTH - 1,
+                                       serialize._MAX_DEPTH,
+                                       serialize._MAX_DEPTH + 1, 200])
+    def test_nesting(self, depth):
+        for leaf in ([1, "a"], {}, {"k": "v"}):
+            doc = leaf
+            for i in range(depth):
+                doc = [doc] if i % 2 else {"k": doc}
+            assert isinstance(self.assert_same(doc), str)
+
+    def test_cycles(self):
+        loop = []
+        loop.append(loop)
+        ring = {"a": [1]}
+        ring["a"].append(ring)
+        for doc in (loop, ring, {"x": [loop]}):
+            assert self.assert_same(doc) == (ValueError,
+                                             "Circular reference detected")
+
+    def test_unserializable_objects(self):
+        for doc in (object(), {"a": {1, 2}}, [b"bytes"], {"f": len}):
+            kind, message = self.assert_same(doc)
+            assert kind is TypeError and "is not JSON serializable" in message
