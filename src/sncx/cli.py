@@ -16,12 +16,7 @@ import sys
 from . import __version__
 from .errors import SncxError
 from .homology import _as_reduced, homology, wedge_certificate
-from .newton import (
-    _w0_report,
-    newton_polyhedron,
-    predicted_sphere_count,
-    torus_hypersurface_boundary_complex,
-)
+from .newton import _w0_report, newton_polyhedron, torus_hypersurface_boundary_complex
 from .serialize import (
     complex_from_dict,
     complex_to_dict,
@@ -130,7 +125,7 @@ def _run_newton(args) -> dict:
     report, model = _w0_report(np_)
     if args.variant != "both":
         report["predicted_variant"] = args.variant
-        report["predicted_count"] = predicted_sphere_count(np_, args.variant)
+        report["predicted_count"] = report["predicted"][args.variant]
     report["model_complex"] = complex_to_dict(model)
     report["input"] = args.input
     report["sha256"] = _sha256(args.input)
@@ -251,15 +246,10 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         report = globals()["_run_" + args.command.replace("-", "_")](args)
-    except SncxError as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(dumps(err) if args.format == "json"
-                         else _render_text(err) + "\n")
-        return 1
     except FileNotFoundError as exc:
         sys.stderr.write(f"sncx: no such input: {exc.filename}\n")
         return 2
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (SncxError, KeyError, TypeError, ValueError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(dumps(err) if args.format == "json"
                          else _render_text(err) + "\n")

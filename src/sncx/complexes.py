@@ -153,14 +153,19 @@ class CombinatorialComplex:
     fresh records and checks only the fresh faces.  The constructor runs
     it with no parent, a restriction (:meth:`_restricted`) with no fresh
     faces, and a move (:meth:`_derived`) with both.
+
+    The coface table behind :meth:`cofaces`, :meth:`upset` and
+    :meth:`is_maximal` is built once, on first use.  It never goes
+    stale: a complex is never changed once built, and every build, the
+    constructor's, a restriction's or a move's, starts without one.
     """
 
     __slots__ = ("_order", "_index", "_dims", "_labels", "_cov", "_delta",
-                 "_levels", "_verts")
+                 "_levels", "_verts", "_up")
 
     def __init__(self, faces: Iterable[Mapping]):
         self._dims, self._labels, self._cov, self._verts = {}, {}, {}, {}
-        self._delta = self._levels = None
+        self._delta = self._levels = self._up = None
         self._build([], [dict(r) for r in faces])
 
     # -- the one build routine -------------------------------------------
@@ -238,7 +243,7 @@ class CombinatorialComplex:
         out = CombinatorialComplex.__new__(CombinatorialComplex)
         out._dims, out._labels = carry(self._dims), carry(self._labels)
         out._cov, out._verts = carry(self._cov), {}
-        out._delta = out._levels = None
+        out._delta = out._levels = out._up = None
         if self._delta is not None:
             out._delta, out._verts = carry(self._delta), carry(self._verts)
         if self._levels is not None:
@@ -394,6 +399,22 @@ class CombinatorialComplex:
         self._check(f)
         return self._cov[f]
 
+    def cofaces(self, f: FaceId) -> tuple:
+        """The faces that cover ``f`` (canonically sorted)."""
+        self._check(f)
+        return tuple(self._coface_table()[f])
+
+    def _coface_table(self) -> dict:
+        # face -> the list of its cofaces in canonical order; read, never
+        # changed, by its users
+        if self._up is None:
+            up = {g: [] for g in self._order}
+            for g in self._order:
+                for h in self._cov[g]:
+                    up[h].append(g)
+            self._up = up
+        return self._up
+
     def delta_order(self, f: FaceId) -> tuple:
         self._check(f)
         if self._delta is None:
@@ -465,36 +486,26 @@ class CombinatorialComplex:
     def downset(self, f: FaceId) -> tuple:
         """All faces <= f in the face poset (f included), canonical order."""
         self._check(f)
-        seen = {f}
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            for h in self._cov[g]:
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return tuple(sorted(seen, key=self._index.__getitem__))
+        return self._reach(f, self._cov)
 
     def upset(self, f: FaceId) -> tuple:
         """All faces >= f (f included), canonical order."""
         self._check(f)
-        above: dict[str, set] = {g: set() for g in self._order}
-        for g in self._order:
-            for h in self._cov[g]:
-                above[h].add(g)
+        return self._reach(f, self._coface_table())
+
+    def _reach(self, f, step) -> tuple:
+        # the faces reached from f through ``step``, in canonical order
         seen = {f}
         stack = [f]
         while stack:
-            g = stack.pop()
-            for h in above[g]:
+            for h in step[stack.pop()]:
                 if h not in seen:
                     seen.add(h)
                     stack.append(h)
         return tuple(sorted(seen, key=self._index.__getitem__))
 
     def is_maximal(self, f: FaceId) -> bool:
-        self._check(f)
-        return all(f not in self._cov[g] for g in self._order)
+        return not self.cofaces(f)
 
     def connected_components(self) -> tuple:
         """Partition of the faces by connectivity through shared faces."""
@@ -960,24 +971,16 @@ def complexes_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bo
     if a.f_vector() != b.f_vector():
         return False
 
-    def cofaces(c):
-        above: dict[str, list] = {f: [] for f in c.face_ids}
-        for f in c.face_ids:
-            for g in c.facets(f):
-                above[g].append(f)
-        return above
-
-    def signatures(c, above):
-        sig = {f: (c.dim(f), len(c.facets(f)), len(above[f])) for f in c.face_ids}
+    def signatures(c):
+        sig = {f: (c.dim(f), len(c.facets(f)), len(c.cofaces(f))) for f in c.face_ids}
         for _ in range(3):
             sig = {f: (sig[f],
                        tuple(sorted(sig[g] for g in c.facets(f))),
-                       tuple(sorted(sig[g] for g in above[f])))
+                       tuple(sorted(sig[g] for g in c.cofaces(f))))
                    for f in c.face_ids}
         return sig
 
-    above_a, above_b = cofaces(a), cofaces(b)
-    siga, sigb = signatures(a, above_a), signatures(b, above_b)
+    siga, sigb = signatures(a), signatures(b)
     if Counter(siga.values()) != Counter(sigb.values()):
         return False
     if a.is_empty:
@@ -999,11 +1002,11 @@ def complexes_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bo
             while ready:
                 f = ready.pop()
                 order.append(f)
-                for h in above_a[f]:
+                for h in a.cofaces(f):
                     missing[h] -= 1
                     if not missing[h]:
                         ready.append(h)
-            for e in above_a[v]:
+            for e in a.cofaces(v):
                 for w in a.facets(e):
                     if w not in seen:
                         seen.add(w)
@@ -1014,14 +1017,14 @@ def complexes_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bo
     for g in b.face_ids:
         by_sig.setdefault(sigb[g], []).append(g)
     below = {g: set(b.facets(g)) for g in b.face_ids}
-    nbrs = {v: list(dict.fromkeys(w for e in above_b[v] for w in b.facets(e)
+    nbrs = {v: list(dict.fromkeys(w for e in b.cofaces(v) for w in b.facets(e)
                                   if w != v))
             for v in b.faces_of_dim(0)}
     assignment: dict[str, str] = {}
 
     def candidates(f):
         if a.facets(f):
-            pool = above_b[assignment[a.facets(f)[0]]]
+            pool = b.cofaces(assignment[a.facets(f)[0]])
         elif f in parent:
             pool = nbrs[assignment[parent[f]]]
         else:

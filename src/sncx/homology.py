@@ -315,7 +315,7 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     if c.is_empty:
         return False, ()
     faces = c.face_ids
-    idx = {f: i for i, f in enumerate(faces)}
+    idx = c._index
     dims = [c.dim(f) for f in faces]
     below = [[idx[g] for g in c.facets(f)] for f in faces]
     up = [0] * len(faces)           # alive cofaces per face

@@ -34,7 +34,7 @@ from .errors import (
     NotFullDimensional,
 )
 from .homology import homology, wedge_certificate
-from .snf import kernel_line, matrix_rank
+from .snf import _integer_point, kernel_line, matrix_rank
 
 MAX_AMBIENT = 4
 
@@ -214,7 +214,7 @@ class NewtonPolyhedron:
         pts = []
         seen = set()
         for p in points:
-            t = tuple(int(x) for x in p)
+            t = _integer_point(p, "exponent vector")
             if any(x < 0 for x in t):
                 raise ValueError(f"exponent vector {t} has a negative entry")
             if t not in seen:
@@ -438,7 +438,7 @@ class LatticePolytope:
         pts = []
         seen = set()
         for p in points:
-            t = tuple(int(x) for x in p)
+            t = _integer_point(p, "lattice point")
             if t not in seen:
                 seen.add(t)
                 pts.append(t)

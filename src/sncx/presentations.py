@@ -130,27 +130,21 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
     if len(c.connected_components()) != 1:
         raise NotConnected("complex is not connected")
 
-    verts = c.faces_of_dim(0)
     edges = c.faces_of_dim(1)
 
     # oriented edge (tail, head): facet 0 of the delta order omits the tail
     ends = {e: c.delta_order(e)[::-1] if c.has_delta else c.facets(e)
             for e in edges}
-    eindex = {e: i for i, e in enumerate(edges)}
-    adj = {v: [] for v in verts}
-    for e, (tail, head) in ends.items():
-        adj[tail].append((head, e, +1))
-        adj[head].append((tail, e, -1))
-    for v in adj:
-        adj[v].sort(key=lambda t: (eindex[t[1]], t[2]))
 
-    root = verts[0]
+    root = c.face_ids[0]       # the canonical order starts with the vertices
     in_tree = set()
     seen = {root}
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w, e, _sign in adj[v]:
+        for e in c.cofaces(v):     # the edges at v, in canonical order
+            tail, head = ends[e]
+            w = head if v == tail else tail
             if w not in seen:
                 seen.add(w)
                 in_tree.add(e)

@@ -20,7 +20,7 @@ from .errors import (
     NotSubsetClosed,
     ParentIncoherent,
 )
-from .snf import matrix_rank
+from .snf import _integer_point, matrix_rank
 from .transforms import BlowupMove
 
 
@@ -183,7 +183,7 @@ class Fan:
 
 
 def fan_from_json(doc: dict) -> Fan:
-    return Fan(tuple(tuple(int(x) for x in r) for r in doc["rays"]),
+    return Fan(tuple(_integer_point(r, "ray") for r in doc["rays"]),
                tuple(frozenset(c) for c in doc["cones"]))
 
 

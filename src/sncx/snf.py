@@ -36,6 +36,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from .errors import DescriptorInvalid
+
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -219,6 +221,22 @@ def _bareiss(a) -> tuple:
         prev = p
         rank += 1
     return rank, sign, prev
+
+
+def _integer_point(p, what: str) -> tuple:
+    """The coordinates of the input point ``p`` as a tuple of ints.
+
+    An integral float such as ``2.0`` reads as ``2``; a bool, a string or
+    a float with a fractional part is the domain error
+    :class:`DescriptorInvalid`, naming the ``what`` and the coordinate.
+    """
+    out = []
+    for x in p:
+        if isinstance(x, (bool, str)) or isinstance(x, float) and not x.is_integer():
+            raise DescriptorInvalid(
+                f"{what} {list(p)} has a non-integer coordinate {x!r}")
+        out.append(int(x))
+    return tuple(out)
 
 
 def matrix_rank(rows) -> int:

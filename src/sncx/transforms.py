@@ -19,6 +19,7 @@ step.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .complexes import CombinatorialComplex, _dedup_ids
@@ -255,20 +256,15 @@ def _validate_case3(c, move):
                 f"{c.level(base)}")
     # the cone retracts onto the base only when spans through vj are
     # unique: reject closures with ambiguous spans (e.g. duplicate top
-    # cells sharing all their lower faces)
+    # cells sharing all their lower faces).  A face t holding vj spans
+    # exactly one face without vj, its facet opposite vj.
     closure = _closure(c, attach)
-    by_verts: dict[frozenset, list] = {}
-    for t in closure:
-        by_verts.setdefault(frozenset(c.vertices_of(t)), []).append(t)
+    spans = Counter(c.delta_order(t)[c.vertices_of(t).index(vj)]
+                    for t in closure if c.dim(t) and vj in c.vertices_of(t))
     for g in closure:
-        verts = c.vertices_of(g)
-        if vj in verts:
-            continue
-        want = frozenset(verts) | {vj}
-        spans = [t for t in by_verts.get(want, ()) if c.contains_face(t, g)]
-        if len(spans) != 1:
+        if vj not in c.vertices_of(g) and spans[g] != 1:
             raise DescriptorInvalid(
-                f"face {g!r} has {len(spans)} spans through {vj!r} "
+                f"face {g!r} has {spans[g]} spans through {vj!r} "
                 "in the attachment closure; need exactly one")
     return closure
 
@@ -338,30 +334,26 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     for v in (v_src, v_dst):
         if not c.has_face(v) or c.dim(v) != 0:
             raise NotAVertex(f"{v!r} is not a vertex")
+    if v_src == v_dst:
+        raise PairingIncomplete(f"the vertex {v_src!r} cannot flow onto itself")
 
-    by_verts: dict[frozenset, list] = {}
-    for f in c.face_ids:
-        by_verts.setdefault(frozenset(c.vertices_of(f)), []).append(f)
-
+    # the star of v_src: sources lack v_dst, targets hold it
     sources = []
     targets_set = set()
     matching = {}
-    for f in c.face_ids:
-        vs = c.vertices_of(f)
-        if v_src not in vs:
-            continue
-        if v_dst in vs:
+    for f in c.upset(v_src):
+        if v_dst in c.vertices_of(f):
             targets_set.add(f)
-            continue
-        sources.append(f)
-    if frozenset({v_src, v_dst}) not in by_verts:
+        else:
+            sources.append(f)
+    if not any(c.dim(t) == 1 for t in targets_set):
         raise PairingIncomplete(
             f"no edge spans {v_src!r} and {v_dst!r}; the vertex cannot flow")
 
+    # a coface of a source holding v_dst is spanned by it and v_dst
     critical = []
     for f in sources:
-        want = frozenset(c.vertices_of(f)) | {v_dst}
-        spans = [t for t in by_verts.get(want, ()) if c.contains_face(t, f)]
+        spans = [t for t in c.cofaces(f) if v_dst in c.vertices_of(t)]
         if len(spans) > 1:
             raise PairingNotUnique(
                 f"face {f!r} has {len(spans)} spans through {v_dst!r}")

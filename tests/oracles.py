@@ -24,14 +24,17 @@ faces a move creates and is the constructor too, a Tietze pass that
 renumbers the generators after every elimination, one that scans,
 substitutes into and recanonicalizes every relator on every turn, a
 collapse search that sorts the free pairs of every state it expands,
-and the report writer that hands every document to ``json.dumps``.
+the report writer that hands every document to ``json.dumps``, a
+vertex flow that finds spans by indexing every face by its vertex set,
+and a fundamental group presentation whose spanning tree walks sorted
+adjacency lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,7 +47,12 @@ from sncx.errors import (
     GradingViolation,
     LevelNotDownwardClosed,
     MatchingNotAcyclic,
+    MissingDeltaStructure,
+    NotAVertex,
+    NotConnected,
     NotRegularCW,
+    PairingIncomplete,
+    PairingNotUnique,
     ScriptError,
 )
 from sncx.homology import HomologyResult, chain_complex, homology
@@ -60,6 +68,7 @@ from sncx.presentations import (
 from sncx.snf import kernel_line, smith_normal_form
 from sncx.transforms import (
     ScriptLog,
+    _check_acyclic,
     _closure,
     _levels_match,
     _public,
@@ -640,6 +649,7 @@ def validating_constructor(records):
     out = CombinatorialComplex.__new__(CombinatorialComplex)
     out._order, out._index, out._dims, out._labels = order, index, dims, labels
     out._cov, out._delta, out._levels, out._verts = cov, delta, levels, {}
+    out._up = None
     if delta is None:
         for f in order:
             if dims[f] == 1 and len(cov[f]) != 2:
@@ -1007,3 +1017,122 @@ def stdlib_dumps(doc) -> str:
     """The report writer as it was: the stdlib encoder, two-space indent,
     sorted keys, trailing newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def indexing_morse_vertex_flow(c, v_src, v_dst):
+    """``morse_vertex_flow`` finding each span among the faces indexed by
+    their vertex sets, each checked with ``contains_face``."""
+    if not c.has_delta:
+        raise MissingDeltaStructure("the vertex flow needs a delta structure")
+    for v in (v_src, v_dst):
+        if not c.has_face(v) or c.dim(v) != 0:
+            raise NotAVertex(f"{v!r} is not a vertex")
+
+    by_verts: dict[frozenset, list] = {}
+    for f in c.face_ids:
+        by_verts.setdefault(frozenset(c.vertices_of(f)), []).append(f)
+
+    sources = []
+    targets_set = set()
+    matching = {}
+    for f in c.face_ids:
+        vs = c.vertices_of(f)
+        if v_src not in vs:
+            continue
+        if v_dst in vs:
+            targets_set.add(f)
+            continue
+        sources.append(f)
+    if frozenset({v_src, v_dst}) not in by_verts:
+        raise PairingIncomplete(
+            f"no edge spans {v_src!r} and {v_dst!r}; the vertex cannot flow")
+
+    critical = []
+    for f in sources:
+        want = frozenset(c.vertices_of(f)) | {v_dst}
+        spans = [t for t in by_verts.get(want, ()) if c.contains_face(t, f)]
+        if len(spans) > 1:
+            raise PairingNotUnique(
+                f"face {f!r} has {len(spans)} spans through {v_dst!r}")
+        if spans:
+            matching[f] = spans[0]
+        else:
+            critical.append(f)
+
+    hit = list(matching.values())
+    if len(set(hit)) != len(hit):
+        raise PairingNotUnique("two faces share a span")
+
+    pair_of = {s: t for s, t in matching.items()}
+    order = list(matching)
+    succ = {s: [g for g in c.facets(pair_of[s]) if g != s and g in pair_of]
+            for s in order}
+    _check_acyclic(order, succ)
+
+    removed = set(sources) | targets_set
+    crit_ids = dict(zip(critical, _dedup_ids(
+        [f"{f}~{v_dst}" for f in critical], set(c.face_ids) - removed)))
+    image = dict(crit_ids)
+    for f, t in matching.items():
+        pos = [i for i, v in enumerate(c.vertices_of(t)) if v != v_src]
+        image[f] = c.subface(t, pos)
+
+    recs = []
+    for f in critical:
+        delta = [image.get(g, g) for g in c.delta_order(f)]
+        rec = {"id": crit_ids[f], "dim": c.dim(f), "label": c.label(f),
+               "facets": delta, "delta_order": delta}
+        if c.has_levels:
+            rec["level"] = c.level(f)
+        recs.append(rec)
+    reduced = c._derived(removed, recs)
+    certificate = {
+        "acyclic": True,
+        "matched_pairs": len(matching),
+        "critical": [crit_ids[f] for f in critical],
+        "perfect": not critical,
+    }
+    return reduced, tuple(sorted(matching.items())), certificate
+
+
+def adjacency_fundamental_group_presentation(c):
+    """``fundamental_group_presentation`` with its breadth-first spanning
+    tree walking adjacency lists sorted by edge index."""
+    if c.is_empty:
+        raise NotConnected("the empty complex has no fundamental group")
+    if len(c.connected_components()) != 1:
+        raise NotConnected("complex is not connected")
+
+    verts = c.faces_of_dim(0)
+    edges = c.faces_of_dim(1)
+    ends = {e: c.delta_order(e)[::-1] if c.has_delta else c.facets(e)
+            for e in edges}
+    eindex = {e: i for i, e in enumerate(edges)}
+    adj = {v: [] for v in verts}
+    for e, (tail, head) in ends.items():
+        adj[tail].append((head, e, +1))
+        adj[head].append((tail, e, -1))
+    for v in adj:
+        adj[v].sort(key=lambda t: (eindex[t[1]], t[2]))
+
+    root = verts[0]
+    in_tree = set()
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w, e, _sign in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                in_tree.add(e)
+                queue.append(w)
+
+    gens = [e for e in edges if e not in in_tree]
+    gen_index = {e: i + 1 for i, e in enumerate(gens)}
+    relators = []
+    for f in c.faces_of_dim(2):
+        word = _cyclic_reduce(gen_index[e] if v == ends[e][0] else -gen_index[e]
+                              for v, e in c.boundary_walk(f) if e in gen_index)
+        if word:
+            relators.append(word)
+    return GroupPresentation(len(gens), tuple(relators))

@@ -261,6 +261,51 @@ class TestErrors:
         assert "step 2" in err["message"]
 
 
+class TestNonIntegerCoordinates:
+    """Coordinates that are not integers are rejected where the points are
+    read, not truncated; an integral float reads as its integer."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["newton"], [[2.7, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 1]],
+         "exponent vector [2.7, 0, 0] has a non-integer coordinate 2.7"),
+        (["newton"], [[True, 0, 0], [0, 2, 0], [0, 0, 2]],
+         "exponent vector [True, 0, 0] has a non-integer coordinate True"),
+        (["newton"], {"points": [["2", 0, 0], [0, 2, 0], [0, 0, 2]]},
+         "exponent vector ['2', 0, 0] has a non-integer coordinate '2'"),
+        (["toric-link"], {"rays": [[1.9, 0], [0, 1]], "cones": [[0], [1], [0, 1]]},
+         "ray [1.9, 0] has a non-integer coordinate 1.9"),
+        (["torus-boundary"], [[0, 0], [2, 0], [0, 2], [0.5, 1]],
+         "lattice point [0.5, 1] has a non-integer coordinate 0.5"),
+    ])
+    def test_rejected(self, tmp_path, argv, doc, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([*argv, str(path)])
+        assert code == 1
+        assert json.loads(out) == {"error": {"type": "DescriptorInvalid",
+                                             "message": message}}
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        for argv, ints, floats in [
+                (["newton"], [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 1]],
+                 [[2.0, 0, 0], [0, 2.0, 0], [0, 0, 2], [1, 1, 1.0]]),
+                (["toric-link"],
+                 {"rays": [[1, 0], [0, 1]], "cones": [[0], [1], [0, 1]]},
+                 {"rays": [[1.0, 0], [0, 1.0]], "cones": [[0], [1], [0, 1]]}),
+                (["torus-boundary"], [[0, 0], [2, 0], [0, 2], [2, 2]],
+                 [[0, 0], [2.0, 0], [0, 2], [2, 2.0]])]:
+            reports = []
+            for doc in (ints, floats):
+                path = tmp_path / "in.json"
+                path.write_text(json.dumps(doc))
+                code, out = run_cli([*argv, str(path)])
+                assert code == 0
+                report = json.loads(out)["report"]
+                del report["sha256"]
+                reports.append(report)
+            assert reports[0] == reports[1]
+
+
 class TestMalformedRecords:
     """Face records that are not mappings fail in the constructor's copy
     of each record, reported as the Python error with exit code 1."""

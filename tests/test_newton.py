@@ -7,7 +7,12 @@ import pytest
 import sncx as S
 import sncx.newton as N
 from sncx.complexes import CombinatorialComplex
-from sncx.errors import DimensionTooHigh, EmptyInput, NotFullDimensional
+from sncx.errors import (
+    DescriptorInvalid,
+    DimensionTooHigh,
+    EmptyInput,
+    NotFullDimensional,
+)
 from sncx.newton import LatticePolytope
 from sncx.snf import kernel_line
 
@@ -70,6 +75,17 @@ class TestCensus:
             S.newton_polyhedron([(1, 0, 0, 0, 0)])
         with pytest.raises(ValueError):
             S.newton_polyhedron([(-1, 0)])
+
+    def test_non_integer_coordinates_rejected(self):
+        for bad in (2.7, True, "2", float("inf")):
+            with pytest.raises(DescriptorInvalid, match="^exponent vector"):
+                S.newton_polyhedron([(bad, 0, 0), (0, 2, 0), (0, 0, 2)])
+            with pytest.raises(DescriptorInvalid, match="^lattice point"):
+                LatticePolytope([(0, 0), (2, 0), (0, bad)])
+        triangle = [(0, 0), (2, 0), (0, 2)]
+        assert S.newton_polyhedron([(2.0, 0, 0), (0, 2, 0), (0, 0, 2.0)]).points == \
+            ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+        assert LatticePolytope([(0, 0), (2.0, 0), (0, 2)]).points == tuple(triangle)
 
     def test_every_vertex_on_enough_facets(self):
         rng = random.Random(17)

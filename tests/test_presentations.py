@@ -10,6 +10,7 @@ from sncx.presentations import GroupPresentation, _canonical_relator, _shorten_b
 
 from conftest import random_simplicial_complex, without_delta
 from oracles import (
+    adjacency_fundamental_group_presentation,
     flagged_shorten_by_overlap,
     renumbering_tietze_simplify,
     scanning_tietze_simplify,
@@ -137,6 +138,30 @@ class TestPosetRoute:
             assert cells.generators <= oracle.generators
             assert (S.tietze_simplify(cells)[1] == "trivial") == \
                 (S.tietze_simplify(oracle)[1] == "trivial")
+
+    def test_spanning_tree_agrees_with_adjacency_oracle(self):
+        # the breadth-first tree walks each vertex's cofaces, which come in
+        # the edge order the sorted adjacency lists had
+        def outcome(present, c):
+            try:
+                return present(c)
+            except NotConnected as exc:
+                return str(exc)
+
+        rng = random.Random(37)
+        fixtures = newton_models(rng, 8) + [bigon_disk(), square_cone_link()]
+        while len(fixtures) < 160:
+            c = random_simplicial_complex(rng, max_verts=8, max_facets=6,
+                                          max_dim=3)
+            if len(fixtures) % 3 == 0:
+                c = S.stellar_subdivide(c, rng.choice(c.face_ids))
+            fixtures.append(without_delta(c) if len(fixtures) % 2 else c)
+        presented = 0
+        for c in fixtures:
+            got = outcome(S.fundamental_group_presentation, c)
+            assert got == outcome(adjacency_fundamental_group_presentation, c)
+            presented += isinstance(got, GroupPresentation) and got.generators > 0
+        assert presented > 80
 
     def test_poset_route_skips_the_order_complex(self, monkeypatch):
         model = max(newton_models(random.Random(29), 4),

@@ -7,6 +7,7 @@ import pytest
 import sncx as S
 from sncx import gallery as G
 from sncx.errors import (
+    DescriptorInvalid,
     MissingParent,
     NonPrimitiveRay,
     NotSubsetClosed,
@@ -14,7 +15,7 @@ from sncx.errors import (
     SncxError,
 )
 from sncx.serialize import dumps_complex
-from sncx.snc import antipodal_ray_map, fan_ray_involution
+from sncx.snc import antipodal_ray_map, fan_from_json, fan_ray_involution
 
 from conftest import polygon_cone_fan, random_subset_closed
 from oracles import all_cones_toric_link
@@ -128,6 +129,13 @@ class TestToricLink:
         fan = S.Fan(((1, 0),), (frozenset({0}),))
         link = S.toric_link(fan)
         assert link.f_vector() == (1,)
+
+    def test_non_integer_ray_rejected(self):
+        for bad in (1.9, True, "1"):
+            with pytest.raises(DescriptorInvalid, match="ray .* coordinate"):
+                fan_from_json({"rays": [[bad, 0], [0, 1]], "cones": [[0], [1]]})
+        fan = fan_from_json({"rays": [[1.0, 0], [0, 1]], "cones": [[0], [1], [0, 1]]})
+        assert fan.rays == ((1, 0), (0, 1))
 
     def test_non_primitive_ray(self):
         with pytest.raises(NonPrimitiveRay):

@@ -27,6 +27,7 @@ from conftest import (
 )
 from oracles import (
     derived_by_constructor,
+    indexing_morse_vertex_flow,
     recomputing_run_blowup_script,
     recursive_check_acyclic,
     scanning_validate_case3,
@@ -238,6 +239,13 @@ class TestMorseFlow:
         with pytest.raises(PairingNotUnique):
             S.morse_vertex_flow(c, "u", "w")
 
+    def test_vertex_onto_itself_rejected(self):
+        # flowing v onto v would drop v's star and call the pairing perfect
+        for c in (G.triangle_boundary(), G.point_complex()):
+            for v in c.faces_of_dim(0):
+                with pytest.raises(PairingIncomplete, match="onto itself"):
+                    S.morse_vertex_flow(c, v, v)
+
     def test_fuzz_flow_preserves_homology_when_it_applies(self):
         from sncx.errors import PairingIncomplete, PairingNotUnique
         rng = random.Random(99)
@@ -331,6 +339,45 @@ class TestCase3Check:
                             attach=("0", "0.1.2", "0.1.2+1", "0.1.2+2"))
         with pytest.raises(DescriptorInvalid, match="face '1.2' has 3 spans"):
             _validate_case3(c, move)
+
+
+class TestFlowAgreesWithOracle:
+    """Spans found among the cofaces of each source, against the index of
+    every face by its vertex set."""
+
+    @staticmethod
+    def outcome(flow, c, src, dst):
+        try:
+            red, matching, cert = flow(c, src, dst)
+        except SncxError as exc:
+            return type(exc), str(exc)
+        return red.to_records(), matching, cert
+
+    def test_every_ordered_vertex_pair(self):
+        rng = random.Random(36)
+        calls = errors = 0
+        for i in range(300):
+            c = random_simplicial_complex(rng, max_verts=8, max_facets=6,
+                                          max_dim=3)
+            if i % 3 == 1:
+                c = with_random_levels(rng, c)
+            if i % 3 == 2:
+                c = S.stellar_subdivide(c, rng.choice(c.face_ids))
+            if i % 5 == 4:
+                # parallel copies of a top cell make spans ambiguous
+                c = S.pucker(c, rng.choice([f for f in c.face_ids
+                                            if c.is_maximal(f)]), 2)
+            verts = c.faces_of_dim(0)
+            for src in verts:
+                for dst in verts:
+                    if src == dst:
+                        continue
+                    got = self.outcome(S.morse_vertex_flow, c, src, dst)
+                    assert got == self.outcome(indexing_morse_vertex_flow,
+                                               c, src, dst)
+                    calls += 1
+                    errors += isinstance(got[0], type)
+        assert calls > 4000 and 1500 < errors < calls - 1500
 
 
 class TestMatchingAcyclicity:
