@@ -76,6 +76,33 @@ def _inclusion_records(cells, multiplicity: Mapping | None = None) -> list[dict]
     return recs
 
 
+def _chains(items, below) -> list:
+    """Every chain of a finite poset, least element first, shortest first:
+    the chains ``(x,)`` for x in ``items``, then each element of
+    ``below(least)`` in front of each chain one shorter."""
+    frontier = [(x,) for x in items]
+    chains = list(frontier)
+    while frontier:
+        frontier = [(y,) + ch for ch in frontier for y in below(ch[0])]
+        chains += frontier
+    return chains
+
+
+def _simplex_records(simplices, name, level=None) -> list[dict]:
+    """Delta-structured records of vertex tuples, with ids ``name(tuple)``
+    and levels ``level(tuple)``; facet i drops vertex i."""
+    recs = []
+    for s in simplices:
+        d = [name(s[:i] + s[i + 1:]) for i in range(len(s))] if len(s) > 1 else []
+        rec = {"id": name(s), "dim": len(s) - 1, "facets": d}
+        if d:
+            rec["delta_order"] = d
+        if level is not None:
+            rec["level"] = level(s)
+        recs.append(rec)
+    return recs
+
+
 def _read_faces(records, dims, labels, cov, delta, levels, start=0):
     """Read face records into the given maps, checking what a record shows
     alone and the grading of its covering.
@@ -647,39 +674,12 @@ class CombinatorialComplex:
         Chains are ordered by increasing face dimension; the output always
         carries a Delta-structure.
         """
-        chains: list[tuple] = []
-        strict_below = {f: self.downset(f)[:-1] for f in self._order}
         # downset is canonically sorted and ends with f itself
-        frontier = [(f,) for f in self._order]
-        chains.extend(frontier)
-        while frontier:
-            nxt = []
-            for ch in frontier:
-                head = ch[0]
-                for g in strict_below[head]:
-                    nxt.append((g,) + ch)
-            chains.extend(nxt)
-            frontier = nxt
-
-        def cid(ch):
-            return "<".join(ch)
-
-        recs = []
-        for ch in chains:
-            k = len(ch) - 1
-            rec = {"id": cid(ch), "dim": k}
-            if k == 0:
-                rec["facets"] = []
-                rec["delta_order"] = None
-            else:
-                d = [cid(ch[:i] + ch[i + 1:]) for i in range(k + 1)]
-                rec["facets"] = d
-                rec["delta_order"] = d
-            if self._levels is not None:
-                rec["level"] = max(self._levels[f] for f in ch)
-            recs.append({k2: v for k2, v in rec.items()
-                         if not (k2 == "delta_order" and v is None)})
-        return CombinatorialComplex(recs)
+        below = {f: self.downset(f)[:-1] for f in self._order}
+        lv = self._levels
+        return CombinatorialComplex(_simplex_records(
+            _chains(self._order, below.__getitem__), "<".join,
+            None if lv is None else lambda ch: max(map(lv.__getitem__, ch))))
 
     def quotient_free_involution(self, phi: Mapping[str, str]) -> "CombinatorialComplex":
         """Quotient by a fixed-point-free involution of the face poset.
@@ -876,20 +876,9 @@ def join(a: CombinatorialComplex, b: CombinatorialComplex) -> CombinatorialCompl
     if not a.has_delta or not b.has_delta:
         raise MissingDeltaStructure("join needs delta structures on both sides")
 
-    pairs = []
-    for f in a.face_ids:
-        pairs.append((f, None))
-    for g in b.face_ids:
-        pairs.append((None, g))
-    for f in a.face_ids:
-        for g in b.face_ids:
-            pairs.append((f, g))
-
-    def propose(p):
-        f, g = p
-        return f"{f or ''}*{g or ''}"
-
-    ids = dict(zip(pairs, _dedup_ids([propose(p) for p in pairs])))
+    pairs = [(f, None) for f in a.face_ids] + [(None, g) for g in b.face_ids]
+    pairs += [(f, g) for f in a.face_ids for g in b.face_ids]
+    ids = dict(zip(pairs, _dedup_ids([f"{f or ''}*{g or ''}" for f, g in pairs])))
 
     def dim_of(p):
         f, g = p

@@ -12,7 +12,12 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import CombinatorialComplex, _inclusion_records
+from .complexes import (
+    CombinatorialComplex,
+    _chains,
+    _inclusion_records,
+    _simplex_records,
+)
 from .errors import (
     DescriptorInvalid,
     MissingParent,
@@ -141,9 +146,10 @@ def dual_complex(desc: StrataDescription) -> CombinatorialComplex:
 def strata_from_json(doc: dict) -> StrataDescription:
     comps = tuple(Component(c["label"], c.get("level"))
                   for c in doc.get("components", ()))
-    strata = tuple(Stratum(tuple(s["indices"]), s["label"],
-                           {int(k): v for k, v in s.get("parents", {}).items()})
-                   for s in doc.get("strata", ()))
+    strata = tuple(
+        Stratum(_integer_point(s["indices"], f"stratum {s['label']!r} indices", "index"),
+                s["label"], {int(k): v for k, v in s.get("parents", {}).items()})
+        for s in doc.get("strata", ()))
     return StrataDescription(comps, strata)
 
 
@@ -183,8 +189,20 @@ class Fan:
 
 
 def fan_from_json(doc: dict) -> Fan:
+    cones = (_integer_point(c, "cone", "index") for c in doc["cones"])
     return Fan(tuple(_integer_point(r, "ray") for r in doc["rays"]),
-               tuple(frozenset(c) for c in doc["cones"]))
+               tuple(map(frozenset, cones)))
+
+
+def _cone_id(cone) -> str:
+    return "-".join(map(str, sorted(cone)))
+
+
+def _by_size(faces) -> list:
+    """Distinct finite sets ordered by (size, sorted elements), each as the
+    tuple of its sorted elements written as strings."""
+    keys = sorted(map(sorted, {frozenset(f) for f in faces}), key=lambda t: (len(t), t))
+    return [tuple(map(str, t)) for t in keys]
 
 
 def toric_link(fan: Fan) -> CombinatorialComplex:
@@ -207,18 +225,12 @@ def toric_link(fan: Fan) -> CombinatorialComplex:
             all_simplicial = False
             cones.add(cset)
 
-    key = {c: tuple(sorted(c)) for c in cones}
-    ordered = sorted(cones, key=lambda c: (len(c), key[c]))
-    ids = {c: "-".join(map(str, key[c])) for c in ordered}
     if all_simplicial:
         # every subset of a cone is a cone: a cone covers those with one
         # ray less, and its height is its number of rays less one
-        recs = []
-        for c in ordered:
-            d = [ids[c - {v}] for v in key[c]] if len(c) > 1 else []
-            recs.append({"id": ids[c], "dim": len(c) - 1, "facets": d,
-                         "delta_order": d})
-        return CombinatorialComplex(recs)
+        return CombinatorialComplex(_simplex_records(_by_size(cones), "-".join))
+    key = {c: tuple(sorted(c)) for c in cones}
+    ordered = sorted(cones, key=lambda c: (len(c), key[c]))
 
     # a cone below c has its least ray in c, and fewer rays, so it is
     # filed under that ray before c is reached
@@ -229,19 +241,15 @@ def toric_link(fan: Fan) -> CombinatorialComplex:
                         default=-1) + 1
         filed.setdefault(key[c][0], []).append(c)
     return CombinatorialComplex(
-        _inclusion_records((ids[c], height[c], c) for c in ordered))
+        _inclusion_records((_cone_id(c), height[c], c) for c in ordered))
 
 
 def fan_ray_involution(fan: Fan, ray_map: dict) -> dict:
     """Face pairing of the link induced by a permutation of ray indices."""
-    def cid(c):
-        return "-".join(str(i) for i in sorted(c))
-
     link = toric_link(fan)
     out = {}
     for f in link.face_ids:
-        idx = [int(x) for x in f.split("-")]
-        img = cid(frozenset(ray_map[i] for i in idx))
+        img = _cone_id({ray_map[int(x)] for x in f.split("-")})
         if not link.has_face(img):
             raise DescriptorInvalid(f"image of cone {f!r} is not in the fan")
         out[f] = img
@@ -262,26 +270,9 @@ def antipodal_ray_map(fan: Fan) -> dict:
 
 # -- boundary realization -----------------------------------------------------
 
-def _subset_id(face) -> str:
-    return ".".join(str(x) for x in sorted(face))
-
-
 def simplicial_complex_from_subsets(faces) -> CombinatorialComplex:
     """A subset-closed family of finite sets as a Delta-complex."""
-    sets = {frozenset(f) for f in faces}
-    recs = []
-    for f in sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))):
-        items = sorted(f)
-        k = len(items) - 1
-        rec = {"id": _subset_id(f), "dim": k}
-        if k == 0:
-            rec["facets"] = []
-        else:
-            d = [_subset_id(f - {v}) for v in items]
-            rec["facets"] = d
-            rec["delta_order"] = d
-        recs.append(rec)
-    return CombinatorialComplex(recs)
+    return CombinatorialComplex(_simplex_records(_by_size(faces), ".".join))
 
 
 def realize_boundary(faces, n: int | None = None):
@@ -293,7 +284,7 @@ def realize_boundary(faces, n: int | None = None):
     complex rebuilds it face for face.  ``n`` defaults to the largest
     vertex used; pass it explicitly when the ambient set is larger.
     """
-    sets = {frozenset(f) for f in faces}
+    sets = {frozenset(_integer_point(f, "face", "vertex")) for f in faces}
     if not sets:
         return CombinatorialComplex([]), ()
     if frozenset() in sets:
@@ -317,32 +308,21 @@ def realize_boundary(faces, n: int | None = None):
                 raise NotSubsetClosed(
                     f"face {sorted(f)} lacks its subset {sorted(f - {v})}")
 
-    kcx = simplicial_complex_from_subsets(sets)
-    barycentric = kcx.order_complex()
+    # the family is subset-closed, so the faces below t are all its
+    # nonempty proper subsets; faces and chains are written by their ids
+    below = {".".join(t): [".".join(s) for k in range(1, len(t))
+                           for s in combinations(t, k)] for t in _by_size(sets)}
+    chains = _chains(list(below), below.__getitem__)
+    barycentric = CombinatorialComplex(_simplex_records(chains, "<".join))
 
+    # subset f attaches along the chains whose top is below it, in the
+    # order of the one enumeration
+    tops: dict[str, list] = {}
+    for pos, ch in enumerate(chains):
+        tops.setdefault(ch[-1], []).append(pos)
     script = []
-    done: list[frozenset] = []
-    for f in sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))):
-        smaller = [g for g in done if g < f]
-        # chains among the strictly smaller processed subsets
-        chains = _all_chains(smaller)
-        attach = tuple("<".join(_subset_id(g) for g in ch) for ch in chains)
-        script.append(BlowupMove(case="attach", new_vertex=_subset_id(f),
-                                 attach=attach))
-        done.append(f)
+    for f, smaller in below.items():
+        positions = sorted(pos for g in smaller for pos in tops[g])
+        script.append(BlowupMove(case="attach", new_vertex=f,
+                                 attach=tuple("<".join(chains[p]) for p in positions)))
     return barycentric, tuple(script)
-
-
-def _all_chains(sets):
-    sets = sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
-    chains = [(s,) for s in sets]
-    frontier = list(chains)
-    while frontier:
-        nxt = []
-        for ch in frontier:
-            for s in sets:
-                if s < ch[0]:
-                    nxt.append((s,) + ch)
-        chains.extend(nxt)
-        frontier = nxt
-    return chains

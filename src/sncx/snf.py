@@ -223,18 +223,19 @@ def _bareiss(a) -> tuple:
     return rank, sign, prev
 
 
-def _integer_point(p, what: str) -> tuple:
-    """The coordinates of the input point ``p`` as a tuple of ints.
+def _integer_point(p, what: str, entry: str = "coordinate") -> tuple:
+    """The entries of the input list ``p`` (a point's coordinates, a cone's
+    ray indices, ...) as a tuple of ints.
 
     An integral float such as ``2.0`` reads as ``2``; a bool, a string or
     a float with a fractional part is the domain error
-    :class:`DescriptorInvalid`, naming the ``what`` and the coordinate.
+    :class:`DescriptorInvalid`, naming the ``what`` and the ``entry``.
     """
     out = []
     for x in p:
         if isinstance(x, (bool, str)) or isinstance(x, float) and not x.is_integer():
             raise DescriptorInvalid(
-                f"{what} {list(p)} has a non-integer coordinate {x!r}")
+                f"{what} {list(p)} has a non-integer {entry} {x!r}")
         out.append(int(x))
     return tuple(out)
 

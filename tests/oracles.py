@@ -26,8 +26,12 @@ substitutes into and recanonicalizes every relator on every turn, a
 collapse search that sorts the free pairs of every state it expands,
 the report writer that hands every document to ``json.dumps``, a
 vertex flow that finds spans by indexing every face by its vertex set,
-and a fundamental group presentation whose spanning tree walks sorted
-adjacency lists.
+a fundamental group presentation whose spanning tree walks sorted
+adjacency lists, and four writers of simplicial complexes that each
+wrote their own records: an order complex with its own chain frontier,
+a subset complex, the all-simplicial toric link, and a realization
+that built the subset complex and its order complex and enumerated the
+chains below every subset again.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from sncx.errors import (
     NotAVertex,
     NotConnected,
     NotRegularCW,
+    NotSubsetClosed,
     PairingIncomplete,
     PairingNotUnique,
     ScriptError,
@@ -67,6 +72,7 @@ from sncx.presentations import (
 )
 from sncx.snf import kernel_line, smith_normal_form
 from sncx.transforms import (
+    BlowupMove,
     ScriptLog,
     _check_acyclic,
     _closure,
@@ -1136,3 +1142,134 @@ def adjacency_fundamental_group_presentation(c):
         if word:
             relators.append(word)
     return GroupPresentation(len(gens), tuple(relators))
+
+
+def frontier_order_complex(c):
+    """The order complex, from its own chain frontier and records."""
+    chains: list[tuple] = []
+    strict_below = {f: c.downset(f)[:-1] for f in c.face_ids}
+    frontier = [(f,) for f in c.face_ids]
+    chains.extend(frontier)
+    while frontier:
+        nxt = []
+        for ch in frontier:
+            for g in strict_below[ch[0]]:
+                nxt.append((g,) + ch)
+        chains.extend(nxt)
+        frontier = nxt
+
+    def cid(ch):
+        return "<".join(ch)
+
+    recs = []
+    for ch in chains:
+        k = len(ch) - 1
+        rec = {"id": cid(ch), "dim": k}
+        if k == 0:
+            rec["facets"] = []
+        else:
+            d = [cid(ch[:i] + ch[i + 1:]) for i in range(k + 1)]
+            rec["facets"] = d
+            rec["delta_order"] = d
+        if c.has_levels:
+            rec["level"] = max(c.level(f) for f in ch)
+        recs.append(rec)
+    return CombinatorialComplex(recs)
+
+
+def _frozen_subset_id(face) -> str:
+    return ".".join(str(x) for x in sorted(face))
+
+
+def record_writing_subsets_complex(faces):
+    """A subset-closed family as a Delta-complex, from its own records."""
+    sets = {frozenset(f) for f in faces}
+    recs = []
+    for f in sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))):
+        items = sorted(f)
+        k = len(items) - 1
+        rec = {"id": _frozen_subset_id(f), "dim": k}
+        if k == 0:
+            rec["facets"] = []
+        else:
+            d = [_frozen_subset_id(f - {v}) for v in items]
+            rec["facets"] = d
+            rec["delta_order"] = d
+        recs.append(rec)
+    return CombinatorialComplex(recs)
+
+
+def record_writing_simplicial_toric_link(fan):
+    """The link of a fan whose cones are all simplicial, from its own
+    records (facet i drops the i-th ray of a cone)."""
+    cones = set()
+    for cone in fan.cones:
+        if not cone:
+            continue
+        idx = sorted(cone)
+        assert fan.is_simplicial_cone(frozenset(idx)), "not an all-simplicial fan"
+        cones.update(frozenset(s) for k in range(1, len(idx) + 1)
+                     for s in combinations(idx, k))
+    key = {c: tuple(sorted(c)) for c in cones}
+    ordered = sorted(cones, key=lambda c: (len(c), key[c]))
+    ids = {c: "-".join(map(str, key[c])) for c in ordered}
+    recs = []
+    for c in ordered:
+        d = [ids[c - {v}] for v in key[c]] if len(c) > 1 else []
+        recs.append({"id": ids[c], "dim": len(c) - 1, "facets": d,
+                     "delta_order": d})
+    return CombinatorialComplex(recs)
+
+
+def _all_chains(sets):
+    sets = sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    chains = [(s,) for s in sets]
+    frontier = list(chains)
+    while frontier:
+        nxt = []
+        for ch in frontier:
+            for s in sets:
+                if s < ch[0]:
+                    nxt.append((s,) + ch)
+        chains.extend(nxt)
+        frontier = nxt
+    return chains
+
+
+def subset_complex_realize_boundary(faces, n=None):
+    """Realization through the subset complex and its order complex, with
+    the chains below every subset enumerated again for its attachment."""
+    sets = {frozenset(f) for f in faces}
+    if not sets:
+        return CombinatorialComplex([]), ()
+    if frozenset() in sets:
+        raise NotSubsetClosed("the empty set is not a face")
+    ground = set()
+    for f in sets:
+        ground |= f
+    if any(v < 0 for v in ground):
+        raise NotSubsetClosed("vertices must be non-negative integers")
+    if n is None:
+        n = max(ground)
+    elif max(ground) > n:
+        raise NotSubsetClosed(f"a face uses a vertex above {n}")
+    full = frozenset(range(n + 1))
+    for f in sets:
+        if f == full:
+            raise NotSubsetClosed(
+                f"face {sorted(f)} is the whole ground set, not a proper subset")
+        for v in f:
+            if f - {v} and f - {v} not in sets:
+                raise NotSubsetClosed(
+                    f"face {sorted(f)} lacks its subset {sorted(f - {v})}")
+
+    barycentric = frontier_order_complex(record_writing_subsets_complex(sets))
+    script = []
+    done: list[frozenset] = []
+    for f in sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))):
+        chains = _all_chains([g for g in done if g < f])
+        attach = tuple("<".join(_frozen_subset_id(g) for g in ch) for ch in chains)
+        script.append(BlowupMove(case="attach", new_vertex=_frozen_subset_id(f),
+                                 attach=attach))
+        done.append(f)
+    return barycentric, tuple(script)

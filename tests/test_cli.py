@@ -306,6 +306,64 @@ class TestNonIntegerCoordinates:
             assert reports[0] == reports[1]
 
 
+STRATA = {"components": [{"label": "L1"}, {"label": "L2"}],
+          "strata": [{"indices": [0, 1], "label": "P",
+                      "parents": {"0": "L2", "1": "L1"}}]}
+
+
+def strata_with_indices(indices):
+    doc = json.loads(json.dumps(STRATA))
+    doc["strata"][0]["indices"] = indices
+    return doc
+
+
+class TestNonIntegerIndices:
+    """Cone indices, stratum indices and realize vertices are read by the
+    rule that reads coordinates: an integral float reads as its integer,
+    a bool, a string or a fractional float is rejected, naming the entry."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["toric-link"], {"rays": [[1, 0], [0, 1]], "cones": [[0], [True], [0, 1]]},
+         "cone [True] has a non-integer index True"),
+        (["toric-link"], {"rays": [[1, 0], [0, 1]], "cones": [[0], [1.5], [0, 1]]},
+         "cone [1.5] has a non-integer index 1.5"),
+        (["dual"], strata_with_indices([0, True]),
+         "stratum 'P' indices [0, True] has a non-integer index True"),
+        (["dual"], strata_with_indices([0, "1"]),
+         "stratum 'P' indices [0, '1'] has a non-integer index '1'"),
+        (["realize"], [[0], ["a"], [0, "a"]],
+         "face ['a'] has a non-integer vertex 'a'"),
+        (["realize"], {"faces": [[0], [1], [0.5]]},
+         "face [0.5] has a non-integer vertex 0.5"),
+    ])
+    def test_rejected(self, tmp_path, argv, doc, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([*argv, str(path)])
+        assert code == 1
+        assert json.loads(out) == {"error": {"type": "DescriptorInvalid",
+                                             "message": message}}
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        for argv, ints, floats in [
+                (["toric-link"],
+                 {"rays": [[1, 0], [0, 1]], "cones": [[0], [1], [0, 1]]},
+                 {"rays": [[1, 0], [0, 1]], "cones": [[0], [1.0], [0.0, 1]]}),
+                (["dual"], strata_with_indices([0, 1]), strata_with_indices([0, 1.0])),
+                (["realize"], [[0], [1], [2], [0, 1], [1, 2]],
+                 [[0], [1.0], [2], [0, 1], [1.0, 2.0]])]:
+            reports = []
+            for doc in (ints, floats):
+                path = tmp_path / "in.json"
+                path.write_text(json.dumps(doc))
+                code, out = run_cli([*argv, str(path)])
+                assert code == 0
+                report = json.loads(out)["report"]
+                del report["sha256"]
+                reports.append(report)
+            assert reports[0] == reports[1]
+
+
 class TestMalformedRecords:
     """Face records that are not mappings fail in the constructor's copy
     of each record, reported as the Python error with exit code 1."""

@@ -17,16 +17,21 @@ from sncx.errors import (
     NotRegularCW,
     QuotientNotRegular,
 )
+from sncx.serialize import dumps_complex
 
 from conftest import (
     assert_rebuilds,
     assert_same_complex,
+    polygon_cone_fan,
+    random_lattice_polytope,
+    random_support,
     random_simplicial_complex,
     with_random_levels,
     without_delta,
 )
 from oracles import (
     derived_by_constructor,
+    frontier_order_complex,
     order_complex_homology,
     recursive_complexes_isomorphic,
     two_step_wedge,
@@ -438,6 +443,59 @@ class TestOrderComplex:
             h1 = S.homology(c)
             h2 = S.homology(S.order_complex(c))
             assert h1.table == h2.table
+
+
+def with_poset_levels(rng, c):
+    """``c`` filtered by random vertex levels, without needing a Delta
+    structure: a face's level is the largest of its vertices'."""
+    vlevel = {v: rng.randint(1, 3) for v in c.faces_of_dim(0)}
+    recs = []
+    for f in c.face_ids:
+        rec = c._record(f)
+        rec["level"] = max(vlevel[v] for v in c.downset(f) if c.dim(v) == 0)
+        recs.append(rec)
+    return S.CombinatorialComplex(recs)
+
+
+class TestOrderComplexAgreement:
+    """The one chain enumeration and simplex writer against the order
+    complex that wrote its own chain frontier and records."""
+
+    @staticmethod
+    def agree(c):
+        got = c.order_complex()
+        want = frontier_order_complex(c)
+        assert_same_complex(got, want)
+        assert dumps_complex(got) == dumps_complex(want)
+
+    def test_delta_complexes_filtered_and_not(self):
+        rng = random.Random(150)
+        for _ in range(40):
+            c = random_simplicial_complex(rng, max_verts=8, max_dim=3)
+            self.agree(c)
+            self.agree(with_random_levels(rng, c))
+
+    def test_posets_without_delta(self):
+        rng = random.Random(151)
+        oct_ = G.octahedron_boundary()
+        s3 = G.cross_polytope_boundary(4)
+        cases = [S.CombinatorialComplex([]), G.point_complex(), G.multi_edge_complex(4),
+                 G.real_projective_plane(),
+                 oct_.quotient_free_involution(G.antipodal_involution(oct_)),
+                 s3.quotient_free_involution(G.antipodal_involution(s3))]
+        cases += [S.toric_link(polygon_cone_fan(4)), S.toric_link(polygon_cone_fan(5))]
+        for _ in range(15):
+            support = random_support(rng, max_points=10)
+            cases.append(S.resolution_complex(S.newton_polyhedron(support)))
+        for _ in range(6):
+            polytope = random_lattice_polytope(rng, 3)
+            cases.append(S.torus_hypersurface_boundary_complex(polytope.points))
+        for _ in range(10):
+            c = without_delta(random_simplicial_complex(rng, max_verts=7, max_dim=3))
+            cases += [c, with_poset_levels(rng, c)]
+        assert sum(not c.has_delta and c.dimension >= 1 for c in cases) >= 25
+        for c in cases:
+            self.agree(c)
 
 
 class TestQuotient:

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -14,11 +16,16 @@ from sncx.errors import (
     ParentIncoherent,
     SncxError,
 )
-from sncx.serialize import dumps_complex
+from sncx.serialize import complex_from_dict, dumps_complex, script_to_list
 from sncx.snc import antipodal_ray_map, fan_from_json, fan_ray_involution
 
-from conftest import polygon_cone_fan, random_subset_closed
-from oracles import all_cones_toric_link
+from conftest import close_under_subsets, polygon_cone_fan, random_subset_closed
+from oracles import (
+    all_cones_toric_link,
+    record_writing_simplicial_toric_link,
+    record_writing_subsets_complex,
+    subset_complex_realize_boundary,
+)
 
 
 def coordinate_lines_strata(levels=None):
@@ -287,3 +294,94 @@ class TestRealizeBoundary:
             kcx = S.simplicial_complex_from_subsets(K)
             c, _script = S.realize_boundary([sorted(f) for f in K], n=4)
             assert S.homology(c).same_groups(S.homology(kcx))
+
+
+def bounded_family(rng, ground, max_size=4):
+    """A subset-closed family on ``range(ground)`` whose faces have at most
+    ``max_size`` vertices, so that its order complex stays small."""
+    return close_under_subsets(
+        frozenset(rng.sample(range(ground), rng.randint(1, min(max_size, ground - 1))))
+        for _ in range(rng.randint(1, 7)))
+
+
+def realize_outcome(realize, faces, n=None):
+    try:
+        c, script = realize(faces, n)
+    except SncxError as exc:
+        return type(exc), str(exc)
+    return dumps_complex(c), json.dumps(script_to_list(script))
+
+
+class TestOneSimplexWriter:
+    """Subset complexes, all-simplicial toric links and realize, each
+    written through the one chain enumeration and simplex writer, against
+    the routines that wrote their own records."""
+
+    def test_subset_complexes_above_nine_vertices(self):
+        rng = random.Random(152)
+        for _ in range(40):
+            family = bounded_family(rng, rng.randint(10, 14))
+            assert dumps_complex(S.simplicial_complex_from_subsets(family)) == \
+                dumps_complex(record_writing_subsets_complex(family))
+
+    def test_realize_above_nine_vertices(self):
+        # ids "10" < "2" as strings: the enumeration order of the chains
+        # differs from the canonical order of the faces they span
+        rng = random.Random(153)
+        mixed = 0
+        for _ in range(40):
+            ground = rng.randint(10, 14)
+            faces = [sorted(f) for f in bounded_family(rng, ground)]
+            rng.shuffle(faces)
+            mixed += any(max(f) >= 10 for f in faces) and any(min(f) < 2 for f in faces)
+            for n in (None, ground):
+                got = realize_outcome(S.realize_boundary, faces, n)
+                assert isinstance(got[0], str)
+                assert got == realize_outcome(subset_complex_realize_boundary, faces, n)
+        assert mixed >= 20
+
+    def test_rejected_families_same_errors(self):
+        rng = random.Random(154)
+        kinds = set()
+        for _ in range(40):
+            ground = rng.randint(3, 12)
+            family = sorted(bounded_family(rng, ground), key=sorted)
+            bad = rng.choice(["drop", "empty", "full", "negative", "above"])
+            if bad == "drop":
+                family.pop(rng.randrange(len(family)))
+            elif bad == "empty":
+                family.append(frozenset())
+            elif bad == "full":
+                family = [frozenset(range(3))] + [frozenset(s) for k in (1, 2)
+                                                  for s in combinations(range(3), k)]
+            elif bad == "negative":
+                family.append(frozenset({-1}))
+            faces = [sorted(f) for f in family]
+            n = ground - 2 if bad == "above" else None
+            want = realize_outcome(subset_complex_realize_boundary, faces, n)
+            assert realize_outcome(S.realize_boundary, faces, n) == want
+            if not isinstance(want[0], str):
+                kinds.add(want[1].split(" ")[0])
+        assert len(kinds) >= 4
+
+    def test_all_simplicial_fans(self):
+        fans = [G.product_of_lines_fan(n) for n in range(1, 6)]
+        fans += [G.projective_space_fan(n) for n in range(1, 5)]
+        rng = random.Random(155)
+        while len(fans) < 40:
+            fan = random_fan(rng)
+            if all(fan.is_simplicial_cone(c) for c in fan.cones):
+                fans.append(fan)
+        for fan in fans:
+            got = S.toric_link(fan)
+            assert got.has_delta
+            assert dumps_complex(got) == \
+                dumps_complex(record_writing_simplicial_toric_link(fan))
+
+    def test_realize_and_replay_above_nine_vertices(self):
+        # the 1-skeleton of the 11-simplex: 12 vertices, 66 edges
+        faces = [[v] for v in range(12)] + [list(e) for e in combinations(range(12), 2)]
+        c, script = S.realize_boundary(faces)
+        replay, _log = S.run_blowup_script(complex_from_dict({"faces": []}), script)
+        assert dumps_complex(replay) == dumps_complex(c)
+        assert S.homology(c).betti_vector() == (1, 55)
