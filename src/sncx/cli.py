@@ -153,24 +153,16 @@ def _run_certify(args) -> dict:
 
 def _render_text(doc, indent=0) -> str:
     pad = "  " * indent
+    if not isinstance(doc, (dict, list)):
+        return f"{pad}{doc}"
+    items = ([(f"{k}:", doc[k]) for k in sorted(doc)] if isinstance(doc, dict)
+             else [("-", v) for v in doc])
     lines = []
-    if isinstance(doc, dict):
-        for k in sorted(doc):
-            v = doc[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(doc, list):
-        for v in doc:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-    else:
-        lines.append(f"{pad}{doc}")
+    for head, v in items:
+        if isinstance(v, (dict, list)):
+            lines += [pad + head, _render_text(v, indent + 1)]
+        else:
+            lines.append(f"{pad}{head} {v}")
     return "\n".join(lines)
 
 

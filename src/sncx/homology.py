@@ -1,8 +1,9 @@
 """Exact integral homology of combinatorial complexes.
 
-Chain complexes come straight from the Delta-structure when one is
-present (boundary = alternating sum of ordered facets).  A complex that
-is only a face poset gets its cellular boundary from incidence numbers
+The boundary is numbered by canonical position, one ``{position:
+coeff}`` column per face; the order is dimension-major, so each degree
+is one block.  It is the alternating sum of ordered facets when a
+Delta-structure is present.  A face poset gets incidence numbers
 [s:t] = +-1, chosen cell by cell; on a regular CW complex these give
 the homology of the order complex without building it.  Two checks
 guard that route: the Euler-Poincare identity of the order complex,
@@ -12,15 +13,12 @@ two of its facets, the facets connected through ridges, the signs
 closing).  Both are necessary for a regular CW complex, not
 sufficient; a failure raises ``NotRegularCW``.
 
-Boundaries are stored sparse, one ``{row: coeff}`` column per face,
-and reduced by the sparse Smith normal form of ``sncx.snf`` in one
-pass from the top degree down, with clearing: the k-cells on which the
-boundary from degree k+1 has unit pivots are dropped from the columns
-of the boundary from degree k before it is reduced.  The boundaries those pivots were taken from form
-a unimodular triangular system on the pivot cells, so each dropped
-column is an integer combination of the kept ones and the rank and
-torsion do not change.  Pivots that are not units clear nothing: over Z
-they only give rational combinations (see ``sncx.snf``).
+One coreduction pass (Mrozek-Batko, "Coreduction homology algorithm")
+matches cells along unit incidences into an acyclic matching, and the
+Morse complex on its critical cells has the same homology (Forman,
+"Morse theory for cell complexes").  Only its boundary between two
+degrees that both keep critical cells goes to the Smith normal form of
+``sncx.snf``; a subdivided sphere keeps one vertex and one top cell.
 
 Reduced homology convention, used uniformly: the empty complex has
 reduced homology of rank one in degree -1.
@@ -29,7 +27,9 @@ reduced homology of rank one in degree -1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from collections import deque
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 
 from .complexes import CombinatorialComplex
 from .errors import BoundaryNotSquareZero, NotRegularCW
@@ -39,7 +39,7 @@ from .presentations import (
     fundamental_group_presentation,
     tietze_simplify,
 )
-from .snf import SNFResult, _boundary_snf, smith_normal_form
+from .snf import SNFResult, _reduce, smith_normal_form
 
 __all__ = [
     "ChainComplex", "HomologyResult", "chain_complex", "homology",
@@ -57,7 +57,12 @@ class ChainComplex:
         self.bases = bases          # degree -> tuple of basis face ids
         # degree k -> {column j of C_k: {row i of C_{k-1}: nonzero coeff}}
         self.matrices = matrices
-        self._check_square_zero()
+        starts = [0, *accumulate(len(bases[k]) for k in sorted(bases))]
+        bd = [{}] * starts[-1]
+        for k, cols in matrices.items():
+            for j, col in cols.items():
+                bd[starts[k] + j] = {starts[k - 1] + i: a for i, a in col.items()}
+        _check_square_zero(bd, starts)
 
     @property
     def top_degree(self) -> int:
@@ -67,37 +72,44 @@ class ChainComplex:
         """The boundary map C_k -> C_{k-1} as ``{column: {row: coeff}}``."""
         return self.matrices.get(k, {})
 
-    def _check_square_zero(self):
-        # compose column by column: O(nnz) for bounded column sizes
-        for k in sorted(self.matrices):
-            below = self.matrices.get(k - 1)
-            if below is None:
-                continue
-            for col in self.matrices[k].values():
-                acc = {}
-                for i, a in col.items():
-                    for r, b in below.get(i, {}).items():
-                        acc[r] = acc.get(r, 0) + a * b
-                if any(acc.values()):
-                    raise BoundaryNotSquareZero(
-                        f"boundary squared is nonzero from degree {k}")
-
 
 def chain_complex(c: CombinatorialComplex) -> ChainComplex:
-    """Boundary maps of a complex: the Delta route or the cellular route."""
-    top = c.dimension
-    bases = {k: c.faces_of_dim(k) for k in range(top + 1)}
-    if not c.has_delta:
-        return ChainComplex(bases, _cellular_boundaries(c, bases))
-    delta = c._delta
-    matrices = {}
-    for k in range(1, top + 1):
-        row = {g: i for i, g in enumerate(bases[k - 1])}
-        signs = (1, -1) * k     # alternating; zip stops at the k+1 facets
-        # the facets in a Delta-structure are distinct, so nothing cancels
-        matrices[k] = {j: dict(zip(map(row.__getitem__, delta[f]), signs))
-                       for j, f in enumerate(bases[k])}
+    """Boundary maps of a complex, one per degree: the Delta route or the
+    cellular route, on the positions homology uses."""
+    bd, starts = _boundary(c)
+    bases = {k: c.face_ids[starts[k]:starts[k + 1]]
+             for k in range(len(starts) - 1)}
+    matrices = {k: {j: {i - starts[k - 1]: a for i, a in col.items()}
+                    for j, col in enumerate(bd[starts[k]:starts[k + 1]])}
+                for k in range(1, len(bases))}
     return ChainComplex(bases, matrices)
+
+
+def _boundary(c: CombinatorialComplex) -> tuple:
+    """``(bd, starts)``: column ``bd[i]`` of the face at position i, by
+    the Delta route or the cellular route, and degree k at positions
+    ``starts[k]:starts[k + 1]``."""
+    starts = [0, *accumulate(c.f_vector())]
+    if not c.has_delta:
+        return _cellular_boundaries(c), starts
+    index, delta = c._index, c._delta
+    signs = (1, -1) * len(starts)   # alternating; zip stops at the k+1 facets
+    # the facets in a Delta-structure are distinct, so nothing cancels
+    return [dict(zip(map(index.__getitem__, delta[f]), signs))
+            for f in c.face_ids], starts
+
+
+def _check_square_zero(bd: list, starts: list):
+    # compose column by column: O(nnz) for bounded column sizes
+    for k in range(2, len(starts) - 1):
+        for col in bd[starts[k]:starts[k + 1]]:
+            acc = {}
+            for i, a in col.items():
+                for r, b in bd[i].items():
+                    acc[r] = acc.get(r, 0) + a * b
+            if any(acc.values()):
+                raise BoundaryNotSquareZero(
+                    f"boundary squared is nonzero from degree {k}")
 
 
 def _order_complex_chi(c: CombinatorialComplex) -> int:
@@ -120,8 +132,8 @@ def _order_complex_chi(c: CombinatorialComplex) -> int:
     return sum(s.values())
 
 
-def _cellular_boundaries(c: CombinatorialComplex, bases: dict) -> dict:
-    """Boundary maps of a face poset from incidence numbers, cell by cell.
+def _cellular_boundaries(c: CombinatorialComplex) -> list:
+    """The boundary of a face poset from incidence numbers, cell by cell.
 
     Raises :class:`NotRegularCW` first when the Euler-Poincare identity
     fails for the order complex, then when a cell's incidence numbers
@@ -138,46 +150,109 @@ def _cellular_boundaries(c: CombinatorialComplex, bases: dict) -> dict:
         raise NotRegularCW(
             f"the Betti numbers give Euler characteristic {chi}, "
             f"the face numbers {c.euler_characteristic()}")
-    cov = c._cov
+    cov, dims, index = c._cov, c._dims, c._index
     inc = {}                    # cell -> {facet: incidence number}
-    for e in bases.get(1, ()):
-        a, b = cov[e]
-        inc[e] = {a: -1, b: 1}
-    for k in range(2, len(bases)):
-        for f in bases[k]:
-            facets = cov[f]
-            at: dict = {}       # ridge -> the facets of f holding it
-            for t in facets:
-                for r in cov[t]:
-                    at.setdefault(r, []).append(t)
-            for r, ts in at.items():
-                if len(ts) != 2:
-                    raise NotRegularCW(
-                        f"ridge {r!r} lies in {len(ts)} facets of cell {f!r}, "
-                        "wants 2")
-            sign = {facets[0]: 1}
-            queue = [facets[0]]
-            for t in queue:
-                for r in cov[t]:
-                    u = at[r][at[r][0] == t]    # the other facet at r
-                    want = -sign[t] * inc[t][r] * inc[u][r]
-                    if u not in sign:
-                        sign[u] = want
-                        queue.append(u)
-                    elif sign[u] != want:
-                        raise NotRegularCW(
-                            f"the incidence signs of cell {f!r} do not close "
-                            f"at ridge {r!r}")
-            if len(sign) != len(facets):
+    for f in c.face_ids:        # dimension-major: facets come first
+        facets = cov[f]
+        if dims[f] < 2:         # a vertex has none, an edge two
+            inc[f] = dict(zip(facets, (-1, 1)))
+            continue
+        at: dict = {}           # ridge -> the facets of f holding it
+        for t in facets:
+            for r in cov[t]:
+                at.setdefault(r, []).append(t)
+        for r, ts in at.items():
+            if len(ts) != 2:
                 raise NotRegularCW(
-                    f"the facets of cell {f!r} are not connected through ridges")
-            inc[f] = sign
-    matrices = {}
-    for k in range(1, len(bases)):
-        row = {g: i for i, g in enumerate(bases[k - 1])}
-        matrices[k] = {j: {row[t]: a for t, a in inc[f].items()}
-                       for j, f in enumerate(bases[k])}
-    return matrices
+                    f"ridge {r!r} lies in {len(ts)} facets of cell {f!r}, "
+                    "wants 2")
+        sign = {facets[0]: 1}
+        queue = [facets[0]]
+        for t in queue:
+            for r in cov[t]:
+                u = at[r][at[r][0] == t]    # the other facet at r
+                want = -sign[t] * inc[t][r] * inc[u][r]
+                if u not in sign:
+                    sign[u] = want
+                    queue.append(u)
+                elif sign[u] != want:
+                    raise NotRegularCW(
+                        f"the incidence signs of cell {f!r} do not close "
+                        f"at ridge {r!r}")
+        if len(sign) != len(facets):
+            raise NotRegularCW(
+                f"the facets of cell {f!r} are not connected through ridges")
+        inc[f] = sign
+    return [{index[t]: a for t, a in inc[f].items()} for f in c.face_ids]
+
+
+def _coreduce(bd: list) -> tuple:
+    """One coreduction pass over ``bd``: an acyclic matching.
+
+    A cell is queued, first in first out, when its alive boundary shrinks
+    to one cell s; if still so when dequeued, and [t:s] = +-1, t and s
+    are matched and removed.  With the queue empty the lowest alive cell
+    is critical and removed.  Returns the critical positions in order,
+    each matched lower cell's upper cell, and each cell's removal step.
+    Those steps strictly decrease along V-paths, so the matching is
+    acyclic: an upper cell's other facets go before its pair.
+    """
+    n = len(bd)
+    cob = [[] for _ in bd]
+    for i, col in enumerate(bd):
+        for j in col:
+            cob[j].append(i)
+    alive, when = [True] * n, [0] * n
+    nb = list(map(len, bd))             # alive facets per cell
+    fsum = list(map(sum, bd))           # their positions' sum: the one left
+    queue, critical, up = deque(), [], {}
+    low = step = 0
+    while True:
+        if queue:
+            t = queue.popleft()
+            s = fsum[t]
+            if not alive[t] or nb[t] != 1 or bd[t][s] not in (1, -1):
+                continue
+            up[s] = t
+            removed = (s, t)
+        else:
+            while low < n and not alive[low]:
+                low += 1
+            if low == n:
+                return critical, up, when
+            critical.append(low)
+            removed = (low,)
+        step += 1
+        for x in removed:
+            alive[x] = False
+            when[x] = step
+            for y in cob[x]:
+                nb[y] -= 1
+                fsum[y] -= x
+                if nb[y] == 1:
+                    queue.append(y)
+
+
+def _morse_boundary(bd: list, c: int, up: dict, when: list, critical) -> dict:
+    """The Morse boundary of the critical cell ``c``: each matched lower
+    cell s, latest removed first, becomes s - [t:s] bd(t) for its upper
+    cell t, which brings in only earlier ones; the rest is projected to
+    the ``critical`` cells."""
+    x = dict(bd[c])
+    heap = [(-when[s], s) for s in x if s in up]
+    heapify(heap)
+    while heap:
+        s = heappop(heap)[1]
+        a = x.pop(s)
+        if a:
+            t = up[s]
+            q = a * bd[t][s]
+            for r, b in bd[t].items():
+                if r != s:
+                    if r not in x and r in up:
+                        heappush(heap, (-when[r], r))
+                    x[r] = x.get(r, 0) - q * b
+    return {r: a for r, a in x.items() if a and r in critical}
 
 
 @dataclass(frozen=True)
@@ -188,23 +263,14 @@ class HomologyResult:
     reduced: bool = False
 
     def betti(self, k: int) -> int:
-        for d, b, _t in self.table:
-            if d == k:
-                return b
-        return 0
+        return next((b for d, b, _t in self.table if d == k), 0)
 
     def torsion(self, k: int) -> tuple:
-        for d, _b, t in self.table:
-            if d == k:
-                return t
-        return ()
+        return next((t for d, _b, t in self.table if d == k), ())
 
     def betti_vector(self) -> tuple:
-        if not self.table:
-            return ()
-        top = max(d for d, _b, _t in self.table)
-        lo = min(0, min(d for d, _b, _t in self.table))
-        return tuple(self.betti(k) for k in range(lo, top + 1))
+        ds = [d for d, _b, _t in self.table]
+        return tuple(map(self.betti, range(min([0, *ds]), max(ds, default=-1) + 1)))
 
     def has_torsion(self) -> bool:
         return any(t for _d, _b, t in self.table)
@@ -229,31 +295,29 @@ class HomologyResult:
 
 def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
     """Integral homology in all degrees; ``reduced`` adjusts degree 0."""
-    if c.is_empty:
-        h = HomologyResult(())
-        return _as_reduced(h) if reduced else h
-    cx = chain_complex(c)
-    top = cx.top_degree
-    ranks = {}
-    torsions = {}
-    cleared = frozenset()
-    for k in range(top, 0, -1):
-        res, pivots = _boundary_snf(cx.boundary(k), cleared)
-        cleared = frozenset(pivots)     # columns of the boundary one lower
-        ranks[k] = res.rank
-        torsions[k - 1] = tuple(d for d in res.invariant_factors if d > 1)
-    table = tuple((k, len(cx.bases[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0),
-                   torsions.get(k, ())) for k in range(top + 1))
+    bd, starts = _boundary(c)
+    _check_square_zero(bd, starts)
+    critical, up, when = _coreduce(bd)
+    crit = [[i for i in critical if starts[k] <= i < starts[k + 1]]
+            for k in range(len(starts) - 1)]
+    ranks, torsions = {}, {}
+    for k in range(1, len(crit)):
+        if crit[k] and crit[k - 1]:
+            below = set(crit[k - 1])
+            res = _reduce([_morse_boundary(bd, s, up, when, below)
+                           for s in crit[k]])
+            ranks[k] = res.rank
+            torsions[k - 1] = tuple(d for d in res.invariant_factors if d > 1)
+    table = tuple((k, len(crit[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0),
+                   torsions.get(k, ())) for k in range(len(crit)))
     h = HomologyResult(table)
     return _as_reduced(h) if reduced else h
 
 
 def _as_reduced(h: HomologyResult) -> HomologyResult:
     """Reduced homology from the unreduced homology ``h`` of a complex."""
-    if not h.table:
-        return HomologyResult(((-1, 1, ()),), True)
-    return HomologyResult(tuple((k, b - (k == 0), t) for k, b, t in h.table),
-                          True)
+    return HomologyResult(tuple((k, b - (k == 0), t) for k, b, t in h.table)
+                          or ((-1, 1, ()),), True)
 
 
 def cohomology_rank(c: CombinatorialComplex, k: int) -> int:
@@ -298,7 +362,8 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     expanded, each remembered by the bitmask of its alive faces.  Free
     pairs are tried from the top dimension down, then in canonical order;
     they are kept up to date as pairs are removed and restored, so a step
-    touches only the faces within two levels below the pair.
+    touches only the faces within two levels below the pair, the lower
+    level only below a face whose alive cofaces went between 0 and 1.
 
     The free pairs of a state depend on its alive faces alone, and
     restoring a pair on backtrack restores those.  So a state's first
@@ -352,7 +417,8 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
                 up[g] += step
                 upsum[g] += step * f
                 touched.add(g)
-                touched.update(below[g])
+                if up[g] == now_alive:  # moved between 0 and 1
+                    touched.update(below[g])
         for f in touched:
             refresh(f)
 
@@ -410,15 +476,9 @@ class WedgeCertificate:
 
 def _is_wedge_homology(h: HomologyResult, d: int):
     """Check reduced homology is free and concentrated in degree d."""
-    if h.has_torsion():
+    if h.has_torsion() or any(b for k, b, _t in h.table if k != d):
         return None
-    m = None
-    for k, b, _t in h.table:
-        if k == d:
-            m = b
-        elif b != 0:
-            return None
-    return m if m is not None else 0
+    return h.betti(d)
 
 
 def _simply_connected(c, budget):
@@ -461,17 +521,9 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
             {"homology": h.as_json()})
 
     if d == 0:
-        ok_all = True
-        for comp in c.connected_components():
-            sub = c._restricted(comp)
-            collapsed, _seq = collapse_to_point(sub, collapse_budget)
-            if collapsed:
-                continue
-            ok, _info = _simply_connected(sub, tietze_budget)
-            if not ok:
-                ok_all = False
-                break
-        if ok_all:
+        if all(collapse_to_point(sub, collapse_budget)[0]
+               or _simply_connected(sub, tietze_budget)[0]
+               for sub in map(c._restricted, c.connected_components())):
             return WedgeCertificate("certified-wedge", m,
                                     "all components certified contractible")
         return WedgeCertificate("rational-homology-wedge", m,

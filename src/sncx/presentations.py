@@ -61,13 +61,8 @@ def _canonical_relator(word):
     w = _cyclic_reduce(word)
     if not w:
         return w
-    best = None
-    for cand in (w, _invert(w)):
-        for s in range(len(cand)):
-            rot = cand[s:] + cand[:s]
-            if best is None or rot < best:
-                best = rot
-    return best
+    return min(cand[s:] + cand[:s] for cand in (w, _invert(w))
+               for s in range(len(cand)))
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,8 @@ class GroupPresentation:
 
     def describe(self) -> str:
         def spell(word):
-            if not word:
-                return "1"
-            parts = []
-            for x in word:
-                g = f"g{abs(x)}"
-                parts.append(g if x > 0 else g + "^-1")
-            return "*".join(parts)
+            return "*".join(f"g{abs(x)}" + ("" if x > 0 else "^-1")
+                            for x in word) or "1"
 
         rels = ", ".join(spell(r) for r in self.relators)
         return f"<{self.generators} generators | {rels or 'no relators'}>"

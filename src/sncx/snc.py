@@ -9,6 +9,7 @@ blowup script that replays the construction.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -148,9 +149,19 @@ def strata_from_json(doc: dict) -> StrataDescription:
                   for c in doc.get("components", ()))
     strata = tuple(
         Stratum(_integer_point(s["indices"], f"stratum {s['label']!r} indices", "index"),
-                s["label"], {int(k): v for k, v in s.get("parents", {}).items()})
+                s["label"], _parents(s))
         for s in doc.get("strata", ()))
     return StrataDescription(comps, strata)
+
+
+def _parents(s: dict) -> dict:
+    # a key is an index as json.dumps writes one: "1.0" and "01" are not
+    parents = s.get("parents", {})
+    for k in parents:
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", k):
+            raise DescriptorInvalid(f"stratum {s['label']!r} parents {list(parents)} "
+                                    f"has a non-integer key {k!r}")
+    return {int(k): v for k, v in parents.items()}
 
 
 # -- toric fans ---------------------------------------------------------------
@@ -285,6 +296,8 @@ def realize_boundary(faces, n: int | None = None):
     vertex used; pass it explicitly when the ambient set is larger.
     """
     sets = {frozenset(_integer_point(f, "face", "vertex")) for f in faces}
+    if n is not None:
+        (n,) = _integer_point([n], "ground set bound n", "value")
     if not sets:
         return CombinatorialComplex([]), ()
     if frozenset() in sets:

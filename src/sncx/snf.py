@@ -13,21 +13,9 @@ Smith normal form takes a list of rows or a sparse mapping
 invariant factors, so both become one list of sparse vectors.  Unit
 pivots go first, always in the sparsest vector that has one, each
 splitting off an invariant factor 1; a block left without unit entries
-(empty or tiny for boundary maps of complexes) goes to a dense Euclid
-loop that pivots on the smallest magnitude, first in row-major order.
-
-Boundary maps are reduced from the top degree down with clearing
-(Chen-Kerber, "Persistent homology computation with a twist", EuroCG
-2011): ``_boundary_snf`` reports the rows of its unit pivots, and the
-map one degree lower skips those columns.  Over Z this is exact only
-for unit pivots.  Take the vectors u_t the pivots p_t are taken from,
-in order: each is a boundary, so the next map sends it to zero; it has
-+-1 at p_t and 0 at every earlier pivot, which the elimination removed.
-Solving that unimodular triangular system from the last pivot back
-writes every cleared column as an integer combination of the kept
-ones, so the image, its rank and its invariant factors do not change.
-A pivot of any other size only gives a rational combination, so the
-Euclid block never clears anything.
+(empty or tiny for the Morse boundaries of ``sncx.homology``) goes to a
+dense Euclid loop that pivots on the smallest magnitude, first in
+row-major order.
 """
 
 from __future__ import annotations
@@ -95,97 +83,62 @@ def _eliminate_units(vecs) -> list:
     return pivots
 
 
-def _swap_pivot_to_corner(A, top, left):
-    """Move the smallest-magnitude nonzero block entry to (top, left)."""
-    nonzero = [(abs(A[i][j]), i, j) for i in range(top, len(A))
-               for j in range(left, len(A[i])) if A[i][j]]
-    if not nonzero:
-        return False
-    _, pi, pj = min(nonzero)
-    A[top], A[pi] = A[pi], A[top]
-    for row in A:
-        row[left], row[pj] = row[pj], row[left]
-    return True
-
-
 def _euclid_diagonal(A) -> list:
-    """Diagonalize a dense integer matrix (list of lists) in place."""
-    m = len(A)
-    n = len(A[0]) if m else 0
+    """The invariant factors of a dense integer matrix (list of lists),
+    which it consumes, in divisibility order.
+
+    The pivot is an entry of least magnitude, first in row-major order.
+    Its row and column are cleared by division with remainder.  A
+    remainder left, or an entry the pivot does not divide (its row is
+    added to the pivot's and that column cleared), makes some entry
+    smaller than the pivot, and the next pivot is chosen; otherwise the
+    pivot splits off, and it divides every factor after it.
+    """
     diag = []
-    top = 0
-    left = 0
-    while top < m and left < n:
-        if not _swap_pivot_to_corner(A, top, left):
-            break
-        while True:
-            p = A[top][left]
-            dirty = False
-            prow = A[top]
-            for i in range(top + 1, m):
-                v = A[i][left]
-                if v:
-                    q = v // p
-                    row = A[i]
-                    for j in range(left, n):
-                        row[j] -= q * prow[j]
-                    if row[left]:
-                        dirty = True
-            for j in range(left + 1, n):
-                v = prow[j]
-                if v:
-                    q = v // p
-                    for i in range(top, m):
-                        A[i][j] -= q * A[i][left]
-                    if prow[j]:
-                        dirty = True
-            if not dirty:
-                break
-            # a residue strictly smaller than |p| exists; re-pick and repeat
-            _swap_pivot_to_corner(A, top, left)
-        diag.append(abs(A[top][left]))
-        top += 1
-        left += 1
+    while any(map(any, A)):
+        _, pi, pj = min((abs(v), i, j) for i, row in enumerate(A)
+                        for j, v in enumerate(row) if v)
+        prow = A.pop(pi)
+        p = prow[pj]
+
+        def clear(j):           # column j minus a multiple of column pj
+            q = prow[j] // p
+            prow[j] -= q * p
+            for row in A:
+                row[j] -= q * row[pj]
+
+        for row in A:           # each row minus a multiple of the pivot row
+            q = row[pj] // p
+            for j, v in enumerate(prow):
+                row[j] -= q * v
+        for j in range(len(prow)):
+            if j != pj:
+                clear(j)
+        if not any(row[pj] for row in A) and prow.count(0) == len(prow) - 1:
+            bad = next((row for row in A if any(v % p for v in row)), None)
+            if bad is None:
+                diag.append(abs(p))
+                for row in A:
+                    del row[pj]
+                continue
+            prow[:] = [a + b for a, b in zip(prow, bad)]
+            clear(next(j for j, v in enumerate(bad) if v % p))
+        A.insert(pi, prow)
     return diag
 
 
-def _reduce(vecs):
-    """SNF of a list of sparse vectors, which it consumes, and unit pivots."""
-    pivots = _eliminate_units(vecs)
-    units = len(pivots)
+def _reduce(vecs) -> SNFResult:
+    """SNF of a list of sparse vectors, which it consumes."""
+    units = len(_eliminate_units(vecs))
     rest = [vec for vec in vecs if vec]
     cols = sorted({i for vec in rest for i in vec})
     diag = _euclid_diagonal([[vec.get(i, 0) for i in cols] for vec in rest])
-
-    # a diagonal matrix is equivalent to its divisibility-sorted form via
-    # repeated (a, b) -> (gcd, lcm) on pairs
-    k = len(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a_, b_ = diag[i], diag[i + 1]
-            if b_ % a_:
-                g = math.gcd(a_, b_)
-                diag[i], diag[i + 1] = g, a_ * b_ // g
-                changed = True
-    return SNFResult((1,) * units + tuple(diag), units + k), pivots
+    return SNFResult((1,) * units + tuple(diag), units + len(diag))
 
 
 def smith_normal_form(matrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... and the rank of an integer matrix."""
-    return _reduce(_sparse_vectors(matrix))[0]
-
-
-def _boundary_snf(columns: dict, cleared):
-    """SNF of a sparse map without its ``cleared`` columns, and unit pivots.
-
-    ``columns`` maps a column to ``{row: nonzero coeff}``.  The pivots
-    are the rows of the unit pivots, the columns to clear one degree
-    lower.
-    """
-    return _reduce([dict(col) for j, col in columns.items()
-                    if j not in cleared])
+    return _reduce(_sparse_vectors(matrix))
 
 
 def _bareiss(a) -> tuple:

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import random
 
-from sncx import CombinatorialComplex, Fan, simplicial_complex_from_subsets
-from sncx.errors import NotFullDimensional
+from sncx import (
+    BlowupMove,
+    CombinatorialComplex,
+    Fan,
+    blowup_move,
+    simplicial_complex_from_subsets,
+)
+from sncx.errors import NotFullDimensional, SncxError
 from sncx.newton import LatticePolytope
 
 from oracles import validating_constructor
@@ -108,3 +114,38 @@ def polygon_cone_fan(n) -> Fan:
     cones += [frozenset({i, (i + 1) % n}) for i in range(n)]
     cones.append(frozenset(range(n)))
     return Fan(tuple(rays), tuple(cones))
+
+
+def draw_mixed_script(rng, c, moves):
+    """Seeded case 2, case 3 and ``attach`` moves, each one the library
+    accepts on the complex the moves before it produced."""
+    script = []
+    cur = c
+    for _ in range(4 * moves):
+        if len(script) == moves:
+            break
+        faces = cur.face_ids
+        level = None
+        kind = rng.random()
+        if kind < 0.45:
+            move = BlowupMove(case=2, face=rng.choice(faces))
+        elif kind < 0.8:
+            base = rng.choice(faces)
+            above = [f for f in cur.upset(base) if f != base]
+            attach = (base,) + tuple(rng.sample(above, rng.randint(0, min(2, len(above)))))
+            if cur.has_levels:
+                level = cur.level(base) + rng.randint(0, 1)
+            move = BlowupMove(case=3, base=base, attach=attach,
+                              vertex=rng.choice(cur.vertices_of(base)), level=level)
+        else:
+            attach = tuple(rng.sample(faces, rng.randint(0, min(2, len(faces)))))
+            if cur.has_levels:
+                level = rng.randint(1, cur.max_level() + 1)
+            move = BlowupMove(case="attach", attach=attach,
+                              new_vertex=f"n{len(script)}", level=level)
+        try:
+            cur = blowup_move(cur, move)
+        except SncxError:
+            continue
+        script.append(move)
+    return tuple(script)

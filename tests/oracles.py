@@ -2,7 +2,8 @@
 
 Each is the straightforward version the library used before its
 current implementation: integral homology that reduces each boundary
-map on its own, bottom up, the homology of a face poset taken through
+map on its own, bottom up, and one that reduces them from the top
+degree down with clearing, the homology of a face poset taken through
 its order complex and guarded by the Euler-Poincare identity, a dense
 Euclid Smith normal form (also the oracle of the Bareiss rank), a
 kernel line by elimination over exact rationals, a recursive collapse
@@ -70,7 +71,8 @@ from sncx.presentations import (
     _invert,
     _shorten_by_overlap,
 )
-from sncx.snf import kernel_line, smith_normal_form
+from sncx import snf
+from sncx.snf import SNFResult, kernel_line, smith_normal_form
 from sncx.transforms import (
     BlowupMove,
     ScriptLog,
@@ -125,6 +127,52 @@ def order_complex_homology(c, reduced=False):
         return h
     return HomologyResult(tuple((k, b - (k == 0), t) for k, b, t in h.table),
                           True)
+
+
+def _clearing_snf(columns, cleared):
+    """SNF of a sparse map without its ``cleared`` columns, and the rows
+    of its unit pivots, the columns to clear one degree lower.
+
+    The unit elimination and the Euclid block are the library's, looked
+    up on ``sncx.snf`` at each call.
+    """
+    vecs = [dict(col) for j, col in columns.items() if j not in cleared]
+    pivots = snf._eliminate_units(vecs)
+    rest = [vec for vec in vecs if vec]
+    cols = sorted({i for vec in rest for i in vec})
+    diag = snf._euclid_diagonal([[vec.get(i, 0) for i in cols] for vec in rest])
+    units = len(pivots)
+    return SNFResult((1,) * units + tuple(diag), units + len(diag)), pivots
+
+
+def clearing_homology(c, reduced=False):
+    """Homology in one pass from the top degree down, with clearing.
+
+    The k-cells on which the boundary from degree k+1 has unit pivots
+    are dropped from the columns of the boundary from degree k before it
+    is reduced (Chen-Kerber, "Persistent homology computation with a
+    twist").  The boundaries those pivots were taken from form a
+    unimodular triangular system on the pivot cells, so each dropped
+    column is an integer combination of the kept ones and the rank and
+    torsion do not change.
+    """
+    if c.is_empty:
+        table = ((-1, 1, ()),) if reduced else ()
+        return HomologyResult(table, reduced)
+    cx = chain_complex(c)
+    top = cx.top_degree
+    ranks = {}
+    torsions = {}
+    cleared = frozenset()
+    for k in range(top, 0, -1):
+        res, pivots = _clearing_snf(cx.boundary(k), cleared)
+        cleared = frozenset(pivots)     # columns of the boundary one lower
+        ranks[k] = res.rank
+        torsions[k - 1] = tuple(d for d in res.invariant_factors if d > 1)
+    table = tuple((k, len(cx.bases[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                   - (reduced and k == 0), torsions.get(k, ()))
+                  for k in range(top + 1))
+    return HomologyResult(table, reduced)
 
 
 def dense_smith_normal_form(rows):

@@ -364,6 +364,62 @@ class TestNonIntegerIndices:
             assert reports[0] == reports[1]
 
 
+def strata_with_parents(parents):
+    doc = json.loads(json.dumps(STRATA))
+    doc["strata"][0]["parents"] = parents
+    return doc
+
+
+class TestGroundBoundAndParentKeys:
+    """The ground set bound ``n`` of ``realize`` is read by the same rule,
+    and a stratum's parent keys must be indices written in decimal."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["realize"], {"faces": [[0], [1]], "n": True},
+         "ground set bound n [True] has a non-integer value True"),
+        (["realize"], {"faces": [[0], [1]], "n": "3"},
+         "ground set bound n ['3'] has a non-integer value '3'"),
+        (["realize"], {"faces": [[0], [1]], "n": 2.5},
+         "ground set bound n [2.5] has a non-integer value 2.5"),
+        (["dual"], strata_with_parents({"0": "L2", "1.0": "L1"}),
+         "stratum 'P' parents ['0', '1.0'] has a non-integer key '1.0'"),
+        (["dual"], strata_with_parents({"0": "L2", "01": "L1"}),
+         "stratum 'P' parents ['0', '01'] has a non-integer key '01'"),
+        (["dual"], strata_with_parents({"0": "L2", " 1": "L1"}),
+         "stratum 'P' parents ['0', ' 1'] has a non-integer key ' 1'"),
+    ])
+    def test_rejected(self, tmp_path, argv, doc, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([*argv, str(path)])
+        assert code == 1
+        assert json.loads(out) == {"error": {"type": "DescriptorInvalid",
+                                             "message": message}}
+
+    def test_integral_float_bound_reads_as_integer(self, tmp_path):
+        reports = []
+        for n in (3, 3.0):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps({"faces": [[0], [1], [0, 1]], "n": n}))
+            code, out = run_cli(["realize", str(path)])
+            assert code == 0
+            report = json.loads(out)["report"]
+            del report["sha256"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        path.write_text(json.dumps({"faces": [[0], [1], [0, 1]], "n": 0.0}))
+        code, out = run_cli(["realize", str(path)])
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == "a face uses a vertex above 0"
+
+    def test_decimal_parent_keys_are_read(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(strata_with_parents({"1": "L1", "0": "L2"})))
+        code, out = run_cli(["dual", str(path)])
+        assert code == 0
+        assert json.loads(out)["report"]["f_vector"] == [2, 1]
+
+
 class TestMalformedRecords:
     """Face records that are not mappings fail in the constructor's copy
     of each record, reported as the Python error with exit code 1."""

@@ -8,11 +8,12 @@ import sncx as S
 import sncx.snf as snf
 from sncx import gallery as G
 from sncx.errors import BoundaryNotSquareZero
-from sncx.homology import _order_complex_chi
+from sncx.homology import _boundary, _coreduce, _order_complex_chi
 from sncx.snf import _det, kernel_line, matrix_rank
 
 from conftest import (
     close_under_subsets,
+    draw_mixed_script,
     polygon_cone_fan,
     random_lattice_polygon,
     random_lattice_polytope,
@@ -21,6 +22,7 @@ from conftest import (
     without_delta,
 )
 from oracles import (
+    clearing_homology,
     dense_smith_normal_form,
     order_complex_homology,
     per_degree_homology,
@@ -337,7 +339,8 @@ def _rp3():
 
 
 class TestTopDownClearing:
-    """The top-down pass with clearing against the per-degree oracle."""
+    """Homology against the per-degree oracle; the last test spies on the
+    top-down pass with clearing, kept as the oracle ``clearing_homology``."""
 
     @staticmethod
     def _agrees(c):
@@ -403,12 +406,115 @@ class TestTopDownClearing:
             return eliminate(vecs)
 
         monkeypatch.setattr(snf, "_eliminate_units", count)
-        h = S.homology(c)
+        h = clearing_homology(c)
         assert h.nonzero() == ((0, 1, ()), (2, 1, ()))
         rank2 = f2 - 1
         assert received == [f2, f1 - rank2]
         assert f1 - rank2 == f0 - 1
 
+
+def critical_counts(c):
+    """The critical cells per degree of the coreduction pass on ``c``."""
+    bd, starts = _boundary(c)
+    critical = _coreduce(bd)[0]
+    return [sum(starts[k] <= i < starts[k + 1] for i in critical)
+            for k in range(len(starts) - 1)]
+
+
+class TestCoreduction:
+    """Homology from one coreduction pass and the Morse complex of its
+    critical cells, against the clearing and per-degree oracles."""
+
+    @staticmethod
+    def _agrees(c):
+        for reduced in (False, True):
+            want = per_degree_homology(c, reduced)
+            assert clearing_homology(c, reduced) == want
+            assert S.homology(c, reduced) == want
+
+    def test_random_complexes_and_their_posets(self):
+        rng = random.Random(1601)
+        for _ in range(80):
+            c = random_simplicial_complex(rng, max_verts=8, max_facets=6,
+                                          max_dim=4)
+            self._agrees(c)
+            self._agrees(without_delta(c))
+
+    def test_level_subcomplexes(self):
+        rng = random.Random(1602)
+        for _ in range(30):
+            c = with_random_levels(rng, random_simplicial_complex(
+                rng, max_verts=8, max_facets=6, max_dim=3))
+            for m in range(1, c.max_level() + 1):
+                self._agrees(c.level_subcomplex(m))
+                self._agrees(without_delta(c.level_subcomplex(m)))
+
+    def test_every_step_of_blowup_scripts(self):
+        rng = random.Random(1603)
+        steps = 0
+        for i in range(16):
+            c = random_simplicial_complex(rng, max_verts=6, max_facets=4,
+                                          max_dim=3)
+            if i % 2:
+                c = with_random_levels(rng, c)
+            cur = c
+            self._agrees(cur)
+            for move in draw_mixed_script(rng, c, rng.randint(3, 6)):
+                cur = S.blowup_move(cur, move)
+                self._agrees(cur)
+                for m in range(1, cur.max_level() + 1) if cur.has_levels else ():
+                    self._agrees(cur.level_subcomplex(m))
+                steps += 1
+        assert steps >= 40
+
+    def test_torsion_reaches_the_euclid_block(self, monkeypatch):
+        rp2 = G.real_projective_plane()
+        blocks = []
+        euclid = snf._euclid_diagonal
+
+        def spy(a):
+            blocks.append(len(a))
+            return euclid(a)
+
+        for c in (rp2, S.order_complex(S.order_complex(rp2)), _rp3()):
+            blocks.clear()
+            monkeypatch.setattr(snf, "_euclid_diagonal", spy)
+            h = S.homology(c)
+            monkeypatch.undo()
+            assert any(blocks)      # the Morse boundary 2 is not a unit
+            assert h.torsion(1) == (2,)
+            self._agrees(c)
+
+    def test_points_and_disconnected_complexes(self):
+        rng = random.Random(1604)
+        for n in range(1, 6):
+            points = S.new_complex([{"id": f"p{i}", "dim": 0, "facets": []}
+                                    for i in range(n)])
+            self._agrees(points)
+            assert S.homology(points).betti_vector() == (n,)
+            assert critical_counts(points) == [n]
+        for _ in range(20):
+            a = random_simplicial_complex(rng, max_verts=6, max_dim=3)
+            b = random_simplicial_complex(rng, max_verts=6, max_dim=3)
+            u = S.disjoint_union(a, b)
+            self._agrees(u)
+            self._agrees(without_delta(u))
+            self._agrees(S.disjoint_union(u, G.real_projective_plane()))
+
+    def test_critical_cells_of_subdivided_spheres_and_rp3(self):
+        s3 = G.cross_polytope_boundary(4)
+        sd2_s3 = S.order_complex(S.order_complex(s3))
+        sd3_s2 = S.order_complex(S.order_complex(S.order_complex(
+            G.octahedron_boundary())))
+        sd1_rp3 = S.order_complex(_rp3())
+        assert critical_counts(sd2_s3) == [1, 0, 0, 1]
+        assert critical_counts(sd3_s2) == [1, 0, 1]
+        assert critical_counts(sd1_rp3) == [1, 1, 1, 1]
+        assert S.homology(sd2_s3).nonzero() == ((0, 1, ()), (3, 1, ()))
+        assert S.homology(sd3_s2).nonzero() == ((0, 1, ()), (2, 1, ()))
+        assert S.homology(sd1_rp3).nonzero() == ((0, 1, ()), (1, 0, (2,)),
+                                                 (3, 1, ()))
+        self._agrees(sd1_rp3)
 
 class TestWeightLabels:
     def test_weight_zero_plain(self):

@@ -20,6 +20,7 @@ from sncx.transforms import _check_acyclic, _validate_case3
 
 from conftest import (
     assert_rebuilds,
+    draw_mixed_script,
     random_simplicial_complex,
     random_subset_closed,
     with_random_levels,
@@ -520,41 +521,6 @@ class TestScripts:
         assert final.has_levels
         for step in log.steps:
             assert "per_level" in step
-
-
-def draw_mixed_script(rng, c, moves):
-    """Seeded case 2, case 3 and ``attach`` moves, each one the library
-    accepts on the complex the moves before it produced."""
-    script = []
-    cur = c
-    for _ in range(4 * moves):
-        if len(script) == moves:
-            break
-        faces = cur.face_ids
-        level = None
-        kind = rng.random()
-        if kind < 0.45:
-            move = S.BlowupMove(case=2, face=rng.choice(faces))
-        elif kind < 0.8:
-            base = rng.choice(faces)
-            above = [f for f in cur.upset(base) if f != base]
-            attach = (base,) + tuple(rng.sample(above, rng.randint(0, min(2, len(above)))))
-            if cur.has_levels:
-                level = cur.level(base) + rng.randint(0, 1)
-            move = S.BlowupMove(case=3, base=base, attach=attach,
-                                vertex=rng.choice(cur.vertices_of(base)), level=level)
-        else:
-            attach = tuple(rng.sample(faces, rng.randint(0, min(2, len(faces)))))
-            if cur.has_levels:
-                level = rng.randint(1, cur.max_level() + 1)
-            move = S.BlowupMove(case="attach", attach=attach,
-                                new_vertex=f"n{len(script)}", level=level)
-        try:
-            cur = S.blowup_move(cur, move)
-        except S.SncxError:
-            continue
-        script.append(move)
-    return tuple(script)
 
 
 class TestIncrementalReplay:
