@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     BadDeltaStructure,
     DanglingFace,
+    DescriptorInvalid,
     DuplicateFace,
     GradingViolation,
     HasFixedFace,
@@ -103,6 +104,17 @@ def _simplex_records(simplices, name, level=None) -> list[dict]:
     return recs
 
 
+def _id_list(rec, key, fid) -> tuple:
+    # the ids listed under ``key``, none when the field is absent or null
+    ids = rec.get(key)
+    if ids is None:
+        return ()
+    if not isinstance(ids, (list, tuple)):
+        raise DescriptorInvalid(
+            f"face {fid!r} field {key!r} must be a list of face ids, got {ids!r}")
+    return tuple(ids)
+
+
 def _read_faces(records, dims, labels, cov, delta, levels, start=0):
     """Read face records into the given maps, checking what a record shows
     alone and the grading of its covering.
@@ -114,24 +126,27 @@ def _read_faces(records, dims, labels, cov, delta, levels, start=0):
     ids = []
     any_delta = any_level = False
     for pos, rec in enumerate(records, start=start):
+        if type(rec) is not dict and not isinstance(rec, Mapping):
+            raise DescriptorInvalid(f"face record {pos} is not an object: {rec!r}")
         fid = rec.get("id")
         if not isinstance(fid, str) or not fid:
             raise DuplicateFace(f"face record {pos} has no usable id")
         if fid in dims:
             raise DuplicateFace(f"duplicate face id {fid!r}")
         dim = rec.get("dim")
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
         dims[fid] = dim
-        labels[fid] = str(rec.get("label", fid))
-        cov[fid] = tuple(rec.get("facets", ()))
+        label = rec.get("label")
+        labels[fid] = fid if label is None else str(label)
+        cov[fid] = _id_list(rec, "facets", fid)
         if rec.get("delta_order") is not None:
             any_delta = True
-            delta[fid] = tuple(rec["delta_order"])
-        if rec.get("level") is not None:
+            delta[fid] = _id_list(rec, "delta_order", fid)
+        lv = rec.get("level")
+        if lv is not None:
             any_level = True
-            lv = rec["level"]
-            if not isinstance(lv, int) or lv < 1:
+            if type(lv) is not int or lv < 1:
                 raise LevelNotDownwardClosed(
                     f"face {fid!r} has invalid level {lv!r}; levels start at 1")
             levels[fid] = lv
@@ -167,6 +182,10 @@ class CombinatorialComplex:
     - ``delta_order``: optional ordered facet list (Delta-structure)
     - ``level``: optional positive integer (filtration level)
 
+    A record that is not a mapping, or a list of ids that is not a list,
+    is :class:`DescriptorInvalid`; a bool is not an integer, and a field
+    set to None counts as absent.
+
     All invariants are checked: grading of the covering relation,
     downward closure to vertices, the simplicial facet identity and
     vertex distinctness when a Delta-structure is claimed, the regular
@@ -193,7 +212,7 @@ class CombinatorialComplex:
     def __init__(self, faces: Iterable[Mapping]):
         self._dims, self._labels, self._cov, self._verts = {}, {}, {}, {}
         self._delta = self._levels = self._up = None
-        self._build([], [dict(r) for r in faces])
+        self._build([], list(faces))
 
     # -- the one build routine -------------------------------------------
 
@@ -483,15 +502,31 @@ class CombinatorialComplex:
 
     def to_records(self) -> list[dict]:
         """Face records in canonical order; inverse of the constructor."""
+        return self._rewritten(self._order)
+
+    def _rewritten(self, faces, rename=None, keep_delta=True,
+                   keep_levels=True) -> list[dict]:
+        """The records of ``faces``, given in canonical order, with every id
+        passed through the map ``rename`` when there is one.
+
+        A label is written only where it differs from the new id, a delta
+        order only above dimension 0 and when ``keep_delta``, a level only
+        when ``keep_levels``.
+        """
+        dims, labels, cov = self._dims, self._labels, self._cov
+        delta = self._delta if keep_delta else None
+        levels = self._levels if keep_levels else None
+        ids = list if rename is None else (lambda fs: [rename[g] for g in fs])
         out = []
-        for f in self._order:
-            rec = {"id": f, "dim": self._dims[f], "facets": list(self._cov[f])}
-            if self._labels[f] != f:
-                rec["label"] = self._labels[f]
-            if self._delta is not None and self._dims[f] >= 1:
-                rec["delta_order"] = list(self._delta[f])
-            if self._levels is not None:
-                rec["level"] = self._levels[f]
+        for f in faces:
+            nid = f if rename is None else rename[f]
+            rec = {"id": nid, "dim": dims[f], "facets": ids(cov[f])}
+            if labels[f] != nid:
+                rec["label"] = labels[f]
+            if delta is not None and dims[f]:
+                rec["delta_order"] = ids(delta[f])
+            if levels is not None:
+                rec["level"] = levels[f]
             out.append(rec)
         return out
 
@@ -637,34 +672,39 @@ class CombinatorialComplex:
         are carried along when present, the apex becoming the last
         vertex of each new face.  The input is a subcomplex of the output.
         """
+        lv = self._levels
+        return self._coned(self._order, "c" if apex is None else apex, "*",
+                           True, min(lv.values()) if lv else None)
+
+    def _coned(self, closure, apex: str, sep: str, labels: bool,
+               level) -> "CombinatorialComplex":
+        """This complex plus a vertex joined to each face of ``closure``, a
+        downward-closed set of faces in canonical order.
+
+        The new vertex takes the id ``apex`` and the join of a face g the
+        id ``g<sep><apex>``, each suffixed when taken, and the label
+        ``label(g)<sep><apex>`` when ``labels``; the new vertex is the last
+        vertex of each new face.  On a filtered complex the new vertex gets
+        ``level`` and the join of g the larger of g's level and ``level``.
+        """
         taken = set(self._order)
-        apex_id = _dedup_ids([apex if apex is not None else "c"], taken)[0]
-        taken.add(apex_id)
-        mixed_ids = dict(zip(self._order,
-                             _dedup_ids([f"{f}*{apex_id}" for f in self._order],
-                                        taken)))
-        min_level = min(self._levels.values(), default=1) if self._levels else None
-
-        apex_rec = {"id": apex_id, "dim": 0, "facets": []}
-        if self._levels is not None:
-            apex_rec["level"] = min_level
-        recs = [apex_rec]
-
-        for f in self._order:
-            nid = mixed_ids[f]
-            if self._dims[f] == 0:
-                facets = [apex_id, f]
-            else:
-                facets = [mixed_ids[g] for g in self._cov[f]] + [f]
-            rec = {"id": nid, "dim": self._dims[f] + 1,
-                   "label": f"{self._labels[f]}*{apex_id}", "facets": facets}
-            if self._delta is not None:
-                if self._dims[f] == 0:
-                    rec["delta_order"] = [apex_id, f]
-                else:
-                    rec["delta_order"] = [mixed_ids[g] for g in self._delta[f]] + [f]
-            if self._levels is not None:
-                rec["level"] = self._levels[f]
+        e = _dedup_ids([apex], taken)[0]
+        taken.add(e)
+        ids = dict(zip(closure, _dedup_ids([f"{g}{sep}{e}" for g in closure], taken)))
+        dims, delta, levels = self._dims, self._delta, self._levels
+        below = self._cov if delta is None else delta
+        recs = [{"id": e, "dim": 0, "facets": []}]
+        if levels is not None:
+            recs[0]["level"] = level
+        for g in closure:
+            facets = [ids[x] for x in below[g]] + [g] if dims[g] else [e, g]
+            rec = {"id": ids[g], "dim": dims[g] + 1, "facets": facets}
+            if labels:
+                rec["label"] = f"{self._labels[g]}{sep}{e}"
+            if delta is not None:
+                rec["delta_order"] = facets
+            if levels is not None:
+                rec["level"] = max(levels[g], level)
             recs.append(rec)
         return self._derived((), recs)
 
@@ -725,25 +765,12 @@ class CombinatorialComplex:
                     keep_delta = False
                     break
 
-        recs = []
-        done = set()
-        for f in self._order:
-            r = rep(f)
-            if r in done:
-                continue
-            done.add(r)
-            oid = orbit_id[r]
-            facets = [orbit_id[g] for g in self._cov[r]]
-            if len(set(facets)) != len(facets):
+        reps = [f for f in self._order if rep(f) == f]
+        recs = self._rewritten(reps, orbit_id, keep_delta, keep_levels)
+        for r, rec in zip(reps, recs):
+            if len(set(rec["facets"])) != len(rec["facets"]):
                 raise QuotientNotRegular(
                     f"orbit of {r!r} would cover an orbit face twice")
-            rec = {"id": oid, "dim": self._dims[r],
-                   "label": self._labels[r], "facets": facets}
-            if keep_delta and self._dims[r] >= 1:
-                rec["delta_order"] = [orbit_id[g] for g in self._delta[r]]
-            if keep_levels:
-                rec["level"] = self._levels[r]
-            recs.append(rec)
         try:
             return CombinatorialComplex(recs)
         except BadDeltaStructure as exc:
@@ -751,22 +778,12 @@ class CombinatorialComplex:
 
     def relabeled(self, mapping: Mapping[str, str]) -> "CombinatorialComplex":
         """Rename faces by a bijection of ids (labels follow the new ids)."""
-        img = {mapping.get(f, f) for f in self._order}
-        if len(img) != len(self._order):
+        rename = {f: mapping.get(f, f) for f in self._order}
+        if len(set(rename.values())) != len(self._order):
             raise DuplicateFace("relabeling is not a bijection")
-
-        def m(f):
-            return mapping.get(f, f)
-
-        recs = []
-        for f in self._order:
-            rec = {"id": m(f), "dim": self._dims[f],
-                   "facets": [m(g) for g in self._cov[f]]}
-            if self._delta is not None and self._dims[f] >= 1:
-                rec["delta_order"] = [m(g) for g in self._delta[f]]
-            if self._levels is not None:
-                rec["level"] = self._levels[f]
-            recs.append(rec)
+        recs = self._rewritten(self._order, rename)
+        for rec in recs:
+            rec.pop("label", None)
         return CombinatorialComplex(recs)
 
 
@@ -817,20 +834,8 @@ def _union_records(a: CombinatorialComplex, b: CombinatorialComplex,
         keep_delta, keep_levels = b.has_delta, b.has_levels
     if b.is_empty:
         keep_delta, keep_levels = a.has_delta, a.has_levels
-    recs = [a._record(f) for f in a.face_ids]
-    for f in b.face_ids:
-        rec = b._record(f)
-        rec["id"] = rename[f]
-        rec["facets"] = [rename[g] for g in rec["facets"]]
-        if "delta_order" in rec:
-            rec["delta_order"] = [rename[g] for g in rec["delta_order"]]
-        recs.append(rec)
-    for rec in recs:
-        if not keep_delta:
-            rec.pop("delta_order", None)
-        if not keep_levels:
-            rec.pop("level", None)
-    return recs
+    return (a._rewritten(a.face_ids, None, keep_delta, keep_levels)
+            + b._rewritten(b.face_ids, rename, keep_delta, keep_levels))
 
 
 def _renaming(a: CombinatorialComplex, b: CombinatorialComplex) -> dict:

@@ -207,30 +207,52 @@ class CompactEdge:
     face_index: int
 
 
-class NewtonPolyhedron:
-    """Exact face census of conv(points) + positive orthant."""
+class _Census:
+    """Exact face census of conv(points), plus the positive orthant when
+    the class's ``orthant`` is set.
+
+    The points are read by the integer rule, each checked by ``_point``
+    before the next is read; the distinct ones keep their input order.
+    An ambient dimension above ``MAX_AMBIENT`` or below ``min_ambient``
+    is rejected before the census.
+    """
+
+    orthant = False
+    min_ambient = 0
 
     def __init__(self, points):
-        pts = []
-        seen = set()
-        for p in points:
-            t = _integer_point(p, "exponent vector")
-            if any(x < 0 for x in t):
-                raise ValueError(f"exponent vector {t} has a negative entry")
-            if t not in seen:
-                seen.add(t)
-                pts.append(t)
+        pts = tuple(dict.fromkeys(map(self._point, points)))
         if not pts:
-            raise EmptyInput("no exponent vectors")
+            raise EmptyInput(f"no {self.what}s")
         d = len(pts[0])
         if any(len(p) != d for p in pts):
-            raise ValueError("exponent vectors of mixed lengths")
+            raise ValueError(f"{self.what}s of mixed lengths")
         if d > MAX_AMBIENT:
             raise DimensionTooHigh(f"ambient dimension {d} exceeds {MAX_AMBIENT}")
-        self.points = tuple(pts)
+        if d < self.min_ambient:
+            raise NotFullDimensional(
+                f"need a polytope of dimension at least {self.min_ambient}")
+        self.points = pts
         self.ambient = d
-        self.facets = tuple(_facet_census(self.points, orthant=True))
-        self.faces = tuple(_face_lattice(self.points, self.facets, orthant=True))
+        self.facets = tuple(_facet_census(pts, self.orthant))
+        self.faces = tuple(_face_lattice(pts, self.facets, self.orthant))
+
+    def _point(self, p) -> tuple:
+        return _integer_point(p, self.what)
+
+    def face_interior(self, face: PolyFace) -> bool:
+        """Closed-cell interiority: every facet containing the face is compact."""
+        return all(self.facets[i].compact for i in face.facets)
+
+
+class NewtonPolyhedron(_Census):
+    """Exact face census of conv(points) + positive orthant."""
+
+    what = "exponent vector"
+    orthant = True
+
+    def __init__(self, points):
+        super().__init__(points)
         self.vertices = tuple(f.points[0] for f in self.faces if f.dim == 0)
         self.compact_edges = tuple(CompactEdge(*_edge(self.points, f), i)
                                    for i, f in enumerate(self.faces)
@@ -264,9 +286,11 @@ class NewtonPolyhedron:
                 raise AssertionError(
                     f"compactness criteria disagree on face {face.points}")
 
-    def face_interior(self, face: PolyFace) -> bool:
-        """Closed-cell interiority: every facet containing the face is compact."""
-        return all(self.facets[i].compact for i in face.facets)
+    def _point(self, p) -> tuple:
+        t = super()._point(p)
+        if any(x < 0 for x in t):
+            raise ValueError(f"exponent vector {t} has a negative entry")
+        return t
 
     def vertex_interior(self, v: int) -> bool:
         return all(f.compact for f in self.facets if v in f.points)
@@ -298,7 +322,7 @@ class SubdividedSimplex:
     carrier face is compact.
     """
 
-    def __init__(self, np_: NewtonPolyhedron):
+    def __init__(self, np_: _Census):
         self.polyhedron = np_
         d = np_.ambient
         cells = []
@@ -431,30 +455,11 @@ def _w0_report(np_: NewtonPolyhedron):
 
 # -- boundary complexes of nondegenerate torus hypersurfaces -------------------
 
-class LatticePolytope:
+class LatticePolytope(_Census):
     """Exact face census of a full-dimensional lattice polytope."""
 
-    def __init__(self, points):
-        pts = []
-        seen = set()
-        for p in points:
-            t = _integer_point(p, "lattice point")
-            if t not in seen:
-                seen.add(t)
-                pts.append(t)
-        if not pts:
-            raise EmptyInput("no lattice points")
-        d = len(pts[0])
-        if any(len(p) != d for p in pts):
-            raise ValueError("lattice points of mixed lengths")
-        if d > MAX_AMBIENT:
-            raise DimensionTooHigh(f"ambient dimension {d} exceeds {MAX_AMBIENT}")
-        if d < 2:
-            raise NotFullDimensional("need a polytope of dimension at least 2")
-        self.points = tuple(pts)
-        self.ambient = d
-        self.facets = tuple(_facet_census(self.points, orthant=False))
-        self.faces = tuple(_face_lattice(self.points, self.facets, orthant=False))
+    what = "lattice point"
+    min_ambient = 2
 
     def edge_length(self, face: PolyFace) -> int:
         return _edge(self.points, face)[1]
@@ -467,20 +472,12 @@ def torus_hypersurface_boundary_complex(points, multiplicities=None):
     polytope (n = dim P - 1), puckered at each maximal cell by the
     lattice length of the dual edge of P.  ``multiplicities`` overrides
     the lattice lengths per edge id for user-supplied intersection data.
+    The cells are those of the Newton model's fan: every facet of P is
+    compact, so every proper face of positive dimension gives a cell.
     """
     P = points if isinstance(points, LatticePolytope) else LatticePolytope(points)
-    d = P.ambient
-
-    def cell_id(face):
-        return "g" + ".".join(str(i) for i in face.points)
-
-    cells = [f for f in P.faces if 1 <= f.dim < d]
-    lengths = {}
-    for f in cells:
-        if f.dim == 1:
-            cid = cell_id(f)
-            lengths[cid] = (int(multiplicities[cid])
-                            if multiplicities and cid in multiplicities
-                            else P.edge_length(f))
-    return CombinatorialComplex(_inclusion_records(
-        ((cell_id(f), d - f.dim - 1, f.facets) for f in cells), lengths))
+    ss = SubdividedSimplex(P)
+    mult = multiplicities or {}
+    lengths = {c.id: int(mult[c.id]) if c.id in mult else P.edge_length(c.carrier)
+               for c in ss.cells if c.carrier.dim == 1}
+    return CombinatorialComplex(ss._interior_records(lengths))

@@ -117,8 +117,6 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
     """
     if c.is_empty:
         raise NotConnected("the empty complex has no fundamental group")
-    if len(c.connected_components()) != 1:
-        raise NotConnected("complex is not connected")
 
     edges = c.faces_of_dim(1)
 
@@ -139,6 +137,10 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
                 seen.add(w)
                 in_tree.add(e)
                 queue.append(w)
+    if len(seen) != len(c.faces_of_dim(0)):
+        # every face lies above a vertex, so the complex is connected
+        # exactly when the search reaches every vertex
+        raise NotConnected("complex is not connected")
 
     gens = [e for e in edges if e not in in_tree]
     gen_index = {e: i + 1 for i, e in enumerate(gens)}

@@ -6,12 +6,15 @@ the discrete Morse flow that retracts a new vertex onto an old one,
 puckering of a maximal cell, and sequential script replay with a
 homology log.
 
-Every move here (stellar subdivision, the attached cone, the vertex
-flow, puckering) hands the faces it keeps and the records of the faces
-it creates to ``CombinatorialComplex._derived``, the complex's one
-build routine, which checks only the created faces: the kept ones lie
-below one another as before and were checked when their complex was
-built.  The replay carries each level forward: a level subcomplex equal
+Every move here (stellar subdivision, the vertex flow, puckering) hands
+the faces it keeps and the records of the faces it creates to
+``CombinatorialComplex._derived``, the complex's one build routine,
+which checks only the created faces: the kept ones lie below one
+another as before and were checked when their complex was built.  A
+case 3 or attach move cones a new vertex over the closure of its
+attachment with ``CombinatorialComplex._coned``, the writer that also
+writes the cone over a whole complex, and hands its records on the same
+way.  The replay carries each level forward: a level subcomplex equal
 to the one of the step before keeps its homology, while the whole
 complex's homology, and with it the d^2 = 0 check, is computed at every
 step.
@@ -192,39 +195,6 @@ def _closure(c, faces):
     return sorted(seen, key=c._index.__getitem__)
 
 
-def _attach_cone(c, closure, new_vertex, level):
-    """Add a vertex coned over ``closure``, a downward-closed set of faces
-    in canonical order."""
-    taken = set(c.face_ids)
-    e = _dedup_ids([new_vertex], taken)[0]
-    taken.add(e)
-    ids = dict(zip(closure, _dedup_ids([f"{g}<{e}" for g in closure], taken)))
-
-    levels = c.has_levels
-    if levels and level is None:
-        raise DescriptorInvalid(
-            "filtered complex: the new vertex needs a level")
-
-    vrec = {"id": e, "dim": 0, "facets": []}
-    if levels:
-        vrec["level"] = level
-    recs = [vrec]
-    for g in closure:
-        facets = [ids[x] for x in c.facets(g)] + [g] if c.dim(g) >= 1 \
-            else [e, g]
-        rec = {"id": ids[g], "dim": c.dim(g) + 1, "facets": facets}
-        if c.has_delta:
-            if c.dim(g) == 0:
-                rec["delta_order"] = [e, g]
-            else:
-                rec["delta_order"] = [ids[x] for x in c.delta_order(g)] + [g]
-                rec["facets"] = rec["delta_order"]
-        if levels:
-            rec["level"] = max(c.level(g), level)
-        recs.append(rec)
-    return c._derived((), recs)
-
-
 def _validate_case3(c, move):
     """Check a case 3 move; returns the closure of its attachment."""
     base = move.base
@@ -285,15 +255,18 @@ def blowup_move(c: CombinatorialComplex, move: BlowupMove) -> CombinatorialCompl
         closure = _validate_case3(c, move)
         new_vertex = move.new_vertex if move.new_vertex is not None \
             else f"v({move.base})"
-        return _attach_cone(c, closure, new_vertex, move.level)
+        return c._coned(closure, new_vertex, "<", False, move.level)
     if move.case == "attach":
         if move.new_vertex is None:
             raise DescriptorInvalid("attach move needs new_vertex")
         for t in move.attach:
             if not c.has_face(t):
                 raise DescriptorInvalid(f"attach face {t!r} missing")
-        return _attach_cone(c, _closure(c, move.attach), move.new_vertex,
-                            move.level)
+        if c.has_levels and move.level is None:
+            raise DescriptorInvalid(
+                "filtered complex: the new vertex needs a level")
+        return c._coned(_closure(c, move.attach), move.new_vertex, "<", False,
+                        move.level)
     raise DescriptorInvalid(f"unknown move case {move.case!r}")
 
 

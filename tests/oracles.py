@@ -32,7 +32,12 @@ adjacency lists, and four writers of simplicial complexes that each
 wrote their own records: an order complex with its own chain frontier,
 a subset complex, the all-simplicial toric link, and a realization
 that built the subset complex and its order complex and enumerated the
-chains below every subset again.
+chains below every subset again.  Last come the writers that each wrote
+their own records before one re-emitter, one cone writer and one
+polytope census were shared: a cone and an attached cone, a relabeling,
+the records of a union, a quotient by an involution, a lattice polytope
+reading its own points, the exponent vectors as the Newton polyhedron
+read them, and a torus boundary complex with its own cell ids.
 """
 
 from __future__ import annotations
@@ -43,26 +48,42 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
-from sncx.complexes import CombinatorialComplex, _dedup_ids
+from sncx.complexes import CombinatorialComplex, _dedup_ids, _inclusion_records
 from sncx.errors import (
     BadDeltaStructure,
     DanglingFace,
     DescriptorInvalid,
+    DimensionTooHigh,
     DuplicateFace,
+    EmptyInput,
     GradingViolation,
+    HasFixedFace,
     LevelNotDownwardClosed,
     MatchingNotAcyclic,
     MissingDeltaStructure,
     NotAVertex,
     NotConnected,
+    NotFullDimensional,
+    NotInvolution,
     NotRegularCW,
     NotSubsetClosed,
     PairingIncomplete,
     PairingNotUnique,
+    QuotientNotRegular,
     ScriptError,
 )
 from sncx.homology import HomologyResult, chain_complex, homology
-from sncx.newton import PolyFace, PolyFacet, SubdividedSimplex, _affine_dim, _dot
+from sncx.newton import (
+    MAX_AMBIENT,
+    PolyFace,
+    PolyFacet,
+    SubdividedSimplex,
+    _affine_dim,
+    _dot,
+    _edge,
+    _face_lattice,
+    _facet_census,
+)
 from sncx.presentations import (
     GroupPresentation,
     _canonical_relator,
@@ -1321,3 +1342,227 @@ def subset_complex_realize_boundary(faces, n=None):
                                  attach=attach))
         done.append(f)
     return barycentric, tuple(script)
+
+
+def record_writing_cone(c, apex=None):
+    """The cone on ``c``, from its own records."""
+    taken = set(c.face_ids)
+    apex_id = _dedup_ids([apex if apex is not None else "c"], taken)[0]
+    taken.add(apex_id)
+    mixed_ids = dict(zip(c.face_ids,
+                         _dedup_ids([f"{f}*{apex_id}" for f in c.face_ids], taken)))
+    min_level = min(c.level(f) for f in c.face_ids) if c.has_levels else None
+    apex_rec = {"id": apex_id, "dim": 0, "facets": []}
+    if c.has_levels:
+        apex_rec["level"] = min_level
+    recs = [apex_rec]
+    for f in c.face_ids:
+        if c.dim(f) == 0:
+            facets = [apex_id, f]
+        else:
+            facets = [mixed_ids[g] for g in c.facets(f)] + [f]
+        rec = {"id": mixed_ids[f], "dim": c.dim(f) + 1,
+               "label": f"{c.label(f)}*{apex_id}", "facets": facets}
+        if c.has_delta and not c.is_empty:
+            if c.dim(f) == 0:
+                rec["delta_order"] = [apex_id, f]
+            else:
+                rec["delta_order"] = [mixed_ids[g] for g in c.delta_order(f)] + [f]
+        if c.has_levels:
+            rec["level"] = c.level(f)
+        recs.append(rec)
+    return c._derived((), recs)
+
+
+def record_writing_attach_cone(c, closure, new_vertex, level):
+    """A vertex coned over ``closure``, a downward-closed set of faces in
+    canonical order, from its own records."""
+    taken = set(c.face_ids)
+    e = _dedup_ids([new_vertex], taken)[0]
+    taken.add(e)
+    ids = dict(zip(closure, _dedup_ids([f"{g}<{e}" for g in closure], taken)))
+    levels = c.has_levels
+    if levels and level is None:
+        raise DescriptorInvalid("filtered complex: the new vertex needs a level")
+    vrec = {"id": e, "dim": 0, "facets": []}
+    if levels:
+        vrec["level"] = level
+    recs = [vrec]
+    for g in closure:
+        facets = [ids[x] for x in c.facets(g)] + [g] if c.dim(g) >= 1 else [e, g]
+        rec = {"id": ids[g], "dim": c.dim(g) + 1, "facets": facets}
+        if c.has_delta:
+            if c.dim(g) == 0:
+                rec["delta_order"] = [e, g]
+            else:
+                rec["delta_order"] = [ids[x] for x in c.delta_order(g)] + [g]
+                rec["facets"] = rec["delta_order"]
+        if levels:
+            rec["level"] = max(c.level(g), level)
+        recs.append(rec)
+    return c._derived((), recs)
+
+
+def record_writing_relabeled(c, mapping):
+    """``c.relabeled(mapping)`` from its own records."""
+    def m(f):
+        return mapping.get(f, f)
+
+    if len({m(f) for f in c.face_ids}) != len(c.face_ids):
+        raise DuplicateFace("relabeling is not a bijection")
+    recs = []
+    for f in c.face_ids:
+        rec = {"id": m(f), "dim": c.dim(f), "facets": [m(g) for g in c.facets(f)]}
+        if c.has_delta and c.dim(f) >= 1:
+            rec["delta_order"] = [m(g) for g in c.delta_order(f)]
+        if c.has_levels:
+            rec["level"] = c.level(f)
+        recs.append(rec)
+    return CombinatorialComplex(recs)
+
+
+def record_writing_union_records(a, b, rename):
+    """The records of ``a``, then those of ``b`` renamed by ``rename``,
+    each written by ``_record`` and its Delta order or level dropped
+    unless both sides, or the one that is not empty, have them."""
+    keep_delta = a.has_delta and b.has_delta
+    keep_levels = a.has_levels and b.has_levels
+    if a.is_empty:
+        keep_delta, keep_levels = b.has_delta, b.has_levels
+    if b.is_empty:
+        keep_delta, keep_levels = a.has_delta, a.has_levels
+    recs = [a._record(f) for f in a.face_ids]
+    for f in b.face_ids:
+        rec = b._record(f)
+        rec["id"] = rename[f]
+        rec["facets"] = [rename[g] for g in rec["facets"]]
+        if "delta_order" in rec:
+            rec["delta_order"] = [rename[g] for g in rec["delta_order"]]
+        recs.append(rec)
+    for rec in recs:
+        if not keep_delta:
+            rec.pop("delta_order", None)
+        if not keep_levels:
+            rec.pop("level", None)
+    return recs
+
+
+def record_writing_quotient(c, phi):
+    """``c.quotient_free_involution(phi)`` from its own records."""
+    index = {f: i for i, f in enumerate(c.face_ids)}
+    for f in c.face_ids:
+        g = phi.get(f)
+        if g is None or not c.has_face(g):
+            raise NotInvolution(f"pairing undefined at face {f!r}")
+        if g == f:
+            raise HasFixedFace(f"face {f!r} is fixed")
+        if phi.get(g) != f:
+            raise NotInvolution(f"pairing is not an involution at {f!r}")
+        if c.dim(g) != c.dim(f):
+            raise NotInvolution(f"pairing does not preserve dimension at {f!r}")
+        if {phi[h] for h in c.facets(f)} != set(c.facets(g)):
+            raise NotInvolution(f"pairing does not preserve covering at {f!r}")
+
+    def rep(f):
+        return f if index[f] < index[phi[f]] else phi[f]
+
+    orbit_id = {f: f"{rep(f)}|{phi[rep(f)]}" for f in c.face_ids}
+    keep_levels = c.has_levels and all(c.level(f) == c.level(phi[f])
+                                       for f in c.face_ids)
+    keep_delta = c.has_delta and not c.is_empty and all(
+        [orbit_id[x] for x in c.delta_order(f)]
+        == [orbit_id[x] for x in c.delta_order(phi[f])] for f in c.face_ids)
+    recs = []
+    done = set()
+    for f in c.face_ids:
+        r = rep(f)
+        if r in done:
+            continue
+        done.add(r)
+        facets = [orbit_id[g] for g in c.facets(r)]
+        if len(set(facets)) != len(facets):
+            raise QuotientNotRegular(f"orbit of {r!r} would cover an orbit face twice")
+        rec = {"id": orbit_id[r], "dim": c.dim(r), "label": c.label(r),
+               "facets": facets}
+        if keep_delta and c.dim(r) >= 1:
+            rec["delta_order"] = [orbit_id[g] for g in c.delta_order(r)]
+        if keep_levels:
+            rec["level"] = c.level(r)
+        recs.append(rec)
+    try:
+        return CombinatorialComplex(recs)
+    except BadDeltaStructure as exc:
+        raise QuotientNotRegular(str(exc)) from exc
+
+
+def reading_newton_points(points):
+    """The exponent vectors as ``NewtonPolyhedron`` read them on its own:
+    distinct, in input order, after the checks up to the ambient cap."""
+    pts = []
+    seen = set()
+    for p in points:
+        t = snf._integer_point(p, "exponent vector")
+        if any(x < 0 for x in t):
+            raise ValueError(f"exponent vector {t} has a negative entry")
+        if t not in seen:
+            seen.add(t)
+            pts.append(t)
+    if not pts:
+        raise EmptyInput("no exponent vectors")
+    d = len(pts[0])
+    if any(len(p) != d for p in pts):
+        raise ValueError("exponent vectors of mixed lengths")
+    if d > MAX_AMBIENT:
+        raise DimensionTooHigh(f"ambient dimension {d} exceeds {MAX_AMBIENT}")
+    return tuple(pts)
+
+
+class ReadingLatticePolytope:
+    """Exact face census of a full-dimensional lattice polytope, reading
+    its own points."""
+
+    def __init__(self, points):
+        pts = []
+        seen = set()
+        for p in points:
+            t = snf._integer_point(p, "lattice point")
+            if t not in seen:
+                seen.add(t)
+                pts.append(t)
+        if not pts:
+            raise EmptyInput("no lattice points")
+        d = len(pts[0])
+        if any(len(p) != d for p in pts):
+            raise ValueError("lattice points of mixed lengths")
+        if d > MAX_AMBIENT:
+            raise DimensionTooHigh(f"ambient dimension {d} exceeds {MAX_AMBIENT}")
+        if d < 2:
+            raise NotFullDimensional("need a polytope of dimension at least 2")
+        self.points = tuple(pts)
+        self.ambient = d
+        self.facets = tuple(_facet_census(self.points, orthant=False))
+        self.faces = tuple(_face_lattice(self.points, self.facets, orthant=False))
+
+    def edge_length(self, face):
+        return _edge(self.points, face)[1]
+
+
+def cell_writing_torus_boundary_complex(points, multiplicities=None):
+    """The torus hypersurface boundary model with its own cell ids, on the
+    polytope ``ReadingLatticePolytope`` reads."""
+    P = ReadingLatticePolytope(points)
+    d = P.ambient
+
+    def cell_id(face):
+        return "g" + ".".join(str(i) for i in face.points)
+
+    cells = [f for f in P.faces if 1 <= f.dim < d]
+    lengths = {}
+    for f in cells:
+        if f.dim == 1:
+            cid = cell_id(f)
+            lengths[cid] = (int(multiplicities[cid])
+                            if multiplicities and cid in multiplicities
+                            else P.edge_length(f))
+    return CombinatorialComplex(_inclusion_records(
+        ((cell_id(f), d - f.dim - 1, f.facets) for f in cells), lengths))

@@ -421,13 +421,14 @@ class TestGroundBoundAndParentKeys:
 
 
 class TestMalformedRecords:
-    """Face records that are not mappings fail in the constructor's copy
-    of each record, reported as the Python error with exit code 1."""
+    """Face records that are not objects are the domain error
+    DescriptorInvalid, naming their position, with exit code 1."""
 
     @pytest.mark.parametrize("faces, error", [
-        (["x"], {"type": "ValueError", "message":
-                 "dictionary update sequence element #0 has length 1; 2 is required"}),
-        ([1], {"type": "TypeError", "message": "'int' object is not iterable"}),
+        (["x"], {"type": "DescriptorInvalid",
+                 "message": "face record 0 is not an object: 'x'"}),
+        ([1], {"type": "DescriptorInvalid",
+               "message": "face record 0 is not an object: 1"}),
     ])
     def test_error_object(self, tmp_path, faces, error):
         bad = tmp_path / "bad.json"
@@ -436,6 +437,68 @@ class TestMalformedRecords:
             code, out = run_cli(argv)
             assert code == 1
             assert json.loads(out) == {"error": error}
+
+
+EDGE = [{"id": "u", "dim": 0, "facets": []}, {"id": "v", "dim": 0, "facets": []},
+        {"id": "e", "dim": 1, "facets": ["u", "v"], "delta_order": ["v", "u"]}]
+
+
+def edge_with(**fields):
+    """The edge u-v with the given fields of the edge record replaced."""
+    return {"faces": EDGE[:2] + [{**EDGE[2], **fields}]}
+
+
+class TestRecordFields:
+    """Face record fields are read by the integer rule and the list rule:
+    a bool is not an integer, a list of ids must be a list, and a null
+    field counts as absent."""
+
+    @pytest.mark.parametrize("doc, error", [
+        (edge_with(dim=True), ("GradingViolation", "face 'e' has invalid dim True")),
+        ({"faces": [{"id": "u", "dim": 0, "facets": [], "level": True}]},
+         ("LevelNotDownwardClosed",
+          "face 'u' has invalid level True; levels start at 1")),
+        (edge_with(facets="uv", delta_order="vu"),
+         ("DescriptorInvalid",
+          "face 'e' field 'facets' must be a list of face ids, got 'uv'")),
+        (edge_with(delta_order="vu"),
+         ("DescriptorInvalid",
+          "face 'e' field 'delta_order' must be a list of face ids, got 'vu'")),
+        (edge_with(facets={"u": 0, "v": 1}),
+         ("DescriptorInvalid", "face 'e' field 'facets' must be a list of face "
+                               "ids, got {'u': 0, 'v': 1}")),
+        (edge_with(facets=None),
+         ("GradingViolation", "face 'e' has dim 1 but no codimension-one faces")),
+        ({"faces": [EDGE[0], 7]},
+         ("DescriptorInvalid", "face record 1 is not an object: 7")),
+        ({"faces": [EDGE[0], ["v", 0]]},
+         ("DescriptorInvalid", "face record 1 is not an object: ['v', 0]")),
+    ])
+    def test_rejected(self, tmp_path, doc, error):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["homology", str(path)])
+        assert code == 1
+        assert json.loads(out) == {"error": dict(zip(("type", "message"), error))}
+
+    @pytest.mark.parametrize("nulls", [
+        {"label": None}, {"level": None}, {"delta_order": None, "label": None}])
+    def test_null_fields_are_absent(self, tmp_path, nulls):
+        def report(faces):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps({"faces": faces}))
+            code, out = run_cli(["homology", str(path)])
+            assert code == 0
+            report = json.loads(out)["report"]["reports"][0]
+            del report["sha256"], report["input"]
+            return report
+
+        absent = {k: v for k, v in EDGE[2].items() if k not in nulls}
+        vertex = {"id": "w", "dim": 0}
+        assert report(EDGE + [{**vertex, "facets": None}]) == report(EDGE + [vertex])
+        assert report(EDGE[:2] + [{**EDGE[2], **nulls}]) == report(EDGE[:2] + [absent])
+        c = S.new_complex(EDGE[:2] + [{**EDGE[2], **nulls}])
+        assert c.label("e") == "e" and c == S.new_complex(EDGE[:2] + [absent])
 
 
 def filtered(c):

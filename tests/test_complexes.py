@@ -1,9 +1,12 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
 import sncx as S
+import sncx.complexes as C
+import sncx.transforms as T
 from sncx import gallery as G
 from sncx.errors import (
     BadDeltaStructure,
@@ -24,6 +27,7 @@ from conftest import (
     assert_same_complex,
     polygon_cone_fan,
     random_lattice_polytope,
+    random_subset_closed,
     random_support,
     random_simplicial_complex,
     with_random_levels,
@@ -33,6 +37,11 @@ from oracles import (
     derived_by_constructor,
     frontier_order_complex,
     order_complex_homology,
+    record_writing_attach_cone,
+    record_writing_cone,
+    record_writing_quotient,
+    record_writing_relabeled,
+    record_writing_union_records,
     recursive_complexes_isomorphic,
     two_step_wedge,
     validating_constructor,
@@ -644,6 +653,168 @@ class TestOneBuildRoutine:
             assert_same_complex(S.wedge(a, v1, b, v2), two_step_wedge(a, v1, b, v2))
         c = filtered_triangle_with_pendant()
         assert_same_complex(S.wedge(c, "v0", c, "v0"), two_step_wedge(c, "v0", c, "v0"))
+
+
+def outcome(build, *args):
+    """The complex ``build`` returns, with its records, or the error it raises."""
+    try:
+        c = build(*args)
+    except S.SncxError as exc:
+        return type(exc), str(exc)
+    return c, c.to_records(), c.has_delta, c.has_levels
+
+
+def with_custom_labels(rng, c):
+    """``c`` with some labels changed: to fresh names, and to the ids and
+    labels of other faces."""
+    names = list(c.face_ids) + [f"L{i}" for i in range(4)]
+    recs = c.to_records()
+    for rec in recs:
+        if rng.random() < 0.4:
+            rec["label"] = rng.choice(names)
+    return S.CombinatorialComplex(recs)
+
+
+def writer_inputs(seed, n):
+    """The agreement inputs, some relabeled, with point sets and complexes
+    whose ids collide with the ids a cone or an attachment proposes."""
+    rng, out = agreement_inputs(seed, n)
+    out = [with_custom_labels(rng, c) if i % 3 == 1 else c for i, c in enumerate(out)]
+    points = S.disjoint_union(G.point_complex("a"), G.point_complex("b"))
+    out += [points, with_random_levels(rng, points), without_delta(points),
+            G.point_complex("c"), G.triangle_boundary().relabeled({"v1": "c"}),
+            G.triangle_boundary().relabeled({"e0": "v0*c", "e1": "v2<n"}),
+            G.triangle_boundary().relabeled({"v2": "n", "e2": "v0<n~2"}),
+            filtered_triangle_with_pendant().relabeled({"w": "c", "p": "v0*c"})]
+    return rng, out
+
+
+def two_copies(faces, n, reverse):
+    """The subset complex of ``faces`` (subsets of range(n)) beside its
+    image under v -> v + n, or under v -> 2n - 1 - v with ``reverse``, and
+    the involution swapping the two; the reversed image lists every Delta
+    order the other way round, so no Delta order descends."""
+    def sigma(v):
+        return 2 * n - 1 - v if reverse else v + n
+
+    u = S.simplicial_complex_from_subsets(
+        list(faces) + [[sigma(v) for v in f] for f in faces])
+    swap = {str(v): str(sigma(v)) for v in range(n)}
+    swap.update({w: v for v, w in swap.items()})
+    return u, S.face_map_from_vertex_bijection(u, swap)
+
+
+class TestOneFaceWriter:
+    """The re-emitter and the cone writer against the record writers each
+    construction had before they were shared."""
+
+    def test_to_records_reads_back(self):
+        rng, inputs = writer_inputs(920, 40)
+        for c in inputs:
+            assert_rebuilds(c)
+            for rec in c.to_records():
+                assert rec.get("label") != rec["id"]
+                assert ("delta_order" in rec) == (c.has_delta and rec["dim"] > 0)
+
+    def test_cone(self):
+        rng, inputs = writer_inputs(921, 40)
+        for c in inputs:
+            for apex in (None, "c", "0", "n", rng.choice(c.face_ids or ("q",))):
+                got = outcome(c.cone, apex)
+                assert got == outcome(record_writing_cone, c, apex)
+                assert_rebuilds(got[0])
+
+    def test_attached_cone(self):
+        rng, inputs = writer_inputs(922, 40)
+        above = 0
+        for c in inputs:
+            for _ in range(4):
+                faces = rng.sample(c.face_ids, min(len(c.face_ids), rng.randint(0, 3)))
+                closure = T._closure(c, faces)
+                level = None
+                if c.has_levels:
+                    level = rng.randint(1, c.max_level() + 1)
+                    above += all(c.level(g) < level for g in closure)
+                nv = rng.choice(["n", "v0", "c", "b"])
+                got = outcome(c._coned, closure, nv, "<", False, level)
+                assert got == outcome(record_writing_attach_cone, c, closure, nv, level)
+                move = S.BlowupMove(case="attach", attach=tuple(faces),
+                                    new_vertex=nv, level=level)
+                assert outcome(S.blowup_move, c, move) == got
+                if c.has_levels:
+                    move = S.BlowupMove(case="attach", attach=tuple(faces),
+                                        new_vertex=nv)
+                    assert outcome(S.blowup_move, c, move) == outcome(
+                        record_writing_attach_cone, c, closure, nv, None)
+        assert above > 20
+
+    def test_relabeled(self):
+        rng, inputs = writer_inputs(923, 40)
+        refused = 0
+        for c in inputs:
+            ids = list(c.face_ids)
+            for _ in range(4):
+                mapping = {}
+                for f in rng.sample(ids, min(len(ids), 3)):
+                    mapping[f] = rng.choice(ids + [c.label(f), f"{f}'", "x"])
+                got = outcome(c.relabeled, mapping)
+                assert got == outcome(record_writing_relabeled, c, mapping)
+                refused += len(got) == 2
+            swap = dict(zip(ids, reversed(ids)))
+            assert outcome(c.relabeled, swap) == outcome(record_writing_relabeled, c, swap)
+        assert refused > 10
+
+    def test_union_records(self):
+        rng, inputs = writer_inputs(924, 30)
+        for _ in range(80):
+            a, b = rng.choice(inputs), rng.choice(inputs)
+            rename = C._renaming(a, b)
+            got = C._union_records(a, b, rename)
+            want = record_writing_union_records(a, b, rename)
+            assert outcome(S.CombinatorialComplex, got) == \
+                outcome(S.CombinatorialComplex, want)
+            assert outcome(S.disjoint_union, a, b) == \
+                outcome(S.CombinatorialComplex, want)
+            if a.is_empty or b.is_empty:
+                continue
+            v1, v2 = rng.choice(a.faces_of_dim(0)), rng.choice(b.faces_of_dim(0))
+            assert outcome(S.wedge, a, v1, b, v2) == \
+                outcome(two_step_wedge, a, v1, b, v2)
+
+    def test_quotient(self):
+        rng = random.Random(925)
+        cases = []
+        for i in range(30):
+            n = rng.randint(2, 5)
+            faces = random_subset_closed(rng, ground=n) if n > 2 else [[0], [1], [0, 1]]
+            u, phi = two_copies(faces, n, reverse=i % 2 == 1)
+            vlevel = {v: rng.randint(1, 3) for v in u.faces_of_dim(0)}
+            if i % 3:
+                vlevel.update({phi[v]: vlevel[v] for v in u.faces_of_dim(0)
+                               if int(v) < n})
+            recs = u.to_records()
+            for rec in recs:
+                rec["level"] = max(vlevel[v] for v in u.vertices_of(rec["id"]))
+            for x in (u, S.CombinatorialComplex(recs)):
+                cases += [(x, phi), (without_delta(x), phi),
+                          (with_custom_labels(rng, x), phi)]
+        for n in (3, 4):
+            s = G.cross_polytope_boundary(n)
+            cases.append((s, G.antipodal_involution(s)))
+        c4 = G.cycle_complex(4)
+        cases.append((c4, {"v0": "v2", "v2": "v0", "v1": "v3", "v3": "v1",
+                           "e0": "e2", "e2": "e0", "e1": "e3", "e3": "e1"}))
+        cases.append((G.multi_edge_complex(2),
+                      {"u": "w", "w": "u", "e0": "e1", "e1": "e0"}))
+        kept = Counter()
+        for c, phi in cases:
+            got = outcome(c.quotient_free_involution, phi)
+            assert got == outcome(record_writing_quotient, c, phi)
+            if len(got) == 4:
+                kept[c.has_delta, got[2], c.has_levels, got[3]] += 1
+        # Delta orders and levels both descend and are dropped
+        assert kept[True, True, True, True] and kept[True, False, True, False]
+        assert kept[True, True, False, False] and kept[False, False, True, True]
 
 
 def scanned_cofaces(c, f):

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,16 +14,19 @@ from sncx.errors import (
     EmptyInput,
     NotFullDimensional,
 )
-from sncx.newton import LatticePolytope
+from sncx.newton import MAX_AMBIENT, LatticePolytope
 from sncx.snf import kernel_line
 
 from conftest import random_lattice_polygon, random_lattice_polytope, random_support
 from oracles import (
+    ReadingLatticePolytope,
     brute_force_facet_census,
+    cell_writing_torus_boundary_complex,
     order_complex_homology,
     pairwise_face_lattice,
     pairwise_resolution_complex,
     pairwise_torus_boundary_complex,
+    reading_newton_points,
 )
 
 QUADRIC = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
@@ -483,3 +487,109 @@ class TestModelAgreement:
             model = build(arg)
             assert any("+" in f for f in model.face_ids)   # puckered
             assert len(built) == 1
+
+
+def read_or_refused(read, points):
+    """What ``read`` makes of ``points``: its points, facets and faces, or
+    the error it raises."""
+    try:
+        got = read(points)
+    except (S.SncxError, ValueError, TypeError) as exc:
+        return "refused", type(exc), str(exc)
+    if isinstance(got, tuple):
+        return "read", got
+    return "read", got.points, got.facets, got.faces
+
+
+class CensusReached(Exception):
+    pass
+
+
+def newton_reading(monkeypatch):
+    """``NewtonPolyhedron`` stopped where its census starts, returning the
+    points it read."""
+    def stop(points, orthant):
+        raise CensusReached(points)
+
+    def read(points):
+        with monkeypatch.context() as m:
+            m.setattr(N, "_facet_census", stop)
+            try:
+                S.newton_polyhedron(points)
+            except CensusReached as exc:
+                return exc.args[0]
+        raise AssertionError("the census was not reached")
+
+    return read
+
+
+FAULTS = [2.5, True, "1", -1, None]
+
+
+def faulty_points(rng, d, faults):
+    """A few random points of ambient ``d`` with ``faults`` faults:
+    non-integers, negatives, a wrong length, an ambient too high."""
+    pts = [[rng.randint(0, 4) for _ in range(d)] for _ in range(rng.randint(1, 6))]
+    for _ in range(faults):
+        p = rng.choice(pts)
+        kind = rng.randrange(len(FAULTS) + 2)
+        if kind < len(FAULTS):
+            if FAULTS[kind] is not None:
+                p[rng.randrange(d)] = FAULTS[kind]
+        elif kind == len(FAULTS):
+            p.append(0)
+        else:
+            p.extend([0] * (MAX_AMBIENT + 1 - len(p)))
+    return pts
+
+
+class TestOneCensus:
+    """The shared point reader and the torus boundary's use of the Newton
+    model's cell writer, against the reader and cells each had before."""
+
+    @pytest.mark.parametrize("points", [
+        [],
+        [(1,)],
+        [(True,), (0,)],
+        [(0, 0), (2.5, 0), (1,)],
+        [(0, 0), (1,), (2.5, 0)],
+        [(0,) * 5, (1,)],
+        [(1,), (0,) * 5],
+        [(-1, 0), (0.5, 0)],
+        [(0.5, 0), (-1, 0)],
+        [(-1, 0, 0, 0, 0)],
+        [(0, 0), (0, 0), (1, "1")],
+        [(0, 0), (1, 1), (2, 2)],
+    ])
+    def test_two_faults_fail_in_the_old_order(self, monkeypatch, points):
+        assert read_or_refused(LatticePolytope, points) == \
+            read_or_refused(ReadingLatticePolytope, points)
+        assert read_or_refused(newton_reading(monkeypatch), points) == \
+            read_or_refused(reading_newton_points, points)
+
+    def test_random_faults(self, monkeypatch):
+        rng = random.Random(71)
+        outcomes = Counter()
+        for _ in range(400):
+            pts = faulty_points(rng, rng.randint(1, 4), rng.randint(0, 3))
+            want = read_or_refused(ReadingLatticePolytope, pts)
+            assert read_or_refused(LatticePolytope, pts) == want
+            outcomes[want[1] if want[0] == "refused" else "polytope"] += 1
+            want = read_or_refused(reading_newton_points, pts)
+            assert read_or_refused(newton_reading(monkeypatch), pts) == want
+            outcomes[want[1] if want[0] == "refused" else "support"] += 1
+        assert len(outcomes) >= 6
+        assert outcomes["polytope"] > 20 and outcomes["support"] > 40
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_torus_boundary_cells(self, d):
+        rng = random.Random(72 + d)
+        for _ in range(10):
+            P = random_lattice_polytope(rng, d)
+            mult = {"g" + ".".join(str(i) for i in f.points): rng.randint(0, 3)
+                    for f in P.faces if 1 <= f.dim < d and rng.random() < 0.6}
+            for m in (None, mult):
+                want = cell_writing_torus_boundary_complex(P.points, m)
+                assert_same_complex(S.torus_hypersurface_boundary_complex(P, m), want)
+                assert_same_complex(S.torus_hypersurface_boundary_complex(
+                    [list(p) for p in P.points], m), want)

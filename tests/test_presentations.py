@@ -18,6 +18,13 @@ from oracles import (
 from test_newton import staircase_support
 
 
+def presented_or_refused(present, c):
+    try:
+        return present(c)
+    except NotConnected as exc:
+        return str(exc)
+
+
 class TestEdgePathGroups:
     def test_circle(self):
         p = S.fundamental_group_presentation(G.triangle_boundary())
@@ -42,6 +49,28 @@ class TestEdgePathGroups:
         c = S.disjoint_union(G.triangle_boundary(), G.point_complex())
         with pytest.raises(NotConnected):
             S.fundamental_group_presentation(c)
+
+    def test_search_decides_connectivity(self, monkeypatch):
+        # the spanning-tree search reaches every vertex exactly when the
+        # complex is connected, so no pass over the components runs first
+        rng = random.Random(43)
+        fixtures = [G.triangle_boundary(), G.point_complex(), G.two_point_sphere(),
+                    S.disjoint_union(G.triangle_boundary(), G.point_complex()),
+                    without_delta(G.real_projective_plane())]
+        while len(fixtures) < 60:
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=4, max_dim=2)
+            fixtures.append(without_delta(c) if len(fixtures) % 2 else c)
+        expected = [presented_or_refused(adjacency_fundamental_group_presentation, c)
+                    for c in fixtures]
+        refused = sum(isinstance(x, str) for x in expected)
+        assert 10 < refused < len(fixtures) - 10
+
+        def refuse(self):
+            raise AssertionError("components computed for a presentation")
+
+        monkeypatch.setattr(S.CombinatorialComplex, "connected_components", refuse)
+        for c, want in zip(fixtures, expected):
+            assert presented_or_refused(S.fundamental_group_presentation, c) == want
 
     def test_abelianization_matches_h1(self):
         for c in (G.triangle_boundary(), G.multi_edge_complex(4),
@@ -142,12 +171,7 @@ class TestPosetRoute:
     def test_spanning_tree_agrees_with_adjacency_oracle(self):
         # the breadth-first tree walks each vertex's cofaces, which come in
         # the edge order the sorted adjacency lists had
-        def outcome(present, c):
-            try:
-                return present(c)
-            except NotConnected as exc:
-                return str(exc)
-
+        outcome = presented_or_refused
         rng = random.Random(37)
         fixtures = newton_models(rng, 8) + [bigon_disk(), square_cone_link()]
         while len(fixtures) < 160:
