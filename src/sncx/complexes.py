@@ -109,10 +109,14 @@ def _id_list(rec, key, fid) -> tuple:
     ids = rec.get(key)
     if ids is None:
         return ()
-    if not isinstance(ids, (list, tuple)):
-        raise DescriptorInvalid(
-            f"face {fid!r} field {key!r} must be a list of face ids, got {ids!r}")
-    return tuple(ids)
+    if isinstance(ids, (list, tuple)):
+        try:
+            "".join(ids)        # a TypeError unless every entry is a string
+            return tuple(ids)
+        except TypeError:
+            pass
+    raise DescriptorInvalid(
+        f"face {fid!r} field {key!r} must be a list of face ids, got {ids!r}")
 
 
 def _read_faces(records, dims, labels, cov, delta, levels, start=0):
@@ -182,9 +186,9 @@ class CombinatorialComplex:
     - ``delta_order``: optional ordered facet list (Delta-structure)
     - ``level``: optional positive integer (filtration level)
 
-    A record that is not a mapping, or a list of ids that is not a list,
-    is :class:`DescriptorInvalid`; a bool is not an integer, and a field
-    set to None counts as absent.
+    A record that is not a mapping, or a list of ids that is not a list
+    of strings, is :class:`DescriptorInvalid`; a bool is not an integer,
+    and a field set to None counts as absent.
 
     All invariants are checked: grading of the covering relation,
     downward closure to vertices, the simplicial facet identity and

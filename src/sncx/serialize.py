@@ -33,7 +33,11 @@ def complex_to_dict(c: CombinatorialComplex) -> dict:
 
 
 def complex_from_dict(doc: dict) -> CombinatorialComplex:
-    return CombinatorialComplex(doc["faces"])
+    faces = doc.get("faces") if isinstance(doc, dict) else None
+    if not isinstance(faces, list):
+        raise DescriptorInvalid(
+            "a complex is an object whose 'faces' is a list of face records")
+    return CombinatorialComplex(faces)
 
 
 _int = int.__repr__

@@ -145,13 +145,24 @@ def dual_complex(desc: StrataDescription) -> CombinatorialComplex:
 
 
 def strata_from_json(doc: dict) -> StrataDescription:
+    if not isinstance(doc, dict):
+        raise DescriptorInvalid("a strata description is an object")
     comps = tuple(Component(c["label"], c.get("level"))
-                  for c in doc.get("components", ()))
+                  for c in _list_field(doc, "components"))
     strata = tuple(
         Stratum(_integer_point(s["indices"], f"stratum {s['label']!r} indices", "index"),
                 s["label"], _parents(s))
-        for s in doc.get("strata", ()))
+        for s in _list_field(doc, "strata"))
     return StrataDescription(comps, strata)
+
+
+def _list_field(doc: dict, key: str) -> list:
+    # an absent field is an empty list; anything else must be a list
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise DescriptorInvalid(
+            f"strata description field {key!r} must be a list, got {items!r}")
+    return items
 
 
 def _parents(s: dict) -> dict:

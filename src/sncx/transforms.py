@@ -16,8 +16,8 @@ attachment with ``CombinatorialComplex._coned``, the writer that also
 writes the cone over a whole complex, and hands its records on the same
 way.  The replay carries each level forward: a level subcomplex equal
 to the one of the step before keeps its homology, while the whole
-complex's homology, and with it the d^2 = 0 check, is computed at every
-step.
+complex's homology is computed at every step; d^2 = 0 on it holds by the
+facet identities its build checked.
 """
 
 from __future__ import annotations

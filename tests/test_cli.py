@@ -439,6 +439,55 @@ class TestMalformedRecords:
             assert json.loads(out) == {"error": error}
 
 
+class TestDocumentShape:
+    """A complex document must be an object whose ``faces`` is a list, and
+    a strata description an object whose ``components`` and ``strata``
+    are lists; anything else is DescriptorInvalid, exit code 1."""
+
+    COMPLEX = {"error": {"type": "DescriptorInvalid", "message":
+                         "a complex is an object whose 'faces' is a list of face records"}}
+
+    @pytest.mark.parametrize("doc", [
+        [], [{"id": "u", "dim": 0}], {"faces": {"id": "u"}}, {}, {"faces": None}])
+    def test_complex(self, tmp_path, inputs, doc):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["homology", str(path)],
+                     ["certify", "--sphere-dim", "1", str(path)],
+                     ["transform", str(path), str(inputs["script"])]):
+            code, out = run_cli(argv)
+            assert code == 1
+            assert json.loads(out) == self.COMPLEX
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "a strata description is an object"),
+        ([STRATA], "a strata description is an object"),
+        ({**STRATA, "strata": 3},
+         "strata description field 'strata' must be a list, got 3"),
+        ({**STRATA, "strata": STRATA["strata"][0]},
+         "strata description field 'strata' must be a list, got "
+         "{'indices': [0, 1], 'label': 'P', 'parents': {'0': 'L2', '1': 'L1'}}"),
+        ({**STRATA, "components": None},
+         "strata description field 'components' must be a list, got None"),
+        ({"components": "L1"},
+         "strata description field 'components' must be a list, got 'L1'"),
+    ])
+    def test_strata(self, tmp_path, doc, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_any(["dual", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {"type": "DescriptorInvalid",
+                                             "message": message}}
+
+    def test_absent_strata_fields_are_empty(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({}))
+        code, out = run_cli(["dual", str(path)])
+        assert code == 0
+        assert json.loads(out)["report"]["f_vector"] == []
+
+
 EDGE = [{"id": "u", "dim": 0, "facets": []}, {"id": "v", "dim": 0, "facets": []},
         {"id": "e", "dim": 1, "facets": ["u", "v"], "delta_order": ["v", "u"]}]
 
@@ -469,6 +518,15 @@ class TestRecordFields:
                                "ids, got {'u': 0, 'v': 1}")),
         (edge_with(facets=None),
          ("GradingViolation", "face 'e' has dim 1 but no codimension-one faces")),
+        (edge_with(facets=["u", 1]),
+         ("DescriptorInvalid", "face 'e' field 'facets' must be a list of face "
+                               "ids, got ['u', 1]")),
+        (edge_with(delta_order=["v", 0]),
+         ("DescriptorInvalid", "face 'e' field 'delta_order' must be a list of "
+                               "face ids, got ['v', 0]")),
+        ({"faces": [{"id": "u", "dim": 0}, {"id": "e", "dim": 1, "facets": [["u"], "u"]}]},
+         ("DescriptorInvalid", "face 'e' field 'facets' must be a list of face "
+                               "ids, got [['u'], 'u']")),
         ({"faces": [EDGE[0], 7]},
          ("DescriptorInvalid", "face record 1 is not an object: 7")),
         ({"faces": [EDGE[0], ["v", 0]]},

@@ -11,6 +11,7 @@ from sncx import gallery as G
 from sncx.errors import (
     BadDeltaStructure,
     DanglingFace,
+    DescriptorInvalid,
     GradingViolation,
     HasFixedFace,
     LevelNotDownwardClosed,
@@ -82,6 +83,18 @@ class TestConstruction:
     def test_dangling_facet(self):
         with pytest.raises(DanglingFace):
             S.new_complex([{"id": "e", "dim": 1, "facets": ["ghost"]}])
+
+    @pytest.mark.parametrize("key, ids", [
+        ("facets", [["u"], "u"]), ("facets", ["u", 1]), ("facets", [None]),
+        ("delta_order", ["v", 0]), ("delta_order", [["v"], "u"])])
+    def test_id_lists_hold_strings(self, key, ids):
+        # an int used to be DanglingFace, a list Python's TypeError
+        recs = [{"id": "u", "dim": 0}, {"id": "v", "dim": 0},
+                {"id": "e", "dim": 1, "facets": ["u", "v"], key: ids}]
+        with pytest.raises(DescriptorInvalid) as info:
+            S.new_complex(recs)
+        assert str(info.value) == \
+            f"face 'e' field {key!r} must be a list of face ids, got {ids!r}"
 
     def test_grading_violation(self):
         recs = [{"id": "v", "dim": 0, "facets": []},

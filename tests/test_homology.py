@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from conftest import (
     random_lattice_polygon,
     random_lattice_polytope,
     random_simplicial_complex,
+    random_support,
     with_random_levels,
     without_delta,
 )
@@ -81,6 +84,20 @@ class TestChainComplex:
         ones = {i: 1 for i in range(len(good.bases[1]))}
         bad[2] = {j: dict(ones) for j in range(len(good.bases[2]))}
         with pytest.raises(BoundaryNotSquareZero):
+            S.ChainComplex(good.bases, bad)
+
+    def test_square_zero_names_the_lowest_degree(self):
+        # the boundary of the 3-simplex with d_2 and d_3 both spoiled
+        good = S.chain_complex(G.full_simplex(3))
+        bad = dict(good.matrices)
+        for k in (2, 3):
+            bad[k] = {j: {i: 1 for i in col} for j, col in bad[k].items()}
+        with pytest.raises(BoundaryNotSquareZero,
+                           match="^boundary squared is nonzero from degree 2$"):
+            S.ChainComplex(good.bases, bad)
+        bad[2] = good.matrices[2]
+        with pytest.raises(BoundaryNotSquareZero,
+                           match="^boundary squared is nonzero from degree 3$"):
             S.ChainComplex(good.bases, bad)
 
     def test_sparse_columns_hold_only_nonzero_entries(self):
@@ -802,3 +819,59 @@ class TestCellularRoute:
         assert not model.has_delta and model.dimension == 1
         assert S.homology(model, reduced=True).nonzero() == ((1, 1, ()),)
         assert S.w0_report(np_)["computed_top_count"] == 1
+
+
+class TestSquareZeroAtBuild:
+    """``homology`` does not compose the boundary with itself: d^2 = 0
+    holds by the facet identities a Delta complex's build checks and by
+    the sign closure of the cellular route.  ``chain_complex``, whose
+    ``ChainComplex`` still composes it, accepts the output of every
+    route that reaches ``homology``."""
+
+    @staticmethod
+    def _route_outputs(rng, cases):
+        c = random_simplicial_complex(rng, max_verts=7, max_facets=5, max_dim=3)
+        poset = without_delta(c)
+        yield from (c, poset, S.cone(poset), S.cone(c))
+        yield S.stellar_subdivide(c, rng.choice(c.face_ids))
+        cur = with_random_levels(rng, c)
+        for move in draw_mixed_script(rng, cur, 3):
+            cases[move.case] += 1
+            cur = S.blowup_move(cur, move)
+            yield cur
+            yield from (S.level_subcomplex(cur, m)
+                        for m in range(1, cur.max_level() + 1))
+        yield S.resolution_complex(S.newton_polyhedron(
+            random_support(rng, dim=rng.randint(2, 4))))
+
+    def test_every_route_gives_a_square_zero_boundary(self):
+        rng = random.Random(1801)
+        cases = Counter()
+        outputs = [x for _ in range(40) for x in self._route_outputs(rng, cases)]
+        assert min(cases[2], cases[3]) >= 20
+        for n in (2, 3, 4):
+            s = G.cross_polytope_boundary(n)
+            q = s.quotient_free_involution(G.antipodal_involution(s))
+            outputs += [q, without_delta(q), S.cone(without_delta(q))]
+        outputs += [S.toric_link(polygon_cone_fan(n)) for n in (4, 5)]
+        outputs += [S.torus_hypersurface_boundary_complex(P)
+                    for P in (random_lattice_polygon(rng),
+                              random_lattice_polytope(rng, 3))]
+        assert sum(not x.has_delta for x in outputs) >= 40
+        assert sum(x.has_levels for x in outputs) >= 40
+        for x in outputs:
+            cx = S.chain_complex(x)
+            assert sum(map(len, cx.bases.values())) == len(x.face_ids)
+
+    def test_homology_composes_no_square(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("homology composed the boundary with itself")
+
+        H = importlib.import_module("sncx.homology")   # not the function
+        monkeypatch.setattr(H, "_check_square_zero", refuse)
+        rp2 = G.real_projective_plane()
+        for c in (rp2, without_delta(rp2)):
+            assert S.homology(c).nonzero() == ((0, 1, ()), (1, 0, (2,)))
+            assert S.homology(c, reduced=True).nonzero() == ((1, 0, (2,)),)
+        with pytest.raises(AssertionError):
+            S.chain_complex(rp2)

@@ -9,6 +9,7 @@ import pytest
 import sncx as S
 from sncx import gallery as G
 from sncx import serialize
+from sncx.errors import DescriptorInvalid
 from sncx.serialize import (
     complex_from_dict,
     complex_to_dict,
@@ -57,6 +58,14 @@ class TestComplexRoundTrip:
         assert doc["faces"][0]["label"] == "origin"
         plain = complex_to_dict(G.point_complex())
         assert "label" not in plain["faces"][0]
+
+    @pytest.mark.parametrize("doc", [
+        [], [{"id": "u", "dim": 0}], {}, {"faces": {"id": "u"}},
+        {"faces": None}, {"faces": "u"}])
+    def test_document_shape_checked(self, doc):
+        with pytest.raises(DescriptorInvalid, match="^a complex is an object "
+                           "whose 'faces' is a list of face records$"):
+            complex_from_dict(doc)
 
     def test_canonical_key_order(self):
         text = dumps_complex(G.triangle_boundary())
