@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import SncxError
+from .errors import DescriptorInvalid, SncxError
 from .homology import _as_reduced, homology, wedge_certificate
 from .newton import _w0_report, newton_polyhedron, torus_hypersurface_boundary_complex
 from .serialize import (
@@ -53,10 +53,13 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _points_of(doc):
-    if isinstance(doc, dict):
-        return doc["points"]
-    return doc
+def _list_of(doc, key: str, what: str) -> list:
+    # the list itself, or the object holding it under ``key``
+    items = doc.get(key) if isinstance(doc, dict) else doc
+    if not isinstance(items, list):
+        raise DescriptorInvalid(
+            f"a {what} is a list of {key}, or an object whose {key!r} is one")
+    return items
 
 
 def _summary(c, h=None) -> dict:
@@ -112,7 +115,7 @@ def _run_toric_link(args) -> dict:
 
 def _run_realize(args) -> dict:
     doc = _load_json(args.input)
-    faces = doc["faces"] if isinstance(doc, dict) else doc
+    faces = _list_of(doc, "faces", "subsets document")
     ground = doc.get("n") if isinstance(doc, dict) else None
     c, script = realize_boundary(faces, n=ground)
     return {"input": args.input, "sha256": _sha256(args.input),
@@ -121,7 +124,7 @@ def _run_realize(args) -> dict:
 
 
 def _run_newton(args) -> dict:
-    np_ = newton_polyhedron(_points_of(_load_json(args.input)))
+    np_ = newton_polyhedron(_list_of(_load_json(args.input), "points", "support"))
     report, model = _w0_report(np_)
     if args.variant != "both":
         report["predicted_variant"] = args.variant
@@ -133,7 +136,8 @@ def _run_newton(args) -> dict:
 
 
 def _run_torus_boundary(args) -> dict:
-    c = torus_hypersurface_boundary_complex(_points_of(_load_json(args.input)))
+    c = torus_hypersurface_boundary_complex(
+        _list_of(_load_json(args.input), "points", "polytope"))
     h = homology(c)
     return {"input": args.input, "sha256": _sha256(args.input),
             **_summary(c, h),

@@ -148,26 +148,37 @@ def strata_from_json(doc: dict) -> StrataDescription:
     if not isinstance(doc, dict):
         raise DescriptorInvalid("a strata description is an object")
     comps = tuple(Component(c["label"], c.get("level"))
-                  for c in _list_field(doc, "components"))
+                  for c in _records(doc, "components", "component"))
     strata = tuple(
-        Stratum(_integer_point(s["indices"], f"stratum {s['label']!r} indices", "index"),
+        Stratum(_integer_point(s.get("indices"), f"stratum {s['label']!r} indices",
+                               "index"),
                 s["label"], _parents(s))
-        for s in _list_field(doc, "strata"))
+        for s in _records(doc, "strata", "stratum"))
     return StrataDescription(comps, strata)
 
 
-def _list_field(doc: dict, key: str) -> list:
-    # an absent field is an empty list; anything else must be a list
+def _records(doc: dict, key: str, what: str) -> list:
+    # an absent field is an empty list; anything else must be a list of
+    # objects, each with a string label
     items = doc.get(key, [])
     if not isinstance(items, list):
         raise DescriptorInvalid(
             f"strata description field {key!r} must be a list, got {items!r}")
+    for r in items:
+        if not (isinstance(r, dict) and isinstance(r.get("label"), str)):
+            raise DescriptorInvalid(
+                f"{what} record {r!r} must be an object with a string 'label'")
     return items
 
 
 def _parents(s: dict) -> dict:
     # a key is an index as json.dumps writes one: "1.0" and "01" are not
     parents = s.get("parents", {})
+    if not (isinstance(parents, dict)
+            and all(isinstance(v, str) for v in parents.values())):
+        raise DescriptorInvalid(
+            f"stratum {s['label']!r} parents must be an object whose values "
+            f"are labels, got {parents!r}")
     for k in parents:
         if not re.fullmatch(r"0|-?[1-9][0-9]*", k):
             raise DescriptorInvalid(f"stratum {s['label']!r} parents {list(parents)} "
@@ -211,6 +222,10 @@ class Fan:
 
 
 def fan_from_json(doc: dict) -> Fan:
+    for key in ("rays", "cones"):
+        if not (isinstance(doc, dict) and isinstance(doc.get(key), list)):
+            raise DescriptorInvalid(
+                f"a fan is an object whose {key!r} is a list of integer lists")
     cones = (_integer_point(c, "cone", "index") for c in doc["cones"])
     return Fan(tuple(_integer_point(r, "ray") for r in doc["rays"]),
                tuple(map(frozenset, cones)))

@@ -180,13 +180,17 @@ def _integer_point(p, what: str, entry: str = "coordinate") -> tuple:
     """The entries of the input list ``p`` (a point's coordinates, a cone's
     ray indices, ...) as a tuple of ints.
 
-    An integral float such as ``2.0`` reads as ``2``; a bool, a string or
-    a float with a fractional part is the domain error
-    :class:`DescriptorInvalid`, naming the ``what`` and the ``entry``.
+    An integral float such as ``2.0`` reads as ``2``; a bool, a string,
+    ``None``, a list or a float with a fractional part is the domain
+    error :class:`DescriptorInvalid`, naming the ``what`` and the
+    ``entry``, and so is a ``p`` that is not a list at all.
     """
+    if isinstance(p, (str, dict)) or not hasattr(p, "__iter__"):
+        raise DescriptorInvalid(f"{what} {p!r} is not a list")
     out = []
     for x in p:
-        if isinstance(x, (bool, str)) or isinstance(x, float) and not x.is_integer():
+        if isinstance(x, bool) or not isinstance(x, (int, float)) \
+                or isinstance(x, float) and not x.is_integer():
             raise DescriptorInvalid(
                 f"{what} {list(p)} has a non-integer {entry} {x!r}")
         out.append(int(x))

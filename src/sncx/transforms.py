@@ -18,18 +18,23 @@ way.  The replay carries each level forward: a level subcomplex equal
 to the one of the step before keeps its homology, while the whole
 complex's homology is computed at every step; d^2 = 0 on it holds by the
 facet identities its build checked.
+
+All three moves find a span by one rule of the Delta order: the face of
+``t`` without its vertex ``v`` is ``delta_order(t)[i]``, the facet
+opposite ``v`` at the position ``i`` of ``v`` in ``t``.  Faces have
+distinct vertices, so the vertex flow pairs each source with at most one
+span and no V-path leaves a pair; its matching is acyclic by that order
+and nothing searches for a cycle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .complexes import CombinatorialComplex, _dedup_ids
 from .errors import (
     BadMultiplicity,
     DescriptorInvalid,
-    MatchingNotAcyclic,
     MissingDeltaStructure,
     NoSuchFace,
     NotAVertex,
@@ -113,9 +118,7 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
             if v in alpha:
                 delta.append(ids[(tau, alpha - {v})])
             else:
-                all_but_p = [q for q in range(len(tau_verts)) if q != p]
-                tau2 = c.subface(tau, all_but_p)
-                delta.append(ids[(tau2, alpha)])
+                delta.append(ids[(c.delta_order(tau)[p], alpha)])
         rec = {"id": nid, "dim": k, "facets": delta, "delta_order": delta,
                "label": nid}
         if levels:
@@ -195,6 +198,22 @@ def _closure(c, faces):
     return sorted(seen, key=c._index.__getitem__)
 
 
+def _spans(c, faces, v):
+    """The faces of ``faces`` that hold the vertex ``v``, each filed under
+    its facet opposite ``v``, in the order of ``faces``.
+
+    Faces have distinct vertices and facet i of a face omits its vertex
+    i, so a face t holding v spans exactly one face without v: the facet
+    it is filed under.
+    """
+    spans = {}
+    for t in faces:
+        vs = c.vertices_of(t)
+        if c.dim(t) and v in vs:
+            spans.setdefault(c.delta_order(t)[vs.index(v)], []).append(t)
+    return spans
+
+
 def _validate_case3(c, move):
     """Check a case 3 move; returns the closure of its attachment."""
     base = move.base
@@ -208,7 +227,7 @@ def _validate_case3(c, move):
     for t in attach:
         if not c.has_face(t):
             raise DescriptorInvalid(f"case 3 attachment face {t!r} missing")
-        if not c.contains_face(t, base):
+        if base not in c.downset(t):
             raise DescriptorInvalid(
                 f"attachment face {t!r} does not contain the base {base!r}")
     vj = move.vertex
@@ -229,12 +248,12 @@ def _validate_case3(c, move):
     # cells sharing all their lower faces).  A face t holding vj spans
     # exactly one face without vj, its facet opposite vj.
     closure = _closure(c, attach)
-    spans = Counter(c.delta_order(t)[c.vertices_of(t).index(vj)]
-                    for t in closure if c.dim(t) and vj in c.vertices_of(t))
+    spans = _spans(c, closure, vj)
     for g in closure:
-        if vj not in c.vertices_of(g) and spans[g] != 1:
+        n = len(spans.get(g, ()))
+        if vj not in c.vertices_of(g) and n != 1:
             raise DescriptorInvalid(
-                f"face {g!r} has {spans[g]} spans through {vj!r} "
+                f"face {g!r} has {n} spans through {vj!r} "
                 "in the attachment closure; need exactly one")
     return closure
 
@@ -270,29 +289,6 @@ def blowup_move(c: CombinatorialComplex, move: BlowupMove) -> CombinatorialCompl
     raise DescriptorInvalid(f"unknown move case {move.case!r}")
 
 
-def _check_acyclic(order, succ):
-    """Depth-first search from each node in ``order``; raise on a cycle."""
-    color = {s: 0 for s in order}   # 0 new, 1 on the DFS path, 2 done
-    for s in order:
-        if color[s]:
-            continue
-        color[s] = 1
-        path = [(s, iter(succ[s]))]
-        while path:
-            u, rest = path[-1]
-            for w in rest:
-                if color[w] == 1:
-                    raise MatchingNotAcyclic(
-                        f"V-path cycle through the pair of {u!r}")
-                if color[w] == 0:
-                    color[w] = 1
-                    path.append((w, iter(succ[w])))
-                    break
-            else:
-                color[u] = 2
-                path.pop()
-
-
 def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     """Flow the vertex ``v_src`` onto ``v_dst`` by a discrete Morse matching.
 
@@ -301,6 +297,11 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     flow to fresh copies with v_src renamed to v_dst.  Returns
     ``(reduced complex, matching, certificate)``.  When the matching is
     perfect the output is exactly the input minus all v_src faces.
+
+    A span is filed under its facet opposite v_dst, so no two sources
+    share one; every other facet of a span holds v_dst or lacks v_src and
+    is no matched source, so the matching is acyclic by the Delta order
+    alone and the certificate's ``acyclic`` needs no search.
     """
     if not c.has_delta:
         raise MissingDeltaStructure("the vertex flow needs a delta structure")
@@ -310,56 +311,39 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     if v_src == v_dst:
         raise PairingIncomplete(f"the vertex {v_src!r} cannot flow onto itself")
 
-    # the star of v_src: sources lack v_dst, targets hold it
-    sources = []
-    targets_set = set()
-    matching = {}
-    for f in c.upset(v_src):
-        if v_dst in c.vertices_of(f):
-            targets_set.add(f)
-        else:
-            sources.append(f)
-    if not any(c.dim(t) == 1 for t in targets_set):
+    # the star of v_src: sources lack v_dst, targets hold it, and each
+    # target is the one span of its facet opposite v_dst, a source
+    star = c.upset(v_src)
+    spans = _spans(c, star, v_dst)
+    if v_src not in spans:
         raise PairingIncomplete(
             f"no edge spans {v_src!r} and {v_dst!r}; the vertex cannot flow")
 
-    # a coface of a source holding v_dst is spanned by it and v_dst
+    # every other facet of a span holds v_dst or lacks v_src, so no
+    # V-path leaves a pair: the matching is acyclic by the Delta order
+    matching = {}
     critical = []
-    for f in sources:
-        spans = [t for t in c.cofaces(f) if v_dst in c.vertices_of(t)]
-        if len(spans) > 1:
+    for f in star:
+        if v_dst in c.vertices_of(f):
+            continue
+        ts = spans.get(f, ())
+        if len(ts) > 1:
             raise PairingNotUnique(
-                f"face {f!r} has {len(spans)} spans through {v_dst!r}")
-        if spans:
-            matching[f] = spans[0]
+                f"face {f!r} has {len(ts)} spans through {v_dst!r}")
+        if ts:
+            matching[f] = ts[0]
         else:
             critical.append(f)
 
-    # matched targets must be hit exactly once and cover all targets for
-    # a perfect pairing; unmatched targets cannot occur (their facet
-    # omitting v_dst is a source with that exact span)
-    hit = list(matching.values())
-    if len(set(hit)) != len(hit):
-        raise PairingNotUnique("two faces share a span")
-
-    # acyclicity of the matching digraph: from a pair (s, t), a V-path
-    # descends to another matched source among the facets of t
-    pair_of = {s: t for s, t in matching.items()}
-    order = list(matching)
-    succ = {s: [g for g in c.facets(pair_of[s]) if g != s and g in pair_of]
-            for s in order}
-    _check_acyclic(order, succ)
-
     # build the flowed complex: the removed faces are the star of v_src;
     # critical (like c.face_ids) is sorted by dimension
-    removed = set(sources) | targets_set
+    removed = set(star)
     crit_ids = dict(zip(critical, _dedup_ids(
         [f"{f}~{v_dst}" for f in critical], set(c.face_ids) - removed)))
     image = dict(crit_ids)
     for f, t in matching.items():
-        # image of a matched source: the facet of its span omitting v_src
-        pos = [i for i, v in enumerate(c.vertices_of(t)) if v != v_src]
-        image[f] = c.subface(t, pos)
+        # image of a matched source: the facet of its span opposite v_src
+        image[f] = c.delta_order(t)[c.vertices_of(t).index(v_src)]
 
     recs = []
     for f in critical:

@@ -97,7 +97,6 @@ from sncx.snf import SNFResult, kernel_line, smith_normal_form
 from sncx.transforms import (
     BlowupMove,
     ScriptLog,
-    _check_acyclic,
     _closure,
     _levels_match,
     _public,
@@ -1096,7 +1095,8 @@ def stdlib_dumps(doc) -> str:
 
 def indexing_morse_vertex_flow(c, v_src, v_dst):
     """``morse_vertex_flow`` finding each span among the faces indexed by
-    their vertex sets, each checked with ``contains_face``."""
+    their vertex sets, each checked with ``contains_face``, and searching
+    the V-paths of its matching for a cycle."""
     if not c.has_delta:
         raise MissingDeltaStructure("the vertex flow needs a delta structure")
     for v in (v_src, v_dst):
@@ -1142,7 +1142,7 @@ def indexing_morse_vertex_flow(c, v_src, v_dst):
     order = list(matching)
     succ = {s: [g for g in c.facets(pair_of[s]) if g != s and g in pair_of]
             for s in order}
-    _check_acyclic(order, succ)
+    recursive_check_acyclic(order, succ)
 
     removed = set(sources) | targets_set
     crit_ids = dict(zip(critical, _dedup_ids(

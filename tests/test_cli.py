@@ -440,9 +440,12 @@ class TestMalformedRecords:
 
 
 class TestDocumentShape:
-    """A complex document must be an object whose ``faces`` is a list, and
-    a strata description an object whose ``components`` and ``strata``
-    are lists; anything else is DescriptorInvalid, exit code 1."""
+    """A complex document must be an object whose ``faces`` is a list, a
+    strata description an object whose ``components`` and ``strata`` are
+    lists of labelled objects, a fan an object whose ``rays`` and
+    ``cones`` are lists, and a support, polytope or subsets document a
+    list or an object holding one; anything else is DescriptorInvalid,
+    exit code 1."""
 
     COMPLEX = {"error": {"type": "DescriptorInvalid", "message":
                          "a complex is an object whose 'faces' is a list of face records"}}
@@ -476,6 +479,67 @@ class TestDocumentShape:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_any(["dual", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {"type": "DescriptorInvalid",
+                                             "message": message}}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"strata": [{"indices": [0], "label": "P", "parents": []}]},
+         "stratum 'P' parents must be an object whose values are labels, got []"),
+        ({"components": [3]},
+         "component record 3 must be an object with a string 'label'"),
+        ({"components": [{"level": 1}]},
+         "component record {'level': 1} must be an object with a string 'label'"),
+        ({**STRATA, "strata": [7]},
+         "stratum record 7 must be an object with a string 'label'"),
+        ({**STRATA, "strata": [{"indices": [0, 1], "label": 5}]},
+         "stratum record {'indices': [0, 1], 'label': 5} must be an object "
+         "with a string 'label'"),
+        ({**STRATA, "strata": [{"indices": [0, 1], "label": "P",
+                                "parents": {"0": ["L2"], "1": "L1"}}]},
+         "stratum 'P' parents must be an object whose values are labels, "
+         "got {'0': ['L2'], '1': 'L1'}"),
+        ({**STRATA, "strata": [{"label": "P", "parents": {}}]},
+         "stratum 'P' indices None is not a list"),
+    ])
+    def test_strata_records(self, tmp_path, doc, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_any(["dual", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {"type": "DescriptorInvalid",
+                                             "message": message}}
+
+    FAN = "a fan is an object whose {!r} is a list of integer lists"
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("toric-link", [], FAN.format("rays")),
+        ("toric-link", {}, FAN.format("rays")),
+        ("toric-link", {"rays": [[1, 0]]}, FAN.format("cones")),
+        ("toric-link", {"rays": [[1, 0]], "cones": 5}, FAN.format("cones")),
+        ("toric-link", {"rays": [5], "cones": []}, "ray 5 is not a list"),
+        ("toric-link", {"rays": [[1, 0]], "cones": [[0, None]]},
+         "cone [0, None] has a non-integer index None"),
+        ("realize", {}, "a subsets document is a list of faces, or an object "
+                        "whose 'faces' is one"),
+        ("realize", {"faces": 5}, "a subsets document is a list of faces, or "
+                                  "an object whose 'faces' is one"),
+        ("realize", [[0], 5], "face 5 is not a list"),
+        ("realize", [[0], [[1]]], "face [[1]] has a non-integer vertex [1]"),
+        ("newton", {}, "a support is a list of points, or an object whose "
+                       "'points' is one"),
+        ("newton", {"points": 5}, "a support is a list of points, or an object "
+                                  "whose 'points' is one"),
+        ("newton", [[1, 0], "10"], "exponent vector '10' is not a list"),
+        ("torus-boundary", {}, "a polytope is a list of points, or an object "
+                               "whose 'points' is one"),
+        ("torus-boundary", {"points": 5}, "a polytope is a list of points, or "
+                                          "an object whose 'points' is one"),
+    ])
+    def test_point_and_subset_documents(self, tmp_path, command, doc, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_any([command, str(path)])
         assert (code, err) == (1, "")
         assert json.loads(out) == {"error": {"type": "DescriptorInvalid",
                                              "message": message}}

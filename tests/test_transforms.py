@@ -16,7 +16,7 @@ from sncx.errors import (
     SncxError,
 )
 from sncx.serialize import dumps_complex
-from sncx.transforms import _check_acyclic, _validate_case3
+from sncx.transforms import _spans, _validate_case3
 
 from conftest import (
     assert_rebuilds,
@@ -30,7 +30,6 @@ from oracles import (
     derived_by_constructor,
     indexing_morse_vertex_flow,
     recomputing_run_blowup_script,
-    recursive_check_acyclic,
     scanning_validate_case3,
     validating_constructor,
 )
@@ -382,34 +381,61 @@ class TestFlowAgreesWithOracle:
 
 
 class TestMatchingAcyclicity:
-    @staticmethod
-    def outcome(check, order, succ):
-        try:
-            check(order, succ)
-        except MatchingNotAcyclic as exc:
-            return str(exc)
-        return None
+    """The Delta order makes the vertex flow's matching acyclic: no V-path
+    leaves a pair, so the flow searches for no cycle."""
 
-    def test_agrees_with_recursive_oracle(self):
-        rng = random.Random(5)
-        cyclic = 0
-        for _ in range(300):
-            n = rng.randint(1, 9)
-            order = [f"s{i}" for i in rng.sample(range(n), n)]
-            succ = {u: [w for w in order if w != u and rng.random() < 0.2]
-                    for u in order}
-            want = self.outcome(recursive_check_acyclic, order, succ)
-            assert self.outcome(_check_acyclic, order, succ) == want
-            cyclic += want is not None
-        assert 0 < cyclic < 300
+    def test_spans_leave_no_v_path(self):
+        rng = random.Random(38)
+        pairs = spans_seen = 0
+        for i in range(120):
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=5,
+                                          max_dim=3)
+            if i % 4 == 1:
+                c = with_random_levels(rng, c)
+            if i % 4 == 2:
+                c = S.stellar_subdivide(c, rng.choice(c.face_ids))
+            if i % 4 == 3:
+                c = S.pucker(c, rng.choice([f for f in c.face_ids
+                                            if c.is_maximal(f)]), 2)
+            verts = c.faces_of_dim(0)
+            for src in verts:
+                for dst in verts:
+                    if src == dst:
+                        continue
+                    star = c.upset(src)
+                    sources = {f for f in star if dst not in c.vertices_of(f)}
+                    targets = [t for t in star if dst in c.vertices_of(t)]
+                    # each target spans exactly one source
+                    for t in targets:
+                        assert len(sources.intersection(c.facets(t))) == 1
+                    # V-path successors: the other facets of a span that are
+                    # sources, for every span of every source; there are none
+                    for f in sources:
+                        for t in c.cofaces(f):
+                            if dst in c.vertices_of(t):
+                                assert not [g for g in c.facets(t)
+                                            if g != f and g in sources]
+                                spans_seen += 1
+                    filed = _spans(c, star, dst)
+                    assert set(filed) <= sources
+                    assert sorted(t for ts in filed.values() for t in ts) \
+                        == sorted(targets)
+                    pairs += 1
+        assert pairs > 1000 and spans_seen > 1000
 
-    def test_long_path_has_no_recursion_limit(self):
-        order = [f"s{i}" for i in range(5000)]
-        succ = {u: order[i + 1:i + 2] for i, u in enumerate(order)}
-        _check_acyclic(order, succ)
-        succ[order[-1]] = [order[0]]
-        with pytest.raises(MatchingNotAcyclic, match="'s4999'"):
-            _check_acyclic(order, succ)
+    def test_flow_runs_no_cycle_search(self, monkeypatch):
+        import oracles
+
+        def searched(order, succ):
+            raise MatchingNotAcyclic("searched for a V-path cycle")
+
+        monkeypatch.setattr(oracles, "recursive_check_acyclic", searched)
+        c = G.cycle_complex(4)
+        with pytest.raises(MatchingNotAcyclic):
+            indexing_morse_vertex_flow(c, "v0", "v1")
+        red, matching, cert = S.morse_vertex_flow(c, "v0", "v1")
+        assert red.f_vector() == (3, 3) and len(matching) == 1
+        assert cert["acyclic"]
 
 
 class TestPucker:
