@@ -14,6 +14,7 @@ convention and safe to share.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, deque
 from typing import Iterable, Mapping, Sequence
 
@@ -244,11 +245,26 @@ class CombinatorialComplex:
             fresh, dims, labels, cov, delta, levels, start=len(survivors))
 
         # canonical order (dim, label, insertion index): the survivors come
-        # in the parent's canonical order, so a stable sort by (dim, label)
-        # of the survivors followed by the fresh faces gives it
-        order = tuple(sorted(survivors + new, key=lambda f: (dims[f], labels[f]))
-                      if new else survivors)
-        index = {f: i for i, f in enumerate(order)}
+        # in the parent's canonical order, and each fresh face goes after
+        # the survivors it ties.  A few fresh faces are placed by binary
+        # search, which keys log n survivors each; else one stable sort
+        # keys every face, as the constructor's does
+        def key(f):
+            return dims[f], labels[f]
+
+        if len(new) * len(survivors).bit_length() < len(survivors):
+            new.sort(key=key)
+            order, lo = [], 0
+            for f in new:
+                hi = bisect_right(survivors, key(f), lo, key=key)
+                order += survivors[lo:hi]
+                order.append(f)
+                lo = hi
+            order += survivors[lo:]
+        else:
+            order = sorted(survivors + new, key=key)
+        order = tuple(order)
+        index = dict(zip(order, range(len(order))))
         new.sort(key=index.__getitem__)
         for f in new:
             cov[f] = tuple(sorted(set(cov[f]), key=index.__getitem__))
@@ -490,13 +506,9 @@ class CombinatorialComplex:
         return tuple(f for f in self._order if self._dims[f] == k)
 
     def f_vector(self) -> tuple:
-        top = self.dimension
-        if top < 0:
-            return ()
-        counts = [0] * (top + 1)
-        for f in self._order:
-            counts[self._dims[f]] += 1
-        return tuple(counts)
+        # graded: every dimension up to the top one has a face
+        counts = Counter(map(self._dims.__getitem__, self._order))
+        return tuple(map(counts.__getitem__, range(len(counts))))
 
     def euler_characteristic(self) -> int:
         chi = 0

@@ -1,11 +1,15 @@
 """Exact integral homology of combinatorial complexes.
 
-The boundary is numbered by canonical position, one ``{position:
-coeff}`` column per face; the order is dimension-major, so each degree
-is one block.  It is the alternating sum of ordered facets when a
-Delta-structure is present.  A face poset gets incidence numbers
-[s:t] = +-1, chosen cell by cell; on a regular CW complex these give
-the homology of the order complex without building it.  Two checks
+The boundary is numbered by canonical position, one column per face;
+the order is dimension-major, so each degree is one block.  With a
+Delta-structure it is the alternating sum of ordered facets: a column
+is the list of its facets' positions in Delta order, entry j with sign
+(-1)^j, and a signed ``{position: coeff}`` dict is made only for a
+column whose coefficients are summed (the Morse boundaries,
+:func:`chain_complex`).  A face poset gets ``{position: coeff}``
+columns of incidence numbers [s:t] = +-1, chosen cell by cell; on a
+regular CW complex these give the homology of the order complex
+without building it.  Two checks
 guard that route: the Euler-Poincare identity of the order complex,
 whose Euler characteristic is summed from chain counts, and the
 choice of the incidence numbers itself (each ridge of a cell in exactly
@@ -79,26 +83,38 @@ def chain_complex(c: CombinatorialComplex) -> ChainComplex:
     """Boundary maps of a complex, one per degree: the Delta route or the
     cellular route, on the positions homology uses."""
     bd, starts = _boundary(c)
+    column = _signed(bd, c.has_delta, len(starts))
     bases = {k: c.face_ids[starts[k]:starts[k + 1]]
              for k in range(len(starts) - 1)}
-    matrices = {k: {j: {i - starts[k - 1]: a for i, a in col.items()}
-                    for j, col in enumerate(bd[starts[k]:starts[k + 1]])}
+    matrices = {k: {j - starts[k]: {i - starts[k - 1]: a
+                                    for i, a in column(j).items()}
+                    for j in range(starts[k], starts[k + 1])}
                 for k in range(1, len(bases))}
     return ChainComplex(bases, matrices)
 
 
 def _boundary(c: CombinatorialComplex) -> tuple:
-    """``(bd, starts)``: column ``bd[i]`` of the face at position i, by
-    the Delta route or the cellular route, and degree k at positions
-    ``starts[k]:starts[k + 1]``."""
+    """``(bd, starts)``: column ``bd[i]`` of the face at position i, and
+    degree k at positions ``starts[k]:starts[k + 1]``.  On the Delta
+    route a column is the list of the facets' positions, the sign of
+    entry j being (-1)^j; on the cellular route it is ``{position:
+    coeff}``."""
     starts = [0, *accumulate(c.f_vector())]
     if not c.has_delta:
         return _cellular_boundaries(c), starts
     index, delta = c._index, c._delta
-    signs = (1, -1) * len(starts)   # alternating; zip stops at the k+1 facets
+    return [list(map(index.__getitem__, delta[f])) for f in c.face_ids], starts
+
+
+def _signed(bd: list, delta: bool, n: int):
+    """Column lookup ``i -> {position: coeff}`` for a boundary of
+    :func:`_boundary` with ``n`` degree starts: a cellular column as it
+    is, a Delta column as a fresh dict of alternating signs."""
+    if not delta:
+        return bd.__getitem__
+    signs = (1, -1) * n     # alternating; zip stops at the k+1 facets
     # the facets in a Delta-structure are distinct, so nothing cancels
-    return [dict(zip(map(index.__getitem__, delta[f]), signs))
-            for f in c.face_ids], starts
+    return lambda i: dict(zip(bd[i], signs))
 
 
 def _check_square_zero(matrices: dict):
@@ -194,9 +210,11 @@ def _coreduce(bd: list) -> tuple:
     """One coreduction pass over ``bd``: an acyclic matching.
 
     A cell is queued, first in first out, when its alive boundary shrinks
-    to one cell s; if still so when dequeued, and [t:s] = +-1, t and s
-    are matched and removed.  With the queue empty the lowest alive cell
-    is critical and removed.  Returns the critical positions in order,
+    to one cell s; if still so when dequeued, t and s are matched and
+    removed.  Only the positions in a column are read: every incidence
+    [t:s] is +-1 on both routes, by position on the Delta route and by
+    choice on the cellular one.  With the queue empty the lowest alive
+    cell is critical and removed.  Returns the critical positions in order,
     each matched lower cell's upper cell, and each cell's removal step.
     Those steps strictly decrease along V-paths, so the matching is
     acyclic: an upper cell's other facets go before its pair.
@@ -215,7 +233,7 @@ def _coreduce(bd: list) -> tuple:
         if queue:
             t = queue.popleft()
             s = fsum[t]
-            if not alive[t] or nb[t] != 1 or bd[t][s] not in (1, -1):
+            if not alive[t] or nb[t] != 1:
                 continue
             up[s] = t
             removed = (s, t)
@@ -237,21 +255,22 @@ def _coreduce(bd: list) -> tuple:
                     queue.append(y)
 
 
-def _morse_boundary(bd: list, c: int, up: dict, when: list, critical) -> dict:
-    """The Morse boundary of the critical cell ``c``: each matched lower
-    cell s, latest removed first, becomes s - [t:s] bd(t) for its upper
-    cell t, which brings in only earlier ones; the rest is projected to
-    the ``critical`` cells."""
-    x = dict(bd[c])
+def _morse_boundary(column, c: int, up: dict, when: list, critical) -> dict:
+    """The Morse boundary of the critical cell ``c``, a fresh dict, from
+    the signed columns ``column(i)``: each matched lower cell s, latest
+    removed first, becomes s - [t:s] bd(t) for its upper cell t, which
+    brings in only earlier ones; the rest is projected to the
+    ``critical`` cells."""
+    x = dict(column(c))
     heap = [(-when[s], s) for s in x if s in up]
     heapify(heap)
     while heap:
         s = heappop(heap)[1]
         a = x.pop(s)
         if a:
-            t = up[s]
-            q = a * bd[t][s]
-            for r, b in bd[t].items():
+            col = column(up[s])
+            q = a * col[s]
+            for r, b in col.items():
                 if r != s:
                     if r not in x and r in up:
                         heappush(heap, (-when[r], r))
@@ -301,13 +320,14 @@ def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
     """Integral homology in all degrees; ``reduced`` adjusts degree 0."""
     bd, starts = _boundary(c)
     critical, up, when = _coreduce(bd)
+    column = _signed(bd, c.has_delta, len(starts))
     crit = [[i for i in critical if starts[k] <= i < starts[k + 1]]
             for k in range(len(starts) - 1)]
     ranks, torsions = {}, {}
     for k in range(1, len(crit)):
         if crit[k] and crit[k - 1]:
             below = set(crit[k - 1])
-            res = _reduce([_morse_boundary(bd, s, up, when, below)
+            res = _reduce([_morse_boundary(column, s, up, when, below)
                            for s in crit[k]])
             ranks[k] = res.rank
             torsions[k - 1] = tuple(d for d in res.invariant_factors if d > 1)

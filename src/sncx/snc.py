@@ -147,7 +147,7 @@ def dual_complex(desc: StrataDescription) -> CombinatorialComplex:
 def strata_from_json(doc: dict) -> StrataDescription:
     if not isinstance(doc, dict):
         raise DescriptorInvalid("a strata description is an object")
-    comps = tuple(Component(c["label"], c.get("level"))
+    comps = tuple(Component(c["label"], _level(c))
                   for c in _records(doc, "components", "component"))
     strata = tuple(
         Stratum(_integer_point(s.get("indices"), f"stratum {s['label']!r} indices",
@@ -169,6 +169,16 @@ def _records(doc: dict, key: str, what: str) -> list:
             raise DescriptorInvalid(
                 f"{what} record {r!r} must be an object with a string 'label'")
     return items
+
+
+def _level(c: dict):
+    # an integer or absent; a bool or an integer below 1 is read, and
+    # rejected where the complex is built
+    level = c.get("level")
+    if level is not None and not isinstance(level, int):
+        raise DescriptorInvalid(
+            f"component {c['label']!r} level must be an integer, got {level!r}")
+    return level
 
 
 def _parents(s: dict) -> dict:
@@ -226,9 +236,14 @@ def fan_from_json(doc: dict) -> Fan:
         if not (isinstance(doc, dict) and isinstance(doc.get(key), list)):
             raise DescriptorInvalid(
                 f"a fan is an object whose {key!r} is a list of integer lists")
+    rays = tuple(_integer_point(r, "ray") for r in doc["rays"])
+    for i, r in enumerate(rays):
+        if len(r) != len(rays[0]):
+            raise DescriptorInvalid(
+                f"ray {i} {list(r)} has {len(r)} coordinates, ray 0 has "
+                f"{len(rays[0])}")
     cones = (_integer_point(c, "cone", "index") for c in doc["cones"])
-    return Fan(tuple(_integer_point(r, "ray") for r in doc["rays"]),
-               tuple(map(frozenset, cones)))
+    return Fan(rays, tuple(map(frozenset, cones)))
 
 
 def _cone_id(cone) -> str:

@@ -17,7 +17,12 @@ writes the cone over a whole complex, and hands its records on the same
 way.  The replay carries each level forward: a level subcomplex equal
 to the one of the step before keeps its homology, while the whole
 complex's homology is computed at every step; d^2 = 0 on it holds by the
-facet identities its build checked.
+facet identities its build checked.  The carry test builds no level
+subcomplex: level m is unchanged when its face ids, selected from the
+canonical order, are those of the step before and each has the same
+covering, label, delta order and level in both complexes, which is what
+``==`` on the two level subcomplexes compares (the covers fix the
+dims).  Only a changed level is built.
 
 All three moves find a span by one rule of the Delta order: the face of
 ``t`` without its vertex ``v`` is ``delta_order(t)[i]``, the facet
@@ -30,6 +35,7 @@ and nothing searches for a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .complexes import CombinatorialComplex, _dedup_ids
 from .errors import (
@@ -392,11 +398,15 @@ class ScriptLog:
 
 
 def _snapshot(c, carried):
-    """The log fields of ``c``, and its levels to carry to the next step.
+    """The log fields of ``c``, and what it carries to the next step.
 
-    ``carried`` maps each level of the previous step to its ``(level
-    subcomplex, homology)``; a level subcomplex equal to the one carried
-    keeps its homology instead of computing it again.
+    ``carried`` is ``(complex, levels)`` of the step before, or None;
+    ``levels`` maps each level m to ``(face ids, homology)``, the ids of
+    level m in canonical order.  A level keeps the homology carried when
+    its ids are the ones carried and each of them has the same covering
+    (so the same dim), label, delta order and level in both complexes:
+    the two level subcomplexes are then equal, and neither is built.
+    Only a level that changed is built and its homology computed.
     """
     h = homology(c)
     snap = {"f_vector": list(c.f_vector()),
@@ -406,20 +416,43 @@ def _snapshot(c, carried):
     if c.has_levels:
         per = {}
         nz = {}
+        prev, old = carried or (None, {})
+        order = c._order
+        lv = list(map(c._levels.__getitem__, order))
         top = c.max_level()
         for m in range(1, top + 1):
             # the top level subcomplex is c itself
-            sub, hm = c, h
+            ids, hm = order, h
             if m < top:
-                sub = c.level_subcomplex(m)
-                old = carried.get(m)
-                hm = old[1] if old is not None and old[0] == sub else homology(sub)
-            levels[m] = (sub, hm)
+                ids = tuple(compress(order, map(m.__ge__, lv)))
+                was = old.get(m)
+                if was is not None and was[0] == ids and _same_faces(prev, c, ids):
+                    hm = was[1]
+                else:
+                    hm = homology(c.level_subcomplex(m))
+            levels[m] = (ids, hm)
             per[str(m)] = hm.as_json()
             nz[m] = hm.nonzero()
         snap["per_level"] = per
         snap["_per_level_nonzero"] = nz
-    return snap, levels
+    return snap, (c, levels)
+
+
+def _same_faces(a, b, ids):
+    """Whether the subcomplexes of ``a`` and ``b`` on the faces ``ids``,
+    canonically ordered in both, are equal, without building them; the
+    dims of a downward-closed set of faces follow from their covers."""
+    def same(x, y):
+        return list(map(x.__getitem__, ids)) == list(map(y.__getitem__, ids))
+
+    if not (same(a._cov, b._cov) and same(a._labels, b._labels)
+            and same(a._levels, b._levels)):
+        return False
+    if a._delta is None or b._delta is None:
+        # a restriction without delta orders gets the trivial ones when it
+        # is a set of points, and none when it is empty
+        return a._delta is b._delta or not ids or a._dims[ids[-1]] == 0
+    return same(a._delta, b._delta)
 
 
 def run_blowup_script(c: CombinatorialComplex, script):
@@ -433,7 +466,7 @@ def run_blowup_script(c: CombinatorialComplex, script):
     """
     log = ScriptLog()
     entry = {"step": 0, "move": None}
-    snap, carried = _snapshot(c, {})
+    snap, carried = _snapshot(c, None)
     entry.update(snap)
     cur = c
     prev_snap = dict(entry)

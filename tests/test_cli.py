@@ -442,10 +442,10 @@ class TestMalformedRecords:
 class TestDocumentShape:
     """A complex document must be an object whose ``faces`` is a list, a
     strata description an object whose ``components`` and ``strata`` are
-    lists of labelled objects, a fan an object whose ``rays`` and
-    ``cones`` are lists, and a support, polytope or subsets document a
-    list or an object holding one; anything else is DescriptorInvalid,
-    exit code 1."""
+    lists of labelled objects (a component level an integer), a fan an
+    object whose ``rays`` (all of one length) and ``cones`` are lists, and
+    a support, polytope or subsets document a list or an object holding
+    one; anything else is DescriptorInvalid, exit code 1."""
 
     COMPLEX = {"error": {"type": "DescriptorInvalid", "message":
                          "a complex is an object whose 'faces' is a list of face records"}}
@@ -535,6 +535,10 @@ class TestDocumentShape:
                                "whose 'points' is one"),
         ("torus-boundary", {"points": 5}, "a polytope is a list of points, or "
                                           "an object whose 'points' is one"),
+        ("toric-link", {"rays": [[1, 0], [1]], "cones": [[0, 1]]},
+         "ray 1 [1] has 1 coordinates, ray 0 has 2"),
+        ("toric-link", {"rays": [[1, 0], [0, 1], [1, 1, 1], []], "cones": []},
+         "ray 2 [1, 1, 1] has 3 coordinates, ray 0 has 2"),
     ])
     def test_point_and_subset_documents(self, tmp_path, command, doc, message):
         path = tmp_path / "in.json"
@@ -543,6 +547,34 @@ class TestDocumentShape:
         assert (code, err) == (1, "")
         assert json.loads(out) == {"error": {"type": "DescriptorInvalid",
                                              "message": message}}
+
+    @staticmethod
+    def leveled(level):
+        # two components, the first at ``level``, and a stratum over both
+        doc = json.loads(json.dumps(STRATA))
+        doc["components"][0]["level"] = level
+        doc["components"][1]["level"] = 1
+        return doc
+
+    @pytest.mark.parametrize("level", ["x", "1", 2.0, 2.5, [1], {"level": 1}])
+    def test_component_level_not_an_integer(self, tmp_path, level):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(self.leveled(level)))
+        code, out, err = run_any(["dual", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {
+            "type": "DescriptorInvalid",
+            "message": f"component 'L1' level must be an integer, got {level!r}"}}
+
+    @pytest.mark.parametrize("level", [True, 0, -3])
+    def test_component_level_below_one(self, tmp_path, level):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(self.leveled(level)))
+        code, out, err = run_any(["dual", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {
+            "type": "LevelNotDownwardClosed",
+            "message": f"face 'L1' has invalid level {level!r}; levels start at 1"}}
 
     def test_absent_strata_fields_are_empty(self, tmp_path):
         path = tmp_path / "in.json"

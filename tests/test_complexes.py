@@ -656,6 +656,42 @@ class TestOneBuildRoutine:
         assert flows > 20
         assert {True, False} <= set(calls)
 
+    def test_fresh_faces_tie_on_dim_and_label(self):
+        # fresh faces whose (dim, label) equals a survivor's and another
+        # fresh face's go after the survivors they tie and in record order,
+        # as the constructor orders them; the subdivided octahedra have
+        # few fresh faces for their survivors, so binary search places them
+        rng, inputs = agreement_inputs(913, 40)
+        sd = G.octahedron_boundary().order_complex()
+        inputs += [sd, with_random_levels(rng, sd), without_delta(sd),
+                   sd.order_complex()]
+        ties = 0
+        for c in inputs:
+            if c.is_empty:
+                continue
+            sigma = rng.choice(c.face_ids)
+            drop = set(c.upset(sigma)) if rng.random() < 0.5 else set()
+            kept = [f for f in c.face_ids if f not in drop]
+            top = [f for f in kept if c.is_maximal(f)]
+            fresh = []
+            for i, v in enumerate(rng.sample(kept, min(3, len(kept)))
+                                  + [c.face_ids[0]] * 2):
+                if c.dim(v) == 0:
+                    rec = {"id": f"new{i}", "dim": 0, "facets": [],
+                           "label": c.label(v)}
+                    if c.has_levels:
+                        rec["level"] = rng.randint(1, 3)
+                    fresh.append(rec)
+            for i, t in enumerate(rng.sample(top, min(2, len(top))) * 2):
+                fresh.append({**c._record(t), "id": f"copy{i}"})
+            rng.shuffle(fresh)
+            keys = [(r["dim"], r["label"]) for r in fresh]
+            ties += len(keys) - len(set(keys))
+            got = c._derived(drop, fresh)
+            assert_same_complex(got, derived_by_constructor(c, drop, fresh))
+            assert_rebuilds(got)
+        assert ties > 40
+
     def test_wedge_agrees_with_two_step(self):
         rng, inputs = agreement_inputs(912, 30)
         inputs = [c for c in inputs if not c.is_empty]

@@ -484,6 +484,28 @@ class TestCoreduction:
                 steps += 1
         assert steps >= 40
 
+    def test_delta_columns_are_signed_positions(self):
+        # a Delta column lists its facets' positions in Delta order, entry
+        # i with the sign (-1)^i: coreduction on it matches as on the
+        # signed columns, and chain_complex writes those signs
+        rng = random.Random(1605)
+        for _ in range(40):
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=5,
+                                          max_dim=3)
+            pos = c.face_ids.index
+            signed = [{pos(g): (-1) ** i for i, g in enumerate(c.delta_order(f))}
+                      for f in c.face_ids]
+            bd, _starts = _boundary(c)
+            assert bd == [list(col) for col in signed]
+            assert _coreduce(bd) == _coreduce(signed)
+            cx = S.chain_complex(c)
+            for k, cols in cx.matrices.items():
+                for j, f in enumerate(cx.bases[k]):
+                    row = cx.bases[k - 1].index
+                    want = [(row(g), (-1) ** i)
+                            for i, g in enumerate(c.delta_order(f))]
+                    assert list(cols[j].items()) == want
+
     def test_torsion_reaches_the_euclid_block(self, monkeypatch):
         rp2 = G.real_projective_plane()
         blocks = []

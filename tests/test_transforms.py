@@ -16,7 +16,7 @@ from sncx.errors import (
     SncxError,
 )
 from sncx.serialize import dumps_complex
-from sncx.transforms import _spans, _validate_case3
+from sncx.transforms import _same_faces, _spans, _validate_case3
 
 from conftest import (
     assert_rebuilds,
@@ -581,6 +581,108 @@ class TestIncrementalReplay:
             assert final == want_final
             assert [final.vertices_of(f) for f in final.face_ids] == \
                 [want_final.vertices_of(f) for f in want_final.face_ids]
+
+    @staticmethod
+    def reusing_script(rng, c, n):
+        """Seeded case 2 and case 3 moves on the filtered ``c``; most
+        stellar moves name the face they subdivide as the new vertex, so
+        the new vertex takes the id of a face it replaces."""
+        script, cur = [], c
+        for _ in range(6 * n):
+            if len(script) == n:
+                break
+            f = rng.choice(cur.face_ids)
+            if rng.random() < 0.7:
+                move = S.BlowupMove(case=2, face=f,
+                                    new_vertex=f if rng.random() < 0.8 else None)
+            else:
+                above = [t for t in cur.upset(f) if t != f]
+                attach = (f,) + tuple(rng.sample(above, min(1, len(above))))
+                move = S.BlowupMove(case=3, base=f, attach=attach,
+                                    level=cur.level(f) + rng.randint(0, 1))
+            try:
+                cur = S.blowup_move(cur, move)
+            except SncxError:
+                continue
+            script.append(move)
+        return tuple(script)
+
+    def test_reused_ids_agree_with_recomputing_replay(self, monkeypatch):
+        # a fresh face that takes a dropped face's id below the top level,
+        # where the replay carries unchanged levels; among them a vertex
+        # subdivided under its own id, whose level is unchanged
+        rng = random.Random(2020)
+        runs = []
+        for i in range(60):
+            c = random_simplicial_complex(rng, max_verts=6, max_facets=4, max_dim=2)
+            if i % 4 == 0:
+                c = G.octahedron_boundary()
+            c = with_random_levels(rng, c)
+            runs.append((c, self.reusing_script(rng, c, rng.randint(3, 7))))
+        reused = kept = 0
+        for c, script in runs:
+            cur = c
+            for move in script:
+                nxt = S.blowup_move(cur, move)
+                if move.case == 2 and move.new_vertex == move.face:
+                    m = nxt.level(move.face)
+                    if m < nxt.max_level():
+                        reused += 1
+                        kept += (cur.level_subcomplex(m) == nxt.level_subcomplex(m))
+                cur = nxt
+        assert reused > 20 and kept > 4
+        got = [S.run_blowup_script(c, script) for c, script in runs]
+        monkeypatch.setattr(S.CombinatorialComplex, "_derived",
+                            derived_by_constructor)
+        for (c, script), (final, log) in zip(runs, got):
+            want_final, want_log = recomputing_run_blowup_script(c, script)
+            assert log.as_json() == want_log.as_json(), script
+            assert final == want_final
+
+    @staticmethod
+    def differing_pairs():
+        """Filtered complexes on the ids a, b, c, x, in that order, each
+        against the one with edge x from a to b at level 2: they differ
+        in one field of x, or x is a vertex; with and without Delta
+        structures."""
+        def with_x(**fields):
+            recs = [{"id": v, "dim": 0, "facets": [], "level": 1} for v in "abc"]
+            recs.append({"id": "x", "dim": 1, "facets": ["a", "b"],
+                         "delta_order": ["b", "a"], "level": 2, **fields})
+            return S.CombinatorialComplex(recs)
+
+        edge = with_x()
+        pairs = [(edge, other) for other in (
+            with_x(label="x~"), with_x(level=3), with_x(delta_order=["a", "b"]),
+            with_x(facets=["a", "c"], delta_order=["c", "a"]),
+            with_x(dim=0, facets=[], delta_order=None))]
+        return pairs + [(without_delta(a), without_delta(b)) for a, b in pairs]
+
+    def test_carry_test_is_equality(self):
+        # ids equal and _same_faces exactly when the level subcomplexes
+        # are equal: consecutive replay steps, and a complex against its
+        # face poset, whose level subcomplexes of points agree
+        rng = random.Random(2121)
+        pairs = []
+        for i in range(30):
+            c = with_random_levels(rng, random_simplicial_complex(
+                rng, max_verts=6, max_facets=4, max_dim=2))
+            pairs.append((c, without_delta(c)))
+            cur = c
+            for move in self.reusing_script(rng, c, 4):
+                nxt = S.blowup_move(cur, move)
+                pairs.append((cur, nxt))
+                cur = nxt
+        pairs += self.differing_pairs()
+        outcomes = set()
+        for a, b in pairs:
+            for m in range(0, max(a.max_level(), b.max_level()) + 2):
+                ids = a.level_subcomplex(m).face_ids
+                same = ids == b.level_subcomplex(m).face_ids and _same_faces(a, b, ids)
+                want = a.level_subcomplex(m) == b.level_subcomplex(m)
+                assert same == want, (a.to_records(), b.to_records(), m)
+                outcomes.add((want, a.has_delta == b.has_delta))
+        assert outcomes == {(x, y) for x in (False, True) for y in (False, True)}
 
     def test_outputs_and_restrictions_rebuild(self):
         for c, script in self.inputs():
