@@ -49,8 +49,11 @@ def _sha256(path: str) -> str:
 
 
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DescriptorInvalid(f"input {path} is not UTF-8 JSON: {exc}") from exc
 
 
 def _list_of(doc, key: str, what: str) -> list:

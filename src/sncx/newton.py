@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .complexes import CombinatorialComplex, _inclusion_records
 from .errors import (
+    DescriptorInvalid,
     DimensionTooHigh,
     EmptyInput,
     NotFullDimensional,
@@ -225,8 +226,11 @@ class _Census:
         if not pts:
             raise EmptyInput(f"no {self.what}s")
         d = len(pts[0])
-        if any(len(p) != d for p in pts):
-            raise ValueError(f"{self.what}s of mixed lengths")
+        for p in pts:
+            if len(p) != d:
+                raise DescriptorInvalid(
+                    f"{self.what} {list(p)} has {len(p)} coordinates, "
+                    f"{self.what} {list(pts[0])} has {d}")
         if d > MAX_AMBIENT:
             raise DimensionTooHigh(f"ambient dimension {d} exceeds {MAX_AMBIENT}")
         if d < self.min_ambient:
@@ -289,7 +293,7 @@ class NewtonPolyhedron(_Census):
     def _point(self, p) -> tuple:
         t = super()._point(p)
         if any(x < 0 for x in t):
-            raise ValueError(f"exponent vector {t} has a negative entry")
+            raise DescriptorInvalid(f"exponent vector {list(t)} has a negative entry")
         return t
 
     def vertex_interior(self, v: int) -> bool:

@@ -14,15 +14,15 @@ another as before and were checked when their complex was built.  A
 case 3 or attach move cones a new vertex over the closure of its
 attachment with ``CombinatorialComplex._coned``, the writer that also
 writes the cone over a whole complex, and hands its records on the same
-way.  The replay carries each level forward: a level subcomplex equal
-to the one of the step before keeps its homology, while the whole
-complex's homology is computed at every step; d^2 = 0 on it holds by the
-facet identities its build checked.  The carry test builds no level
-subcomplex: level m is unchanged when its face ids, selected from the
-canonical order, are those of the step before and each has the same
-covering, label, delta order and level in both complexes, which is what
-``==`` on the two level subcomplexes compares (the covers fix the
-dims).  Only a changed level is built.
+way.  The replay computes the whole complex's homology at every step,
+d^2 = 0 on it holding by the facet identities its build checked, and
+carries each level below the lowest level the move changed: the level
+of the subdivided face for case 2, the new vertex's level for case 3
+and attach, none for case 1.  No face below it was dropped or made, so
+that level subcomplex is the one of the step before, and only the
+levels at or above it are built.  The one level rebuilt unchanged is
+that of a vertex subdivided under its own id whose cofaces all sit
+above it.
 
 All three moves find a span by one rule of the Delta order: the face of
 ``t`` without its vertex ``v`` is ``delta_order(t)[i]``, the facet
@@ -35,7 +35,6 @@ and nothing searches for a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 from .complexes import CombinatorialComplex, _dedup_ids
 from .errors import (
@@ -58,9 +57,9 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
 
     Every face tau >= sigma is removed; writing tau = sigma * beta, the
     replacements are e * alpha * beta for every proper subface alpha of
-    sigma inside tau, plus the barycenter vertex e itself.  Homology is
-    preserved.  Levels: e inherits the smallest level among the removed
-    faces, a replacement keeps the level of the face it came from.
+    sigma inside tau, the barycenter vertex e itself replacing sigma with
+    alpha empty.  Homology is preserved.  Levels: e takes sigma's level,
+    a replacement keeps the level of the face it came from.
     """
     if not c.has_delta:
         raise MissingDeltaStructure("stellar subdivision needs a delta structure")
@@ -68,69 +67,42 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
         raise NoSuchFace(f"no face {sigma!r}")
 
     star = c.upset(sigma)
-    star_set = set(star)
-    taken = set(c.face_ids) - star_set
+    drop = set(star)
+    taken = set(c.face_ids) - drop
     e = _dedup_ids([new_vertex if new_vertex is not None else f"b({sigma})"],
                    taken)[0]
-    taken.add(e)
 
-    sigma_verts = set(c.vertices_of(sigma))
-
-    # key: (tau, frozenset of alpha vertex ids); value: replacement id
-    def subsets_proper(vs):
-        out = [frozenset()]
-        items = sorted(vs)
-        n = len(items)
-        for mask in range(1, (1 << n) - 1):
-            out.append(frozenset(items[i] for i in range(n) if mask >> i & 1))
-        return out
-
-    keys = []
-    for tau in star:
-        for alpha in subsets_proper(sigma_verts):
-            keys.append((tau, alpha))
-
-    proposals = []
-    for tau, alpha in keys:
-        beta_count = c.dim(tau) + 1 - len(sigma_verts)
-        if not alpha and beta_count == 0:
-            proposals.append(e)
-        else:
-            proposals.append(f"{e}|{tau}|{'.'.join(sorted(alpha))}")
-    ids = dict(zip(keys, _dedup_ids(proposals, taken - {e})))
+    # the proper subsets alpha of sigma's vertices, the empty one first;
+    # (sigma, empty), the first key, is e
+    sigma_verts = sorted(c.vertices_of(sigma))
+    n = len(sigma_verts)
+    alphas = [frozenset(v for i, v in enumerate(sigma_verts) if mask >> i & 1)
+              for mask in range((1 << n) - 1)]
+    keys = [(tau, alpha) for tau in star for alpha in alphas]
+    ids = dict(zip(keys, _dedup_ids(
+        [e] + [f"{e}|{tau}|{'.'.join(sorted(alpha))}" for tau, alpha in keys[1:]],
+        taken)))
 
     levels = c.has_levels
-    e_level = min((c.level(t) for t in star), default=1) if levels else None
-
-    new_recs = {}
-    for tau, alpha in keys:
+    recs = []
+    for (tau, alpha), nid in ids.items():
         tau_verts = c.vertices_of(tau)
         keep_pos = [i for i, v in enumerate(tau_verts)
                     if v in alpha or v not in sigma_verts]
-        nid = ids[(tau, alpha)]
-        k = len(keep_pos)   # new face dim: 1 + k - 1 = k
-        if k == 0:
-            rec = {"id": e, "dim": 0, "facets": []}
-            if levels:
-                rec["level"] = e_level
-            new_recs[e] = rec
-            continue
-        # vertex order: e first, then tau's surviving vertices in tau order
-        delta = []
-        # facet 0: omit e -> the subface alpha * beta of tau (a survivor)
-        delta.append(c.subface(tau, keep_pos))
-        for i, p in enumerate(keep_pos):
-            v = tau_verts[p]
-            if v in alpha:
-                delta.append(ids[(tau, alpha - {v})])
-            else:
-                delta.append(ids[(c.delta_order(tau)[p], alpha)])
-        rec = {"id": nid, "dim": k, "facets": delta, "delta_order": delta,
-               "label": nid}
+        rec = {"id": nid, "dim": len(keep_pos), "facets": []}
+        if keep_pos:
+            # vertex order: e first, then tau's surviving vertices in tau
+            # order; facet 0 omits e, the subface alpha * beta of tau
+            delta = [c.subface(tau, keep_pos)]
+            for p in keep_pos:
+                v = tau_verts[p]
+                delta.append(ids[(tau, alpha - {v})] if v in alpha
+                             else ids[(c.delta_order(tau)[p], alpha)])
+            rec["facets"] = rec["delta_order"] = delta
         if levels:
             rec["level"] = c.level(tau)
-        new_recs[nid] = rec
-    return c._derived(star_set, list(new_recs.values()))
+        recs.append(rec)
+    return c._derived(drop, recs)
 
 
 @dataclass(frozen=True)
@@ -397,62 +369,43 @@ class ScriptLog:
         return {"steps": self.steps, "homology_constant": self.homology_constant}
 
 
-def _snapshot(c, carried):
-    """The log fields of ``c``, and what it carries to the next step.
+def _lowest_level(c, move):
+    """The lowest level ``move`` changes on ``c``; None when it changes no
+    level, or ``c`` has none.
 
-    ``carried`` is ``(complex, levels)`` of the step before, or None;
-    ``levels`` maps each level m to ``(face ids, homology)``, the ids of
-    level m in canonical order.  A level keeps the homology carried when
-    its ids are the ones carried and each of them has the same covering
-    (so the same dim), label, delta order and level in both complexes:
-    the two level subcomplexes are then equal, and neither is built.
-    Only a level that changed is built and its homology computed.
+    A stellar subdivision drops the star of its face, none of which sits
+    below the face because levels close downward; a cone adds faces at or
+    above the new vertex's level; case 1 changes nothing.
+    """
+    if move.case == 1 or not c.has_levels:
+        return None
+    return c.level(move.face) if move.case == 2 else move.level
+
+
+def _snapshot(c, carried, below):
+    """The log fields of ``c``, its homology, and the homology of each of
+    its levels.
+
+    ``carried`` maps each level of the step before to its homology.  Level
+    m keeps it when m is below ``below``, the lowest level the move
+    changed (None: no level), since the faces of level at most m are then
+    those of the step before; any other level below the top is built and
+    its homology computed.  The top level subcomplex is ``c`` itself.
     """
     h = homology(c)
-    snap = {"f_vector": list(c.f_vector()),
-            "homology": h.as_json(),
-            "_nonzero": h.nonzero()}
+    snap = {"f_vector": list(c.f_vector()), "homology": h.as_json()}
     levels = {}
     if c.has_levels:
-        per = {}
-        nz = {}
-        prev, old = carried or (None, {})
-        order = c._order
-        lv = list(map(c._levels.__getitem__, order))
         top = c.max_level()
         for m in range(1, top + 1):
-            # the top level subcomplex is c itself
-            ids, hm = order, h
-            if m < top:
-                ids = tuple(compress(order, map(m.__ge__, lv)))
-                was = old.get(m)
-                if was is not None and was[0] == ids and _same_faces(prev, c, ids):
-                    hm = was[1]
-                else:
-                    hm = homology(c.level_subcomplex(m))
-            levels[m] = (ids, hm)
-            per[str(m)] = hm.as_json()
-            nz[m] = hm.nonzero()
-        snap["per_level"] = per
-        snap["_per_level_nonzero"] = nz
-    return snap, (c, levels)
-
-
-def _same_faces(a, b, ids):
-    """Whether the subcomplexes of ``a`` and ``b`` on the faces ``ids``,
-    canonically ordered in both, are equal, without building them; the
-    dims of a downward-closed set of faces follow from their covers."""
-    def same(x, y):
-        return list(map(x.__getitem__, ids)) == list(map(y.__getitem__, ids))
-
-    if not (same(a._cov, b._cov) and same(a._labels, b._labels)
-            and same(a._levels, b._levels)):
-        return False
-    if a._delta is None or b._delta is None:
-        # a restriction without delta orders gets the trivial ones when it
-        # is a set of points, and none when it is empty
-        return a._delta is b._delta or not ids or a._dims[ids[-1]] == 0
-    return same(a._delta, b._delta)
+            if m == top:
+                levels[m] = h
+            elif m in carried and (below is None or m < below):
+                levels[m] = carried[m]
+            else:
+                levels[m] = homology(c.level_subcomplex(m))
+        snap["per_level"] = {str(m): hm.as_json() for m, hm in levels.items()}
+    return snap, h, levels
 
 
 def run_blowup_script(c: CombinatorialComplex, script):
@@ -462,46 +415,29 @@ def run_blowup_script(c: CombinatorialComplex, script):
     the log records whether they did.  Plain ``attach`` moves are
     construction steps and exempt from the constancy check.  The first
     failing step raises :class:`ScriptError` with its index.  A level
-    that a move leaves unchanged keeps the homology of the step before.
+    below the lowest level a move changes keeps the homology of the step
+    before.
     """
     log = ScriptLog()
-    entry = {"step": 0, "move": None}
-    snap, carried = _snapshot(c, None)
-    entry.update(snap)
+    snap, h, levels = _snapshot(c, {}, None)
+    log.steps.append({"step": 0, "move": None, **snap})
     cur = c
-    prev_snap = dict(entry)
-    log.steps.append(_public(entry))
     for i, move in enumerate(script, start=1):
         try:
             nxt = blowup_move(cur, move)
         except Exception as exc:  # noqa: BLE001 - wrap with the step index
             raise ScriptError(i, exc) from exc
-        entry = {"step": i, "move": move.as_json()}
-        snap, carried = _snapshot(nxt, carried)
-        entry.update(snap)
+        snap, h_next, levels_next = _snapshot(nxt, levels,
+                                              _lowest_level(cur, move))
+        entry = {"step": i, "move": move.as_json(), **snap}
         if move.case in (1, 2, 3):
-            same = entry["_nonzero"] == prev_snap["_nonzero"]
-            if "_per_level_nonzero" in entry or "_per_level_nonzero" in prev_snap:
-                same = same and _levels_match(
-                    prev_snap.get("_per_level_nonzero", {}),
-                    entry.get("_per_level_nonzero", {}))
+            # a move keeps every level and may add a deeper one without
+            # breaking constancy below it: compare the levels it had
+            same = h_next.same_groups(h) and all(
+                levels_next[m].same_groups(hm) for m, hm in levels.items())
             entry["homology_preserved"] = same
             if not same:
                 log.homology_constant = False
-        log.steps.append(_public(entry))
-        cur = nxt
-        prev_snap = entry
+        log.steps.append(entry)
+        cur, h, levels = nxt, h_next, levels_next
     return cur, log
-
-
-def _levels_match(before, after):
-    # compare the filtration levels the input already had; a move may
-    # introduce a deeper level without breaking constancy below it
-    for m in before:
-        if before[m] != after.get(m, ()):
-            return False
-    return True
-
-
-def _public(entry):
-    return {k: v for k, v in entry.items() if not k.startswith("_")}

@@ -98,8 +98,6 @@ from sncx.transforms import (
     BlowupMove,
     ScriptLog,
     _closure,
-    _levels_match,
-    _public,
     blowup_move,
     pucker,
 )
@@ -816,6 +814,19 @@ def _recomputed_snapshot(c):
     return snap
 
 
+def _levels_match(before, after):
+    # compare the filtration levels the input already had; a move may
+    # introduce a deeper level without breaking constancy below it
+    for m in before:
+        if before[m] != after.get(m, ()):
+            return False
+    return True
+
+
+def _public(entry):
+    return {k: v for k, v in entry.items() if not k.startswith("_")}
+
+
 def recomputing_run_blowup_script(c, script):
     """``run_blowup_script`` computing every level's homology at every step.
 
@@ -1503,15 +1514,17 @@ def reading_newton_points(points):
     for p in points:
         t = snf._integer_point(p, "exponent vector")
         if any(x < 0 for x in t):
-            raise ValueError(f"exponent vector {t} has a negative entry")
+            raise DescriptorInvalid(f"exponent vector {list(t)} has a negative entry")
         if t not in seen:
             seen.add(t)
             pts.append(t)
     if not pts:
         raise EmptyInput("no exponent vectors")
     d = len(pts[0])
-    if any(len(p) != d for p in pts):
-        raise ValueError("exponent vectors of mixed lengths")
+    for p in pts:
+        if len(p) != d:
+            raise DescriptorInvalid(f"exponent vector {list(p)} has {len(p)} "
+                                    f"coordinates, exponent vector {list(pts[0])} has {d}")
     if d > MAX_AMBIENT:
         raise DimensionTooHigh(f"ambient dimension {d} exceeds {MAX_AMBIENT}")
     return tuple(pts)
@@ -1532,8 +1545,10 @@ class ReadingLatticePolytope:
         if not pts:
             raise EmptyInput("no lattice points")
         d = len(pts[0])
-        if any(len(p) != d for p in pts):
-            raise ValueError("lattice points of mixed lengths")
+        for p in pts:
+            if len(p) != d:
+                raise DescriptorInvalid(f"lattice point {list(p)} has {len(p)} "
+                                        f"coordinates, lattice point {list(pts[0])} has {d}")
         if d > MAX_AMBIENT:
             raise DimensionTooHigh(f"ambient dimension {d} exceeds {MAX_AMBIENT}")
         if d < 2:

@@ -233,6 +233,21 @@ class TestErrors:
         code, _out = run_cli(["homology", str(bad)])
         assert code == 1
 
+    @pytest.mark.parametrize("raw, reason", [
+        (b"{nope", "Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)"),
+        (b"[1, 2\xff]", "'utf-8' codec can't decode byte 0xff in position 5: "
+                        "invalid start byte"),
+    ])
+    def test_undecodable_input_is_descriptor_invalid(self, tmp_path, raw, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        code, out, err = run_any(["newton", str(bad)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {
+            "type": "DescriptorInvalid",
+            "message": f"input {bad} is not UTF-8 JSON: {reason}"}}
+
     def test_missing_file_exit_two(self, tmp_path):
         code, _out = run_cli(["homology", str(tmp_path / "absent.json")])
         assert code == 2
@@ -539,6 +554,12 @@ class TestDocumentShape:
          "ray 1 [1] has 1 coordinates, ray 0 has 2"),
         ("toric-link", {"rays": [[1, 0], [0, 1], [1, 1, 1], []], "cones": []},
          "ray 2 [1, 1, 1] has 3 coordinates, ray 0 has 2"),
+        ("newton", [[2, 0, 0], [0, 2]],
+         "exponent vector [0, 2] has 2 coordinates, exponent vector [2, 0, 0] has 3"),
+        ("torus-boundary", [[2, 0, 0], [0, 2]],
+         "lattice point [0, 2] has 2 coordinates, lattice point [2, 0, 0] has 3"),
+        # a negative entry is found as the point is read, before the lengths
+        ("newton", [[2, 0, 0], [0, -1]], "exponent vector [0, -1] has a negative entry"),
     ])
     def test_point_and_subset_documents(self, tmp_path, command, doc, message):
         path = tmp_path / "in.json"

@@ -77,7 +77,7 @@ class TestCensus:
             S.newton_polyhedron([])
         with pytest.raises(DimensionTooHigh):
             S.newton_polyhedron([(1, 0, 0, 0, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(DescriptorInvalid):
             S.newton_polyhedron([(-1, 0)])
 
     def test_non_integer_coordinates_rejected(self):
@@ -501,6 +501,16 @@ def read_or_refused(read, points):
     return "read", got.points, got.facets, got.faces
 
 
+def refusal(want):
+    """The class of a refusal and the check that made it, or None for a
+    reading: a non-integer coordinate, a negative entry and a length
+    unlike the first point's are all ``DescriptorInvalid``."""
+    if want[0] == "refused":
+        return want[1], next((k for k in ("non-integer", "negative", "coordinates,")
+                              if k in want[2]), None)
+    return None
+
+
 class CensusReached(Exception):
     pass
 
@@ -574,11 +584,11 @@ class TestOneCensus:
             pts = faulty_points(rng, rng.randint(1, 4), rng.randint(0, 3))
             want = read_or_refused(ReadingLatticePolytope, pts)
             assert read_or_refused(LatticePolytope, pts) == want
-            outcomes[want[1] if want[0] == "refused" else "polytope"] += 1
+            outcomes[refusal(want) or "polytope"] += 1
             want = read_or_refused(reading_newton_points, pts)
             assert read_or_refused(newton_reading(monkeypatch), pts) == want
-            outcomes[want[1] if want[0] == "refused" else "support"] += 1
-        assert len(outcomes) >= 6
+            outcomes[refusal(want) or "support"] += 1
+        assert len(outcomes) >= 7, outcomes
         assert outcomes["polytope"] > 20 and outcomes["support"] > 40
 
     @pytest.mark.parametrize("d", [2, 3, 4])
