@@ -54,6 +54,9 @@ def _load_json(path: str):
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DescriptorInvalid(f"input {path} is not UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DescriptorInvalid(
+            f"input {path} nests too deeply to read: {exc}") from exc
 
 
 def _list_of(doc, key: str, what: str) -> list:

@@ -18,14 +18,19 @@ lines of ``sncx.snf``, no hulls in floating point.  Facets come from a
 fraction-free double-description pass over the homogenized points and
 coordinate directions, whose cost follows the number of facets rather
 than the number of point subsets; the face lattice is the closure of
-the facets under intersection with a facet.  The ambient dimension is
-at most four.
+the facets under intersection with a facet.  Face lattices of polyhedra
+are graded, and a face below a facet is the meet of a face covering it
+with a facet.  So the closure grades the faces itself: a face's
+dimension is one less than the least dimension of the faces it was met
+down from, and no rank is taken per face.  The ambient dimension is at
+most four.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .complexes import CombinatorialComplex, _inclusion_records
 from .errors import (
@@ -41,7 +46,7 @@ MAX_AMBIENT = 4
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 # -- face census ---------------------------------------------------------------
@@ -160,7 +165,10 @@ def _face_lattice(points, facets, orthant: bool):
     A point set is a bitmask over the input points and a recession set a
     bitmask over the coordinate directions, so a meet is one ``&`` and a
     facet contains a face when the face's masks lie inside the facet's
-    point mask and the mask of its zero normal coordinates.
+    point mask and the mask of its zero normal coordinates.  The lattice
+    is graded, and a face G below a facet is the meet of a facet with a
+    face covering G.  So dim G is one less than the least dimension of
+    the faces whose meet with a facet is G.
     """
     d = len(points[0])
     fpts = [sum(1 << i for i in f.points) for f in facets]
@@ -168,16 +176,29 @@ def _face_lattice(points, facets, orthant: bool):
             for f in facets]
 
     # every face is an intersection of facets, so meeting each queued face
-    # with the facet faces alone closes the family
+    # with the facet faces alone closes the family; the meets strictly
+    # below a face record that face as an upper bound on their dimension
     facet_faces = list(dict.fromkeys(zip(fpts, frec)))
-    seen = set(facet_faces)
+    uppers = dict.fromkeys(facet_faces, ())     # a facet is below no face
     queue = list(facet_faces)
-    for pm, rm in queue:
+    for face in queue:
+        pm, rm = face
         for qm, sm in facet_faces:
             key = (pm & qm, rm & sm)
-            if key[0] and key not in seen:
-                seen.add(key)
-                queue.append(key)
+            if key[0] and key != face:
+                above = uppers.get(key)
+                if above is None:
+                    uppers[key] = [face]
+                    queue.append(key)
+                else:
+                    above.append(face)
+
+    # a strict superface has strictly larger masks, so visiting the faces
+    # by decreasing mask size fixes every face's uppers before the face
+    dims = dict.fromkeys(facet_faces, d - 1)
+    for key in sorted(queue[len(facet_faces):], reverse=True,
+                      key=lambda k: k[0].bit_count() + k[1].bit_count()):
+        dims[key] = min(dims[up] for up in uppers[key]) - 1
 
     faces = []
     for pm, rm in queue:
@@ -185,8 +206,7 @@ def _face_lattice(points, facets, orthant: bool):
         rec = tuple(j for j in range(d) if rm >> j & 1)
         s = frozenset(i for i, (fp, fr) in enumerate(zip(fpts, frec))
                       if pm & fp == pm and rm & fr == rm)
-        faces.append(PolyFace(pset, rec, s, _affine_dim(points, pset, rec),
-                              not rec))
+        faces.append(PolyFace(pset, rec, s, dims[pm, rm], not rec))
     faces.sort(key=lambda f: (f.dim, f.points, f.recession))
     return faces
 
@@ -271,13 +291,16 @@ class NewtonPolyhedron(_Census):
                 raise NotFullDimensional(
                     f"vertex {self.points[v]} lies on {on} < {d} facets; "
                     "the polyhedron is not full-dimensional")
-        # membership spot checks: the points and their orthant translates
+        # membership spot checks: the points and their orthant translates;
+        # a translate s + w falls below the offset exactly when s falls
+        # below the offset less the facet's least normal entry
+        guards = [(f, f.offset - min(f.normal)) for f in self.facets]
         for p in self.points:
-            for f in self.facets:
+            for f, guard in guards:
                 s = _dot(f.normal, p)
                 if s < f.offset:
                     raise AssertionError("facet census lost an input point")
-                if any(s + w < f.offset for w in f.normal):
+                if s < guard:
                     raise AssertionError("orthant recession violated")
         # the two compactness criteria must agree
         for face in self.faces:

@@ -248,6 +248,29 @@ class TestErrors:
             "type": "DescriptorInvalid",
             "message": f"input {bad} is not UTF-8 JSON: {reason}"}}
 
+    def test_too_deep_input_is_descriptor_invalid(self, tmp_path):
+        # the decoder's recursion limit, in this process and in a fresh one
+        import os
+        import subprocess
+        import sys
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        want = {"error": {
+            "type": "DescriptorInvalid",
+            "message": f"input {deep} nests too deeply to read: maximum "
+                       "recursion depth exceeded while decoding a JSON array "
+                       "from a unicode string"}}
+        code, out, err = run_any(["newton", str(deep)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == want
+        src = os.path.dirname(os.path.dirname(os.path.abspath(S.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "sncx.cli", "newton", str(deep)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout == out
+
     def test_missing_file_exit_two(self, tmp_path):
         code, _out = run_cli(["homology", str(tmp_path / "absent.json")])
         assert code == 2

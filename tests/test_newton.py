@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -97,6 +99,33 @@ class TestCensus:
             np_ = S.newton_polyhedron(random_support(rng))
             for v in np_.vertices:
                 assert sum(1 for f in np_.facets if v in f.points) >= 3
+
+
+class TestValidateGuards:
+    """One facet of a built polyhedron tampered with: the spot checks fire."""
+
+    def tampered(self, np_, **changes):
+        facets = list(np_.facets)
+        facets[0] = dataclasses.replace(facets[0], **changes)
+        np_.facets = tuple(facets)
+
+    def test_raised_offset_loses_a_point(self):
+        np_ = S.newton_polyhedron(CUSP)
+        self.tampered(np_, offset=np_.facets[0].offset + 1)
+        with pytest.raises(AssertionError) as exc:
+            np_._validate()
+        assert str(exc.value) == "facet census lost an input point"
+
+    def test_negative_normal_entry_breaks_the_orthant(self):
+        # the offset drops to the new minimum, so every point stays on or
+        # above the tampered facet and only the orthant translates fall off
+        np_ = S.newton_polyhedron(CUSP)
+        normal = (-1,) + np_.facets[0].normal[1:]
+        self.tampered(np_, normal=normal,
+                      offset=min(N._dot(normal, p) for p in np_.points))
+        with pytest.raises(AssertionError) as exc:
+            np_._validate()
+        assert str(exc.value) == "orthant recession violated"
 
 
 class TestNormalFan:
@@ -339,6 +368,12 @@ class TestCensusAgreement:
         assert N._face_lattice(pts, facets, orthant) == \
             pairwise_face_lattice(pts, facets, orthant)
 
+    def assert_lattice_agrees(self, pts, orthant):
+        # at workload size the brute-force facet oracle costs seconds
+        facets = N._facet_census(pts, orthant)
+        assert N._face_lattice(pts, facets, orthant) == \
+            pairwise_face_lattice(pts, facets, orthant)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_orthant_shapes(self, d):
         rng = random.Random(100 + d)
@@ -379,9 +414,70 @@ class TestCensusAgreement:
                    for y in range(11 - x)], True)]
         for pts, orthant in cases:
             assert len(pts) > 64
+            self.assert_lattice_agrees(pts, orthant)
+
+    @pytest.mark.parametrize("ambient, sizes", [(3, (12, 18, 24, 30)),
+                                                (4, (12, 16, 20))])
+    def test_bowls_at_workload_size(self, ambient, sizes):
+        # the benchmark's bowl supports, and bowls with four more points:
+        # lattice midpoints of two bowl points and dominated translates
+        rng = random.Random(300 + ambient)
+        for n in sizes:
+            for _ in range(3):
+                pts = staircase_support(rng, ambient, n)
+                self.assert_lattice_agrees(pts, True)
+                self.assert_lattice_agrees(pts + [(0,) * ambient], False)
+                pts = staircase_support(rng, ambient, n - 4)
+                extra = []
+                while len(extra) < 4:
+                    p, q = rng.sample(pts, 2)
+                    if rng.random() < 0.5:
+                        m = tuple(a + b for a, b in zip(p, q))
+                        if all(x % 2 == 0 for x in m):
+                            extra.append(tuple(x // 2 for x in m))
+                    else:
+                        extra.append(tuple(x + rng.randint(0, 2) for x in p))
+                self.assert_lattice_agrees(pts + extra, True)
+
+    @pytest.mark.parametrize("ambient", [3, 4])
+    def test_boxes_and_simplices_with_interior_points(self, ambient):
+        rng = random.Random(310 + ambient)
+        for npts in (20, 24, 28):
+            sides = [rng.randint(3, 5) for _ in range(ambient)]
+            box = list(itertools.product(*[range(a + 1) for a in sides]))
+            corners = [p for p in box if all(x in (0, a) for x, a in zip(p, sides))]
+            rest = [p for p in box if p not in corners]
+            self.assert_lattice_agrees(
+                corners + rng.sample(rest, npts - len(corners)), False)
+            sides = [rng.randint(5, 9) for _ in range(ambient)]
+            vol = math.prod(sides)
+            corners = [(0,) * ambient] + [
+                tuple(a if j == i else 0 for j in range(ambient))
+                for i, a in enumerate(sides)]
+            rest = [p for p in itertools.product(*[range(a + 1) for a in sides])
+                    if p not in corners and
+                    sum(x * (vol // a) for x, a in zip(p, sides)) <= vol]
+            self.assert_lattice_agrees(
+                corners + rng.sample(rest, npts - len(corners)), False)
+
+    def test_face_lattice_takes_no_rank(self, monkeypatch):
+        # the dimensions come from the lattice's grading, not eliminations
+        def refuse(rows):
+            raise AssertionError("a rank was taken")
+
+        rng = random.Random(47)
+        cases = [(staircase_support(rng, 3, 30), True),
+                 (staircase_support(rng, 4, 20), True),
+                 (staircase_support(rng, 4, 20) + [(0, 0, 0, 0)], False),
+                 ([(x, y, z) for x in (0, 3) for y in (0, 4) for z in (0, 5)]
+                  + [(1, 2, 3), (3, 1, 1), (0, 2, 5)], False)]
+        for pts, orthant in cases:
             facets = N._facet_census(pts, orthant)
-            assert N._face_lattice(pts, facets, orthant) == \
-                pairwise_face_lattice(pts, facets, orthant)
+            want = pairwise_face_lattice(pts, facets, orthant)
+            with monkeypatch.context() as m:
+                m.setattr(N, "matrix_rank", refuse)
+                got = N._face_lattice(pts, facets, orthant)
+            assert got == want
 
     def test_flat_polytope_rejected(self):
         for pts in ([(1, 2)], [(0, 0), (1, 1), (3, 3)],
