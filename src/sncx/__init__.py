@@ -9,19 +9,14 @@ complexes of hypersurface singularities.
 
 from .complexes import (
     CombinatorialComplex,
-    complexes_isomorphic,
     cone,
     connected_components,
-    disjoint_union,
     euler_characteristic,
-    face_map_from_vertex_bijection,
-    join,
     level_subcomplex,
     new_complex,
     order_complex,
     quotient_free_involution,
     skeleton,
-    wedge,
 )
 from .errors import SncxError
 from .homology import (
@@ -36,6 +31,13 @@ from .homology import (
     top_weight_ranks,
     wedge_certificate,
     weight_zero_cohomology_rank,
+)
+from .operations import (
+    complexes_isomorphic,
+    disjoint_union,
+    face_map_from_vertex_bijection,
+    join,
+    wedge,
 )
 from .newton import (
     LatticePolytope,

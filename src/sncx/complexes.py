@@ -15,7 +15,6 @@ convention and safe to share.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, deque
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,7 +28,6 @@ from .errors import (
     MissingDeltaStructure,
     NoFiltration,
     NoSuchFace,
-    NotAVertex,
     NotInvolution,
     NotRegularCW,
     QuotientNotRegular,
@@ -50,6 +48,28 @@ def _dedup_ids(proposals: Iterable[str], taken: set[str] | None = None) -> list[
             q = f"{p}~{k}"
         seen.add(q)
         out.append(q)
+    return out
+
+
+def _without(seq, cuts) -> list:
+    """``seq`` without the items at the sorted positions ``cuts``."""
+    out, lo = [], 0
+    for p in cuts:
+        out += seq[lo:p]
+        lo = p + 1
+    out += seq[lo:]
+    return out
+
+
+def _interleave(seq, spots, new) -> list:
+    """``seq`` with each item of ``new`` after the first ``spots[j]`` items
+    of ``seq``; ``spots`` does not decrease."""
+    out, lo = [], 0
+    for hi, x in zip(spots, new):
+        out += seq[lo:hi]
+        out.append(x)
+        lo = hi
+    out += seq[lo:]
     return out
 
 
@@ -209,14 +229,28 @@ class CombinatorialComplex:
     :meth:`is_maximal` is built once, on first use.  It never goes
     stale: a complex is never changed once built, and every build, the
     constructor's, a restriction's or a move's, starts without one.
+
+    A Delta complex also keeps the homology numbering ``_num`` once
+    :func:`sncx.homology.homology` has built it: ``(ids, bd, cob,
+    live)``, per slot the face id, the facet slots in Delta order and
+    the coface slots, and ``live``, the slot of each face in canonical
+    order.  A complex read from records is numbered canonically, slot i
+    at position i.  A move (:meth:`_derived`) carries it: the child
+    copies the lists, its fresh faces take new slots and the copied
+    coface lists of their facets, and its dropped faces leave dead slots
+    that no live face reaches downward; the parent's lists are never
+    changed.  A restriction (:meth:`_restricted`) shares the lists and
+    keeps fewer live slots.  A move whose dead slots would outnumber its
+    live ones drops the numbering, so that the next homology numbers the
+    complex afresh.
     """
 
     __slots__ = ("_order", "_index", "_dims", "_labels", "_cov", "_delta",
-                 "_levels", "_verts", "_up")
+                 "_levels", "_verts", "_up", "_num")
 
     def __init__(self, faces: Iterable[Mapping]):
         self._dims, self._labels, self._cov, self._verts = {}, {}, {}, {}
-        self._delta = self._levels = self._up = None
+        self._delta = self._levels = self._up = self._num = None
         self._build([], list(faces))
 
     # -- the one build routine -------------------------------------------
@@ -235,6 +269,10 @@ class CombinatorialComplex:
         the complex the constructor builds from the survivors' records
         followed by the fresh ones, and a bad fresh face fails with the
         constructor's error and message.
+
+        Returns the fresh ids in canonical order, and where they went: for
+        each the number of survivors before it, or None when the faces
+        were sorted together.
         """
         dims, labels, cov = self._dims, self._labels, self._cov
         carried_delta = self._delta is not None and bool(survivors)
@@ -254,14 +292,13 @@ class CombinatorialComplex:
 
         if len(new) * len(survivors).bit_length() < len(survivors):
             new.sort(key=key)
-            order, lo = [], 0
+            spots, lo = [], 0
             for f in new:
-                hi = bisect_right(survivors, key(f), lo, key=key)
-                order += survivors[lo:hi]
-                order.append(f)
-                lo = hi
-            order += survivors[lo:]
+                lo = bisect_right(survivors, key(f), lo, key=key)
+                spots.append(lo)
+            order = _interleave(survivors, spots, new)
         else:
+            spots = None
             order = sorted(survivors + new, key=key)
         order = tuple(order)
         index = dict(zip(order, range(len(order))))
@@ -302,6 +339,7 @@ class CombinatorialComplex:
             self._validate_low_cells(new)
         else:
             self._validate_delta(new if carried_delta else order)
+        return new, spots
 
     def _carried(self, carry) -> "CombinatorialComplex":
         # a complex holding this one's maps, each passed through carry, for
@@ -309,7 +347,7 @@ class CombinatorialComplex:
         out = CombinatorialComplex.__new__(CombinatorialComplex)
         out._dims, out._labels = carry(self._dims), carry(self._labels)
         out._cov, out._verts = carry(self._cov), {}
-        out._delta = out._levels = out._up = None
+        out._delta = out._levels = out._up = out._num = None
         if self._delta is not None:
             out._delta, out._verts = carry(self._delta), carry(self._verts)
         if self._levels is not None:
@@ -318,9 +356,14 @@ class CombinatorialComplex:
 
     def _restricted(self, order) -> "CombinatorialComplex":
         """The subcomplex on ``order``, a downward-closed part of ``_order``:
-        the build routine with no fresh faces."""
+        the build routine with no fresh faces.  It shares this complex's
+        homology numbering, with the live slots of its own faces."""
         out = self._carried(lambda m: {f: m[f] for f in order})
         out._build(list(order), ())
+        if self._num is not None:
+            ids, bd, cob, live = self._num
+            out._num = ids, bd, cob, list(map(
+                live.__getitem__, map(self._index.__getitem__, order)))
         return out
 
     def _derived(self, drop, fresh: Sequence[Mapping]) -> "CombinatorialComplex":
@@ -328,7 +371,8 @@ class CombinatorialComplex:
 
         ``drop`` must be closed upward, so that the survivors are closed
         downward.  The build routine checks only the fresh faces; see
-        :meth:`_build`.
+        :meth:`_build`.  The homology numbering is carried; see the class
+        notes.
         """
         def carry(m):
             m = dict(m)
@@ -336,9 +380,41 @@ class CombinatorialComplex:
                 del m[f]
             return m
 
+        cuts = sorted(map(self._index.__getitem__, drop))
         out = self._carried(carry)
-        out._build([f for f in self._order if f not in drop], fresh)
+        new, spots = out._build(_without(self._order, cuts), fresh)
+        if self._num is not None and out._delta is not None:
+            out._num = self._numbering_after(out, cuts, new, spots)
         return out
+
+    def _numbering_after(self, out, cuts, new, spots):
+        """The homology numbering of ``out``, this complex without the faces
+        at the positions ``cuts`` and with the faces ``new``, which
+        :meth:`_build` placed at ``spots``; None when its dead slots would
+        outnumber its live ones."""
+        ids, bd, cob, live = self._num
+        n = len(ids)
+        if n + len(new) > 2 * len(out._order):
+            return None
+        fresh = range(n, n + len(new))
+        if spots is None:
+            slot = dict(zip(self._order, live))
+            slot.update(zip(new, fresh))        # a fresh face may take a dropped id
+            live = list(map(slot.__getitem__, out._order))
+        else:
+            live = _interleave(_without(live, cuts), spots, fresh)
+        index, delta = out._index, out._delta
+        cols = [[live[index[g]] for g in delta[f]] for f in new]
+        cob = cob[:]
+        cob += [[] for _ in fresh]
+        owned = set(fresh)                      # coface lists of out's own
+        for x, col in zip(fresh, cols):
+            for s in col:
+                if s not in owned:
+                    owned.add(s)
+                    cob[s] = cob[s][:]
+                cob[s].append(x)
+        return [*ids, *new], bd + cols, cob, live
 
     # -- validation helpers --------------------------------------------
 
@@ -506,15 +582,16 @@ class CombinatorialComplex:
         return tuple(f for f in self._order if self._dims[f] == k)
 
     def f_vector(self) -> tuple:
-        # graded: every dimension up to the top one has a face
-        counts = Counter(map(self._dims.__getitem__, self._order))
-        return tuple(map(counts.__getitem__, range(len(counts))))
+        # graded, so every dimension up to the top one has a face; the
+        # canonical order is dimension-major, so degree k ends where the
+        # faces of dimension at most k do
+        order, dims = self._order, self._dims
+        ends = [bisect_right(order, k, key=dims.__getitem__)
+                for k in range(dims[order[-1]] + 1 if order else 0)]
+        return tuple(b - a for a, b in zip([0, *ends], ends))
 
     def euler_characteristic(self) -> int:
-        chi = 0
-        for f in self._order:
-            chi += -1 if self._dims[f] % 2 else 1
-        return chi
+        return sum(n if k % 2 == 0 else -n for k, n in enumerate(self.f_vector()))
 
     def to_records(self) -> list[dict]:
         """Face records in canonical order; inverse of the constructor."""
@@ -570,6 +647,30 @@ class CombinatorialComplex:
         """All faces >= f (f included), canonical order."""
         self._check(f)
         return self._reach(f, self._coface_table())
+
+    def _upset(self, f: FaceId) -> tuple:
+        """:meth:`upset`, read off the cofaces of the homology numbering when
+        this complex has one, without building the coface table.
+
+        A face's coface slots may hold dead ones, and on a restriction the
+        slots of faces outside it; no live face lies above either, so the
+        walk stops at them.  A slot is live when the face it names sits at
+        a canonical position that holds that slot.
+        """
+        if self._num is None:
+            return self.upset(f)
+        self._check(f)
+        ids, _bd, cob, live = self._num
+        index = self._index
+        out, stack, seen = [f], [live[index[f]]], set()
+        while stack:
+            for y in cob[stack.pop()]:
+                g = ids[y]
+                if y not in seen and g in index and live[index[g]] == y:
+                    seen.add(y)
+                    out.append(g)
+                    stack.append(y)
+        return tuple(sorted(out, key=index.__getitem__))
 
     def _reach(self, f, step) -> tuple:
         # the faces reached from f through ``step``, in canonical order
@@ -803,7 +904,7 @@ class CombinatorialComplex:
         return CombinatorialComplex(recs)
 
 
-# -- module-level constructors and binary operations ------------------------
+# -- module-level constructors ---------------------------------------------
 
 def new_complex(faces: Iterable[Mapping]) -> CombinatorialComplex:
     """Build and validate a complex from face records (see class docs)."""
@@ -837,227 +938,3 @@ def level_subcomplex(c: CombinatorialComplex, m: int) -> CombinatorialComplex:
 def quotient_free_involution(c: CombinatorialComplex,
                              phi: Mapping[str, str]) -> CombinatorialComplex:
     return c.quotient_free_involution(phi)
-
-
-def _union_records(a: CombinatorialComplex, b: CombinatorialComplex,
-                   rename: Mapping[str, str]) -> list[dict]:
-    """The records of ``a``, then those of ``b`` with ids renamed by
-    ``rename``; Delta orders and levels are kept when both sides, or the
-    one side that is not empty, have them."""
-    keep_delta = a.has_delta and b.has_delta
-    keep_levels = a.has_levels and b.has_levels
-    if a.is_empty:
-        keep_delta, keep_levels = b.has_delta, b.has_levels
-    if b.is_empty:
-        keep_delta, keep_levels = a.has_delta, a.has_levels
-    return (a._rewritten(a.face_ids, None, keep_delta, keep_levels)
-            + b._rewritten(b.face_ids, rename, keep_delta, keep_levels))
-
-
-def _renaming(a: CombinatorialComplex, b: CombinatorialComplex) -> dict:
-    # b's ids, with the ones that collide with a's suffixed
-    return dict(zip(b.face_ids, _dedup_ids(b.face_ids, set(a.face_ids))))
-
-
-def disjoint_union(a: CombinatorialComplex,
-                   b: CombinatorialComplex) -> CombinatorialComplex:
-    """Disjoint union; colliding ids on the right side are renamed."""
-    return CombinatorialComplex(_union_records(a, b, _renaming(a, b)))
-
-
-def wedge(a: CombinatorialComplex, v1: str,
-          b: CombinatorialComplex, v2: str) -> CombinatorialComplex:
-    """One-point union identifying vertex ``v2`` of ``b`` with ``v1`` of ``a``.
-
-    ``b`` is renamed as in :func:`disjoint_union`, with ``v2`` going to
-    ``v1``, which takes the smaller of the two levels.
-    """
-    if not a.has_face(v1) or a.dim(v1) != 0:
-        raise NotAVertex(f"{v1!r} is not a vertex of the left complex")
-    if not b.has_face(v2) or b.dim(v2) != 0:
-        raise NotAVertex(f"{v2!r} is not a vertex of the right complex")
-    rename = _renaming(a, b)
-    rename[v2] = v1
-    recs = _union_records(a, b, rename)
-    del recs[len(a.face_ids) + b._index[v2]]    # v2's record, now id v1
-    v1_rec = recs[a._index[v1]]
-    if "level" in v1_rec:
-        v1_rec["level"] = min(v1_rec["level"], b.level(v2))
-    return CombinatorialComplex(recs)
-
-
-def join(a: CombinatorialComplex, b: CombinatorialComplex) -> CombinatorialComplex:
-    """Join of two Delta-structured complexes.
-
-    Faces are pairs (alpha, beta) with alpha a face of ``a`` or empty and
-    beta a face of ``b`` or empty, not both empty; the vertices of ``a``
-    precede those of ``b``.  Ids are ``"alpha*beta"`` with an empty slot
-    for the missing side.
-    """
-    if not a.has_delta or not b.has_delta:
-        raise MissingDeltaStructure("join needs delta structures on both sides")
-
-    pairs = [(f, None) for f in a.face_ids] + [(None, g) for g in b.face_ids]
-    pairs += [(f, g) for f in a.face_ids for g in b.face_ids]
-    ids = dict(zip(pairs, _dedup_ids([f"{f or ''}*{g or ''}" for f, g in pairs])))
-
-    def dim_of(p):
-        f, g = p
-        df = a.dim(f) if f else -1
-        dg = b.dim(g) if g else -1
-        return df + dg + 1
-
-    keep_levels = a.has_levels and b.has_levels
-
-    def level_of(p):
-        f, g = p
-        lf = a.level(f) if f else 0
-        lg = b.level(g) if g else 0
-        return max(lf, lg, 1)
-
-    recs = []
-    for p in pairs:
-        f, g = p
-        k = dim_of(p)
-        d = []
-        if f is not None:
-            if a.dim(f) == 0:
-                d.append((None, g) if g is not None else None)
-            else:
-                d.extend((x, g) for x in a.delta_order(f))
-        if g is not None:
-            if b.dim(g) == 0:
-                d.append((f, None) if f is not None else None)
-            else:
-                d.extend((f, y) for y in b.delta_order(g))
-        if None in d:
-            # joining a single vertex against the empty side: no facets
-            d = [x for x in d if x is not None]
-        facet_ids = [ids[x] for x in d]
-        la = a.label(f) if f else ""
-        lb = b.label(g) if g else ""
-        rec = {"id": ids[p], "dim": k, "label": f"{la}*{lb}",
-               "facets": facet_ids}
-        if k >= 1:
-            rec["delta_order"] = facet_ids
-        if keep_levels:
-            rec["level"] = level_of(p)
-        recs.append(rec)
-    return CombinatorialComplex(recs)
-
-
-def face_map_from_vertex_bijection(c: CombinatorialComplex,
-                                   vmap: Mapping[str, str]) -> dict:
-    """Extend a vertex bijection to a face pairing (simplicial complexes).
-
-    Each face is sent to the unique face on the image vertex set; raises
-    NoSuchFace when the image face is missing and NotInvolution when it
-    is ambiguous.
-    """
-    by_verts: dict[frozenset, list] = {}
-    for f in c.face_ids:
-        by_verts.setdefault(frozenset(c.vertices_of(f)), []).append(f)
-    out = {}
-    for f in c.face_ids:
-        img = frozenset(vmap[v] for v in c.vertices_of(f))
-        hits = by_verts.get(img, [])
-        if not hits:
-            raise NoSuchFace(f"no face on the image vertex set of {f!r}")
-        if len(hits) > 1:
-            raise NotInvolution(f"image of {f!r} is ambiguous")
-        out[f] = hits[0]
-    return out
-
-
-def complexes_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bool:
-    """Poset isomorphism test (covering-relation preserving bijection).
-
-    The search assigns vertices in breadth-first order through the edges
-    and each higher face right after the last of its facets, so a wrong
-    vertex fails at the next face.  A face draws its candidates from the
-    cofaces of its first facet's image, a vertex from the neighbours of
-    its breadth-first parent's image.
-    """
-    if a.f_vector() != b.f_vector():
-        return False
-
-    def signatures(c):
-        sig = {f: (c.dim(f), len(c.facets(f)), len(c.cofaces(f))) for f in c.face_ids}
-        for _ in range(3):
-            sig = {f: (sig[f],
-                       tuple(sorted(sig[g] for g in c.facets(f))),
-                       tuple(sorted(sig[g] for g in c.cofaces(f))))
-                   for f in c.face_ids}
-        return sig
-
-    siga, sigb = signatures(a), signatures(b)
-    if Counter(siga.values()) != Counter(sigb.values()):
-        return False
-    if a.is_empty:
-        return True
-
-    # search order: vertices breadth first, each face after its last facet
-    order: list[str] = []
-    parent: dict[str, str] = {}
-    missing = {f: len(a.facets(f)) for f in a.face_ids}
-    seen: set[str] = set()
-    for root in sorted(a.faces_of_dim(0), key=lambda f: str(siga[f])):
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            ready = [v]
-            while ready:
-                f = ready.pop()
-                order.append(f)
-                for h in a.cofaces(f):
-                    missing[h] -= 1
-                    if not missing[h]:
-                        ready.append(h)
-            for e in a.cofaces(v):
-                for w in a.facets(e):
-                    if w not in seen:
-                        seen.add(w)
-                        parent[w] = v
-                        queue.append(w)
-
-    by_sig: dict[tuple, list] = {}      # b's faces by signature, in order
-    for g in b.face_ids:
-        by_sig.setdefault(sigb[g], []).append(g)
-    below = {g: set(b.facets(g)) for g in b.face_ids}
-    nbrs = {v: list(dict.fromkeys(w for e in b.cofaces(v) for w in b.facets(e)
-                                  if w != v))
-            for v in b.faces_of_dim(0)}
-    assignment: dict[str, str] = {}
-
-    def candidates(f):
-        if a.facets(f):
-            pool = b.cofaces(assignment[a.facets(f)[0]])
-        elif f in parent:
-            pool = nbrs[assignment[parent[f]]]
-        else:
-            return iter(by_sig[siga[f]])
-        return (g for g in pool if sigb[g] == siga[f])
-
-    # depth-first over order[i], one candidate iterator per assigned level
-    used: set[str] = set()
-    stack = [candidates(order[0])]
-    while stack:
-        f = order[len(stack) - 1]
-        if f in assignment:
-            used.discard(assignment.pop(f))
-        image = {assignment[x] for x in a.facets(f)}
-        for g in stack[-1]:
-            if g not in used and below[g] == image:
-                assignment[f] = g
-                used.add(g)
-                break
-        else:
-            stack.pop()
-            continue
-        if len(stack) == len(order):
-            return True
-        stack.append(candidates(order[len(stack)]))
-    return False

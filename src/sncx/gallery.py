@@ -8,7 +8,8 @@ quotient, and the fans of the standard toric varieties.
 
 from __future__ import annotations
 
-from .complexes import CombinatorialComplex, join, face_map_from_vertex_bijection
+from .complexes import CombinatorialComplex
+from .operations import face_map_from_vertex_bijection, join
 from .snc import Fan
 
 

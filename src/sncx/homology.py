@@ -24,6 +24,14 @@ cellular route by its signs, [f:t][t:r] + [f:u][u:r] = 0 at each ridge
 r of f.  ``ChainComplex``, where a boundary comes from outside,
 composes it and raises ``BoundaryNotSquareZero``.
 
+``homology`` reads the boundary through a numbering of slots
+(:func:`_numbering`).  A complex read from records is numbered by
+canonical position.  On the Delta route the numbering is built once and
+then carried through the moves and restrictions that make a new complex
+from a numbered one, so a replay step numbers only the faces it creates
+instead of the whole complex; ``chain_complex`` numbers by canonical
+position every time.
+
 One coreduction pass (Mrozek-Batko, "Coreduction homology algorithm")
 matches cells along unit incidences into an acyclic matching, and the
 Morse complex on its critical cells has the same homology (Forman,
@@ -206,27 +214,61 @@ def _cellular_boundaries(c: CombinatorialComplex) -> list:
     return [{index[t]: a for t, a in inc[f].items()} for f in c.face_ids]
 
 
-def _coreduce(bd: list) -> tuple:
-    """One coreduction pass over ``bd``: an acyclic matching.
+def _numbering(c: CombinatorialComplex) -> tuple:
+    """The homology numbering ``(ids, bd, cob, live)`` of ``c``: per slot
+    the face id, the boundary column of :func:`_boundary` and the coface
+    slots, and the slot of each face in canonical order.
 
-    A cell is queued, first in first out, when its alive boundary shrinks
-    to one cell s; if still so when dequeued, t and s are matched and
-    removed.  Only the positions in a column are read: every incidence
-    [t:s] is +-1 on both routes, by position on the Delta route and by
-    choice on the cellular one.  With the queue empty the lowest alive
-    cell is critical and removed.  Returns the critical positions in order,
-    each matched lower cell's upper cell, and each cell's removal step.
-    Those steps strictly decrease along V-paths, so the matching is
-    acyclic: an upper cell's other facets go before its pair.
+    A Delta complex keeps it once built and hands it on to the complexes
+    derived and restricted from it (see :class:`CombinatorialComplex`);
+    a fresh one numbers the faces by canonical position.  The cellular
+    route builds it at every call.
     """
-    n = len(bd)
+    num = c._num
+    if num is None:
+        bd, _starts = _boundary(c)
+        num = c.face_ids, bd, _coboundary(bd), range(len(bd))
+        if c.has_delta:
+            c._num = num
+    return num
+
+
+def _coboundary(bd: list) -> list:
+    # per slot, the slots whose columns hold it, in increasing order
     cob = [[] for _ in bd]
     for i, col in enumerate(bd):
         for j in col:
             cob[j].append(i)
-    alive, when = [True] * n, [0] * n
+    return cob
+
+
+def _coreduce(bd: list, cob: list | None = None, live=None) -> tuple:
+    """One coreduction pass over the slots ``live`` of a numbering, with
+    the coboundary ``cob``: an acyclic matching.  Without them it runs
+    over every column of ``bd``, in the order given.
+
+    A cell is queued, first in first out, when its alive boundary shrinks
+    to one cell s; if still so when dequeued, t and s are matched and
+    removed.  Only the slots in a column are read: every incidence
+    [t:s] is +-1 on both routes, by position on the Delta route and by
+    choice on the cellular one.  With the queue empty the alive cell that
+    comes first in ``live``, the canonical order, is critical and
+    removed.  A slot outside ``live`` is never alive, and no live cell
+    lies above it.  Returns the critical slots in canonical order, each
+    matched lower cell's upper cell, and each cell's removal step.
+    Those steps strictly decrease along V-paths, so the matching is
+    acyclic: an upper cell's other facets go before its pair.
+    """
+    if cob is None:
+        cob, live = _coboundary(bd), range(len(bd))
+    n, m = len(bd), len(live)
+    # every slot starts alive unless some are dead or outside ``live``
+    alive, when = [m == n] * n, [0] * n
+    if m < n:
+        for x in live:
+            alive[x] = True
     nb = list(map(len, bd))             # alive facets per cell
-    fsum = list(map(sum, bd))           # their positions' sum: the one left
+    fsum = list(map(sum, bd))           # their slots' sum: the one left
     queue, critical, up = deque(), [], {}
     low = step = 0
     while True:
@@ -238,12 +280,12 @@ def _coreduce(bd: list) -> tuple:
             up[s] = t
             removed = (s, t)
         else:
-            while low < n and not alive[low]:
+            while low < m and not alive[live[low]]:
                 low += 1
-            if low == n:
+            if low == m:
                 return critical, up, when
-            critical.append(low)
-            removed = (low,)
+            critical.append(live[low])
+            removed = (live[low],)
         step += 1
         for x in removed:
             alive[x] = False
@@ -318,11 +360,14 @@ class HomologyResult:
 
 def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
     """Integral homology in all degrees; ``reduced`` adjusts degree 0."""
-    bd, starts = _boundary(c)
-    critical, up, when = _coreduce(bd)
-    column = _signed(bd, c.has_delta, len(starts))
-    crit = [[i for i in critical if starts[k] <= i < starts[k + 1]]
-            for k in range(len(starts) - 1)]
+    ids, bd, cob, live = _numbering(c)
+    critical, up, when = _coreduce(bd, cob, live)
+    dims = c._dims
+    top = dims[ids[live[-1]]] if live else -1
+    column = _signed(bd, c.has_delta, top + 2)
+    crit = [[] for _ in range(top + 1)]
+    for x in critical:
+        crit[dims[ids[x]]].append(x)
     ranks, torsions = {}, {}
     for k in range(1, len(crit)):
         if crit[k] and crit[k - 1]:
@@ -534,8 +579,14 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
     if c.is_empty:
         return WedgeCertificate("refuted", None, "empty complex")
 
-    h = (homology(c, reduced=True) if _reduced_homology is None
-         else _reduced_homology)
+    h = _reduced_homology
+    if h is None:
+        # c keeps no numbering that it did not have: the searches below
+        # derive nothing from c, and a numbering held through them raised
+        # the peak RSS of certifying sd^2(S^3) from 102 to 112 MB
+        kept = c._num
+        h = homology(c, reduced=True)
+        c._num = kept
     m = _is_wedge_homology(h, d)
     if m is None:
         return WedgeCertificate(

@@ -721,7 +721,7 @@ def validating_constructor(records):
     out = CombinatorialComplex.__new__(CombinatorialComplex)
     out._order, out._index, out._dims, out._labels = order, index, dims, labels
     out._cov, out._delta, out._levels, out._verts = cov, delta, levels, {}
-    out._up = None
+    out._up = out._num = None
     if delta is None:
         for f in order:
             if dims[f] == 1 and len(cov[f]) != 2:
@@ -792,6 +792,13 @@ def derived_by_constructor(c, drop, fresh):
     """``c._derived(drop, fresh)`` through the validating constructor."""
     return validating_constructor(
         [c._record(f) for f in c.face_ids if f not in drop] + list(fresh))
+
+
+def counting_f_vector(c):
+    """``(f_vector, euler_characteristic)`` of ``c``, counted face by face."""
+    counts = Counter(c.dim(f) for f in c.face_ids)
+    return (tuple(counts[k] for k in range(len(counts))),
+            sum(-1 if c.dim(f) % 2 else 1 for f in c.face_ids))
 
 
 def _recomputed_snapshot(c):

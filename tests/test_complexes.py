@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import sncx as S
-import sncx.complexes as C
+import sncx.operations as O
 import sncx.transforms as T
 from sncx import gallery as G
 from sncx.errors import (
@@ -35,6 +35,7 @@ from conftest import (
     without_delta,
 )
 from oracles import (
+    counting_f_vector,
     derived_by_constructor,
     frontier_order_complex,
     order_complex_homology,
@@ -340,6 +341,25 @@ class TestBasicOps:
         assert S.euler_characteristic(G.octahedron_boundary()) == 2
         assert S.euler_characteristic(G.multi_edge_complex(4)) == -2
         assert S.euler_characteristic(S.CombinatorialComplex([])) == 0
+
+    def test_f_vector_agrees_with_counting(self):
+        # the f-vector cut from the dimension-major canonical order, and the
+        # Euler characteristic summed from it, against counting every face
+        rng = random.Random(2323)
+        fixtures = [S.CombinatorialComplex([]), G.point_complex(),
+                    G.multi_edge_complex(3), G.real_projective_plane(),
+                    without_delta(G.octahedron_boundary())]
+        while len(fixtures) < 80:
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=5, max_dim=3)
+            if rng.random() < 0.5:
+                c = with_random_levels(rng, c)
+                c = c.level_subcomplex(rng.randint(0, c.max_level()))
+            if c.face_ids and rng.random() < 0.5:
+                c = S.stellar_subdivide(c, rng.choice(c.face_ids))
+            fixtures += [c, c.skeleton(rng.randint(-1, 2))]
+        for c in fixtures:
+            assert (c.f_vector(), c.euler_characteristic()) == counting_f_vector(c)
+        assert S.CombinatorialComplex([]).f_vector() == ()
 
     def test_components(self):
         tri = G.triangle_boundary()
@@ -817,8 +837,8 @@ class TestOneFaceWriter:
         rng, inputs = writer_inputs(924, 30)
         for _ in range(80):
             a, b = rng.choice(inputs), rng.choice(inputs)
-            rename = C._renaming(a, b)
-            got = C._union_records(a, b, rename)
+            rename = O._renaming(a, b)
+            got = O._union_records(a, b, rename)
             want = record_writing_union_records(a, b, rename)
             assert outcome(S.CombinatorialComplex, got) == \
                 outcome(S.CombinatorialComplex, want)

@@ -759,6 +759,19 @@ class TestWedgeCertificate:
             assert (cert.status, cert.count) == ("certified-wedge", n)
             assert cert.witness == {"generators": 0, "status": "trivial"}
 
+    def test_certificate_keeps_no_numbering_it_built(self):
+        # a certificate derives nothing from its complex, so the homology
+        # numbering it builds is not held through the pi1 and collapse
+        # searches; one the complex already had stays
+        for c, d in [(G.octahedron_boundary(), 2), (G.multi_edge_complex(4), 1),
+                     (S.disjoint_union(G.triangle_boundary(), G.point_complex()), 0)]:
+            S.wedge_certificate(c, d)
+            assert c._num is None
+            S.homology(c)
+            num = c._num
+            S.wedge_certificate(c, d)
+            assert c._num is num is not None
+
     def test_certified_implies_wedge_betti(self):
         for c, d in [(G.triangle_boundary(), 1), (G.octahedron_boundary(), 2),
                      (G.multi_edge_complex(4), 1)]:

@@ -1,3 +1,5 @@
+import copy
+import importlib
 import random
 
 import pytest
@@ -27,6 +29,7 @@ from conftest import (
     without_delta,
 )
 from oracles import (
+    clearing_homology,
     derived_by_constructor,
     indexing_morse_vertex_flow,
     recomputing_run_blowup_script,
@@ -734,6 +737,146 @@ class TestIncrementalReplay:
         _final, log = S.run_blowup_script(c, tuple(moves))
         assert log.homology_constant
         assert calls == {"homology": expected, "constructor": 0}
+
+
+def assert_numbering(c):
+    """The carried homology numbering of ``c`` names, for each face, its
+    Delta facets and, among the live slots, exactly its cofaces."""
+    ids, bd, cob, live = c._num
+    slot = dict(zip(c.face_ids, live))
+    assert [ids[x] for x in live] == list(c.face_ids)
+    for f, x in slot.items():
+        assert [ids[s] for s in bd[x]] == list(c.delta_order(f) if c.dim(f) else ())
+        assert sorted(ids[y] for y in cob[x] if slot.get(ids[y]) == y) == \
+            sorted(c.cofaces(f))
+
+
+class TestCarriedNumbering:
+    """The homology numbering that moves and restrictions carry, against
+    complexes rebuilt from their records and numbered afresh."""
+
+    @staticmethod
+    def runs():
+        # case 2, 3 and attach scripts on plain and levelled complexes;
+        # reusing scripts subdivide a face under its own id, so a fresh
+        # face takes a dropped face's id; attach scripts from realize
+        rng = random.Random(2323)
+        out = []
+        for i in range(40):
+            c = G.octahedron_boundary() if i % 5 == 0 else random_simplicial_complex(
+                rng, max_verts=6, max_facets=4, max_dim=2)
+            if i % 2:
+                c = with_random_levels(rng, c)
+            draw = TestIncrementalReplay.reusing_script if i % 4 == 1 else draw_mixed_script
+            out.append((c, draw(rng, c, rng.randint(3, 7))))
+        for _ in range(8):
+            _k, script = S.realize_boundary(random_subset_closed(rng, ground=4), n=3)
+            out.append((S.CombinatorialComplex([]), script))
+        return out
+
+    def test_homology_agrees_with_fresh_builds(self):
+        seen = {"carried": 0, "renumbered": 0, "reused id": 0, "levels": 0,
+                "moved restriction": 0}
+        for c, script in self.runs():
+            cur = c
+            S.homology(cur)
+            for move in script:
+                before, h = copy.deepcopy(cur._num), S.homology(cur)
+                nxt = S.blowup_move(cur, move)
+                # the parent's lists and homology are as they were
+                assert cur._num == before and S.homology(cur) == h
+                seen["carried" if nxt._num is not None else "renumbered"] += 1
+                seen["reused id"] += move.case == 2 and move.new_vertex == move.face
+                subs = [nxt]
+                if nxt.has_levels:
+                    subs += [nxt.level_subcomplex(m) for m in range(1, nxt.max_level())]
+                    seen["levels"] += len(subs) - 1
+                for sub in subs:
+                    want = clearing_homology(validating_constructor(sub.to_records()))
+                    assert S.homology(sub) == want, move
+                    assert_numbering(sub)
+                sub = subs[-1]
+                if len(subs) > 1 and sub.face_ids:
+                    # a move on a restriction, which shares nxt's lists
+                    moved = S.stellar_subdivide(sub, sub.face_ids[-1])
+                    assert S.homology(moved) == clearing_homology(
+                        validating_constructor(moved.to_records()))
+                    seen["moved restriction"] += 1
+                cur = nxt
+        assert min(seen.values()) > 5 and seen["carried"] > 5 * seen["renumbered"], seen
+
+    def test_star_read_from_cofaces_is_the_upset(self):
+        checked = 0
+        for c, script in self.runs()[::3]:
+            cur = c
+            for move in script:
+                S.homology(cur)
+                cur = S.blowup_move(cur, move)
+                subs = [cur, cur.skeleton(cur.dimension - 1)]
+                if cur.has_levels:
+                    subs.append(cur.level_subcomplex(1))
+                for sub in subs:
+                    for sigma in sub.face_ids:
+                        assert sub._upset(sigma) == sub.upset(sigma)
+                        checked += sub._num is not None
+        assert checked > 500
+
+    def test_replay_numbers_once(self, monkeypatch):
+        # the whole complex is numbered at step 0, and again only after a
+        # move whose dead slots would outnumber its live ones; no move
+        # builds a coface table
+        runs = self.runs()
+        expected = []
+        for c, script in runs:
+            builds, slots, cur = 1, len(c.face_ids), c
+            for move in script:
+                drop = cur.upset(move.face) if move.case == 2 else ()
+                nxt = S.blowup_move(cur, move)
+                slots += len(nxt.face_ids) - len(cur.face_ids) + len(drop)
+                if slots > 2 * len(nxt.face_ids):
+                    builds, slots = builds + 1, len(nxt.face_ids)
+                cur = nxt
+            expected.append(builds)
+        assert expected.count(1) > len(runs) // 2 and max(expected) > 1
+
+        H = importlib.import_module("sncx.homology")     # not the function
+        calls = {"numbering": 0, "coface table": 0}
+        boundary, table = H._boundary, S.CombinatorialComplex._coface_table
+
+        def counting_boundary(c):
+            calls["numbering"] += 1
+            return boundary(c)
+
+        def counting_table(self):
+            calls["coface table"] += 1
+            return table(self)
+
+        monkeypatch.setattr(H, "_boundary", counting_boundary)
+        monkeypatch.setattr(S.CombinatorialComplex, "_coface_table", counting_table)
+        for (c, script), builds in zip(runs, expected):
+            calls.update({"numbering": 0, "coface table": 0})
+            S.run_blowup_script(c, script)
+            assert calls == {"numbering": builds, "coface table": 0}, script
+
+    def test_dead_slots_never_outnumber_live_ones(self):
+        # the octahedron's vertex subdivided again and again under its own
+        # id: each move leaves the 9 faces of its star as dead slots
+        cur = G.octahedron_boundary()
+        v = cur.face_ids[0]
+        S.homology(cur)
+        dropped = 0
+        for _ in range(8):
+            nxt = S.stellar_subdivide(cur, v, new_vertex=v)
+            if nxt._num is None:
+                ids, _bd, _cob, live = cur._num
+                assert len(ids) + 9 > 2 * len(nxt.face_ids)
+                dropped += 1
+            assert S.homology(nxt) == S.homology(G.octahedron_boundary())
+            ids, _bd, _cob, live = nxt._num
+            assert len(ids) - len(live) <= len(live)
+            assert_numbering(nxt)
+            cur = nxt
+        assert dropped == 2
 
 
 def filtered_disk():
