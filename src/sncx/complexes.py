@@ -190,8 +190,6 @@ def _read_faces(records, dims, labels, cov, delta, levels, start=0):
         if k >= 1 and not facets:
             raise GradingViolation(
                 f"face {fid!r} has dim {k} but no codimension-one faces")
-        if k == 0 and facets:
-            raise GradingViolation(f"vertex {fid!r} covers faces")
     return ids, any_delta, any_level
 
 

@@ -38,6 +38,8 @@ Morse complex on its critical cells has the same homology (Forman,
 "Morse theory for cell complexes").  Only its boundary between two
 degrees that both keep critical cells goes to the Smith normal form of
 ``sncx.snf``; a subdivided sphere keeps one vertex and one top cell.
+The critical counts of the same pass let :func:`wedge_certificate`
+read simple connectivity off the matching.
 
 Reduced homology convention, used uniformly: the empty complex has
 reduced homology of rank one in degree -1.
@@ -360,6 +362,12 @@ class HomologyResult:
 
 def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
     """Integral homology in all degrees; ``reduced`` adjusts degree 0."""
+    return _homology(c, reduced)[0]
+
+
+def _homology(c: CombinatorialComplex, reduced: bool = False) -> tuple:
+    """``(homology(c, reduced), counts)``: ``counts[k]`` is the number of
+    critical k-cells of the acyclic matching the homology was read from."""
     ids, bd, cob, live = _numbering(c)
     critical, up, when = _coreduce(bd, cob, live)
     dims = c._dims
@@ -379,7 +387,7 @@ def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
     table = tuple((k, len(crit[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0),
                    torsions.get(k, ())) for k in range(len(crit)))
     h = HomologyResult(table)
-    return _as_reduced(h) if reduced else h
+    return _as_reduced(h) if reduced else h, tuple(map(len, crit))
 
 
 def _as_reduced(h: HomologyResult) -> HomologyResult:
@@ -448,9 +456,9 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     if c.is_empty:
         return False, ()
     faces = c.face_ids
-    idx = c._index
-    dims = [c.dim(f) for f in faces]
-    below = [[idx[g] for g in c.facets(f)] for f in faces]
+    idx, cov = c._index, c._cov
+    dims = list(map(c._dims.__getitem__, faces))
+    below = [[idx[g] for g in cov[f]] for f in faces]
     up = [0] * len(faces)           # alive cofaces per face
     upsum = [0] * len(faces)        # the sum of their indices
     for i, fs in enumerate(below):
@@ -561,7 +569,7 @@ def _simply_connected(c, budget):
 def wedge_certificate(c: CombinatorialComplex, d: int,
                       tietze_budget: int = 20000,
                       collapse_budget: int = 4000, *,
-                      _reduced_homology: HomologyResult | None = None
+                      _reduced_homology: tuple | None = None
                       ) -> WedgeCertificate:
     """Decide whether ``c`` has the homotopy type of a wedge of d-spheres.
 
@@ -571,22 +579,41 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
     certified.  ``rational-homology-wedge(m)``: the homological conditions
     hold but the fundamental group question stayed open.  ``refuted``:
     the homology contradicts every wedge of d-spheres.  ``inconclusive``
-    otherwise.  A caller that already holds ``homology(c, reduced=True)``
-    passes it as ``_reduced_homology`` to save computing it again.
+    otherwise.
+
+    The fundamental group is first read off the acyclic matching that
+    the homology came from.  By Forman ("Morse theory for cell
+    complexes"), a regular CW complex is homotopy equivalent to a CW
+    complex with one k-cell per critical k-cell, and so is its 2-skeleton
+    under the matching restricted to it, where a 2-cell matched with a
+    3-cell is critical.  For d >= 2, one critical vertex and no critical
+    edge make ``c`` simply connected; for d = 1, one critical vertex, m
+    critical edges and no critical 2-cell of the 2-skeleton make its
+    fundamental group free of rank m.  Only the 2-skeleton is read, the
+    part of a face poset whose regularity the cellular route checks.
+    Otherwise the edge-path presentation goes through Tietze moves, under
+    ``tietze_budget``.  For m = 0 the collapse search runs first, since
+    its sequence is the witness; the d = 0 case asks each component to
+    collapse or to present the trivial group.
+
+    A caller that already holds ``_homology(c, reduced=True)``, the
+    reduced homology and the critical counts of its matching, passes it
+    as ``_reduced_homology`` to save computing them again.
     """
     if d < 0:
         return WedgeCertificate("inconclusive", None, "negative sphere dimension")
     if c.is_empty:
         return WedgeCertificate("refuted", None, "empty complex")
 
-    h = _reduced_homology
-    if h is None:
+    if _reduced_homology is None:
         # c keeps no numbering that it did not have: the searches below
         # derive nothing from c, and a numbering held through them raised
         # the peak RSS of certifying sd^2(S^3) from 102 to 112 MB
         kept = c._num
-        h = homology(c, reduced=True)
+        h, counts = _homology(c, reduced=True)
         c._num = kept
+    else:
+        h, counts = _reduced_homology
     m = _is_wedge_homology(h, d)
     if m is None:
         return WedgeCertificate(
@@ -603,10 +630,17 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
         return WedgeCertificate("rational-homology-wedge", m,
                                 "component contractibility not certified")
 
+    vertices, edges = (*counts, 0)[:2]      # the critical ones
     if d == 1:
-        pres = fundamental_group_presentation(c)
-        simplified, _status = tietze_simplify(pres, tietze_budget)
-        if not simplified.relators and simplified.generators == m:
+        # each k-cell is critical or matched down or up; a 2-cell of the
+        # 2-skeleton is critical unless matched with an edge
+        f0, f1, f2 = (*c.f_vector(), 0, 0)[:3]
+        free = (vertices, edges) == (1, m) and f1 - edges - (f0 - vertices) == f2
+        if not free:
+            pres = fundamental_group_presentation(c)
+            simplified, _status = tietze_simplify(pres, tietze_budget)
+            free = not simplified.relators and simplified.generators == m
+        if free:
             return WedgeCertificate(
                 "certified-wedge", m, "fundamental group free of matching rank",
                 {"generators": m})
@@ -620,7 +654,10 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
             return WedgeCertificate("certified-wedge", 0,
                                     "collapses to a point",
                                     {"collapse": [list(p) for p in seq]})
-    ok, info = _simply_connected(c, tietze_budget)
+    if (vertices, edges) == (1, 0):
+        ok, info = True, {"generators": 0, "status": "trivial"}
+    else:
+        ok, info = _simply_connected(c, tietze_budget)
     if ok:
         return WedgeCertificate("certified-wedge", m,
                                 "simply connected with wedge homology", info)

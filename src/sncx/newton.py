@@ -39,7 +39,7 @@ from .errors import (
     EmptyInput,
     NotFullDimensional,
 )
-from .homology import homology, wedge_certificate
+from .homology import _homology, wedge_certificate
 from .snf import _integer_point, kernel_line, matrix_rank
 
 MAX_AMBIENT = 4
@@ -460,10 +460,10 @@ def _w0_report(np_: NewtonPolyhedron):
     """``w0_report`` and the resolution complex model it was computed on."""
     ss, model = _resolution(np_)
     n = np_.ambient - 1
-    h = homology(model, reduced=True)
+    h, counts = _homology(model, reduced=True)
     lit = predicted_sphere_count(np_, "literal")
     intr = predicted_sphere_count(np_, "interior")
-    cert = (wedge_certificate(model, n - 1, _reduced_homology=h)
+    cert = (wedge_certificate(model, n - 1, _reduced_homology=(h, counts))
             if n >= 1 else None)
     w0 = {str(k): h.betti(k - 1) for k in range(1, n + 1)}
     return {

@@ -69,6 +69,21 @@ def assert_rebuilds(x: CombinatorialComplex):
     assert_same_complex(x, validating_constructor(x.to_records()))
 
 
+# the 8-vertex dunce hat: contractible, and every edge lies in two or
+# three of its triangles, so no collapse starts on it
+DUNCE_HAT = ((1, 2, 4), (1, 2, 7), (1, 2, 8), (1, 3, 4), (1, 3, 5), (1, 3, 6),
+             (1, 5, 6), (1, 7, 8), (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 4, 5),
+             (3, 4, 8), (3, 6, 7), (4, 5, 6), (4, 6, 8), (6, 7, 8))
+
+
+def dunce_hat() -> CombinatorialComplex:
+    """The dunce hat of :data:`DUNCE_HAT`, f = (8, 24, 17).  Not
+    collapsible, so every acyclic matching on it with one critical vertex
+    leaves a critical edge."""
+    return simplicial_complex_from_subsets(
+        close_under_subsets(map(frozenset, DUNCE_HAT)))
+
+
 def random_subset_closed(rng: random.Random, ground=5):
     maximal = []
     for _ in range(rng.randint(1, 4)):

@@ -28,11 +28,13 @@ collapse search that sorts the free pairs of every state it expands,
 the report writer that hands every document to ``json.dumps``, a
 vertex flow that finds spans by indexing every face by its vertex set,
 a fundamental group presentation whose spanning tree walks sorted
-adjacency lists, and four writers of simplicial complexes that each
-wrote their own records: an order complex with its own chain frontier,
-a subset complex, the all-simplicial toric link, and a realization
-that built the subset complex and its order complex and enumerated the
-chains below every subset again.  Last come the writers that each wrote
+adjacency lists, a wedge certificate that leaves the fundamental group
+to the presentation and Tietze moves alone, and four writers of
+simplicial complexes that each wrote their own records: an order
+complex with its own chain frontier, a subset complex, the
+all-simplicial toric link, and a realization that built the subset
+complex and its order complex and enumerated the chains below every
+subset again.  Last come the writers that each wrote
 their own records before one re-emitter, one cone writer and one
 polytope census were shared: a cone and an attached cone, a relabeling,
 the records of a union, a quotient by an involution, a lattice polytope
@@ -72,7 +74,12 @@ from sncx.errors import (
     QuotientNotRegular,
     ScriptError,
 )
-from sncx.homology import HomologyResult, chain_complex, homology
+from sncx.homology import (
+    HomologyResult,
+    chain_complex,
+    homology,
+    wedge_certificate,
+)
 from sncx.newton import (
     MAX_AMBIENT,
     PolyFace,
@@ -1229,6 +1236,14 @@ def adjacency_fundamental_group_presentation(c):
         if word:
             relators.append(word)
     return GroupPresentation(len(gens), tuple(relators))
+
+
+def presentation_wedge_certificate(c, d, **budgets):
+    """``wedge_certificate`` without the matching's counts: no matching
+    leaves zero critical vertices, so the edge-path presentation and
+    Tietze moves decide every fundamental group question."""
+    h = homology(c, reduced=True)
+    return wedge_certificate(c, d, _reduced_homology=(h, (0, 0)), **budgets)
 
 
 def frontier_order_complex(c):

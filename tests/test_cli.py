@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,7 +12,7 @@ from sncx.cli import main
 from sncx.serialize import dumps_complex
 
 from conftest import close_under_subsets
-from oracles import stdlib_dumps
+from oracles import presentation_wedge_certificate, stdlib_dumps
 
 
 @pytest.fixture(autouse=True)
@@ -199,6 +200,38 @@ class TestSubcommands:
         code, out = run_cli(["certify", str(path), "--sphere-dim", "4"])
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "certified-wedge(6)"
+
+    def test_certify_reads_the_matching_not_a_presentation(self, tmp_path,
+                                                           monkeypatch):
+        # the certify-skeleta items that the matching decides, with the same
+        # bytes as the presentation route and one coreduction per call
+        def skel(n, k):
+            return S.skeleton(G.full_simplex(n), k)
+
+        octahedron = G.octahedron_boundary()
+        items = [(skel(4, 2), 2), (skel(5, 3), 3), (skel(6, 4), 4),
+                 (octahedron, 2), (octahedron.order_complex(), 2),
+                 (G.cycle_complex(40), 1), (skel(12, 1), 1)]
+        H = importlib.import_module("sncx.homology")
+        for i, (c, d) in enumerate(items):
+            path = tmp_path / f"item{i}.json"
+            path.write_text(dumps_complex(c))
+            argv = ["certify", str(path), "--sphere-dim", str(d)]
+            with monkeypatch.context() as m:
+                m.setattr(cli, "wedge_certificate",
+                          presentation_wedge_certificate)
+                want = run_cli(argv)
+            with monkeypatch.context() as m:
+                def refuse(c):
+                    raise AssertionError("certify built a presentation")
+
+                calls = []
+                m.setattr(H, "fundamental_group_presentation", refuse)
+                m.setattr(H, "_coreduce",
+                          lambda *a, real=H._coreduce: calls.append(a) or real(*a))
+                assert run_cli(argv) == want
+                assert len(calls) == 1
+            assert json.loads(want[1])["report"]["status"] == "certified-wedge"
 
     def test_text_format(self, inputs):
         code, out = run_cli(["homology", str(inputs["triangle"]),
@@ -460,13 +493,20 @@ class TestGroundBoundAndParentKeys:
 
 class TestMalformedRecords:
     """Face records that are not objects are the domain error
-    DescriptorInvalid, naming their position, with exit code 1."""
+    DescriptorInvalid, naming their position, and a vertex that covers
+    faces is DanglingFace or GradingViolation, with exit code 1."""
 
     @pytest.mark.parametrize("faces, error", [
         (["x"], {"type": "DescriptorInvalid",
                  "message": "face record 0 is not an object: 'x'"}),
         ([1], {"type": "DescriptorInvalid",
                "message": "face record 0 is not an object: 1"}),
+        ([{"id": "v", "dim": 0, "facets": ["ghost"]}],
+         {"type": "DanglingFace",
+          "message": "face 'v' covers unknown face 'ghost'"}),
+        ([{"id": "w", "dim": 0}, {"id": "v", "dim": 0, "facets": ["w"]}],
+         {"type": "GradingViolation",
+          "message": "face 'v' (dim 0) covers 'w' of dim 0"}),
     ])
     def test_error_object(self, tmp_path, faces, error):
         bad = tmp_path / "bad.json"

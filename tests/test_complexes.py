@@ -103,6 +103,17 @@ class TestConstruction:
         with pytest.raises(GradingViolation):
             S.new_complex(recs)
 
+    @pytest.mark.parametrize("facet, error, message", [
+        ("ghost", DanglingFace, "face 'v' covers unknown face 'ghost'"),
+        ("w", GradingViolation, "face 'v' (dim 0) covers 'w' of dim 0")])
+    def test_vertex_with_facets(self, facet, error, message):
+        # a vertex's facet is unknown or not of dimension -1, so these two
+        # are the only errors a vertex that covers faces can get
+        recs = [{"id": "w", "dim": 0}, {"id": "v", "dim": 0, "facets": [facet]}]
+        with pytest.raises(error) as info:
+            S.new_complex(recs)
+        assert str(info.value) == message
+
     def test_positive_dim_needs_facets(self):
         with pytest.raises(GradingViolation):
             S.new_complex([{"id": "e", "dim": 1, "facets": []}])

@@ -10,12 +10,14 @@ import sncx as S
 import sncx.snf as snf
 from sncx import gallery as G
 from sncx.errors import BoundaryNotSquareZero
-from sncx.homology import _boundary, _coreduce, _order_complex_chi
+from sncx.homology import _boundary, _coreduce, _homology, _order_complex_chi
 from sncx.snf import _det, kernel_line, matrix_rank
 
 from conftest import (
+    DUNCE_HAT,
     close_under_subsets,
     draw_mixed_script,
+    dunce_hat,
     polygon_cone_fan,
     random_lattice_polygon,
     random_lattice_polytope,
@@ -29,10 +31,12 @@ from oracles import (
     dense_smith_normal_form,
     order_complex_homology,
     per_degree_homology,
+    presentation_wedge_certificate,
     rational_kernel_line,
     recursive_collapse_to_point,
     sorting_collapse_to_point,
 )
+from test_newton import staircase_support
 
 
 def dense(cx, k):
@@ -581,13 +585,6 @@ class TestWeightLabels:
         assert S.top_weight_ranks(pts, 1)[1] == 7
 
 
-# the 8-vertex dunce hat: contractible, and every edge lies in two or
-# three of its triangles, so no collapse starts on it
-DUNCE_HAT = ((1, 2, 4), (1, 2, 7), (1, 2, 8), (1, 3, 4), (1, 3, 5), (1, 3, 6),
-             (1, 5, 6), (1, 7, 8), (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 4, 5),
-             (3, 4, 8), (3, 6, 7), (4, 5, 6), (4, 6, 8), (6, 7, 8))
-
-
 def dunce_hat_with_a_3_cell():
     """The dunce hat with a 3-cell on its disk 127, 128, 178, 678, whose
     other side is one new 2-cell ``s`` (a square), labeled first."""
@@ -683,8 +680,7 @@ class TestCollapse:
         assert resumed["simplex", 4000] == 0        # collapsed greedily
 
     def test_collapses_after_a_backtrack(self):
-        hat = S.simplicial_complex_from_subsets(close_under_subsets(
-            map(frozenset, DUNCE_HAT)))
+        hat = dunce_hat()
         assert S.homology(hat, reduced=True).nonzero() == ()
         assert S.collapse_to_point(hat) == (False, ())
         c = dunce_hat_with_a_3_cell()
@@ -740,9 +736,19 @@ class TestWedgeCertificate:
         assert S.wedge_certificate(S.CombinatorialComplex([]), 1).status == "refuted"
 
     def test_budget_exhaustion_degrades_to_rational(self):
+        # the matching decides the octahedron without Tietze moves
         cert = S.wedge_certificate(G.octahedron_boundary(), 2, tietze_budget=1)
-        assert cert.status == "rational-homology-wedge"
-        assert cert.count == 1
+        assert (str(cert), cert.witness) == (
+            "certified-wedge(1)", {"generators": 0, "status": "trivial"})
+        # every matching of the dunce hat with one critical vertex leaves a
+        # critical edge, so it is Tietze's to decide
+        hat = dunce_hat()
+        assert _homology(hat, reduced=True)[1] == (1, 1, 1)
+        cert = S.wedge_certificate(hat, 2, tietze_budget=1, collapse_budget=200)
+        assert str(cert) == "rational-homology-wedge(0)"
+        cert = S.wedge_certificate(hat, 2)
+        assert (str(cert), cert.witness) == (
+            "certified-wedge(0)", {"generators": 0, "status": "trivial"})
 
     def test_d0_uncertified_component_degrades(self):
         c = S.disjoint_union(S.cone(G.triangle_boundary()), G.point_complex())
@@ -781,6 +787,84 @@ class TestWedgeCertificate:
             assert h.betti(d) == cert.count
             assert not h.has_torsion()
             assert all(b == 0 for k, b, _t in h.table if k != d)
+
+
+class TestMatchingCertificate:
+    """Simple connectivity and free fundamental groups read off the
+    coreduction matching, against the edge-path presentation and Tietze
+    moves: the same certificate wherever Tietze decides, and wherever the
+    matching alone decides, a presentation with the same abelianization."""
+
+    @staticmethod
+    def _agrees(c, d, monkeypatch):
+        """Whether the matching alone decided ``c`` against d-spheres."""
+        old = presentation_wedge_certificate(c, d)
+        H = importlib.import_module("sncx.homology")
+        real, calls = H.fundamental_group_presentation, []
+        with monkeypatch.context() as m:
+            m.setattr(H, "fundamental_group_presentation",
+                      lambda c: calls.append(c) or real(c))
+            new = S.wedge_certificate(c, d)
+        if old.status == "certified-wedge":
+            assert new == old
+        else:
+            assert (new.status, new.count) in {(old.status, old.count),
+                                               ("certified-wedge", old.count)}
+        by_matching = (new.status == "certified-wedge" and not calls
+                       and "collapse" not in new.witness)
+        if by_matching:
+            want = (new.count if d == 1 else 0, ())
+            assert S.abelianization(S.fundamental_group_presentation(c)) == want
+        return by_matching
+
+    @staticmethod
+    def _degree(rng, c):
+        # the one degree >= 1 holding reduced homology, else a random one
+        ks = [k for k, b, t in S.homology(c, reduced=True).nonzero()]
+        return ks[0] if len(ks) == 1 and ks[0] >= 1 else rng.choice((1, 2))
+
+    def test_random_complexes_and_their_posets(self, monkeypatch):
+        rng = random.Random(2401)
+        decided = Counter()
+        for _ in range(150):
+            c = random_simplicial_complex(rng, max_verts=8, max_facets=6,
+                                          max_dim=3)
+            # c itself, and the skeleta of its cone: wedges of spheres
+            cases = [(c, self._degree(rng, c))]
+            cone = S.cone(c)
+            cases += [(S.skeleton(cone, k), k) for k in range(1, cone.dimension)]
+            for x, d in cases:
+                for y in (x, without_delta(x)):
+                    decided[y.has_delta, y.dimension, d,
+                            self._agrees(y, d, monkeypatch)] += 1
+        assert all(decided[delta, k, k, True]
+                   for delta in (True, False) for k in (1, 2, 3))
+        # a 3-dimensional poset against circles: its 2-skeleton's matching
+        # keeps a critical 2-cell for each 2-cell matched with a 3-cell
+        assert decided[False, 3, 1, False] and not decided[False, 3, 1, True]
+
+    def test_newton_models(self, monkeypatch):
+        rng = random.Random(2402)
+        decided = Counter()
+        for ambient in (3, 4):
+            for _ in range(8):
+                model = S.resolution_complex(S.newton_polyhedron(
+                    staircase_support(rng, ambient, rng.randint(8, 20))))
+                decided[ambient, self._agrees(model, ambient - 2,
+                                              monkeypatch)] += 1
+        assert decided[3, True] and decided[4, True]
+
+    def test_skeleta_and_subdivisions(self, monkeypatch):
+        cases = [(S.skeleton(G.full_simplex(n), k), k)
+                 for n in range(3, 7) for k in range(1, n)]
+        cases += [(G.octahedron_boundary().order_complex(), 2),
+                  (G.cross_polytope_boundary(4), 3), (G.cycle_complex(9), 1),
+                  (G.multi_edge_complex(5), 1)]
+        for c, d in cases:
+            for x in (c, without_delta(c)):
+                assert self._agrees(x, d, monkeypatch), (x, d)
+        for x in (dunce_hat(), without_delta(dunce_hat())):
+            assert not self._agrees(x, 2, monkeypatch)
 
 
 class TestCellularRoute:
