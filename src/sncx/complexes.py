@@ -223,32 +223,30 @@ class CombinatorialComplex:
     it with no parent, a restriction (:meth:`_restricted`) with no fresh
     faces, and a move (:meth:`_derived`) with both.
 
-    The coface table behind :meth:`cofaces`, :meth:`upset` and
-    :meth:`is_maximal` is built once, on first use.  It never goes
-    stale: a complex is never changed once built, and every build, the
-    constructor's, a restriction's or a move's, starts without one.
-
-    A Delta complex also keeps the homology numbering ``_num`` once
-    :func:`sncx.homology.homology` has built it: ``(ids, bd, cob,
-    live)``, per slot the face id, the facet slots in Delta order and
-    the coface slots, and ``live``, the slot of each face in canonical
-    order.  A complex read from records is numbered canonically, slot i
-    at position i.  A move (:meth:`_derived`) carries it: the child
-    copies the lists, its fresh faces take new slots and the copied
-    coface lists of their facets, and its dropped faces leave dead slots
-    that no live face reaches downward; the parent's lists are never
-    changed.  A restriction (:meth:`_restricted`) shares the lists and
-    keeps fewer live slots.  A move whose dead slots would outnumber its
-    live ones drops the numbering, so that the next homology numbers the
-    complex afresh.
+    The faces are numbered once, on first use, by :meth:`_numbering`:
+    ``(ids, below, above, live)``, per slot the face id, the facet slots
+    (in Delta order when there is one, else in canonical covering order)
+    and the coface slots, and ``live``, the slot of each face in
+    canonical order.  It is the complex's one coface structure:
+    :meth:`cofaces`, :meth:`upset` and :meth:`is_maximal` read it, and
+    so does homology (:func:`sncx.homology.homology`).  A complex read
+    from records is numbered canonically, slot i at position i.  A move
+    (:meth:`_derived`) carries it: the child copies the lists, its fresh
+    faces take new slots and the copied coface lists of their facets,
+    and its dropped faces leave dead slots that no live face reaches
+    downward; the parent's lists are never changed.  A restriction
+    (:meth:`_restricted`) shares the lists and keeps fewer live slots.
+    A move whose dead slots would outnumber its live ones drops the
+    numbering, so that the next use numbers the complex afresh.  It
+    never goes stale: a complex is never changed once built.
     """
 
     __slots__ = ("_order", "_index", "_dims", "_labels", "_cov", "_delta",
-                 "_levels", "_verts", "_up", "_num")
+                 "_levels", "_verts", "_num")
 
     def __init__(self, faces: Iterable[Mapping]):
         self._dims, self._labels, self._cov, self._verts = {}, {}, {}, {}
-        self._delta = self._levels = self._up = self._num = None
+        self._delta = self._levels = self._num = None
         self._build([], list(faces))
 
     # -- the one build routine -------------------------------------------
@@ -345,7 +343,7 @@ class CombinatorialComplex:
         out = CombinatorialComplex.__new__(CombinatorialComplex)
         out._dims, out._labels = carry(self._dims), carry(self._labels)
         out._cov, out._verts = carry(self._cov), {}
-        out._delta = out._levels = out._up = out._num = None
+        out._delta = out._levels = out._num = None
         if self._delta is not None:
             out._delta, out._verts = carry(self._delta), carry(self._verts)
         if self._levels is not None:
@@ -355,12 +353,12 @@ class CombinatorialComplex:
     def _restricted(self, order) -> "CombinatorialComplex":
         """The subcomplex on ``order``, a downward-closed part of ``_order``:
         the build routine with no fresh faces.  It shares this complex's
-        homology numbering, with the live slots of its own faces."""
+        numbering, with the live slots of its own faces."""
         out = self._carried(lambda m: {f: m[f] for f in order})
         out._build(list(order), ())
         if self._num is not None:
-            ids, bd, cob, live = self._num
-            out._num = ids, bd, cob, list(map(
+            ids, below, above, live = self._num
+            out._num = ids, below, above, list(map(
                 live.__getitem__, map(self._index.__getitem__, order)))
         return out
 
@@ -369,8 +367,7 @@ class CombinatorialComplex:
 
         ``drop`` must be closed upward, so that the survivors are closed
         downward.  The build routine checks only the fresh faces; see
-        :meth:`_build`.  The homology numbering is carried; see the class
-        notes.
+        :meth:`_build`.  The numbering is carried; see the class notes.
         """
         def carry(m):
             m = dict(m)
@@ -381,16 +378,30 @@ class CombinatorialComplex:
         cuts = sorted(map(self._index.__getitem__, drop))
         out = self._carried(carry)
         new, spots = out._build(_without(self._order, cuts), fresh)
-        if self._num is not None and out._delta is not None:
+        if self._num is not None:
             out._num = self._numbering_after(out, cuts, new, spots)
         return out
 
+    def _numbering(self) -> tuple:
+        """The numbering ``(ids, below, above, live)`` of this complex; see
+        the class notes.  Built here, on first use, unless carried."""
+        if self._num is None:
+            index = self._index
+            facets = self._cov if self._delta is None else self._delta
+            below = [list(map(index.__getitem__, facets[f])) for f in self._order]
+            above = [[] for _ in below]
+            for x, col in enumerate(below):
+                for s in col:
+                    above[s].append(x)
+            self._num = self._order, below, above, range(len(below))
+        return self._num
+
     def _numbering_after(self, out, cuts, new, spots):
-        """The homology numbering of ``out``, this complex without the faces
-        at the positions ``cuts`` and with the faces ``new``, which
-        :meth:`_build` placed at ``spots``; None when its dead slots would
-        outnumber its live ones."""
-        ids, bd, cob, live = self._num
+        """The numbering of ``out``, this complex without the faces at the
+        positions ``cuts`` and with the faces ``new``, which :meth:`_build`
+        placed at ``spots``; None when its dead slots would outnumber its
+        live ones."""
+        ids, below, above, live = self._num
         n = len(ids)
         if n + len(new) > 2 * len(out._order):
             return None
@@ -401,18 +412,19 @@ class CombinatorialComplex:
             live = list(map(slot.__getitem__, out._order))
         else:
             live = _interleave(_without(live, cuts), spots, fresh)
-        index, delta = out._index, out._delta
-        cols = [[live[index[g]] for g in delta[f]] for f in new]
-        cob = cob[:]
-        cob += [[] for _ in fresh]
+        index = out._index
+        facets = out._cov if out._delta is None else out._delta
+        cols = [[live[index[g]] for g in facets[f]] for f in new]
+        above = above[:]
+        above += [[] for _ in fresh]
         owned = set(fresh)                      # coface lists of out's own
         for x, col in zip(fresh, cols):
             for s in col:
                 if s not in owned:
                     owned.add(s)
-                    cob[s] = cob[s][:]
-                cob[s].append(x)
-        return [*ids, *new], bd + cols, cob, live
+                    above[s] = above[s][:]
+                above[s].append(x)
+        return [*ids, *new], below + cols, above, live
 
     # -- validation helpers --------------------------------------------
 
@@ -524,7 +536,7 @@ class CombinatorialComplex:
     @property
     def dimension(self) -> int:
         """Top face dimension, -1 for the empty complex."""
-        return max(self._dims.values(), default=-1)
+        return self._dims[self._order[-1]] if self._order else -1
 
     def dim(self, f: FaceId) -> int:
         self._check(f)
@@ -542,18 +554,24 @@ class CombinatorialComplex:
     def cofaces(self, f: FaceId) -> tuple:
         """The faces that cover ``f`` (canonically sorted)."""
         self._check(f)
-        return tuple(self._coface_table()[f])
+        return tuple(sorted(self._above(f), key=self._index.__getitem__))
 
-    def _coface_table(self) -> dict:
-        # face -> the list of its cofaces in canonical order; read, never
-        # changed, by its users
-        if self._up is None:
-            up = {g: [] for g in self._order}
-            for g in self._order:
-                for h in self._cov[g]:
-                    up[h].append(g)
-            self._up = up
-        return self._up
+    def _above(self, f) -> list:
+        """The faces that cover ``f``, read off the numbering's coface slots.
+
+        A face's coface slots may hold dead ones, and on a restriction the
+        slots of faces outside it; no live face lies above either, so they
+        are skipped.  A slot is live when the face it names sits at a
+        canonical position that holds that slot.
+        """
+        ids, _below, above, live = self._numbering()
+        index = self._index
+        out = []
+        for y in above[live[index[f]]]:
+            p = index.get(ids[y])
+            if p is not None and live[p] == y:
+                out.append(ids[y])
+        return out
 
     def delta_order(self, f: FaceId) -> tuple:
         self._check(f)
@@ -639,43 +657,19 @@ class CombinatorialComplex:
     def downset(self, f: FaceId) -> tuple:
         """All faces <= f in the face poset (f included), canonical order."""
         self._check(f)
-        return self._reach(f, self._cov)
+        return self._reach(f, self._cov.__getitem__)
 
     def upset(self, f: FaceId) -> tuple:
         """All faces >= f (f included), canonical order."""
         self._check(f)
-        return self._reach(f, self._coface_table())
-
-    def _upset(self, f: FaceId) -> tuple:
-        """:meth:`upset`, read off the cofaces of the homology numbering when
-        this complex has one, without building the coface table.
-
-        A face's coface slots may hold dead ones, and on a restriction the
-        slots of faces outside it; no live face lies above either, so the
-        walk stops at them.  A slot is live when the face it names sits at
-        a canonical position that holds that slot.
-        """
-        if self._num is None:
-            return self.upset(f)
-        self._check(f)
-        ids, _bd, cob, live = self._num
-        index = self._index
-        out, stack, seen = [f], [live[index[f]]], set()
-        while stack:
-            for y in cob[stack.pop()]:
-                g = ids[y]
-                if y not in seen and g in index and live[index[g]] == y:
-                    seen.add(y)
-                    out.append(g)
-                    stack.append(y)
-        return tuple(sorted(out, key=index.__getitem__))
+        return self._reach(f, self._above)
 
     def _reach(self, f, step) -> tuple:
         # the faces reached from f through ``step``, in canonical order
         seen = {f}
         stack = [f]
         while stack:
-            for h in step[stack.pop()]:
+            for h in step(stack.pop()):
                 if h not in seen:
                     seen.add(h)
                     stack.append(h)

@@ -1,21 +1,24 @@
 """Exact integral homology of combinatorial complexes.
 
-The boundary is numbered by canonical position, one column per face;
-the order is dimension-major, so each degree is one block.  With a
-Delta-structure it is the alternating sum of ordered facets: a column
-is the list of its facets' positions in Delta order, entry j with sign
-(-1)^j, and a signed ``{position: coeff}`` dict is made only for a
-column whose coefficients are summed (the Morse boundaries,
-:func:`chain_complex`).  A face poset gets ``{position: coeff}``
-columns of incidence numbers [s:t] = +-1, chosen cell by cell; on a
-regular CW complex these give the homology of the order complex
-without building it.  Two checks
-guard that route: the Euler-Poincare identity of the order complex,
-whose Euler characteristic is summed from chain counts, and the
-choice of the incidence numbers itself (each ridge of a cell in exactly
-two of its facets, the facets connected through ridges, the signs
-closing).  Both are necessary for a regular CW complex, not
-sufficient; a failure raises ``NotRegularCW``.
+The boundary is read through the complex's numbering of its faces by
+slots (``CombinatorialComplex._numbering``): per slot the facet slots
+and the coface slots, and the slot of each face in canonical order.  A
+complex read from records is numbered by canonical position; moves and
+restrictions carry the numbering, so a replay step numbers only the
+faces it creates.  With a Delta-structure the boundary is the
+alternating sum of ordered facets: a column is the list of its facet
+slots in Delta order, entry j with sign (-1)^j, and a signed ``{slot:
+coeff}`` dict is made only for a column whose coefficients are summed
+(the Morse boundaries, and :func:`chain_complex`, which moves them to
+canonical positions).  A face poset gets ``{slot: coeff}`` columns of
+incidence numbers [s:t] = +-1 on its facet slots, chosen cell by cell;
+on a regular CW complex these give the homology of the order complex
+without building it.  Two checks guard that route: the Euler-Poincare
+identity of the order complex, whose Euler characteristic is summed
+from chain counts, and the choice of the incidence numbers itself (each
+ridge of a cell in exactly two of its facets, the facets connected
+through ridges, the signs closing).  Both are necessary for a regular
+CW complex, not sufficient; a failure raises ``NotRegularCW``.
 
 Both routes give d^2 = 0 by a check made where the boundary is made,
 so homology does not compose it again: the Delta route by the facet
@@ -24,18 +27,11 @@ cellular route by its signs, [f:t][t:r] + [f:u][u:r] = 0 at each ridge
 r of f.  ``ChainComplex``, where a boundary comes from outside,
 composes it and raises ``BoundaryNotSquareZero``.
 
-``homology`` reads the boundary through a numbering of slots
-(:func:`_numbering`).  A complex read from records is numbered by
-canonical position.  On the Delta route the numbering is built once and
-then carried through the moves and restrictions that make a new complex
-from a numbered one, so a replay step numbers only the faces it creates
-instead of the whole complex; ``chain_complex`` numbers by canonical
-position every time.
-
 One coreduction pass (Mrozek-Batko, "Coreduction homology algorithm")
-matches cells along unit incidences into an acyclic matching, and the
-Morse complex on its critical cells has the same homology (Forman,
-"Morse theory for cell complexes").  Only its boundary between two
+over the facet and coface slots, the same on both routes, matches cells
+along unit incidences into an acyclic matching, and the Morse complex
+on its critical cells has the same homology (Forman, "Morse theory for
+cell complexes").  Only its boundary between two
 degrees that both keep critical cells goes to the Smith normal form of
 ``sncx.snf``; a subdivided sphere keeps one vertex and one top cell.
 The critical counts of the same pass let :func:`wedge_certificate`
@@ -91,40 +87,34 @@ class ChainComplex:
 
 def chain_complex(c: CombinatorialComplex) -> ChainComplex:
     """Boundary maps of a complex, one per degree: the Delta route or the
-    cellular route, on the positions homology uses."""
-    bd, starts = _boundary(c)
-    column = _signed(bd, c.has_delta, len(starts))
+    cellular route, moved from the slots homology uses to canonical
+    positions."""
+    ids, _below, _above, live = c._numbering()
+    column = _columns(c)
+    pos = [0] * len(ids)
+    for i, x in enumerate(live):
+        pos[x] = i
+    starts = [0, *accumulate(c.f_vector())]
     bases = {k: c.face_ids[starts[k]:starts[k + 1]]
              for k in range(len(starts) - 1)}
-    matrices = {k: {j - starts[k]: {i - starts[k - 1]: a
-                                    for i, a in column(j).items()}
+    matrices = {k: {j - starts[k]: {pos[i] - starts[k - 1]: a
+                                    for i, a in column(live[j]).items()}
                     for j in range(starts[k], starts[k + 1])}
                 for k in range(1, len(bases))}
     return ChainComplex(bases, matrices)
 
 
-def _boundary(c: CombinatorialComplex) -> tuple:
-    """``(bd, starts)``: column ``bd[i]`` of the face at position i, and
-    degree k at positions ``starts[k]:starts[k + 1]``.  On the Delta
-    route a column is the list of the facets' positions, the sign of
-    entry j being (-1)^j; on the cellular route it is ``{position:
-    coeff}``."""
-    starts = [0, *accumulate(c.f_vector())]
+def _columns(c: CombinatorialComplex):
+    """Signed column lookup ``slot -> {slot: coeff}`` on the numbering of
+    ``c``: on the Delta route a fresh dict of the facet slots with
+    alternating signs, on the cellular route the incidence numbers of
+    :func:`_cellular_boundaries`, checked and chosen for every face."""
     if not c.has_delta:
-        return _cellular_boundaries(c), starts
-    index, delta = c._index, c._delta
-    return [list(map(index.__getitem__, delta[f])) for f in c.face_ids], starts
-
-
-def _signed(bd: list, delta: bool, n: int):
-    """Column lookup ``i -> {position: coeff}`` for a boundary of
-    :func:`_boundary` with ``n`` degree starts: a cellular column as it
-    is, a Delta column as a fresh dict of alternating signs."""
-    if not delta:
-        return bd.__getitem__
-    signs = (1, -1) * n     # alternating; zip stops at the k+1 facets
+        return _cellular_boundaries(c).__getitem__
+    below = c._numbering()[1]
+    signs = (1, -1) * (c.dimension + 1)     # zip stops at the k+1 facets
     # the facets in a Delta-structure are distinct, so nothing cancels
-    return lambda i: dict(zip(bd[i], signs))
+    return lambda x: dict(zip(below[x], signs))
 
 
 def _check_square_zero(matrices: dict):
@@ -149,21 +139,23 @@ def _order_complex_chi(c: CombinatorialComplex) -> int:
     faces g < f, with sign (-1)^(length - 1); the order complex's Euler
     characteristic is the sum of s(f).
     """
-    cov, s = c._cov, {}
-    for f in c.face_ids:
-        below = set(cov[f])
-        stack = list(below)
+    _ids, below, _above, live = c._numbering()
+    s = {}
+    for x in live:
+        seen = set(below[x])
+        stack = list(seen)
         while stack:
-            for h in cov[stack.pop()]:
-                if h not in below:
-                    below.add(h)
+            for h in below[stack.pop()]:
+                if h not in seen:
+                    seen.add(h)
                     stack.append(h)
-        s[f] = 1 - sum(s[g] for g in below)
+        s[x] = 1 - sum(map(s.__getitem__, seen))
     return sum(s.values())
 
 
-def _cellular_boundaries(c: CombinatorialComplex) -> list:
-    """The boundary of a face poset from incidence numbers, cell by cell.
+def _cellular_boundaries(c: CombinatorialComplex) -> dict:
+    """The boundary of a face poset from incidence numbers, cell by cell:
+    ``{slot: {facet slot: coeff}}`` over the live slots of its numbering.
 
     Raises :class:`NotRegularCW` first when the Euler-Poincare identity
     fails for the order complex, then when a cell's incidence numbers
@@ -180,26 +172,27 @@ def _cellular_boundaries(c: CombinatorialComplex) -> list:
         raise NotRegularCW(
             f"the Betti numbers give Euler characteristic {chi}, "
             f"the face numbers {c.euler_characteristic()}")
-    cov, dims, index = c._cov, c._dims, c._index
+    ids, below, _above, live = c._numbering()
+    dims = c._dims
     inc = {}                    # cell -> {facet: incidence number}
-    for f in c.face_ids:        # dimension-major: facets come first
-        facets = cov[f]
-        if dims[f] < 2:         # a vertex has none, an edge two
-            inc[f] = dict(zip(facets, (-1, 1)))
+    for x in live:              # dimension-major: facets come first
+        facets = below[x]
+        if dims[ids[x]] < 2:    # a vertex has none, an edge two
+            inc[x] = dict(zip(facets, (-1, 1)))
             continue
-        at: dict = {}           # ridge -> the facets of f holding it
+        at: dict = {}           # ridge -> the facets of x holding it
         for t in facets:
-            for r in cov[t]:
+            for r in below[t]:
                 at.setdefault(r, []).append(t)
         for r, ts in at.items():
             if len(ts) != 2:
                 raise NotRegularCW(
-                    f"ridge {r!r} lies in {len(ts)} facets of cell {f!r}, "
-                    "wants 2")
+                    f"ridge {ids[r]!r} lies in {len(ts)} facets of cell "
+                    f"{ids[x]!r}, wants 2")
         sign = {facets[0]: 1}
         queue = [facets[0]]
         for t in queue:
-            for r in cov[t]:
+            for r in below[t]:
                 u = at[r][at[r][0] == t]    # the other facet at r
                 want = -sign[t] * inc[t][r] * inc[u][r]
                 if u not in sign:
@@ -207,70 +200,41 @@ def _cellular_boundaries(c: CombinatorialComplex) -> list:
                     queue.append(u)
                 elif sign[u] != want:
                     raise NotRegularCW(
-                        f"the incidence signs of cell {f!r} do not close "
-                        f"at ridge {r!r}")
+                        f"the incidence signs of cell {ids[x]!r} do not "
+                        f"close at ridge {ids[r]!r}")
         if len(sign) != len(facets):
             raise NotRegularCW(
-                f"the facets of cell {f!r} are not connected through ridges")
-        inc[f] = sign
-    return [{index[t]: a for t, a in inc[f].items()} for f in c.face_ids]
+                f"the facets of cell {ids[x]!r} are not connected through ridges")
+        inc[x] = sign
+    return inc
 
 
-def _numbering(c: CombinatorialComplex) -> tuple:
-    """The homology numbering ``(ids, bd, cob, live)`` of ``c``: per slot
-    the face id, the boundary column of :func:`_boundary` and the coface
-    slots, and the slot of each face in canonical order.
-
-    A Delta complex keeps it once built and hands it on to the complexes
-    derived and restricted from it (see :class:`CombinatorialComplex`);
-    a fresh one numbers the faces by canonical position.  The cellular
-    route builds it at every call.
-    """
-    num = c._num
-    if num is None:
-        bd, _starts = _boundary(c)
-        num = c.face_ids, bd, _coboundary(bd), range(len(bd))
-        if c.has_delta:
-            c._num = num
-    return num
-
-
-def _coboundary(bd: list) -> list:
-    # per slot, the slots whose columns hold it, in increasing order
-    cob = [[] for _ in bd]
-    for i, col in enumerate(bd):
-        for j in col:
-            cob[j].append(i)
-    return cob
-
-
-def _coreduce(bd: list, cob: list | None = None, live=None) -> tuple:
+def _coreduce(below: list, above: list, live) -> tuple:
     """One coreduction pass over the slots ``live`` of a numbering, with
-    the coboundary ``cob``: an acyclic matching.  Without them it runs
-    over every column of ``bd``, in the order given.
+    the facet slots ``below`` and the coface slots ``above``: an acyclic
+    matching.
 
     A cell is queued, first in first out, when its alive boundary shrinks
     to one cell s; if still so when dequeued, t and s are matched and
-    removed.  Only the slots in a column are read: every incidence
-    [t:s] is +-1 on both routes, by position on the Delta route and by
-    choice on the cellular one.  With the queue empty the alive cell that
-    comes first in ``live``, the canonical order, is critical and
-    removed.  A slot outside ``live`` is never alive, and no live cell
-    lies above it.  Returns the critical slots in canonical order, each
-    matched lower cell's upper cell, and each cell's removal step.
-    Those steps strictly decrease along V-paths, so the matching is
-    acyclic: an upper cell's other facets go before its pair.
+    removed.  Only the facet slots are read: every incidence [t:s] is
+    +-1 on both routes, by position on the Delta route and by choice on
+    the cellular one, so a cellular column's keys are exactly its facet
+    slots.  With the queue empty the alive cell that comes first in
+    ``live``, the canonical order, is critical and removed.  A slot
+    outside ``live`` is never alive, and no live cell lies above it.
+    Returns the critical slots in canonical order, each matched lower
+    cell's upper cell, and each cell's removal step.  Those steps
+    strictly decrease along V-paths, so the matching is acyclic: an
+    upper cell's other facets go before its pair.
     """
-    if cob is None:
-        cob, live = _coboundary(bd), range(len(bd))
-    n, m = len(bd), len(live)
+    n, m = len(below), len(live)
     # every slot starts alive unless some are dead or outside ``live``
     alive, when = [m == n] * n, [0] * n
     if m < n:
         for x in live:
             alive[x] = True
-    nb = list(map(len, bd))             # alive facets per cell
-    fsum = list(map(sum, bd))           # their slots' sum: the one left
+    nb = list(map(len, below))          # alive facets per cell
+    fsum = list(map(sum, below))        # their slots' sum: the one left
     queue, critical, up = deque(), [], {}
     low = step = 0
     while True:
@@ -292,7 +256,7 @@ def _coreduce(bd: list, cob: list | None = None, live=None) -> tuple:
         for x in removed:
             alive[x] = False
             when[x] = step
-            for y in cob[x]:
+            for y in above[x]:
                 nb[y] -= 1
                 fsum[y] -= x
                 if nb[y] == 1:
@@ -368,19 +332,18 @@ def homology(c: CombinatorialComplex, reduced: bool = False) -> HomologyResult:
 def _homology(c: CombinatorialComplex, reduced: bool = False) -> tuple:
     """``(homology(c, reduced), counts)``: ``counts[k]`` is the number of
     critical k-cells of the acyclic matching the homology was read from."""
-    ids, bd, cob, live = _numbering(c)
-    critical, up, when = _coreduce(bd, cob, live)
+    column = _columns(c)
+    ids, below, above, live = c._numbering()
+    critical, up, when = _coreduce(below, above, live)
     dims = c._dims
-    top = dims[ids[live[-1]]] if live else -1
-    column = _signed(bd, c.has_delta, top + 2)
-    crit = [[] for _ in range(top + 1)]
+    crit = [[] for _ in range(c.dimension + 1)]
     for x in critical:
         crit[dims[ids[x]]].append(x)
     ranks, torsions = {}, {}
     for k in range(1, len(crit)):
         if crit[k] and crit[k - 1]:
-            below = set(crit[k - 1])
-            res = _reduce([_morse_boundary(column, s, up, when, below)
+            lower = set(crit[k - 1])
+            res = _reduce([_morse_boundary(column, s, up, when, lower)
                            for s in crit[k]])
             ranks[k] = res.rank
             torsions[k - 1] = tuple(d for d in res.invariant_factors if d > 1)
@@ -605,15 +568,7 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
     if c.is_empty:
         return WedgeCertificate("refuted", None, "empty complex")
 
-    if _reduced_homology is None:
-        # c keeps no numbering that it did not have: the searches below
-        # derive nothing from c, and a numbering held through them raised
-        # the peak RSS of certifying sd^2(S^3) from 102 to 112 MB
-        kept = c._num
-        h, counts = _homology(c, reduced=True)
-        c._num = kept
-    else:
-        h, counts = _reduced_homology
+    h, counts = _reduced_homology or _homology(c, reduced=True)
     m = _is_wedge_homology(h, d)
     if m is None:
         return WedgeCertificate(

@@ -16,7 +16,7 @@ attachment with ``CombinatorialComplex._coned``, the writer that also
 writes the cone over a whole complex, and hands its records on the same
 way.  The replay computes the whole complex's homology at every step,
 d^2 = 0 on it holding by the facet identities its build checked, on the
-homology numbering that each move carries from the step before, and
+face numbering that each move carries from the step before, and
 carries each level below the lowest level the move changed: the level
 of the subdivided face for case 2, the new vertex's level for case 3
 and attach, none for case 1.  No face below it was dropped or made, so
@@ -60,15 +60,14 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
     replacements are e * alpha * beta for every proper subface alpha of
     sigma inside tau, the barycenter vertex e itself replacing sigma with
     alpha empty.  Homology is preserved.  Levels: e takes sigma's level,
-    a replacement keeps the level of the face it came from.  The star is
-    read off the homology numbering's cofaces when ``c`` has one.
+    a replacement keeps the level of the face it came from.
     """
     if not c.has_delta:
         raise MissingDeltaStructure("stellar subdivision needs a delta structure")
     if not c.has_face(sigma):
         raise NoSuchFace(f"no face {sigma!r}")
 
-    star = c._upset(sigma)
+    star = c.upset(sigma)
     drop = set(star)
     taken = set(c.face_ids) - drop
     e = _dedup_ids([new_vertex if new_vertex is not None else f"b({sigma})"],

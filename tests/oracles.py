@@ -17,8 +17,9 @@ scanning every cell for every cell, then puckered one long edge at a
 time, a blowup-script replay that builds every move output and level
 subcomplex with the validating constructor and computes every homology
 again, a wedge built as a disjoint union and then rebuilt with the two
-vertices merged, a case 3 check that scans the whole attachment
-closure for the spans of each of its faces, and that validating
+vertices merged, the coface table a complex built from its covering
+relation beside its numbering, a case 3 check that scans the whole
+attachment closure for the spans of each of its faces, and that validating
 constructor itself: every check run on every face of a record list,
 kept apart from the library's one build routine, which checks only the
 faces a move creates and is the constructor too, a Tietze pass that
@@ -728,7 +729,7 @@ def validating_constructor(records):
     out = CombinatorialComplex.__new__(CombinatorialComplex)
     out._order, out._index, out._dims, out._labels = order, index, dims, labels
     out._cov, out._delta, out._levels, out._verts = cov, delta, levels, {}
-    out._up = out._num = None
+    out._num = None
     if delta is None:
         for f in order:
             if dims[f] == 1 and len(cov[f]) != 2:
@@ -760,6 +761,16 @@ def validating_constructor(records):
         if len(set(vs)) != len(vs):
             raise BadDeltaStructure(f"face {f!r} has repeated vertices {vs}")
     return out
+
+
+def table_cofaces(c):
+    """Face -> the list of its cofaces in canonical order, from the
+    covering relation in one pass."""
+    up = {g: [] for g in c.face_ids}
+    for g in c.face_ids:
+        for h in c.facets(g):
+            up[h].append(g)
+    return up
 
 
 def two_step_wedge(a, v1, b, v2):

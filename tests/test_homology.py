@@ -10,7 +10,7 @@ import sncx as S
 import sncx.snf as snf
 from sncx import gallery as G
 from sncx.errors import BoundaryNotSquareZero
-from sncx.homology import _boundary, _coreduce, _homology, _order_complex_chi
+from sncx.homology import _coreduce, _homology, _order_complex_chi
 from sncx.snf import _det, kernel_line, matrix_rank
 
 from conftest import (
@@ -436,10 +436,9 @@ class TestTopDownClearing:
 
 def critical_counts(c):
     """The critical cells per degree of the coreduction pass on ``c``."""
-    bd, starts = _boundary(c)
-    critical = _coreduce(bd)[0]
-    return [sum(starts[k] <= i < starts[k + 1] for i in critical)
-            for k in range(len(starts) - 1)]
+    ids, below, above, live = c._numbering()
+    dims = Counter(c.dim(ids[x]) for x in _coreduce(below, above, live)[0])
+    return [dims[k] for k in range(c.dimension + 1)]
 
 
 class TestCoreduction:
@@ -489,9 +488,9 @@ class TestCoreduction:
         assert steps >= 40
 
     def test_delta_columns_are_signed_positions(self):
-        # a Delta column lists its facets' positions in Delta order, entry
-        # i with the sign (-1)^i: coreduction on it matches as on the
-        # signed columns, and chain_complex writes those signs
+        # a Delta column lists its facets' slots in Delta order, entry i
+        # with the sign (-1)^i: coreduction on it matches as on the signed
+        # columns, and chain_complex writes those signs
         rng = random.Random(1605)
         for _ in range(40):
             c = random_simplicial_complex(rng, max_verts=7, max_facets=5,
@@ -499,9 +498,9 @@ class TestCoreduction:
             pos = c.face_ids.index
             signed = [{pos(g): (-1) ** i for i, g in enumerate(c.delta_order(f))}
                       for f in c.face_ids]
-            bd, _starts = _boundary(c)
-            assert bd == [list(col) for col in signed]
-            assert _coreduce(bd) == _coreduce(signed)
+            _ids, below, above, live = c._numbering()
+            assert below == [list(col) for col in signed]
+            assert _coreduce(below, above, live) == _coreduce(signed, above, live)
             cx = S.chain_complex(c)
             for k, cols in cx.matrices.items():
                 for j, f in enumerate(cx.bases[k]):
@@ -764,19 +763,6 @@ class TestWedgeCertificate:
                                        n - 2)
             assert (cert.status, cert.count) == ("certified-wedge", n)
             assert cert.witness == {"generators": 0, "status": "trivial"}
-
-    def test_certificate_keeps_no_numbering_it_built(self):
-        # a certificate derives nothing from its complex, so the homology
-        # numbering it builds is not held through the pi1 and collapse
-        # searches; one the complex already had stays
-        for c, d in [(G.octahedron_boundary(), 2), (G.multi_edge_complex(4), 1),
-                     (S.disjoint_union(G.triangle_boundary(), G.point_complex()), 0)]:
-            S.wedge_certificate(c, d)
-            assert c._num is None
-            S.homology(c)
-            num = c._num
-            S.wedge_certificate(c, d)
-            assert c._num is num is not None
 
     def test_certified_implies_wedge_betti(self):
         for c, d in [(G.triangle_boundary(), 1), (G.octahedron_boundary(), 2),

@@ -1,5 +1,4 @@
 import copy
-import importlib
 import random
 
 import pytest
@@ -34,6 +33,7 @@ from oracles import (
     indexing_morse_vertex_flow,
     recomputing_run_blowup_script,
     scanning_validate_case3,
+    table_cofaces,
     validating_constructor,
 )
 
@@ -740,15 +740,18 @@ class TestIncrementalReplay:
 
 
 def assert_numbering(c):
-    """The carried homology numbering of ``c`` names, for each face, its
-    Delta facets and, among the live slots, exactly its cofaces."""
-    ids, bd, cob, live = c._num
+    """The numbering of ``c`` names, for each face, its facets (in Delta
+    order, or the covering slots in canonical order on a face poset) and,
+    among the live slots, exactly the cofaces of its covering relation."""
+    ids, below, above, live = c._numbering()
     slot = dict(zip(c.face_ids, live))
+    up = table_cofaces(c)
     assert [ids[x] for x in live] == list(c.face_ids)
     for f, x in slot.items():
-        assert [ids[s] for s in bd[x]] == list(c.delta_order(f) if c.dim(f) else ())
-        assert sorted(ids[y] for y in cob[x] if slot.get(ids[y]) == y) == \
-            sorted(c.cofaces(f))
+        assert [ids[s] for s in below[x]] == list(
+            c.delta_order(f) if c.has_delta and c.dim(f) else c.facets(f))
+        assert sorted(ids[y] for y in above[x] if slot.get(ids[y]) == y) == \
+            sorted(up[f])
 
 
 class TestCarriedNumbering:
@@ -805,26 +808,81 @@ class TestCarriedNumbering:
                 cur = nxt
         assert min(seen.values()) > 5 and seen["carried"] > 5 * seen["renumbered"], seen
 
-    def test_star_read_from_cofaces_is_the_upset(self):
+    def test_cofaces_and_upsets_agree_with_the_table_oracle(self):
+        # cofaces, upset, star and is_maximal read the numbering's live
+        # coface slots; the table is built from the covering relation
+        seen = {"fresh": 0, "move": 0, "reused id": 0, "restriction": 0,
+                "poset": 0}
         checked = 0
-        for c, script in self.runs()[::3]:
+
+        def agrees(c, kind):
+            nonlocal checked
+            up = table_cofaces(c)
+            for f in c.face_ids:
+                reach, stack = {f}, [f]
+                while stack:
+                    for g in up[stack.pop()]:
+                        if g not in reach:
+                            reach.add(g)
+                            stack.append(g)
+                want = tuple(g for g in c.face_ids if g in reach)
+                assert c.cofaces(f) == tuple(up[f])
+                assert c.upset(f) == c.star(f) == want
+                assert c.is_maximal(f) == (not up[f])
+            seen[kind] += 1
+            checked += len(c.face_ids)
+
+        for c, script in self.runs():
+            agrees(c, "fresh")
+            agrees(without_delta(c), "poset")
             cur = c
+            S.homology(cur)
             for move in script:
-                S.homology(cur)
                 cur = S.blowup_move(cur, move)
-                subs = [cur, cur.skeleton(cur.dimension - 1)]
+                agrees(cur, "move")
+                seen["reused id"] += move.case == 2 and move.new_vertex == move.face
+                if cur.face_ids:
+                    agrees(cur.skeleton(cur.dimension - 1), "restriction")
+                    agrees(without_delta(cur), "poset")
                 if cur.has_levels:
-                    subs.append(cur.level_subcomplex(1))
+                    agrees(cur.level_subcomplex(1), "restriction")
+        assert min(seen.values()) > 5 and checked > 2000, (seen, checked)
+
+    def test_face_posets_carry_their_numbering(self):
+        # a numbered face poset through cone, pucker, skeleton and level
+        # subcomplex: each output is numbered by the carried lists, and its
+        # cellular homology is that of a fresh build
+        rng = random.Random(2526)
+        carried = posets = 0
+        for i in range(30):
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=5,
+                                          max_dim=3)
+            if i % 2:
+                c = with_random_levels(rng, c)
+            cur = without_delta(c)
+            S.homology(cur)
+            for step in range(4):
+                top = [f for f in cur.face_ids if cur.is_maximal(f)]
+                cur = (S.cone(cur, f"a{step}") if step % 2 == 0
+                       else S.pucker(cur, rng.choice(top), rng.randint(2, 3)))
+                posets += not cur.has_delta
+                subs = [cur, cur.skeleton(rng.randint(0, cur.dimension))]
+                if cur.has_levels:
+                    subs += [cur.level_subcomplex(m)
+                             for m in range(1, cur.max_level() + 1)]
                 for sub in subs:
-                    for sigma in sub.face_ids:
-                        assert sub._upset(sigma) == sub.upset(sigma)
-                        checked += sub._num is not None
-        assert checked > 500
+                    carried += sub._num is not None
+                    assert_numbering(sub)
+                    for reduced in (False, True):
+                        assert S.homology(sub, reduced) == clearing_homology(
+                            validating_constructor(sub.to_records()), reduced)
+        assert carried > 200 and posets > 100, (carried, posets)
 
     def test_replay_numbers_once(self, monkeypatch):
         # the whole complex is numbered at step 0, and again only after a
-        # move whose dead slots would outnumber its live ones; no move
-        # builds a coface table
+        # move whose dead slots would outnumber its live ones; the runs'
+        # complexes are numbered already, by the upsets that drew their
+        # scripts and the loop below, so the replays run on fresh copies
         runs = self.runs()
         expected = []
         for c, script in runs:
@@ -839,24 +897,20 @@ class TestCarriedNumbering:
             expected.append(builds)
         assert expected.count(1) > len(runs) // 2 and max(expected) > 1
 
-        H = importlib.import_module("sncx.homology")     # not the function
-        calls = {"numbering": 0, "coface table": 0}
-        boundary, table = H._boundary, S.CombinatorialComplex._coface_table
+        builds = 0
+        numbering = S.CombinatorialComplex._numbering
 
-        def counting_boundary(c):
-            calls["numbering"] += 1
-            return boundary(c)
+        def counting_numbering(self):
+            nonlocal builds
+            builds += self._num is None
+            return numbering(self)
 
-        def counting_table(self):
-            calls["coface table"] += 1
-            return table(self)
-
-        monkeypatch.setattr(H, "_boundary", counting_boundary)
-        monkeypatch.setattr(S.CombinatorialComplex, "_coface_table", counting_table)
-        for (c, script), builds in zip(runs, expected):
-            calls.update({"numbering": 0, "coface table": 0})
-            S.run_blowup_script(c, script)
-            assert calls == {"numbering": builds, "coface table": 0}, script
+        monkeypatch.setattr(S.CombinatorialComplex, "_numbering",
+                            counting_numbering)
+        for (c, script), want in zip(runs, expected):
+            fresh, builds = S.new_complex(c.to_records()), 0
+            S.run_blowup_script(fresh, script)
+            assert builds == want, script
 
     def test_dead_slots_never_outnumber_live_ones(self):
         # the octahedron's vertex subdivided again and again under its own
@@ -868,11 +922,11 @@ class TestCarriedNumbering:
         for _ in range(8):
             nxt = S.stellar_subdivide(cur, v, new_vertex=v)
             if nxt._num is None:
-                ids, _bd, _cob, live = cur._num
+                ids, _below, _above, live = cur._num
                 assert len(ids) + 9 > 2 * len(nxt.face_ids)
                 dropped += 1
             assert S.homology(nxt) == S.homology(G.octahedron_boundary())
-            ids, _bd, _cob, live = nxt._num
+            ids, _below, _above, live = nxt._num
             assert len(ids) - len(live) <= len(live)
             assert_numbering(nxt)
             cur = nxt
