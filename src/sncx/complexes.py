@@ -14,7 +14,8 @@ convention and safe to share.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -140,57 +141,53 @@ def _id_list(rec, key, fid) -> tuple:
         f"face {fid!r} field {key!r} must be a list of face ids, got {ids!r}")
 
 
-def _read_faces(records, dims, labels, cov, delta, levels, start=0):
-    """Read face records into the given maps, checking what a record shows
-    alone and the grading of its covering.
+class _Fault(Exception):
+    """A face fails a check of the build."""
 
-    ``dims`` may already hold faces that the records cover; ``start`` is
-    the position of the first record in the errors.  Returns the ids read
-    and whether any record carried a delta order, and a level.
-    """
-    ids = []
-    any_delta = any_level = False
-    for pos, rec in enumerate(records, start=start):
-        if type(rec) is not dict and not isinstance(rec, Mapping):
-            raise DescriptorInvalid(f"face record {pos} is not an object: {rec!r}")
-        fid = rec.get("id")
-        if not isinstance(fid, str) or not fid:
-            raise DuplicateFace(f"face record {pos} has no usable id")
-        if fid in dims:
-            raise DuplicateFace(f"duplicate face id {fid!r}")
-        dim = rec.get("dim")
-        if type(dim) is not int or dim < 0:
-            raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
-        dims[fid] = dim
-        label = rec.get("label")
-        labels[fid] = fid if label is None else str(label)
-        cov[fid] = _id_list(rec, "facets", fid)
-        if rec.get("delta_order") is not None:
-            any_delta = True
-            delta[fid] = _id_list(rec, "delta_order", fid)
-        lv = rec.get("level")
-        if lv is not None:
-            any_level = True
-            if type(lv) is not int or lv < 1:
-                raise LevelNotDownwardClosed(
-                    f"face {fid!r} has invalid level {lv!r}; levels start at 1")
-            levels[fid] = lv
-        ids.append(fid)
 
-    # covering: existence and grading
-    for fid in ids:
-        k = dims[fid]
-        facets = cov[fid]
-        for g in facets:
-            if g not in dims:
-                raise DanglingFace(f"face {fid!r} covers unknown face {g!r}")
-            if dims[g] != k - 1:
-                raise GradingViolation(
-                    f"face {fid!r} (dim {k}) covers {g!r} of dim {dims[g]}")
-        if k >= 1 and not facets:
-            raise GradingViolation(
-                f"face {fid!r} has dim {k} but no codimension-one faces")
-    return ids, any_delta, any_level
+def _cycle(edges, ends, e, v):
+    """The vertices and the edges, in step order, of the walk around
+    ``edges`` from ``v`` along ``e``, ``ends[y]`` the ends of edge y;
+    None unless they form one cycle."""
+    one, two = {}, {}                   # the first and second edge at a vertex
+    for y in edges:
+        for w in ends[y]:
+            if w not in one:
+                one[w] = y
+            elif w not in two:
+                two[w] = y
+            else:
+                return None
+    if len(two) != len(one):
+        return None
+    vs, es = [], []
+    for _ in edges:
+        vs.append(v)
+        es.append(e)
+        a, b = ends[e]
+        v = b if a == v else a          # the other end of e
+        e = two[v] if one[v] == e else one[v]
+    return (vs, es) if len(set(es)) == len(edges) else None
+
+
+def _identity_swap(k):
+    # the facet identity of a k-face pairs entry j of facet i with entry
+    # i - 1 of facet j (j < i) in its facets' facet lists laid end to end
+    return itemgetter(*[b * k + a - 1 if b < a else b * k + k + a
+                        for a, b in (divmod(q, k) for q in range(k * k + k))])
+
+
+def _cofaces(below, above, fresh):
+    # ``above`` with each slot in ``fresh`` put above its facets; an older
+    # slot's list is copied first, so a parent's stays as it was
+    copied, n0 = set(), fresh.start
+    for x in fresh:
+        for s in below[x]:
+            if s < n0 and s not in copied:
+                copied.add(s)
+                above[s] = above[s][:]
+            above[s].append(x)
+    return above
 
 
 class CombinatorialComplex:
@@ -223,22 +220,23 @@ class CombinatorialComplex:
     it with no parent, a restriction (:meth:`_restricted`) with no fresh
     faces, and a move (:meth:`_derived`) with both.
 
-    The faces are numbered once, on first use, by :meth:`_numbering`:
-    ``(ids, below, above, live)``, per slot the face id, the facet slots
-    (in Delta order when there is one, else in canonical covering order)
-    and the coface slots, and ``live``, the slot of each face in
-    canonical order.  It is the complex's one coface structure:
-    :meth:`cofaces`, :meth:`upset` and :meth:`is_maximal` read it, and
-    so does homology (:func:`sncx.homology.homology`).  A complex read
-    from records is numbered canonically, slot i at position i.  A move
+    Every build numbers the faces: ``(ids, below, above, live)``, per
+    slot the face id, the facet slots (in Delta order when there is one,
+    else in canonical covering order) and the coface slots, and ``live``,
+    the slot of each face in canonical order.  It is the complex's one
+    coface structure: :meth:`cofaces`, :meth:`upset` and
+    :meth:`is_maximal` read it, and so does homology
+    (:func:`sncx.homology.homology`).  A complex read from records is
+    numbered as it is read, canonically, slot i at position i.  A move
     (:meth:`_derived`) carries it: the child copies the lists, its fresh
     faces take new slots and the copied coface lists of their facets,
     and its dropped faces leave dead slots that no live face reaches
     downward; the parent's lists are never changed.  A restriction
     (:meth:`_restricted`) shares the lists and keeps fewer live slots.
     A move whose dead slots would outnumber its live ones drops the
-    numbering, so that the next use numbers the complex afresh.  It
-    never goes stale: a complex is never changed once built.
+    numbering, so that the next use (:meth:`_numbering`) numbers the
+    complex afresh.  It never goes stale: a complex is never changed
+    once built.
     """
 
     __slots__ = ("_order", "_index", "_dims", "_labels", "_cov", "_delta",
@@ -251,32 +249,66 @@ class CombinatorialComplex:
 
     # -- the one build routine -------------------------------------------
 
-    def _build(self, survivors: list, fresh: Sequence[Mapping]):
+    def _build(self, survivors: list, fresh: Sequence[Mapping],
+               num: tuple = ((), [], [], ())):
         """Complete this complex from a parent's ``survivors`` and ``fresh``
-        records, checking only the fresh faces.
+        records, checking only the fresh faces, and number it.
 
         The survivors are a downward-closed part of a checked parent, in its
         canonical order; the maps already hold their entries, and
         ``_delta`` and ``_levels`` are None unless the parent had them.
-        Every check looks only at a face and the faces below it, so the
-        survivors pass again what they passed when the parent was built; a
-        survivor is looked at only for a Delta structure or levels that
-        the fresh records claim and the parent lacked.  The result equals
-        the complex the constructor builds from the survivors' records
-        followed by the fresh ones, and a bad fresh face fails with the
-        constructor's error and message.
+        ``num`` is the parent's numbering, its ``live`` holding the
+        survivors' slots.  Every check looks only at a face and the faces
+        below it, so the survivors pass again what they passed when the
+        parent was built; a survivor is looked at only for a Delta
+        structure or levels that the fresh records claim and the parent
+        lacked.  The result equals the complex the constructor builds from
+        the survivors' records followed by the fresh ones, and a bad fresh
+        face fails with the constructor's error and message.
 
-        Returns the fresh ids in canonical order, and where they went: for
-        each the number of survivors before it, or None when the faces
-        were sorted together.
+        Each record is first checked alone.  Then one loop in canonical
+        order maps a face's facet ids to positions once, runs every other
+        check on those integer lists, and keeps them as the face's facet
+        slots.  A face that fails is read again by :meth:`_fault`, which
+        runs the checks one by one on ids to name its first fault; the
+        error raised is the least fault by the rank of its check, then by
+        record order (covering) or canonical order, as if each check ran
+        on every face in turn.
         """
         dims, labels, cov = self._dims, self._labels, self._cov
         carried_delta = self._delta is not None and bool(survivors)
         carried_levels = self._levels is not None and bool(survivors)
         delta = self._delta if carried_delta else {}
         levels = self._levels if carried_levels else {}
-        new, fresh_delta, fresh_level = _read_faces(
-            fresh, dims, labels, cov, delta, levels, start=len(survivors))
+        verts = self._verts
+        new = []
+        any_delta = any_level = False
+        for pos, rec in enumerate(fresh, start=len(survivors)):
+            if type(rec) is not dict and not isinstance(rec, Mapping):
+                raise DescriptorInvalid(f"face record {pos} is not an object: {rec!r}")
+            fid = rec.get("id")
+            if not isinstance(fid, str) or not fid:
+                raise DuplicateFace(f"face record {pos} has no usable id")
+            if fid in dims:
+                raise DuplicateFace(f"duplicate face id {fid!r}")
+            dim = rec.get("dim")
+            if type(dim) is not int or dim < 0:
+                raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
+            dims[fid] = dim
+            label = rec.get("label")
+            labels[fid] = fid if label is None else str(label)
+            cov[fid] = _id_list(rec, "facets", fid)
+            if rec.get("delta_order") is not None:
+                any_delta = True
+                delta[fid] = _id_list(rec, "delta_order", fid)
+            lv = rec.get("level")
+            if lv is not None:
+                any_level = True
+                if type(lv) is not int or lv < 1:
+                    raise LevelNotDownwardClosed(
+                        f"face {fid!r} has invalid level {lv!r}; levels start at 1")
+                levels[fid] = lv
+            new.append(fid)
 
         # canonical order (dim, label, insertion index): the survivors come
         # in the parent's canonical order, and each fresh face goes after
@@ -299,43 +331,158 @@ class CombinatorialComplex:
         order = tuple(order)
         index = dict(zip(order, range(len(order))))
         new.sort(key=index.__getitem__)
-        for f in new:
-            cov[f] = tuple(sorted(set(cov[f]), key=index.__getitem__))
 
-        if carried_delta or fresh_delta:
-            for f in new if carried_delta else order:
-                if dims[f] >= 1 and f not in delta:
-                    raise BadDeltaStructure(
-                        f"face {f!r} lacks delta_order while the complex claims one")
-                if dims[f] == 0:
-                    delta[f] = ()
-        elif order and dims[order[-1]] == 0:
-            # a set of points is trivially Delta-structured
-            delta = {f: () for f in order}
+        has_delta = carried_delta or any_delta or bool(order) and dims[order[-1]] == 0
+        has_levels = carried_levels or any_level
+        self._order, self._index = order, index
+        self._delta = delta if has_delta else None
+        self._levels = levels if has_levels else None
+        faces = order if survivors and (has_delta, has_levels) != (
+            carried_delta, carried_levels) else new
+
+        ids, below, above, kept = num
+        n0 = len(ids)
+        slots = range(n0, n0 + len(new))
+        if not survivors:
+            live = slots
+        elif spots is not None:
+            live = _interleave(kept, spots, slots)
         else:
-            delta = None
+            slot = dict(zip(survivors, kept))
+            slot.update(zip(new, slots))        # a fresh face may take a dropped id
+            live = list(map(slot.__getitem__, order))
+        if faces:
+            below = below + [None] * len(new)
+        grade = list(map(dims.__getitem__, order))
+        starts = [bisect_left(grade, k) for k in range(grade[-1] + 2)] if order else ()
+        swaps = [None, None] + [_identity_swap(k) for k in range(2, len(starts) - 1)]
+        ix, lvl = index.__getitem__, levels.__getitem__
+        pending = at = None
+        for f in faces:
+            p = index[f]
+            k = grade[p]
+            try:
+                if has_levels and max(map(lvl, cov[f]), default=0) > lvl(f):
+                    raise _Fault
+                if not k:
+                    if cov[f]:
+                        raise _Fault
+                    if has_delta:
+                        delta[f], verts[f] = (), (f,)
+                    xs = []
+                elif has_delta:
+                    rd = delta[f]
+                    ds = list(map(ix, rd))
+                    cs = sorted(ds)
+                    ps = list(map(ix, cov[f]))
+                    # a repeated facet repeats a vertex, as facet i is the
+                    # face without vertex i
+                    if (len(ds) != k + 1 or cs[0] < starts[k - 1] or cs[-1] >= starts[k]
+                            or ps != cs and sorted(set(ps)) != cs):
+                        raise _Fault
+                    xs = list(map(live.__getitem__, ds)) if n0 else ds
+                    if k > 1:
+                        flat = sum(map(below.__getitem__, xs), [])
+                        if swaps[k](flat) != tuple(flat):
+                            raise _Fault
+                    v, t = verts[rd[1]][0], verts[rd[0]]
+                    if v in t:
+                        raise _Fault
+                    verts[f] = (v,) + t
+                else:
+                    ps = list(map(ix, cov[f]))
+                    cs = sorted(set(ps))
+                    if not cs or cs[0] < starts[k - 1] or cs[-1] >= starts[k]:
+                        raise _Fault
+                    xs = list(map(live.__getitem__, cs)) if n0 else cs
+                    if (len(xs) != 2 if k == 1 else k == 2 and _cycle(
+                            xs, below, xs[0], below[xs[0]][0]) is None):
+                        raise _Fault
+                if k and ps != cs:
+                    cov[f] = tuple(map(order.__getitem__, cs))
+                below[live[p]] = xs
+            except (_Fault, LookupError, TypeError, ValueError):
+                fault = self._fault(f)
+                if fault is None:
+                    if pending is None:
+                        raise AssertionError(f"face {f!r} fails no check") from None
+                    continue
+                if not fault[0]:
+                    at = at or {r["id"]: i for i, r in enumerate(fresh)}
+                rank = fault[0], at[f] if not fault[0] else p
+                if pending is None or rank < pending[0]:
+                    pending = rank, fault[1]
+        if pending:
+            raise pending[1]
 
-        if carried_levels or fresh_level:
-            for f in new if carried_levels else order:
+        if new:
+            above = _cofaces(below, above + [[] for _ in new], slots)
+            ids = [*ids, *new] if n0 else order
+        self._num = ids, below, above, live
+
+    def _fault(self, f):
+        """Rank and error of the first check of :meth:`_build` that
+        face ``f`` fails, run one by one on ids; None for none, or if a
+        check cannot read a face below that failed one."""
+        dims, cov, delta, levels = self._dims, self._cov, self._delta, self._levels
+        k = dims[f]
+        for g in cov[f]:
+            if g not in dims:
+                return 0, DanglingFace(f"face {f!r} covers unknown face {g!r}")
+            if dims[g] != k - 1:
+                return 0, GradingViolation(
+                    f"face {f!r} (dim {k}) covers {g!r} of dim {dims[g]}")
+        if k and not cov[f]:
+            return 0, GradingViolation(
+                f"face {f!r} has dim {k} but no codimension-one faces")
+        if k and delta is not None and f not in delta:
+            return 1, BadDeltaStructure(
+                f"face {f!r} lacks delta_order while the complex claims one")
+        facets = sorted(set(cov[f]), key=self._index.__getitem__)
+        try:
+            if levels is not None:
                 if f not in levels:
-                    raise LevelNotDownwardClosed(
+                    return 2, LevelNotDownwardClosed(
                         f"face {f!r} lacks a level while the complex is filtered")
-            for f in new:
-                for g in cov[f]:
+                for g in facets:
                     if levels[g] > levels[f]:
-                        raise LevelNotDownwardClosed(
+                        return 3, LevelNotDownwardClosed(
                             f"face {f!r} at level {levels[f]} covers {g!r} "
                             f"at level {levels[g]}")
-        else:
-            levels = None
-
-        self._order, self._index = order, index
-        self._delta, self._levels = delta, levels
-        if delta is None:
-            self._validate_low_cells(new)
-        else:
-            self._validate_delta(new if carried_delta else order)
-        return new, spots
+            if delta is None:
+                if k == 1 and len(facets) != 2:
+                    return 4, NotRegularCW(
+                        f"edge {f!r} covers {len(facets)} vertices, wants 2")
+                if k == 2 and _cycle(facets, cov, facets[0], cov[facets[0]][0]) is None:
+                    return 4, NotRegularCW(
+                        f"the edges of face {f!r} do not form one cycle")
+                return None
+            if not k:
+                return None
+            d = delta[f]
+            if len(d) != k + 1:
+                return 4, BadDeltaStructure(
+                    f"face {f!r} of dim {k} has {len(d)} delta facets, wants {k + 1}")
+            if len(set(d)) != k + 1:
+                return 4, BadDeltaStructure(
+                    f"face {f!r} repeats a facet in its delta_order")
+            if set(d) != set(facets):
+                return 4, BadDeltaStructure(
+                    f"face {f!r}: delta_order disagrees with its covering set")
+            # omitting vertex i then j (j < i) equals omitting j then i-1
+            for i in range(k + 1 if k > 1 else 0):
+                for j in range(i):
+                    if delta[d[i]][j] != delta[d[j]][i - 1]:
+                        return 5, BadDeltaStructure(
+                            f"face {f!r} violates the facet identity at ({i},{j})")
+            verts = self._verts
+            vs = (verts[d[1]][0],) + verts[d[0]]
+            if len(set(vs)) != len(vs):
+                return 6, BadDeltaStructure(
+                    f"face {f!r} has repeated vertices {vs}")
+        except (LookupError, TypeError, ValueError):
+            pass
+        return None
 
     def _carried(self, carry) -> "CombinatorialComplex":
         # a complex holding this one's maps, each passed through carry, for
@@ -354,12 +501,10 @@ class CombinatorialComplex:
         """The subcomplex on ``order``, a downward-closed part of ``_order``:
         the build routine with no fresh faces.  It shares this complex's
         numbering, with the live slots of its own faces."""
+        ids, below, above, live = self._numbering()
         out = self._carried(lambda m: {f: m[f] for f in order})
-        out._build(list(order), ())
-        if self._num is not None:
-            ids, below, above, live = self._num
-            out._num = ids, below, above, list(map(
-                live.__getitem__, map(self._index.__getitem__, order)))
+        out._build(list(order), (), (ids, below, above, list(map(
+            live.__getitem__, map(self._index.__getitem__, order)))))
         return out
 
     def _derived(self, drop, fresh: Sequence[Mapping]) -> "CombinatorialComplex":
@@ -376,113 +521,25 @@ class CombinatorialComplex:
             return m
 
         cuts = sorted(map(self._index.__getitem__, drop))
+        ids, below, above, live = self._numbering()
         out = self._carried(carry)
-        new, spots = out._build(_without(self._order, cuts), fresh)
-        if self._num is not None:
-            out._num = self._numbering_after(out, cuts, new, spots)
+        out._build(_without(self._order, cuts), fresh,
+                   (ids, below, above, _without(live, cuts)))
+        if len(out._num[0]) > 2 * len(out._order):
+            out._num = None                     # more dead slots than live
         return out
 
     def _numbering(self) -> tuple:
         """The numbering ``(ids, below, above, live)`` of this complex; see
-        the class notes.  Built here, on first use, unless carried."""
+        the class notes.  Built here when a move dropped it."""
         if self._num is None:
             index = self._index
             facets = self._cov if self._delta is None else self._delta
             below = [list(map(index.__getitem__, facets[f])) for f in self._order]
-            above = [[] for _ in below]
-            for x, col in enumerate(below):
-                for s in col:
-                    above[s].append(x)
-            self._num = self._order, below, above, range(len(below))
+            slots = range(len(below))
+            above = _cofaces(below, [[] for _ in slots], slots)
+            self._num = self._order, below, above, slots
         return self._num
-
-    def _numbering_after(self, out, cuts, new, spots):
-        """The numbering of ``out``, this complex without the faces at the
-        positions ``cuts`` and with the faces ``new``, which :meth:`_build`
-        placed at ``spots``; None when its dead slots would outnumber its
-        live ones."""
-        ids, below, above, live = self._num
-        n = len(ids)
-        if n + len(new) > 2 * len(out._order):
-            return None
-        fresh = range(n, n + len(new))
-        if spots is None:
-            slot = dict(zip(self._order, live))
-            slot.update(zip(new, fresh))        # a fresh face may take a dropped id
-            live = list(map(slot.__getitem__, out._order))
-        else:
-            live = _interleave(_without(live, cuts), spots, fresh)
-        index = out._index
-        facets = out._cov if out._delta is None else out._delta
-        cols = [[live[index[g]] for g in facets[f]] for f in new]
-        above = above[:]
-        above += [[] for _ in fresh]
-        owned = set(fresh)                      # coface lists of out's own
-        for x, col in zip(fresh, cols):
-            for s in col:
-                if s not in owned:
-                    owned.add(s)
-                    above[s] = above[s][:]
-                above[s].append(x)
-        return [*ids, *new], below + cols, above, live
-
-    # -- validation helpers --------------------------------------------
-
-    def _validate_delta(self, faces):
-        # faces in canonical order; a facet of one is checked or listed earlier
-        delta = self._delta
-        dims = self._dims
-        for f in faces:
-            k = dims[f]
-            if k == 0:
-                continue
-            d = delta[f]
-            if len(d) != k + 1:
-                raise BadDeltaStructure(
-                    f"face {f!r} of dim {k} has {len(d)} delta facets, wants {k + 1}")
-            if len(set(d)) != k + 1:
-                raise BadDeltaStructure(
-                    f"face {f!r} repeats a facet in its delta_order")
-            if set(d) != set(self._cov[f]):
-                raise BadDeltaStructure(
-                    f"face {f!r}: delta_order disagrees with its covering set")
-        # simplicial facet identity, pairwise: omitting vertex i then j
-        # (j < i) equals omitting j then i-1.
-        for f in faces:
-            k = dims[f]
-            if k < 2:
-                continue
-            d = delta[f]
-            for i in range(k + 1):
-                for j in range(i):
-                    if delta[d[i]][j] != delta[d[j]][i - 1]:
-                        raise BadDeltaStructure(
-                            f"face {f!r} violates the facet identity at ({i},{j})")
-        # vertex lists, in canonical order so that facets come first: the
-        # facet without vertex 1 starts with vertex 0, the one without
-        # vertex 0 lists the rest
-        verts = self._verts
-        for f in faces:
-            if dims[f] == 0:
-                verts[f] = (f,)
-                continue
-            d = delta[f]
-            vs = verts[f] = (verts[d[1]][0],) + verts[d[0]]
-            if len(set(vs)) != len(vs):
-                raise BadDeltaStructure(
-                    f"face {f!r} has repeated vertices {vs}")
-
-    def _validate_low_cells(self, faces):
-        # exact in dimensions 1 and 2: the boundary of an edge is two
-        # points, the boundary of a 2-cell one circle of edges
-        dims, cov = self._dims, self._cov
-        for f in faces:
-            k = dims[f]
-            if k == 1 and len(cov[f]) != 2:
-                raise NotRegularCW(
-                    f"edge {f!r} covers {len(cov[f])} vertices, wants 2")
-            if k == 2:
-                self.boundary_walk(f)
 
     def boundary_walk(self, f: FaceId) -> tuple:
         """The boundary circle of a 2-face as ``(vertex, edge)`` steps.
@@ -495,21 +552,11 @@ class CombinatorialComplex:
         if self._dims[f] != 2:
             raise ValueError(f"face {f!r} is not a 2-face")
         cov = self._cov
-        at: dict[str, list] = {}
-        for e in cov[f]:
-            for v in cov[e]:
-                at.setdefault(v, []).append(e)
-        steps = []
-        if all(len(es) == 2 for es in at.values()):
-            e = cov[f][0]
-            v = cov[e][0]
-            for _ in cov[f]:
-                steps.append((v, e))
-                v = cov[e][cov[e][0] == v]      # the other end of e
-                e = at[v][at[v][0] == e]        # the other edge at v
-        if len({e for _v, e in steps}) != len(cov[f]):
+        e = cov[f][0]
+        steps = _cycle(cov[f], cov, e, cov[e][0])
+        if steps is None:
             raise NotRegularCW(f"the edges of face {f!r} do not form one cycle")
-        return tuple(steps)
+        return tuple(zip(*steps))
 
     # -- basic accessors ------------------------------------------------
 
@@ -595,7 +642,9 @@ class CombinatorialComplex:
             raise NoSuchFace(f"no face {f!r}")
 
     def faces_of_dim(self, k: int) -> tuple:
-        return tuple(f for f in self._order if self._dims[f] == k)
+        # a slice of the canonical order, which is dimension-major
+        order, key = self._order, self._dims.__getitem__
+        return order[bisect_left(order, k, key=key):bisect_right(order, k, key=key)]
 
     def f_vector(self) -> tuple:
         # graded, so every dimension up to the top one has a face; the

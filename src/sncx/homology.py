@@ -3,9 +3,9 @@
 The boundary is read through the complex's numbering of its faces by
 slots (``CombinatorialComplex._numbering``): per slot the facet slots
 and the coface slots, and the slot of each face in canonical order.  A
-complex read from records is numbered by canonical position; moves and
-restrictions carry the numbering, so a replay step numbers only the
-faces it creates.  With a Delta-structure the boundary is the
+complex read from records is numbered by canonical position as it is
+read, so homology numbers nothing; moves and restrictions carry the
+numbering, so a replay step numbers only the faces it creates.  With a Delta-structure the boundary is the
 alternating sum of ordered facets: a column is the list of its facet
 slots in Delta order, entry j with sign (-1)^j, and a signed ``{slot:
 coeff}`` dict is made only for a column whose coefficients are summed

@@ -164,3 +164,68 @@ def draw_mixed_script(rng, c, moves):
             continue
         script.append(move)
     return tuple(script)
+
+
+# faults put into face records, for the tests of the record reader
+FIELDS = ("id", "dim", "facets", "delta_order", "level")
+ODD_VALUES = (5, "x", True, 1.0, -1, 0, [1], [["u"]], {"a": 1}, "")
+READER_FAULTS = (
+    "dropped field", "retyped field", "not a record", "wrong grading",
+    "duplicate id", "dangling facet", "foreign facet", "dropped facet",
+    "extra facet", "short delta", "repeated delta facet",
+    "delta not the facets", "identity break", "repeated vertex",
+    "missing level", "low level", "high level")
+
+
+def break_record(rng, kind, recs):
+    """Put a fault of ``kind`` into a record drawn from ``recs``; False
+    when that record has no place for it."""
+    rec = rng.choice(recs)
+    if not isinstance(rec, dict):
+        return False
+    other = rng.choice(recs)
+    other = other.get("id") if isinstance(other, dict) else "ghost"
+    facets, delta, level = rec.get("facets"), rec.get("delta_order"), rec.get("level")
+    if kind == "dropped field":
+        return rec.pop(rng.choice(FIELDS), None) is not None
+    if kind == "retyped field":
+        rec[rng.choice(FIELDS)] = rng.choice(ODD_VALUES)
+    elif kind == "not a record":
+        recs[recs.index(rec)] = rng.choice([["x"], "x", 3])
+    elif kind == "wrong grading" and type(rec.get("dim")) is int:
+        rec["dim"] += rng.choice([-1, 1])
+    elif kind == "duplicate id":
+        rec["id"] = other
+    elif kind in ("missing level", "low level", "high level") and type(level) is int:
+        if kind == "missing level":
+            del rec["level"]
+        else:
+            rec["level"] = rng.choice([0, level - 1]) if kind == "low level" else level + 2
+    elif kind.endswith("facet") and isinstance(facets, list) and facets:
+        if kind == "dangling facet":
+            facets[0] = "ghost"
+        elif kind == "foreign facet":
+            facets[0] = other
+        elif kind == "extra facet":
+            facets.append(other)
+        elif len(facets) > 1:
+            facets.pop()                        # a dropped facet
+        else:
+            return False
+    elif kind in ("short delta", "repeated delta facet", "delta not the facets",
+                  "identity break") and isinstance(delta, list) and len(delta) > 1:
+        if kind == "short delta":
+            delta.pop()
+        elif kind == "repeated delta facet":
+            delta[1] = delta[0]
+        elif kind == "delta not the facets":
+            delta[0] = other
+        else:
+            i, j = rng.sample(range(len(delta)), 2)
+            delta[i], delta[j] = delta[j], delta[i]
+    elif kind == "repeated vertex" and rec.get("dim") == 1 and isinstance(delta, list) \
+            and delta:
+        rec["facets"] = rec["delta_order"] = delta[:1] * 2
+    else:
+        return False
+    return True

@@ -40,7 +40,11 @@ their own records before one re-emitter, one cone writer and one
 polytope census were shared: a cone and an attached cone, a relabeling,
 the records of a union, a quotient by an involution, a lattice polytope
 reading its own points, the exponent vectors as the Newton polyhedron
-read them, and a torus boundary complex with its own cell ids.
+read them, and a torus boundary complex with its own cell ids.  Then
+the record reader as it was before its checks were fused into one loop,
+which ran each check on every face before the next and numbered the
+complex from its finished maps, and the boundary walk of a 2-cell that
+kept a list of the edges at each vertex.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, deque
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
@@ -67,6 +72,7 @@ from sncx.errors import (
     NotAVertex,
     NotConnected,
     NotFullDimensional,
+    NoSuchFace,
     NotInvolution,
     NotRegularCW,
     NotSubsetClosed,
@@ -671,7 +677,8 @@ def validating_constructor(records):
         if not isinstance(dim, int) or dim < 0:
             raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
         dims[fid] = dim
-        labels[fid] = str(rec.get("label", fid))
+        label = rec.get("label")
+        labels[fid] = fid if label is None else str(label)
         cov_raw[fid] = tuple(rec.get("facets", ()))
         if rec.get("delta_order") is not None:
             any_delta = True
@@ -1614,3 +1621,166 @@ def cell_writing_torus_boundary_complex(points, multiplicities=None):
                             else P.edge_length(f))
     return CombinatorialComplex(_inclusion_records(
         ((cell_id(f), d - f.dim - 1, f.facets) for f in cells), lengths))
+
+
+def _phased_id_list(rec, key, fid) -> tuple:
+    ids = rec.get(key)
+    if ids is None:
+        return ()
+    if isinstance(ids, (list, tuple)):
+        try:
+            "".join(ids)        # a TypeError unless every entry is a string
+            return tuple(ids)
+        except TypeError:
+            pass
+    raise DescriptorInvalid(
+        f"face {fid!r} field {key!r} must be a list of face ids, got {ids!r}")
+
+
+def phased_reader(records):
+    """The complex of ``records`` as the reader made it before its checks
+    were fused: each record checked alone and then its covering, in
+    record order; the canonical order; then each of the checks below,
+    on every face in canonical order, before the next.  The complex is
+    numbered from its finished maps, slot i at canonical position i."""
+    dims, labels, cov, delta, levels = {}, {}, {}, {}, {}
+    ids = []
+    any_delta = any_level = False
+    for pos, rec in enumerate(records):
+        if type(rec) is not dict and not isinstance(rec, Mapping):
+            raise DescriptorInvalid(f"face record {pos} is not an object: {rec!r}")
+        fid = rec.get("id")
+        if not isinstance(fid, str) or not fid:
+            raise DuplicateFace(f"face record {pos} has no usable id")
+        if fid in dims:
+            raise DuplicateFace(f"duplicate face id {fid!r}")
+        dim = rec.get("dim")
+        if type(dim) is not int or dim < 0:
+            raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
+        dims[fid] = dim
+        label = rec.get("label")
+        labels[fid] = fid if label is None else str(label)
+        cov[fid] = _phased_id_list(rec, "facets", fid)
+        if rec.get("delta_order") is not None:
+            any_delta = True
+            delta[fid] = _phased_id_list(rec, "delta_order", fid)
+        lv = rec.get("level")
+        if lv is not None:
+            any_level = True
+            if type(lv) is not int or lv < 1:
+                raise LevelNotDownwardClosed(
+                    f"face {fid!r} has invalid level {lv!r}; levels start at 1")
+            levels[fid] = lv
+        ids.append(fid)
+    for fid in ids:
+        k = dims[fid]
+        for g in cov[fid]:
+            if g not in dims:
+                raise DanglingFace(f"face {fid!r} covers unknown face {g!r}")
+            if dims[g] != k - 1:
+                raise GradingViolation(
+                    f"face {fid!r} (dim {k}) covers {g!r} of dim {dims[g]}")
+        if k >= 1 and not cov[fid]:
+            raise GradingViolation(
+                f"face {fid!r} has dim {k} but no codimension-one faces")
+
+    order = tuple(sorted(ids, key=lambda f: (dims[f], labels[f])))
+    index = dict(zip(order, range(len(order))))
+    for f in order:
+        cov[f] = tuple(sorted(set(cov[f]), key=index.__getitem__))
+    if any_delta:
+        for f in order:
+            if dims[f] >= 1 and f not in delta:
+                raise BadDeltaStructure(
+                    f"face {f!r} lacks delta_order while the complex claims one")
+            if dims[f] == 0:
+                delta[f] = ()
+    elif order and dims[order[-1]] == 0:
+        delta = {f: () for f in order}
+    else:
+        delta = None
+    if any_level:
+        for f in order:
+            if f not in levels:
+                raise LevelNotDownwardClosed(
+                    f"face {f!r} lacks a level while the complex is filtered")
+        for f in order:
+            for g in cov[f]:
+                if levels[g] > levels[f]:
+                    raise LevelNotDownwardClosed(
+                        f"face {f!r} at level {levels[f]} covers {g!r} "
+                        f"at level {levels[g]}")
+    else:
+        levels = None
+
+    out = CombinatorialComplex.__new__(CombinatorialComplex)
+    out._order, out._index, out._dims, out._labels = order, index, dims, labels
+    out._cov, out._delta, out._levels, out._verts = cov, delta, levels, {}
+    out._num = None
+    if delta is None:
+        for f in order:
+            if dims[f] == 1 and len(cov[f]) != 2:
+                raise NotRegularCW(
+                    f"edge {f!r} covers {len(cov[f])} vertices, wants 2")
+            if dims[f] == 2:
+                dict_boundary_walk(out, f)
+    else:
+        for f in order:
+            k, d = dims[f], delta[f]
+            if not k:
+                continue
+            if len(d) != k + 1:
+                raise BadDeltaStructure(
+                    f"face {f!r} of dim {k} has {len(d)} delta facets, wants {k + 1}")
+            if len(set(d)) != k + 1:
+                raise BadDeltaStructure(
+                    f"face {f!r} repeats a facet in its delta_order")
+            if set(d) != set(cov[f]):
+                raise BadDeltaStructure(
+                    f"face {f!r}: delta_order disagrees with its covering set")
+        for f in order:
+            d = delta[f]
+            for i in range(dims[f] + 1 if dims[f] >= 2 else 0):
+                for j in range(i):
+                    if delta[d[i]][j] != delta[d[j]][i - 1]:
+                        raise BadDeltaStructure(
+                            f"face {f!r} violates the facet identity at ({i},{j})")
+        for f in order:
+            vs = out._verts[f] = ((f,) if not dims[f] else
+                                  (out._verts[delta[f][1]][0],) + out._verts[delta[f][0]])
+            if len(set(vs)) != len(vs):
+                raise BadDeltaStructure(f"face {f!r} has repeated vertices {vs}")
+
+    facets = cov if delta is None else delta
+    below = [list(map(index.__getitem__, facets[f])) for f in order]
+    above = [[] for _ in below]
+    for x, col in enumerate(below):
+        for s in col:
+            above[s].append(x)
+    out._num = order, below, above, range(len(order))
+    return out
+
+
+def dict_boundary_walk(c, f):
+    """``c.boundary_walk(f)`` with a list of the edges of ``f`` at each
+    vertex."""
+    if not c.has_face(f):
+        raise NoSuchFace(f"no face {f!r}")
+    if c.dim(f) != 2:
+        raise ValueError(f"face {f!r} is not a 2-face")
+    cov = c._cov
+    at: dict[str, list] = {}
+    for e in cov[f]:
+        for v in cov[e]:
+            at.setdefault(v, []).append(e)
+    steps = []
+    if all(len(es) == 2 for es in at.values()):
+        e = cov[f][0]
+        v = cov[e][0]
+        for _ in cov[f]:
+            steps.append((v, e))
+            v = cov[e][cov[e][0] == v]      # the other end of e
+            e = at[v][at[v][0] == e]        # the other edge at v
+    if len({e for _v, e in steps}) != len(cov[f]):
+        raise NotRegularCW(f"the edges of face {f!r} do not form one cycle")
+    return tuple(steps)

@@ -1,4 +1,6 @@
+import copy
 import random
+import re
 import time
 from collections import Counter
 
@@ -24,8 +26,10 @@ from sncx.errors import (
 from sncx.serialize import dumps_complex
 
 from conftest import (
+    READER_FAULTS,
     assert_rebuilds,
     assert_same_complex,
+    break_record,
     polygon_cone_fan,
     random_lattice_polytope,
     random_subset_closed,
@@ -37,8 +41,10 @@ from conftest import (
 from oracles import (
     counting_f_vector,
     derived_by_constructor,
+    dict_boundary_walk,
     frontier_order_complex,
     order_complex_homology,
+    phased_reader,
     record_writing_attach_cone,
     record_writing_cone,
     record_writing_quotient,
@@ -216,6 +222,20 @@ class TestRegularCW:
             self.poset(verts + edges
                        + [("t", 2, tuple(e for e, _d, _f in edges))])
 
+    def test_two_cell_on_two_circles_rejected(self):
+        # every vertex lies on two of its edges, but the walk from the
+        # first edge closes after three of the six
+        verts = [(v, 0, ()) for v in "abcdef"]
+        edges = [(x + y, 1, (x, y))
+                 for x, y in ("ab", "bc", "ac", "de", "ef", "df")]
+        recs = verts + edges + [("t", 2, tuple(e for e, _d, _f in edges))]
+        with pytest.raises(NotRegularCW) as info:
+            self.poset(recs)
+        assert str(info.value) == "the edges of face 't' do not form one cycle"
+        with pytest.raises(NotRegularCW, match=str(info.value)):
+            phased_reader([{"id": f, "dim": d, "facets": list(fs)}
+                           for f, d, fs in recs])
+
     def test_bigon_disk_accepted(self):
         c = self.poset([("a", 0, ()), ("b", 0, ()),
                         ("e0", 1, ("a", "b")), ("e1", 1, ("a", "b")),
@@ -344,6 +364,26 @@ class TestBoundaryWalk:
     def test_not_a_two_face(self):
         with pytest.raises(ValueError):
             G.full_simplex(2).boundary_walk("0")
+
+    def test_walk_agrees_with_the_frozen_walk(self):
+        # every 2-cell of random complexes and posets read from records,
+        # and of their cones, puckers, skeleta and subdivisions
+        rng = random.Random(2603)
+        walks = moved = 0
+        for c in reader_sources(rng, 40):
+            outs = [c]
+            if c.dimension >= 2:
+                top = [f for f in c.face_ids if c.is_maximal(f)]
+                outs += [S.cone(c, "a"), S.pucker(c, rng.choice(top), 2),
+                         c.skeleton(2)]
+                if c.has_delta:
+                    outs.append(S.stellar_subdivide(c, rng.choice(c.faces_of_dim(1))))
+            for i, out in enumerate(outs):
+                for f in out.faces_of_dim(2):
+                    assert out.boundary_walk(f) == dict_boundary_walk(out, f)
+                    walks += 1
+                    moved += i > 0
+        assert walks > 600 and moved > 400, (walks, moved)
 
 
 class TestBasicOps:
@@ -733,6 +773,104 @@ class TestOneBuildRoutine:
             assert_same_complex(S.wedge(a, v1, b, v2), two_step_wedge(a, v1, b, v2))
         c = filtered_triangle_with_pendant()
         assert_same_complex(S.wedge(c, "v0", c, "v0"), two_step_wedge(c, "v0", c, "v0"))
+
+
+def reader_sources(rng, n):
+    """Complexes whose records the reader tests scramble and break: Delta
+    complexes, some filtered, some as face posets, some with parallel
+    top cells, and a subdivided octahedron and RP^2 as a face poset."""
+    out = [G.octahedron_boundary().order_complex(),
+           without_delta(G.real_projective_plane()), S.CombinatorialComplex([])]
+    for i in range(n):
+        c = random_simplicial_complex(rng, max_verts=6, max_facets=4, max_dim=3)
+        if i % 3 == 1:
+            c = with_random_levels(rng, c)
+        if i % 5 == 0:
+            c = S.pucker(c, c.face_ids[-1], 2)
+        out.append(without_delta(c) if i % 4 >= 2 else c)
+    return out
+
+
+def scrambled(rng, c):
+    """``c``'s records shuffled, each facet list shuffled and sometimes
+    with a facet repeated, some labels set (tying often) or null."""
+    recs = c.to_records()
+    for rec in recs:
+        rng.shuffle(rec["facets"])
+        if rec["facets"] and rng.random() < 0.2:
+            rec["facets"].append(rng.choice(rec["facets"]))
+        u = rng.random()
+        if u < 0.3:
+            rec["label"] = rng.choice("ab")
+        elif u < 0.4:
+            rec["label"] = None
+    rng.shuffle(recs)
+    return recs
+
+
+def read_outcome(build, recs):
+    """The complex ``build`` reads from a copy of ``recs``, with its
+    numbering, or the class and message of the error it raises."""
+    try:
+        c = build(copy.deepcopy(recs))
+    except S.SncxError as exc:
+        return type(exc), str(exc)
+    return c, c._num
+
+
+class TestFusedReader:
+    """The constructor, whose checks run in one loop, against the reader
+    that ran each check on every face before the next (frozen in the
+    oracles): the same complex and numbering, or the same error."""
+
+    def test_valid_documents(self):
+        rng = random.Random(2601)
+        seen = 0
+        for c in reader_sources(rng, 60):
+            for _ in range(3):
+                recs = scrambled(rng, c)
+                got, got_num = read_outcome(S.CombinatorialComplex, recs)
+                want, want_num = read_outcome(phased_reader, recs)
+                assert_same_complex(got, want)
+                assert got_num == want_num
+                assert got._numbering() is got_num     # read, not rebuilt
+                seen += 1
+        assert seen > 150
+
+    def test_mutated_documents(self):
+        rng = random.Random(2602)
+        sources = [c for c in reader_sources(rng, 60) if not c.is_empty]
+        errors = Counter()
+        twice = 0
+        for _ in range(1500):
+            recs = scrambled(rng, rng.choice(sources))
+            # one fault, or two of different kinds, often in different phases
+            hit = [kind for kind in rng.sample(READER_FAULTS, rng.choice([1, 2]))
+                   if break_record(rng, kind, recs)]
+            if not hit:
+                continue
+            got = read_outcome(S.CombinatorialComplex, recs)
+            want = read_outcome(phased_reader, recs)
+            if isinstance(want[0], S.CombinatorialComplex):
+                assert_same_complex(got[0], want[0])
+                assert got[1] == want[1]
+                continue
+            assert got == want, (hit, recs)
+            # the message with its ids, numbers and values taken out
+            errors[re.sub(r"'[^']*'|\[.*\]|\(.*\)|-?\d+|\w+=", "", want[1])] += 1
+            twice += len(hit) == 2
+        assert len(errors) >= 20 and twice > 150, (errors, twice)
+
+    def test_fault_names_repeated_vertices(self):
+        # records cannot repeat a vertex without failing an earlier check,
+        # so the last check of the fault reader runs on a vertex table made
+        # to disagree with the edge e0 = [v0, v1], delta order (v1, v0)
+        c = G.triangle_boundary()
+        assert c._fault("e0") is None
+        c._verts["v0"] = ("v1",)
+        rank, err = c._fault("e0")
+        assert (rank, type(err), str(err)) == (
+            6, BadDeltaStructure, "face 'e0' has repeated vertices ('v1', 'v1')")
 
 
 def outcome(build, *args):

@@ -140,6 +140,44 @@ class TestReportWriter:
             doc = self.random_doc(rng)
             assert isinstance(self.assert_same(doc), str)
 
+    def test_random_reports_with_shared_keys(self):
+        # many dicts share their keys, as a report's records and rows do;
+        # some reports also hold one of the cases left to json.dumps, often
+        # after a plain dict with equal keys: a str subclass key that sorts
+        # the other way round, a non-str key, keys of mixed types, a float,
+        # or nesting past the depth limit
+        class Backwards(str):
+            def __lt__(self, other):
+                return str.__gt__(self, other)
+
+        rng = random.Random(2604)
+        fell_back = 0
+        for _ in range(400):
+            keys = rng.sample(["id", "dim", "facets", "level", "label", "é"],
+                              rng.randint(1, 4))
+            rows = [{k: self.random_doc(rng, 3) for k in rng.sample(keys, len(keys))}
+                    for _ in range(rng.randint(1, 6))]
+            odd = rng.randrange(7)
+            if odd == 0:
+                # equal to the plain dict before it, but sorting backwards
+                rows += [dict.fromkeys(keys, 1), {Backwards(k): 1 for k in keys}]
+            elif odd == 1:
+                rows.append({i: "x" for i in range(len(keys))})
+            elif odd == 2:
+                rows.append({(k if i else 3): "x" for i, k in enumerate(keys)})
+            elif odd == 3:
+                rows.append(dict.fromkeys(keys, 0.5))
+            elif odd == 4:
+                deep = dict.fromkeys(keys, 1)
+                for _ in range(serialize._MAX_DEPTH):
+                    deep = {keys[0]: deep}
+                rows.append(deep)
+            doc = {"report": {"first": rows, "then": rows[::-1]}}
+            want = self.assert_same(doc)
+            fell_back += odd < 5
+            assert isinstance(want, str) or odd == 2 and want[0] is TypeError
+        assert fell_back > 250
+
     def test_plain_documents_skip_the_stdlib_encoder(self, monkeypatch):
         doc = {"report": {"f_vector": [3, 3], "faces": ("v0", "v1"),
                           "ok": True, "none": None, "nested": [[], {}, [1, "a"]]}}
