@@ -15,6 +15,7 @@ convention and safe to share.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -281,34 +282,57 @@ class CombinatorialComplex:
         delta = self._delta if carried_delta else {}
         levels = self._levels if carried_levels else {}
         verts = self._verts
-        new = []
-        any_delta = any_level = False
-        for pos, rec in enumerate(fresh, start=len(survivors)):
-            if type(rec) is not dict and not isinstance(rec, Mapping):
-                raise DescriptorInvalid(f"face record {pos} is not an object: {rec!r}")
-            fid = rec.get("id")
-            if not isinstance(fid, str) or not fid:
-                raise DuplicateFace(f"face record {pos} has no usable id")
-            if fid in dims:
-                raise DuplicateFace(f"duplicate face id {fid!r}")
-            dim = rec.get("dim")
-            if type(dim) is not int or dim < 0:
-                raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
-            dims[fid] = dim
-            label = rec.get("label")
-            labels[fid] = fid if label is None else str(label)
-            cov[fid] = _id_list(rec, "facets", fid)
-            if rec.get("delta_order") is not None:
-                any_delta = True
-                delta[fid] = _id_list(rec, "delta_order", fid)
-            lv = rec.get("level")
-            if lv is not None:
-                any_level = True
-                if type(lv) is not int or lv < 1:
-                    raise LevelNotDownwardClosed(
-                        f"face {fid!r} has invalid level {lv!r}; levels start at 1")
-                levels[fid] = lv
-            new.append(fid)
+        # a first pass keeps a list of ids as it is and checks that they
+        # are strings in one join after the pass; if any check fails, the
+        # records are read again one by one to name the first fault
+        mark = len(dims)
+        for lists in (list, None):
+            new = []
+            any_delta = any_level = False
+            try:
+                for pos, rec in enumerate(fresh, start=len(survivors)):
+                    if type(rec) is not dict and not isinstance(rec, Mapping):
+                        raise DescriptorInvalid(
+                            f"face record {pos} is not an object: {rec!r}")
+                    fid = rec.get("id")
+                    if not isinstance(fid, str) or not fid:
+                        raise DuplicateFace(f"face record {pos} has no usable id")
+                    if fid in dims:
+                        raise DuplicateFace(f"duplicate face id {fid!r}")
+                    dim = rec.get("dim")
+                    if type(dim) is not int or dim < 0:
+                        raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
+                    dims[fid] = dim
+                    label = rec.get("label")
+                    labels[fid] = fid if label is None else str(label)
+                    ids = rec.get("facets")
+                    cov[fid] = tuple(ids) if type(ids) is lists else \
+                        _id_list(rec, "facets", fid)
+                    ids = rec.get("delta_order")
+                    if ids is not None:
+                        any_delta = True
+                        delta[fid] = tuple(ids) if type(ids) is lists else \
+                            _id_list(rec, "delta_order", fid)
+                    lv = rec.get("level")
+                    if lv is not None:
+                        any_level = True
+                        if type(lv) is not int or lv < 1:
+                            raise LevelNotDownwardClosed(
+                                f"face {fid!r} has invalid level {lv!r}; levels start at 1")
+                        levels[fid] = lv
+                    new.append(fid)
+                if lists:   # a TypeError unless every id is a string
+                    "".join(chain.from_iterable(map(cov.__getitem__, new)))
+                    if any_delta:
+                        "".join(chain.from_iterable(map(delta.get, new, repeat(()))))
+                break
+            except Exception:   # read again: the first fault in record order
+                if not lists:
+                    raise
+                # the ids the pass added, all fresh, come last in the maps
+                for f in list(islice(dims, mark, None)):
+                    for m in (dims, labels, cov, delta, levels):
+                        m.pop(f, None)
 
         # canonical order (dim, label, insertion index): the survivors come
         # in the parent's canonical order, and each fresh face goes after

@@ -399,10 +399,23 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     pair exists.  The depth-first search is iterative, over one set of
     alive faces restored on backtrack; ``budget`` bounds the states
     expanded, each remembered by the bitmask of its alive faces.  Free
-    pairs are tried from the top dimension down, then in canonical order;
-    they are kept up to date as pairs are removed and restored, so a step
-    touches only the faces within two levels below the pair, the lower
-    level only below a face whose alive cofaces went between 0 and 1.
+    pairs are tried from the top dimension down, then in canonical order.
+
+    The facet and coface lists are the numbering's
+    (``CombinatorialComplex._numbering``), read by canonical position:
+    as they are on a complex numbered afresh, whose slot i sits at
+    position i, and moved to positions on a restriction or a move output,
+    with the coface slots of dead faces and of faces outside it left out.
+    Each face keeps the count of its alive cofaces and the sum of their
+    positions, which is its one alive coface when it has one; a face s
+    is free when the count is 1 and its coface t has none.  Removing or
+    restoring a pair changes the counts of its facets only, by one each,
+    so a face's free state can change only for a facet whose count
+    reaches 1 or leaves it, and, below a facet whose count reaches or
+    leaves 0, for a facet of that one whose count is 1.  Only those are
+    looked at again.  After every step ``free`` holds the pairs a scan of
+    every face would find, so which faces were looked at never changes
+    the order in which pairs are tried.
 
     The free pairs of a state depend on its alive faces alone, and
     restoring a pair on backtrack restores those.  So a state's first
@@ -410,65 +423,77 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     entry counts while ``free`` still holds it), and the first backtrack
     into a state sorts its free keys above the one tried there, once:
     the pairs come in the order a sorted snapshot of the state gives,
-    and a state the search never returns to is never sorted.  Each face
-    keeps the sum of its alive cofaces' indices, which is its one alive
-    coface when it has one.  Once ``budget`` states are expanded no state
-    reads the heap again, so it takes no more keys; ``free`` and the sums
-    stay exact for the states the search resumes.
+    and a state the search never returns to is never sorted.  Once
+    ``budget`` states are expanded no state reads the heap again, so it
+    takes no more keys; ``free`` and the counts stay exact for the states
+    the search resumes.
     """
     if c.is_empty:
         return False, ()
     faces = c.face_ids
-    idx, cov = c._index, c._cov
-    dims = list(map(c._dims.__getitem__, faces))
-    below = [[idx[g] for g in cov[f]] for f in faces]
-    up = [0] * len(faces)           # alive cofaces per face
-    upsum = [0] * len(faces)        # the sum of their indices
-    for i, fs in enumerate(below):
-        for j in fs:
-            up[j] += 1
-            upsum[j] += i
+    n = len(faces)
+    dims = [k for k, m in enumerate(c.f_vector()) for _ in range(m)]
+    _ids, below, above, live = c._numbering()
+    if live != range(len(below)):       # else slot i sits at position i
+        # positions for slots; a dead or outside slot lies above no face
+        pos = dict(zip(live, range(n)))
+        below = [list(map(pos.__getitem__, below[x])) for x in live]
+        above = [[pos[y] for y in above[x] if y in pos] for x in live]
+    up = list(map(len, above))          # alive cofaces per face
+    upsum = list(map(sum, above))       # the sum of their positions
     # a free pair (s, t): s has exactly one alive coface t, t has none
-    alive = [True] * len(faces)
-    free = {}                       # free face s -> sort key (-dim t, t, s)
-    heap = []                       # free keys, some no longer in free
+    alive = [True] * n
+    free = {s: (-dims[t], t, s) for s, t in enumerate(upsum)
+            if up[s] == 1 and not up[t]}    # free face s -> sort key
+    heap = sorted(free.values())    # free keys, some no longer in free
     seen = set()                    # bitmasks of the states expanded
 
-    def refresh(f):
-        t = upsum[f]
-        if alive[f] and up[f] == 1 and not up[t]:
-            key = (-dims[t], t, f)
-            if free.get(f) != key:
-                free[f] = key
-                if len(seen) < budget:  # no state reads the heap after that
-                    heappush(heap, key)
-                    if len(heap) > 2 * len(faces):  # drop the stale keys
-                        heap[:] = sorted(free.values())
-        else:
-            free.pop(f, None)
+    def refresh(redo):
+        for f in redo:
+            t = upsum[f]
+            if alive[f] and up[f] == 1 and not up[t]:
+                key = (-dims[t], t, f)
+                if free.get(f) != key:
+                    free[f] = key
+                    if len(seen) < budget:  # no state reads the heap after that
+                        heappush(heap, key)
+                        if len(heap) > 2 * n:   # drop the stale keys
+                            heap[:] = sorted(free.values())
+            else:
+                free.pop(f, None)
 
-    def toggle(s, t, now_alive):
-        alive[s] = alive[t] = now_alive
-        step = 1 if now_alive else -1
-        touched = {s, t}
+    def kill(s, t):
+        alive[s] = alive[t] = False
+        redo = []
         for f in (s, t):
             for g in below[f]:
-                up[g] += step
-                upsum[g] += step * f
-                touched.add(g)
-                if up[g] == now_alive:  # moved between 0 and 1
-                    touched.update(below[g])
-        for f in touched:
-            refresh(f)
+                k = up[g] = up[g] - 1
+                upsum[g] -= f
+                if k < 2:               # the count left 1 or reached it
+                    redo.append(g)
+                    if not k:   # and reached 0: recheck faces whose one coface is g
+                        redo += [h for h in below[g] if up[h] == 1]
+        refresh(redo)
 
-    for f in range(len(faces)):
-        refresh(f)
-    keys = [(1 << len(faces)) - 1]  # keys[d]: bitmask of alive after trail[:d]
+    def restore(s, t):
+        alive[s] = alive[t] = True
+        redo = []
+        for f in (s, t):
+            for g in below[f]:
+                k = up[g] = up[g] + 1
+                upsum[g] += f
+                if k < 3:               # the count reached 1 or left it
+                    redo.append(g)
+                    if k == 1:  # and left 0: recheck faces whose one coface is g
+                        redo += [h for h in below[g] if up[h] == 1]
+        refresh(redo)
+
+    keys = [(1 << n) - 1]           # keys[d]: bitmask of alive after trail[:d]
     trail = []
     rest = []       # rest[d]: the untried pairs of the state after trail[:d],
                     # sorted on the first backtrack into it, None before
     while True:
-        if len(faces) - 2 * len(trail) == 1 and dims[alive.index(True)] == 0:
+        if n - 2 * len(trail) == 1 and dims[alive.index(True)] == 0:
             return True, tuple((faces[s], faces[t]) for s, t in trail)
         key = pairs = None
         if keys[-1] not in seen and len(seen) < budget:
@@ -480,7 +505,7 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
             if not trail:
                 return False, ()
             s, t = trail.pop()
-            toggle(s, t, True)
+            restore(s, t)
             keys.pop()
             pairs = rest.pop()
             if pairs is None:
@@ -488,7 +513,7 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
                 pairs = iter(sorted(k for k in free.values() if k > last))
             key = next(pairs, None)
         s, t = key[2], key[1]
-        toggle(s, t, False)
+        kill(s, t)
         keys.append(keys[-1] ^ 1 << s ^ 1 << t)
         trail.append((s, t))
         rest.append(pairs)

@@ -26,7 +26,8 @@ faces a move creates and is the constructor too, a Tietze pass that
 renumbers the generators after every elimination, one that scans,
 substitutes into and recanonicalizes every relator on every turn, a
 collapse search that sorts the free pairs of every state it expands,
-the report writer that hands every document to ``json.dumps``, a
+a replay that checks a collapse sequence one elementary collapse at a
+time, the report writer that hands every document to ``json.dumps``, a
 vertex flow that finds spans by indexing every face by its vertex set,
 a fundamental group presentation whose spanning tree walks sorted
 adjacency lists, a wedge certificate that leaves the fundamental group
@@ -423,6 +424,24 @@ def sorting_collapse_to_point(c, budget=10000, stats=None):
         toggle(pair, False)
         keys.append(keys[-1] ^ 1 << pair[0] ^ 1 << pair[1])
         trail.append(pair)
+
+
+def replay_collapse(c, seq):
+    """Whether ``seq``, a list of (free face, coface) id pairs, collapses
+    ``c`` to one vertex: each pair in turn an elementary collapse, s with
+    exactly one alive coface, t, and t with none, read off the covering
+    relation alone."""
+    cofaces = {f: set() for f in c.face_ids}
+    for f in c.face_ids:
+        for g in c.facets(f):
+            cofaces[g].add(f)
+    alive = set(c.face_ids)
+    for s, t in seq:
+        if s not in alive or t not in alive or cofaces[s] & alive != {t} \
+                or cofaces[t] & alive:
+            return False
+        alive -= {s, t}
+    return len(alive) == 1 and c.dim(next(iter(alive))) == 0
 
 
 def recursive_check_acyclic(order, succ):

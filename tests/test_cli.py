@@ -9,10 +9,10 @@ import sncx as S
 import sncx.cli as cli
 from sncx import gallery as G
 from sncx.cli import main
-from sncx.serialize import dumps_complex
+from sncx.serialize import dumps_complex, read_complex
 
 from conftest import close_under_subsets
-from oracles import presentation_wedge_certificate, stdlib_dumps
+from oracles import presentation_wedge_certificate, replay_collapse, stdlib_dumps
 
 
 @pytest.fixture(autouse=True)
@@ -200,6 +200,23 @@ class TestSubcommands:
         code, out = run_cli(["certify", str(path), "--sphere-dim", "4"])
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "certified-wedge(6)"
+
+    def test_certify_collapse_witness_replays(self, tmp_path):
+        # the witness of a contractible input is a sequence of elementary
+        # collapses to one vertex, checked by a replay on the covering
+        # relation of the complex read back from the same file
+        items = {"simplex": G.full_simplex(7),
+                 "cone": S.cone(G.octahedron_boundary().order_complex()),
+                 "skeleton-cone": S.cone(S.skeleton(G.full_simplex(5), 1))}
+        for name, c in items.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(dumps_complex(c))
+            code, out = run_cli(["certify", str(path), "--sphere-dim", "2"])
+            report = json.loads(out)["report"]
+            assert code == 0 and report["verdict"] == "certified-wedge(0)"
+            seq = report["witness"]["collapse"]
+            assert 2 * len(seq) + 1 == sum(c.f_vector())
+            assert replay_collapse(read_complex(path), seq)
 
     def test_certify_reads_the_matching_not_a_presentation(self, tmp_path,
                                                            monkeypatch):

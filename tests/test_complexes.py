@@ -103,6 +103,28 @@ class TestConstruction:
         assert str(info.value) == \
             f"face 'e' field {key!r} must be a list of face ids, got {ids!r}"
 
+    @pytest.mark.parametrize("key", ["facets", "delta_order"])
+    @pytest.mark.parametrize("later", [
+        {"id": "e", "dim": 1}, {"id": "w", "dim": -1}, {"id": ""}, 7,
+        {"id": "w", "dim": 0, "level": 0}, {"id": "w", "dim": 0, "facets": "u"}])
+    def test_id_list_fault_comes_first_in_record_order(self, key, later):
+        # the ids are checked to be strings after the whole pass; a fault
+        # found there is still named before a bad level in its own record
+        # and before any fault of a later record
+        ids = ["u", 1]
+        recs = [{"id": "u", "dim": 0, "level": 1}, {"id": "v", "dim": 0, "level": 1},
+                {"id": "e", "dim": 1, "facets": ["u", "v"], key: ids, "level": 0},
+                later]
+        clean = recs[:2] + [{**recs[2], "level": 1}, {"id": "w", "dim": 0, "level": 1}]
+        for bad in (recs, clean):
+            with pytest.raises(DescriptorInvalid) as info:
+                S.new_complex(bad)
+            assert str(info.value) == \
+                f"face 'e' field {key!r} must be a list of face ids, got {ids!r}"
+        with pytest.raises(LevelNotDownwardClosed) as info:
+            S.new_complex(recs[:2] + [{**recs[2], key: ["u", "v"]}])
+        assert str(info.value) == "face 'e' has invalid level 0; levels start at 1"
+
     def test_grading_violation(self):
         recs = [{"id": "v", "dim": 0, "facets": []},
                 {"id": "t", "dim": 2, "facets": ["v"]}]

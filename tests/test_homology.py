@@ -34,6 +34,7 @@ from oracles import (
     presentation_wedge_certificate,
     rational_kernel_line,
     recursive_collapse_to_point,
+    replay_collapse,
     sorting_collapse_to_point,
 )
 from test_newton import staircase_support
@@ -608,6 +609,46 @@ def dunce_hat_with_a_3_cell():
            {"id": "ball", "dim": 3, "facets": ["s"] + [tri(t) for t in disk]}])
 
 
+def triangles_under_a_3_cell():
+    """Three triangles on one edge ``ea``, two of them (``fa``, ``fc``)
+    on one circle, and a 3-cell on ``fa`` and ``fb``: a face poset the
+    constructor accepts, as it checks regularity up to dimension 2 only,
+    whose 3-cell has ridges in one of its facets.  Removing the pair
+    (``fa``, ``ball``) frees ``ed`` and ``ee``, which lie below ``fb``
+    alone and not below the pair."""
+    def edge(e, a, b):
+        return {"id": e, "dim": 1, "facets": [f"v{a}", f"v{b}"]}
+
+    return S.new_complex(
+        [{"id": f"v{i}", "dim": 0} for i in range(4)]
+        + [edge("ea", 0, 1), edge("eb", 1, 2), edge("ec", 0, 2),
+           edge("ed", 1, 3), edge("ee", 0, 3)]
+        + [{"id": f, "dim": 2, "facets": es} for f, es in (
+            ("fa", ["ea", "eb", "ec"]), ("fb", ["ea", "ed", "ee"]),
+            ("fc", ["ea", "eb", "ec"]))]
+        + [{"id": "ball", "dim": 3, "facets": ["fa", "fb"]}])
+
+
+def with_one_sided_3_cells(rng, c, k):
+    """The face poset of ``c`` with ``k`` more 3-cells like the one of
+    :func:`triangles_under_a_3_cell`: each on a triangle t and on a new
+    triangle over an edge of t and a new vertex, with a copy of t beside
+    them so that the Euler characteristic stays."""
+    recs = [{key: v for key, v in c._record(f).items() if key != "delta_order"}
+            for f in c.face_ids]
+    for i in range(k):
+        t = rng.choice(c.faces_of_dim(2))
+        xy = rng.choice(c.facets(t))
+        x, y = c.facets(xy)
+        recs += [{"id": f"p{i}", "dim": 2, "facets": list(c.facets(t))},
+                 {"id": f"w{i}", "dim": 0},
+                 {"id": f"a{i}", "dim": 1, "facets": [x, f"w{i}"]},
+                 {"id": f"b{i}", "dim": 1, "facets": [y, f"w{i}"]},
+                 {"id": f"q{i}", "dim": 2, "facets": [xy, f"a{i}", f"b{i}"]},
+                 {"id": f"z{i}", "dim": 3, "facets": rng.sample([t, f"q{i}"], 2)}]
+    return S.new_complex(recs)
+
+
 class TestCollapse:
     def test_cone_collapses(self):
         ok, seq = S.collapse_to_point(S.cone(G.triangle_boundary()))
@@ -635,8 +676,9 @@ class TestCollapse:
         budgets = [0, 1, 2, 3, 5, 8, 13, 40, 200, 10000]
         for c in fixtures:
             for budget in budgets + [rng.randint(0, 60)]:
-                assert S.collapse_to_point(c, budget) == \
-                    recursive_collapse_to_point(c, budget)
+                got = S.collapse_to_point(c, budget)
+                assert got == recursive_collapse_to_point(c, budget)
+                assert not got[0] or replay_collapse(c, got[1])
 
     def test_deep_search_has_no_recursion_limit(self):
         ok, seq = S.collapse_to_point(G.full_simplex(10), 4000)
@@ -661,22 +703,79 @@ class TestCollapse:
                  "octahedron": (octahedron, (4000,)),
                  "annulus": (annulus, (1, 50, 4000)),
                  "moebius": (moebius, (4000,)),
-                 "hat": (dunce_hat_with_a_3_cell(), (1, 2, 4000))}
+                 "hat": (dunce_hat_with_a_3_cell(), (1, 2, 4000)),
+                 "one-sided": (triangles_under_a_3_cell(), (1, 4000))}
         rng = random.Random(53)
         for i in range(60):
             c = random_simplicial_complex(rng, max_verts=8, max_facets=8,
                                           max_dim=3)
             cases[i] = (c, (20, 300, 4000))
             cases[-1 - i] = (S.cone(c), (20, 300, 4000))
+            if c.dimension >= 2:
+                cases["one-sided", i] = (with_one_sided_3_cells(
+                    rng, S.cone(c) if i % 3 else c, rng.randint(1, 2)), (3, 20, 4000))
         resumed = {}
         for name, (c, budgets) in cases.items():
             for budget in budgets:
                 stats = {}
                 want = sorting_collapse_to_point(c, budget, stats)
                 assert S.collapse_to_point(c, budget) == want
+                assert not want[0] or replay_collapse(c, want[1])
                 resumed[name, budget] = stats.get("resumed", 0)
         assert resumed["annulus", 4000] > 1000      # searched through
+        assert S.collapse_to_point(cases["one-sided"][0])[1][1] == ("ed", "fb")
         assert resumed["simplex", 4000] == 0        # collapsed greedily
+
+    def test_agrees_on_carried_numberings(self):
+        # complexes whose slot i is not at position i: skeleta and level
+        # subcomplexes share their parent's lists, with slots outside them
+        # above their faces; so do the components a d = 0 certificate
+        # collapses; move outputs keep dead slots; and a move output whose
+        # numbering was dropped is numbered afresh by the search
+        rng = random.Random(71)
+        cases = []              # (kind, complex)
+        for base in (G.full_simplex(6), S.cone(G.octahedron_boundary().order_complex()),
+                     S.cone(dunce_hat())):
+            cases += [("outside", S.skeleton(base, k)) for k in range(base.dimension)]
+            lv = with_random_levels(rng, base)
+            cases += [("outside", S.level_subcomplex(lv, m))
+                      for m in range(1, lv.max_level())]
+            cur = base
+            for move in draw_mixed_script(rng, base, 4):
+                cur = S.blowup_move(cur, move)
+                cases.append(("dead", cur))
+        for _ in range(12):
+            c = random_simplicial_complex(rng, max_verts=8, max_facets=6, max_dim=3)
+            u = S.disjoint_union(S.cone(c), c)
+            cases += [("outside", u._restricted(comp))
+                      for comp in u.connected_components()]
+        c = G.full_simplex(3)
+        for _ in range(2):
+            c = S.blowup_move(c, S.BlowupMove(case=2, face=c.faces_of_dim(0)[0]))
+        assert c._num is None
+        cases.append(("dropped", c))
+        kinds = Counter()
+        for kind, c in cases:
+            ids, below, _above, live = c._numbering()
+            assert (live == range(len(below))) == (kind == "dropped")
+            kinds[kind] += len(ids) > len(live)
+            for budget in (1, 20, 300, 4000):
+                got = S.collapse_to_point(c, budget)
+                assert got == sorting_collapse_to_point(c, budget)
+                assert not got[0] or replay_collapse(c, got[1])
+                kinds["collapsed"] += got[0]
+        assert kinds["outside"] >= 20 and kinds["dead"] >= 10, kinds
+        assert kinds["collapsed"] >= 50, kinds
+
+    def test_replay_rejects_what_is_not_a_collapse(self):
+        c = S.cone(G.triangle_boundary())
+        ok, seq = S.collapse_to_point(c)
+        assert ok and replay_collapse(c, seq)
+        assert not replay_collapse(c, seq[:-1])         # two faces left
+        assert not replay_collapse(c, seq[1:])          # a coface still alive
+        assert not replay_collapse(c, seq[:1] + seq[:1])
+        assert not replay_collapse(c, [(t, s) for s, t in seq])
+        assert not replay_collapse(G.triangle_boundary(), ())
 
     def test_collapses_after_a_backtrack(self):
         hat = dunce_hat()
