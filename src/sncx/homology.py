@@ -423,10 +423,13 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     entry counts while ``free`` still holds it), and the first backtrack
     into a state sorts its free keys above the one tried there, once:
     the pairs come in the order a sorted snapshot of the state gives,
-    and a state the search never returns to is never sorted.  Once
-    ``budget`` states are expanded no state reads the heap again, so it
-    takes no more keys; ``free`` and the counts stay exact for the states
-    the search resumes.
+    and a state the search never returns to is never sorted.  A state is
+    a point when the number of pairs removed reaches (faces - 1) / 2, and
+    a search that expands no more states only backtracks and tries other
+    pairs one level up, which reaches no state with more pairs removed
+    than the one it left.  So once ``budget`` states are expanded, the
+    first backtrack ends the search: it could only try states that are
+    not a point.
     """
     if c.is_empty:
         return False, ()
@@ -455,10 +458,9 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
                 key = (-dims[t], t, f)
                 if free.get(f) != key:
                     free[f] = key
-                    if len(seen) < budget:  # no state reads the heap after that
-                        heappush(heap, key)
-                        if len(heap) > 2 * n:   # drop the stale keys
-                            heap[:] = sorted(free.values())
+                    heappush(heap, key)
+                    if len(heap) > 2 * n:   # drop the stale keys
+                        heap[:] = sorted(free.values())
             else:
                 free.pop(f, None)
 
@@ -502,7 +504,7 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
                 heappop(heap)
             key = heap[0] if heap else None
         while key is None:  # backtrack to the deepest state with an untried pair
-            if not trail:
+            if not trail or len(seen) >= budget:
                 return False, ()
             s, t = trail.pop()
             restore(s, t)

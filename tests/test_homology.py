@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -684,6 +685,17 @@ class TestCollapse:
         ok, seq = S.collapse_to_point(G.full_simplex(10), 4000)
         assert ok
         assert len(seq) * 2 + 1 == sum(G.full_simplex(10).f_vector())
+
+    def test_spent_budget_ends_the_search(self):
+        # a greedy collapse of the 12-simplex expands 4,095 states; with
+        # one fewer the search stops at its first backtrack, since trying
+        # the other pairs on the way up can reach no point
+        c = G.full_simplex(12)
+        start = time.perf_counter()
+        assert S.collapse_to_point(c, 4094) == (False, ())
+        assert time.perf_counter() - start < 2.0
+        ok, seq = S.collapse_to_point(c, 4095)
+        assert ok and replay_collapse(c, seq)
 
     def test_agrees_with_sorting_oracle(self):
         # sizes and budgets where the recursive oracle is too slow, two
