@@ -286,7 +286,7 @@ class CombinatorialComplex:
         # are strings in one join after the pass; if any check fails, the
         # records are read again one by one to name the first fault
         mark = len(dims)
-        for lists in (list, None):
+        for fast in (True, False):
             new = []
             any_delta = any_level = False
             try:
@@ -306,12 +306,12 @@ class CombinatorialComplex:
                     label = rec.get("label")
                     labels[fid] = fid if label is None else str(label)
                     ids = rec.get("facets")
-                    cov[fid] = tuple(ids) if type(ids) is lists else \
+                    cov[fid] = tuple(ids) if fast and type(ids) is list else \
                         _id_list(rec, "facets", fid)
                     ids = rec.get("delta_order")
                     if ids is not None:
                         any_delta = True
-                        delta[fid] = tuple(ids) if type(ids) is lists else \
+                        delta[fid] = tuple(ids) if fast and type(ids) is list else \
                             _id_list(rec, "delta_order", fid)
                     lv = rec.get("level")
                     if lv is not None:
@@ -321,13 +321,13 @@ class CombinatorialComplex:
                                 f"face {fid!r} has invalid level {lv!r}; levels start at 1")
                         levels[fid] = lv
                     new.append(fid)
-                if lists:   # a TypeError unless every id is a string
+                if fast:    # a TypeError unless every id is a string
                     "".join(chain.from_iterable(map(cov.__getitem__, new)))
                     if any_delta:
                         "".join(chain.from_iterable(map(delta.get, new, repeat(()))))
                 break
             except Exception:   # read again: the first fault in record order
-                if not lists:
+                if not fast:
                     raise
                 # the ids the pass added, all fresh, come last in the maps
                 for f in list(islice(dims, mark, None)):
