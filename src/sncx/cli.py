@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import __version__
+from .complexes import CombinatorialComplex
 from .errors import DescriptorInvalid, SncxError
 from .homology import _as_reduced, homology, wedge_certificate
 from .newton import _w0_report, newton_polyhedron, torus_hypersurface_boundary_complex
@@ -101,7 +102,7 @@ def _run_transform(args) -> dict:
         "final": {"f_vector": last["f_vector"],
                   "euler_characteristic": final.euler_characteristic(),
                   "homology": last["homology"]},
-        "final_complex": complex_to_dict(final),
+        "final_complex": final,
     }
 
 
@@ -109,14 +110,14 @@ def _run_dual(args) -> dict:
     desc = strata_from_json(_load_json(args.input))
     c = dual_complex(desc)
     return {"input": args.input, "sha256": _sha256(args.input),
-            **_summary(c), "complex": complex_to_dict(c)}
+            **_summary(c), "complex": c}
 
 
 def _run_toric_link(args) -> dict:
     fan = fan_from_json(_load_json(args.input))
     c = toric_link(fan)
     return {"input": args.input, "sha256": _sha256(args.input),
-            **_summary(c), "complex": complex_to_dict(c)}
+            **_summary(c), "complex": c}
 
 
 def _run_realize(args) -> dict:
@@ -125,7 +126,7 @@ def _run_realize(args) -> dict:
     ground = doc.get("n") if isinstance(doc, dict) else None
     c, script = realize_boundary(faces, n=ground)
     return {"input": args.input, "sha256": _sha256(args.input),
-            **_summary(c), "complex": complex_to_dict(c),
+            **_summary(c), "complex": c,
             "script": script_to_list(script)}
 
 
@@ -135,7 +136,7 @@ def _run_newton(args) -> dict:
     if args.variant != "both":
         report["predicted_variant"] = args.variant
         report["predicted_count"] = report["predicted"][args.variant]
-    report["model_complex"] = complex_to_dict(model)
+    report["model_complex"] = model
     report["input"] = args.input
     report["sha256"] = _sha256(args.input)
     return report
@@ -148,7 +149,7 @@ def _run_torus_boundary(args) -> dict:
     return {"input": args.input, "sha256": _sha256(args.input),
             **_summary(c, h),
             "reduced_homology": _as_reduced(h).as_json(),
-            "complex": complex_to_dict(c)}
+            "complex": c}
 
 
 def _run_certify(args) -> dict:
@@ -163,13 +164,15 @@ def _run_certify(args) -> dict:
 
 def _render_text(doc, indent=0) -> str:
     pad = "  " * indent
+    if isinstance(doc, CombinatorialComplex):
+        doc = complex_to_dict(doc)
     if not isinstance(doc, (dict, list)):
         return f"{pad}{doc}"
     items = ([(f"{k}:", doc[k]) for k in sorted(doc)] if isinstance(doc, dict)
              else [("-", v) for v in doc])
     lines = []
     for head, v in items:
-        if isinstance(v, (dict, list)):
+        if isinstance(v, (dict, list, CombinatorialComplex)):
             lines += [pad + head, _render_text(v, indent + 1)]
         else:
             lines.append(f"{pad}{head} {v}")

@@ -4,18 +4,22 @@ Writers are byte-deterministic: canonical face order, sorted keys, two
 space indent, trailing newline.  Reading a file we wrote and writing it
 again reproduces the bytes exactly.
 
-``dumps(doc)`` returns exactly ``json.dumps(doc, indent=2, sort_keys=True)
-+ "\n"``.  With an indent, CPython's ``json`` runs its pure-Python
-encoder, so ``dumps`` writes the documents the CLI produces itself.  It
-dispatches on exact type: a ``dict`` with ``str`` keys, a ``list`` or
-``tuple``, a ``str`` (through the C ``encode_basestring_ascii`` the
-stdlib encoder calls), an ``int`` (through ``int.__repr__``, as there),
-``True``, ``False`` and ``None``; a list of only ``str`` or only ``int``
-items is written with one join.  Anything else -- a float, a key that is
-not a ``str``, a subclass of any of these types, an object ``json``
-cannot encode, or nesting deeper than ``_MAX_DEPTH`` (which also catches
-a cycle) -- sends the whole document through that ``json.dumps`` call,
-so it gets the stdlib's bytes or its exception and message.
+``dumps(doc)`` returns exactly ``json.dumps(doc, indent=2, sort_keys=True,
+default=_default) + "\n"``, where ``_default`` turns a complex ``c`` into
+``complex_to_dict(c)``.  With an indent, CPython's ``json`` runs its
+pure-Python encoder, so ``dumps`` writes the documents the CLI produces
+itself.  It dispatches on exact type: a ``dict`` with ``str`` keys, a
+``list`` or ``tuple``, a ``str`` (through the C ``encode_basestring_ascii``
+the stdlib encoder calls), an ``int`` (through ``int.__repr__``, as
+there), ``True``, ``False`` and ``None``; a list of only ``str`` or only
+``int`` items is written with one join.  A ``CombinatorialComplex`` is
+written as its face records straight from the complex's own maps, with
+one template per record shape, and no record dicts are built.  Anything
+else -- a float, a key that is not a ``str``, a subclass of any of these
+types, an object ``json`` cannot encode, or nesting deeper than
+``_MAX_DEPTH`` (which also catches a cycle) -- sends the whole document
+through that ``json.dumps`` call, so it gets the stdlib's bytes or its
+exception and message.
 """
 
 from __future__ import annotations
@@ -99,18 +103,71 @@ def _write(o, depth: int) -> str:
         return "true"
     if o is False:
         return "false"
+    if t is CombinatorialComplex:
+        return _write_complex(o, depth)
     raise _Fallback
+
+
+def _write_complex(c: CombinatorialComplex, depth: int) -> str:
+    """``complex_to_dict(c)`` as ``_write`` writes it at nesting ``depth``.
+
+    The fields follow :meth:`CombinatorialComplex._rewritten`: a label
+    only where it differs from the id, a delta order only above dimension
+    0 on a Delta complex, a level only on a filtered complex.
+    """
+    if depth + 3 >= _MAX_DEPTH:     # its facet lists would reach the limit
+        raise _Fallback
+    order = c._order
+    if not order:
+        return "{" + _PAD[depth + 1] + '"faces": []' + _PAD[depth] + "}"
+    dims, labels, cov, delta, levels = (c._dims, c._labels, c._cov,
+                                        c._delta, c._levels)
+    p2, p3, p4 = _PAD[depth + 2], _PAD[depth + 3], _PAD[depth + 4]
+    sep, end = "," + p4, p3 + "]"
+
+    def ids(fs):
+        return "[" + p4 + sep.join(map(_esc, fs)) + end if fs else "[]"
+
+    def template(has_delta, has_label):
+        keys = (["delta_order"] * has_delta + ["dim", "facets", "id"]
+                + ["label"] * has_label + ["level"] * (levels is not None))
+        return "{" + p3 + ("," + p3).join(f'"{k}": %s' for k in keys) + p2 + "}"
+
+    shapes = {(dl, lb): template(dl, lb) for dl in (False, True)
+              for lb in (False, True)}
+    out = []
+    for f in order:
+        d, label = dims[f], labels[f]
+        has_delta, has_label = delta is not None and d > 0, label != f
+        args = (_int(d), ids(cov[f]), _esc(f))
+        if has_delta:
+            args = (ids(delta[f]), *args)
+        if has_label:
+            args += (_esc(label),)
+        if levels is not None:
+            args += (_int(levels[f]),)
+        out.append(shapes[has_delta, has_label] % args)
+    return ("{" + _PAD[depth + 1] + '"faces": [' + p2 + ("," + p2).join(out)
+            + _PAD[depth + 1] + "]" + _PAD[depth] + "}")
+
+
+def _default(o):
+    # what ``json.dumps`` calls on a value it cannot encode itself
+    if isinstance(o, CombinatorialComplex):
+        return complex_to_dict(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
 
 
 def dumps(doc) -> str:
     try:
         return _write(doc, 0) + "\n"
     except _Fallback:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, default=_default) + "\n"
 
 
 def dumps_complex(c: CombinatorialComplex) -> str:
-    return dumps(complex_to_dict(c))
+    return dumps(c)
 
 
 def loads_complex(text: str) -> CombinatorialComplex:

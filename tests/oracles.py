@@ -108,6 +108,7 @@ from sncx.presentations import (
     _shorten_by_overlap,
 )
 from sncx import snf
+from sncx.serialize import complex_to_dict
 from sncx.snf import SNFResult, kernel_line, smith_normal_form
 from sncx.transforms import (
     BlowupMove,
@@ -1151,8 +1152,15 @@ def renumbering_tietze_simplify(pres, budget=20000):
 
 def stdlib_dumps(doc) -> str:
     """The report writer as it was: the stdlib encoder, two-space indent,
-    sorted keys, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    sorted keys, trailing newline.  A complex is written as the records
+    ``to_records`` builds; anything else the stdlib cannot encode raises
+    its own ``TypeError``."""
+    def default(o):
+        if isinstance(o, CombinatorialComplex):
+            return complex_to_dict(o)
+        return json.JSONEncoder().default(o)
+
+    return json.dumps(doc, indent=2, sort_keys=True, default=default) + "\n"
 
 
 def indexing_morse_vertex_flow(c, v_src, v_dst):

@@ -9,7 +9,7 @@ import sncx as S
 import sncx.cli as cli
 from sncx import gallery as G
 from sncx.cli import main
-from sncx.serialize import dumps_complex, read_complex
+from sncx.serialize import complex_to_dict, dumps_complex, read_complex
 
 from conftest import close_under_subsets
 from oracles import presentation_wedge_certificate, replay_collapse, stdlib_dumps
@@ -280,6 +280,26 @@ class TestSubcommands:
                              "--format", "text"])
         assert code == 0
         assert out.startswith("command: homology")
+
+    @pytest.mark.parametrize("argv, key", [
+        (["transform", "triangle", "script"], "final_complex"),
+        (["dual", "strata"], "complex"),
+        (["toric-link", "fan"], "complex"),
+        (["realize", "subsets"], "complex"),
+        (["newton", "quadric"], "model_complex"),
+        (["torus-boundary", "square"], "complex"),
+    ])
+    def test_text_format_renders_a_complex_as_its_records(self, inputs, argv, key):
+        argv = [argv[0], *(str(inputs[name]) for name in argv[1:])]
+        args = cli.build_parser().parse_args(argv)
+        report = getattr(cli, "_run_" + args.command.replace("-", "_"))(args)
+        assert type(report[key]) is S.CombinatorialComplex
+        report[key] = complex_to_dict(report[key])
+        doc = {"tool": "sncx", "version": S.__version__,
+               "command": argv[0], "report": report}
+        code, out = run_cli([*argv, "--format", "text"])
+        assert code == 0
+        assert out == cli._render_text(doc) + "\n"
 
 
 class TestErrors:

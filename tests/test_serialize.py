@@ -20,7 +20,7 @@ from sncx.serialize import (
     script_to_list,
 )
 
-from conftest import random_simplicial_complex, with_random_levels
+from conftest import random_simplicial_complex, with_random_levels, without_delta
 from oracles import stdlib_dumps
 
 
@@ -70,6 +70,109 @@ class TestComplexRoundTrip:
     def test_canonical_key_order(self):
         text = dumps_complex(G.triangle_boundary())
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def json_complex(doc) -> str:
+    """``doc`` with each complex in it replaced by ``complex_to_dict``, as
+    the stdlib encoder writes it."""
+    def records(o):
+        if isinstance(o, S.CombinatorialComplex):
+            return complex_to_dict(o)
+        if isinstance(o, dict):
+            return {k: records(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [records(v) for v in o]
+        return o
+    return json.dumps(records(doc), indent=2, sort_keys=True) + "\n"
+
+
+# each id is one of these pieces and a serial number: quotes, backslashes,
+# control characters, non-ASCII and a lone surrogate all need escaping
+ODD_IDS = ["v", '"', "\\", "\x00", "\x1f\n\t", "é", "日本", "😀", "\ud800", "a b", ""]
+
+
+def renamed(rng, c) -> S.CombinatorialComplex:
+    """``c`` with its ids drawn from :data:`ODD_IDS` and about a third of
+    its labels set apart from the ids."""
+    new = {f: rng.choice(ODD_IDS) + str(i) for i, f in enumerate(c.face_ids)}
+    recs = []
+    for rec in c.to_records():
+        rec["id"] = new[rec["id"]]
+        rec["facets"] = [new[g] for g in rec["facets"]]
+        if "delta_order" in rec:
+            rec["delta_order"] = [new[g] for g in rec["delta_order"]]
+        rec.pop("label", None)
+        if rng.random() < 0.35:
+            rec["label"] = rng.choice(ODD_IDS + list(new.values()))
+        recs.append(rec)
+    return S.CombinatorialComplex(recs)
+
+
+class TestComplexWriter:
+    """``dumps`` writes a complex from its own maps, with the bytes of the
+    stdlib encoder on ``complex_to_dict``."""
+
+    @staticmethod
+    def random_complexes(rng):
+        c = random_simplicial_complex(rng, max_verts=7, max_facets=5, max_dim=3)
+        filtered = with_random_levels(rng, c)
+        for x in (c, without_delta(c), filtered, without_delta(filtered)):
+            yield x
+            yield renamed(rng, x)
+
+    def test_randomized_agreement(self):
+        rng = random.Random(28)
+        kinds = set()
+        for _ in range(150):
+            for c in self.random_complexes(rng):
+                kinds.add((c.has_delta, c.has_levels,
+                           any(c.label(f) != f for f in c.face_ids)))
+                assert dumps(c) == json_complex(c)
+                assert dumps_complex(c) == dumps(c)
+        assert len(kinds) == 8
+
+    def test_gallery_and_edge_cases(self):
+        vertex = S.new_complex([{"id": "v", "dim": 0, "facets": []}])
+        named = S.new_complex([{"id": "\"v\"", "dim": 0, "facets": [],
+                                "label": "é\\"}])
+        for c in (S.CombinatorialComplex([]), vertex, named, G.point_complex(),
+                  G.triangle_boundary(), G.real_projective_plane(),
+                  G.multi_edge_complex(3), G.full_simplex(4)):
+            assert dumps(c) == json_complex(c)
+        assert dumps(S.CombinatorialComplex([])) == '{\n  "faces": []\n}\n'
+
+    def test_nested_at_every_depth(self):
+        rng = random.Random(7)
+        odd = renamed(rng, filtered_fixture())
+        for c in (S.CombinatorialComplex([]), G.point_complex(), odd):
+            for depth in range(67):
+                doc = c
+                for i in range(depth):
+                    doc = [doc, 1] if i % 2 else {"k": doc, "a": "x"}
+                assert dumps(doc) == json_complex(doc), depth
+
+    def test_complex_beside_a_float_takes_the_fallback(self):
+        class Sub(S.CombinatorialComplex):
+            __slots__ = ()
+
+        c = G.triangle_boundary()
+        sub = Sub(c.to_records())
+        for doc in ({"complex": c, "x": 0.5}, [c, 1.5, c], [sub],
+                    {"a": [sub, c]}, {1: c}):
+            assert dumps(doc) == json_complex(doc)
+            assert dumps(doc) == stdlib_dumps(doc)
+
+    def test_plain_complexes_build_no_records(self, monkeypatch):
+        c = filtered_fixture()
+        doc = {"report": {"complex": c, "faces": [c, S.CombinatorialComplex([])]}}
+        want = json_complex(doc)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex went through its records")
+
+        monkeypatch.setattr(serialize.json, "dumps", refuse)
+        monkeypatch.setattr(S.CombinatorialComplex, "to_records", refuse)
+        assert dumps(doc) == want
 
 
 class TestFileHelpers:
