@@ -11,7 +11,8 @@ search that rescans every alive face for free pairs in each state, a
 recursive acyclicity check for Morse matchings, a facet census that
 solves a kernel line for every subset of points and coordinate
 directions, a face lattice that intersects every pair of faces found
-as sets of point indices, a poset isomorphism search that recurses
+as sets of point indices (both taking affine dimensions by their own
+rank helper, apart from the census's), a poset isomorphism search that recurses
 once per face, the complexes read off polyhedra and fans built by
 scanning every cell for every cell, then puckered one long edge at a
 time, a blowup-script replay that builds every move output and level
@@ -93,7 +94,6 @@ from sncx.newton import (
     PolyFace,
     PolyFacet,
     SubdividedSimplex,
-    _affine_dim,
     _dot,
     _edge,
     _face_lattice,
@@ -464,6 +464,23 @@ def recursive_check_acyclic(order, succ):
             dfs(s)
 
 
+def affine_dim(points, onset, recession):
+    """The dimension of the affine span of the points indexed by ``onset``
+    and the coordinate directions in ``recession``, -1 for no points: the
+    rank of the differences to the least point and the unit rows, by
+    ``snf.matrix_rank``."""
+    if not onset:
+        return -1
+    base = points[min(onset)]
+    rows = [tuple(points[i][j] - base[j] for j in range(len(base)))
+            for i in sorted(onset) if i != min(onset)]
+    for j in recession:
+        rows.append(tuple(1 if t == j else 0 for t in range(len(base))))
+    if not rows:
+        return 0
+    return snf.matrix_rank(rows)
+
+
 def brute_force_facet_census(points, orthant: bool):
     """Every (points, directions) subset spanning a hyperplane, checked."""
     d = len(points[0])
@@ -497,7 +514,7 @@ def brute_force_facet_census(points, orthant: bool):
             onset = frozenset(i for i, p in enumerate(points)
                               if _dot(cand, p) == m)
             frec = tuple(j for j in range(d) if cand[j] == 0) if orthant else ()
-            if _affine_dim(points, onset, frec) == d - 1:
+            if affine_dim(points, onset, frec) == d - 1:
                 found[cand] = PolyFacet(cand, m, onset, all(x > 0 for x in cand)
                                         if orthant else True)
     facets = sorted(found.values(), key=lambda f: f.normal)
@@ -516,7 +533,7 @@ def pairwise_face_lattice(points, facets, orthant: bool):
 
     def build(pset, rec):
         s = saturate(pset, rec)
-        dim = _affine_dim(points, pset, rec)
+        dim = affine_dim(points, pset, rec)
         compact = not rec
         return PolyFace(tuple(sorted(pset)), tuple(rec), s, dim, compact)
 

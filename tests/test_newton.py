@@ -22,6 +22,7 @@ from sncx.snf import kernel_line
 from conftest import random_lattice_polygon, random_lattice_polytope, random_support
 from oracles import (
     ReadingLatticePolytope,
+    affine_dim,
     brute_force_facet_census,
     cell_writing_torus_boundary_complex,
     order_complex_homology,
@@ -126,6 +127,87 @@ class TestValidateGuards:
         with pytest.raises(AssertionError) as exc:
             np_._validate()
         assert str(exc.value) == "orthant recession violated"
+
+    def test_vertex_on_too_few_facets(self):
+        # the interior vertex of the cusp lies on its three compact facets;
+        # dropped from one of them, it lies on two
+        np_ = S.newton_polyhedron(CUSP)
+        v = np_.points.index((1, 1, 1))
+        i = next(i for i, f in enumerate(np_.facets) if v in f.points)
+        facets = list(np_.facets)
+        facets[i] = dataclasses.replace(facets[i], points=facets[i].points - {v})
+        np_.facets = tuple(facets)
+        with pytest.raises(NotFullDimensional) as exc:
+            np_._validate()
+        assert str(exc.value) == ("vertex (1, 1, 1) lies on 2 < 3 facets; "
+                                  "the polyhedron is not full-dimensional")
+
+    def test_flipped_compact_flag(self):
+        for pts in (QUADRIC, CUSP):
+            np_ = S.newton_polyhedron(pts)
+            faces = list(np_.faces)
+            i = next(i for i, f in enumerate(faces) if f.dim == 1)
+            faces[i] = dataclasses.replace(faces[i], compact=not faces[i].compact)
+            np_.faces = tuple(faces)
+            with pytest.raises(AssertionError) as exc:
+                np_._validate()
+            assert str(exc.value) == \
+                f"compactness criteria disagree on face {faces[i].points}"
+
+
+class TestCensusGuards:
+    """A tight mask of the double description, or a vertex or cone of a
+    built census, tampered with: the census's and the fan's guards fire."""
+
+    def test_a_point_called_tight_makes_a_ray_no_facet(self, monkeypatch):
+        # the sign test of the last point inserted calls one ray tight on
+        # that point, which lies strictly above it; the ray's tight points
+        # then span the space, not a hyperplane
+        pts = [(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5), (1, 1, 1),
+               (2, 1, 3), (4, 1, 0)]
+        real = N._dot
+        seen = []
+
+        def recording(r, g):
+            s = real(r, g)
+            seen.append((r, g, s))
+            return s
+
+        monkeypatch.setattr(N, "_dot", recording)
+        N._facet_census(pts, False)
+        k = max(k for k, (r, g, s) in enumerate(seen)
+                if len(r) == 4 and g[0] == 1 and s > 0 and any(r[1:]))
+        ray = seen[k][0]
+        calls = iter(range(len(seen) + 1))
+
+        def lying(r, g):
+            return 0 if next(calls) == k else real(r, g)
+
+        monkeypatch.setattr(N, "_dot", lying)
+        with pytest.raises(AssertionError) as exc:
+            N._facet_census(pts, False)
+        assert str(exc.value) == f"census ray {ray} is not a facet"
+
+    def test_a_vertex_without_a_full_cone(self):
+        np_ = S.newton_polyhedron(CUSP)
+        np_.vertices = np_.vertices[1:]
+        with pytest.raises(AssertionError) as exc:
+            S.normal_fan(np_)
+        assert str(exc.value) == "full-dimensional cones must match the vertices"
+
+    def test_an_edge_without_a_codimension_one_cone(self, monkeypatch):
+        class Tampered(N.SubdividedSimplex):
+            def __init__(self, np_):
+                super().__init__(np_)
+                cells = list(self.cells)
+                i = next(i for i, c in enumerate(cells) if c.dim == np_.ambient - 2)
+                cells[i] = dataclasses.replace(cells[i], dim=cells[i].dim - 1)
+                self.cells = tuple(cells)
+
+        monkeypatch.setattr(N, "SubdividedSimplex", Tampered)
+        with pytest.raises(AssertionError) as exc:
+            S.normal_fan(S.newton_polyhedron(CUSP))
+        assert str(exc.value) == "codimension-one cones must match the edges"
 
 
 class TestNormalFan:
@@ -357,7 +439,7 @@ SHAPES = ("point", "collinear", "coplanar", "repeated", "dominated", "random")
 
 
 def full_dimensional(pts):
-    return N._affine_dim(pts, frozenset(range(len(pts))), ()) == len(pts[0])
+    return affine_dim(pts, frozenset(range(len(pts))), ()) == len(pts[0])
 
 
 class TestCensusAgreement:
@@ -374,6 +456,7 @@ class TestCensusAgreement:
         facets = N._facet_census(pts, orthant)
         assert N._face_lattice(pts, facets, orthant) == \
             pairwise_face_lattice(pts, facets, orthant)
+        return facets
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_orthant_shapes(self, d):
@@ -405,7 +488,8 @@ class TestCensusAgreement:
 
     def test_more_points_than_a_machine_word(self):
         # point masks beyond 64 bits: staircases, a grid cube whose faces
-        # hold many points, and a simplex face holding all of them
+        # hold many points, and a simplex face holding all of them; the
+        # staircases have more than 64 facets, so facet masks are wide too
         rng = random.Random(32)
         cases = [(staircase_support(rng, 3, 70), True),
                  (staircase_support(rng, 4, 70), True),
@@ -413,9 +497,11 @@ class TestCensusAgreement:
                    for z in range(5)], False),
                  ([(x, y, 10 - x - y) for x in range(11)
                    for y in range(11 - x)], True)]
+        nfacets = []
         for pts, orthant in cases:
             assert len(pts) > 64
-            self.assert_lattice_agrees(pts, orthant)
+            nfacets.append(len(self.assert_lattice_agrees(pts, orthant)))
+        assert nfacets[0] > 64 and nfacets[1] > 64, nfacets
 
     @pytest.mark.parametrize("ambient, sizes", [(3, (12, 18, 24, 30)),
                                                 (4, (12, 16, 20))])
@@ -460,6 +546,36 @@ class TestCensusAgreement:
                     sum(x * (vol // a) for x, a in zip(p, sides)) <= vol]
             self.assert_lattice_agrees(
                 corners + rng.sample(rest, npts - len(corners)), False)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_census_does_not_follow_the_point_order(self, d):
+        # a shuffled support has the same facets and faces once its point
+        # indices are mapped back; random supports, with and without the
+        # orthant, and bowls, where the orthant's directions cut most
+        rng = random.Random(400 + d)
+        cases = []
+        while len(cases) < 24:
+            pts = list(dict.fromkeys(shaped_support(rng, d, SHAPES[len(cases) % 6])
+                                     + [tuple(rng.randint(0, 6) for _ in range(d))
+                                        for _ in range(rng.randint(1, d + 2))]))
+            orthant = len(cases) % 2 == 0
+            if orthant or full_dimensional(pts):
+                cases.append((pts, orthant))
+        for n in (d + 3, 12, 20):
+            cases.append((staircase_support(rng, d, n), True))
+        for pts, orthant in cases:
+            perm = list(range(len(pts)))
+            rng.shuffle(perm)
+            shuffled = [pts[i] for i in perm]
+            facets = N._facet_census(shuffled, orthant)
+            faces = N._face_lattice(shuffled, facets, orthant)
+            assert faces == pairwise_face_lattice(shuffled, facets, orthant)
+            want = N._facet_census(pts, orthant)
+            assert [dataclasses.replace(f, points=frozenset(perm[i] for i in f.points))
+                    for f in facets] == want
+            assert sorted((dataclasses.replace(f, points=tuple(sorted(perm[i] for i in f.points)))
+                           for f in faces), key=lambda f: (f.dim, f.points, f.recession)) == \
+                N._face_lattice(pts, want, orthant)
 
     def test_face_lattice_takes_no_rank(self, monkeypatch):
         # the dimensions come from the lattice's grading, not eliminations
