@@ -17,13 +17,24 @@ All geometry is exact: integer inputs, the integer rank and kernel
 lines of ``sncx.snf``, no hulls in floating point.  Facets come from a
 fraction-free double-description pass over the homogenized points and
 coordinate directions, whose cost follows the number of facets rather
-than the number of point subsets; the face lattice is the closure of
-the facets under intersection with a facet.  Face lattices of polyhedra
-are graded, and a face below a facet is the meet of a face covering it
-with a facet.  So the closure grades the faces itself: a face's
-dimension is one less than the least dimension of the faces it was met
-down from, and no rank is taken per face.  The ambient dimension is at
-most four.
+than the number of point subsets.  The coordinate directions go in
+first, so each cone on the way is dual to the Newton polyhedron of the
+points added so far, and a new point pairs only the rays that share d-1
+tight generators with a ray it cuts off.
+
+The census works on incidence bitmasks.  A face is one int, its points
+above its recession directions, so the meet of two faces is one ``&``;
+the face lattice is the closure of the facets under meets with a facet,
+and a face is met only with the facets through one of its points, the
+only ones whose meet with it is not empty.  Those meets also give the
+face's facets: the ones whose meet with it is the face itself.  Face
+lattices of polyhedra are graded, and a face below a facet is the meet
+of a face covering it with a facet.  So the closure grades the faces
+itself: a face's dimension is one less than the least dimension of the
+faces it was met down from, and no rank is taken per face.  The
+readers of the census (interiority, the ends of an edge, the guards)
+look up each point's facet bitmask instead of scanning the facets.
+The ambient dimension is at most four.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from .errors import (
     NotFullDimensional,
 )
 from .homology import _homology, wedge_certificate
-from .snf import _integer_point, kernel_line, matrix_rank
+from .snf import _bareiss, _integer_point, kernel_line, matrix_rank
 
 MAX_AMBIENT = 4
 
@@ -68,17 +79,26 @@ class PolyFace:
     compact: bool
 
 
+def _bits(m) -> list:
+    """The indices of the set bits of ``m``, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 def _affine_dim(points, onset, recession):
+    """Dimension of the affine span of the points indexed by the sorted
+    list ``onset`` and the coordinate directions in ``recession``."""
     if not onset:
         return -1
-    base = points[min(onset)]
-    rows = [tuple(points[i][j] - base[j] for j in range(len(base)))
-            for i in sorted(onset) if i != min(onset)]
-    for j in recession:
-        rows.append(tuple(1 if t == j else 0 for t in range(len(base))))
-    if not rows:
-        return 0
-    return matrix_rank(rows)
+    base = points[onset[0]]
+    d = len(base)
+    rows = [[a - b for a, b in zip(points[i], base)] for i in onset[1:]]
+    rows += [[int(t == j) for t in range(d)] for j in recession]
+    return _bareiss(rows)[0] if rows else 0
 
 
 def _facet_census(points, orthant: bool):
@@ -90,16 +110,21 @@ def _facet_census(points, orthant: bool):
     cone of d+1 independent generators, the other generators are added
     one at a time; each ray keeps the bitmask of generators it is tight
     on, and a (+, -) pair of rays is combined only when it spans a
-    2-face, which the tight sets decide.  The ray (1, 0) is the face at
-    infinity, not a facet.
+    2-face, which the tight sets decide.  The orthant's directions go in
+    first, so every cone on the way is the dual of the Newton polyhedron
+    of the points added so far, and a point cuts off fewer rays than it
+    would from their hull.  The ray (1, 0) is the face at infinity, not
+    a facet.
     """
     d = len(points[0])
+    n = len(points)
     gens = [(1,) + tuple(p) for p in points]
     if orthant:
         gens += [tuple(int(t == j) for t in range(-1, d)) for j in range(d)]
+    order = [*range(n, len(gens)), *range(n)]
     basis = []
-    for i, g in enumerate(gens):
-        if matrix_rank([gens[k] for k in basis] + [g]) > len(basis):
+    for i in order:
+        if matrix_rank([gens[k] for k in basis] + [gens[i]]) > len(basis):
             basis.append(i)
             if len(basis) == d + 1:
                 break
@@ -113,9 +138,10 @@ def _facet_census(points, orthant: bool):
         if _dot(r, gens[k]) < 0:
             r = tuple(-x for x in r)
         rays.append((r, added & ~(1 << k)))
-    for k, g in enumerate(gens):
+    for k in order:
         if added >> k & 1:
             continue
+        g = gens[k]
         bit = 1 << k
         pos, neg, kept = [], [], []
         for r, tight in rays:
@@ -128,8 +154,16 @@ def _facet_census(points, orthant: bool):
             else:
                 kept.append((r, tight | bit))
         if neg:
-            masks = [tight for _, tight in rays]
+            # a pair spans a 2-face when its rays share d-1 tight generators
+            # and no other ray is tight on all they share; so only the rays
+            # tight on d-1 generators of the cut rays take part
+            cut = 0
+            for _, tn, _ in neg:
+                cut |= tn
+            masks = [t for _, t in rays if (t & cut).bit_count() >= d - 1]
             for rp, tp, sp in pos:
+                if (tp & cut).bit_count() < d - 1:
+                    continue
                 for rn, tn, sn in neg:
                     common = tp & tn
                     if common.bit_count() < d - 1 or any(
@@ -144,80 +178,107 @@ def _facet_census(points, orthant: bool):
     # a ray (-m, w) is tight on exactly the generators its bitmask holds,
     # and a facet's tight points are the input points w.p = m attains
     facets = []
+    on_points = (1 << n) - 1
     for r, tight in rays:
         w = r[1:]
         if not any(w):
             continue
-        m = -r[0]
-        onset = frozenset(i for i in range(len(points)) if tight >> i & 1)
-        frec = tuple(j for j in range(d) if w[j] == 0) if orthant else ()
+        onset = _bits(tight & on_points)
+        frec = [j for j in range(d) if w[j] == 0] if orthant else ()
         if _affine_dim(points, onset, frec) != d - 1:
             raise AssertionError(f"census ray {r} is not a facet")
-        facets.append(PolyFacet(w, m, onset,
+        facets.append(PolyFacet(w, -r[0], frozenset(onset),
                                 all(x > 0 for x in w) if orthant else True))
     facets.sort(key=lambda f: f.normal)
     return facets
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _point_facets(npoints, facets) -> list:
+    """For each input point, the bitmask of the facets through it."""
+    on = [0] * npoints
+    for q, f in enumerate(facets):
+        bit = 1 << q
+        for i in f.points:
+            on[i] |= bit
+    return on
+
+
 def _face_lattice(points, facets, orthant: bool):
     """Every face of the polyhedron, as the meets of its facets.
 
-    A point set is a bitmask over the input points and a recession set a
-    bitmask over the coordinate directions, so a meet is one ``&`` and a
-    facet contains a face when the face's masks lie inside the facet's
-    point mask and the mask of its zero normal coordinates.  The lattice
-    is graded, and a face G below a facet is the meet of a facet with a
-    face covering G.  So dim G is one less than the least dimension of
-    the faces whose meet with a facet is G.
+    A face is one int, its point bitmask over the input points shifted
+    above its recession bitmask over the coordinate directions, so a meet
+    is one ``&``.  Every face is an intersection of facets, so meeting
+    each queued face with the facets alone closes the family, and only a
+    facet through one of the face's points meets it in a face: each face
+    is met with the facets through its points, from an index of the
+    facets through each point.  Those facets are also every facet that
+    contains the face, the ones whose meet with it is the face itself.
+
+    The lattice is graded, and a face G below a facet is the meet of a
+    facet with a face covering G.  So dim G is one less than the least
+    dimension of the faces met down to G, and no rank is taken.
     """
     d = len(points[0])
-    fpts = [sum(1 << i for i in f.points) for f in facets]
-    frec = [sum(1 << j for j in range(d) if f.normal[j] == 0) if orthant else 0
+    keys = [_mask(f.points) << d | (_mask(j for j in range(d) if f.normal[j] == 0)
+                                    if orthant else 0)
             for f in facets]
+    through = _point_facets(len(points), facets)
 
-    # every face is an intersection of facets, so meeting each queued face
-    # with the facet faces alone closes the family; the meets strictly
-    # below a face record that face as an upper bound on their dimension
-    facet_faces = list(dict.fromkeys(zip(fpts, frec)))
-    uppers = dict.fromkeys(facet_faces, ())     # a facet is below no face
-    queue = list(facet_faces)
+    # the meets strictly below a face record the face as one they were
+    # met down from; a facet is met down from no face
+    above = dict.fromkeys(keys, ())
+    queue = list(above)
+    nfacet_faces = len(queue)
+    found = {}                          # face -> (its points, its facets)
     for face in queue:
-        pm, rm = face
-        for qm, sm in facet_faces:
-            key = (pm & qm, rm & sm)
-            if key[0] and key != face:
-                above = uppers.get(key)
-                if above is None:
-                    uppers[key] = [face]
-                    queue.append(key)
-                else:
-                    above.append(face)
+        pts = _bits(face >> d)
+        near = 0
+        for i in pts:
+            near |= through[i]
+        on = []
+        for q in _bits(near):
+            key = face & keys[q]
+            if key == face:
+                on.append(q)
+            elif key in above:
+                above[key].append(face)
+            else:
+                above[key] = [face]
+                queue.append(key)
+        found[face] = pts, on
 
     # a strict superface has strictly larger masks, so visiting the faces
     # by decreasing mask size fixes every face's uppers before the face
-    dims = dict.fromkeys(facet_faces, d - 1)
-    for key in sorted(queue[len(facet_faces):], reverse=True,
-                      key=lambda k: k[0].bit_count() + k[1].bit_count()):
-        dims[key] = min(dims[up] for up in uppers[key]) - 1
+    dims = dict.fromkeys(queue[:nfacet_faces], d - 1)
+    for key in sorted(queue[nfacet_faces:], key=int.bit_count, reverse=True):
+        dims[key] = min(dims[up] for up in above[key]) - 1
 
+    low = (1 << d) - 1
+    recs = [tuple(_bits(m)) for m in range(low + 1)]
     faces = []
-    for pm, rm in queue:
-        pset = tuple(i for i in range(len(points)) if pm >> i & 1)
-        rec = tuple(j for j in range(d) if rm >> j & 1)
-        s = frozenset(i for i, (fp, fr) in enumerate(zip(fpts, frec))
-                      if pm & fp == pm and rm & fr == rm)
-        faces.append(PolyFace(pset, rec, s, dims[pm, rm], not rec))
+    for key in queue:
+        pts, on = found[key]
+        faces.append(PolyFace(tuple(pts), recs[key & low], frozenset(on),
+                              dims[key], not key & low))
     faces.sort(key=lambda f: (f.dim, f.points, f.recession))
     return faces
 
 
-def _edge(points, face):
-    """The extreme input points of a 1-dimensional face, and its lattice length."""
-    base = points[face.points[0]]
-    direction = next(tuple(q - b for q, b in zip(points[i], base))
-                     for i in face.points[1:] if points[i] != base)
-    keyed = sorted(face.points, key=lambda i: _dot(points[i], direction))
-    lo, hi = keyed[0], keyed[-1]
+def _edge(points, face, on):
+    """The extreme input points of a 1-dimensional face, and its lattice
+    length.  ``on`` holds each point's facet bitmask: a point inside the
+    edge lies on the edge's facets only, an end also on some other."""
+    mask = _mask(face.facets)
+    lo, hi = (i for i in face.points if on[i] != mask)
+    a, b = points[face.points[0]], points[face.points[1]]
+    direction = [y - x for x, y in zip(a, b)]
+    if _dot(points[lo], direction) > _dot(points[hi], direction):
+        lo, hi = hi, lo
     return (lo, hi), math.gcd(*(a - b for a, b in zip(points[hi], points[lo])))
 
 
@@ -260,13 +321,16 @@ class _Census:
         self.ambient = d
         self.facets = tuple(_facet_census(pts, self.orthant))
         self.faces = tuple(_face_lattice(pts, self.facets, self.orthant))
+        # each point's facets, and the facets that are not compact
+        self._on = _point_facets(len(pts), self.facets)
+        self._open = _mask(q for q, f in enumerate(self.facets) if not f.compact)
 
     def _point(self, p) -> tuple:
         return _integer_point(p, self.what)
 
     def face_interior(self, face: PolyFace) -> bool:
         """Closed-cell interiority: every facet containing the face is compact."""
-        return all(self.facets[i].compact for i in face.facets)
+        return not _mask(face.facets) & self._open
 
 
 class NewtonPolyhedron(_Census):
@@ -278,38 +342,36 @@ class NewtonPolyhedron(_Census):
     def __init__(self, points):
         super().__init__(points)
         self.vertices = tuple(f.points[0] for f in self.faces if f.dim == 0)
-        self.compact_edges = tuple(CompactEdge(*_edge(self.points, f), i)
+        self.compact_edges = tuple(CompactEdge(*_edge(self.points, f, self._on), i)
                                    for i, f in enumerate(self.faces)
                                    if f.dim == 1 and f.compact)
         self._validate()
 
     def _validate(self):
         d = self.ambient
+        # the masks are taken from the facets as they stand now
+        on = _point_facets(len(self.points), self.facets)
         for v in self.vertices:
-            on = sum(1 for f in self.facets if v in f.points)
-            if on < d:
+            k = on[v].bit_count()
+            if k < d:
                 raise NotFullDimensional(
-                    f"vertex {self.points[v]} lies on {on} < {d} facets; "
+                    f"vertex {self.points[v]} lies on {k} < {d} facets; "
                     "the polyhedron is not full-dimensional")
         # membership spot checks: the points and their orthant translates;
         # a translate s + w falls below the offset exactly when s falls
         # below the offset less the facet's least normal entry
-        guards = [(f, f.offset - min(f.normal)) for f in self.facets]
-        for p in self.points:
-            for f, guard in guards:
-                s = _dot(f.normal, p)
-                if s < f.offset:
-                    raise AssertionError("facet census lost an input point")
-                if s < guard:
-                    raise AssertionError("orthant recession violated")
+        for f in self.facets:
+            s = min(_dot(f.normal, p) for p in self.points)
+            if s < f.offset:
+                raise AssertionError("facet census lost an input point")
+            if s < f.offset - min(f.normal):
+                raise AssertionError("orthant recession violated")
         # the two compactness criteria must agree
+        normals = [f.normal for f in self.facets]
+        zero = (0,) * d
         for face in self.faces:
-            total = [0] * d
-            for i in face.facets:
-                for j in range(d):
-                    total[j] += self.facets[i].normal[j]
-            strict = all(x > 0 for x in total)
-            if strict != face.compact:
+            total = map(sum, zip(zero, *(normals[i] for i in face.facets)))
+            if all(x > 0 for x in total) != face.compact:
                 raise AssertionError(
                     f"compactness criteria disagree on face {face.points}")
 
@@ -320,7 +382,7 @@ class NewtonPolyhedron(_Census):
         return t
 
     def vertex_interior(self, v: int) -> bool:
-        return all(f.compact for f in self.facets if v in f.points)
+        return not self._on[v] & self._open
 
 
 def newton_polyhedron(points) -> NewtonPolyhedron:
@@ -489,7 +551,7 @@ class LatticePolytope(_Census):
     min_ambient = 2
 
     def edge_length(self, face: PolyFace) -> int:
-        return _edge(self.points, face)[1]
+        return _edge(self.points, face, self._on)[1]
 
 
 def torus_hypersurface_boundary_complex(points, multiplicities=None):

@@ -95,7 +95,6 @@ from sncx.newton import (
     PolyFacet,
     SubdividedSimplex,
     _dot,
-    _edge,
     _face_lattice,
     _facet_census,
 )
@@ -1614,6 +1613,17 @@ def reading_newton_points(points):
     return tuple(pts)
 
 
+def sorting_edge(points, face):
+    """The extreme input points of a 1-dimensional face, found by sorting
+    its points along the edge, and its lattice length."""
+    base = points[face.points[0]]
+    direction = next(tuple(q - b for q, b in zip(points[i], base))
+                     for i in face.points[1:] if points[i] != base)
+    keyed = sorted(face.points, key=lambda i: _dot(points[i], direction))
+    lo, hi = keyed[0], keyed[-1]
+    return (lo, hi), math.gcd(*(a - b for a, b in zip(points[hi], points[lo])))
+
+
 class ReadingLatticePolytope:
     """Exact face census of a full-dimensional lattice polytope, reading
     its own points."""
@@ -1643,7 +1653,7 @@ class ReadingLatticePolytope:
         self.faces = tuple(_face_lattice(self.points, self.facets, orthant=False))
 
     def edge_length(self, face):
-        return _edge(self.points, face)[1]
+        return sorting_edge(self.points, face)[1]
 
 
 def cell_writing_torus_boundary_complex(points, multiplicities=None):

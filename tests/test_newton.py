@@ -30,6 +30,7 @@ from oracles import (
     pairwise_resolution_complex,
     pairwise_torus_boundary_complex,
     reading_newton_points,
+    sorting_edge,
 )
 
 QUADRIC = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
@@ -593,8 +594,28 @@ class TestCensusAgreement:
             want = pairwise_face_lattice(pts, facets, orthant)
             with monkeypatch.context() as m:
                 m.setattr(N, "matrix_rank", refuse)
+                m.setattr(N, "_bareiss", refuse)
                 got = N._face_lattice(pts, facets, orthant)
             assert got == want
+
+    def test_orthant_goes_in_first(self, monkeypatch):
+        # the first cone is spanned by the d directions and the first
+        # point, so each cone on the way is a Newton polyhedron's
+        rows = []
+
+        def recorded(r):
+            rows.extend(map(tuple, r))
+            return kernel_line(r)
+
+        monkeypatch.setattr(N, "kernel_line", recorded)
+        rng = random.Random(42)
+        for ambient in (2, 3, 4):
+            pts = staircase_support(rng, ambient, 12)
+            rows.clear()
+            N._facet_census(pts, True)
+            units = {tuple(int(t == j) for t in range(-1, ambient))
+                     for j in range(ambient)}
+            assert set(rows) == units | {(1,) + pts[0]}
 
     def test_flat_polytope_rejected(self):
         for pts in ([(1, 2)], [(0, 0), (1, 1), (3, 3)],
@@ -619,6 +640,44 @@ class TestCensusAgreement:
         LatticePolytope([(x, y, z) for x in (0, 2) for y in (0, 3)
                          for z in (0, 1)] + [(1, 1, 1)])
         assert 0 < len(calls) <= 4
+
+
+class TestMaskReaders:
+    """Interiority and the ends of an edge, read off each point's facet
+    bitmask, against the scans of every facet and the sort along the edge
+    they replace."""
+
+    def supports(self, rng):
+        # random supports and polytopes, and ones whose edges hold lattice
+        # points between their ends: scaled staircases and boxes
+        for d in (2, 3, 4):
+            for _ in range(6):
+                yield S.newton_polyhedron(random_support(rng, dim=d))
+                yield random_lattice_polytope(rng, d)
+                k = rng.randint(2, 3)
+                pts = staircase_support(rng, d, rng.randint(d + 1, 12))
+                yield S.newton_polyhedron(
+                    [tuple(k * x for x in p) for p in pts]
+                    + [tuple(k * x - (k - 1) * y for x, y in zip(p, q))
+                       for p, q in zip(pts, pts[1:])
+                       if all(k * x >= (k - 1) * y for x, y in zip(p, q))])
+            sides = [rng.randint(2, 4) for _ in range(d)]
+            yield LatticePolytope(list(itertools.product(*[range(a + 1) for a in sides])))
+
+    def test_against_the_scans(self):
+        rng = random.Random(81)
+        long_edges = 0
+        for P in self.supports(rng):
+            for f in P.faces:
+                assert P.face_interior(f) == all(P.facets[i].compact for i in f.facets)
+                if f.dim == 1 and f.compact:
+                    assert N._edge(P.points, f, P._on) == sorting_edge(P.points, f)
+                    long_edges += len(f.points) > 2
+            if isinstance(P, N.NewtonPolyhedron):
+                for v in P.vertices:
+                    assert P.vertex_interior(v) == \
+                        all(f.compact for f in P.facets if v in f.points)
+        assert long_edges > 50
 
 
 def assert_same_complex(got, want):
