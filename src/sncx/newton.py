@@ -367,6 +367,7 @@ class NewtonPolyhedron(_Census):
             if s < f.offset - min(f.normal):
                 raise AssertionError("orthant recession violated")
         # the two compactness criteria must agree
+        # the zero row keeps d sums on a face that lies on no facet
         normals = [f.normal for f in self.facets]
         zero = (0,) * d
         for face in self.faces:

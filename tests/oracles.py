@@ -12,7 +12,8 @@ recursive acyclicity check for Morse matchings, a facet census that
 solves a kernel line for every subset of points and coordinate
 directions, a face lattice that intersects every pair of faces found
 as sets of point indices (both taking affine dimensions by their own
-rank helper, apart from the census's), a poset isomorphism search that recurses
+rank helper, apart from the census's), the ends of an edge found by
+sorting its points along it, a poset isomorphism search that recurses
 once per face, the complexes read off polyhedra and fans built by
 scanning every cell for every cell, then puckered one long edge at a
 time, a blowup-script replay that builds every move output and level
