@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain, islice, repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -127,6 +127,66 @@ def _simplex_records(simplices, name, level=None) -> list[dict]:
     return recs
 
 
+def _from_simplices(simplices: list, name, level=None) -> "CombinatorialComplex":
+    """``CombinatorialComplex(_simplex_records(simplices, name, level))``,
+    assembled from the vertex tuples without writing records.
+
+    ``name`` is a ``str.join`` and ``level`` does not drop from a tuple to
+    a longer one, with values at least 1.  Every label is its id, so the
+    canonical order is by (dim, id); facet i drops vertex i, and a face's
+    vertex list is its tuple.  Only what the tuples do not guarantee is
+    checked: the list is not empty, ``name`` is injective on it, each
+    tuple less one vertex is in it, a tuple's vertices are distinct, and
+    ``name((v,))`` is ``v``, not empty.  On any failure the records go to
+    the constructor, which raises its error.
+    """
+    try:
+        ids = list(map(name, simplices))
+        dims = dict(zip(ids, map((-1).__add__, map(len, simplices))))
+        verts = dict(zip(ids, simplices))
+        order = sorted(ids)
+        order.sort(key=dims.__getitem__)
+        order = tuple(order)
+        grade = list(map(dims.__getitem__, order))
+        if len(verts) != len(simplices) or grade[0]:
+            raise _Fault
+        starts = [bisect_left(grade, k) for k in range(grade[-1] + 3)]
+        faces = list(map(verts.__getitem__, order))
+        vs, edges = order[:starts[1]], faces[starts[1]:starts[2]]
+        # the tuples below a tuple are all in the list once the facets are,
+        # so a repeated vertex shows in an edge
+        if not all(vs) or faces[:len(vs)] != list(zip(vs)) or any(map(
+                eq, map(itemgetter(0), edges), map(itemgetter(1), edges))):
+            raise _Fault
+        at = dict(zip(faces, range(len(faces))))
+        below = [[] for _ in vs]
+        delta = dict.fromkeys(vs, ())
+        cov = dict(delta)
+        ix = order.__getitem__
+        for k in range(1, grade[-1] + 1):
+            fs, group = order[starts[k]:starts[k + 1]], faces[starts[k]:starts[k + 1]]
+            # per i, the tuple less vertex i, and column i its slots
+            drops = [itemgetter(*[j for j in range(k + 1) if j != i])
+                     for i in range(k + 1)] if k > 1 else \
+                [itemgetter(slice(1, 2)), itemgetter(slice(0, 1))]
+            cols = [list(map(at.__getitem__, map(drop, group))) for drop in drops]
+            slots = list(map(list, zip(*cols)))
+            below += slots
+            delta.update(zip(fs, zip(*[list(map(ix, c)) for c in cols])))
+            cov.update(zip(fs, map(tuple, map(map, repeat(ix), map(sorted, slots)))))
+    except (_Fault, LookupError):   # a check failed, or a facet is missing
+        return CombinatorialComplex(_simplex_records(simplices, name, level))
+    del at, faces                       # freed before the coface lists grow
+    out = CombinatorialComplex.__new__(CombinatorialComplex)
+    out._order, out._index = order, dict(zip(order, range(len(order))))
+    out._dims, out._labels, out._cov, out._delta = dims, dict(zip(order, order)), cov, delta
+    out._verts = verts
+    out._levels = None if level is None else dict(zip(ids, map(level, simplices)))
+    slots = range(len(order))
+    out._num = order, below, _cofaces(below, [[] for _ in slots], slots), slots
+    return out
+
+
 def _id_list(rec, key, fid) -> tuple:
     # the ids listed under ``key``, none when the field is absent or null
     ids = rec.get(key)
@@ -215,11 +275,15 @@ class CombinatorialComplex:
     (dimension, label, insertion index), which makes every derived
     output byte-deterministic.
 
-    One routine, :meth:`_build`, runs these checks for every complex.
-    It completes a complex from a checked parent's surviving faces and
-    fresh records and checks only the fresh faces.  The constructor runs
-    it with no parent, a restriction (:meth:`_restricted`) with no fresh
-    faces, and a move (:meth:`_derived`) with both.
+    One routine, :meth:`_build`, runs these checks for every complex
+    made from records.  It completes a complex from a checked parent's
+    surviving faces and fresh records and checks only the fresh faces.
+    The constructor runs it with no parent, a restriction
+    (:meth:`_restricted`) with no fresh faces, and a move
+    (:meth:`_derived`) with both.  The simplicial builders write no
+    records: :func:`_from_simplices` assembles their complexes from
+    vertex tuples and hands the records to the constructor only when a
+    check fails.
 
     Every build numbers the faces: ``(ids, below, above, live)``, per
     slot the face id, the facet slots (in Delta order when there is one,
@@ -899,9 +963,10 @@ class CombinatorialComplex:
         # downset is canonically sorted and ends with f itself
         below = {f: self.downset(f)[:-1] for f in self._order}
         lv = self._levels
-        return CombinatorialComplex(_simplex_records(
+        # levels do not drop up the face poset: a chain's level is its top's
+        return _from_simplices(
             _chains(self._order, below.__getitem__), "<".join,
-            None if lv is None else lambda ch: max(map(lv.__getitem__, ch))))
+            None if lv is None else lambda ch: lv[ch[-1]])
 
     def quotient_free_involution(self, phi: Mapping[str, str]) -> "CombinatorialComplex":
         """Quotient by a fixed-point-free involution of the face poset.

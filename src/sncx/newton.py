@@ -101,6 +101,15 @@ def _affine_dim(points, onset, recession):
     return _bareiss(rows)[0] if rows else 0
 
 
+def _orthant_cone(p) -> list:
+    """The rays of the cone dual to the d directions (0, e_j) and (1, p),
+    in that order, each tight on all of them but one and positive on that
+    one: (-p_j, e_j) off direction j, (1, 0, ..., 0) off the point."""
+    d = len(p)
+    return [(-x,) + tuple(int(t == j) for t in range(d)) for j, x in enumerate(p)] \
+        + [(1,) + (0,) * d]
+
+
 def _facet_census(points, orthant: bool):
     """The facets of conv(points), plus the orthant when ``orthant``.
 
@@ -113,7 +122,10 @@ def _facet_census(points, orthant: bool):
     2-face, which the tight sets decide.  The orthant's directions go in
     first, so every cone on the way is the dual of the Newton polyhedron
     of the points added so far, and a point cuts off fewer rays than it
-    would from their hull.  The ray (1, 0) is the face at infinity, not
+    would from their hull; with the first point they span the first cone,
+    whose rays are written down (:func:`_orthant_cone`).  Without the
+    orthant each first ray is the kernel line of d of the first d+1
+    independent generators.  The ray (1, 0) is the face at infinity, not
     a facet.
     """
     d = len(points[0])
@@ -122,22 +134,25 @@ def _facet_census(points, orthant: bool):
     if orthant:
         gens += [tuple(int(t == j) for t in range(-1, d)) for j in range(d)]
     order = [*range(n, len(gens)), *range(n)]
-    basis = []
-    for i in order:
-        if matrix_rank([gens[k] for k in basis] + [gens[i]]) > len(basis):
-            basis.append(i)
-            if len(basis) == d + 1:
-                break
-    if len(basis) <= d:
-        raise NotFullDimensional("the points do not span the ambient space")
+    if orthant:
+        basis, first = order[:d + 1], _orthant_cone(points[0])
+    else:
+        basis = []
+        for i in order:
+            if matrix_rank([gens[k] for k in basis] + [gens[i]]) > len(basis):
+                basis.append(i)
+                if len(basis) == d + 1:
+                    break
+        if len(basis) <= d:
+            raise NotFullDimensional("the points do not span the ambient space")
+        first = []
+        for k in basis:
+            r = kernel_line([gens[i] for i in basis if i != k])
+            first.append(r if _dot(r, gens[k]) > 0 else tuple(-x for x in r))
 
     added = sum(1 << k for k in basis)
-    rays = []                           # (ray, bitmask of tight generators)
-    for k in basis:
-        r = kernel_line([gens[i] for i in basis if i != k])
-        if _dot(r, gens[k]) < 0:
-            r = tuple(-x for x in r)
-        rays.append((r, added & ~(1 << k)))
+    # (ray, bitmask of tight generators)
+    rays = [(r, added & ~(1 << k)) for r, k in zip(first, basis)]
     for k in order:
         if added >> k & 1:
             continue

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
+from operator import itemgetter
 
 from .complexes import (
     CombinatorialComplex,
     _chains,
+    _from_simplices,
     _inclusion_records,
-    _simplex_records,
 )
 from .errors import (
     DescriptorInvalid,
@@ -253,8 +254,10 @@ def _cone_id(cone) -> str:
 def _by_size(faces) -> list:
     """Distinct finite sets ordered by (size, sorted elements), each as the
     tuple of its sorted elements written as strings."""
-    keys = sorted(map(sorted, {frozenset(f) for f in faces}), key=lambda t: (len(t), t))
-    return [tuple(map(str, t)) for t in keys]
+    # sorted size by size, so that sets of two sizes are never compared
+    by_len = groupby(sorted(map(sorted, set(map(frozenset, faces))), key=len), key=len)
+    keys = chain.from_iterable(map(sorted, map(itemgetter(1), by_len)))
+    return list(map(tuple, map(map, repeat(str), keys)))
 
 
 def toric_link(fan: Fan) -> CombinatorialComplex:
@@ -280,7 +283,7 @@ def toric_link(fan: Fan) -> CombinatorialComplex:
     if all_simplicial:
         # every subset of a cone is a cone: a cone covers those with one
         # ray less, and its height is its number of rays less one
-        return CombinatorialComplex(_simplex_records(_by_size(cones), "-".join))
+        return _from_simplices(_by_size(cones), "-".join)
     key = {c: tuple(sorted(c)) for c in cones}
     ordered = sorted(cones, key=lambda c: (len(c), key[c]))
 
@@ -324,7 +327,10 @@ def antipodal_ray_map(fan: Fan) -> dict:
 
 def simplicial_complex_from_subsets(faces) -> CombinatorialComplex:
     """A subset-closed family of finite sets as a Delta-complex."""
-    return CombinatorialComplex(_simplex_records(_by_size(faces), ".".join))
+    sets = _by_size(faces)
+    if sets and not sets[0]:
+        raise NotSubsetClosed("the empty set is not a face")
+    return _from_simplices(sets, ".".join)
 
 
 def realize_boundary(faces, n: int | None = None):
@@ -367,7 +373,7 @@ def realize_boundary(faces, n: int | None = None):
     below = {".".join(t): [".".join(s) for k in range(1, len(t))
                            for s in combinations(t, k)] for t in _by_size(sets)}
     chains = _chains(list(below), below.__getitem__)
-    barycentric = CombinatorialComplex(_simplex_records(chains, "<".join))
+    barycentric = _from_simplices(chains, "<".join)
 
     # subset f attaches along the chains whose top is below it, in the
     # order of the one enumeration

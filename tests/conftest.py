@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from sncx import (
@@ -92,6 +93,14 @@ def random_subset_closed(rng: random.Random, ground=5):
     return close_under_subsets(maximal)
 
 
+def bounded_family(rng, ground, max_size=4):
+    """A subset-closed family on ``range(ground)`` whose faces have at most
+    ``max_size`` vertices, so that its order complex stays small."""
+    return close_under_subsets(
+        frozenset(rng.sample(range(ground), rng.randint(1, min(max_size, ground - 1))))
+        for _ in range(rng.randint(1, 7)))
+
+
 def random_support(rng: random.Random, dim=3, max_points=8, coord=6):
     k = rng.randint(1, max_points)
     pts = set()
@@ -129,6 +138,21 @@ def polygon_cone_fan(n) -> Fan:
     cones += [frozenset({i, (i + 1) % n}) for i in range(n)]
     cones.append(frozenset(range(n)))
     return Fan(tuple(rays), tuple(cones))
+
+
+def random_fan(rng):
+    """Random cones on random primitive rays; a cone with more rays than
+    its rank is non-simplicial and brings only the faces listed with it."""
+    dim = rng.choice((2, 3, 4))
+    n = rng.randint(dim, dim + 4)
+    rays = set()
+    while len(rays) < n:
+        r = tuple(rng.randint(-2, 2) for _ in range(dim))
+        if any(r) and math.gcd(*r) == 1:
+            rays.add(r)
+    cones = [frozenset(rng.sample(range(n), rng.randint(1, min(n, dim + 1))))
+             for _ in range(rng.randint(1, 5))]
+    return Fan(tuple(sorted(rays)), tuple(cones))
 
 
 def draw_mixed_script(rng, c, moves):

@@ -47,7 +47,10 @@ read them, and a torus boundary complex with its own cell ids.  Then
 the record reader as it was before its checks were fused into one loop,
 which ran each check on every face before the next and numbered the
 complex from its finished maps, and the boundary walk of a 2-cell that
-kept a list of the edges at each vertex.
+kept a list of the edges at each vertex.  Then the one route the four
+simplicial builders took before they assembled their complexes from
+vertex tuples: records written from the tuples and read back by the
+constructor, and the ordering of their subsets by one Python key each.
 """
 
 from __future__ import annotations
@@ -59,7 +62,12 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
-from sncx.complexes import CombinatorialComplex, _dedup_ids, _inclusion_records
+from sncx.complexes import (
+    CombinatorialComplex,
+    _dedup_ids,
+    _inclusion_records,
+    _simplex_records,
+)
 from sncx.errors import (
     BadDeltaStructure,
     DanglingFace,
@@ -1437,6 +1445,19 @@ def subset_complex_realize_boundary(faces, n=None):
                                  attach=attach))
         done.append(f)
     return barycentric, tuple(script)
+
+
+def record_route_simplices(simplices, name, level=None):
+    """The complex of face-closed vertex tuples, written as records and
+    read back by the constructor."""
+    return CombinatorialComplex(_simplex_records(simplices, name, level))
+
+
+def keyed_by_size(faces) -> list:
+    """Distinct finite sets ordered by (size, sorted elements), one Python
+    key per set, each as the tuple of its sorted elements as strings."""
+    keys = sorted(map(sorted, {frozenset(f) for f in faces}), key=lambda t: (len(t), t))
+    return [tuple(map(str, t)) for t in keys]
 
 
 def record_writing_cone(c, apex=None):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 import re
 import time
@@ -7,13 +8,16 @@ from collections import Counter
 import pytest
 
 import sncx as S
+import sncx.complexes as C
 import sncx.operations as O
 import sncx.transforms as T
 from sncx import gallery as G
+from sncx.complexes import _chains, _from_simplices
 from sncx.errors import (
     BadDeltaStructure,
     DanglingFace,
     DescriptorInvalid,
+    DuplicateFace,
     GradingViolation,
     HasFixedFace,
     LevelNotDownwardClosed,
@@ -21,16 +25,21 @@ from sncx.errors import (
     NotAVertex,
     NotInvolution,
     NotRegularCW,
+    NotSubsetClosed,
     QuotientNotRegular,
+    SncxError,
 )
 from sncx.serialize import dumps_complex
+from sncx.snc import _by_size
 
 from conftest import (
     READER_FAULTS,
     assert_rebuilds,
     assert_same_complex,
+    bounded_family,
     break_record,
     polygon_cone_fan,
+    random_fan,
     random_lattice_polytope,
     random_subset_closed,
     random_support,
@@ -41,8 +50,11 @@ from conftest import (
 from oracles import (
     counting_f_vector,
     derived_by_constructor,
+    _all_chains,
+    _frozen_subset_id,
     dict_boundary_walk,
     frontier_order_complex,
+    keyed_by_size,
     order_complex_homology,
     phased_reader,
     record_writing_attach_cone,
@@ -50,6 +62,7 @@ from oracles import (
     record_writing_quotient,
     record_writing_relabeled,
     record_writing_union_records,
+    record_route_simplices,
     recursive_complexes_isomorphic,
     two_step_wedge,
     validating_constructor,
@@ -573,7 +586,7 @@ def with_poset_levels(rng, c):
 
 
 class TestOrderComplexAgreement:
-    """The one chain enumeration and simplex writer against the order
+    """The one chain enumeration and simplex assembler against the order
     complex that wrote its own chain frontier and records."""
 
     @staticmethod
@@ -611,6 +624,192 @@ class TestOrderComplexAgreement:
         assert sum(not c.has_delta and c.dimension >= 1 for c in cases) >= 25
         for c in cases:
             self.agree(c)
+
+
+def assembly(c):
+    """Every map of ``c`` and its numbering, for comparing build routes."""
+    ids, below, above, live = c._numbering()
+    return (c._order, c._index, c._dims, c._labels, c._cov, c._delta, c._levels,
+            c._verts, (ids, below, above, list(live)))
+
+
+def assembled(build, *args):
+    """``build(*args)`` as its assembly, or the class and message it raised."""
+    try:
+        return assembly(build(*args))
+    except SncxError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def no_records(monkeypatch):
+    """The simplicial builders may not fall back to writing records."""
+    def refuse(*args):
+        raise AssertionError("the assembler fell back to records")
+
+    monkeypatch.setattr(C, "_simplex_records", refuse)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The number of times the assembler fell back to records."""
+    calls = []
+    real = C._simplex_records
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(C, "_simplex_records", counted)
+    return calls
+
+
+def poset_chains(c):
+    return _chains(c.face_ids, {f: c.downset(f)[:-1] for f in c.face_ids}.__getitem__)
+
+
+def chain_level(c):
+    # the level of a chain as the record route wrote it: its largest
+    return None if not c.has_levels else lambda ch: max(map(c.level, ch))
+
+
+class TestSimplexAssembler:
+    """The four simplicial builders assemble their complexes from vertex
+    tuples; the constructor on the same tuples' records is the oracle, on
+    every map and the numbering, and it still names every fault."""
+
+    def test_random_subset_families(self, no_records):
+        rng = random.Random(160)
+        for _ in range(60):
+            family = (random_subset_closed(rng, ground=rng.randint(2, 6)) if _ % 2
+                      else bounded_family(rng, rng.randint(2, 14)))
+            want = assembly(record_route_simplices(keyed_by_size(family), ".".join))
+            assert assembly(_from_simplices(_by_size(family), ".".join)) == want
+            assert assembly(S.simplicial_complex_from_subsets(family)) == want
+
+    def test_order_complexes(self, no_records):
+        rng = random.Random(161)
+        cases = [G.point_complex(), G.multi_edge_complex(3), G.real_projective_plane(),
+                 G.octahedron_boundary().order_complex(),
+                 S.toric_link(polygon_cone_fan(5))]
+        for _ in range(20):
+            c = random_simplicial_complex(rng, max_verts=8, max_dim=3)
+            p = without_delta(random_simplicial_complex(rng, max_verts=7, max_dim=3))
+            cases += [c, with_random_levels(rng, c), p, with_poset_levels(rng, p)]
+        assert sum(c.has_levels for c in cases) >= 40
+        assert sum(not c.has_delta for c in cases) >= 30
+        for c in cases:
+            want = record_route_simplices(poset_chains(c), "<".join, chain_level(c))
+            assert assembly(c.order_complex()) == assembly(want)
+
+    def test_simplicial_fans(self, no_records):
+        fans = [G.product_of_lines_fan(n) for n in range(1, 5)]
+        fans += [G.projective_space_fan(n) for n in range(1, 5)]
+        rng = random.Random(162)
+        while len(fans) < 40:
+            fan = random_fan(rng)
+            if all(fan.is_simplicial_cone(c) for c in fan.cones):
+                fans.append(fan)
+        for fan in fans:
+            cones = {frozenset(s) for c in fan.cones for k in range(1, len(c) + 1)
+                     for s in itertools.combinations(sorted(c), k)}
+            want = record_route_simplices(keyed_by_size(cones), "-".join)
+            assert assembly(S.toric_link(fan)) == assembly(want)
+
+    def test_realize_inputs(self, no_records):
+        # the chains enumerated apart, through the subsets below each one
+        rng = random.Random(163)
+        for _ in range(40):
+            sets = (random_subset_closed(rng, ground=rng.randint(2, 5)) if _ % 2
+                    else bounded_family(rng, rng.randint(2, 14)))
+            chains = [tuple(map(_frozen_subset_id, ch)) for ch in _all_chains(sets)]
+            got, _script = S.realize_boundary([sorted(f) for f in sets], 14)
+            assert assembly(got) == assembly(record_route_simplices(chains, "<".join))
+
+    def test_by_size_order(self):
+        rng = random.Random(164)
+        for _ in range(60):
+            family = [rng.sample(range(14), rng.randint(0, 4)) for _ in range(rng.randint(0, 12))]
+            family += [list(f) for f in family[:2]]
+            assert _by_size(family) == keyed_by_size(family)
+        words = [["b", "a"], ["a"], ["c", "a", "b"], ["b"], ["a", "b"]]
+        assert _by_size(words) == keyed_by_size(words)
+
+    def test_colliding_chain_ids(self, fallbacks):
+        # the chain (a, b) and the face "a<b" both take the id "a<b"
+        c = S.CombinatorialComplex([
+            {"id": "a", "dim": 0, "facets": []}, {"id": "c", "dim": 0, "facets": []},
+            {"id": "x", "dim": 0, "facets": []},
+            {"id": "b", "dim": 1, "facets": ["a", "c"]},
+            {"id": "a<b", "dim": 1, "facets": ["a", "x"]}])
+        want = assembled(record_route_simplices, poset_chains(c), "<".join)
+        assert want == (DuplicateFace, "duplicate face id 'a<b'")
+        assert assembled(c.order_complex) == want
+        assert len(fallbacks) == 1
+
+    def test_family_not_closed_under_subsets(self, fallbacks):
+        for family in ([[0], [0, 1]], [[0], [1], [2], [0, 1, 2]],
+                       [[3], [3, 4], [10], [3, 10]]):
+            want = assembled(record_route_simplices, keyed_by_size(family), ".".join)
+            assert want[0] is DanglingFace
+            assert assembled(S.simplicial_complex_from_subsets, family) == want
+        assert len(fallbacks) == 3
+
+    def test_vertices_whose_str_repeats(self, fallbacks):
+        class Tagged:
+            # distinct, ordered vertices that all print as "x"
+            def __init__(self, k):
+                self.k = k
+
+            def __lt__(self, other):
+                return self.k < other.k
+
+            def __str__(self):
+                return "x"
+
+        a, b = Tagged(0), Tagged(1)
+        family = [[a], [b], [a, b]]
+        want = assembled(record_route_simplices, keyed_by_size(family), ".".join)
+        assert want == (DuplicateFace, "duplicate face id 'x'")
+        assert assembled(S.simplicial_complex_from_subsets, family) == want
+        # one vertex twice in a tuple, every id distinct
+        tuples = [("x",), ("x", "x")]
+        want = assembled(record_route_simplices, tuples, ".".join)
+        assert want[0] is BadDeltaStructure
+        assert assembled(_from_simplices, tuples, ".".join) == want
+        assert len(fallbacks) == 2
+
+    def test_fan_cone_listed_without_its_faces(self, fallbacks):
+        # the link takes a simplicial cone's faces as listed; the tuples
+        # of the listed cones alone are not closed
+        fan = S.Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (frozenset({0, 1, 2}),))
+        listed = [("0", "1", "2")]
+        want = assembled(record_route_simplices, listed, "-".join)
+        assert want == (DanglingFace, "face '0-1-2' covers unknown face '1-2'")
+        assert assembled(_from_simplices, listed, "-".join) == want
+        closure = keyed_by_size(itertools.chain.from_iterable(
+            itertools.combinations(range(3), k) for k in (1, 2, 3)))
+        assert assembly(S.toric_link(fan)) == \
+            assembly(record_route_simplices(closure, "-".join))
+        assert len(fallbacks) == 1
+
+    def test_every_check_falls_back(self, fallbacks):
+        # the empty list, an empty id, a name that is not injective, a
+        # missing facet, a repeated vertex, a vertex not named by itself
+        cases = [([], ".".join), ([("",)], ".".join), ([(), ("a",)], ".".join),
+                 ([("a",), ("b",), ("a", "b"), ("ab",)], "".join),
+                 ([("a",), ("a", "b")], ".".join), ([("a",), ("a", "a")], ".".join),
+                 ([("a",), ("b",), ("a", "b")], lambda t: "v" + "<".join(t))]
+        for tuples, name in cases:
+            assert assembled(_from_simplices, tuples, name) == \
+                assembled(record_route_simplices, tuples, name)
+        assert len(fallbacks) == len(cases)
+
+    def test_empty_set_is_not_a_face(self):
+        for family in ([[1], [2], [1, 2], []], [[]], [(), (0,)]):
+            with pytest.raises(NotSubsetClosed) as exc:
+                S.simplicial_complex_from_subsets(family)
+            assert str(exc.value) == "the empty set is not a face"
 
 
 class TestQuotient:

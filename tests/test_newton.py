@@ -600,22 +600,45 @@ class TestCensusAgreement:
 
     def test_orthant_goes_in_first(self, monkeypatch):
         # the first cone is spanned by the d directions and the first
-        # point, so each cone on the way is a Newton polyhedron's
-        rows = []
+        # point, so each cone on the way is a Newton polyhedron's; its
+        # rays are written down, and the second point is the first one
+        # tested against them
+        def refuse(rows):
+            raise AssertionError("the first cone was solved for")
 
-        def recorded(r):
-            rows.extend(map(tuple, r))
-            return kernel_line(r)
+        seen, real = [], N._dot
 
-        monkeypatch.setattr(N, "kernel_line", recorded)
+        def recorded(r, g):
+            seen.append((r, g))
+            return real(r, g)
+
+        monkeypatch.setattr(N, "kernel_line", refuse)
+        monkeypatch.setattr(N, "matrix_rank", refuse)
+        monkeypatch.setattr(N, "_dot", recorded)
         rng = random.Random(42)
         for ambient in (2, 3, 4):
             pts = staircase_support(rng, ambient, 12)
-            rows.clear()
+            seen.clear()
             N._facet_census(pts, True)
-            units = {tuple(int(t == j) for t in range(-1, ambient))
-                     for j in range(ambient)}
-            assert set(rows) == units | {(1,) + pts[0]}
+            first = seen[:ambient + 1]
+            assert [r for r, _ in first] == N._orthant_cone(pts[0])
+            assert {g for _, g in first} == {(1,) + pts[1]}
+
+    def test_orthant_cone_is_the_kernel_lines(self):
+        # each closed-form ray is the kernel line of the other d basis
+        # generators, signed positive on its own
+        rng = random.Random(43)
+        for ambient in (2, 3, 4):
+            units = [tuple(int(t == j) for t in range(-1, ambient))
+                     for j in range(ambient)]
+            for _ in range(25):
+                p = tuple(rng.randint(0, 9) for _ in range(ambient))
+                gens = units + [(1,) + p]
+                want = []
+                for k, g in enumerate(gens):
+                    r = kernel_line(gens[:k] + gens[k + 1:])
+                    want.append(r if N._dot(r, g) > 0 else tuple(-x for x in r))
+                assert N._orthant_cone(p) == want
 
     def test_flat_polytope_rejected(self):
         for pts in ([(1, 2)], [(0, 0), (1, 1), (3, 3)],
@@ -635,7 +658,7 @@ class TestCensusAgreement:
         for ambient, npts in ((3, 30), (4, 20), (4, 33)):
             calls.clear()
             N._facet_census(staircase_support(rng, ambient, npts), True)
-            assert 0 < len(calls) <= ambient + 1
+            assert not calls
         calls.clear()
         LatticePolytope([(x, y, z) for x in (0, 2) for y in (0, 3)
                          for z in (0, 1)] + [(1, 1, 1)])

@@ -19,7 +19,12 @@ from sncx.errors import (
 from sncx.serialize import complex_from_dict, dumps_complex, script_to_list
 from sncx.snc import antipodal_ray_map, fan_from_json, fan_ray_involution
 
-from conftest import close_under_subsets, polygon_cone_fan, random_subset_closed
+from conftest import (
+    bounded_family,
+    polygon_cone_fan,
+    random_fan,
+    random_subset_closed,
+)
 from oracles import (
     all_cones_toric_link,
     record_writing_simplicial_toric_link,
@@ -180,21 +185,6 @@ class TestToricLink:
         assert h.torsion(1) == (2,)
 
 
-def random_fan(rng):
-    """Random cones on random primitive rays; a cone with more rays than
-    its rank is non-simplicial and brings only the faces listed with it."""
-    dim = rng.choice((2, 3, 4))
-    n = rng.randint(dim, dim + 4)
-    rays = set()
-    while len(rays) < n:
-        r = tuple(rng.randint(-2, 2) for _ in range(dim))
-        if any(r) and math.gcd(*r) == 1:
-            rays.add(r)
-    cones = [frozenset(rng.sample(range(n), rng.randint(1, min(n, dim + 1))))
-             for _ in range(rng.randint(1, 5))]
-    return S.Fan(tuple(sorted(rays)), tuple(cones))
-
-
 def link_outcome(build, fan):
     try:
         c = build(fan)
@@ -296,14 +286,6 @@ class TestRealizeBoundary:
             assert S.homology(c).same_groups(S.homology(kcx))
 
 
-def bounded_family(rng, ground, max_size=4):
-    """A subset-closed family on ``range(ground)`` whose faces have at most
-    ``max_size`` vertices, so that its order complex stays small."""
-    return close_under_subsets(
-        frozenset(rng.sample(range(ground), rng.randint(1, min(max_size, ground - 1))))
-        for _ in range(rng.randint(1, 7)))
-
-
 def realize_outcome(realize, faces, n=None):
     try:
         c, script = realize(faces, n)
@@ -314,7 +296,7 @@ def realize_outcome(realize, faces, n=None):
 
 class TestOneSimplexWriter:
     """Subset complexes, all-simplicial toric links and realize, each
-    written through the one chain enumeration and simplex writer, against
+    assembled through the one chain enumeration and simplex assembler, against
     the routines that wrote their own records."""
 
     def test_subset_complexes_above_nine_vertices(self):
