@@ -15,7 +15,7 @@ convention and safe to share.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import eq, itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -160,26 +160,20 @@ def _from_simplices(simplices: list, name, level=None) -> "CombinatorialComplex"
             raise _Fault
         at = dict(zip(faces, range(len(faces))))
         below = [[] for _ in vs]
-        delta = dict.fromkeys(vs, ())
-        cov = dict(delta)
-        ix = order.__getitem__
         for k in range(1, grade[-1] + 1):
-            fs, group = order[starts[k]:starts[k + 1]], faces[starts[k]:starts[k + 1]]
+            group = faces[starts[k]:starts[k + 1]]
             # per i, the tuple less vertex i, and column i its slots
             drops = [itemgetter(*[j for j in range(k + 1) if j != i])
                      for i in range(k + 1)] if k > 1 else \
                 [itemgetter(slice(1, 2)), itemgetter(slice(0, 1))]
             cols = [list(map(at.__getitem__, map(drop, group))) for drop in drops]
-            slots = list(map(list, zip(*cols)))
-            below += slots
-            delta.update(zip(fs, zip(*[list(map(ix, c)) for c in cols])))
-            cov.update(zip(fs, map(tuple, map(map, repeat(ix), map(sorted, slots)))))
+            below += map(list, zip(*cols))
     except (_Fault, LookupError):   # a check failed, or a facet is missing
         return CombinatorialComplex(_simplex_records(simplices, name, level))
     del at, faces                       # freed before the coface lists grow
     out = CombinatorialComplex.__new__(CombinatorialComplex)
     out._order, out._index = order, dict(zip(order, range(len(order))))
-    out._dims, out._labels, out._cov, out._delta = dims, dict(zip(order, order)), cov, delta
+    out._dims, out._labels, out._is_delta = dims, dict(zip(order, order)), True
     out._verts = verts
     out._levels = None if level is None else dict(zip(ids, map(level, simplices)))
     slots = range(len(order))
@@ -207,9 +201,9 @@ class _Fault(Exception):
 
 
 def _cycle(edges, ends, e, v):
-    """The vertices and the edges, in step order, of the walk around
-    ``edges`` from ``v`` along ``e``, ``ends[y]`` the ends of edge y;
-    None unless they form one cycle."""
+    """The ``(vertex, edge)`` steps of the walk around ``edges`` from ``v``
+    along ``e``, ``ends[y]`` the ends of edge y; None unless they form one
+    cycle."""
     one, two = {}, {}                   # the first and second edge at a vertex
     for y in edges:
         for w in ends[y]:
@@ -221,14 +215,13 @@ def _cycle(edges, ends, e, v):
                 return None
     if len(two) != len(one):
         return None
-    vs, es = [], []
+    steps = []
     for _ in edges:
-        vs.append(v)
-        es.append(e)
+        steps.append((v, e))
         a, b = ends[e]
         v = b if a == v else a          # the other end of e
         e = two[v] if one[v] == e else one[v]
-    return (vs, es) if len(set(es)) == len(edges) else None
+    return steps if len(set(steps)) == len(edges) else None
 
 
 def _identity_swap(k):
@@ -249,6 +242,15 @@ def _cofaces(below, above, fresh):
                 above[s] = above[s][:]
             above[s].append(x)
     return above
+
+
+def _compacted(order, num) -> tuple:
+    # ``num`` without dead slots: face i of ``order`` at slot i
+    _ids, below, _above, live = num
+    pos = dict(zip(live, range(len(live))))
+    below = [list(map(pos.__getitem__, below[x])) for x in live]
+    slots = range(len(below))
+    return order, below, _cofaces(below, [[] for _ in slots], slots), slots
 
 
 class CombinatorialComplex:
@@ -287,10 +289,10 @@ class CombinatorialComplex:
 
     Every build numbers the faces: ``(ids, below, above, live)``, per
     slot the face id, the facet slots (in Delta order when there is one,
-    else in canonical covering order) and the coface slots, and ``live``,
-    the slot of each face in canonical order.  It is the complex's one
-    coface structure: :meth:`cofaces`, :meth:`upset` and
-    :meth:`is_maximal` read it, and so does homology
+    ``_is_delta``, else in canonical covering order) and the coface
+    slots, and ``live``, the slot of each face in canonical order.  It is
+    the one place a complex keeps its facets and cofaces; canonical facet
+    order is the slots sorted by position.  Homology reads it too
     (:func:`sncx.homology.homology`).  A complex read from records is
     numbered as it is read, canonically, slot i at position i.  A move
     (:meth:`_derived`) carries it: the child copies the lists, its fresh
@@ -298,18 +300,16 @@ class CombinatorialComplex:
     and its dropped faces leave dead slots that no live face reaches
     downward; the parent's lists are never changed.  A restriction
     (:meth:`_restricted`) shares the lists and keeps fewer live slots.
-    A move whose dead slots would outnumber its live ones drops the
-    numbering, so that the next use (:meth:`_numbering`) numbers the
-    complex afresh.  It never goes stale: a complex is never changed
-    once built.
+    A move whose dead slots would outnumber its live ones compacts the
+    lists to canonical slots.  A complex is never changed once built.
     """
 
-    __slots__ = ("_order", "_index", "_dims", "_labels", "_cov", "_delta",
+    __slots__ = ("_order", "_index", "_dims", "_labels", "_is_delta",
                  "_levels", "_verts", "_num")
 
     def __init__(self, faces: Iterable[Mapping]):
-        self._dims, self._labels, self._cov, self._verts = {}, {}, {}, {}
-        self._delta = self._levels = self._num = None
+        self._dims, self._labels, self._verts = {}, {}, {}
+        self._is_delta, self._levels, self._num = False, None, None
         self._build([], list(faces))
 
     # -- the one build routine -------------------------------------------
@@ -320,12 +320,12 @@ class CombinatorialComplex:
         records, checking only the fresh faces, and number it.
 
         The survivors are a downward-closed part of a checked parent, in its
-        canonical order; the maps already hold their entries, and
-        ``_delta`` and ``_levels`` are None unless the parent had them.
-        ``num`` is the parent's numbering, its ``live`` holding the
-        survivors' slots.  Every check looks only at a face and the faces
-        below it, so the survivors pass again what they passed when the
-        parent was built; a survivor is looked at only for a Delta
+        canonical order; the maps already hold their entries, ``_is_delta``
+        is the parent's, and ``_levels`` is None unless the parent had
+        levels.  ``num`` is the parent's numbering, its ``live`` holding
+        the survivors' slots.  Every check looks only at a face and the
+        faces below it, so the survivors pass again what they passed when
+        the parent was built; a survivor is looked at only for a Delta
         structure or levels that the fresh records claim and the parent
         lacked.  The result equals the complex the constructor builds from
         the survivors' records followed by the fresh ones, and a bad fresh
@@ -334,16 +334,15 @@ class CombinatorialComplex:
         Each record is first checked alone.  Then one loop in canonical
         order maps a face's facet ids to positions once, runs every other
         check on those integer lists, and keeps them as the face's facet
-        slots.  A face that fails is read again by :meth:`_fault`, which
-        runs the checks one by one on ids to name its first fault; the
-        error raised is the least fault by the rank of its check, then by
-        record order (covering) or canonical order, as if each check ran
-        on every face in turn.
+        slots, the only copy kept.  A face that fails is read again by
+        :meth:`_fault`, which runs the checks one by one on ids to name
+        its first fault; the error raised is the least fault by the rank
+        of its check, then by record order (covering) or canonical order,
+        as if each check ran on every face in turn.
         """
-        dims, labels, cov = self._dims, self._labels, self._cov
-        carried_delta = self._delta is not None and bool(survivors)
+        dims, labels = self._dims, self._labels
+        carried_delta = self._is_delta and bool(survivors)
         carried_levels = self._levels is not None and bool(survivors)
-        delta = self._delta if carried_delta else {}
         levels = self._levels if carried_levels else {}
         verts = self._verts
         # a first pass keeps a list of ids as it is and checks that they
@@ -351,8 +350,8 @@ class CombinatorialComplex:
         # records are read again one by one to name the first fault
         mark = len(dims)
         for fast in (True, False):
-            new = []
-            any_delta = any_level = False
+            new, cov, delta = [], {}, {}
+            any_level = False
             try:
                 for pos, rec in enumerate(fresh, start=len(survivors)):
                     if type(rec) is not dict and not isinstance(rec, Mapping):
@@ -374,7 +373,6 @@ class CombinatorialComplex:
                         _id_list(rec, "facets", fid)
                     ids = rec.get("delta_order")
                     if ids is not None:
-                        any_delta = True
                         delta[fid] = tuple(ids) if fast and type(ids) is list else \
                             _id_list(rec, "delta_order", fid)
                     lv = rec.get("level")
@@ -386,16 +384,15 @@ class CombinatorialComplex:
                         levels[fid] = lv
                     new.append(fid)
                 if fast:    # a TypeError unless every id is a string
-                    "".join(chain.from_iterable(map(cov.__getitem__, new)))
-                    if any_delta:
-                        "".join(chain.from_iterable(map(delta.get, new, repeat(()))))
+                    "".join(chain.from_iterable(cov.values()))
+                    "".join(chain.from_iterable(delta.values()))
                 break
             except Exception:   # read again: the first fault in record order
                 if not fast:
                     raise
                 # the ids the pass added, all fresh, come last in the maps
                 for f in list(islice(dims, mark, None)):
-                    for m in (dims, labels, cov, delta, levels):
+                    for m in (dims, labels, levels):
                         m.pop(f, None)
 
         # canonical order (dim, label, insertion index): the survivors come
@@ -420,10 +417,10 @@ class CombinatorialComplex:
         index = dict(zip(order, range(len(order))))
         new.sort(key=index.__getitem__)
 
-        has_delta = carried_delta or any_delta or bool(order) and dims[order[-1]] == 0
+        has_delta = carried_delta or bool(delta) or bool(order) and dims[order[-1]] == 0
         has_levels = carried_levels or any_level
         self._order, self._index = order, index
-        self._delta = delta if has_delta else None
+        self._is_delta = has_delta
         self._levels = levels if has_levels else None
         faces = order if survivors and (has_delta, has_levels) != (
             carried_delta, carried_levels) else new
@@ -441,6 +438,13 @@ class CombinatorialComplex:
             live = list(map(slot.__getitem__, order))
         if faces:
             below = below + [None] * len(new)
+        if new:
+            ids = [*ids, *new] if n0 else order
+        self._num = ids, below, None, live      # read by the checks as they go
+        if faces is order:      # the survivors are checked again, on their ids
+            cov.update(zip(survivors, map(self.facets, survivors)))
+            if carried_delta:
+                delta.update(zip(survivors, map(self.delta_order, survivors)))
         grade = list(map(dims.__getitem__, order))
         starts = [bisect_left(grade, k) for k in range(grade[-1] + 2)] if order else ()
         swaps = [None, None] + [_identity_swap(k) for k in range(2, len(starts) - 1)]
@@ -456,7 +460,7 @@ class CombinatorialComplex:
                     if cov[f]:
                         raise _Fault
                     if has_delta:
-                        delta[f], verts[f] = (), (f,)
+                        verts[f] = (f,)
                     xs = []
                 elif has_delta:
                     rd = delta[f]
@@ -478,19 +482,16 @@ class CombinatorialComplex:
                         raise _Fault
                     verts[f] = (v,) + t
                 else:
-                    ps = list(map(ix, cov[f]))
-                    cs = sorted(set(ps))
+                    cs = sorted(set(map(ix, cov[f])))
                     if not cs or cs[0] < starts[k - 1] or cs[-1] >= starts[k]:
                         raise _Fault
                     xs = list(map(live.__getitem__, cs)) if n0 else cs
                     if (len(xs) != 2 if k == 1 else k == 2 and _cycle(
                             xs, below, xs[0], below[xs[0]][0]) is None):
                         raise _Fault
-                if k and ps != cs:
-                    cov[f] = tuple(map(order.__getitem__, cs))
                 below[live[p]] = xs
             except (_Fault, LookupError, TypeError, ValueError):
-                fault = self._fault(f)
+                fault = self._fault(f, cov, delta)
                 if fault is None:
                     if pending is None:
                         raise AssertionError(f"face {f!r} fails no check") from None
@@ -502,17 +503,21 @@ class CombinatorialComplex:
                     pending = rank, fault[1]
         if pending:
             raise pending[1]
-
+        del cov, delta                  # freed before the coface lists grow
         if new:
             above = _cofaces(below, above + [[] for _ in new], slots)
-            ids = [*ids, *new] if n0 else order
         self._num = ids, below, above, live
 
-    def _fault(self, f):
-        """Rank and error of the first check of :meth:`_build` that
-        face ``f`` fails, run one by one on ids; None for none, or if a
-        check cannot read a face below that failed one."""
-        dims, cov, delta, levels = self._dims, self._cov, self._delta, self._levels
+    def _fault(self, f, cov, delta):
+        """Rank and error of the first check of :meth:`_build` that face
+        ``f`` fails, run on the records' ids in ``cov`` and ``delta``; None
+        for none, or if a check cannot read a face below that failed one."""
+        dims, levels, index = self._dims, self._levels, self._index
+        below, live = self._num[1], self._num[3]
+
+        def order(g):               # a KeyError where g has none
+            return delta[g] if g in cov else self._facet_ids(g)
+
         k = dims[f]
         for g in cov[f]:
             if g not in dims:
@@ -523,10 +528,10 @@ class CombinatorialComplex:
         if k and not cov[f]:
             return 0, GradingViolation(
                 f"face {f!r} has dim {k} but no codimension-one faces")
-        if k and delta is not None and f not in delta:
+        if k and self._is_delta and f not in delta:
             return 1, BadDeltaStructure(
                 f"face {f!r} lacks delta_order while the complex claims one")
-        facets = sorted(set(cov[f]), key=self._index.__getitem__)
+        facets = sorted(set(cov[f]), key=index.__getitem__)
         try:
             if levels is not None:
                 if f not in levels:
@@ -537,11 +542,14 @@ class CombinatorialComplex:
                         return 3, LevelNotDownwardClosed(
                             f"face {f!r} at level {levels[f]} covers {g!r} "
                             f"at level {levels[g]}")
-            if delta is None:
+            if not self._is_delta:
+                # on the facets' slots: none for a facet that failed, whose
+                # own fault then ranks before any of these
+                xs = [live[index[g]] for g in facets]
                 if k == 1 and len(facets) != 2:
                     return 4, NotRegularCW(
                         f"edge {f!r} covers {len(facets)} vertices, wants 2")
-                if k == 2 and _cycle(facets, cov, facets[0], cov[facets[0]][0]) is None:
+                if k == 2 and _cycle(xs, below, xs[0], below[xs[0]][0]) is None:
                     return 4, NotRegularCW(
                         f"the edges of face {f!r} do not form one cycle")
                 return None
@@ -560,7 +568,7 @@ class CombinatorialComplex:
             # omitting vertex i then j (j < i) equals omitting j then i-1
             for i in range(k + 1 if k > 1 else 0):
                 for j in range(i):
-                    if delta[d[i]][j] != delta[d[j]][i - 1]:
+                    if order(d[i])[j] != order(d[j])[i - 1]:
                         return 5, BadDeltaStructure(
                             f"face {f!r} violates the facet identity at ({i},{j})")
             verts = self._verts
@@ -577,19 +585,16 @@ class CombinatorialComplex:
         # _build to complete
         out = CombinatorialComplex.__new__(CombinatorialComplex)
         out._dims, out._labels = carry(self._dims), carry(self._labels)
-        out._cov, out._verts = carry(self._cov), {}
-        out._delta = out._levels = out._num = None
-        if self._delta is not None:
-            out._delta, out._verts = carry(self._delta), carry(self._verts)
-        if self._levels is not None:
-            out._levels = carry(self._levels)
+        out._is_delta, out._num = self._is_delta, None
+        out._verts = carry(self._verts) if self._is_delta else {}
+        out._levels = None if self._levels is None else carry(self._levels)
         return out
 
     def _restricted(self, order) -> "CombinatorialComplex":
         """The subcomplex on ``order``, a downward-closed part of ``_order``:
         the build routine with no fresh faces.  It shares this complex's
         numbering, with the live slots of its own faces."""
-        ids, below, above, live = self._numbering()
+        ids, below, above, live = self._num
         out = self._carried(lambda m: {f: m[f] for f in order})
         out._build(list(order), (), (ids, below, above, list(map(
             live.__getitem__, map(self._index.__getitem__, order)))))
@@ -609,25 +614,31 @@ class CombinatorialComplex:
             return m
 
         cuts = sorted(map(self._index.__getitem__, drop))
-        ids, below, above, live = self._numbering()
+        ids, below, above, live = self._num
         out = self._carried(carry)
         out._build(_without(self._order, cuts), fresh,
                    (ids, below, above, _without(live, cuts)))
-        if len(out._num[0]) > 2 * len(out._order):
-            out._num = None                     # more dead slots than live
+        if len(out._num[0]) > 2 * len(out._order):     # more dead slots than live
+            out._num = _compacted(out._order, out._num)
         return out
 
-    def _numbering(self) -> tuple:
-        """The numbering ``(ids, below, above, live)`` of this complex; see
-        the class notes.  Built here when a move dropped it."""
-        if self._num is None:
-            index = self._index
-            facets = self._cov if self._delta is None else self._delta
-            below = [list(map(index.__getitem__, facets[f])) for f in self._order]
-            slots = range(len(below))
-            above = _cofaces(below, [[] for _ in slots], slots)
-            self._num = self._order, below, above, slots
-        return self._num
+    def _slot(self, f) -> int:
+        # the live slot of face f; NoSuchFace unless f is a face
+        try:
+            return self._num[3][self._index[f]]
+        except KeyError:
+            raise NoSuchFace(f"no face {f!r}") from None
+
+    def _slot_key(self):
+        # the canonical position of a live slot; None where it is the slot
+        ids, _below, _above, live = self._num
+        index = self._index
+        return None if live == range(len(live)) else lambda x: index[ids[x]]
+
+    def _facet_ids(self, f) -> tuple:
+        # the facets of f in slot order: Delta order, or canonical on a poset
+        ids, below = self._num[:2]
+        return tuple([ids[x] for x in below[self._slot(f)]])
 
     def boundary_walk(self, f: FaceId) -> tuple:
         """The boundary circle of a 2-face as ``(vertex, edge)`` steps.
@@ -636,15 +647,23 @@ class CombinatorialComplex:
         canonical order and leaves each vertex along the step's edge;
         raises :class:`NotRegularCW` unless the edges form one cycle.
         """
-        self._check(f)
-        if self._dims[f] != 2:
+        if self._dims.get(f) != 2:
+            self._slot(f)
             raise ValueError(f"face {f!r} is not a 2-face")
-        cov = self._cov
-        e = cov[f][0]
-        steps = _cycle(cov[f], cov, e, cov[e][0])
+        ids, x = self._num[0], self._slot(f)
+        return tuple([(ids[v], ids[e]) for v, e in self._walk(x, self._slot_key())])
+
+    def _walk(self, x, key) -> list:
+        # boundary_walk of the 2-face at slot x on slots, ``key`` _slot_key()'s;
+        # it starts at the first edge and vertex by position
+        ids, below = self._num[:2]
+        es = below[x]
+        e = min(es, key=key) if self._is_delta else es[0]   # a poset's are sorted
+        v = min(below[e], key=key) if self._is_delta else below[e][0]
+        steps = _cycle(es, below, e, v)
         if steps is None:
-            raise NotRegularCW(f"the edges of face {f!r} do not form one cycle")
-        return tuple(zip(*steps))
+            raise NotRegularCW(f"the edges of face {ids[x]!r} do not form one cycle")
+        return steps
 
     # -- basic accessors ------------------------------------------------
 
@@ -658,7 +677,7 @@ class CombinatorialComplex:
 
     @property
     def has_delta(self) -> bool:
-        return self._delta is not None or not self._order
+        return self._is_delta or not self._order
 
     @property
     def has_levels(self) -> bool:
@@ -674,48 +693,49 @@ class CombinatorialComplex:
         return self._dims[self._order[-1]] if self._order else -1
 
     def dim(self, f: FaceId) -> int:
-        self._check(f)
+        self._slot(f)
         return self._dims[f]
 
     def label(self, f: FaceId) -> str:
-        self._check(f)
+        self._slot(f)
         return self._labels[f]
 
     def facets(self, f: FaceId) -> tuple:
         """The codimension-one faces covered by ``f`` (canonically sorted)."""
-        self._check(f)
-        return self._cov[f]
+        fs = self._facet_ids(f)             # on a face poset, canonical
+        return tuple(sorted(fs, key=self._index.__getitem__)) if self._is_delta else fs
 
     def cofaces(self, f: FaceId) -> tuple:
         """The faces that cover ``f`` (canonically sorted)."""
-        self._check(f)
-        return tuple(sorted(self._above(f), key=self._index.__getitem__))
+        ids = self._num[0]
+        return tuple(sorted(map(ids.__getitem__, self._above(self._slot(f))),
+                            key=self._index.__getitem__))
 
-    def _above(self, f) -> list:
-        """The faces that cover ``f``, read off the numbering's coface slots.
+    def _above(self, x) -> list:
+        """The live slots above slot ``x``, read off its coface slots.
 
         A face's coface slots may hold dead ones, and on a restriction the
         slots of faces outside it; no live face lies above either, so they
         are skipped.  A slot is live when the face it names sits at a
         canonical position that holds that slot.
         """
-        ids, _below, above, live = self._numbering()
+        ids, _below, above, live = self._num
         index = self._index
         out = []
-        for y in above[live[index[f]]]:
+        for y in above[x]:
             p = index.get(ids[y])
             if p is not None and live[p] == y:
-                out.append(ids[y])
+                out.append(y)
         return out
 
     def delta_order(self, f: FaceId) -> tuple:
-        self._check(f)
-        if self._delta is None:
+        self._slot(f)
+        if not self._is_delta:
             raise MissingDeltaStructure("complex has no delta structure")
-        return self._delta[f]
+        return self._facet_ids(f)
 
     def level(self, f: FaceId) -> int:
-        self._check(f)
+        self._slot(f)
         if self._levels is None:
             raise NoFiltration("complex has no filtration levels")
         return self._levels[f]
@@ -724,10 +744,6 @@ class CombinatorialComplex:
         if self._levels is None:
             raise NoFiltration("complex has no filtration levels")
         return max(self._levels.values(), default=0)
-
-    def _check(self, f):
-        if f not in self._dims:
-            raise NoSuchFace(f"no face {f!r}")
 
     def faces_of_dim(self, k: int) -> tuple:
         # a slice of the canonical order, which is dimension-major
@@ -759,18 +775,21 @@ class CombinatorialComplex:
         order only above dimension 0 and when ``keep_delta``, a level only
         when ``keep_levels``.
         """
-        dims, labels, cov = self._dims, self._labels, self._cov
-        delta = self._delta if keep_delta else None
+        dims, labels, index = self._dims, self._labels, self._index
+        delta = keep_delta and self._is_delta
         levels = self._levels if keep_levels else None
-        ids = list if rename is None else (lambda fs: [rename[g] for g in fs])
+        ids, below, _above, live = self._num
+        name = (ids if rename is None else list(map(rename.get, ids))).__getitem__
+        key = self._slot_key()
         out = []
         for f in faces:
             nid = f if rename is None else rename[f]
-            rec = {"id": nid, "dim": dims[f], "facets": ids(cov[f])}
+            xs = below[live[index[f]]]         # sorted: a poset's already are
+            rec = {"id": nid, "dim": dims[f], "facets": list(map(name, sorted(xs, key=key)))}
             if labels[f] != nid:
                 rec["label"] = labels[f]
-            if delta is not None and dims[f]:
-                rec["delta_order"] = ids(delta[f])
+            if delta and dims[f]:
+                rec["delta_order"] = list(map(name, xs))
             if levels is not None:
                 rec["level"] = levels[f]
             out.append(rec)
@@ -779,12 +798,11 @@ class CombinatorialComplex:
     def __eq__(self, other):
         if not isinstance(other, CombinatorialComplex):
             return NotImplemented
-        return (self._order == other._order and self._dims == other._dims
-                and self._labels == other._labels and self._cov == other._cov
-                and self._delta == other._delta and self._levels == other._levels)
+        # the records name every field, and a Delta structure above vertices
+        return self.to_records() == other.to_records()
 
     def __hash__(self):
-        return hash((self._order, tuple(sorted(self._cov.items()))))
+        return hash(self._order)
 
     def __repr__(self):
         return f"CombinatorialComplex(f={self.f_vector()})"
@@ -793,64 +811,49 @@ class CombinatorialComplex:
 
     def downset(self, f: FaceId) -> tuple:
         """All faces <= f in the face poset (f included), canonical order."""
-        self._check(f)
-        return self._reach(f, self._cov.__getitem__)
+        return self._reach(f, self._num[1].__getitem__)
 
     def upset(self, f: FaceId) -> tuple:
         """All faces >= f (f included), canonical order."""
-        self._check(f)
         return self._reach(f, self._above)
 
     def _reach(self, f, step) -> tuple:
-        # the faces reached from f through ``step``, in canonical order
-        seen = {f}
-        stack = [f]
+        # the faces reached from f through ``step`` on slots, canonically
+        x = self._slot(f)
+        seen = {x}
+        stack = [x]
         while stack:
-            for h in step(stack.pop()):
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return tuple(sorted(seen, key=self._index.__getitem__))
+            for y in step(stack.pop()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return tuple(map(self._num[0].__getitem__, sorted(seen, key=self._slot_key())))
 
     def is_maximal(self, f: FaceId) -> bool:
         return not self.cofaces(f)
 
     def connected_components(self) -> tuple:
         """Partition of the faces by connectivity through shared faces."""
-        parent = {f: f for f in self._order}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for f in self._order:
-            for g in self._cov[f]:
-                rf, rg = find(f), find(g)
-                if rf != rg:
-                    parent[rf] = rg
-        groups: dict[str, list] = {}
-        for f in self._order:
-            groups.setdefault(find(f), []).append(f)
-        comps = [tuple(sorted(g, key=self._index.__getitem__))
-                 for g in groups.values()]
-        comps.sort(key=lambda c: self._index[c[0]])
+        below, comps, seen = self._num[1], [], set()
+        for f in self._order:           # a component's least face comes first
+            if f not in seen:
+                comps.append(self._reach(f, lambda x: below[x] + self._above(x)))
+                seen.update(comps[-1])
         return tuple(comps)
 
     # -- Delta-structure helpers ------------------------------------------
 
     def vertices_of(self, f: FaceId) -> tuple:
         """Ordered vertex ids of a face (requires the Delta-structure)."""
-        self._check(f)
-        if self._delta is None:
+        self._slot(f)
+        if not self._is_delta:
             raise MissingDeltaStructure("vertex lists need a delta structure")
         return self._verts[f]
 
     def subface(self, f: FaceId, keep_positions: Sequence[int]) -> FaceId:
         """The face of ``f`` spanned by the vertices at the given positions."""
-        self._check(f)
-        if self._delta is None:
+        x = self._slot(f)
+        if not self._is_delta:
             raise MissingDeltaStructure("subfaces need a delta structure")
         keep = sorted(set(keep_positions))
         k = self._dims[f]
@@ -858,11 +861,11 @@ class CombinatorialComplex:
             raise NoSuchFace("empty position set has no face")
         if keep[0] < 0 or keep[-1] > k:
             raise NoSuchFace(f"positions {keep} out of range for face {f!r}")
-        cur = f
+        ids, below = self._num[:2]
         omitted = [i for i in range(k + 1) if i not in keep]
         for i in reversed(omitted):
-            cur = self._delta[cur][i]
-        return cur
+            x = below[x][i]
+        return ids[x]
 
     def embedding_positions(self, tau: FaceId, sigma: FaceId):
         """Positions at which ``sigma`` sits inside ``tau``, or None.
@@ -897,9 +900,9 @@ class CombinatorialComplex:
 
     def _record(self, f):
         rec = {"id": f, "dim": self._dims[f], "label": self._labels[f],
-               "facets": list(self._cov[f])}
-        if self._delta is not None:
-            rec["delta_order"] = list(self._delta[f])
+               "facets": list(self.facets(f))}
+        if self._is_delta:
+            rec["delta_order"] = list(self._facet_ids(f))
         if self._levels is not None:
             rec["level"] = self._levels[f]
         return rec
@@ -937,17 +940,17 @@ class CombinatorialComplex:
         e = _dedup_ids([apex], taken)[0]
         taken.add(e)
         ids = dict(zip(closure, _dedup_ids([f"{g}{sep}{e}" for g in closure], taken)))
-        dims, delta, levels = self._dims, self._delta, self._levels
-        below = self._cov if delta is None else delta
+        dims, levels = self._dims, self._levels
         recs = [{"id": e, "dim": 0, "facets": []}]
         if levels is not None:
             recs[0]["level"] = level
         for g in closure:
-            facets = [ids[x] for x in below[g]] + [g] if dims[g] else [e, g]
+            facets = ([ids[x] for x in self._facet_ids(g)] + [g] if dims[g]
+                      else [e, g])
             rec = {"id": ids[g], "dim": dims[g] + 1, "facets": facets}
             if labels:
                 rec["label"] = f"{self._labels[g]}{sep}{e}"
-            if delta is not None:
+            if self._is_delta:
                 rec["delta_order"] = facets
             if levels is not None:
                 rec["level"] = max(levels[g], level)
@@ -960,13 +963,24 @@ class CombinatorialComplex:
         Chains are ordered by increasing face dimension; the output always
         carries a Delta-structure.
         """
-        # downset is canonically sorted and ends with f itself
-        below = {f: self.downset(f)[:-1] for f in self._order}
+        order = self._order
+        below = dict(zip(order, [tuple(map(order.__getitem__, d))
+                                 for d in self._downsets()]))
         lv = self._levels
         # levels do not drop up the face poset: a chain's level is its top's
         return _from_simplices(
-            _chains(self._order, below.__getitem__), "<".join,
+            _chains(order, below.__getitem__), "<".join,
             None if lv is None else lambda ch: lv[ch[-1]])
+
+    def _downsets(self) -> list:
+        """Per canonical position, the sorted positions below: its facets' and theirs."""
+        _ids, below, _above, live = self._num
+        pos = dict(zip(live, range(len(live))))
+        out = []
+        for x in live:
+            fs = list(map(pos.__getitem__, below[x]))
+            out.append(tuple(sorted(set(fs).union(*map(out.__getitem__, fs)))))
+        return out
 
     def quotient_free_involution(self, phi: Mapping[str, str]) -> "CombinatorialComplex":
         """Quotient by a fixed-point-free involution of the face poset.
@@ -988,7 +1002,7 @@ class CombinatorialComplex:
                 raise NotInvolution(f"pairing is not an involution at {f!r}")
             if self._dims[g] != self._dims[f]:
                 raise NotInvolution(f"pairing does not preserve dimension at {f!r}")
-            if {phi[h] for h in self._cov[f]} != set(self._cov[g]):
+            if {phi[h] for h in self._facet_ids(f)} != set(self._facet_ids(g)):
                 raise NotInvolution(f"pairing does not preserve covering at {f!r}")
 
         def rep(f):
@@ -1003,14 +1017,9 @@ class CombinatorialComplex:
         keep_levels = (self._levels is not None and
                        all(self._levels[f] == self._levels[phi[f]] for f in self._order))
 
-        keep_delta = self._delta is not None
-        if keep_delta:
-            for f in self._order:
-                a = [orbit_id[x] for x in self._delta[f]]
-                b = [orbit_id[x] for x in self._delta[phi[f]]]
-                if a != b:
-                    keep_delta = False
-                    break
+        keep_delta = self._is_delta and all(
+            [orbit_id[x] for x in self._facet_ids(f)]
+            == [orbit_id[x] for x in self._facet_ids(phi[f])] for f in self._order)
 
         reps = [f for f in self._order if rep(f) == f]
         recs = self._rewritten(reps, orbit_id, keep_delta, keep_levels)

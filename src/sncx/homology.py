@@ -1,11 +1,11 @@
 """Exact integral homology of combinatorial complexes.
 
-The boundary is read through the complex's numbering of its faces by
-slots (``CombinatorialComplex._numbering``): per slot the facet slots
-and the coface slots, and the slot of each face in canonical order.  A
-complex read from records is numbered by canonical position as it is
-read, so homology numbers nothing; moves and restrictions carry the
-numbering, so a replay step numbers only the faces it creates.  With a Delta-structure the boundary is the
+The boundary is read through the numbering of the faces by slots
+(``CombinatorialComplex._num``), where a complex keeps its facets: per
+slot the facet and coface slots, and each face's slot in canonical
+order.  A complex read from records is numbered as it is read, and
+moves and restrictions carry the numbering, so homology numbers
+nothing.  With a Delta-structure the boundary is the
 alternating sum of ordered facets: a column is the list of its facet
 slots in Delta order, entry j with sign (-1)^j, and a signed ``{slot:
 coeff}`` dict is made only for a column whose coefficients are summed
@@ -48,7 +48,7 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
-from .complexes import CombinatorialComplex
+from .complexes import CombinatorialComplex, _compacted
 from .errors import BoundaryNotSquareZero, NotRegularCW
 from .presentations import (
     GroupPresentation,
@@ -89,15 +89,12 @@ def chain_complex(c: CombinatorialComplex) -> ChainComplex:
     """Boundary maps of a complex, one per degree: the Delta route or the
     cellular route, moved from the slots homology uses to canonical
     positions."""
-    ids, _below, _above, live = c._numbering()
-    column = _columns(c)
-    pos = [0] * len(ids)
-    for i, x in enumerate(live):
-        pos[x] = i
+    live, column = c._num[3], _columns(c)
+    pos = c._slot_key() or (lambda x: x)    # the canonical position of a slot
     starts = [0, *accumulate(c.f_vector())]
     bases = {k: c.face_ids[starts[k]:starts[k + 1]]
              for k in range(len(starts) - 1)}
-    matrices = {k: {j - starts[k]: {pos[i] - starts[k - 1]: a
+    matrices = {k: {j - starts[k]: {pos(i) - starts[k - 1]: a
                                     for i, a in column(live[j]).items()}
                     for j in range(starts[k], starts[k + 1])}
                 for k in range(1, len(bases))}
@@ -111,7 +108,7 @@ def _columns(c: CombinatorialComplex):
     :func:`_cellular_boundaries`, checked and chosen for every face."""
     if not c.has_delta:
         return _cellular_boundaries(c).__getitem__
-    below = c._numbering()[1]
+    below = c._num[1]
     signs = (1, -1) * (c.dimension + 1)     # zip stops at the k+1 facets
     # the facets in a Delta-structure are distinct, so nothing cancels
     return lambda x: dict(zip(below[x], signs))
@@ -139,18 +136,10 @@ def _order_complex_chi(c: CombinatorialComplex) -> int:
     faces g < f, with sign (-1)^(length - 1); the order complex's Euler
     characteristic is the sum of s(f).
     """
-    _ids, below, _above, live = c._numbering()
-    s = {}
-    for x in live:
-        seen = set(below[x])
-        stack = list(seen)
-        while stack:
-            for h in below[stack.pop()]:
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        s[x] = 1 - sum(map(s.__getitem__, seen))
-    return sum(s.values())
+    s = []
+    for below in c._downsets():
+        s.append(1 - sum(map(s.__getitem__, below)))
+    return sum(s)
 
 
 def _cellular_boundaries(c: CombinatorialComplex) -> dict:
@@ -172,7 +161,7 @@ def _cellular_boundaries(c: CombinatorialComplex) -> dict:
         raise NotRegularCW(
             f"the Betti numbers give Euler characteristic {chi}, "
             f"the face numbers {c.euler_characteristic()}")
-    ids, below, _above, live = c._numbering()
+    ids, below, _above, live = c._num
     dims = c._dims
     inc = {}                    # cell -> {facet: incidence number}
     for x in live:              # dimension-major: facets come first
@@ -333,7 +322,7 @@ def _homology(c: CombinatorialComplex, reduced: bool = False) -> tuple:
     """``(homology(c, reduced), counts)``: ``counts[k]`` is the number of
     critical k-cells of the acyclic matching the homology was read from."""
     column = _columns(c)
-    ids, below, above, live = c._numbering()
+    ids, below, above, live = c._num
     critical, up, when = _coreduce(below, above, live)
     dims = c._dims
     crit = [[] for _ in range(c.dimension + 1)]
@@ -402,10 +391,8 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     pairs are tried from the top dimension down, then in canonical order.
 
     The facet and coface lists are the numbering's
-    (``CombinatorialComplex._numbering``), read by canonical position:
-    as they are on a complex numbered afresh, whose slot i sits at
-    position i, and moved to positions on a restriction or a move output,
-    with the coface slots of dead faces and of faces outside it left out.
+    (``CombinatorialComplex._num``), read by canonical position: as they
+    are where slot i sits at position i, else compacted to positions.
     Each face keeps the count of its alive cofaces and the sum of their
     positions, which is its one alive coface when it has one; a face s
     is free when the count is 1 and its coface t has none.  Removing or
@@ -436,12 +423,9 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
     faces = c.face_ids
     n = len(faces)
     dims = [k for k, m in enumerate(c.f_vector()) for _ in range(m)]
-    _ids, below, above, live = c._numbering()
-    if live != range(len(below)):       # else slot i sits at position i
-        # positions for slots; a dead or outside slot lies above no face
-        pos = dict(zip(live, range(n)))
-        below = [list(map(pos.__getitem__, below[x])) for x in live]
-        above = [[pos[y] for y in above[x] if y in pos] for x in live]
+    num = c._num
+    _ids, below, above, _live = num if num[3] == range(len(num[1])) else \
+        _compacted(faces, num)
     up = list(map(len, above))          # alive cofaces per face
     upsum = list(map(sum, above))       # the sum of their positions
     # a free pair (s, t): s has exactly one alive coface t, t has none
@@ -547,13 +531,16 @@ def _is_wedge_homology(h: HomologyResult, d: int):
     return h.betti(d)
 
 
-def _simply_connected(c, budget):
-    pres = fundamental_group_presentation(c)
-    simplified, status = tietze_simplify(pres, budget)
+def _pi1(c, budget) -> tuple:
+    """π₁ of ``c``, its edge-path presentation after Tietze moves under
+    ``budget``: whether they reached the trivial group, the rank of the
+    free group they left if no relator is left (else None), a witness."""
+    simplified, status = tietze_simplify(fundamental_group_presentation(c), budget)
+    rank = None if simplified.relators else simplified.generators
     if status == "trivial":
-        return True, {"generators": 0, "status": status}
-    return False, {"generators": simplified.generators,
-                   "relators": len(simplified.relators), "status": status}
+        return True, rank, {"generators": 0, "status": status}
+    return False, rank, {"generators": simplified.generators,
+                         "relators": len(simplified.relators), "status": status}
 
 
 def wedge_certificate(c: CombinatorialComplex, d: int,
@@ -605,7 +592,7 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
 
     if d == 0:
         if all(collapse_to_point(sub, collapse_budget)[0]
-               or _simply_connected(sub, tietze_budget)[0]
+               or _pi1(sub, tietze_budget)[0]
                for sub in map(c._restricted, c.connected_components())):
             return WedgeCertificate("certified-wedge", m,
                                     "all components certified contractible")
@@ -618,11 +605,7 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
         # 2-skeleton is critical unless matched with an edge
         f0, f1, f2 = (*c.f_vector(), 0, 0)[:3]
         free = (vertices, edges) == (1, m) and f1 - edges - (f0 - vertices) == f2
-        if not free:
-            pres = fundamental_group_presentation(c)
-            simplified, _status = tietze_simplify(pres, tietze_budget)
-            free = not simplified.relators and simplified.generators == m
-        if free:
+        if free or _pi1(c, tietze_budget)[1] == m:
             return WedgeCertificate(
                 "certified-wedge", m, "fundamental group free of matching rank",
                 {"generators": m})
@@ -639,7 +622,7 @@ def wedge_certificate(c: CombinatorialComplex, d: int,
     if (vertices, edges) == (1, 0):
         ok, info = True, {"generators": 0, "status": "trivial"}
     else:
-        ok, info = _simply_connected(c, tietze_budget)
+        ok, _rank, info = _pi1(c, tietze_budget)
     if ok:
         return WedgeCertificate("certified-wedge", m,
                                 "simply connected with wedge homology", info)

@@ -118,26 +118,28 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
     if c.is_empty:
         raise NotConnected("the empty complex has no fundamental group")
 
-    edges = c.faces_of_dim(1)
+    # on the numbering's slots; canonical order is vertices, edges, 2-faces
+    _ids, below, _above, live = c._num
+    f0, f1, f2 = (*c.f_vector(), 0, 0)[:3]
+    edges, key = live[f0:f0 + f1], c._slot_key()
 
     # oriented edge (tail, head): facet 0 of the delta order omits the tail
-    ends = {e: c.delta_order(e)[::-1] if c.has_delta else c.facets(e)
-            for e in edges}
+    ends = {e: below[e][::-1] if c.has_delta else below[e] for e in edges}
 
-    root = c.face_ids[0]       # the canonical order starts with the vertices
+    root = live[0]
     in_tree = set()
     seen = {root}
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for e in c.cofaces(v):     # the edges at v, in canonical order
+        for e in sorted(c._above(v), key=key):  # the edges at v, canonically
             tail, head = ends[e]
             w = head if v == tail else tail
             if w not in seen:
                 seen.add(w)
                 in_tree.add(e)
                 queue.append(w)
-    if len(seen) != len(c.faces_of_dim(0)):
+    if len(seen) != f0:
         # every face lies above a vertex, so the complex is connected
         # exactly when the search reaches every vertex
         raise NotConnected("complex is not connected")
@@ -146,9 +148,9 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
     gen_index = {e: i + 1 for i, e in enumerate(gens)}
 
     relators = []
-    for f in c.faces_of_dim(2):
+    for f in live[f0 + f1:f0 + f1 + f2]:
         word = _cyclic_reduce(gen_index[e] if v == ends[e][0] else -gen_index[e]
-                              for v, e in c.boundary_walk(f) if e in gen_index)
+                              for v, e in c._walk(f, key) if e in gen_index)
         if word:
             relators.append(word)
     return GroupPresentation(len(gens), tuple(relators))

@@ -120,13 +120,15 @@ def _write_complex(c: CombinatorialComplex, depth: int) -> str:
     order = c._order
     if not order:
         return "{" + _PAD[depth + 1] + '"faces": []' + _PAD[depth] + "}"
-    dims, labels, cov, delta, levels = (c._dims, c._labels, c._cov,
-                                        c._delta, c._levels)
+    dims, labels, levels, is_delta = c._dims, c._labels, c._levels, c._is_delta
+    ids, below, _above, live = c._num
+    esc = list(map(_esc, ids))          # each id escaped once, by slot
+    key = c._slot_key()
     p2, p3, p4 = _PAD[depth + 2], _PAD[depth + 3], _PAD[depth + 4]
     sep, end = "," + p4, p3 + "]"
 
-    def ids(fs):
-        return "[" + p4 + sep.join(map(_esc, fs)) + end if fs else "[]"
+    def written(xs):
+        return "[" + p4 + sep.join(map(esc.__getitem__, xs)) + end if xs else "[]"
 
     def template(has_delta, has_label):
         keys = (["delta_order"] * has_delta + ["dim", "facets", "id"]
@@ -136,12 +138,13 @@ def _write_complex(c: CombinatorialComplex, depth: int) -> str:
     shapes = {(dl, lb): template(dl, lb) for dl in (False, True)
               for lb in (False, True)}
     out = []
-    for f in order:
-        d, label = dims[f], labels[f]
-        has_delta, has_label = delta is not None and d > 0, label != f
-        args = (_int(d), ids(cov[f]), _esc(f))
+    for f, x in zip(order, live):
+        d, label, xs = dims[f], labels[f], below[x]
+        has_delta, has_label = is_delta and d > 0, label != f
+        # the facets in canonical order: the slots sorted by position
+        args = (_int(d), written(sorted(xs, key=key) if is_delta else xs), esc[x])
         if has_delta:
-            args = (ids(delta[f]), *args)
+            args = (written(xs), *args)
         if has_label:
             args += (_esc(label),)
         if levels is not None:

@@ -780,9 +780,9 @@ def validating_constructor(records):
 
     out = CombinatorialComplex.__new__(CombinatorialComplex)
     out._order, out._index, out._dims, out._labels = order, index, dims, labels
-    out._cov, out._delta, out._levels, out._verts = cov, delta, levels, {}
-    out._num = None
+    out._is_delta, out._levels, out._verts = delta is not None, levels, {}
     if delta is None:
+        numbered(out, cov)
         for f in order:
             if dims[f] == 1 and len(cov[f]) != 2:
                 raise NotRegularCW(
@@ -812,7 +812,21 @@ def validating_constructor(records):
                               (out._verts[delta[f][1]][0],) + out._verts[delta[f][0]])
         if len(set(vs)) != len(vs):
             raise BadDeltaStructure(f"face {f!r} has repeated vertices {vs}")
+    numbered(out, delta)
     return out
+
+
+def numbered(out, facets):
+    """Give ``out`` the numbering its maps name, slot i at canonical
+    position i, from ``facets``: per face its facet ids in slot order (the
+    Delta order, or the canonical one on a face poset)."""
+    index = out._index
+    below = [list(map(index.__getitem__, facets[f])) for f in out._order]
+    above = [[] for _ in below]
+    for x, col in enumerate(below):
+        for s in col:
+            above[s].append(x)
+    out._num = out._order, below, above, range(len(below))
 
 
 def table_cofaces(c):
@@ -1791,9 +1805,9 @@ def phased_reader(records):
 
     out = CombinatorialComplex.__new__(CombinatorialComplex)
     out._order, out._index, out._dims, out._labels = order, index, dims, labels
-    out._cov, out._delta, out._levels, out._verts = cov, delta, levels, {}
-    out._num = None
+    out._is_delta, out._levels, out._verts = delta is not None, levels, {}
     if delta is None:
+        numbered(out, cov)
         for f in order:
             if dims[f] == 1 and len(cov[f]) != 2:
                 raise NotRegularCW(
@@ -1826,14 +1840,7 @@ def phased_reader(records):
                                   (out._verts[delta[f][1]][0],) + out._verts[delta[f][0]])
             if len(set(vs)) != len(vs):
                 raise BadDeltaStructure(f"face {f!r} has repeated vertices {vs}")
-
-    facets = cov if delta is None else delta
-    below = [list(map(index.__getitem__, facets[f])) for f in order]
-    above = [[] for _ in below]
-    for x, col in enumerate(below):
-        for s in col:
-            above[s].append(x)
-    out._num = order, below, above, range(len(order))
+        numbered(out, delta)
     return out
 
 
@@ -1844,7 +1851,7 @@ def dict_boundary_walk(c, f):
         raise NoSuchFace(f"no face {f!r}")
     if c.dim(f) != 2:
         raise ValueError(f"face {f!r} is not a 2-face")
-    cov = c._cov
+    cov = {g: c.facets(g) for g in (f, *c.facets(f))}
     at: dict[str, list] = {}
     for e in cov[f]:
         for v in cov[e]:

@@ -7,6 +7,7 @@ import pytest
 
 import sncx as S
 import sncx.cli as cli
+from sncx import complexes as C
 from sncx import gallery as G
 from sncx.cli import main
 from sncx.serialize import complex_to_dict, dumps_complex, read_complex
@@ -252,28 +253,26 @@ class TestSubcommands:
 
     def test_homology_and_certify_read_their_numbering(self, tmp_path, monkeypatch):
         # a complex read from records carries its numbering, so neither
-        # subcommand numbers a complex again: Delta complexes, a face
-        # poset, and an input whose certificate takes the presentation
+        # subcommand numbers a complex again or compacts its lists: Delta
+        # complexes, a face poset, and an input whose certificate takes
+        # the presentation
         poset = [{k: v for k, v in r.items() if k != "delta_order"}
                  for r in G.real_projective_plane().order_complex().to_records()]
         docs = {"sd1-octahedron": dumps_complex(G.octahedron_boundary().order_complex()),
                 "sd1-rp2-poset": json.dumps({"faces": poset}),
                 "rp2": dumps_complex(G.real_projective_plane())}
-        rebuilt = []
-        numbering = S.CombinatorialComplex._numbering
-
-        def counted(self):
-            rebuilt.append(self._num is None)
-            return numbering(self)
-
-        monkeypatch.setattr(S.CombinatorialComplex, "_numbering", counted)
+        made = []
+        for name in ("_cofaces", "_compacted"):
+            monkeypatch.setattr(C, name, lambda *a, real=getattr(C, name), name=name:
+                                made.append(name) or real(*a))
         for name, text in docs.items():
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             for argv in (["homology", str(path)],
                          ["certify", str(path), "--sphere-dim", "2"]):
+                made.clear()
                 assert run_cli(argv)[0] == 0
-        assert rebuilt and not any(rebuilt)
+                assert made == ["_cofaces"], (argv, made)      # the read's only
 
     def test_text_format(self, inputs):
         code, out = run_cli(["homology", str(inputs["triangle"]),

@@ -628,8 +628,8 @@ class TestOrderComplexAgreement:
 
 def assembly(c):
     """Every map of ``c`` and its numbering, for comparing build routes."""
-    ids, below, above, live = c._numbering()
-    return (c._order, c._index, c._dims, c._labels, c._cov, c._delta, c._levels,
+    ids, below, above, live = c._num
+    return (c._order, c._index, c._dims, c._labels, c._is_delta, c._levels,
             c._verts, (ids, below, above, list(live)))
 
 
@@ -1054,7 +1054,6 @@ class TestFusedReader:
                 want, want_num = read_outcome(phased_reader, recs)
                 assert_same_complex(got, want)
                 assert got_num == want_num
-                assert got._numbering() is got_num     # read, not rebuilt
                 seen += 1
         assert seen > 150
 
@@ -1087,9 +1086,10 @@ class TestFusedReader:
         # so the last check of the fault reader runs on a vertex table made
         # to disagree with the edge e0 = [v0, v1], delta order (v1, v0)
         c = G.triangle_boundary()
-        assert c._fault("e0") is None
+        ids = {"e0": c.facets("e0")}, {"e0": c.delta_order("e0")}
+        assert c._fault("e0", *ids) is None
         c._verts["v0"] = ("v1",)
-        rank, err = c._fault("e0")
+        rank, err = c._fault("e0", *ids)
         assert (rank, type(err), str(err)) == (
             6, BadDeltaStructure, "face 'e0' has repeated vertices ('v1', 'v1')")
 

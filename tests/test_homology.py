@@ -438,7 +438,7 @@ class TestTopDownClearing:
 
 def critical_counts(c):
     """The critical cells per degree of the coreduction pass on ``c``."""
-    ids, below, above, live = c._numbering()
+    ids, below, above, live = c._num
     dims = Counter(c.dim(ids[x]) for x in _coreduce(below, above, live)[0])
     return [dims[k] for k in range(c.dimension + 1)]
 
@@ -500,7 +500,7 @@ class TestCoreduction:
             pos = c.face_ids.index
             signed = [{pos(g): (-1) ** i for i, g in enumerate(c.delta_order(f))}
                       for f in c.face_ids]
-            _ids, below, above, live = c._numbering()
+            _ids, below, above, live = c._num
             assert below == [list(col) for col in signed]
             assert _coreduce(below, above, live) == _coreduce(signed, above, live)
             cx = S.chain_complex(c)
@@ -745,7 +745,7 @@ class TestCollapse:
         # subcomplexes share their parent's lists, with slots outside them
         # above their faces; so do the components a d = 0 certificate
         # collapses; move outputs keep dead slots; and a move output whose
-        # numbering was dropped is numbered afresh by the search
+        # dead slots would have outnumbered its live ones is compacted
         rng = random.Random(71)
         cases = []              # (kind, complex)
         for base in (G.full_simplex(6), S.cone(G.octahedron_boundary().order_complex()),
@@ -766,12 +766,12 @@ class TestCollapse:
         c = G.full_simplex(3)
         for _ in range(2):
             c = S.blowup_move(c, S.BlowupMove(case=2, face=c.faces_of_dim(0)[0]))
-        assert c._num is None
-        cases.append(("dropped", c))
+        assert c._num[0] is c.face_ids          # the last move compacted
+        cases.append(("compacted", c))
         kinds = Counter()
         for kind, c in cases:
-            ids, below, _above, live = c._numbering()
-            assert (live == range(len(below))) == (kind == "dropped")
+            ids, below, _above, live = c._num
+            assert (live == range(len(below))) == (kind == "compacted")
             kinds[kind] += len(ids) > len(live)
             for budget in (1, 20, 300, 4000):
                 got = S.collapse_to_point(c, budget)

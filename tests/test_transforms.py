@@ -4,6 +4,7 @@ import random
 import pytest
 
 import sncx as S
+from sncx import complexes as C
 from sncx import gallery as G
 from sncx.errors import (
     BadMultiplicity,
@@ -747,7 +748,7 @@ def assert_numbering(c):
     """The numbering of ``c`` names, for each face, its facets (in Delta
     order, or the covering slots in canonical order on a face poset) and,
     among the live slots, exactly the cofaces of its covering relation."""
-    ids, below, above, live = c._numbering()
+    ids, below, above, live = c._num
     slot = dict(zip(c.face_ids, live))
     up = table_cofaces(c)
     assert [ids[x] for x in live] == list(c.face_ids)
@@ -756,6 +757,20 @@ def assert_numbering(c):
             c.delta_order(f) if c.has_delta and c.dim(f) else c.facets(f))
         assert sorted(ids[y] for y in above[x] if slot.get(ids[y]) == y) == \
             sorted(up[f])
+
+
+@pytest.fixture
+def compactions(monkeypatch):
+    """The numberings a move compacted, as ``(ids, live)`` before."""
+    calls = []
+    real = C._compacted
+
+    def counted(order, num):
+        calls.append((num[0], num[3]))
+        return real(order, num)
+
+    monkeypatch.setattr(C, "_compacted", counted)
+    return calls
 
 
 class TestCarriedNumbering:
@@ -781,18 +796,19 @@ class TestCarriedNumbering:
             out.append((S.CombinatorialComplex([]), script))
         return out
 
-    def test_homology_agrees_with_fresh_builds(self):
-        seen = {"carried": 0, "renumbered": 0, "reused id": 0, "levels": 0,
+    def test_homology_agrees_with_fresh_builds(self, compactions):
+        seen = {"carried": 0, "compacted": 0, "reused id": 0, "levels": 0,
                 "moved restriction": 0}
         for c, script in self.runs():
             cur = c
             S.homology(cur)
             for move in script:
                 before, h = copy.deepcopy(cur._num), S.homology(cur)
+                compacted = len(compactions)
                 nxt = S.blowup_move(cur, move)
                 # the parent's lists and homology are as they were
                 assert cur._num == before and S.homology(cur) == h
-                seen["carried" if nxt._num is not None else "renumbered"] += 1
+                seen["carried" if len(compactions) == compacted else "compacted"] += 1
                 seen["reused id"] += move.case == 2 and move.new_vertex == move.face
                 subs = [nxt]
                 if nxt.has_levels:
@@ -810,7 +826,7 @@ class TestCarriedNumbering:
                         validating_constructor(moved.to_records()))
                     seen["moved restriction"] += 1
                 cur = nxt
-        assert min(seen.values()) > 5 and seen["carried"] > 5 * seen["renumbered"], seen
+        assert min(seen.values()) > 5 and seen["carried"] > 5 * seen["compacted"], seen
 
     def test_cofaces_and_upsets_agree_with_the_table_oracle(self):
         # cofaces, upset, star and is_maximal read the numbering's live
@@ -875,17 +891,17 @@ class TestCarriedNumbering:
                     subs += [cur.level_subcomplex(m)
                              for m in range(1, cur.max_level() + 1)]
                 for sub in subs:
-                    carried += sub._num is not None
+                    carried += type(sub._num[3]) is not range
                     assert_numbering(sub)
                     for reduced in (False, True):
                         assert S.homology(sub, reduced) == clearing_homology(
                             validating_constructor(sub.to_records()), reduced)
         assert carried > 200 and posets > 100, (carried, posets)
 
-    def test_replay_numbers_once(self, monkeypatch):
-        # the whole complex is numbered when it is read, and again only
-        # after a move whose dead slots would outnumber its live ones; the
-        # replays run on fresh copies read from records
+    def test_replay_numbers_once(self, compactions):
+        # the whole complex is numbered when it is read, and its lists are
+        # compacted only after a move whose dead slots would outnumber its
+        # live ones; the replays run on fresh copies read from records
         runs = self.runs()
         expected = []
         for c, script in runs:
@@ -900,40 +916,103 @@ class TestCarriedNumbering:
             expected.append(builds)
         assert expected.count(0) > len(runs) // 2 and max(expected) > 0
 
-        builds = 0
-        numbering = S.CombinatorialComplex._numbering
-
-        def counting_numbering(self):
-            nonlocal builds
-            builds += self._num is None
-            return numbering(self)
-
-        monkeypatch.setattr(S.CombinatorialComplex, "_numbering",
-                            counting_numbering)
         for (c, script), want in zip(runs, expected):
-            fresh, builds = S.new_complex(c.to_records()), 0
+            fresh = S.new_complex(c.to_records())
+            compactions.clear()
             S.run_blowup_script(fresh, script)
-            assert builds == want, script
+            assert len(compactions) == want, script
 
-    def test_dead_slots_never_outnumber_live_ones(self):
+    def test_dead_slots_never_outnumber_live_ones(self, compactions):
         # the octahedron's vertex subdivided again and again under its own
         # id: each move leaves the 9 faces of its star as dead slots
         cur = G.octahedron_boundary()
         v = cur.face_ids[0]
         S.homology(cur)
-        dropped = 0
+        compacted = 0
         for _ in range(8):
             nxt = S.stellar_subdivide(cur, v, new_vertex=v)
-            if nxt._num is None:
-                ids, _below, _above, live = cur._num
-                assert len(ids) + 9 > 2 * len(nxt.face_ids)
-                dropped += 1
-            assert S.homology(nxt) == S.homology(G.octahedron_boundary())
             ids, _below, _above, live = nxt._num
+            if len(compactions) > compacted:
+                assert len(cur._num[0]) + 9 > 2 * len(nxt.face_ids)
+                assert len(compactions[-1][0]) == len(cur._num[0]) + 9
+                assert (ids, live) == (nxt.face_ids, range(len(nxt.face_ids)))
+                compacted += 1
+            assert S.homology(nxt) == S.homology(G.octahedron_boundary())
             assert len(ids) - len(live) <= len(live)
             assert_numbering(nxt)
             cur = nxt
-        assert dropped == 2
+        assert compacted == 2
+
+
+class TestSlotsAgainstRecords:
+    """The complex keeps its facets only as the numbering's slots: after
+    every move and restriction, each accessor that reads them agrees with
+    the complex the validating constructor reads from the records, and a
+    move never leaves more dead slots than live ones.  The scripts run long
+    enough that moves compact the lists."""
+
+    @staticmethod
+    def agrees(c):
+        want = validating_constructor(c.to_records())
+        assert_same_complex(c, want)
+        assert c.to_records() == want.to_records()
+        assert dumps_complex(c) == dumps_complex(want)
+        for f in c.face_ids:
+            assert c.facets(f) == want.facets(f)
+            assert c.cofaces(f) == want.cofaces(f)
+            if c.has_delta:
+                assert c.delta_order(f) == want.delta_order(f)
+                assert c.vertices_of(f) == want.vertices_of(f)
+        assert S.homology(c) == clearing_homology(want)
+
+    def agrees_below(self, rng, c):
+        # c and a skeleton and a level subcomplex of it
+        self.agrees(c)
+        if c.face_ids:
+            self.agrees(c.skeleton(rng.randint(0, c.dimension)))
+        if c.has_levels:
+            self.agrees(c.level_subcomplex(rng.randint(1, c.max_level())))
+
+    def test_long_scripts_on_delta_complexes(self, compactions):
+        # a vertex subdivided under its own id drops its star and keeps the
+        # size of the complex, so dead slots pile up until a move compacts
+        # them; every fifth move is a mixed one
+        rng = random.Random(3101)
+        moves = 0
+        for i in range(10):
+            c = G.octahedron_boundary() if i % 4 == 0 else random_simplicial_complex(
+                rng, max_verts=6, max_facets=4, max_dim=3)
+            cur = with_random_levels(rng, c) if i % 2 else c
+            self.agrees_below(rng, cur)
+            for n in range(40):
+                v = rng.choice(cur.faces_of_dim(0))
+                script = (draw_mixed_script(rng, cur, 1) if n % 5 == 4 else
+                          [S.BlowupMove(case=2, face=v, new_vertex=v)])
+                for move in script:
+                    cur = S.blowup_move(cur, move)
+                    ids, _below, _above, _live = cur._num
+                    assert len(ids) <= 2 * len(cur.face_ids)
+                    self.agrees_below(rng, cur)
+                    moves += 1
+        assert moves > 350 and len(compactions) > 30, (moves, len(compactions))
+
+    def test_face_posets(self):
+        # no move drops a face of a face poset, so its lists only grow
+        rng = random.Random(3102)
+        posets = 0
+        for i in range(16):
+            c = random_simplicial_complex(rng, max_verts=7, max_facets=5, max_dim=3)
+            cur = without_delta(with_random_levels(rng, c) if i % 2 else c)
+            self.agrees_below(rng, cur)
+            for step in range(5):
+                top = [f for f in cur.face_ids if cur.is_maximal(f)]
+                cur = (S.cone(cur, f"a{step}") if step % 2 == 0
+                       else S.pucker(cur, rng.choice(top), rng.randint(2, 3)))
+                ids, _below, _above, _live = cur._num
+                assert len(ids) <= 2 * len(cur.face_ids)
+                self.agrees_below(rng, cur)
+                posets += not cur.has_delta
+        assert posets > 60, posets
 
 
 def filtered_disk():
