@@ -201,9 +201,9 @@ class _Fault(Exception):
 
 
 def _cycle(edges, ends, e, v):
-    """The ``(vertex, edge)`` steps of the walk around ``edges`` from ``v``
-    along ``e``, ``ends[y]`` the ends of edge y; None unless they form one
-    cycle."""
+    """The vertices and the edges, in step order, of the walk around
+    ``edges`` from ``v`` along ``e``, ``ends[y]`` the ends of edge y;
+    None unless they form one cycle."""
     one, two = {}, {}                   # the first and second edge at a vertex
     for y in edges:
         for w in ends[y]:
@@ -215,13 +215,14 @@ def _cycle(edges, ends, e, v):
                 return None
     if len(two) != len(one):
         return None
-    steps = []
+    vs, es = [], []
     for _ in edges:
-        steps.append((v, e))
+        vs.append(v)
+        es.append(e)
         a, b = ends[e]
         v = b if a == v else a          # the other end of e
         e = two[v] if one[v] == e else one[v]
-    return steps if len(set(steps)) == len(edges) else None
+    return (vs, es) if len(set(es)) == len(edges) else None
 
 
 def _identity_swap(k):
@@ -369,11 +370,11 @@ class CombinatorialComplex:
                     label = rec.get("label")
                     labels[fid] = fid if label is None else str(label)
                     ids = rec.get("facets")
-                    cov[fid] = tuple(ids) if fast and type(ids) is list else \
+                    cov[fid] = ids if fast and type(ids) is list else \
                         _id_list(rec, "facets", fid)
                     ids = rec.get("delta_order")
                     if ids is not None:
-                        delta[fid] = tuple(ids) if fast and type(ids) is list else \
+                        delta[fid] = ids if fast and type(ids) is list else \
                             _id_list(rec, "delta_order", fid)
                     lv = rec.get("level")
                     if lv is not None:
@@ -647,15 +648,16 @@ class CombinatorialComplex:
         canonical order and leaves each vertex along the step's edge;
         raises :class:`NotRegularCW` unless the edges form one cycle.
         """
-        if self._dims.get(f) != 2:
-            self._slot(f)
+        x = self._slot(f)
+        if self._dims[f] != 2:
             raise ValueError(f"face {f!r} is not a 2-face")
-        ids, x = self._num[0], self._slot(f)
-        return tuple([(ids[v], ids[e]) for v, e in self._walk(x, self._slot_key())])
+        ids = self._num[0]
+        vs, es = self._walk(x, self._slot_key() if self._is_delta else None)
+        return tuple([(ids[v], ids[e]) for v, e in zip(vs, es)])
 
-    def _walk(self, x, key) -> list:
-        # boundary_walk of the 2-face at slot x on slots, ``key`` _slot_key()'s;
-        # it starts at the first edge and vertex by position
+    def _walk(self, x, key) -> tuple:
+        # boundary_walk of the 2-face at slot x on slots, as the lists of
+        # its vertices and edges; ``key`` is _slot_key()'s on a Delta complex
         ids, below = self._num[:2]
         es = below[x]
         e = min(es, key=key) if self._is_delta else es[0]   # a poset's are sorted

@@ -150,7 +150,7 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
     relators = []
     for f in live[f0 + f1:f0 + f1 + f2]:
         word = _cyclic_reduce(gen_index[e] if v == ends[e][0] else -gen_index[e]
-                              for v, e in c._walk(f, key) if e in gen_index)
+                              for v, e in zip(*c._walk(f, key)) if e in gen_index)
         if word:
             relators.append(word)
     return GroupPresentation(len(gens), tuple(relators))
