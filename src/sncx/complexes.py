@@ -15,8 +15,8 @@ convention and safe to share.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice
-from operator import eq, itemgetter
+from itertools import chain, repeat
+from operator import eq, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -133,25 +133,26 @@ def _from_simplices(simplices: list, name, level=None) -> "CombinatorialComplex"
 
     ``name`` is a ``str.join`` and ``level`` does not drop from a tuple to
     a longer one, with values at least 1.  Every label is its id, so the
-    canonical order is by (dim, id); facet i drops vertex i, and a face's
-    vertex list is its tuple.  Only what the tuples do not guarantee is
-    checked: the list is not empty, ``name`` is injective on it, each
+    canonical order is by (dim, id), and slot i holds face i of it: the
+    id list is the label column and the tuples, in that order, the vertex
+    column; facet i drops vertex i.  Only what the tuples do not guarantee
+    is checked: the list is not empty, ``name`` is injective on it, each
     tuple less one vertex is in it, a tuple's vertices are distinct, and
     ``name((v,))`` is ``v``, not empty.  On any failure the records go to
     the constructor, which raises its error.
     """
     try:
         ids = list(map(name, simplices))
-        dims = dict(zip(ids, map((-1).__add__, map(len, simplices))))
-        verts = dict(zip(ids, simplices))
-        order = sorted(ids)
-        order.sort(key=dims.__getitem__)
-        order = tuple(order)
-        grade = list(map(dims.__getitem__, order))
-        if len(verts) != len(simplices) or grade[0]:
+        sizes = list(map(len, simplices))
+        perm = sorted(range(len(ids)), key=ids.__getitem__)
+        perm.sort(key=sizes.__getitem__)
+        order = tuple(map(ids.__getitem__, perm))
+        faces = list(map(simplices.__getitem__, perm))
+        grade = list(map(sizes.__getitem__, perm))      # dimension + 1
+        del ids, sizes, perm
+        if grade[0] != 1:
             raise _Fault
-        starts = [bisect_left(grade, k) for k in range(grade[-1] + 3)]
-        faces = list(map(verts.__getitem__, order))
+        starts = [bisect_left(grade, k) for k in range(1, grade[-1] + 3)]
         vs, edges = order[:starts[1]], faces[starts[1]:starts[2]]
         # the tuples below a tuple are all in the list once the facets are,
         # so a repeated vertex shows in an edge
@@ -168,16 +169,17 @@ def _from_simplices(simplices: list, name, level=None) -> "CombinatorialComplex"
                 [itemgetter(slice(1, 2)), itemgetter(slice(0, 1))]
             cols = [list(map(at.__getitem__, map(drop, group))) for drop in drops]
             below += map(list, zip(*cols))
+        del at                          # freed before the index and cofaces
+        index = dict(zip(order, range(len(order))))
+        if len(index) != len(order):
+            raise _Fault
     except (_Fault, LookupError):   # a check failed, or a facet is missing
         return CombinatorialComplex(_simplex_records(simplices, name, level))
-    del at, faces                       # freed before the coface lists grow
     out = CombinatorialComplex.__new__(CombinatorialComplex)
-    out._order, out._index = order, dict(zip(order, range(len(order))))
-    out._dims, out._labels, out._is_delta = dims, dict(zip(order, order)), True
-    out._verts = verts
-    out._levels = None if level is None else dict(zip(ids, map(level, simplices)))
+    out._order, out._index, out._starts, out._is_delta = order, index, starts[:-1], True
     slots = range(len(order))
-    out._num = order, below, _cofaces(below, [[] for _ in slots], slots), slots
+    out._num = (order, below, _cofaces(below, [[] for _ in slots], slots), slots, order,
+                None if level is None else list(map(level, faces)), faces)
     return out
 
 
@@ -245,13 +247,20 @@ def _cofaces(below, above, fresh):
     return above
 
 
+def _grown(col, carried, n0, tail) -> list:
+    # a column of ``n0`` parent slots, with ``col``'s values when
+    # ``carried``, and then ``tail``; ``col`` itself when nothing is added
+    return col if carried and not tail else (col if carried else [None] * n0) + tail
+
+
 def _compacted(order, num) -> tuple:
     # ``num`` without dead slots: face i of ``order`` at slot i
-    _ids, below, _above, live = num
+    _ids, below, _above, live, *columns = num
     pos = dict(zip(live, range(len(live))))
     below = [list(map(pos.__getitem__, below[x])) for x in live]
     slots = range(len(below))
-    return order, below, _cofaces(below, [[] for _ in slots], slots), slots
+    return (order, below, _cofaces(below, [[] for _ in slots], slots), slots,
+            *[None if col is None else list(map(col.__getitem__, live)) for col in columns])
 
 
 class CombinatorialComplex:
@@ -288,71 +297,75 @@ class CombinatorialComplex:
     vertex tuples and hands the records to the constructor only when a
     check fails.
 
-    Every build numbers the faces: ``(ids, below, above, live)``, per
-    slot the face id, the facet slots (in Delta order when there is one,
-    ``_is_delta``, else in canonical covering order) and the coface
-    slots, and ``live``, the slot of each face in canonical order.  It is
-    the one place a complex keeps its facets and cofaces; canonical facet
-    order is the slots sorted by position.  Homology reads it too
-    (:func:`sncx.homology.homology`).  A complex read from records is
-    numbered as it is read, canonically, slot i at position i.  A move
-    (:meth:`_derived`) carries it: the child copies the lists, its fresh
-    faces take new slots and the copied coface lists of their facets,
-    and its dropped faces leave dead slots that no live face reaches
-    downward; the parent's lists are never changed.  A restriction
-    (:meth:`_restricted`) shares the lists and keeps fewer live slots.
-    A move whose dead slots would outnumber its live ones compacts the
-    lists to canonical slots.  A complex is never changed once built.
+    Every build numbers the faces: ``(ids, below, above, live, labels,
+    levels, verts)``.  Per slot it holds the face id, the facet slots (in
+    Delta order when there is one, ``_is_delta``, else in canonical
+    covering order), the coface slots, the label, the level and the
+    vertex list; the level column is None on a complex without levels,
+    the vertex column on one without a Delta structure.  ``live`` is the
+    slot of each face in canonical order.  The numbering is the one place
+    a complex keeps its faces' attributes: besides it there are only the
+    canonical order ``_order``, its inverse ``_index`` and the dimension
+    starts ``_starts`` (the order is dimension-major, so the k-faces are
+    positions ``_starts[k]`` to ``_starts[k + 1]``).  A column is read
+    only at a live slot, reached from an id through ``_index``; canonical
+    facet order is the slots sorted by position.  Homology reads the
+    numbering too (:func:`sncx.homology.homology`).  A complex read from
+    records is numbered as it is read, canonically, slot i at position i.
+    A move (:meth:`_derived`) carries it: the child copies the lists, its
+    fresh faces take new slots and the copied coface lists of their
+    facets, and its dropped faces leave dead slots that no live face
+    reaches downward; the parent's lists are never changed.  A
+    restriction (:meth:`_restricted`) shares the lists and keeps fewer
+    live slots.  A move whose dead slots would outnumber its live ones
+    compacts every list to canonical slots.  A complex is never changed
+    once built.
     """
 
-    __slots__ = ("_order", "_index", "_dims", "_labels", "_is_delta",
-                 "_levels", "_verts", "_num")
+    __slots__ = ("_order", "_index", "_starts", "_is_delta", "_num")
 
     def __init__(self, faces: Iterable[Mapping]):
-        self._dims, self._labels, self._verts = {}, {}, {}
-        self._is_delta, self._levels, self._num = False, None, None
+        self._is_delta = False
         self._build([], list(faces))
 
     # -- the one build routine -------------------------------------------
 
     def _build(self, survivors: list, fresh: Sequence[Mapping],
-               num: tuple = ((), [], [], ())):
+               num: tuple = ((), [], [], (), [], None, None), sst=(0,)):
         """Complete this complex from a parent's ``survivors`` and ``fresh``
         records, checking only the fresh faces, and number it.
 
         The survivors are a downward-closed part of a checked parent, in its
-        canonical order; the maps already hold their entries, ``_is_delta``
-        is the parent's, and ``_levels`` is None unless the parent had
-        levels.  ``num`` is the parent's numbering, its ``live`` holding
-        the survivors' slots.  Every check looks only at a face and the
-        faces below it, so the survivors pass again what they passed when
-        the parent was built; a survivor is looked at only for a Delta
-        structure or levels that the fresh records claim and the parent
-        lacked.  The result equals the complex the constructor builds from
-        the survivors' records followed by the fresh ones, and a bad fresh
-        face fails with the constructor's error and message.
+        canonical order, and ``sst[k]`` is the number of them below
+        dimension k; ``_is_delta`` is the parent's.  ``num`` is the
+        parent's numbering, its ``live`` holding the survivors' slots.  The
+        fresh faces take new slots, and each column grows by their values.
+        Every check looks only at a face and the faces below it, so the
+        survivors pass again what they passed when the parent was built; a
+        survivor is looked at only for a Delta structure or levels that the
+        fresh records claim and the parent lacked.  The result equals the
+        complex the constructor builds from the survivors' records followed
+        by the fresh ones, and a bad fresh face fails with the
+        constructor's error and message.
 
         Each record is first checked alone.  Then one loop in canonical
-        order maps a face's facet ids to positions once, runs every other
-        check on those integer lists, and keeps them as the face's facet
-        slots, the only copy kept.  A face that fails is read again by
-        :meth:`_fault`, which runs the checks one by one on ids to name
-        its first fault; the error raised is the least fault by the rank
-        of its check, then by record order (covering) or canonical order,
-        as if each check ran on every face in turn.
+        order maps a face's facet ids to slots once, runs every other check
+        on those integer lists, and keeps them as the face's facet slots,
+        the only copy kept.  A face that fails is read again by
+        :meth:`_fault`, which runs the checks one by one on ids to name its
+        first fault; the error raised is the least fault by the rank of its
+        check, then by record order (covering) or canonical order, as if
+        each check ran on every face in turn.
         """
-        dims, labels = self._dims, self._labels
+        ids, below, above, kept, labels, levels, verts = num
         carried_delta = self._is_delta and bool(survivors)
-        carried_levels = self._levels is not None and bool(survivors)
-        levels = self._levels if carried_levels else {}
-        verts = self._verts
+        carried_levels = levels is not None and bool(survivors)
         # a first pass keeps a list of ids as it is and checks that they
         # are strings in one join after the pass; if any check fails, the
         # records are read again one by one to name the first fault
-        mark = len(dims)
         for fast in (True, False):
-            new, cov, delta = [], {}, {}
-            any_level = False
+            new, dims, names, marks, cov, delta = [], [], [], [], {}, {}
+            taken = () if fast else set(survivors)
             try:
                 for pos, rec in enumerate(fresh, start=len(survivors)):
                     if type(rec) is not dict and not isinstance(rec, Mapping):
@@ -361,111 +374,101 @@ class CombinatorialComplex:
                     fid = rec.get("id")
                     if not isinstance(fid, str) or not fid:
                         raise DuplicateFace(f"face record {pos} has no usable id")
-                    if fid in dims:
+                    if fid in cov or fid in taken:
                         raise DuplicateFace(f"duplicate face id {fid!r}")
                     dim = rec.get("dim")
                     if type(dim) is not int or dim < 0:
                         raise GradingViolation(f"face {fid!r} has invalid dim {dim!r}")
-                    dims[fid] = dim
                     label = rec.get("label")
-                    labels[fid] = fid if label is None else str(label)
-                    ids = rec.get("facets")
-                    cov[fid] = ids if fast and type(ids) is list else \
+                    listed = rec.get("facets")
+                    cov[fid] = listed if fast and type(listed) is list else \
                         _id_list(rec, "facets", fid)
-                    ids = rec.get("delta_order")
-                    if ids is not None:
-                        delta[fid] = ids if fast and type(ids) is list else \
+                    listed = rec.get("delta_order")
+                    if listed is not None:
+                        delta[fid] = listed if fast and type(listed) is list else \
                             _id_list(rec, "delta_order", fid)
                     lv = rec.get("level")
-                    if lv is not None:
-                        any_level = True
-                        if type(lv) is not int or lv < 1:
-                            raise LevelNotDownwardClosed(
-                                f"face {fid!r} has invalid level {lv!r}; levels start at 1")
-                        levels[fid] = lv
+                    if lv is not None and (type(lv) is not int or lv < 1):
+                        raise LevelNotDownwardClosed(
+                            f"face {fid!r} has invalid level {lv!r}; levels start at 1")
                     new.append(fid)
+                    dims.append(dim)
+                    names.append(fid if label is None else str(label))
+                    marks.append(lv)
                 if fast:    # a TypeError unless every id is a string
                     "".join(chain.from_iterable(cov.values()))
                     "".join(chain.from_iterable(delta.values()))
+                    if cov and any(map(cov.__contains__, survivors)):
+                        raise _Fault        # a fresh id is a survivor's
                 break
             except Exception:   # read again: the first fault in record order
                 if not fast:
                     raise
-                # the ids the pass added, all fresh, come last in the maps
-                for f in list(islice(dims, mark, None)):
-                    for m in (dims, labels, levels):
-                        m.pop(f, None)
 
-        # canonical order (dim, label, insertion index): the survivors come
-        # in the parent's canonical order, and each fresh face goes after
-        # the survivors it ties.  A few fresh faces are placed by binary
-        # search, which keys log n survivors each; else one stable sort
-        # keys every face, as the constructor's does
-        def key(f):
-            return dims[f], labels[f]
-
-        if len(new) * len(survivors).bit_length() < len(survivors):
-            new.sort(key=key)
-            spots, lo = [], 0
-            for f in new:
-                lo = bisect_right(survivors, key(f), lo, key=key)
-                spots.append(lo)
-            order = _interleave(survivors, spots, new)
+        # canonical order (dim, label, insertion index): the fresh faces
+        # sorted stably, then each placed by binary search in its
+        # dimension's run of survivors, which come in the parent's
+        # canonical order, after the survivors it ties
+        perm = sorted(range(len(new)), key=names.__getitem__)
+        perm.sort(key=dims.__getitem__)
+        dims.sort()
+        new = list(map(new.__getitem__, perm))
+        names = list(map(names.__getitem__, perm))
+        marks = list(map(marks.__getitem__, perm))
+        del perm
+        n0, m = len(ids), len(survivors)
+        slots = range(n0, n0 + len(new))
+        sst = sst[:bisect_left(sst, m) + 1]     # to the survivors' top dimension
+        top = len(sst) - 1                      # sst[min(k, top)] for any k
+        if not survivors:
+            order, live = new, slots
         else:
-            spots = None
-            order = sorted(survivors + new, key=key)
+            spots, lo = [], 0
+            for k, name in zip(dims, names):
+                lo = bisect_right(kept, name, max(lo, sst[min(k, top)]),
+                                  sst[min(k + 1, top)], key=labels.__getitem__)
+                spots.append(lo)
+            order, live = _interleave(survivors, spots, new), _interleave(kept, spots, slots)
         order = tuple(order)
         index = dict(zip(order, range(len(order))))
-        new.sort(key=index.__getitem__)
+        starts = [sst[min(k, top)] + bisect_left(dims, k)
+                  for k in range(max(top, dims[-1] + 1 if dims else 0) + 1)]
 
-        has_delta = carried_delta or bool(delta) or bool(order) and dims[order[-1]] == 0
-        has_levels = carried_levels or any_level
-        self._order, self._index = order, index
+        has_delta = carried_delta or bool(delta) or len(starts) == 2
+        has_levels = carried_levels or marks.count(None) < len(marks)
+        self._order, self._index, self._starts = order, index, starts
         self._is_delta = has_delta
-        self._levels = levels if has_levels else None
         faces = order if survivors and (has_delta, has_levels) != (
             carried_delta, carried_levels) else new
 
-        ids, below, above, kept = num
-        n0 = len(ids)
-        slots = range(n0, n0 + len(new))
-        if not survivors:
-            live = slots
-        elif spots is not None:
-            live = _interleave(kept, spots, slots)
-        else:
-            slot = dict(zip(survivors, kept))
-            slot.update(zip(new, slots))        # a fresh face may take a dropped id
-            live = list(map(slot.__getitem__, order))
         if faces:
             below = below + [None] * len(new)
         if new:
             ids = [*ids, *new] if n0 else order
-        self._num = ids, below, None, live      # read by the checks as they go
+            labels = [*labels, *names] if n0 else names
+        levels = _grown(levels, carried_levels, n0, marks) if has_levels else None
+        verts = _grown(verts, carried_delta, n0, [None] * len(new)) if has_delta else None
+        # read by the checks as they go
+        self._num = ids, below, None, live, labels, levels, verts
         if faces is order:      # the survivors are checked again, on their ids
             cov.update(zip(survivors, map(self.facets, survivors)))
             if carried_delta:
                 delta.update(zip(survivors, map(self.delta_order, survivors)))
-        grade = list(map(dims.__getitem__, order))
-        starts = [bisect_left(grade, k) for k in range(grade[-1] + 2)] if order else ()
         swaps = [None, None] + [_identity_swap(k) for k in range(2, len(starts) - 1)]
-        ix, lvl = index.__getitem__, levels.__getitem__
+        ix, lvl = index.__getitem__, levels.__getitem__ if has_levels else None
         pending = at = None
-        for f in faces:
+        for f, k in zip(faces, dims if faces is new else self._grades()):
             p = index[f]
-            k = grade[p]
+            x = live[p]
             try:
-                if has_levels and max(map(lvl, cov[f]), default=0) > lvl(f):
-                    raise _Fault
                 if not k:
                     if cov[f]:
                         raise _Fault
                     if has_delta:
-                        verts[f] = (f,)
+                        verts[x] = (f,)
                     xs = []
                 elif has_delta:
-                    rd = delta[f]
-                    ds = list(map(ix, rd))
+                    ds = list(map(ix, delta[f]))
                     cs = sorted(ds)
                     ps = list(map(ix, cov[f]))
                     # a repeated facet repeats a vertex, as facet i is the
@@ -478,10 +481,10 @@ class CombinatorialComplex:
                         flat = sum(map(below.__getitem__, xs), [])
                         if swaps[k](flat) != tuple(flat):
                             raise _Fault
-                    v, t = verts[rd[1]][0], verts[rd[0]]
+                    v, t = verts[xs[1]][0], verts[xs[0]]
                     if v in t:
                         raise _Fault
-                    verts[f] = (v,) + t
+                    verts[x] = (v,) + t
                 else:
                     cs = sorted(set(map(ix, cov[f])))
                     if not cs or cs[0] < starts[k - 1] or cs[-1] >= starts[k]:
@@ -490,7 +493,9 @@ class CombinatorialComplex:
                     if (len(xs) != 2 if k == 1 else k == 2 and _cycle(
                             xs, below, xs[0], below[xs[0]][0]) is None):
                         raise _Fault
-                below[live[p]] = xs
+                if has_levels and max(map(lvl, xs), default=0) > levels[x]:
+                    raise _Fault
+                below[x] = xs
             except (_Fault, LookupError, TypeError, ValueError):
                 fault = self._fault(f, cov, delta)
                 if fault is None:
@@ -507,25 +512,25 @@ class CombinatorialComplex:
         del cov, delta                  # freed before the coface lists grow
         if new:
             above = _cofaces(below, above + [[] for _ in new], slots)
-        self._num = ids, below, above, live
+        self._num = ids, below, above, live, labels, levels, verts
 
     def _fault(self, f, cov, delta):
         """Rank and error of the first check of :meth:`_build` that face
         ``f`` fails, run on the records' ids in ``cov`` and ``delta``; None
         for none, or if a check cannot read a face below that failed one."""
-        dims, levels, index = self._dims, self._levels, self._index
-        below, live = self._num[1], self._num[3]
+        index, dim, slot = self._index, self.dim, self._slot
+        below, live, levels, verts = self._num[1], self._num[3], self._num[5], self._num[6]
 
         def order(g):               # a KeyError where g has none
             return delta[g] if g in cov else self._facet_ids(g)
 
-        k = dims[f]
+        k = dim(f)
         for g in cov[f]:
-            if g not in dims:
+            if g not in index:
                 return 0, DanglingFace(f"face {f!r} covers unknown face {g!r}")
-            if dims[g] != k - 1:
+            if dim(g) != k - 1:
                 return 0, GradingViolation(
-                    f"face {f!r} (dim {k}) covers {g!r} of dim {dims[g]}")
+                    f"face {f!r} (dim {k}) covers {g!r} of dim {dim(g)}")
         if k and not cov[f]:
             return 0, GradingViolation(
                 f"face {f!r} has dim {k} but no codimension-one faces")
@@ -535,18 +540,19 @@ class CombinatorialComplex:
         facets = sorted(set(cov[f]), key=index.__getitem__)
         try:
             if levels is not None:
-                if f not in levels:
+                lv = levels[slot(f)]
+                if lv is None:
                     return 2, LevelNotDownwardClosed(
                         f"face {f!r} lacks a level while the complex is filtered")
                 for g in facets:
-                    if levels[g] > levels[f]:
+                    if levels[slot(g)] > lv:
                         return 3, LevelNotDownwardClosed(
-                            f"face {f!r} at level {levels[f]} covers {g!r} "
-                            f"at level {levels[g]}")
+                            f"face {f!r} at level {lv} covers {g!r} "
+                            f"at level {levels[slot(g)]}")
             if not self._is_delta:
                 # on the facets' slots: none for a facet that failed, whose
                 # own fault then ranks before any of these
-                xs = [live[index[g]] for g in facets]
+                xs = list(map(slot, facets))
                 if k == 1 and len(facets) != 2:
                     return 4, NotRegularCW(
                         f"edge {f!r} covers {len(facets)} vertices, wants 2")
@@ -572,8 +578,7 @@ class CombinatorialComplex:
                     if order(d[i])[j] != order(d[j])[i - 1]:
                         return 5, BadDeltaStructure(
                             f"face {f!r} violates the facet identity at ({i},{j})")
-            verts = self._verts
-            vs = (verts[d[1]][0],) + verts[d[0]]
+            vs = (verts[slot(d[1])][0],) + verts[slot(d[0])]
             if len(set(vs)) != len(vs):
                 return 6, BadDeltaStructure(
                     f"face {f!r} has repeated vertices {vs}")
@@ -581,59 +586,56 @@ class CombinatorialComplex:
             pass
         return None
 
-    def _carried(self, carry) -> "CombinatorialComplex":
-        # a complex holding this one's maps, each passed through carry, for
-        # _build to complete
+    def _child(self, survivors, fresh, live, sst) -> "CombinatorialComplex":
+        # the build routine on this complex's numbering, ``live`` holding
+        # the survivors' slots and ``sst`` their dimension starts
         out = CombinatorialComplex.__new__(CombinatorialComplex)
-        out._dims, out._labels = carry(self._dims), carry(self._labels)
-        out._is_delta, out._num = self._is_delta, None
-        out._verts = carry(self._verts) if self._is_delta else {}
-        out._levels = None if self._levels is None else carry(self._levels)
+        out._is_delta = self._is_delta
+        ids, below, above, _live, *columns = self._num
+        out._build(survivors, fresh, (ids, below, above, live, *columns), sst)
         return out
 
     def _restricted(self, order) -> "CombinatorialComplex":
         """The subcomplex on ``order``, a downward-closed part of ``_order``:
         the build routine with no fresh faces.  It shares this complex's
-        numbering, with the live slots of its own faces."""
-        ids, below, above, live = self._num
-        out = self._carried(lambda m: {f: m[f] for f in order})
-        out._build(list(order), (), (ids, below, above, list(map(
-            live.__getitem__, map(self._index.__getitem__, order)))))
-        return out
+        numbering, columns included, with the live slots of its own faces."""
+        ps = list(map(self._index.__getitem__, order))
+        return self._child(list(order), (), list(map(self._num[3].__getitem__, ps)),
+                           [bisect_left(ps, s) for s in self._starts])
 
     def _derived(self, drop, fresh: Sequence[Mapping]) -> "CombinatorialComplex":
         """This complex without the faces in ``drop``, plus the ``fresh`` records.
 
         ``drop`` must be closed upward, so that the survivors are closed
         downward.  The build routine checks only the fresh faces; see
-        :meth:`_build`.  The numbering is carried; see the class notes.
+        :meth:`_build`.  The numbering is carried, each column with it;
+        see the class notes.
         """
-        def carry(m):
-            m = dict(m)
-            for f in drop:
-                del m[f]
-            return m
-
         cuts = sorted(map(self._index.__getitem__, drop))
-        ids, below, above, live = self._num
-        out = self._carried(carry)
-        out._build(_without(self._order, cuts), fresh,
-                   (ids, below, above, _without(live, cuts)))
+        out = self._child(_without(self._order, cuts), fresh, _without(self._num[3], cuts),
+                          [s - bisect_left(cuts, s) for s in self._starts])
         if len(out._num[0]) > 2 * len(out._order):     # more dead slots than live
             out._num = _compacted(out._order, out._num)
         return out
 
-    def _slot(self, f) -> int:
-        # the live slot of face f; NoSuchFace unless f is a face
+    def _pos(self, f) -> int:
+        # the canonical position of face f; NoSuchFace unless f is a face
         try:
-            return self._num[3][self._index[f]]
+            return self._index[f]
         except KeyError:
             raise NoSuchFace(f"no face {f!r}") from None
 
+    def _slot(self, f) -> int:
+        # the live slot of face f; NoSuchFace unless f is a face
+        return self._num[3][self._pos(f)]
+
+    def _grades(self):
+        # the dimension at each canonical position
+        return chain.from_iterable(map(repeat, range(self.dimension + 1), self.f_vector()))
+
     def _slot_key(self):
         # the canonical position of a live slot; None where it is the slot
-        ids, _below, _above, live = self._num
-        index = self._index
+        ids, live, index = self._num[0], self._num[3], self._index
         return None if live == range(len(live)) else lambda x: index[ids[x]]
 
     def _facet_ids(self, f) -> tuple:
@@ -649,7 +651,7 @@ class CombinatorialComplex:
         raises :class:`NotRegularCW` unless the edges form one cycle.
         """
         x = self._slot(f)
-        if self._dims[f] != 2:
+        if self.dim(f) != 2:
             raise ValueError(f"face {f!r} is not a 2-face")
         ids = self._num[0]
         vs, es = self._walk(x, self._slot_key() if self._is_delta else None)
@@ -675,7 +677,7 @@ class CombinatorialComplex:
 
     def has_face(self, f) -> bool:
         """Whether ``f`` is the id of a face of this complex."""
-        return f in self._dims
+        return f in self._index
 
     @property
     def has_delta(self) -> bool:
@@ -683,7 +685,7 @@ class CombinatorialComplex:
 
     @property
     def has_levels(self) -> bool:
-        return self._levels is not None
+        return self._num[5] is not None
 
     @property
     def is_empty(self) -> bool:
@@ -692,15 +694,13 @@ class CombinatorialComplex:
     @property
     def dimension(self) -> int:
         """Top face dimension, -1 for the empty complex."""
-        return self._dims[self._order[-1]] if self._order else -1
+        return len(self._starts) - 2
 
     def dim(self, f: FaceId) -> int:
-        self._slot(f)
-        return self._dims[f]
+        return bisect_right(self._starts, self._pos(f)) - 1
 
     def label(self, f: FaceId) -> str:
-        self._slot(f)
-        return self._labels[f]
+        return self._num[4][self._slot(f)]
 
     def facets(self, f: FaceId) -> tuple:
         """The codimension-one faces covered by ``f`` (canonically sorted)."""
@@ -721,7 +721,7 @@ class CombinatorialComplex:
         are skipped.  A slot is live when the face it names sits at a
         canonical position that holds that slot.
         """
-        ids, _below, above, live = self._num
+        ids, _below, above, live = self._num[:4]
         index = self._index
         out = []
         for y in above[x]:
@@ -737,29 +737,26 @@ class CombinatorialComplex:
         return self._facet_ids(f)
 
     def level(self, f: FaceId) -> int:
-        self._slot(f)
-        if self._levels is None:
+        x = self._slot(f)
+        if self._num[5] is None:
             raise NoFiltration("complex has no filtration levels")
-        return self._levels[f]
+        return self._num[5][x]
 
     def max_level(self) -> int:
-        if self._levels is None:
+        levels = self._num[5]
+        if levels is None:
             raise NoFiltration("complex has no filtration levels")
-        return max(self._levels.values(), default=0)
+        return max(map(levels.__getitem__, self._num[3]), default=0)
 
     def faces_of_dim(self, k: int) -> tuple:
         # a slice of the canonical order, which is dimension-major
-        order, key = self._order, self._dims.__getitem__
-        return order[bisect_left(order, k, key=key):bisect_right(order, k, key=key)]
+        s = self._starts
+        return self._order[s[k]:s[k + 1]] if 0 <= k < len(s) - 1 else ()
 
     def f_vector(self) -> tuple:
-        # graded, so every dimension up to the top one has a face; the
-        # canonical order is dimension-major, so degree k ends where the
-        # faces of dimension at most k do
-        order, dims = self._order, self._dims
-        ends = [bisect_right(order, k, key=dims.__getitem__)
-                for k in range(dims[order[-1]] + 1 if order else 0)]
-        return tuple(b - a for a, b in zip([0, *ends], ends))
+        # graded, so every dimension up to the top one has a face
+        s = self._starts
+        return tuple(map(sub, s[1:], s))
 
     def euler_characteristic(self) -> int:
         return sum(n if k % 2 == 0 else -n for k, n in enumerate(self.f_vector()))
@@ -777,23 +774,25 @@ class CombinatorialComplex:
         order only above dimension 0 and when ``keep_delta``, a level only
         when ``keep_levels``.
         """
-        dims, labels, index = self._dims, self._labels, self._index
+        index = self._index
         delta = keep_delta and self._is_delta
-        levels = self._levels if keep_levels else None
-        ids, below, _above, live = self._num
+        ids, below, _above, live, labels, levels = self._num[:6]
+        if not keep_levels:
+            levels = None
         name = (ids if rename is None else list(map(rename.get, ids))).__getitem__
         key = self._slot_key()
         out = []
         for f in faces:
             nid = f if rename is None else rename[f]
-            xs = below[live[index[f]]]         # sorted: a poset's already are
-            rec = {"id": nid, "dim": dims[f], "facets": list(map(name, sorted(xs, key=key)))}
-            if labels[f] != nid:
-                rec["label"] = labels[f]
-            if delta and dims[f]:
+            x, k = live[index[f]], self.dim(f)
+            xs = below[x]                       # sorted: a poset's already are
+            rec = {"id": nid, "dim": k, "facets": list(map(name, sorted(xs, key=key)))}
+            if labels[x] != nid:
+                rec["label"] = labels[x]
+            if delta and k:
                 rec["delta_order"] = list(map(name, xs))
             if levels is not None:
-                rec["level"] = levels[f]
+                rec["level"] = levels[x]
             out.append(rec)
         return out
 
@@ -847,10 +846,10 @@ class CombinatorialComplex:
 
     def vertices_of(self, f: FaceId) -> tuple:
         """Ordered vertex ids of a face (requires the Delta-structure)."""
-        self._slot(f)
+        x = self._slot(f)
         if not self._is_delta:
             raise MissingDeltaStructure("vertex lists need a delta structure")
-        return self._verts[f]
+        return self._num[6][x]
 
     def subface(self, f: FaceId, keep_positions: Sequence[int]) -> FaceId:
         """The face of ``f`` spanned by the vertices at the given positions."""
@@ -858,7 +857,7 @@ class CombinatorialComplex:
         if not self._is_delta:
             raise MissingDeltaStructure("subfaces need a delta structure")
         keep = sorted(set(keep_positions))
-        k = self._dims[f]
+        k = self.dim(f)
         if not keep:
             raise NoSuchFace("empty position set has no face")
         if keep[0] < 0 or keep[-1] > k:
@@ -898,23 +897,25 @@ class CombinatorialComplex:
 
     def skeleton(self, k: int) -> "CombinatorialComplex":
         """The subcomplex of all faces of dimension at most ``k``."""
-        return self._restricted(tuple(f for f in self._order if self._dims[f] <= k))
+        s = self._starts
+        return self._restricted(self._order[:s[max(0, min(k + 1, len(s) - 1))]])
 
     def _record(self, f):
-        rec = {"id": f, "dim": self._dims[f], "label": self._labels[f],
+        rec = {"id": f, "dim": self.dim(f), "label": self.label(f),
                "facets": list(self.facets(f))}
         if self._is_delta:
             rec["delta_order"] = list(self._facet_ids(f))
-        if self._levels is not None:
-            rec["level"] = self._levels[f]
+        if self.has_levels:
+            rec["level"] = self.level(f)
         return rec
 
     def level_subcomplex(self, m: int) -> "CombinatorialComplex":
         """All faces of level <= m (downward-closed by the level invariant)."""
-        if self._levels is None:
+        levels = self._num[5]
+        if levels is None:
             raise NoFiltration("complex has no filtration levels")
-        return self._restricted(
-            tuple(f for f in self._order if self._levels[f] <= m))
+        return self._restricted(tuple(
+            f for f, x in zip(self._order, self._num[3]) if levels[x] <= m))
 
     def cone(self, apex: str | None = None) -> "CombinatorialComplex":
         """The cone: the complex plus an apex joined to every face.
@@ -923,9 +924,9 @@ class CombinatorialComplex:
         are carried along when present, the apex becoming the last
         vertex of each new face.  The input is a subcomplex of the output.
         """
-        lv = self._levels
+        live, levels = self._num[3], self._num[5]
         return self._coned(self._order, "c" if apex is None else apex, "*",
-                           True, min(lv.values()) if lv else None)
+                           True, None if levels is None else min(map(levels.__getitem__, live)))
 
     def _coned(self, closure, apex: str, sep: str, labels: bool,
                level) -> "CombinatorialComplex":
@@ -942,20 +943,21 @@ class CombinatorialComplex:
         e = _dedup_ids([apex], taken)[0]
         taken.add(e)
         ids = dict(zip(closure, _dedup_ids([f"{g}{sep}{e}" for g in closure], taken)))
-        dims, levels = self._dims, self._levels
+        index = self._index
+        names, below, _above, live, label_of, levels = self._num[:6]
         recs = [{"id": e, "dim": 0, "facets": []}]
         if levels is not None:
             recs[0]["level"] = level
         for g in closure:
-            facets = ([ids[x] for x in self._facet_ids(g)] + [g] if dims[g]
-                      else [e, g])
-            rec = {"id": ids[g], "dim": dims[g] + 1, "facets": facets}
+            x, k = live[index[g]], self.dim(g)
+            facets = [ids[names[y]] for y in below[x]] + [g] if k else [e, g]
+            rec = {"id": ids[g], "dim": k + 1, "facets": facets}
             if labels:
-                rec["label"] = f"{self._labels[g]}{sep}{e}"
+                rec["label"] = f"{label_of[x]}{sep}{e}"
             if self._is_delta:
                 rec["delta_order"] = facets
             if levels is not None:
-                rec["level"] = max(levels[g], level)
+                rec["level"] = max(levels[x], level)
             recs.append(rec)
         return self._derived((), recs)
 
@@ -968,7 +970,8 @@ class CombinatorialComplex:
         order = self._order
         below = dict(zip(order, [tuple(map(order.__getitem__, d))
                                  for d in self._downsets()]))
-        lv = self._levels
+        levels = self._num[5]
+        lv = None if levels is None else dict(zip(order, map(levels.__getitem__, self._num[3])))
         # levels do not drop up the face poset: a chain's level is its top's
         return _from_simplices(
             _chains(order, below.__getitem__), "<".join,
@@ -976,7 +979,7 @@ class CombinatorialComplex:
 
     def _downsets(self) -> list:
         """Per canonical position, the sorted positions below: its facets' and theirs."""
-        _ids, below, _above, live = self._num
+        below, live = self._num[1], self._num[3]
         pos = dict(zip(live, range(len(live))))
         out = []
         for x in live:
@@ -996,13 +999,13 @@ class CombinatorialComplex:
         """
         for f in self._order:
             g = phi.get(f)
-            if g is None or g not in self._dims:
+            if g is None or g not in self._index:
                 raise NotInvolution(f"pairing undefined at face {f!r}")
             if g == f:
                 raise HasFixedFace(f"face {f!r} is fixed")
             if phi.get(g) != f:
                 raise NotInvolution(f"pairing is not an involution at {f!r}")
-            if self._dims[g] != self._dims[f]:
+            if self.dim(g) != self.dim(f):
                 raise NotInvolution(f"pairing does not preserve dimension at {f!r}")
             if {phi[h] for h in self._facet_ids(f)} != set(self._facet_ids(g)):
                 raise NotInvolution(f"pairing does not preserve covering at {f!r}")
@@ -1016,8 +1019,8 @@ class CombinatorialComplex:
             r = rep(f)
             orbit_id[f] = f"{r}|{phi[r]}"
 
-        keep_levels = (self._levels is not None and
-                       all(self._levels[f] == self._levels[phi[f]] for f in self._order))
+        keep_levels = self.has_levels and all(
+            self.level(f) == self.level(phi[f]) for f in self._order)
 
         keep_delta = self._is_delta and all(
             [orbit_id[x] for x in self._facet_ids(f)]

@@ -1,10 +1,12 @@
 """Exact integral homology of combinatorial complexes.
 
 The boundary is read through the numbering of the faces by slots
-(``CombinatorialComplex._num``), where a complex keeps its facets: per
-slot the facet and coface slots, and each face's slot in canonical
-order.  A complex read from records is numbered as it is read, and
-moves and restrictions carry the numbering, so homology numbers
+(``CombinatorialComplex._num``), where a complex keeps its faces: per
+slot the facet and coface slots (and the label, level and vertex
+columns, which homology does not read), and each face's slot in
+canonical order; a cell's degree is read off the dimension starts of
+that order.  A complex read from records is numbered as it is read,
+and moves and restrictions carry the numbering, so homology numbers
 nothing.  With a Delta-structure the boundary is the
 alternating sum of ordered facets: a column is the list of its facet
 slots in Delta order, entry j with sign (-1)^j, and a signed ``{slot:
@@ -43,10 +45,10 @@ reduced homology of rank one in degree -1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 
 from .complexes import CombinatorialComplex, _compacted
 from .errors import BoundaryNotSquareZero, NotRegularCW
@@ -91,7 +93,7 @@ def chain_complex(c: CombinatorialComplex) -> ChainComplex:
     positions."""
     live, column = c._num[3], _columns(c)
     pos = c._slot_key() or (lambda x: x)    # the canonical position of a slot
-    starts = [0, *accumulate(c.f_vector())]
+    starts = c._starts
     bases = {k: c.face_ids[starts[k]:starts[k + 1]]
              for k in range(len(starts) - 1)}
     matrices = {k: {j - starts[k]: {pos(i) - starts[k - 1]: a
@@ -161,12 +163,11 @@ def _cellular_boundaries(c: CombinatorialComplex) -> dict:
         raise NotRegularCW(
             f"the Betti numbers give Euler characteristic {chi}, "
             f"the face numbers {c.euler_characteristic()}")
-    ids, below, _above, live = c._num
-    dims = c._dims
+    ids, below, live = c._num[0], c._num[1], c._num[3]
     inc = {}                    # cell -> {facet: incidence number}
-    for x in live:              # dimension-major: facets come first
+    for x, k in zip(live, c._grades()):     # dimension-major: facets come first
         facets = below[x]
-        if dims[ids[x]] < 2:    # a vertex has none, an edge two
+        if k < 2:               # a vertex has none, an edge two
             inc[x] = dict(zip(facets, (-1, 1)))
             continue
         at: dict = {}           # ridge -> the facets of x holding it
@@ -322,12 +323,12 @@ def _homology(c: CombinatorialComplex, reduced: bool = False) -> tuple:
     """``(homology(c, reduced), counts)``: ``counts[k]`` is the number of
     critical k-cells of the acyclic matching the homology was read from."""
     column = _columns(c)
-    ids, below, above, live = c._num
+    below, above, live = c._num[1:4]
     critical, up, when = _coreduce(below, above, live)
-    dims = c._dims
+    pos, starts = c._slot_key() or (lambda x: x), c._starts
     crit = [[] for _ in range(c.dimension + 1)]
     for x in critical:
-        crit[dims[ids[x]]].append(x)
+        crit[bisect_right(starts, pos(x)) - 1].append(x)
     ranks, torsions = {}, {}
     for k in range(1, len(crit)):
         if crit[k] and crit[k - 1]:
@@ -422,10 +423,10 @@ def collapse_to_point(c: CombinatorialComplex, budget: int = 10000):
         return False, ()
     faces = c.face_ids
     n = len(faces)
-    dims = [k for k, m in enumerate(c.f_vector()) for _ in range(m)]
+    dims = list(c._grades())
     num = c._num
-    _ids, below, above, _live = num if num[3] == range(len(num[1])) else \
-        _compacted(faces, num)
+    below, above = (num if num[3] == range(len(num[1])) else
+                    _compacted(faces, num))[1:3]
     up = list(map(len, above))          # alive cofaces per face
     upsum = list(map(sum, above))       # the sum of their positions
     # a free pair (s, t): s has exactly one alive coface t, t has none

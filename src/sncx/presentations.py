@@ -119,7 +119,7 @@ def fundamental_group_presentation(c: CombinatorialComplex) -> GroupPresentation
         raise NotConnected("the empty complex has no fundamental group")
 
     # on the numbering's slots; canonical order is vertices, edges, 2-faces
-    _ids, below, _above, live = c._num
+    below, live = c._num[1], c._num[3]
     f0, f1, f2 = (*c.f_vector(), 0, 0)[:3]
     edges, key = live[f0:f0 + f1], c._slot_key()
 

@@ -120,8 +120,8 @@ def _write_complex(c: CombinatorialComplex, depth: int) -> str:
     order = c._order
     if not order:
         return "{" + _PAD[depth + 1] + '"faces": []' + _PAD[depth] + "}"
-    dims, labels, levels, is_delta = c._dims, c._labels, c._levels, c._is_delta
-    ids, below, _above, live = c._num
+    is_delta = c._is_delta
+    ids, below, _above, live, labels, levels = c._num[:6]
     esc = list(map(_esc, ids))          # each id escaped once, by slot
     key = c._slot_key()
     p2, p3, p4 = _PAD[depth + 2], _PAD[depth + 3], _PAD[depth + 4]
@@ -138,8 +138,8 @@ def _write_complex(c: CombinatorialComplex, depth: int) -> str:
     shapes = {(dl, lb): template(dl, lb) for dl in (False, True)
               for lb in (False, True)}
     out = []
-    for f, x in zip(order, live):
-        d, label, xs = dims[f], labels[f], below[x]
+    for f, x, d in zip(order, live, c._grades()):
+        label, xs = labels[x], below[x]
         has_delta, has_label = is_delta and d > 0, label != f
         # the facets in canonical order: the slots sorted by position
         args = (_int(d), written(sorted(xs, key=key) if is_delta else xs), esc[x])
@@ -148,7 +148,7 @@ def _write_complex(c: CombinatorialComplex, depth: int) -> str:
         if has_label:
             args += (_esc(label),)
         if levels is not None:
-            args += (_int(levels[f]),)
+            args += (_int(levels[x]),)
         out.append(shapes[has_delta, has_label] % args)
     return ("{" + _PAD[depth + 1] + '"faces": [' + p2 + ("," + p2).join(out)
             + _PAD[depth + 1] + "]" + _PAD[depth] + "}")

@@ -327,11 +327,7 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     recs = []
     for f in critical:
         delta = [image.get(g, g) for g in c.delta_order(f)]
-        rec = {"id": crit_ids[f], "dim": c.dim(f), "label": c.label(f),
-               "facets": delta, "delta_order": delta}
-        if c.has_levels:
-            rec["level"] = c.level(f)
-        recs.append(rec)
+        recs.append({**c._record(f), "id": crit_ids[f], "facets": delta, "delta_order": delta})
     reduced = c._derived(removed, recs)
     certificate = {
         "acyclic": True,

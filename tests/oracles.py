@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Mapping
 from fractions import Fraction
@@ -779,10 +780,10 @@ def validating_constructor(records):
                         f"at level {levels[g]}")
 
     out = CombinatorialComplex.__new__(CombinatorialComplex)
-    out._order, out._index, out._dims, out._labels = order, index, dims, labels
-    out._is_delta, out._levels, out._verts = delta is not None, levels, {}
+    out._order, out._index, out._is_delta = order, index, delta is not None
+    verts = {}
     if delta is None:
-        numbered(out, cov)
+        numbered(out, cov, dims, labels, levels)
         for f in order:
             if dims[f] == 1 and len(cov[f]) != 2:
                 raise NotRegularCW(
@@ -808,25 +809,31 @@ def validating_constructor(records):
                     raise BadDeltaStructure(
                         f"face {f!r} violates the facet identity at ({i},{j})")
     for f in order:
-        vs = out._verts[f] = ((f,) if not dims[f] else
-                              (out._verts[delta[f][1]][0],) + out._verts[delta[f][0]])
+        vs = verts[f] = ((f,) if not dims[f] else
+                         (verts[delta[f][1]][0],) + verts[delta[f][0]])
         if len(set(vs)) != len(vs):
             raise BadDeltaStructure(f"face {f!r} has repeated vertices {vs}")
-    numbered(out, delta)
+    numbered(out, delta, dims, labels, levels, verts)
     return out
 
 
-def numbered(out, facets):
-    """Give ``out`` the numbering its maps name, slot i at canonical
-    position i, from ``facets``: per face its facet ids in slot order (the
-    Delta order, or the canonical one on a face poset)."""
-    index = out._index
-    below = [list(map(index.__getitem__, facets[f])) for f in out._order]
+def numbered(out, facets, dims, labels, levels, verts=None):
+    """Give ``out`` the numbering and dimension starts its maps name, slot
+    i at canonical position i: per face its facet ids in slot order (the
+    Delta order, or the canonical one on a face poset) from ``facets``,
+    and its label, level and vertex list from the other maps (a map that
+    is None gives a column that is None)."""
+    order, index = out._order, out._index
+    grade = [dims[f] for f in order]
+    out._starts = [bisect_left(grade, k) for k in range(grade[-1] + 2 if grade else 1)]
+    below = [list(map(index.__getitem__, facets[f])) for f in order]
     above = [[] for _ in below]
     for x, col in enumerate(below):
         for s in col:
             above[s].append(x)
-    out._num = out._order, below, above, range(len(below))
+    out._num = (order, below, above, range(len(below)),
+                *[None if m is None else [m[f] for f in order]
+                  for m in (labels, levels, verts)])
 
 
 def table_cofaces(c):
@@ -1804,10 +1811,10 @@ def phased_reader(records):
         levels = None
 
     out = CombinatorialComplex.__new__(CombinatorialComplex)
-    out._order, out._index, out._dims, out._labels = order, index, dims, labels
-    out._is_delta, out._levels, out._verts = delta is not None, levels, {}
+    out._order, out._index, out._is_delta = order, index, delta is not None
+    verts = {}
     if delta is None:
-        numbered(out, cov)
+        numbered(out, cov, dims, labels, levels)
         for f in order:
             if dims[f] == 1 and len(cov[f]) != 2:
                 raise NotRegularCW(
@@ -1836,11 +1843,11 @@ def phased_reader(records):
                         raise BadDeltaStructure(
                             f"face {f!r} violates the facet identity at ({i},{j})")
         for f in order:
-            vs = out._verts[f] = ((f,) if not dims[f] else
-                                  (out._verts[delta[f][1]][0],) + out._verts[delta[f][0]])
+            vs = verts[f] = ((f,) if not dims[f] else
+                             (verts[delta[f][1]][0],) + verts[delta[f][0]])
             if len(set(vs)) != len(vs):
                 raise BadDeltaStructure(f"face {f!r} has repeated vertices {vs}")
-        numbered(out, delta)
+        numbered(out, delta, dims, labels, levels, verts)
     return out
 
 

@@ -627,10 +627,11 @@ class TestOrderComplexAgreement:
 
 
 def assembly(c):
-    """Every map of ``c`` and its numbering, for comparing build routes."""
-    ids, below, above, live = c._num
-    return (c._order, c._index, c._dims, c._labels, c._is_delta, c._levels,
-            c._verts, (ids, below, above, list(live)))
+    """The canonical order, its index and dimension starts, and the
+    numbering of ``c`` with every column, for comparing build routes."""
+    ids, below, above, live, labels, levels, verts = c._num
+    return (c._order, c._index, c._starts, c._is_delta,
+            (ids, below, above, list(live), list(labels), levels, verts))
 
 
 def assembled(build, *args):
@@ -1088,7 +1089,7 @@ class TestFusedReader:
         c = G.triangle_boundary()
         ids = {"e0": c.facets("e0")}, {"e0": c.delta_order("e0")}
         assert c._fault("e0", *ids) is None
-        c._verts["v0"] = ("v1",)
+        c._num[6][c._slot("v0")] = ("v1",)
         rank, err = c._fault("e0", *ids)
         assert (rank, type(err), str(err)) == (
             6, BadDeltaStructure, "face 'e0' has repeated vertices ('v1', 'v1')")

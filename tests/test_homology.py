@@ -438,7 +438,7 @@ class TestTopDownClearing:
 
 def critical_counts(c):
     """The critical cells per degree of the coreduction pass on ``c``."""
-    ids, below, above, live = c._num
+    ids, below, above, live = c._num[:4]
     dims = Counter(c.dim(ids[x]) for x in _coreduce(below, above, live)[0])
     return [dims[k] for k in range(c.dimension + 1)]
 
@@ -500,7 +500,7 @@ class TestCoreduction:
             pos = c.face_ids.index
             signed = [{pos(g): (-1) ** i for i, g in enumerate(c.delta_order(f))}
                       for f in c.face_ids]
-            _ids, below, above, live = c._num
+            _ids, below, above, live = c._num[:4]
             assert below == [list(col) for col in signed]
             assert _coreduce(below, above, live) == _coreduce(signed, above, live)
             cx = S.chain_complex(c)
@@ -770,7 +770,7 @@ class TestCollapse:
         cases.append(("compacted", c))
         kinds = Counter()
         for kind, c in cases:
-            ids, below, _above, live = c._num
+            ids, below, _above, live = c._num[:4]
             assert (live == range(len(below))) == (kind == "compacted")
             kinds[kind] += len(ids) > len(live)
             for budget in (1, 20, 300, 4000):

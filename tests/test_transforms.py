@@ -11,6 +11,7 @@ from sncx.errors import (
     DescriptorInvalid,
     MatchingNotAcyclic,
     MissingDeltaStructure,
+    NoSuchFace,
     NotMaximal,
     NotRegularCW,
     PairingIncomplete,
@@ -748,7 +749,7 @@ def assert_numbering(c):
     """The numbering of ``c`` names, for each face, its facets (in Delta
     order, or the covering slots in canonical order on a face poset) and,
     among the live slots, exactly the cofaces of its covering relation."""
-    ids, below, above, live = c._num
+    ids, below, above, live = c._num[:4]
     slot = dict(zip(c.face_ids, live))
     up = table_cofaces(c)
     assert [ids[x] for x in live] == list(c.face_ids)
@@ -931,7 +932,7 @@ class TestCarriedNumbering:
         compacted = 0
         for _ in range(8):
             nxt = S.stellar_subdivide(cur, v, new_vertex=v)
-            ids, _below, _above, live = nxt._num
+            ids, _below, _above, live = nxt._num[:4]
             if len(compactions) > compacted:
                 assert len(cur._num[0]) + 9 > 2 * len(nxt.face_ids)
                 assert len(compactions[-1][0]) == len(cur._num[0]) + 9
@@ -944,75 +945,132 @@ class TestCarriedNumbering:
         assert compacted == 2
 
 
+def permuted_labels(rng, c):
+    """``c`` with every face labeled from a seeded permutation of label
+    strings, about one in five a copy of another face's label, so that
+    canonical order follows labels, ties included, and not ids."""
+    names = [f"L{i:04d}" for i in range(len(c.face_ids))]
+    rng.shuffle(names)
+    recs = c.to_records()
+    for rec, name in zip(recs, names):
+        rec["label"] = rng.choice(names) if rng.random() < 0.2 else name
+    return S.CombinatorialComplex(recs)
+
+
+def in_id_order(c):
+    return list(c.face_ids) == sorted(c.face_ids, key=lambda f: (c.dim(f), f))
+
+
 class TestSlotsAgainstRecords:
-    """The complex keeps its facets only as the numbering's slots: after
-    every move and restriction, each accessor that reads them agrees with
-    the complex the validating constructor reads from the records, and a
-    move never leaves more dead slots than live ones.  The scripts run long
-    enough that moves compact the lists."""
+    """The complex keeps its facets and every face attribute only on the
+    numbering's slots: after every move and restriction, each accessor
+    that reads them agrees with the complex the validating constructor
+    reads from the records, a face of the parent outside the child is no
+    face of it, and a move never leaves more dead slots than live ones.
+    The scripts run long enough that moves compact the lists, and run
+    again on inputs whose labels are not in id order."""
 
     @staticmethod
-    def agrees(c):
+    def agrees(c, parent=None) -> int:
+        """Check ``c``; the number of ``parent``'s faces outside it."""
         want = validating_constructor(c.to_records())
         assert_same_complex(c, want)
         assert c.to_records() == want.to_records()
         assert dumps_complex(c) == dumps_complex(want)
+        assert (c.dimension, c.f_vector()) == (want.dimension, want.f_vector())
+        for k in range(-1, c.dimension + 2):
+            assert c.faces_of_dim(k) == want.faces_of_dim(k)
+        if c.has_levels:
+            assert c.max_level() == want.max_level()
         for f in c.face_ids:
+            assert (c.dim(f), c.label(f)) == (want.dim(f), want.label(f))
             assert c.facets(f) == want.facets(f)
             assert c.cofaces(f) == want.cofaces(f)
+            if c.has_levels:
+                assert c.level(f) == want.level(f)
             if c.has_delta:
                 assert c.delta_order(f) == want.delta_order(f)
                 assert c.vertices_of(f) == want.vertices_of(f)
         assert S.homology(c) == clearing_homology(want)
+        outside = [f for f in parent.face_ids if not want.has_face(f)] if parent else []
+        for f in outside:
+            assert not c.has_face(f)
+            for read in (c.dim, c.label, c.level, c.vertices_of):
+                with pytest.raises(NoSuchFace):
+                    read(f)
+        return len(outside)
 
-    def agrees_below(self, rng, c):
-        # c and a skeleton and a level subcomplex of it
-        self.agrees(c)
+    def agrees_below(self, rng, c, parent=None) -> int:
+        # c, then a skeleton and a level subcomplex of it, each against the
+        # faces of the complex it came from
+        outside = self.agrees(c, parent)
         if c.face_ids:
-            self.agrees(c.skeleton(rng.randint(0, c.dimension)))
+            outside += self.agrees(c.skeleton(rng.randint(0, c.dimension)), c)
         if c.has_levels:
-            self.agrees(c.level_subcomplex(rng.randint(1, c.max_level())))
+            outside += self.agrees(c.level_subcomplex(rng.randint(1, c.max_level())), c)
+        return outside
 
     def test_long_scripts_on_delta_complexes(self, compactions):
+        self.long_scripts(compactions, relabel=False)
+
+    def test_long_scripts_on_relabeled_delta_complexes(self, compactions):
+        self.long_scripts(compactions, relabel=True)
+
+    def long_scripts(self, compactions, relabel):
         # a vertex subdivided under its own id drops its star and keeps the
         # size of the complex, so dead slots pile up until a move compacts
         # them; every fifth move is a mixed one
         rng = random.Random(3101)
-        moves = 0
+        moves = outside = shuffled = 0
         for i in range(10):
             c = G.octahedron_boundary() if i % 4 == 0 else random_simplicial_complex(
                 rng, max_verts=6, max_facets=4, max_dim=3)
             cur = with_random_levels(rng, c) if i % 2 else c
+            if relabel:
+                cur = permuted_labels(rng, cur)
+                shuffled += not in_id_order(cur)
             self.agrees_below(rng, cur)
             for n in range(40):
                 v = rng.choice(cur.faces_of_dim(0))
                 script = (draw_mixed_script(rng, cur, 1) if n % 5 == 4 else
                           [S.BlowupMove(case=2, face=v, new_vertex=v)])
                 for move in script:
-                    cur = S.blowup_move(cur, move)
-                    ids, _below, _above, _live = cur._num
+                    prev, cur = cur, S.blowup_move(cur, move)
+                    ids = cur._num[0]
                     assert len(ids) <= 2 * len(cur.face_ids)
-                    self.agrees_below(rng, cur)
+                    outside += self.agrees_below(rng, cur, prev)
                     moves += 1
         assert moves > 350 and len(compactions) > 30, (moves, len(compactions))
+        assert outside > 3000, outside
+        assert not relabel or shuffled > 5, shuffled      # most of the 10 inputs
 
     def test_face_posets(self):
+        self.face_posets(relabel=False)
+
+    def test_relabeled_face_posets(self):
+        self.face_posets(relabel=True)
+
+    def face_posets(self, relabel):
         # no move drops a face of a face poset, so its lists only grow
         rng = random.Random(3102)
-        posets = 0
+        posets = outside = shuffled = 0
         for i in range(16):
             c = random_simplicial_complex(rng, max_verts=7, max_facets=5, max_dim=3)
             cur = without_delta(with_random_levels(rng, c) if i % 2 else c)
+            if relabel:
+                cur = permuted_labels(rng, cur)
+                shuffled += not in_id_order(cur)
             self.agrees_below(rng, cur)
             for step in range(5):
                 top = [f for f in cur.face_ids if cur.is_maximal(f)]
                 cur = (S.cone(cur, f"a{step}") if step % 2 == 0
                        else S.pucker(cur, rng.choice(top), rng.randint(2, 3)))
-                ids, _below, _above, _live = cur._num
+                ids = cur._num[0]
                 assert len(ids) <= 2 * len(cur.face_ids)
-                self.agrees_below(rng, cur)
+                outside += self.agrees_below(rng, cur)
                 posets += not cur.has_delta
-        assert posets > 60, posets
+        assert posets > 60 and outside > 200, (posets, outside)
+        assert not relabel or shuffled > 8, shuffled      # most of the 16 inputs
 
 
 def filtered_disk():
