@@ -14,6 +14,7 @@ convention and safe to share.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
 from operator import eq, itemgetter, sub
@@ -33,19 +34,20 @@ from .errors import (
     NotInvolution,
     NotRegularCW,
     QuotientNotRegular,
+    SncxError,
 )
 
 FaceId = str
 
 
-def _dedup_ids(proposals: Iterable[str], taken: set[str] | None = None) -> list[str]:
-    """Make proposed ids unique, deterministically, by suffixing '~k'."""
-    seen = set(taken) if taken else set()
-    out = []
+def _dedup_ids(proposals: Iterable[str], taken=(), drop=()) -> list[str]:
+    """Make proposed ids unique, deterministically, by suffixing '~k': an id
+    is taken when it is in ``taken`` and not in ``drop``, or proposed before."""
+    seen, out = set(), []
     for p in proposals:
         q = p
         k = 1
-        while q in seen:
+        while q in seen or q in taken and q not in drop:
             k += 1
             q = f"{p}~{k}"
         seen.add(q)
@@ -139,8 +141,21 @@ def _from_simplices(simplices: list, name, level=None) -> "CombinatorialComplex"
     is checked: the list is not empty, ``name`` is injective on it, each
     tuple less one vertex is in it, a tuple's vertices are distinct, and
     ``name((v,))`` is ``v``, not empty.  On any failure the records go to
-    the constructor, which raises its error.
+    the constructor, which raises its error.  The cyclic garbage collector
+    is paused meanwhile: the lists it makes hold no cycle, and passes over
+    them took a third of assembling sd³(S³).
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _assembled(simplices, name, level)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _assembled(simplices, name, level) -> "CombinatorialComplex":
+    # the body of _from_simplices
     try:
         ids = list(map(name, simplices))
         sizes = list(map(len, simplices))
@@ -287,15 +302,16 @@ class CombinatorialComplex:
     (dimension, label, insertion index), which makes every derived
     output byte-deterministic.
 
-    One routine, :meth:`_build`, runs these checks for every complex
-    made from records.  It completes a complex from a checked parent's
-    surviving faces and fresh records and checks only the fresh faces.
-    The constructor runs it with no parent, a restriction
-    (:meth:`_restricted`) with no fresh faces, and a move
-    (:meth:`_derived`) with both.  The simplicial builders write no
-    records: :func:`_from_simplices` assembles their complexes from
-    vertex tuples and hands the records to the constructor only when a
-    check fails.
+    The constructor reads records with :meth:`_build`, which runs these
+    checks on every face.  Nothing else writes records to be read back.
+    A move hands the faces it keeps and the faces it makes, as slot
+    lists, to :meth:`_graft`, which runs the same checks on the made
+    faces only; the kept ones were checked when their complex was built.
+    A restriction (:meth:`_restricted`) is the graft with no faces made.
+    The simplicial builders assemble their complexes from vertex tuples
+    (:func:`_from_simplices`).  The records of a graft or an assembly
+    are written only when a check fails, for the reader to name the fault
+    with its error.
 
     Every build numbers the faces: ``(ids, below, above, live, labels,
     levels, verts)``.  Per slot it holds the face id, the facet slots (in
@@ -312,7 +328,7 @@ class CombinatorialComplex:
     facet order is the slots sorted by position.  Homology reads the
     numbering too (:func:`sncx.homology.homology`).  A complex read from
     records is numbered as it is read, canonically, slot i at position i.
-    A move (:meth:`_derived`) carries it: the child copies the lists, its
+    A move (:meth:`_move`) carries it: the child copies the lists, its
     fresh faces take new slots and the copied coface lists of their
     facets, and its dropped faces leave dead slots that no live face
     reaches downward; the parent's lists are never changed.  A
@@ -325,56 +341,37 @@ class CombinatorialComplex:
     __slots__ = ("_order", "_index", "_starts", "_is_delta", "_num")
 
     def __init__(self, faces: Iterable[Mapping]):
-        self._is_delta = False
-        self._build([], list(faces))
+        self._build(list(faces))
 
-    # -- the one build routine -------------------------------------------
+    # -- the record reader -------------------------------------------------
 
-    def _build(self, survivors: list, fresh: Sequence[Mapping],
-               num: tuple = ((), [], [], (), [], None, None), sst=(0,)):
-        """Complete this complex from a parent's ``survivors`` and ``fresh``
-        records, checking only the fresh faces, and number it.
-
-        The survivors are a downward-closed part of a checked parent, in its
-        canonical order, and ``sst[k]`` is the number of them below
-        dimension k; ``_is_delta`` is the parent's.  ``num`` is the
-        parent's numbering, its ``live`` holding the survivors' slots.  The
-        fresh faces take new slots, and each column grows by their values.
-        Every check looks only at a face and the faces below it, so the
-        survivors pass again what they passed when the parent was built; a
-        survivor is looked at only for a Delta structure or levels that the
-        fresh records claim and the parent lacked.  The result equals the
-        complex the constructor builds from the survivors' records followed
-        by the fresh ones, and a bad fresh face fails with the
-        constructor's error and message.
+    def _build(self, recs: Sequence[Mapping]):
+        """Read face records, check every face, and number the complex.
 
         Each record is first checked alone.  Then one loop in canonical
         order maps a face's facet ids to slots once, runs every other check
         on those integer lists, and keeps them as the face's facet slots,
-        the only copy kept.  A face that fails is read again by
-        :meth:`_fault`, which runs the checks one by one on ids to name its
-        first fault; the error raised is the least fault by the rank of its
-        check, then by record order (covering) or canonical order, as if
-        each check ran on every face in turn.
+        the only copy kept: slot i holds the face at canonical position i.
+        A face that fails is read again by :meth:`_fault`, which runs the
+        checks one by one on ids to name its first fault; the error raised
+        is the least fault by the rank of its check, then by record order
+        (covering) or canonical order, as if each check ran on every face
+        in turn.
         """
-        ids, below, above, kept, labels, levels, verts = num
-        carried_delta = self._is_delta and bool(survivors)
-        carried_levels = levels is not None and bool(survivors)
         # a first pass keeps a list of ids as it is and checks that they
         # are strings in one join after the pass; if any check fails, the
         # records are read again one by one to name the first fault
         for fast in (True, False):
             new, dims, names, marks, cov, delta = [], [], [], [], {}, {}
-            taken = () if fast else set(survivors)
             try:
-                for pos, rec in enumerate(fresh, start=len(survivors)):
+                for pos, rec in enumerate(recs):
                     if type(rec) is not dict and not isinstance(rec, Mapping):
                         raise DescriptorInvalid(
                             f"face record {pos} is not an object: {rec!r}")
                     fid = rec.get("id")
                     if not isinstance(fid, str) or not fid:
                         raise DuplicateFace(f"face record {pos} has no usable id")
-                    if fid in cov or fid in taken:
+                    if fid in cov:
                         raise DuplicateFace(f"duplicate face id {fid!r}")
                     dim = rec.get("dim")
                     if type(dim) is not int or dim < 0:
@@ -398,68 +395,34 @@ class CombinatorialComplex:
                 if fast:    # a TypeError unless every id is a string
                     "".join(chain.from_iterable(cov.values()))
                     "".join(chain.from_iterable(delta.values()))
-                    if cov and any(map(cov.__contains__, survivors)):
-                        raise _Fault        # a fresh id is a survivor's
                 break
             except Exception:   # read again: the first fault in record order
                 if not fast:
                     raise
 
-        # canonical order (dim, label, insertion index): the fresh faces
-        # sorted stably, then each placed by binary search in its
-        # dimension's run of survivors, which come in the parent's
-        # canonical order, after the survivors it ties
+        # canonical order (dim, label, insertion index): two stable sorts
         perm = sorted(range(len(new)), key=names.__getitem__)
         perm.sort(key=dims.__getitem__)
         dims.sort()
-        new = list(map(new.__getitem__, perm))
+        order = tuple(map(new.__getitem__, perm))
         names = list(map(names.__getitem__, perm))
         marks = list(map(marks.__getitem__, perm))
-        del perm
-        n0, m = len(ids), len(survivors)
-        slots = range(n0, n0 + len(new))
-        sst = sst[:bisect_left(sst, m) + 1]     # to the survivors' top dimension
-        top = len(sst) - 1                      # sst[min(k, top)] for any k
-        if not survivors:
-            order, live = new, slots
-        else:
-            spots, lo = [], 0
-            for k, name in zip(dims, names):
-                lo = bisect_right(kept, name, max(lo, sst[min(k, top)]),
-                                  sst[min(k + 1, top)], key=labels.__getitem__)
-                spots.append(lo)
-            order, live = _interleave(survivors, spots, new), _interleave(kept, spots, slots)
-        order = tuple(order)
-        index = dict(zip(order, range(len(order))))
-        starts = [sst[min(k, top)] + bisect_left(dims, k)
-                  for k in range(max(top, dims[-1] + 1 if dims else 0) + 1)]
-
-        has_delta = carried_delta or bool(delta) or len(starts) == 2
-        has_levels = carried_levels or marks.count(None) < len(marks)
-        self._order, self._index, self._starts = order, index, starts
-        self._is_delta = has_delta
-        faces = order if survivors and (has_delta, has_levels) != (
-            carried_delta, carried_levels) else new
-
-        if faces:
-            below = below + [None] * len(new)
-        if new:
-            ids = [*ids, *new] if n0 else order
-            labels = [*labels, *names] if n0 else names
-        levels = _grown(levels, carried_levels, n0, marks) if has_levels else None
-        verts = _grown(verts, carried_delta, n0, [None] * len(new)) if has_delta else None
+        del perm, new
+        n = len(order)
+        index = dict(zip(order, range(n)))
+        starts = [bisect_left(dims, k) for k in range(dims[-1] + 2 if dims else 1)]
+        has_delta = bool(delta) or len(starts) == 2
+        has_levels = marks.count(None) < n
+        self._order, self._index, self._starts, self._is_delta = order, index, starts, has_delta
+        below = [None] * n
+        levels = marks if has_levels else None
+        verts = [None] * n if has_delta else None
         # read by the checks as they go
-        self._num = ids, below, None, live, labels, levels, verts
-        if faces is order:      # the survivors are checked again, on their ids
-            cov.update(zip(survivors, map(self.facets, survivors)))
-            if carried_delta:
-                delta.update(zip(survivors, map(self.delta_order, survivors)))
+        self._num = order, below, None, range(n), names, levels, verts
         swaps = [None, None] + [_identity_swap(k) for k in range(2, len(starts) - 1)]
         ix, lvl = index.__getitem__, levels.__getitem__ if has_levels else None
         pending = at = None
-        for f, k in zip(faces, dims if faces is new else self._grades()):
-            p = index[f]
-            x = live[p]
+        for x, (f, k) in enumerate(zip(order, dims)):
             try:
                 if not k:
                     if cov[f]:
@@ -468,15 +431,14 @@ class CombinatorialComplex:
                         verts[x] = (f,)
                     xs = []
                 elif has_delta:
-                    ds = list(map(ix, delta[f]))
-                    cs = sorted(ds)
+                    xs = list(map(ix, delta[f]))
+                    cs = sorted(xs)
                     ps = list(map(ix, cov[f]))
                     # a repeated facet repeats a vertex, as facet i is the
                     # face without vertex i
-                    if (len(ds) != k + 1 or cs[0] < starts[k - 1] or cs[-1] >= starts[k]
+                    if (len(xs) != k + 1 or cs[0] < starts[k - 1] or cs[-1] >= starts[k]
                             or ps != cs and sorted(set(ps)) != cs):
                         raise _Fault
-                    xs = list(map(live.__getitem__, ds)) if n0 else ds
                     if k > 1:
                         flat = sum(map(below.__getitem__, xs), [])
                         if swaps[k](flat) != tuple(flat):
@@ -486,10 +448,9 @@ class CombinatorialComplex:
                         raise _Fault
                     verts[x] = (v,) + t
                 else:
-                    cs = sorted(set(map(ix, cov[f])))
-                    if not cs or cs[0] < starts[k - 1] or cs[-1] >= starts[k]:
+                    xs = sorted(set(map(ix, cov[f])))
+                    if not xs or xs[0] < starts[k - 1] or xs[-1] >= starts[k]:
                         raise _Fault
-                    xs = list(map(live.__getitem__, cs)) if n0 else cs
                     if (len(xs) != 2 if k == 1 else k == 2 and _cycle(
                             xs, below, xs[0], below[xs[0]][0]) is None):
                         raise _Fault
@@ -503,27 +464,23 @@ class CombinatorialComplex:
                         raise AssertionError(f"face {f!r} fails no check") from None
                     continue
                 if not fault[0]:
-                    at = at or {r["id"]: i for i, r in enumerate(fresh)}
-                rank = fault[0], at[f] if not fault[0] else p
+                    at = at or {r["id"]: i for i, r in enumerate(recs)}
+                rank = fault[0], at[f] if not fault[0] else x
                 if pending is None or rank < pending[0]:
                     pending = rank, fault[1]
         if pending:
             raise pending[1]
         del cov, delta                  # freed before the coface lists grow
-        if new:
-            above = _cofaces(below, above + [[] for _ in new], slots)
-        self._num = ids, below, above, live, labels, levels, verts
+        slots = range(n)
+        self._num = order, below, _cofaces(below, [[] for _ in slots], slots), slots, \
+            names, levels, verts
 
     def _fault(self, f, cov, delta):
         """Rank and error of the first check of :meth:`_build` that face
         ``f`` fails, run on the records' ids in ``cov`` and ``delta``; None
         for none, or if a check cannot read a face below that failed one."""
         index, dim, slot = self._index, self.dim, self._slot
-        below, live, levels, verts = self._num[1], self._num[3], self._num[5], self._num[6]
-
-        def order(g):               # a KeyError where g has none
-            return delta[g] if g in cov else self._facet_ids(g)
-
+        below, levels, verts = self._num[1], self._num[5], self._num[6]
         k = dim(f)
         for g in cov[f]:
             if g not in index:
@@ -575,7 +532,7 @@ class CombinatorialComplex:
             # omitting vertex i then j (j < i) equals omitting j then i-1
             for i in range(k + 1 if k > 1 else 0):
                 for j in range(i):
-                    if order(d[i])[j] != order(d[j])[i - 1]:
+                    if delta[d[i]][j] != delta[d[j]][i - 1]:
                         return 5, BadDeltaStructure(
                             f"face {f!r} violates the facet identity at ({i},{j})")
             vs = (verts[slot(d[1])][0],) + verts[slot(d[0])]
@@ -586,35 +543,177 @@ class CombinatorialComplex:
             pass
         return None
 
-    def _child(self, survivors, fresh, live, sst) -> "CombinatorialComplex":
-        # the build routine on this complex's numbering, ``live`` holding
-        # the survivors' slots and ``sst`` their dimension starts
-        out = CombinatorialComplex.__new__(CombinatorialComplex)
-        out._is_delta = self._is_delta
-        ids, below, above, _live, *columns = self._num
-        out._build(survivors, fresh, (ids, below, above, live, *columns), sst)
-        return out
-
     def _restricted(self, order) -> "CombinatorialComplex":
         """The subcomplex on ``order``, a downward-closed part of ``_order``:
-        the build routine with no fresh faces.  It shares this complex's
-        numbering, columns included, with the live slots of its own faces."""
+        the graft with no fresh faces.  It shares this complex's numbering,
+        columns included, with the live slots of its own faces."""
         ps = list(map(self._index.__getitem__, order))
-        return self._child(list(order), (), list(map(self._num[3].__getitem__, ps)),
-                           [bisect_left(ps, s) for s in self._starts])
+        return self._graft((list(order), list(map(self._num[3].__getitem__, ps)),
+                            [bisect_left(ps, s) for s in self._starts]))
 
-    def _derived(self, drop, fresh: Sequence[Mapping]) -> "CombinatorialComplex":
-        """This complex without the faces in ``drop``, plus the ``fresh`` records.
+    def _graft(self, kept, fids=(), dims=(), labels=None, levels=None,
+               refs=()) -> "CombinatorialComplex":
+        """The faces ``kept`` of this complex and fresh faces, on its numbering.
 
-        ``drop`` must be closed upward, so that the survivors are closed
-        downward.  The build routine checks only the fresh faces; see
-        :meth:`_build`.  The numbering is carried, each column with it;
-        see the class notes.
+        ``kept`` is ``(order, live, starts)`` of a downward-closed part of
+        this complex: its faces in canonical order, their slots, and where
+        each dimension starts among them.  The fresh faces come as columns
+        in their writer's order: ids, dimensions, labels (None: each label
+        is its id), levels (None on a complex without them) and facet refs,
+        in Delta order on a Delta complex and in any order on a face poset.
+        A ref is a live slot of ``kept``, or ``n + i`` for fresh face i,
+        ``n`` the number of slots.  The fresh faces take new slots in
+        canonical order, (dim, label, writer order), each placed by binary
+        search after the faces of ``kept`` it ties; every column grows by
+        their values, and a restriction, which has none, shares the lists.
+
+        Only the fresh faces are checked, each as the record reader checks
+        a record, on the slot lists: a usable id, dimension and level,
+        facets one dimension lower among the faces of the result, the Delta
+        facet identity and distinct vertices or, on a face poset, regular
+        1- and 2-cells, levels closed downward, and ids unique.  A fresh
+        face that fails is named by :meth:`_named`.
         """
-        cuts = sorted(map(self._index.__getitem__, drop))
-        out = self._child(_without(self._order, cuts), fresh, _without(self._num[3], cuts),
-                          [s - bisect_left(cuts, s) for s in self._starts])
-        if len(out._num[0]) > 2 * len(out._order):     # more dead slots than live
+        order, kept_live, sst = kept
+        ids, below, above, _live, names, marks, verts = self._num
+        n0, m, filtered = len(ids), len(fids), marks is not None
+        for i, (f, k) in enumerate(zip(fids, dims)):
+            lv = levels[i] if filtered else 1
+            if not isinstance(f, str) or not f or type(k) is not int or k < 0 or \
+                    type(lv) is not int or lv < 1:
+                raise self._named(f, kept, fids, dims, labels, levels, refs)
+
+        # canonical order: as the reader sorts, then placed among ``kept``
+        tags = fids if labels is None else labels
+        perm = sorted(range(m), key=tags.__getitem__)
+        perm.sort(key=dims.__getitem__)
+        new = list(map(fids.__getitem__, perm))
+        grades = list(map(dims.__getitem__, perm))
+        tags = list(map(tags.__getitem__, perm))
+        slot = [0] * m                      # fresh face i -> its slot
+        for j, i in enumerate(perm):
+            slot[i] = n0 + j
+        sst = sst[:bisect_left(sst, len(order)) + 1]   # to kept's top dimension
+        top = len(sst) - 1                              # sst[min(k, top)] for any k
+        if order:
+            spots, lo = [], 0
+            for k, tag in zip(grades, tags):
+                lo = bisect_right(kept_live, tag, max(lo, sst[min(k, top)]),
+                                  sst[min(k + 1, top)], key=names.__getitem__)
+                spots.append(lo)
+            live = _interleave(kept_live, spots, range(n0, n0 + m))
+            order = tuple(_interleave(order, spots, new))
+        else:
+            order, live = tuple(new), range(n0, n0 + m)
+        index = dict(zip(order, range(len(order))))
+        if len(index) != len(order):
+            raise self._named(next(f for p, f in enumerate(order) if index[f] != p),
+                              kept, fids, dims, labels, levels, refs)
+        starts = [sst[min(k, top)] + bisect_left(grades, k)
+                  for k in range(max(top, grades[-1] + 1 if grades else 0) + 1)]
+
+        carried = bool(kept[0])
+        is_delta = self._is_delta and bool(order) or len(starts) == 2
+        if m:
+            ids = [*ids, *new] if n0 else order
+            names = [*names, *tags] if n0 else tags
+            below = below + [None] * m
+        marks = _grown(marks, carried, n0, [levels[i] for i in perm]) \
+            if filtered and order else None
+        if is_delta:
+            verts = _grown(verts, self._is_delta and carried, n0, [None] * m)
+            if not self._is_delta:              # kept holds only vertices
+                for f, x in zip(kept[0], kept_live):
+                    verts[x] = (f,)
+        else:
+            verts = None
+
+        swaps = {}
+        for j, (f, k) in enumerate(zip(new, grades)):
+            x = n0 + j
+            try:
+                xs = [r if r < n0 else slot[r - n0] for r in refs[perm[j]]]
+                if not k:
+                    if xs:
+                        raise _Fault
+                    if is_delta:
+                        verts[x] = (f,)
+                else:
+                    # facets: live faces one dimension lower
+                    ps = list(map(index.__getitem__, map(ids.__getitem__, xs)))
+                    if not xs or list(map(live.__getitem__, ps)) != xs or \
+                            min(ps) < starts[k - 1] or max(ps) >= starts[k]:
+                        raise _Fault
+                    if is_delta:
+                        if len(xs) != k + 1:
+                            raise _Fault
+                        if k > 1:
+                            swap = swaps.get(k) or swaps.setdefault(k, _identity_swap(k))
+                            flat = sum(map(below.__getitem__, xs), [])
+                            if swap(flat) != tuple(flat):
+                                raise _Fault
+                        v, t = verts[xs[1]][0], verts[xs[0]]
+                        if v in t:
+                            raise _Fault
+                        verts[x] = (v,) + t
+                    else:
+                        if len(set(ps)) != len(ps):
+                            raise _Fault
+                        xs = [y for _p, y in sorted(zip(ps, xs))]
+                        if len(xs) != 2 if k == 1 else k == 2 and _cycle(
+                                xs, below, xs[0], below[xs[0]][0]) is None:
+                            raise _Fault
+                if filtered and max(map(marks.__getitem__, xs), default=0) > marks[x]:
+                    raise _Fault
+            except (_Fault, LookupError, TypeError):
+                raise self._named(f, kept, fids, dims, labels, levels, refs) from None
+            below[x] = xs
+
+        out = CombinatorialComplex.__new__(CombinatorialComplex)
+        out._order, out._index, out._starts, out._is_delta = order, index, starts, is_delta
+        if m:
+            above = _cofaces(below, above + [[] for _ in new], range(n0, n0 + m))
+        out._num = ids, below, above, live, names, marks, verts
+        return out
+
+    def _named(self, f, kept, fids, dims, labels, levels, refs) -> Exception:
+        """The error of a graft whose fresh face ``f`` fails a check: the one
+        the record reader raises on the records of ``kept`` and of the fresh
+        faces, the first fault as it finds them in any document.  A new
+        vertex or a level from a move's caller, or a vertex flow whose copies
+        break the facet identity, fail there with the reader's class and
+        message.  AssertionError where the reader takes the records, which
+        only a bug in the move that wrote them makes."""
+        names = [*self._num[0], *fids]      # a ref's id
+        try:
+            recs = [self._record(g) for g in kept[0]]
+            for i, (g, k) in enumerate(zip(fids, dims)):
+                if min(refs[i], default=0) < 0:
+                    raise IndexError
+                facets = list(map(names.__getitem__, refs[i]))
+                rec = {"id": g, "dim": k, "facets": facets}
+                if labels is not None:
+                    rec["label"] = labels[i]
+                if self._is_delta and facets:
+                    rec["delta_order"] = facets
+                if levels is not None:
+                    rec["level"] = levels[i]
+                recs.append(rec)
+            CombinatorialComplex(recs)
+        except SncxError as exc:
+            return exc
+        except (LookupError, TypeError):
+            pass
+        return AssertionError(f"fresh face {f!r} fails a check of the graft")
+
+    def _move(self, cuts, *fresh) -> "CombinatorialComplex":
+        """This complex without the faces at the sorted canonical positions
+        ``cuts``, a set closed upward, and with the ``fresh`` faces of
+        :meth:`_graft`.  A move whose dead slots would outnumber its live
+        ones compacts the lists to canonical slots."""
+        out = self._graft((_without(self._order, cuts), _without(self._num[3], cuts),
+                           [s - bisect_left(cuts, s) for s in self._starts]), *fresh)
+        if len(out._num[0]) > 2 * len(out._order):
             out._num = _compacted(out._order, out._num)
         return out
 
@@ -820,7 +919,10 @@ class CombinatorialComplex:
 
     def _reach(self, f, step) -> tuple:
         # the faces reached from f through ``step`` on slots, canonically
-        x = self._slot(f)
+        return tuple(map(self._num[0].__getitem__, self._reach_slots(self._slot(f), step)))
+
+    def _reach_slots(self, x, step) -> list:
+        # the slots reached from slot x through ``step``, in canonical order
         seen = {x}
         stack = [x]
         while stack:
@@ -828,7 +930,7 @@ class CombinatorialComplex:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        return tuple(map(self._num[0].__getitem__, sorted(seen, key=self._slot_key())))
+        return sorted(seen, key=self._slot_key())
 
     def is_maximal(self, f: FaceId) -> bool:
         return not self.cofaces(f)
@@ -939,27 +1041,22 @@ class CombinatorialComplex:
         vertex of each new face.  On a filtered complex the new vertex gets
         ``level`` and the join of g the larger of g's level and ``level``.
         """
-        taken = set(self._order)
-        e = _dedup_ids([apex], taken)[0]
-        taken.add(e)
-        ids = dict(zip(closure, _dedup_ids([f"{g}{sep}{e}" for g in closure], taken)))
-        index = self._index
-        names, below, _above, live, label_of, levels = self._num[:6]
-        recs = [{"id": e, "dim": 0, "facets": []}]
-        if levels is not None:
-            recs[0]["level"] = level
-        for g in closure:
-            x, k = live[index[g]], self.dim(g)
-            facets = [ids[names[y]] for y in below[x]] + [g] if k else [e, g]
-            rec = {"id": ids[g], "dim": k + 1, "facets": facets}
-            if labels:
-                rec["label"] = f"{label_of[x]}{sep}{e}"
-            if self._is_delta:
-                rec["delta_order"] = facets
-            if levels is not None:
-                rec["level"] = max(levels[x], level)
-            recs.append(rec)
-        return self._derived((), recs)
+        index, starts = self._index, self._starts
+        ids, below, _above, live, label_of, levels = self._num[:6]
+        e = _dedup_ids([apex], index)[0]
+        fids = _dedup_ids([e, *[f"{g}{sep}{e}" for g in closure]], index)
+        ps = list(map(index.__getitem__, closure))
+        xs = list(map(live.__getitem__, ps))
+        n0 = len(ids)
+        joined = dict(zip(xs, range(n0 + 1, n0 + 1 + len(xs))))    # g -> its join's ref
+        # the new vertex is the last vertex of each join
+        refs = [[]] + [[*map(joined.__getitem__, below[x]), x] if below[x] else [n0, x]
+                       for x in xs]
+        return self._move(
+            (), fids, [0, *[bisect_right(starts, p) for p in ps]],
+            [e, *[f"{label_of[x]}{sep}{e}" for x in xs]] if labels else None,
+            None if levels is None else [level, *[max(levels[x], level) for x in xs]],
+            refs)
 
     def order_complex(self) -> "CombinatorialComplex":
         """The complex of chains of the face poset (barycentric subdivision).

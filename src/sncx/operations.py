@@ -31,7 +31,7 @@ def _union_records(a: CombinatorialComplex, b: CombinatorialComplex,
 
 def _renaming(a: CombinatorialComplex, b: CombinatorialComplex) -> dict:
     # b's ids, with the ones that collide with a's suffixed
-    return dict(zip(b.face_ids, _dedup_ids(b.face_ids, set(a.face_ids))))
+    return dict(zip(b.face_ids, _dedup_ids(b.face_ids, a._index)))
 
 
 def disjoint_union(a: CombinatorialComplex,

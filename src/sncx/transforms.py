@@ -6,18 +6,22 @@ the discrete Morse flow that retracts a new vertex onto an old one,
 puckering of a maximal cell, and sequential script replay with a
 homology log.
 
-Every move here (stellar subdivision, the vertex flow, puckering) hands
-the faces it keeps and the records of the faces it creates to
-``CombinatorialComplex._derived``, the complex's one build routine,
-which checks only the created faces: the kept ones lie below one
-another as before and were checked when their complex was built.  A
-case 3 or attach move cones a new vertex over the closure of its
-attachment with ``CombinatorialComplex._coned``, the writer that also
-writes the cone over a whole complex, and hands its records on the same
-way.  The replay computes the whole complex's homology at every step,
-d^2 = 0 on it holding by the facet identities its build checked, on the
-face numbering that each move carries from the step before, and
-carries each level below the lowest level the move changed: the level
+Every move here (stellar subdivision, the vertex flow, puckering) reads
+the faces it works on off the complex's numbering: vertices from its
+vertex column, facets and subfaces from its facet slots.  It hands the
+canonical positions of the faces it drops and the faces it creates, as
+columns of ids, dimensions, labels, levels and facet slots, to
+``CombinatorialComplex._move``, which grafts them onto the numbering and
+checks only the created faces, on the slot lists: the kept ones lie
+below one another as before and were checked when their complex was
+built.  No record is written unless a check fails.  A case 3 or attach
+move cones a new vertex over the closure of its attachment with
+``CombinatorialComplex._coned``, the writer that also writes the cone
+over a whole complex, and hands its faces on the same way.  The replay
+computes the whole complex's homology at every step, d^2 = 0 on it
+holding by the facet identities its build checked, on the face
+numbering that each move carries from the step before, and carries
+each level below the lowest level the move changed: the level
 of the subdivided face for case 2, the new vertex's level for case 3
 and attach, none for case 1.  No face below it was dropped or made, so
 that level subcomplex is the one of the step before, and only the
@@ -67,43 +71,47 @@ def stellar_subdivide(c: CombinatorialComplex, sigma: str,
     if not c.has_face(sigma):
         raise NoSuchFace(f"no face {sigma!r}")
 
-    star = c.upset(sigma)
-    drop = set(star)
-    taken = set(c.face_ids) - drop
+    ids, below, _above, _live, _labels, levels, verts = c._num
+    index, n0 = c._index, len(ids)
+    star = c._reach_slots(c._slot(sigma), c._above)     # sigma first
+    drop = set(map(ids.__getitem__, star))
     e = _dedup_ids([new_vertex if new_vertex is not None else f"b({sigma})"],
-                   taken)[0]
+                   index, drop)[0]
 
-    # the proper subsets alpha of sigma's vertices, the empty one first;
-    # (sigma, empty), the first key, is e
-    sigma_verts = sorted(c.vertices_of(sigma))
-    n = len(sigma_verts)
-    alphas = [frozenset(v for i, v in enumerate(sigma_verts) if mask >> i & 1)
-              for mask in range((1 << n) - 1)]
-    keys = [(tau, alpha) for tau in star for alpha in alphas]
-    ids = dict(zip(keys, _dedup_ids(
-        [e] + [f"{e}|{tau}|{'.'.join(sorted(alpha))}" for tau, alpha in keys[1:]],
-        taken)))
+    # the proper subsets alpha of sigma's vertices as bit masks, the empty
+    # one first; the fresh face of (star[t], alpha) is fresh face
+    # t * subsets + alpha, and (sigma, empty), the first, is e
+    sigma_verts = sorted(verts[star[0]])
+    bit = {v: 1 << i for i, v in enumerate(sigma_verts)}
+    subsets = (1 << len(sigma_verts)) - 1
+    at = {t: n0 + i * subsets for i, t in enumerate(star)}
+    names = [".".join([v for v in sigma_verts if alpha & bit[v]]) for alpha in range(subsets)]
+    proposals = [f"{e}|{ids[t]}|{name}" for t in star for name in names]
+    proposals[0] = e
+    fids = _dedup_ids(proposals, index, drop)
 
-    levels = c.has_levels
-    recs = []
-    for (tau, alpha), nid in ids.items():
-        tau_verts = c.vertices_of(tau)
-        keep_pos = [i for i, v in enumerate(tau_verts)
-                    if v in alpha or v not in sigma_verts]
-        rec = {"id": nid, "dim": len(keep_pos), "facets": []}
-        if keep_pos:
+    dims, refs = [], []
+    for t in star:
+        tv = verts[t]
+        for alpha in range(subsets):
+            keep = [i for i, v in enumerate(tv) if v not in bit or bit[v] & alpha]
+            dims.append(len(keep))
+            if not keep:
+                refs.append([])
+                continue
             # vertex order: e first, then tau's surviving vertices in tau
-            # order; facet 0 omits e, the subface alpha * beta of tau
-            delta = [c.subface(tau, keep_pos)]
-            for p in keep_pos:
-                v = tau_verts[p]
-                delta.append(ids[(tau, alpha - {v})] if v in alpha
-                             else ids[(c.delta_order(tau)[p], alpha)])
-            rec["facets"] = rec["delta_order"] = delta
-        if levels:
-            rec["level"] = c.level(tau)
-        recs.append(rec)
-    return c._derived(drop, recs)
+            # order; facet 0 omits e, the subface alpha * beta of tau, a
+            # kept face reached by dropping the other vertices from the last
+            y = t
+            for i in reversed(range(len(tv))):
+                if i not in keep:
+                    y = below[y][i]
+            refs.append([y] + [at[t] + (alpha ^ bit[tv[p]]) if tv[p] in bit
+                               else at[below[t][p]] + alpha for p in keep])
+    return c._move(list(map(index.__getitem__, map(ids.__getitem__, star))),
+                   fids, dims, None,
+                   None if levels is None else [levels[t] for t in star for _ in names],
+                   refs)
 
 
 @dataclass(frozen=True)
@@ -177,19 +185,20 @@ def _closure(c, faces):
     return sorted(seen, key=c._index.__getitem__)
 
 
-def _spans(c, faces, v):
-    """The faces of ``faces`` that hold the vertex ``v``, each filed under
-    its facet opposite ``v``, in the order of ``faces``.
+def _spans(c, xs, v):
+    """The faces at the slots ``xs`` that hold the vertex ``v``, each filed
+    under the slot of its facet opposite ``v``, in the order of ``xs``.
 
     Faces have distinct vertices and facet i of a face omits its vertex
     i, so a face t holding v spans exactly one face without v: the facet
     it is filed under.
     """
+    below, verts = c._num[1], c._num[6]
     spans = {}
-    for t in faces:
-        vs = c.vertices_of(t)
-        if c.dim(t) and v in vs:
-            spans.setdefault(c.delta_order(t)[vs.index(v)], []).append(t)
+    for t in xs:
+        vs = verts[t]
+        if len(vs) > 1 and v in vs:
+            spans.setdefault(below[t][vs.index(v)], []).append(t)
     return spans
 
 
@@ -227,10 +236,12 @@ def _validate_case3(c, move):
     # cells sharing all their lower faces).  A face t holding vj spans
     # exactly one face without vj, its facet opposite vj.
     closure = _closure(c, attach)
-    spans = _spans(c, closure, vj)
-    for g in closure:
-        n = len(spans.get(g, ()))
-        if vj not in c.vertices_of(g) and n != 1:
+    xs = list(map(c._slot, closure))
+    spans = _spans(c, xs, vj)
+    verts = c._num[6]
+    for g, x in zip(closure, xs):
+        n = len(spans.get(x, ()))
+        if vj not in verts[x] and n != 1:
             raise DescriptorInvalid(
                 f"face {g!r} has {n} spans through {vj!r} "
                 "in the attachment closure; need exactly one")
@@ -292,9 +303,12 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
 
     # the star of v_src: sources lack v_dst, targets hold it, and each
     # target is the one span of its facet opposite v_dst, a source
-    star = c.upset(v_src)
+    ids, below, _above, _live, labels, levels, verts = c._num
+    index, n0 = c._index, len(ids)
+    src = c._slot(v_src)
+    star = c._reach_slots(src, c._above)
     spans = _spans(c, star, v_dst)
-    if v_src not in spans:
+    if src not in spans:
         raise PairingIncomplete(
             f"no edge spans {v_src!r} and {v_dst!r}; the vertex cannot flow")
 
@@ -302,40 +316,38 @@ def morse_vertex_flow(c: CombinatorialComplex, v_src: str, v_dst: str):
     # V-path leaves a pair: the matching is acyclic by the Delta order
     matching = {}
     critical = []
-    for f in star:
-        if v_dst in c.vertices_of(f):
+    for y in star:
+        if v_dst in verts[y]:
             continue
-        ts = spans.get(f, ())
+        ts = spans.get(y, ())
         if len(ts) > 1:
             raise PairingNotUnique(
-                f"face {f!r} has {len(ts)} spans through {v_dst!r}")
+                f"face {ids[y]!r} has {len(ts)} spans through {v_dst!r}")
         if ts:
-            matching[f] = ts[0]
+            matching[y] = ts[0]
         else:
-            critical.append(f)
+            critical.append(y)
 
-    # build the flowed complex: the removed faces are the star of v_src;
-    # critical (like c.face_ids) is sorted by dimension
-    removed = set(star)
-    crit_ids = dict(zip(critical, _dedup_ids(
-        [f"{f}~{v_dst}" for f in critical], set(c.face_ids) - removed)))
-    image = dict(crit_ids)
-    for f, t in matching.items():
-        # image of a matched source: the facet of its span opposite v_src
-        image[f] = c.delta_order(t)[c.vertices_of(t).index(v_src)]
-
-    recs = []
-    for f in critical:
-        delta = [image.get(g, g) for g in c.delta_order(f)]
-        recs.append({**c._record(f), "id": crit_ids[f], "facets": delta, "delta_order": delta})
-    reduced = c._derived(removed, recs)
+    # the flowed complex: the star of v_src goes, and each critical face
+    # comes back as a copy whose facets are the images of its own: a
+    # matched source's is the facet of its span opposite v_src, a critical
+    # face's its copy, any other facet (one without v_src) itself
+    crit_ids = _dedup_ids([f"{ids[y]}~{v_dst}" for y in critical], index,
+                          set(map(ids.__getitem__, star)))
+    image = {y: below[t][verts[t].index(v_src)] for y, t in matching.items()}
+    image.update(zip(critical, range(n0, n0 + len(critical))))
+    reduced = c._move(
+        [index[ids[y]] for y in star], crit_ids, [len(verts[y]) - 1 for y in critical],
+        [labels[y] for y in critical],
+        None if levels is None else [levels[y] for y in critical],
+        [[image.get(z, z) for z in below[y]] for y in critical])
     certificate = {
         "acyclic": True,
         "matched_pairs": len(matching),
-        "critical": [crit_ids[f] for f in critical],
+        "critical": crit_ids,
         "perfect": not critical,
     }
-    return reduced, tuple(sorted(matching.items())), certificate
+    return reduced, tuple(sorted((ids[s], ids[t]) for s, t in matching.items())), certificate
 
 
 def pucker(c: CombinatorialComplex, sigma: str, d: int) -> CombinatorialComplex:
@@ -350,9 +362,10 @@ def pucker(c: CombinatorialComplex, sigma: str, d: int) -> CombinatorialComplex:
         raise BadMultiplicity(f"multiplicity {d} must be at least 1")
     if not c.is_maximal(sigma):
         raise NotMaximal(f"face {sigma!r} is not maximal")
-    copies = _dedup_ids([f"{sigma}+{i}" for i in range(1, d)], set(c.face_ids))
-    return c._derived((), [{**c._record(sigma), "id": nid, "label": nid}
-                           for nid in copies])
+    copies = _dedup_ids([f"{sigma}+{i}" for i in range(1, d)], c._index)
+    x, n, levels = c._slot(sigma), len(copies), c._num[5]
+    return c._move((), copies, [c.dim(sigma)] * n, None,
+                   None if levels is None else [levels[x]] * n, [c._num[1][x]] * n)
 
 
 @dataclass

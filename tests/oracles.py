@@ -23,8 +23,8 @@ vertices merged, the coface table a complex built from its covering
 relation beside its numbering, a case 3 check that scans the whole
 attachment closure for the spans of each of its faces, and that validating
 constructor itself: every check run on every face of a record list,
-kept apart from the library's one build routine, which checks only the
-faces a move creates and is the constructor too, a Tietze pass that
+kept apart from the library's record reader and from the graft that
+checks only the faces a move creates, a Tietze pass that
 renumbers the generators after every elimination, one that scans,
 substitutes into and recanonicalizes every relator on every turn, a
 collapse search that sorts the free pairs of every state it expands,
@@ -51,6 +51,12 @@ kept a list of the edges at each vertex.  Then the one route the four
 simplicial builders took before they assembled their complexes from
 vertex tuples: records written from the tuples and read back by the
 constructor, and the ordering of their subsets by one Python key each.
+Last, the record writers of the moves from before they grafted slot
+lists onto the numbering, a stellar subdivision's, a pucker's and a
+blowup move made of them and the attached cone's, whose records the
+validating constructor reads after the kept faces', and the converters
+between a move's slot columns and records that the graft's fault tests
+use.
 """
 
 from __future__ import annotations
@@ -123,6 +129,7 @@ from sncx.transforms import (
     BlowupMove,
     ScriptLog,
     _closure,
+    _validate_case3,
     blowup_move,
     pucker,
 )
@@ -880,9 +887,103 @@ def two_step_wedge(a, v1, b, v2):
 
 
 def derived_by_constructor(c, drop, fresh):
-    """``c._derived(drop, fresh)`` through the validating constructor."""
+    """``c`` without the faces in ``drop`` and with the ``fresh`` records,
+    read by the validating constructor: the kept faces' records first, in
+    canonical order, then the fresh ones."""
     return validating_constructor(
         [c._record(f) for f in c.face_ids if f not in drop] + list(fresh))
+
+
+def graft_columns(c, drop, recs):
+    """The arguments of ``c._move`` that drop the faces in ``drop`` and add
+    the faces of the records ``recs``: the sorted canonical positions of
+    ``drop``, then the fresh faces as columns, each facet (in Delta order on
+    a Delta complex) a slot of ``c`` or ``n + i`` for record i, ``n`` the
+    number of slots."""
+    ids, live = c._num[0], c._num[3]
+    fresh = {r["id"]: len(ids) + i for i, r in enumerate(recs)}
+    refs = [[fresh[g] if g in fresh else live[c._index[g]]
+             for g in (r.get("delta_order") or r["facets"] if c._is_delta else r["facets"])]
+            for r in recs]
+    labels = [r["id"] if r.get("label") is None else str(r["label"]) for r in recs]
+    return (sorted(c._index[f] for f in drop), [r["id"] for r in recs],
+            [r["dim"] for r in recs], labels,
+            [r.get("level") for r in recs] if c.has_levels else None, refs)
+
+
+def column_records(c, fids, dims, labels, levels, refs):
+    """The records of fresh faces given as ``_move`` columns on ``c``."""
+    ids = c._num[0]
+    recs = []
+    for i, f in enumerate(fids):
+        facets = [ids[r] if r < len(ids) else fids[r - len(ids)] for r in refs[i]]
+        rec = {"id": f, "dim": dims[i], "facets": facets}
+        if labels is not None:
+            rec["label"] = labels[i]
+        if c._is_delta and facets:
+            rec["delta_order"] = facets
+        if levels is not None:
+            rec["level"] = levels[i]
+        recs.append(rec)
+    return recs
+
+
+def stellar_records(c, sigma, new_vertex=None):
+    """The star ``stellar_subdivide(c, sigma, new_vertex)`` drops and the
+    records of the faces it makes, written from ids face by face."""
+    star = c.upset(sigma)
+    drop = set(star)
+    taken = set(c.face_ids) - drop
+    e = _dedup_ids([new_vertex if new_vertex is not None else f"b({sigma})"],
+                   taken)[0]
+    sigma_verts = sorted(c.vertices_of(sigma))
+    n = len(sigma_verts)
+    alphas = [frozenset(v for i, v in enumerate(sigma_verts) if mask >> i & 1)
+              for mask in range((1 << n) - 1)]
+    keys = [(tau, alpha) for tau in star for alpha in alphas]
+    ids = dict(zip(keys, _dedup_ids(
+        [e] + [f"{e}|{tau}|{'.'.join(sorted(alpha))}" for tau, alpha in keys[1:]],
+        taken)))
+    recs = []
+    for (tau, alpha), nid in ids.items():
+        tau_verts = c.vertices_of(tau)
+        keep_pos = [i for i, v in enumerate(tau_verts)
+                    if v in alpha or v not in sigma_verts]
+        rec = {"id": nid, "dim": len(keep_pos), "facets": []}
+        if keep_pos:
+            delta = [c.subface(tau, keep_pos)]
+            for p in keep_pos:
+                v = tau_verts[p]
+                delta.append(ids[(tau, alpha - {v})] if v in alpha
+                             else ids[(c.delta_order(tau)[p], alpha)])
+            rec["facets"] = rec["delta_order"] = delta
+        if c.has_levels:
+            rec["level"] = c.level(tau)
+        recs.append(rec)
+    return drop, recs
+
+
+def pucker_records(c, sigma, d):
+    """The records of the d - 1 copies ``pucker(c, sigma, d)`` makes."""
+    copies = _dedup_ids([f"{sigma}+{i}" for i in range(1, d)], set(c.face_ids))
+    return [{**c._record(sigma), "id": nid, "label": nid} for nid in copies]
+
+
+def record_writing_blowup_move(c, move):
+    """``blowup_move`` with its output read by the validating constructor
+    from the records of the stellar writer above or of the attached cone's;
+    a move the library refuses before it writes a face goes to it."""
+    if move.case == 2 and c.has_delta and c.has_face(move.face):
+        return derived_by_constructor(c, *stellar_records(c, move.face, move.new_vertex))
+    if move.case == 3 and c.has_delta:
+        closure = _validate_case3(c, move)
+        new_vertex = f"v({move.base})" if move.new_vertex is None else move.new_vertex
+        return record_writing_attach_cone(c, closure, new_vertex, move.level)
+    if move.case == "attach" and move.new_vertex is not None and all(
+            map(c.has_face, move.attach)) and (move.level is not None or not c.has_levels):
+        return record_writing_attach_cone(c, _closure(c, move.attach), move.new_vertex,
+                                          move.level)
+    return blowup_move(c, move)
 
 
 def counting_f_vector(c):
@@ -926,11 +1027,9 @@ def _public(entry):
 
 
 def recomputing_run_blowup_script(c, script):
-    """``run_blowup_script`` computing every level's homology at every step.
-
-    Patch ``CombinatorialComplex._derived`` with :func:`derived_by_constructor`
-    around the call to build the move outputs as the replay once did.
-    """
+    """``run_blowup_script`` computing every level's homology at every step,
+    each move output read by the validating constructor from its records
+    (:func:`record_writing_blowup_move`)."""
     log = ScriptLog()
     entry = {"step": 0, "move": None}
     entry.update(_recomputed_snapshot(c))
@@ -939,7 +1038,7 @@ def recomputing_run_blowup_script(c, script):
     log.steps.append(_public(entry))
     for i, move in enumerate(script, start=1):
         try:
-            nxt = blowup_move(cur, move)
+            nxt = record_writing_blowup_move(cur, move)
         except Exception as exc:  # noqa: BLE001 - wrap with the step index
             raise ScriptError(i, exc) from exc
         entry = {"step": i, "move": move.as_json()}
@@ -1276,7 +1375,7 @@ def indexing_morse_vertex_flow(c, v_src, v_dst):
         if c.has_levels:
             rec["level"] = c.level(f)
         recs.append(rec)
-    reduced = c._derived(removed, recs)
+    reduced = derived_by_constructor(c, removed, recs)
     certificate = {
         "acyclic": True,
         "matched_pairs": len(matching),
@@ -1508,12 +1607,17 @@ def record_writing_cone(c, apex=None):
         if c.has_levels:
             rec["level"] = c.level(f)
         recs.append(rec)
-    return c._derived((), recs)
+    return derived_by_constructor(c, (), recs)
 
 
 def record_writing_attach_cone(c, closure, new_vertex, level):
     """A vertex coned over ``closure``, a downward-closed set of faces in
     canonical order, from its own records."""
+    return derived_by_constructor(c, (), attach_cone_records(c, closure, new_vertex, level))
+
+
+def attach_cone_records(c, closure, new_vertex, level):
+    """The records :func:`record_writing_attach_cone` reads."""
     taken = set(c.face_ids)
     e = _dedup_ids([new_vertex], taken)[0]
     taken.add(e)
@@ -1537,7 +1641,7 @@ def record_writing_attach_cone(c, closure, new_vertex, level):
         if levels:
             rec["level"] = max(c.level(g), level)
         recs.append(rec)
-    return c._derived((), recs)
+    return recs
 
 
 def record_writing_relabeled(c, mapping):

@@ -274,6 +274,31 @@ class TestSubcommands:
                 assert run_cli(argv)[0] == 0
                 assert made == ["_cofaces"], (argv, made)      # the read's only
 
+    def test_transform_reads_records_once(self, tmp_path, monkeypatch):
+        # the replay reads its input's records and no others: every move
+        # grafts its fresh faces onto the numbering as slot lists, on a
+        # levelled Delta complex (case 2 and 3 moves) and from the empty
+        # complex (realize's attach moves)
+        levelled = [dict(r, level=1 + r["dim"] // 2)
+                    for r in G.octahedron_boundary().order_complex().to_records()]
+        script = [{"case": 2, "face": "*+1*<*+1*+2"},
+                  {"case": 3, "base": "*+1*", "attach": ["*+1*"], "level": 1},
+                  {"case": 2, "face": "*+1*"}]
+        _k, replayed = S.realize_boundary([[0], [1], [2], [0, 1], [1, 2]])
+        runs = [({"faces": levelled}, script),
+                ({"faces": []}, [m.as_json() for m in replayed])]
+        build, reads = S.CombinatorialComplex._build, []
+        monkeypatch.setattr(S.CombinatorialComplex, "_build",
+                            lambda self, recs: reads.append(len(recs)) or build(self, recs))
+        for i, (doc, steps) in enumerate(runs):
+            cpath, spath = tmp_path / f"complex{i}.json", tmp_path / f"script{i}.json"
+            cpath.write_text(json.dumps(doc))
+            spath.write_text(json.dumps(steps))
+            reads.clear()
+            code, out = run_cli(["transform", str(cpath), str(spath)])
+            assert code == 0 and json.loads(out)["report"]["log"]["homology_constant"]
+            assert reads == [len(doc["faces"])], reads
+
     def test_text_format(self, inputs):
         code, out = run_cli(["homology", str(inputs["triangle"]),
                              "--format", "text"])
@@ -391,6 +416,19 @@ class TestErrors:
         err = json.loads(out)["error"]
         assert err["type"] == "ScriptError"
         assert "step 2" in err["message"]
+
+    @pytest.mark.parametrize("step, position", [
+        ({"case": 2, "face": "*+1*+2"}, 23),
+        ({"case": 3, "base": "*+1*", "attach": ["*+1*"]}, 26),
+        ({"case": "attach", "attach": ["*+1*+2"]}, 26),
+    ], ids=("case2", "case3", "attach"))
+    def test_empty_new_vertex_is_no_usable_id(self, tmp_path, step, position):
+        cpath, spath = tmp_path / "octahedron.json", tmp_path / "script.json"
+        cpath.write_text(dumps_complex(G.octahedron_boundary()))
+        spath.write_text(json.dumps([dict(step, new_vertex="")]))
+        assert run_any(["transform", str(cpath), str(spath)]) == (1, (
+            '{\n  "error": {\n    "message": "step 1: DuplicateFace: face record '
+            f'{position} has no usable id",\n    "type": "ScriptError"\n  }}\n}}\n'), "")
 
 
 class TestNonIntegerCoordinates:

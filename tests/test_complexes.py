@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import random
 import re
@@ -54,9 +55,12 @@ from oracles import (
     _frozen_subset_id,
     dict_boundary_walk,
     frontier_order_complex,
+    graft_columns,
+    indexing_morse_vertex_flow,
     keyed_by_size,
     order_complex_homology,
     phased_reader,
+    pucker_records,
     record_writing_attach_cone,
     record_writing_cone,
     record_writing_quotient,
@@ -812,6 +816,26 @@ class TestSimplexAssembler:
                 S.simplicial_complex_from_subsets(family)
             assert str(exc.value) == "the empty set is not a face"
 
+    def test_collector_paused_and_restored(self, monkeypatch):
+        # the assembly runs with the cyclic garbage collector off and leaves
+        # it as it found it, also when a check fails and the constructor
+        # raises on the records
+        seen, real = [], C._assembled
+        monkeypatch.setattr(C, "_assembled",
+                            lambda *args: seen.append(gc.isenabled()) or real(*args))
+        was = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert S.simplicial_complex_from_subsets([[0], [1], [0, 1]]).f_vector() == (2, 1)
+                assert gc.isenabled() is enabled
+                with pytest.raises(BadDeltaStructure):
+                    C._from_simplices([("a",), ("a", "a")], ".".join)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * 4
+
 
 class TestQuotient:
     def test_octahedron_antipodal(self):
@@ -890,6 +914,14 @@ class TestFiltration:
         assert without_delta(G.triangle_boundary()).skeleton(0).has_delta
 
 
+def flow_outcome(flow, c, *vertices):
+    """The vertex flow's result, or the class and message of its error."""
+    try:
+        return flow(c, *vertices)
+    except S.SncxError as exc:
+        return type(exc), str(exc)
+
+
 def agreement_inputs(seed, n):
     """Random Delta, non-Delta and filtered complexes, and a few posets."""
     rng = random.Random(seed)
@@ -916,38 +948,37 @@ class TestOneBuildRoutine:
             assert_same_complex(S.CombinatorialComplex(recs),
                                 validating_constructor(recs))
 
-    def test_moves(self, monkeypatch):
-        # every _derived call a move makes equals the oracle on the
-        # survivors' records followed by the fresh ones
-        derived = S.CombinatorialComplex._derived
-        calls = []
-
-        def checked(self, drop, fresh):
-            got = derived(self, drop, fresh)
-            assert_same_complex(got, derived_by_constructor(self, drop, fresh))
-            calls.append(self.has_delta)
-            return got
-
-        monkeypatch.setattr(S.CombinatorialComplex, "_derived", checked)
+    def test_moves(self):
+        # every move output equals the validating constructor's read of the
+        # kept faces' records and the records its writer wrote from ids
         rng, inputs = agreement_inputs(911, 40)
-        flows = 0
+        flows, kinds = 0, set()
         for c in inputs:
-            assert_rebuilds(c.cone())
-            assert_rebuilds(c.cone("0"))
+            for apex in (None, "0"):
+                assert_same_complex(c.cone(apex), record_writing_cone(c, apex))
+                assert_rebuilds(c.cone(apex))
             top = [f for f in c.face_ids if c.is_maximal(f)]
             for sigma in rng.sample(top, min(2, len(top))):
-                assert_rebuilds(S.pucker(c, sigma, rng.randint(1, 3)))
+                d = rng.randint(1, 3)
+                got = S.pucker(c, sigma, d)
+                assert_same_complex(got, derived_by_constructor(
+                    c, (), pucker_records(c, sigma, d)))
+                assert_rebuilds(got)
+            kinds.add(c.has_delta)
             if not c.has_delta:
                 continue
             for e in c.faces_of_dim(1)[:3]:
-                try:
-                    out, _m, _cert = S.morse_vertex_flow(c, *c.vertices_of(e))
-                except S.SncxError:
+                want = flow_outcome(indexing_morse_vertex_flow, c, *c.vertices_of(e))
+                got = flow_outcome(S.morse_vertex_flow, c, *c.vertices_of(e))
+                if len(want) == 2:          # the class and message of an error
+                    assert got == want
                     continue
-                assert_rebuilds(out)
+                assert_same_complex(got[0], want[0])
+                assert got[1:] == want[1:]
+                assert_rebuilds(got[0])
                 flows += 1
         assert flows > 20
-        assert {True, False} <= set(calls)
+        assert kinds == {True, False}
 
     def test_fresh_faces_tie_on_dim_and_label(self):
         # fresh faces whose (dim, label) equals a survivor's and another
@@ -980,7 +1011,7 @@ class TestOneBuildRoutine:
             rng.shuffle(fresh)
             keys = [(r["dim"], r["label"]) for r in fresh]
             ties += len(keys) - len(set(keys))
-            got = c._derived(drop, fresh)
+            got = c._move(*graft_columns(c, drop, fresh))
             assert_same_complex(got, derived_by_constructor(c, drop, fresh))
             assert_rebuilds(got)
         assert ties > 40
@@ -1289,7 +1320,7 @@ class TestCofaces:
             if c.is_empty:
                 continue
             f = rng.choice(c.face_ids)
-            outs.append(c._derived(set(c.upset(f)), ()))
+            outs.append(c._move(sorted(map(c._index.__getitem__, c.upset(f)))))
             top = [g for g in c.face_ids if c.is_maximal(g)]
             outs.append(S.pucker(c, rng.choice(top), 2))
             if c.has_delta:

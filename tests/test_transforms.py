@@ -9,6 +9,8 @@ from sncx import gallery as G
 from sncx.errors import (
     BadMultiplicity,
     DescriptorInvalid,
+    DuplicateFace,
+    LevelNotDownwardClosed,
     MatchingNotAcyclic,
     MissingDeltaStructure,
     NoSuchFace,
@@ -22,10 +24,8 @@ from sncx.serialize import dumps_complex
 from sncx.transforms import _spans, _validate_case3
 
 from conftest import (
-    READER_FAULTS,
     assert_rebuilds,
     assert_same_complex,
-    break_record,
     draw_mixed_script,
     random_simplicial_complex,
     random_subset_closed,
@@ -33,12 +33,18 @@ from conftest import (
     without_delta,
 )
 from oracles import (
+    attach_cone_records,
     clearing_homology,
+    column_records,
     derived_by_constructor,
     indexing_morse_vertex_flow,
     phased_reader,
+    pucker_records,
+    record_writing_blowup_move,
+    record_writing_cone,
     recomputing_run_blowup_script,
     scanning_validate_case3,
+    stellar_records,
     table_cofaces,
     validating_constructor,
 )
@@ -210,6 +216,51 @@ class TestBlowupMoves:
     def test_unknown_case(self):
         with pytest.raises(DescriptorInvalid):
             S.blowup_move(G.triangle_boundary(), S.BlowupMove(case=9))
+
+
+def levelled_octahedron():
+    return S.new_complex([dict(r, level=1) for r in G.octahedron_boundary().to_records()])
+
+
+class TestMoveInputErrors:
+    """The new vertex and its level come from the caller; a bad one is
+    refused with the class and message the constructor gives a record
+    holding it, the position counting the kept faces first."""
+
+    VERTEX, EDGE = "*+1*", "*+1*+2"
+
+    @pytest.mark.parametrize("case, level, error, message", [
+        (3, 0, DescriptorInvalid, "new vertex level 0 below the base level 1"),
+        (3, True, LevelNotDownwardClosed,
+         "face 'v(*+1*)' has invalid level True; levels start at 1"),
+        (3, 1.5, LevelNotDownwardClosed,
+         "face 'v(*+1*)' has invalid level 1.5; levels start at 1"),
+        ("attach", 0, LevelNotDownwardClosed,
+         "face 'E' has invalid level 0; levels start at 1"),
+        ("attach", True, LevelNotDownwardClosed,
+         "face 'E' has invalid level True; levels start at 1"),
+        ("attach", 1.5, LevelNotDownwardClosed,
+         "face 'E' has invalid level 1.5; levels start at 1"),
+    ])
+    def test_level_not_a_positive_integer(self, case, level, error, message):
+        move = S.BlowupMove(case=case, base=self.VERTEX if case == 3 else None,
+                            attach=(self.VERTEX,),
+                            new_vertex="E" if case == "attach" else None, level=level)
+        with pytest.raises(error) as got:
+            S.blowup_move(levelled_octahedron(), move)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=("plain", "levelled"))
+    @pytest.mark.parametrize("case, position", [(2, 23), (3, 26), ("attach", 26)])
+    def test_new_vertex_not_a_string(self, case, position, filtered):
+        c = levelled_octahedron() if filtered else G.octahedron_boundary()
+        move = S.BlowupMove(case=case, face=self.EDGE if case == 2 else None,
+                            base=self.VERTEX if case == 3 else None,
+                            attach=() if case == 2 else (self.VERTEX,), new_vertex=7,
+                            level=1 if filtered and case != 2 else None)
+        with pytest.raises(DuplicateFace) as got:
+            S.blowup_move(c, move)
+        assert str(got.value) == f"face record {position} has no usable id"
 
 
 class TestMorseFlow:
@@ -425,7 +476,9 @@ class TestMatchingAcyclicity:
                                 assert not [g for g in c.facets(t)
                                             if g != f and g in sources]
                                 spans_seen += 1
-                    filed = _spans(c, star, dst)
+                    ids = c._num[0]
+                    filed = {ids[s]: [ids[t] for t in ts] for s, ts in
+                             _spans(c, list(map(c._slot, star)), dst).items()}
                     assert set(filed) <= sources
                     assert sorted(t for ts in filed.values() for t in ts) \
                         == sorted(targets)
@@ -576,14 +629,12 @@ class TestIncrementalReplay:
             out.append((S.CombinatorialComplex([]), script))
         return out
 
-    def test_agrees_with_recomputing_replay(self, monkeypatch):
+    def test_agrees_with_recomputing_replay(self):
         runs = self.inputs()
         kinds = {(c.has_levels, m.case) for c, script in runs for m in script}
         assert kinds >= {(lv, case) for lv in (False, True)
                          for case in (2, 3, "attach")}
         got = [S.run_blowup_script(c, script) for c, script in runs]
-        monkeypatch.setattr(S.CombinatorialComplex, "_derived",
-                            derived_by_constructor)
         for (c, script), (final, log) in zip(runs, got):
             want_final, want_log = recomputing_run_blowup_script(c, script)
             assert log.as_json() == want_log.as_json(), script
@@ -616,7 +667,7 @@ class TestIncrementalReplay:
             script.append(move)
         return tuple(script)
 
-    def test_reused_ids_agree_with_recomputing_replay(self, monkeypatch):
+    def test_reused_ids_agree_with_recomputing_replay(self):
         # a fresh face that takes a dropped face's id below the top level,
         # where the replay carries unchanged levels; among them a vertex
         # subdivided under its own id, whose level is unchanged
@@ -641,8 +692,6 @@ class TestIncrementalReplay:
                 cur = nxt
         assert reused > 20 and kept > 4
         got = [S.run_blowup_script(c, script) for c, script in runs]
-        monkeypatch.setattr(S.CombinatorialComplex, "_derived",
-                            derived_by_constructor)
         for (c, script), (final, log) in zip(runs, got):
             want_final, want_log = recomputing_run_blowup_script(c, script)
             assert log.as_json() == want_log.as_json(), script
@@ -829,6 +878,37 @@ class TestCarriedNumbering:
                 cur = nxt
         assert min(seen.values()) > 5 and seen["carried"] > 5 * seen["compacted"], seen
 
+    def test_numbering_follows_canonical_order(self):
+        # the graft's two invariants, which keep the numbering the record
+        # route made: a move's fresh faces take ascending slots in
+        # canonical order, and every coface list ascends by slot
+        def check(parent, child):
+            ids, _below, above, live = child._num[:4]
+            n0 = len(parent._num[0])
+            if type(live) is not range:             # not compacted
+                assert [x for x in live if x >= n0] == list(range(n0, len(ids)))
+            assert all(ups == sorted(ups) for ups in above)
+            return len(child.face_ids) - len(parent.face_ids)
+
+        rng, fresh = random.Random(2424), 0
+        for c, script in self.runs():
+            cur = c
+            for move in script:
+                prev, cur = cur, S.blowup_move(cur, move)
+                fresh += check(prev, cur)
+            for e in cur.faces_of_dim(1)[:4]:
+                try:
+                    fresh += check(cur, S.morse_vertex_flow(cur, *cur.vertices_of(e))[0])
+                except SncxError:
+                    pass
+            poset = without_delta(cur)
+            for step in range(3):
+                top = [f for f in poset.face_ids if poset.is_maximal(f)]
+                prev, poset = poset, (S.cone(poset, f"a{step}") if step != 1 else
+                                      S.pucker(poset, rng.choice(top), 3))
+                fresh += check(prev, poset)
+        assert fresh > 3000, fresh
+
     def test_cofaces_and_upsets_agree_with_the_table_oracle(self):
         # cofaces, upset, star and is_maximal read the numbering's live
         # coface slots; the table is built from the covering relation
@@ -945,6 +1025,56 @@ class TestCarriedNumbering:
         assert compacted == 2
 
 
+class TestMovesReadNoRecords:
+    """A move grafts its fresh faces onto the numbering as slot lists: once
+    the start complexes are read, no move, restriction or replayed script
+    reads a record.  The record reader, ``_build``, is refused from then on,
+    as the simplex assembler's tests refuse its records."""
+
+    def test_random_scripts(self, monkeypatch):
+        rng = random.Random(3303)
+        runs, flows, puckers = [], [], []
+        for i in range(16):
+            c = random_simplicial_complex(rng, max_verts=6, max_facets=4, max_dim=3)
+            if i % 2:
+                c = with_random_levels(rng, c)
+            script = draw_mixed_script(rng, c, 5) + (S.BlowupMove(case=1),)
+            runs.append((c, script))
+            final = S.run_blowup_script(c, script)[0]
+            # the flows that go through (a refused one reads the records
+            # of its faces to name the fault), and puckers, on the output
+            for e in final.faces_of_dim(1):
+                for pair in (final.vertices_of(e), final.vertices_of(e)[::-1]):
+                    try:
+                        S.morse_vertex_flow(final, *pair)
+                    except SncxError:
+                        continue
+                    flows.append((final, pair))
+            top = [f for f in final.face_ids if final.is_maximal(f)]
+            puckers += [(final, sigma) for sigma in rng.sample(top, min(2, len(top)))]
+            puckers.append((without_delta(final), top[0]))
+        for _ in range(4):
+            _k, script = S.realize_boundary(random_subset_closed(rng, ground=4), n=3)
+            runs.append((S.CombinatorialComplex([]), script))
+        cases = {m.case for _c, script in runs for m in script}
+        assert cases == {1, 2, 3, "attach"} and len(flows) > 30, (cases, len(flows))
+
+        def refused(self, *args):
+            raise AssertionError("a move read face records")
+
+        monkeypatch.setattr(S.CombinatorialComplex, "_build", refused)
+        for c, script in runs:
+            final, log = S.run_blowup_script(c, script)
+            assert log.homology_constant
+            S.homology(final.cone("apex"))
+        for c, pair in flows:
+            S.morse_vertex_flow(c, *pair)
+        for c, sigma in puckers:
+            S.homology(S.pucker(c, sigma, 3))
+        with pytest.raises(AssertionError, match="read face records"):
+            S.CombinatorialComplex([])
+
+
 def permuted_labels(rng, c):
     """``c`` with every face labeled from a seeded permutation of label
     strings, about one in five a copy of another face's label, so that
@@ -967,8 +1097,10 @@ class TestSlotsAgainstRecords:
     that reads them agrees with the complex the validating constructor
     reads from the records, a face of the parent outside the child is no
     face of it, and a move never leaves more dead slots than live ones.
-    The scripts run long enough that moves compact the lists, and run
-    again on inputs whose labels are not in id order."""
+    Each move also equals the validating constructor's read of the records
+    its writer once wrote from ids (the oracle writers).  The scripts run
+    long enough that moves compact the lists, and run again on inputs whose
+    labels are not in id order."""
 
     @staticmethod
     def agrees(c, parent=None) -> int:
@@ -1036,6 +1168,7 @@ class TestSlotsAgainstRecords:
                           [S.BlowupMove(case=2, face=v, new_vertex=v)])
                 for move in script:
                     prev, cur = cur, S.blowup_move(cur, move)
+                    assert_same_complex(cur, record_writing_blowup_move(prev, move))
                     ids = cur._num[0]
                     assert len(ids) <= 2 * len(cur.face_ids)
                     outside += self.agrees_below(rng, cur, prev)
@@ -1063,8 +1196,15 @@ class TestSlotsAgainstRecords:
             self.agrees_below(rng, cur)
             for step in range(5):
                 top = [f for f in cur.face_ids if cur.is_maximal(f)]
-                cur = (S.cone(cur, f"a{step}") if step % 2 == 0
-                       else S.pucker(cur, rng.choice(top), rng.randint(2, 3)))
+                prev = cur
+                if step % 2 == 0:
+                    cur = S.cone(prev, f"a{step}")
+                    assert_same_complex(cur, record_writing_cone(prev, f"a{step}"))
+                else:
+                    sigma, d = rng.choice(top), rng.randint(2, 3)
+                    cur = S.pucker(prev, sigma, d)
+                    assert_same_complex(cur, derived_by_constructor(
+                        prev, (), pucker_records(prev, sigma, d)))
                 ids = cur._num[0]
                 assert len(ids) <= 2 * len(cur.face_ids)
                 outside += self.agrees_below(rng, cur)
@@ -1084,24 +1224,79 @@ def filtered_disk():
     return S.new_complex(recs)
 
 
-def captured_derivation(monkeypatch, c, move):
-    """The (parent, drop, fresh) arguments of the move's ``_derived`` call."""
+def captured_grafts(monkeypatch, run):
+    """The ``(parent, cuts, columns)`` of each ``_move`` call ``run()`` makes,
+    the columns copied."""
     seen = []
-    derived = S.CombinatorialComplex._derived
+    move = S.CombinatorialComplex._move
 
-    def capture(self, drop, fresh):
-        seen.append((self, drop, [dict(r) for r in fresh]))
-        return derived(self, drop, fresh)
+    def capture(self, cuts, *fresh):
+        seen.append((self, list(cuts), copy.deepcopy(list(fresh))))
+        return move(self, cuts, *fresh)
 
-    monkeypatch.setattr(S.CombinatorialComplex, "_derived", capture)
-    S.blowup_move(c, move)
+    monkeypatch.setattr(S.CombinatorialComplex, "_move", capture)
+    run()
     monkeypatch.undo()
-    (parent, drop, fresh), = seen
-    return parent, drop, fresh
+    return seen
+
+
+def graft_outcome(parent, cuts, cols):
+    """The complex the graft makes, the class and message of its domain
+    error, or AssertionError."""
+    try:
+        return parent._move(cuts, *copy.deepcopy(cols))
+    except S.SncxError as exc:
+        return type(exc), str(exc)
+    except AssertionError:
+        return AssertionError
+
+
+def kept_records(parent, cuts):
+    """The records of the faces of ``parent`` outside the positions ``cuts``."""
+    drop = set(cuts)
+    return [parent._record(f) for p, f in enumerate(parent.face_ids) if p not in drop]
 
 
 def _first_of_dim(k):
-    return lambda fresh: next(r for r in fresh if r["dim"] == k)
+    return lambda cols: cols[1].index(k)
+
+
+def _column(pick, col, value):
+    # set column ``col`` of the fresh face ``pick`` finds; a callable value
+    # is given the parent, the columns and the old value
+    def mutate(parent, cols):
+        i = pick(cols)
+        cols[col][i] = value(parent, cols, cols[col][i]) if callable(value) else value
+    return mutate
+
+
+FIDS, DIMS, LABELS, LEVELS, REFS = range(5)
+
+# each mutation breaks one check in one fresh face of the graft's columns
+SLOT_MUTATIONS = {
+    "id-not-str": _column(_first_of_dim(1), FIDS, 7),
+    "id-empty": _column(_first_of_dim(0), FIDS, ""),
+    "id-of-a-survivor": _column(_first_of_dim(2), FIDS, "0"),
+    "dim-negative": _column(_first_of_dim(0), DIMS, -1),
+    "dim-wrong-for-facets": _column(_first_of_dim(2), DIMS, 3),
+    # a ref past every slot: no record can name it
+    "facet-unknown": _column(_first_of_dim(1), REFS, lambda parent, cols, d: d[:1] + [
+        len(parent._num[0]) + len(cols[FIDS])]),
+    "no-facets": _column(_first_of_dim(1), REFS, []),
+    "vertex-covers": _column(_first_of_dim(0), REFS, lambda parent, cols, d: [
+        parent._slot("0")]),
+    "delta-short": _column(_first_of_dim(2), REFS, lambda parent, cols, d: d[:-1]),
+    "delta-repeats": _column(_first_of_dim(2), REFS, lambda parent, cols, d: [
+        d[0], d[0], d[2]]),
+    "delta-not-the-facets": _column(_first_of_dim(2), REFS, lambda parent, cols, d: d[:-1] + [
+        parent._slot("1.2")]),
+    "delta-identity": _column(_first_of_dim(2), REFS, lambda parent, cols, d: [
+        d[1], d[0], d[2]]),
+    "repeated-vertex": _column(_first_of_dim(1), REFS, lambda parent, cols, d: [d[0], d[0]]),
+    "level-below-facet": _column(_first_of_dim(0), LEVELS, 3),
+    "level-zero": _column(_first_of_dim(1), LEVELS, 0),
+    "level-missing": _column(_first_of_dim(1), LEVELS, None),
+}
 
 
 def _set(pick, key, value):
@@ -1130,106 +1325,168 @@ def _both(*mutations):
     return mutate
 
 
-# each mutation breaks one check of the constructor in one created face
+def _record_of_dim(k):
+    return lambda fresh: next(r for r in fresh if r["dim"] == k)
+
+
+# each mutation breaks one check of the constructor in one fresh record;
+# a missing delta_order is a fault only records can hold
 MUTATIONS = {
-    "id-not-str": _set(_first_of_dim(1), "id", 7),
-    "id-empty": _set(_first_of_dim(0), "id", ""),
-    "id-of-a-survivor": _set(_first_of_dim(2), "id", "0"),
-    "dim-negative": _set(_first_of_dim(0), "dim", -1),
-    "dim-wrong-for-facets": _set(_first_of_dim(2), "dim", 3),
-    "facet-unknown": _edit(_first_of_dim(1), "facets", lambda d: d[:1] + ["ghost"]),
-    "no-facets": _both(_set(_first_of_dim(1), "facets", []),
-                       _set(_first_of_dim(1), "delta_order", [])),
-    "vertex-covers": _set(_first_of_dim(0), "facets", ["0"]),
-    "delta-missing": _drop(_first_of_dim(2), "delta_order"),
-    "delta-short": _edit(_first_of_dim(2), "delta_order", lambda d: d[:-1]),
-    "delta-repeats": _edit(_first_of_dim(2), "delta_order", lambda d: [d[0], d[0], d[2]]),
-    "delta-not-the-facets": _edit(_first_of_dim(2), "delta_order",
+    "id-not-str": _set(_record_of_dim(1), "id", 7),
+    "id-empty": _set(_record_of_dim(0), "id", ""),
+    "id-of-a-survivor": _set(_record_of_dim(2), "id", "0"),
+    "dim-negative": _set(_record_of_dim(0), "dim", -1),
+    "dim-wrong-for-facets": _set(_record_of_dim(2), "dim", 3),
+    "facet-unknown": _edit(_record_of_dim(1), "facets", lambda d: d[:1] + ["ghost"]),
+    "no-facets": _both(_set(_record_of_dim(1), "facets", []),
+                       _set(_record_of_dim(1), "delta_order", [])),
+    "vertex-covers": _set(_record_of_dim(0), "facets", ["0"]),
+    "delta-missing": _drop(_record_of_dim(2), "delta_order"),
+    "delta-short": _edit(_record_of_dim(2), "delta_order", lambda d: d[:-1]),
+    "delta-repeats": _edit(_record_of_dim(2), "delta_order", lambda d: [d[0], d[0], d[2]]),
+    "delta-not-the-facets": _edit(_record_of_dim(2), "delta_order",
                                   lambda d: d[:-1] + ["1.2"]),
-    "delta-identity": _edit(_first_of_dim(2), "delta_order",
+    "delta-identity": _edit(_record_of_dim(2), "delta_order",
                             lambda d: [d[1], d[0], d[2]]),
     "repeated-vertex": _both(
-        _edit(_first_of_dim(1), "delta_order", lambda d: [d[0], d[0]]),
-        _edit(_first_of_dim(1), "facets", lambda d: [d[0], d[0]])),
-    "level-below-facet": _set(_first_of_dim(0), "level", 3),
-    "level-zero": _set(_first_of_dim(1), "level", 0),
-    "level-missing": _drop(_first_of_dim(1), "level"),
+        _edit(_record_of_dim(1), "delta_order", lambda d: [d[0], d[0]]),
+        _edit(_record_of_dim(1), "facets", lambda d: [d[0], d[0]])),
+    "level-below-facet": _set(_record_of_dim(0), "level", 3),
+    "level-zero": _set(_record_of_dim(1), "level", 0),
+    "level-missing": _drop(_record_of_dim(1), "level"),
 }
 
 
+def _random_slot_fault(rng, parent, cols):
+    """Break one fresh face of the columns ``cols`` at random: its id,
+    dimension or level, or its facet refs (one dropped, repeated, swapped,
+    or pointed at another slot, live, dead or fresh)."""
+    fids, dims, _labels, levels, refs = cols
+    i = rng.randrange(len(fids))
+    n0 = len(parent._num[0])
+    kinds = ["id", "dim", "drop", "repeat", "swap", "other", "other"]
+    if levels is not None:
+        kinds.append("level")
+    kind = rng.choice(kinds)
+    rs = refs[i] = list(refs[i])
+    if kind == "id":
+        fids[i] = rng.choice(["", 7, rng.choice(parent.face_ids), rng.choice(fids)])
+    elif kind == "dim":
+        dims[i] += rng.choice([-1, 1])
+    elif kind == "level":
+        levels[i] = rng.choice([0, True, None, levels[i] + 1, 1])
+    elif kind == "drop" and rs:
+        del rs[rng.randrange(len(rs))]
+    elif kind == "repeat" and len(rs) > 1:
+        rs[rng.randrange(len(rs))] = rng.choice(rs)
+    elif kind == "swap" and len(rs) > 1:
+        a, b = rng.sample(range(len(rs)), 2)
+        rs[a], rs[b] = rs[b], rs[a]
+    elif kind == "other":
+        other = rng.choice([rng.randrange(n0) if n0 else n0,
+                            n0 + rng.randrange(len(fids))])
+        if rs:
+            rs[rng.randrange(len(rs))] = other
+        else:
+            rs.append(other)
+
+
+def written_records(c, move):
+    """The faces a move on ``c`` drops and the records of the faces it
+    makes, as the oracle writers write them from ids."""
+    if move.case == 2:
+        return stellar_records(c, move.face, move.new_vertex)
+    return set(), attach_cone_records(c, _validate_case3(c, move), f"v({move.base})",
+                                      move.level)
+
+
 class TestDerivedChecks:
-    """A created face that breaks a check fails as in the constructor."""
+    """A fresh face that breaks a check fails the graft with the error the
+    constructor gives its records read after the kept faces'."""
 
     MOVES = (S.BlowupMove(case=2, face="0.1.2", new_vertex="B"),
              S.BlowupMove(case=3, base="0.1", attach=("0.1", "0.1.2"),
                           vertex="0", level=2))
 
-    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    @pytest.mark.parametrize("name", sorted(SLOT_MUTATIONS))
     @pytest.mark.parametrize("move", MOVES, ids=("stellar", "cone"))
     def test_same_error_as_constructor(self, monkeypatch, name, move):
-        c = filtered_disk()
-        parent, drop, fresh = captured_derivation(monkeypatch, c, move)
-        assert_rebuilds(parent._derived(drop, fresh))
-        MUTATIONS[name](fresh)
+        (parent, cuts, cols), = captured_grafts(
+            monkeypatch, lambda: S.blowup_move(filtered_disk(), move))
+        assert_rebuilds(parent._move(cuts, *copy.deepcopy(cols)))
+        SLOT_MUTATIONS[name](parent, cols)
+        got = graft_outcome(parent, cuts, cols)
+        if name == "facet-unknown":         # no record can name the ref
+            with pytest.raises(IndexError):
+                column_records(parent, *cols)
+            assert got is AssertionError
+            return
         with pytest.raises(S.SncxError) as want:
-            derived_by_constructor(parent, drop, fresh)
-        with pytest.raises(S.SncxError) as got:
-            parent._derived(drop, fresh)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
+            validating_constructor(kept_records(parent, cuts) + column_records(parent, *cols))
+        assert got == (type(want.value), str(want.value))
+
+    def test_dead_slot_under_a_reused_id(self, monkeypatch):
+        # a vertex of a circle subdivided under its own id: an edge on the
+        # new vertex whose ref is the dead slot of the old one reads as a
+        # valid record, since both have the id "v0", and no 2-face above it
+        # shows the fault; only the slot check refuses it
+        (parent, cuts, cols), = captured_grafts(
+            monkeypatch, lambda: S.stellar_subdivide(G.triangle_boundary(), "v0",
+                                                     new_vertex="v0"))
+        n0, refs = len(parent._num[0]), cols[REFS]
+        assert cols[FIDS][0] == "v0" and n0 in refs[1]
+        refs[1] = [parent._slot("v0") if r == n0 else r for r in refs[1]]
+        recs = column_records(parent, *cols)
+        assert_rebuilds(validating_constructor(kept_records(parent, cuts) + recs))
+        assert graft_outcome(parent, cuts, cols) is AssertionError
 
     def test_random_faults_same_outcome_as_the_frozen_reader(self, monkeypatch):
-        # the fresh records of the moves of random scripts, on Delta and
+        # the graft columns of the moves of random scripts, on Delta and
         # filtered complexes and on posets, with one or two faults put in:
-        # the move's build gives the frozen reader's complex or error on
-        # the survivors' records followed by the fresh ones
-        seen = []
-        derived = S.CombinatorialComplex._derived
+        # the graft gives the frozen reader's complex or error on the kept
+        # faces' records followed by the fresh ones, or AssertionError for a
+        # face poset's repeated facet, which the reader reads once
+        def run():
+            rng = random.Random(2605)
+            for i in range(24):
+                c = random_simplicial_complex(rng, max_verts=6, max_facets=4, max_dim=3)
+                if i % 2:
+                    c = with_random_levels(rng, c)
+                S.run_blowup_script(c, draw_mixed_script(rng, c, 3))
+                if i % 3 == 0:
+                    poset = S.cone(without_delta(c), "z")
+                    S.pucker(poset, poset.face_ids[-1], 2)
 
-        def capture(self, drop, fresh):
-            seen.append((self, set(drop), copy.deepcopy(list(fresh))))
-            return derived(self, drop, fresh)
-
-        monkeypatch.setattr(S.CombinatorialComplex, "_derived", capture)
-        rng = random.Random(2605)
-        for i in range(24):
-            c = random_simplicial_complex(rng, max_verts=6, max_facets=4, max_dim=3)
-            if i % 2:
-                c = with_random_levels(rng, c)
-            S.run_blowup_script(c, draw_mixed_script(rng, c, 3))
-            if i % 3 == 0:
-                S.cone(without_delta(c), "z")
-        monkeypatch.undo()
-
-        def outcome(build, *args):
-            try:
-                return build(*args)
-            except S.SncxError as exc:
-                return type(exc), str(exc)
-
-        errors = 0
-        for parent, drop, fresh in seen:
+        rng = random.Random(2606)
+        seen = {"error": 0, "complex": 0, "repeated": 0}
+        for parent, cuts, cols in captured_grafts(monkeypatch, run):
             for _ in range(3):
-                recs = copy.deepcopy(fresh)
-                if not any(break_record(rng, kind, recs) for kind in
-                           rng.sample(READER_FAULTS, rng.choice([1, 2]))):
+                broken = copy.deepcopy(cols)
+                for _ in range(rng.choice([1, 2])):
+                    _random_slot_fault(rng, parent, broken)
+                got = graft_outcome(parent, cuts, broken)
+                try:
+                    want = phased_reader(kept_records(parent, cuts)
+                                         + column_records(parent, *broken))
+                except S.SncxError as exc:
+                    assert got == (type(exc), str(exc)), broken
+                    seen["error"] += 1
                     continue
-                got = outcome(parent._derived, drop, copy.deepcopy(recs))
-                want = outcome(phased_reader, [parent._record(f) for f in parent.face_ids
-                                               if f not in drop] + recs)
-                if isinstance(want, tuple):
-                    assert got == want
-                    errors += 1
+                if got is AssertionError:
+                    assert not parent.has_delta, broken
+                    seen["repeated"] += 1
                 else:
                     assert_same_complex(got, want)
-        assert errors > 150, errors
+                    seen["complex"] += 1
+        assert seen["error"] > 150 and seen["complex"] > 20 and seen["repeated"], seen
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     @pytest.mark.parametrize("move", MOVES, ids=("stellar", "cone"))
-    def test_whole_records_same_error_as_oracle(self, monkeypatch, name, move):
+    def test_whole_records_same_error_as_oracle(self, name, move):
         # the constructor, given the survivors' records and the mutated
         # fresh ones as one list, fails as the frozen validating constructor
-        parent, drop, fresh = captured_derivation(monkeypatch, filtered_disk(), move)
+        parent = filtered_disk()
+        drop, fresh = written_records(parent, move)
         MUTATIONS[name](fresh)
         records = [parent._record(f) for f in parent.face_ids if f not in drop] + fresh
         with pytest.raises(S.SncxError) as want:
@@ -1240,26 +1497,39 @@ class TestDerivedChecks:
         assert str(got.value) == str(want.value)
 
 
+def _refs_to(*names):
+    # the facet refs of the fresh face ``names[0]``: kept faces by slot,
+    # fresh ones by their number past the slots
+    def mutate(parent, cols):
+        fids, refs = cols[FIDS], cols[REFS]
+        refs[fids.index(names[0])] = [
+            len(parent._num[0]) + fids.index(g) if g in fids else parent._slot(g)
+            for g in names[1:]]
+    return mutate
+
+
+# faces of the cone over a 5-cycle without a Delta structure, apex "c"
+POSET_MUTATIONS = {
+    "edge-on-three-vertices": _refs_to("v0*c", "c", "v0", "v1"),
+    "two-cell-on-a-path": _refs_to("e0*c", "v0*c", "v1*c", "e1"),
+    "two-cell-on-a-figure-eight": _refs_to(
+        "e0*c", "v0*c", "v1*c", "e0", "v2*c", "v3*c", "e2"),
+}
+
+
 def _put(fid, key, value):
     def mutate(fresh):
         next(r for r in fresh if r["id"] == fid)[key] = value
     return mutate
 
 
-# faces of the cone over a 5-cycle without a Delta structure, apex "c"
-POSET_MUTATIONS = {
-    "edge-on-three-vertices": _put("v0*c", "facets", ["c", "v0", "v1"]),
-    "two-cell-on-a-path": _put("e0*c", "facets", ["v0*c", "v1*c", "e1"]),
-    "two-cell-on-a-figure-eight": _put(
-        "e0*c", "facets", ["v0*c", "v1*c", "e0", "v2*c", "v3*c", "e2"]),
-}
 def _levels_on_all(fresh):
     for r in fresh:
         r["level"] = 1
 
 
-# a structure the fresh faces claim and the survivors lack, and the first
-# survivor in canonical order it fails on
+# a structure the fresh records claim and the kept faces lack, and the
+# first kept face in canonical order it fails on
 POSET_CLAIMS = {
     "delta-order": (_put("e0*c", "delta_order", ["v0*c", "v1*c", "e0"]), "e0"),
     "level": (_levels_on_all, "v0"),
@@ -1272,41 +1542,37 @@ class TestDerivedChecksWithoutDelta:
 
     @staticmethod
     def captured_cone(monkeypatch):
-        seen = []
-        derived = S.CombinatorialComplex._derived
-
-        def capture(self, drop, fresh):
-            seen.append((self, drop, [dict(r) for r in fresh]))
-            return derived(self, drop, fresh)
-
-        monkeypatch.setattr(S.CombinatorialComplex, "_derived", capture)
-        out = without_delta(G.cycle_complex(5)).cone("c")
-        monkeypatch.undo()
-        (parent, drop, fresh), = seen
-        assert not parent.has_delta and drop == ()
-        assert_rebuilds(out)
-        return parent, drop, fresh
+        out = []
+        (parent, cuts, cols), = captured_grafts(
+            monkeypatch, lambda: out.append(without_delta(G.cycle_complex(5)).cone("c")))
+        assert not parent.has_delta and cuts == []
+        assert_rebuilds(out[0])
+        return parent, cuts, cols
 
     @pytest.mark.parametrize("name", sorted(POSET_MUTATIONS))
     def test_same_error_as_oracle(self, monkeypatch, name):
-        parent, drop, fresh = self.captured_cone(monkeypatch)
-        POSET_MUTATIONS[name](fresh)
+        parent, cuts, cols = self.captured_cone(monkeypatch)
+        POSET_MUTATIONS[name](parent, cols)
         with pytest.raises(NotRegularCW) as want:
-            derived_by_constructor(parent, drop, fresh)
+            derived_by_constructor(parent, (), column_records(parent, *cols))
         with pytest.raises(NotRegularCW) as got:
-            parent._derived(drop, fresh)
+            parent._move(cuts, *cols)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("name", sorted(POSET_CLAIMS))
     def test_claim_checks_the_survivors(self, monkeypatch, name):
-        parent, drop, fresh = self.captured_cone(monkeypatch)
+        # a claim is a fault only records can hold: the constructor, given
+        # the kept faces' records and the fresh ones with the claim, names
+        # the first kept face that lacks it, as the frozen reader does
+        parent, cuts, cols = self.captured_cone(monkeypatch)
+        fresh = column_records(parent, *cols)
         mutate, survivor = POSET_CLAIMS[name]
         mutate(fresh)
+        records = kept_records(parent, cuts) + fresh
         with pytest.raises(S.SncxError) as want:
-            derived_by_constructor(parent, drop, fresh)
+            validating_constructor(records)
         with pytest.raises(S.SncxError) as got:
-            parent._derived(drop, fresh)
+            S.CombinatorialComplex(records)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"face {survivor!r} lacks")
-
