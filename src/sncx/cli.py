@@ -14,12 +14,12 @@ import json
 import sys
 
 from . import __version__
-from .complexes import CombinatorialComplex
+from .complexes import CombinatorialComplex, _collector_paused
 from .errors import DescriptorInvalid, SncxError
 from .homology import _as_reduced, homology, wedge_certificate
 from .newton import _w0_report, newton_polyhedron, torus_hypersurface_boundary_complex
 from .serialize import (
-    complex_from_dict,
+    _complex_taken,
     complex_to_dict,
     dumps,
     script_from_list,
@@ -44,15 +44,19 @@ input schemas (JSON):
 """
 
 
-def _sha256(path: str) -> str:
+def _read_json(path: str):
+    """The JSON document in the file at ``path`` and the sha256 of its
+    bytes, from one read.  The bytes are decoded as ``open(path,
+    encoding="utf-8")`` decodes them: UTF-8, with universal newlines."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_json(path: str):
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        text = raw.decode("utf-8")
+        raw = None          # freed before the parse
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text), digest
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DescriptorInvalid(f"input {path} is not UTF-8 JSON: {exc}") from exc
     except RecursionError as exc:
@@ -78,26 +82,28 @@ def _summary(c, h=None) -> dict:
 
 
 def _homology_report(path: str, reduced: bool) -> dict:
-    c = complex_from_dict(_load_json(path))
+    doc, digest = _read_json(path)
+    c = _complex_taken(doc)
     h = homology(c)
-    return {**_summary(c, _as_reduced(h) if reduced else h),
+    return {"input": path, "sha256": digest,
+            **_summary(c, _as_reduced(h) if reduced else h),
             "components": h.betti(0), "reduced": reduced}
 
 
 def _run_homology(args) -> dict:
-    return {"reports": [{"input": path, "sha256": _sha256(path),
-                         **_homology_report(path, args.reduced)}
-                        for path in args.inputs]}
+    return {"reports": [_homology_report(path, args.reduced) for path in args.inputs]}
 
 
 def _run_transform(args) -> dict:
-    c = complex_from_dict(_load_json(args.complex))
-    script = script_from_list(_load_json(args.script))
+    doc, complex_sha = _read_json(args.complex)
+    c = _complex_taken(doc)
+    doc, script_sha = _read_json(args.script)
+    script = script_from_list(doc)
     final, log = run_blowup_script(c, script)
     last = log.steps[-1]
     return {
-        "inputs": [{"path": args.complex, "sha256": _sha256(args.complex)},
-                   {"path": args.script, "sha256": _sha256(args.script)}],
+        "inputs": [{"path": args.complex, "sha256": complex_sha},
+                   {"path": args.script, "sha256": script_sha}],
         "log": log.as_json(),
         "final": {"f_vector": last["f_vector"],
                   "euler_characteristic": final.euler_characteristic(),
@@ -107,55 +113,57 @@ def _run_transform(args) -> dict:
 
 
 def _run_dual(args) -> dict:
-    desc = strata_from_json(_load_json(args.input))
-    c = dual_complex(desc)
-    return {"input": args.input, "sha256": _sha256(args.input),
+    doc, digest = _read_json(args.input)
+    c = dual_complex(strata_from_json(doc))
+    return {"input": args.input, "sha256": digest,
             **_summary(c), "complex": c}
 
 
 def _run_toric_link(args) -> dict:
-    fan = fan_from_json(_load_json(args.input))
-    c = toric_link(fan)
-    return {"input": args.input, "sha256": _sha256(args.input),
+    doc, digest = _read_json(args.input)
+    c = toric_link(fan_from_json(doc))
+    return {"input": args.input, "sha256": digest,
             **_summary(c), "complex": c}
 
 
 def _run_realize(args) -> dict:
-    doc = _load_json(args.input)
+    doc, digest = _read_json(args.input)
     faces = _list_of(doc, "faces", "subsets document")
     ground = doc.get("n") if isinstance(doc, dict) else None
     c, script = realize_boundary(faces, n=ground)
-    return {"input": args.input, "sha256": _sha256(args.input),
+    return {"input": args.input, "sha256": digest,
             **_summary(c), "complex": c,
             "script": script_to_list(script)}
 
 
 def _run_newton(args) -> dict:
-    np_ = newton_polyhedron(_list_of(_load_json(args.input), "points", "support"))
+    doc, digest = _read_json(args.input)
+    np_ = newton_polyhedron(_list_of(doc, "points", "support"))
     report, model = _w0_report(np_)
     if args.variant != "both":
         report["predicted_variant"] = args.variant
         report["predicted_count"] = report["predicted"][args.variant]
     report["model_complex"] = model
     report["input"] = args.input
-    report["sha256"] = _sha256(args.input)
+    report["sha256"] = digest
     return report
 
 
 def _run_torus_boundary(args) -> dict:
-    c = torus_hypersurface_boundary_complex(
-        _list_of(_load_json(args.input), "points", "polytope"))
+    doc, digest = _read_json(args.input)
+    c = torus_hypersurface_boundary_complex(_list_of(doc, "points", "polytope"))
     h = homology(c)
-    return {"input": args.input, "sha256": _sha256(args.input),
+    return {"input": args.input, "sha256": digest,
             **_summary(c, h),
             "reduced_homology": _as_reduced(h).as_json(),
             "complex": c}
 
 
 def _run_certify(args) -> dict:
-    c = complex_from_dict(_load_json(args.input))
+    doc, digest = _read_json(args.input)
+    c = _complex_taken(doc)
     cert = wedge_certificate(c, args.sphere_dim)
-    return {"input": args.input, "sha256": _sha256(args.input),
+    return {"input": args.input, "sha256": digest,
             "sphere_dim": args.sphere_dim,
             "verdict": str(cert),
             "status": cert.status, "count": cert.count,
@@ -250,7 +258,10 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        report = globals()["_run_" + args.command.replace("-", "_")](args)
+        # with the cyclic collector paused: its passes over a command's
+        # lists free nothing, and took a fifth of reading a large input
+        runner = globals()["_run_" + args.command.replace("-", "_")]
+        report = _collector_paused(runner, args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"sncx: no such input: {exc.filename}\n")
         return 2

@@ -145,10 +145,16 @@ def _from_simplices(simplices: list, name, level=None) -> "CombinatorialComplex"
     is paused meanwhile: the lists it makes hold no cycle, and passes over
     them took a third of assembling sd³(S³).
     """
+    return _collector_paused(_assembled, simplices, name, level)
+
+
+def _collector_paused(fn, *args):
+    """``fn(*args)`` with the cyclic garbage collector paused, and then
+    left as it was found, also when ``fn`` raises."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _assembled(simplices, name, level)
+        return fn(*args)
     finally:
         if enabled:
             gc.enable()
@@ -303,15 +309,20 @@ class CombinatorialComplex:
     output byte-deterministic.
 
     The constructor reads records with :meth:`_build`, which runs these
-    checks on every face.  Nothing else writes records to be read back.
-    A move hands the faces it keeps and the faces it makes, as slot
-    lists, to :meth:`_graft`, which runs the same checks on the made
-    faces only; the kept ones were checked when their complex was built.
-    A restriction (:meth:`_restricted`) is the graft with no faces made.
-    The simplicial builders assemble their complexes from vertex tuples
-    (:func:`_from_simplices`).  The records of a graft or an assembly
-    are written only when a check fails, for the reader to name the fault
-    with its error.
+    checks on every face; :meth:`_consumed` is the same reader on a list
+    its caller hands over.  The JSON reader, the quotient
+    (:meth:`quotient_free_involution`), :meth:`relabeled`, the unions,
+    wedges and joins of :mod:`sncx.operations`,
+    :func:`sncx.snc.dual_complex`, the poset branch of
+    :func:`sncx.snc.toric_link`, the Newton models and the gallery write
+    records for it.  A move hands the faces it keeps and the faces it
+    makes, as slot lists, to :meth:`_graft`, which runs the same checks
+    on the made faces only; the kept ones were checked when their complex
+    was built.  A restriction (:meth:`_restricted`) is the graft with no
+    faces made.  The simplicial builders assemble their complexes from
+    vertex tuples (:func:`_from_simplices`).  The records of a graft or
+    an assembly are written only when a check fails, for the reader to
+    name the fault with its error.
 
     Every build numbers the faces: ``(ids, below, above, live, labels,
     levels, verts)``.  Per slot it holds the face id, the facet slots (in
@@ -343,9 +354,18 @@ class CombinatorialComplex:
     def __init__(self, faces: Iterable[Mapping]):
         self._build(list(faces))
 
+    @classmethod
+    def _consumed(cls, recs: list) -> "CombinatorialComplex":
+        """The complex read from ``recs``, a list the caller gives up: the
+        reader empties it once every record has passed its own checks, so
+        that the records are freed before the numbering's lists grow."""
+        out = cls.__new__(cls)
+        out._build(recs)
+        return out
+
     # -- the record reader -------------------------------------------------
 
-    def _build(self, recs: Sequence[Mapping]):
+    def _build(self, recs: list):
         """Read face records, check every face, and number the complex.
 
         Each record is first checked alone.  Then one loop in canonical
@@ -356,7 +376,8 @@ class CombinatorialComplex:
         checks one by one on ids to name its first fault; the error raised
         is the least fault by the rank of its check, then by record order
         (covering) or canonical order, as if each check ran on every face
-        in turn.
+        in turn.  The list ``recs`` is emptied once each record is checked
+        alone; the faults are then ranked by the ids in record order.
         """
         # a first pass keeps a list of ids as it is and checks that they
         # are strings in one join after the pass; if any check fails, the
@@ -399,6 +420,7 @@ class CombinatorialComplex:
             except Exception:   # read again: the first fault in record order
                 if not fast:
                     raise
+        recs.clear()
 
         # canonical order (dim, label, insertion index): two stable sorts
         perm = sorted(range(len(new)), key=names.__getitem__)
@@ -407,7 +429,7 @@ class CombinatorialComplex:
         order = tuple(map(new.__getitem__, perm))
         names = list(map(names.__getitem__, perm))
         marks = list(map(marks.__getitem__, perm))
-        del perm, new
+        del perm
         n = len(order)
         index = dict(zip(order, range(n)))
         starts = [bisect_left(dims, k) for k in range(dims[-1] + 2 if dims else 1)]
@@ -464,13 +486,13 @@ class CombinatorialComplex:
                         raise AssertionError(f"face {f!r} fails no check") from None
                     continue
                 if not fault[0]:
-                    at = at or {r["id"]: i for i, r in enumerate(recs)}
+                    at = at or dict(zip(new, range(n)))
                 rank = fault[0], at[f] if not fault[0] else x
                 if pending is None or rank < pending[0]:
                     pending = rank, fault[1]
         if pending:
             raise pending[1]
-        del cov, delta                  # freed before the coface lists grow
+        del cov, delta, new             # freed before the coface lists grow
         slots = range(n)
         self._num = order, below, _cofaces(below, [[] for _ in slots], slots), slots, \
             names, levels, verts

@@ -36,12 +36,22 @@ def complex_to_dict(c: CombinatorialComplex) -> dict:
     return {"faces": c.to_records()}
 
 
-def complex_from_dict(doc: dict) -> CombinatorialComplex:
+def _faces(doc) -> list:
     faces = doc.get("faces") if isinstance(doc, dict) else None
     if not isinstance(faces, list):
         raise DescriptorInvalid(
             "a complex is an object whose 'faces' is a list of face records")
-    return CombinatorialComplex(faces)
+    return faces
+
+
+def complex_from_dict(doc: dict) -> CombinatorialComplex:
+    return CombinatorialComplex(_faces(doc))
+
+
+def _complex_taken(doc) -> CombinatorialComplex:
+    """``complex_from_dict(doc)`` for a caller that gives ``doc`` up: the
+    reader empties its face list as it numbers the faces."""
+    return CombinatorialComplex._consumed(_faces(doc))
 
 
 _int = int.__repr__
@@ -174,7 +184,7 @@ def dumps_complex(c: CombinatorialComplex) -> str:
 
 
 def loads_complex(text: str) -> CombinatorialComplex:
-    return complex_from_dict(json.loads(text))
+    return _complex_taken(json.loads(text))
 
 
 def script_to_list(script) -> list:
@@ -194,4 +204,5 @@ def write_complex(path, c: CombinatorialComplex) -> None:
 
 def read_complex(path) -> CombinatorialComplex:
     with open(path, encoding="utf-8") as fh:
-        return loads_complex(fh.read())
+        doc = json.load(fh)
+    return _complex_taken(doc)

@@ -56,11 +56,14 @@ lists onto the numbering, a stellar subdivision's, a pucker's and a
 blowup move made of them and the attached cone's, whose records the
 validating constructor reads after the kept faces', and the converters
 between a move's slot columns and records that the graft's fault tests
-use.
+use.  Then the CLI's input reader from before it read each file once: the
+document from the file opened as UTF-8 text, the digest from its bytes
+read again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from bisect import bisect_left
@@ -1978,3 +1981,19 @@ def dict_boundary_walk(c, f):
     if len({e for _v, e in steps}) != len(cov[f]):
         raise NotRegularCW(f"the edges of face {f!r} do not form one cycle")
     return tuple(steps)
+
+
+def two_read_json(path):
+    """The CLI's input reader as it was: the sha256 of the file's bytes,
+    and the document ``json.load`` reads from the file opened again as
+    UTF-8 text (universal newlines), with the CLI's errors."""
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh), digest
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DescriptorInvalid(f"input {path} is not UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DescriptorInvalid(
+            f"input {path} nests too deeply to read: {exc}") from exc

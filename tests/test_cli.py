@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -13,7 +14,12 @@ from sncx.cli import main
 from sncx.serialize import complex_to_dict, dumps_complex, read_complex
 
 from conftest import close_under_subsets
-from oracles import presentation_wedge_certificate, replay_collapse, stdlib_dumps
+from oracles import (
+    presentation_wedge_certificate,
+    replay_collapse,
+    stdlib_dumps,
+    two_read_json,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -429,6 +435,76 @@ class TestErrors:
         assert run_any(["transform", str(cpath), str(spath)]) == (1, (
             '{\n  "error": {\n    "message": "step 1: DuplicateFace: face record '
             f'{position} has no usable id",\n    "type": "ScriptError"\n  }}\n}}\n'), "")
+
+
+class TestOneRead:
+    """Each input is read once, for its document and its digest, and
+    decoded as the file opened as UTF-8 text was: the report bytes, or the
+    error, of the two reads ``two_read_json`` makes."""
+
+    @staticmethod
+    def both(monkeypatch, argv):
+        got = run_any(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_json", two_read_json)
+            assert run_any(argv) == got
+        return got
+
+    @staticmethod
+    def error(out):
+        return json.loads(out)["error"]["message"]
+
+    def test_crlf_documents(self, tmp_path, monkeypatch):
+        # universal newlines; the digests are of the bytes on disk
+        cpath, spath = tmp_path / "crlf.json", tmp_path / "crlf-script.json"
+        cpath.write_bytes(dumps_complex(G.triangle_boundary()).replace("\n", "\r\n").encode())
+        spath.write_bytes(b'[\r\n{"case": 2,\r"face": "e0"}\r\n]\r\n')
+        for argv, read in ((["homology", str(cpath)], [cpath]),
+                           (["certify", str(cpath), "--sphere-dim", "1"], [cpath]),
+                           (["transform", str(cpath), str(spath)], [cpath, spath])):
+            code, out, err = self.both(monkeypatch, argv)
+            assert (code, err) == (0, "")
+            for path in read:
+                assert f'"sha256": "{hashlib.sha256(path.read_bytes()).hexdigest()}"' in out
+
+    def test_byte_order_mark(self, tmp_path, monkeypatch):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + dumps_complex(G.triangle_boundary()).encode())
+        code, out, _err = self.both(monkeypatch, ["homology", str(path)])
+        assert code == 1 and self.error(out) == (
+            f"input {path} is not UTF-8 JSON: Unexpected UTF-8 BOM "
+            "(decode using utf-8-sig): line 1 column 1 (char 0)")
+
+    def test_raw_carriage_return_in_a_string(self, tmp_path, monkeypatch):
+        # read as a newline, after a CRLF that counts as one character
+        path = tmp_path / "cr.json"
+        path.write_bytes(b'{"faces":\r\n[{"id": "v\rw", "dim": 0, "facets": []}]}')
+        code, out, _err = self.both(monkeypatch, ["certify", str(path), "--sphere-dim", "0"])
+        assert code == 1 and self.error(out) == (
+            f"input {path} is not UTF-8 JSON: Invalid control character at: "
+            "line 2 column 11 (char 20)")
+
+    def test_invalid_byte_past_8_kib(self, tmp_path, monkeypatch):
+        # the position counts from the start of the file
+        path = tmp_path / "late.json"
+        path.write_bytes(b'{"faces": [' + b" " * 9000 + b"\xff]}")
+        code, out, _err = self.both(monkeypatch, ["homology", str(path)])
+        assert code == 1 and self.error(out) == (
+            f"input {path} is not UTF-8 JSON: 'utf-8' codec can't decode "
+            "byte 0xff in position 9011: invalid start byte")
+
+    def test_missing_file(self, tmp_path, monkeypatch, inputs):
+        absent = str(tmp_path / "absent.json")
+        for argv in (["certify", absent, "--sphere-dim", "1"],
+                     ["transform", str(inputs["triangle"]), absent]):
+            assert self.both(monkeypatch, argv) == (2, "", f"sncx: no such input: {absent}\n")
+
+    def test_complex_built_before_the_script_is_read(self, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"faces": [{"id": "e", "dim": 1, "facets": ["u"]}]}))
+        code, out, _err = self.both(
+            monkeypatch, ["transform", str(bad), str(tmp_path / "absent.json")])
+        assert code == 1 and json.loads(out)["error"]["type"] == "DanglingFace"
 
 
 class TestNonIntegerCoordinates:

@@ -1,14 +1,18 @@
 import copy
 import gc
+import io
 import itertools
+import json
 import random
 import re
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import sncx as S
+import sncx.cli as cli
 import sncx.complexes as C
 import sncx.operations as O
 import sncx.transforms as T
@@ -30,7 +34,7 @@ from sncx.errors import (
     QuotientNotRegular,
     SncxError,
 )
-from sncx.serialize import dumps_complex
+from sncx.serialize import complex_from_dict, dumps_complex
 from sncx.snc import _by_size
 
 from conftest import (
@@ -816,13 +820,21 @@ class TestSimplexAssembler:
                 S.simplicial_complex_from_subsets(family)
             assert str(exc.value) == "the empty set is not a face"
 
-    def test_collector_paused_and_restored(self, monkeypatch):
+    def test_collector_paused_and_restored(self, monkeypatch, tmp_path):
         # the assembly runs with the cyclic garbage collector off and leaves
         # it as it found it, also when a check fails and the constructor
-        # raises on the records
+        # raises on the records; so does each CLI command, on exit 0, on a
+        # domain error (exit 1) and on a missing input (exit 2)
         seen, real = [], C._assembled
         monkeypatch.setattr(C, "_assembled",
                             lambda *args: seen.append(gc.isenabled()) or real(*args))
+        ran, run = [], cli._run_certify
+        monkeypatch.setattr(cli, "_run_certify",
+                            lambda args: ran.append(gc.isenabled()) or run(args))
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(dumps_complex(G.triangle_boundary()))
+        bad.write_text(json.dumps({"faces": [{"id": "e", "dim": 1, "facets": ["u"]}]}))
+        exits = [(good, 0), (bad, 1), (tmp_path / "absent.json", 2)]
         was = gc.isenabled()
         try:
             for enabled in (True, False):
@@ -832,9 +844,14 @@ class TestSimplexAssembler:
                 with pytest.raises(BadDeltaStructure):
                     C._from_simplices([("a",), ("a", "a")], ".".join)
                 assert gc.isenabled() is enabled
+                for path, code in exits:
+                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                        assert cli.main(["certify", str(path), "--sphere-dim", "1"]) == code
+                    assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
         assert seen == [False] * 4
+        assert ran == [False] * 6
 
 
 class TestQuotient:
@@ -1071,6 +1088,14 @@ def read_outcome(build, recs):
     return c, c._num
 
 
+def consumed(recs):
+    """The complex the consuming entry reads from ``recs``, which it
+    leaves empty."""
+    c = S.CombinatorialComplex._consumed(recs)
+    assert recs == []
+    return c
+
+
 class TestFusedReader:
     """The constructor, whose checks run in one loop, against the reader
     that ran each check on every face before the next (frozen in the
@@ -1082,10 +1107,11 @@ class TestFusedReader:
         for c in reader_sources(rng, 60):
             for _ in range(3):
                 recs = scrambled(rng, c)
-                got, got_num = read_outcome(S.CombinatorialComplex, recs)
                 want, want_num = read_outcome(phased_reader, recs)
-                assert_same_complex(got, want)
-                assert got_num == want_num
+                for build in (S.CombinatorialComplex, consumed):
+                    got, got_num = read_outcome(build, recs)
+                    assert_same_complex(got, want)
+                    assert got_num == want_num
                 seen += 1
         assert seen > 150
 
@@ -1101,17 +1127,42 @@ class TestFusedReader:
                    if break_record(rng, kind, recs)]
             if not hit:
                 continue
-            got = read_outcome(S.CombinatorialComplex, recs)
             want = read_outcome(phased_reader, recs)
-            if isinstance(want[0], S.CombinatorialComplex):
-                assert_same_complex(got[0], want[0])
-                assert got[1] == want[1]
+            valid = isinstance(want[0], S.CombinatorialComplex)
+            # the consuming entry too: it ranks a fault by the ids in
+            # record order once the records are gone
+            for build in (S.CombinatorialComplex, S.CombinatorialComplex._consumed):
+                got = read_outcome(build, recs)
+                if valid:
+                    assert_same_complex(got[0], want[0])
+                    assert got[1] == want[1]
+                else:
+                    assert got == want, (hit, recs)
+            if valid:
                 continue
-            assert got == want, (hit, recs)
             # the message with its ids, numbers and values taken out
             errors[re.sub(r"'[^']*'|\[.*\]|\(.*\)|-?\d+|\w+=", "", want[1])] += 1
             twice += len(hit) == 2
         assert len(errors) >= 20 and twice > 150, (errors, twice)
+
+    def test_caller_data_unchanged(self):
+        # the constructor and ``complex_from_dict`` read a copy of the
+        # caller's list: its dicts and id lists stay as they were, also
+        # when the read fails
+        rng = random.Random(2603)
+        sources = [c for c in reader_sources(rng, 30) if not c.is_empty]
+        for i in range(120):
+            recs = scrambled(rng, rng.choice(sources))
+            if i % 2:
+                break_record(rng, rng.choice(READER_FAULTS), recs)
+            before = copy.deepcopy(recs)
+            doc = {"faces": recs}
+            for build, arg in ((S.CombinatorialComplex, recs), (complex_from_dict, doc)):
+                try:
+                    build(arg)
+                except S.SncxError:
+                    pass
+                assert doc == {"faces": before} and doc["faces"] is recs
 
     def test_fault_names_repeated_vertices(self):
         # records cannot repeat a vertex without failing an earlier check,
